@@ -120,8 +120,10 @@ else
     # the gate, as does a cell's canonical-storm dynamic instruction
     # count (the deterministic "time" axis — an optimization that saves
     # bytes by re-executing work fails here), cell-set drift in either
-    # direction, or a pass whose insts_removed drops to zero matrix-wide
-    # (silently inert); refresh the baseline deliberately with:
+    # direction, a cell whose total pass runs grow beyond the tolerance
+    # (the deterministic compile-cost proxy), or a pass whose changes
+    # drop to zero matrix-wide (silently inert); refresh the baseline
+    # deliberately with:
     #   cargo run --release -p bench --bin snapshot -- bench_baseline.json
     run_stage "bench snapshot (BENCH_PR3.json)" \
         cargo run --release -q -p bench --bin snapshot

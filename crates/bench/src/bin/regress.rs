@@ -2,11 +2,13 @@
 //! against the committed `bench_baseline.json` and exits nonzero on any
 //! per-cell size regression beyond the tolerance — totals and the
 //! `text`/`rodata` sections individually — on cell-set drift in either
-//! direction (a lost baseline cell or an unbaselined new cell), and on
-//! any pass whose `insts_removed` silently dropped to zero across the
-//! whole matrix. A mid-end change that erodes the paper's size numbers,
-//! drops coverage or quietly disables a pass fails CI instead of waiting
-//! for the next manual table regeneration.
+//! direction (a lost baseline cell or an unbaselined new cell), on a
+//! cell whose total pass runs grew beyond the tolerance (a fixed point
+//! that stopped converging), and on any pass whose `changes` silently
+//! dropped to zero across the whole matrix. A mid-end change that erodes
+//! the paper's size numbers, drops coverage, slows the fixed point or
+//! quietly disables a pass fails CI instead of waiting for the next
+//! manual table regeneration.
 //!
 //! Run with `cargo run -p bench --bin regress [-- <baseline> [current]]`.
 //! If a current-snapshot path is given (or `BENCH_PR3.json` exists, as

@@ -376,15 +376,33 @@ pub enum Verdict {
         /// Current metric value.
         current: usize,
     },
-    /// A pass that removed instructions somewhere in the baseline now
-    /// removes zero instructions across *all* cells — it has silently
-    /// gone inert (unregistered, reordered into impotence, or broken)
-    /// even if another pass papers over the bytes.
+    /// A pass that changed code somewhere in the baseline now reports
+    /// zero [`occ::PassStats::changes`] across *all* cells — it has
+    /// silently gone inert (unregistered, reordered into impotence, or
+    /// broken) even if another pass papers over the bytes. Keyed on
+    /// `changes`, not `insts_removed`: `copy-prop`, `gvn-cse`, `licm`,
+    /// `store-load-fwd` and `inline` rewrite or move code without
+    /// removing any, so an `insts_removed` key could never see them go
+    /// dead. A pass with zero changes matrix-wide in the baseline is not
+    /// gated at all — today that is `load-pre`, which makes no change on
+    /// the 48 sample cells.
     PassInert {
         /// Canonical pass name.
         name: String,
-        /// Total instructions the pass removed across the baseline.
-        baseline_removed: usize,
+        /// Total changes the pass reported across the baseline.
+        baseline_changes: usize,
+    },
+    /// A cell's total pass executions (Σ [`occ::PassStats::runs`]) grew
+    /// beyond [`TOLERANCE_PCT`] — the deterministic proxy for mid-end
+    /// compile cost: it grows when a fixed point stops converging, long
+    /// before wall-clock noise would show it.
+    PassRunsRegressed {
+        /// Cell key.
+        key: String,
+        /// Baseline total pass runs.
+        baseline: usize,
+        /// Current total pass runs.
+        current: usize,
     },
     /// The canonical storm's deterministic executed-instruction count
     /// grew beyond tolerance — the cell got *slower* on the time-like
@@ -430,6 +448,7 @@ impl Verdict {
                 | Verdict::SectionRegressed { .. }
                 | Verdict::RegallocRegressed { .. }
                 | Verdict::PassInert { .. }
+                | Verdict::PassRunsRegressed { .. }
                 | Verdict::DynInstsRegressed { .. }
                 | Verdict::StormChanged { .. }
                 | Verdict::CacheRegressed { .. }
@@ -481,9 +500,17 @@ impl Verdict {
             ),
             Verdict::PassInert {
                 name,
-                baseline_removed,
+                baseline_changes,
             } => format!(
-                "  INERT     pass `{name}` removed {baseline_removed} insts in the baseline, 0 now"
+                "  INERT     pass `{name}` changed code {baseline_changes} times in the baseline, 0 now"
+            ),
+            Verdict::PassRunsRegressed {
+                key,
+                baseline,
+                current,
+            } => format!(
+                "  REGRESSED {key:<40} pass runs {baseline:>7} -> {current:>7} (+{})",
+                current.saturating_sub(*baseline)
             ),
             Verdict::DynInstsRegressed {
                 key,
@@ -526,6 +553,13 @@ fn allowed_dyn_growth(baseline: usize) -> usize {
     )
 }
 
+/// Growth a cell's total pass runs may show before it counts as a
+/// regression: [`TOLERANCE_PCT`] of the baseline, with no absolute floor
+/// (run counts are deterministic).
+fn allowed_runs_growth(baseline: usize) -> usize {
+    (baseline as f64 * TOLERANCE_PCT / 100.0).floor() as usize
+}
+
 /// Compares `current` against `baseline` cell by cell, gating on total
 /// image size *and* on the `text`/`rodata` sections individually (one
 /// section's growth hidden by another's shrink is still flagged). Growth
@@ -538,9 +572,10 @@ fn allowed_dyn_growth(baseline: usize) -> usize {
 /// baseline measured one, and a storm-shape change (different event
 /// counts) fails outright rather than skipping the cell. A cell whose
 /// baseline recorded a warm driver-cache hit must still hit (the
-/// host-dependent compile *times* are carried but never gated). Finally,
-/// any pass that removed instructions somewhere in the baseline but
-/// removes zero across every current cell is flagged as silently inert.
+/// host-dependent compile *times* are carried but never gated). A cell's
+/// total pass runs may grow by at most [`TOLERANCE_PCT`]. Finally, any
+/// pass that changed code somewhere in the baseline but reports zero
+/// changes across every current cell is flagged as silently inert.
 pub fn compare(baseline: &Snapshot, current: &Snapshot) -> Vec<Verdict> {
     let current_by_key: BTreeMap<String, &Cell> =
         current.cells.iter().map(|c| (c.key(), c)).collect();
@@ -636,29 +671,39 @@ pub fn compare(baseline: &Snapshot, current: &Snapshot) -> Vec<Verdict> {
         if base.warm_hit == 1 && cur.warm_hit == 0 {
             verdicts.push(Verdict::CacheRegressed { key: key.clone() });
         }
+        // Compile-cost proxy: total pass executions in the cell.
+        let runs = |c: &Cell| c.passes.iter().map(|p| p.runs).sum::<usize>();
+        let (base_runs, cur_runs) = (runs(base), runs(cur));
+        if cur_runs > base_runs + allowed_runs_growth(base_runs) {
+            verdicts.push(Verdict::PassRunsRegressed {
+                key: key.clone(),
+                baseline: base_runs,
+                current: cur_runs,
+            });
+        }
     }
     for cur in &current.cells {
         if !baseline_keys.contains(&cur.key()) {
             verdicts.push(Verdict::Unbaselined { key: cur.key() });
         }
     }
-    // Pass-inert sweep: compare per-pass `insts_removed` totals across
-    // the whole matrix.
-    let removed_by_pass = |snap: &Snapshot| {
+    // Pass-inert sweep: compare per-pass `changes` totals across the
+    // whole matrix.
+    let changes_by_pass = |snap: &Snapshot| {
         let mut totals: BTreeMap<String, usize> = BTreeMap::new();
         for cell in &snap.cells {
             for p in &cell.passes {
-                *totals.entry(p.name.clone()).or_default() += p.insts_removed;
+                *totals.entry(p.name.clone()).or_default() += p.changes;
             }
         }
         totals
     };
-    let current_removed = removed_by_pass(current);
-    for (name, baseline_removed) in removed_by_pass(baseline) {
-        if baseline_removed > 0 && current_removed.get(&name).copied().unwrap_or(0) == 0 {
+    let current_changes = changes_by_pass(current);
+    for (name, baseline_changes) in changes_by_pass(baseline) {
+        if baseline_changes > 0 && current_changes.get(&name).copied().unwrap_or(0) == 0 {
             verdicts.push(Verdict::PassInert {
                 name,
-                baseline_removed,
+                baseline_changes,
             });
         }
     }
@@ -1110,26 +1155,106 @@ mod tests {
         )));
     }
 
+    fn inert_passes(verdicts: &[Verdict]) -> Vec<&Verdict> {
+        verdicts
+            .iter()
+            .filter(|v| matches!(v, Verdict::PassInert { .. }))
+            .collect()
+    }
+
     #[test]
     fn compare_flags_passes_gone_inert() {
         let base = sample_snapshot();
         let mut cur = sample_snapshot();
-        // The baseline's sccp removed 7 instructions; the current run
-        // still executes it but it no longer removes anything anywhere.
-        cur.cells[0].passes[0].insts_removed = 0;
+        // The baseline's sccp changed code once; the current run still
+        // executes it but it no longer changes anything anywhere.
+        cur.cells[0].passes[0].changes = 0;
         let verdicts = compare(&base, &cur);
-        let inert: Vec<_> = verdicts
-            .iter()
-            .filter(|v| matches!(v, Verdict::PassInert { .. }))
-            .collect();
+        let inert = inert_passes(&verdicts);
         assert_eq!(inert.len(), 1, "{verdicts:?}");
         assert!(inert[0].is_regression());
         assert!(inert[0].render().contains("sccp"), "{:?}", inert[0]);
-        // A pass that never removed anything in the baseline is not
-        // gated (movement passes like licm report zero by design).
+        // Removing fewer instructions while still changing code is not
+        // inertness.
+        let mut fewer = sample_snapshot();
+        fewer.cells[0].passes[0].insts_removed = 0;
+        assert!(inert_passes(&compare(&base, &fewer)).is_empty());
         assert!(!compare(&base, &base.clone())
             .iter()
             .any(|v| v.is_regression()));
+    }
+
+    #[test]
+    fn compare_flags_licm_gone_inert_by_changes() {
+        // LICM moves code and removes none: its effect shows only in
+        // `changes`, which is what the inert gate keys on.
+        let licm = |changes| PassCell {
+            name: "licm".into(),
+            runs: 4,
+            changes,
+            insts_removed: 0,
+        };
+        let mut base = sample_snapshot();
+        base.cells[0].passes.push(licm(2));
+        let mut cur = base.clone();
+        cur.cells[0].passes[1] = licm(0);
+        let verdicts = compare(&base, &cur);
+        let inert = inert_passes(&verdicts);
+        assert_eq!(inert.len(), 1, "{verdicts:?}");
+        assert_eq!(
+            inert[0],
+            &Verdict::PassInert {
+                name: "licm".into(),
+                baseline_changes: 2,
+            }
+        );
+        // A pass with no change anywhere in the baseline is ungated.
+        let mut idle = sample_snapshot();
+        idle.cells[0].passes.push(licm(0));
+        assert!(inert_passes(&compare(&idle, &idle.clone())).is_empty());
+    }
+
+    #[test]
+    fn compare_gates_total_pass_runs_per_cell() {
+        let runs_cell = |runs: [usize; 2]| {
+            let mut snap = sample_snapshot();
+            snap.cells[0].passes = runs
+                .iter()
+                .enumerate()
+                .map(|(i, &runs)| PassCell {
+                    name: ["sccp", "dce"][i].into(),
+                    runs,
+                    changes: 1,
+                    insts_removed: 1,
+                })
+                .collect();
+            snap
+        };
+        let base = runs_cell([150, 150]);
+        let runs_verdicts = |cur: &Snapshot| -> Vec<Verdict> {
+            compare(&base, cur)
+                .into_iter()
+                .filter(|v| matches!(v, Verdict::PassRunsRegressed { .. }))
+                .collect()
+        };
+        // 1% of 300 runs is 3: +3 is tolerated, +4 fails, fewer is fine.
+        assert!(runs_verdicts(&runs_cell([152, 151])).is_empty());
+        assert!(runs_verdicts(&runs_cell([100, 100])).is_empty());
+        let grown = runs_verdicts(&runs_cell([154, 150]));
+        assert_eq!(
+            grown,
+            vec![Verdict::PassRunsRegressed {
+                key: "flat/STT/-O2".into(),
+                baseline: 300,
+                current: 304,
+            }]
+        );
+        assert!(grown[0].is_regression());
+        assert!(
+            grown[0].render().contains("pass runs"),
+            "{}",
+            grown[0].render()
+        );
     }
 
     #[test]

@@ -34,10 +34,16 @@ pub fn lower_function(f: &MirFunction, level: OptLevel) -> Result<VCode, Compile
         "front-end lowering enforces the {}-register argument limit",
         super::ARG_REGS.len()
     );
-    let order = cfg::reverse_postorder(f);
-    let index: BTreeMap<_, _> = order.iter().enumerate().map(|(i, b)| (*b, i)).collect();
-    let loops = cfg::natural_loops(f);
-    let depth_of = |b| loops.iter().filter(|l| l.body.contains(&b)).count() as u32;
+    let preds = cfg::predecessors(f);
+    let dom = cfg::DomTree::compute(f, &preds);
+    let order = dom.rpo();
+    // Lowered position of each block (only reachable blocks have one).
+    let mut index = vec![usize::MAX; f.blocks.len()];
+    for (i, b) in order.iter().enumerate() {
+        index[b.0 as usize] = i;
+    }
+    let loops = cfg::natural_loops(f, &dom, &preds);
+    let depth_of = |b| loops.iter().filter(|l| l.contains(b)).count() as u32;
 
     let mut vc = VCode {
         name: f.name.clone(),
@@ -46,7 +52,7 @@ pub fn lower_function(f: &MirFunction, level: OptLevel) -> Result<VCode, Compile
         blocks: Vec::with_capacity(order.len()),
         next_vreg: f.next_vreg,
     };
-    for b in &order {
+    for b in order {
         let block = f.block(*b);
         let mut insts = Vec::with_capacity(block.insts.len());
         for inst in &block.insts {
@@ -144,14 +150,11 @@ fn lower_inst(inst: &Inst, out: &mut Vec<EmInst>, fname: &str) -> Result<(), Com
     Ok(())
 }
 
-fn lower_term(
-    term: &Term,
-    index: &BTreeMap<crate::mir::BlockId, usize>,
-    level: OptLevel,
-    vc: &mut VCode,
-) -> VTerm {
+fn lower_term(term: &Term, index: &[usize], level: OptLevel, vc: &mut VCode) -> VTerm {
     let at = |b: crate::mir::BlockId| -> usize {
-        *index.get(&b).expect("terminator targets a reachable block")
+        let i = index[b.0 as usize];
+        assert!(i != usize::MAX, "terminator targets a reachable block");
+        i
     };
     match term {
         Term::Goto(b) => VTerm::Goto { target: at(*b) },

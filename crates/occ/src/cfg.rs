@@ -5,14 +5,60 @@
 //! frontiers follow Cytron et al., feeding φ-placement in [`crate::ssa`].
 //! Natural loops are discovered from back edges (an edge `n → h` where
 //! `h` dominates `n`), feeding loop-invariant code motion in
-//! [`crate::opt`].
+//! [`crate::opt`] and loop-depth spill weights in the backend.
+//!
+//! # Representation
+//!
+//! Every analysis is dense: indexed by block number, never keyed through
+//! an ordered map. Predecessor lists are a `Vec` per block, reachability
+//! and loop bodies are [`BitSet`]s over block numbers, and the
+//! [`DomTree`] stores immediate dominators, tree children and a preorder
+//! numbering in flat arrays, so a dominance query is two comparisons
+//! rather than a walk up the tree. Lists come out in ascending block
+//! order wherever their order is not otherwise defined (tree children,
+//! frontier members), so clients iterate exactly as they would an ordered
+//! set. The mid-end computes each of these at most once per function
+//! state and shares them between passes (see the "Analyses" section of
+//! [`crate::opt`]).
+//!
+//! ```
+//! use occ::cfg::{self, DomTree};
+//! use occ::mir::{Block, BlockId, MirFunction, Term, VReg};
+//!
+//! // bb0 → bb1 ⇄ bb2, bb1 → bb3: a loop headed by bb1.
+//! let block = |term| Block { insts: vec![], term };
+//! let f = MirFunction {
+//!     name: "demo".into(),
+//!     params: 1,
+//!     returns_value: false,
+//!     exported: true,
+//!     blocks: vec![
+//!         block(Term::Goto(BlockId(1))),
+//!         block(Term::Br { cond: VReg(0), then_block: BlockId(2), else_block: BlockId(3) }),
+//!         block(Term::Goto(BlockId(1))),
+//!         block(Term::Ret(None)),
+//!     ],
+//!     next_vreg: 1,
+//! };
+//! let preds = cfg::predecessors(&f);
+//! let dom = DomTree::compute(&f, &preds);
+//! assert_eq!(dom.idom(BlockId(3)), Some(BlockId(1)));
+//! assert!(dom.dominates(BlockId(1), BlockId(2)));
+//! let loops = cfg::natural_loops(&f, &dom, &preds);
+//! assert_eq!(loops[0].header, BlockId(1));
+//! assert_eq!(loops[0].blocks().collect::<Vec<_>>(), vec![BlockId(1), BlockId(2)]);
+//! ```
 
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
-use crate::mir::{BlockId, MirFunction, VReg};
+use crate::bitset::BitSet;
+use crate::mir::{BlockId, MirFunction, Term, VReg};
 
-/// Predecessor lists for every block.
+/// Marks an unreachable block in the dense dominator arrays.
+const NONE: u32 = u32::MAX;
+
+/// Predecessor lists for every block (one entry per CFG edge, so a block
+/// reached twice from one `Br` or `Switch` lists that predecessor twice).
 pub fn predecessors(f: &MirFunction) -> Vec<Vec<BlockId>> {
     let mut preds = vec![Vec::new(); f.blocks.len()];
     for b in f.block_ids() {
@@ -23,12 +69,12 @@ pub fn predecessors(f: &MirFunction) -> Vec<Vec<BlockId>> {
     preds
 }
 
-/// Blocks reachable from the entry.
-pub fn reachable(f: &MirFunction) -> BTreeSet<BlockId> {
-    let mut seen = BTreeSet::new();
+/// Blocks reachable from the entry, as a set of block numbers.
+pub fn reachable(f: &MirFunction) -> BitSet {
+    let mut seen = BitSet::new(f.blocks.len());
     let mut stack = vec![BlockId(0)];
     while let Some(b) = stack.pop() {
-        if !seen.insert(b) {
+        if !seen.insert(b.0 as usize) {
             continue;
         }
         for s in f.block(b).term.succs() {
@@ -40,17 +86,15 @@ pub fn reachable(f: &MirFunction) -> BTreeSet<BlockId> {
 
 /// Reverse postorder over reachable blocks (entry first).
 pub fn reverse_postorder(f: &MirFunction) -> Vec<BlockId> {
-    let mut visited = BTreeSet::new();
+    let mut visited = vec![false; f.blocks.len()];
     let mut post = Vec::new();
     // Iterative DFS with an explicit stack of (block, next-successor).
     let mut stack: Vec<(BlockId, usize)> = vec![(BlockId(0), 0)];
-    visited.insert(BlockId(0));
+    visited[0] = true;
     while let Some((b, i)) = stack.pop() {
-        let succs = f.block(b).term.succs();
-        if i < succs.len() {
+        if let Some(s) = nth_succ(&f.block(b).term, i) {
             stack.push((b, i + 1));
-            let s = succs[i];
-            if visited.insert(s) {
+            if !std::mem::replace(&mut visited[s.0 as usize], true) {
                 stack.push((s, 0));
             }
         } else {
@@ -61,130 +105,207 @@ pub fn reverse_postorder(f: &MirFunction) -> Vec<BlockId> {
     post
 }
 
-/// Immediate dominators (entry maps to itself).
-pub fn dominators(f: &MirFunction) -> BTreeMap<BlockId, BlockId> {
-    let rpo = reverse_postorder(f);
-    let order: BTreeMap<BlockId, usize> = rpo.iter().enumerate().map(|(i, b)| (*b, i)).collect();
-    let preds = predecessors(f);
-    let mut idom: BTreeMap<BlockId, BlockId> = BTreeMap::new();
-    idom.insert(BlockId(0), BlockId(0));
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in rpo.iter().skip(1) {
-            let mut new_idom: Option<BlockId> = None;
-            for &p in &preds[b.0 as usize] {
-                if !order.contains_key(&p) || !idom.contains_key(&p) {
-                    continue;
+/// `term.succs()[i]`, without building the list.
+fn nth_succ(term: &Term, i: usize) -> Option<BlockId> {
+    match term {
+        Term::Goto(b) => (i == 0).then_some(*b),
+        Term::Br {
+            then_block,
+            else_block,
+            ..
+        } => [*then_block, *else_block].get(i).copied(),
+        Term::Switch { cases, default, .. } => match cases.get(i) {
+            Some((_, t)) => Some(*t),
+            None => (i == cases.len()).then_some(*default),
+        },
+        Term::Ret(_) => None,
+    }
+}
+
+/// The dominator tree of one function, in flat per-block arrays: the
+/// immediate dominators, the tree's children lists, its preorder, and a
+/// preorder numbering with subtree sizes that answers [`DomTree::dominates`]
+/// in constant time. Reachability falls out of it too: a block is
+/// reachable iff it has a place in the tree. This is the query surface
+/// the [`crate::verify`] SSA tier, SSA construction and the
+/// dominator-scoped passes of [`crate::opt`] are built on.
+#[derive(Debug, Clone)]
+pub struct DomTree {
+    /// Immediate dominator per block; the entry is its own, unreachable
+    /// blocks hold [`NONE`].
+    idom: Vec<u32>,
+    rpo: Vec<BlockId>,
+    children: Vec<Vec<BlockId>>,
+    preorder: Vec<BlockId>,
+    /// Position in `preorder`, or [`NONE`] for an unreachable block.
+    pre: Vec<u32>,
+    /// Number of blocks in the subtree rooted at the block.
+    size: Vec<u32>,
+}
+
+impl DomTree {
+    /// Computes the dominator tree of `f` from scratch.
+    pub fn of(f: &MirFunction) -> DomTree {
+        DomTree::compute(f, &predecessors(f))
+    }
+
+    /// Computes the dominator tree of `f` given its [`predecessors`]
+    /// (Cooper, Harvey & Kennedy's iteration over reverse postorder).
+    pub fn compute(f: &MirFunction, preds: &[Vec<BlockId>]) -> DomTree {
+        let n = f.blocks.len();
+        let rpo = reverse_postorder(f);
+        let mut order = vec![NONE; n];
+        for (i, b) in rpo.iter().enumerate() {
+            order[b.0 as usize] = i as u32;
+        }
+        let mut idom = vec![NONE; n];
+        idom[0] = 0;
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &b in rpo.iter().skip(1) {
+                let mut new_idom = NONE;
+                for &p in &preds[b.0 as usize] {
+                    let p = p.0;
+                    if order[p as usize] == NONE || idom[p as usize] == NONE {
+                        continue;
+                    }
+                    new_idom = if new_idom == NONE {
+                        p
+                    } else {
+                        intersect(p, new_idom, &idom, &order)
+                    };
                 }
-                new_idom = Some(match new_idom {
-                    None => p,
-                    Some(cur) => intersect(p, cur, &idom, &order),
-                });
-            }
-            if let Some(ni) = new_idom {
-                if idom.get(&b) != Some(&ni) {
-                    idom.insert(b, ni);
+                if new_idom != NONE && idom[b.0 as usize] != new_idom {
+                    idom[b.0 as usize] = new_idom;
                     changed = true;
                 }
             }
         }
-    }
-    idom
-}
-
-/// Children lists of the dominator tree described by `idom` (the entry's
-/// self-edge is not a child). Shared by SSA renaming and dominator-scoped
-/// value numbering.
-pub fn dominator_tree_children(
-    idom: &BTreeMap<BlockId, BlockId>,
-) -> BTreeMap<BlockId, Vec<BlockId>> {
-    let mut children: BTreeMap<BlockId, Vec<BlockId>> = BTreeMap::new();
-    for (b, d) in idom {
-        if *b != BlockId(0) {
-            children.entry(*d).or_default().push(*b);
-        }
-    }
-    children
-}
-
-/// Blocks in dominator-tree preorder (entry first): every block appears
-/// after everything that dominates it, which is the iteration order
-/// dominator-scoped rewrites want — when a block is visited, facts
-/// established in its dominators are already in place. Unreachable
-/// blocks (absent from `idom`) are not visited.
-pub fn dominator_preorder(idom: &BTreeMap<BlockId, BlockId>) -> Vec<BlockId> {
-    let children = dominator_tree_children(idom);
-    let mut order = Vec::with_capacity(idom.len());
-    let mut stack = vec![BlockId(0)];
-    while let Some(b) = stack.pop() {
-        order.push(b);
-        if let Some(kids) = children.get(&b) {
-            // Reversed push so children are visited in ascending order.
-            for &k in kids.iter().rev() {
-                stack.push(k);
+        // Children in ascending block order, then a preorder walk that
+        // visits them in that order.
+        let mut children = vec![Vec::new(); n];
+        for (b, &d) in idom.iter().enumerate().skip(1) {
+            if d != NONE {
+                children[d as usize].push(BlockId(b as u32));
             }
         }
-    }
-    order
-}
-
-/// `true` if `a` dominates `b` under the `idom` map of [`dominators`]
-/// (every block dominates itself; unreachable blocks dominate nothing
-/// and are dominated by nothing).
-pub fn dominates(idom: &BTreeMap<BlockId, BlockId>, a: BlockId, b: BlockId) -> bool {
-    if !idom.contains_key(&a) {
-        return false;
-    }
-    let mut x = b;
-    loop {
-        if x == a {
-            return true;
+        let mut preorder = Vec::with_capacity(rpo.len());
+        let mut pre = vec![NONE; n];
+        let mut stack = vec![BlockId(0)];
+        while let Some(b) = stack.pop() {
+            pre[b.0 as usize] = preorder.len() as u32;
+            preorder.push(b);
+            // Reversed push so children are visited in ascending order.
+            stack.extend(children[b.0 as usize].iter().rev().copied());
         }
-        match idom.get(&x) {
-            Some(&d) if d != x => x = d,
-            _ => return false, // reached the entry (self-idom) or unreachable
+        let mut size = vec![1u32; n];
+        for &b in preorder.iter().rev() {
+            let d = idom[b.0 as usize];
+            if b.0 != 0 {
+                size[d as usize] += size[b.0 as usize];
+            }
         }
-    }
-}
-
-/// A queryable dominator tree: the [`dominators`] map bundled with the
-/// reachability and dominance queries clients keep re-deriving from it.
-/// This is the query surface the [`crate::verify`] SSA tier is built on.
-#[derive(Debug, Clone)]
-pub struct DomTree {
-    idom: BTreeMap<BlockId, BlockId>,
-}
-
-impl DomTree {
-    /// Computes the dominator tree of `f`.
-    pub fn of(f: &MirFunction) -> DomTree {
         DomTree {
-            idom: dominators(f),
+            idom,
+            rpo,
+            children,
+            preorder,
+            pre,
+            size,
         }
     }
 
-    /// The underlying immediate-dominator map (entry maps to itself;
-    /// unreachable blocks are absent).
-    pub fn idoms(&self) -> &BTreeMap<BlockId, BlockId> {
-        &self.idom
+    /// The immediate dominator of `b`; `None` for the entry block and for
+    /// unreachable blocks.
+    pub fn idom(&self, b: BlockId) -> Option<BlockId> {
+        match self.idom[b.0 as usize] {
+            d if d == NONE || b.0 == 0 => None,
+            d => Some(BlockId(d)),
+        }
+    }
+
+    /// Reachable blocks in reverse postorder (entry first).
+    pub fn rpo(&self) -> &[BlockId] {
+        &self.rpo
+    }
+
+    /// The blocks `b` immediately dominates, in ascending order.
+    pub fn children(&self, b: BlockId) -> &[BlockId] {
+        &self.children[b.0 as usize]
+    }
+
+    /// Reachable blocks in dominator-tree preorder (entry first, children
+    /// in ascending order): every block appears after everything that
+    /// dominates it, which is the iteration order dominator-scoped
+    /// rewrites want — when a block is visited, facts established in its
+    /// dominators are already in place.
+    pub fn preorder(&self) -> &[BlockId] {
+        &self.preorder
     }
 
     /// `true` if `b` is reachable from the entry block.
     pub fn is_reachable(&self, b: BlockId) -> bool {
-        self.idom.contains_key(&b)
+        self.pre[b.0 as usize] != NONE
     }
 
     /// `true` if `a` dominates `b` (reflexive; `false` whenever either
     /// block is unreachable).
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        dominates(&self.idom, a, b)
+        let (pa, pb) = (self.pre[a.0 as usize], self.pre[b.0 as usize]);
+        pa != NONE && pb != NONE && pa <= pb && pb < pa + self.size[a.0 as usize]
     }
 
     /// `true` if `a` strictly dominates `b` (dominates it and differs).
     pub fn strictly_dominates(&self, a: BlockId, b: BlockId) -> bool {
         a != b && self.dominates(a, b)
     }
+}
+
+fn intersect(mut a: u32, mut b: u32, idom: &[u32], order: &[u32]) -> u32 {
+    while a != b {
+        while order[a as usize] > order[b as usize] {
+            a = idom[a as usize];
+        }
+        while order[b as usize] > order[a as usize] {
+            b = idom[b as usize];
+        }
+    }
+    a
+}
+
+/// Dominance frontiers (Cytron et al.), per block in ascending order.
+/// Unreachable blocks have empty frontiers and appear in none. The entry
+/// block has no predecessors in well-formed MIR (the [`crate::verify`]
+/// `entry-has-pred` rule); an edge into it is ignored here.
+pub fn dominance_frontiers(dom: &DomTree, preds: &[Vec<BlockId>]) -> Vec<Vec<BlockId>> {
+    let mut df: Vec<Vec<BlockId>> = vec![Vec::new(); preds.len()];
+    for (bi, bp) in preds.iter().enumerate() {
+        let b = BlockId(bi as u32);
+        if !dom.is_reachable(b) {
+            continue;
+        }
+        let bp: Vec<BlockId> = bp
+            .iter()
+            .copied()
+            .filter(|p| dom.is_reachable(*p))
+            .collect();
+        if bp.len() < 2 {
+            continue;
+        }
+        let stop = dom.idom[bi];
+        for p in bp {
+            let mut runner = p.0;
+            while runner != stop {
+                let members = &mut df[runner as usize];
+                if members.last() != Some(&b) {
+                    members.push(b);
+                }
+                runner = dom.idom[runner as usize];
+            }
+        }
+    }
+    df
 }
 
 /// One natural loop: the set of blocks that can reach a back edge's
@@ -202,36 +323,45 @@ pub struct NaturalLoop {
     pub header: BlockId,
     /// Sources of the back edges into the header, in discovery order.
     pub latches: Vec<BlockId>,
-    /// All loop blocks, header and latches included.
-    pub body: BTreeSet<BlockId>,
+    /// All loop blocks, header and latches included, as block numbers.
+    pub body: BitSet,
 }
 
 impl NaturalLoop {
     /// `true` if `b` belongs to this loop.
     pub fn contains(&self, b: BlockId) -> bool {
-        self.body.contains(&b)
+        self.body.contains(b.0 as usize)
+    }
+
+    /// The loop's blocks in ascending order.
+    pub fn blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
+        self.body.iter().map(|b| BlockId(b as u32))
     }
 }
 
 /// Finds every natural loop of `f` from the back edges of its dominator
 /// tree, merging loops that share a header. Returned innermost-first
-/// (ascending body size), which is the order loop transforms want.
-pub fn natural_loops(f: &MirFunction) -> Vec<NaturalLoop> {
-    let idom = dominators(f);
-    let preds = predecessors(f);
-    let mut by_header: BTreeMap<BlockId, NaturalLoop> = BTreeMap::new();
+/// (ascending body size, then header), which is the order loop transforms
+/// want.
+pub fn natural_loops(f: &MirFunction, dom: &DomTree, preds: &[Vec<BlockId>]) -> Vec<NaturalLoop> {
+    let nblocks = f.blocks.len();
+    let mut by_header: Vec<Option<NaturalLoop>> = vec![None; nblocks];
     for n in f.block_ids() {
-        if !idom.contains_key(&n) {
-            continue; // unreachable
+        if !dom.is_reachable(n) {
+            continue;
         }
         for h in f.block(n).term.succs() {
-            if !dominates(&idom, h, n) {
+            if !dom.dominates(h, n) {
                 continue; // not a back edge
             }
-            let lp = by_header.entry(h).or_insert_with(|| NaturalLoop {
-                header: h,
-                latches: Vec::new(),
-                body: BTreeSet::from([h]),
+            let lp = by_header[h.0 as usize].get_or_insert_with(|| {
+                let mut body = BitSet::new(nblocks);
+                body.insert(h.0 as usize);
+                NaturalLoop {
+                    header: h,
+                    latches: Vec::new(),
+                    body,
+                }
             });
             if !lp.latches.contains(&n) {
                 lp.latches.push(n);
@@ -240,65 +370,21 @@ pub fn natural_loops(f: &MirFunction) -> Vec<NaturalLoop> {
             // passing the header.
             let mut stack = vec![n];
             while let Some(x) = stack.pop() {
-                if !lp.body.insert(x) {
+                if !lp.body.insert(x.0 as usize) {
                     continue;
                 }
-                for &p in &preds[x.0 as usize] {
-                    if idom.contains_key(&p) {
-                        stack.push(p);
-                    }
-                }
+                stack.extend(
+                    preds[x.0 as usize]
+                        .iter()
+                        .copied()
+                        .filter(|p| dom.is_reachable(*p)),
+                );
             }
         }
     }
-    let mut loops: Vec<NaturalLoop> = by_header.into_values().collect();
-    loops.sort_by_key(|l| (l.body.len(), l.header));
+    let mut loops: Vec<NaturalLoop> = by_header.into_iter().flatten().collect();
+    loops.sort_by_key(|l| (l.body.count(), l.header));
     loops
-}
-
-fn intersect(
-    mut a: BlockId,
-    mut b: BlockId,
-    idom: &BTreeMap<BlockId, BlockId>,
-    order: &BTreeMap<BlockId, usize>,
-) -> BlockId {
-    while a != b {
-        while order[&a] > order[&b] {
-            a = idom[&a];
-        }
-        while order[&b] > order[&a] {
-            b = idom[&b];
-        }
-    }
-    a
-}
-
-/// Dominance frontiers (Cytron et al.).
-pub fn dominance_frontiers(f: &MirFunction) -> BTreeMap<BlockId, BTreeSet<BlockId>> {
-    let idom = dominators(f);
-    let preds = predecessors(f);
-    let mut df: BTreeMap<BlockId, BTreeSet<BlockId>> = BTreeMap::new();
-    for b in f.block_ids() {
-        if !idom.contains_key(&b) {
-            continue; // unreachable
-        }
-        let bp: Vec<BlockId> = preds[b.0 as usize]
-            .iter()
-            .copied()
-            .filter(|p| idom.contains_key(p))
-            .collect();
-        if bp.len() < 2 {
-            continue;
-        }
-        for p in bp {
-            let mut runner = p;
-            while runner != idom[&b] {
-                df.entry(runner).or_default().insert(b);
-                runner = idom[&runner];
-            }
-        }
-    }
-    df
 }
 
 /// Per-block live-in/live-out sets of virtual registers.
@@ -452,18 +538,25 @@ mod tests {
     #[test]
     fn dominator_tree_of_diamond() {
         let f = diamond();
-        let idom = dominators(&f);
-        assert_eq!(idom[&BlockId(1)], BlockId(0));
-        assert_eq!(idom[&BlockId(2)], BlockId(0));
-        assert_eq!(idom[&BlockId(3)], BlockId(0));
+        let dom = DomTree::of(&f);
+        assert_eq!(dom.idom(BlockId(0)), None);
+        assert_eq!(dom.idom(BlockId(1)), Some(BlockId(0)));
+        assert_eq!(dom.idom(BlockId(2)), Some(BlockId(0)));
+        assert_eq!(dom.idom(BlockId(3)), Some(BlockId(0)));
+        assert_eq!(
+            dom.children(BlockId(0)),
+            &[BlockId(1), BlockId(2), BlockId(3)]
+        );
     }
 
     #[test]
     fn frontier_of_diamond_is_join() {
         let f = diamond();
-        let df = dominance_frontiers(&f);
-        assert!(df[&BlockId(1)].contains(&BlockId(3)));
-        assert!(df[&BlockId(2)].contains(&BlockId(3)));
+        let preds = predecessors(&f);
+        let df = dominance_frontiers(&DomTree::compute(&f, &preds), &preds);
+        assert_eq!(df[1], vec![BlockId(3)]);
+        assert_eq!(df[2], vec![BlockId(3)]);
+        assert!(df[0].is_empty() && df[3].is_empty());
     }
 
     #[test]
@@ -494,6 +587,15 @@ mod tests {
         }
     }
 
+    fn loops_of(f: &MirFunction) -> Vec<NaturalLoop> {
+        let preds = predecessors(f);
+        natural_loops(f, &DomTree::compute(f, &preds), &preds)
+    }
+
+    fn body(lp: &NaturalLoop) -> Vec<u32> {
+        lp.blocks().map(|b| b.0).collect()
+    }
+
     #[test]
     fn self_loop_is_its_own_header_and_latch() {
         // bb0 -> bb1; bb1 -> bb1 | bb2.
@@ -506,11 +608,11 @@ mod tests {
             }),
             block(Term::Ret(None)),
         ]);
-        let loops = natural_loops(&f);
+        let loops = loops_of(&f);
         assert_eq!(loops.len(), 1);
         assert_eq!(loops[0].header, BlockId(1));
         assert_eq!(loops[0].latches, vec![BlockId(1)]);
-        assert_eq!(loops[0].body, BTreeSet::from([BlockId(1)]));
+        assert_eq!(body(&loops[0]), vec![1]);
     }
 
     #[test]
@@ -533,19 +635,16 @@ mod tests {
             }),
             block(Term::Ret(None)),
         ]);
-        let loops = natural_loops(&f);
+        let loops = loops_of(&f);
         assert_eq!(loops.len(), 2, "{loops:?}");
         let inner = &loops[0];
         let outer = &loops[1];
         assert_eq!(inner.header, BlockId(2));
-        assert_eq!(inner.body, BTreeSet::from([BlockId(2), BlockId(3)]));
+        assert_eq!(body(inner), vec![2, 3]);
         assert_eq!(outer.header, BlockId(1));
-        assert_eq!(
-            outer.body,
-            BTreeSet::from([BlockId(1), BlockId(2), BlockId(3), BlockId(4)])
-        );
+        assert_eq!(body(outer), vec![1, 2, 3, 4]);
         assert!(
-            inner.body.is_subset(&outer.body),
+            inner.blocks().all(|b| outer.contains(b)),
             "inner loop nests inside outer"
         );
     }
@@ -563,11 +662,11 @@ mod tests {
             }),
             block(Term::Ret(None)),
         ]);
-        let loops = natural_loops(&f);
+        let loops = loops_of(&f);
         assert_eq!(loops.len(), 1);
         assert_eq!(loops[0].header, BlockId(1));
         assert_eq!(loops[0].latches, vec![BlockId(2)]);
-        assert_eq!(loops[0].body, BTreeSet::from([BlockId(1), BlockId(2)]));
+        assert_eq!(body(&loops[0]), vec![1, 2]);
     }
 
     #[test]
@@ -593,13 +692,10 @@ mod tests {
             }),
             block(Term::Ret(None)),
         ]);
-        let loops = natural_loops(&f);
+        let loops = loops_of(&f);
         assert_eq!(loops.len(), 1, "{loops:?}");
         assert_eq!(loops[0].latches, vec![BlockId(2), BlockId(3)]);
-        assert_eq!(
-            loops[0].body,
-            BTreeSet::from([BlockId(1), BlockId(2), BlockId(3)])
-        );
+        assert_eq!(body(&loops[0]), vec![1, 2, 3]);
     }
 
     #[test]
@@ -626,7 +722,7 @@ mod tests {
             block(Term::Ret(None)),
         ]);
         assert!(
-            natural_loops(&f).is_empty(),
+            loops_of(&f).is_empty(),
             "irreducible cycles have no natural loop"
         );
     }
@@ -634,25 +730,35 @@ mod tests {
     #[test]
     fn dominator_preorder_visits_dominators_first() {
         let f = diamond();
-        let idom = dominators(&f);
-        let order = dominator_preorder(&idom);
+        let dom = DomTree::of(&f);
+        let order = dom.preorder();
         assert_eq!(order.len(), 4, "all reachable blocks visited once");
         assert_eq!(order[0], BlockId(0), "entry first");
-        let pos: BTreeMap<BlockId, usize> =
-            order.iter().enumerate().map(|(i, b)| (*b, i)).collect();
-        for (&b, &d) in &idom {
-            assert!(pos[&d] <= pos[&b], "{d} must precede {b} in {order:?}");
+        for (i, &b) in order.iter().enumerate() {
+            if let Some(d) = dom.idom(b) {
+                assert!(order[..i].contains(&d), "{d} must precede {b} in {order:?}");
+            }
         }
     }
 
     #[test]
     fn dominates_is_reflexive_and_respects_tree() {
-        let f = diamond();
-        let idom = dominators(&f);
-        assert!(dominates(&idom, BlockId(0), BlockId(3)));
-        assert!(dominates(&idom, BlockId(1), BlockId(1)));
-        assert!(!dominates(&idom, BlockId(1), BlockId(3)));
-        assert!(!dominates(&idom, BlockId(3), BlockId(0)));
+        let mut f = diamond();
+        f.blocks.push(block(Term::Ret(None))); // unreachable bb4
+        let dom = DomTree::of(&f);
+        assert!(dom.dominates(BlockId(0), BlockId(3)));
+        assert!(dom.dominates(BlockId(1), BlockId(1)));
+        assert!(!dom.dominates(BlockId(1), BlockId(3)));
+        assert!(!dom.dominates(BlockId(3), BlockId(0)));
+        assert!(dom.strictly_dominates(BlockId(0), BlockId(1)));
+        assert!(!dom.strictly_dominates(BlockId(1), BlockId(1)));
+        assert!(!dom.is_reachable(BlockId(4)));
+        assert!(
+            !dom.dominates(BlockId(4), BlockId(4)),
+            "unreachable dominates nothing"
+        );
+        assert!(!dom.dominates(BlockId(0), BlockId(4)));
+        assert_eq!(dom.idom(BlockId(4)), None);
     }
 
     #[test]
@@ -664,6 +770,6 @@ mod tests {
         });
         let rpo = reverse_postorder(&f);
         assert_eq!(rpo.len(), 4, "dangling block not visited");
-        assert!(reachable(&f).len() == 4);
+        assert_eq!(reachable(&f).count(), 4);
     }
 }

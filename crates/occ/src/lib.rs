@@ -10,8 +10,8 @@
 //!   conditional constant propagation (Wegman-Zadeck), dense constant
 //!   folding, root-based dead-code elimination, copy propagation, global
 //!   value numbering / CSE, block-local *and* cross-block store-to-load
-//!   forwarding (the latter over the dominator-scoped available-load
-//!   dataflow [`opt::avail_loads`]), load partial-redundancy elimination
+//!   forwarding (the latter over the available-load dataflow
+//!   [`opt::AvailLoads`]), load partial-redundancy elimination
 //!   on diamond joins, dead-store elimination — all over the
 //!   memory-dependence layer of [`mem`] (flat-image alias model: `Addr`
 //!   roots plus constant offsets) — loop-invariant code motion out of
@@ -86,6 +86,7 @@
 #![warn(missing_docs)]
 
 pub mod backend;
+pub mod bitset;
 pub mod cfg;
 pub mod driver;
 pub mod lower;

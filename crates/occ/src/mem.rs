@@ -91,6 +91,52 @@
 //! assert_eq!(addrs.info(VReg(0)), AddrInfo::Unknown); // parameter
 //! ```
 //!
+//! # Dense representation
+//!
+//! Every per-function fact here lives in flat arrays, never in ordered
+//! maps. [`FnAddrs`] is a table indexed by register number. The cells a
+//! function accesses through exact addresses form its [`CellUniverse`],
+//! a sorted array whose positions index everything else: [`CellState`]
+//! holds one [`CellVal`] per universe index, and [`BlockCells`] — like the
+//! availability dataflow [`crate::opt::AvailLoads`] built from it — is a
+//! pair of [`BitSet`]s over those indices. [`LoopClobbers`] keeps its
+//! stored cells and roots as sorted arrays. Index order is `(global,
+//! offset)` order, so walking a set visits cells exactly as an ordered
+//! set of [`Cell`]s would. The mid-end computes [`FnAddrs`] and the
+//! dataflow at most once per function state and shares them between
+//! passes (see the "Analyses" section of [`crate::opt`]).
+//!
+//! ```
+//! use occ::mem::{CellState, CellUniverse, CellVal, FnAddrs, MemoryModel};
+//! use occ::mir::{Block, Inst, MirFunction, Term, VReg};
+//!
+//! // v1 = &g0 + 4; store v0 -> [v1]
+//! let f = MirFunction {
+//!     name: "demo".into(),
+//!     params: 1,
+//!     returns_value: false,
+//!     exported: true,
+//!     blocks: vec![Block {
+//!         insts: vec![
+//!             Inst::Addr { dst: VReg(1), global: 0, offset: 4 },
+//!             Inst::Store { addr: VReg(1), src: VReg(0) },
+//!         ],
+//!         term: Term::Ret(None),
+//!     }],
+//!     next_vreg: 2,
+//! };
+//! let addrs = FnAddrs::analyze(&f);
+//! let universe = CellUniverse::from_cells(vec![(0, 8), (0, 4), (0, 6)]);
+//! assert_eq!(universe.cells(), &[(0, 4), (0, 6), (0, 8)]); // sorted
+//! let mut st = CellState::new(&universe);
+//! for inst in &f.blocks[0].insts {
+//!     st.apply(inst, &addrs, &MemoryModel::default());
+//! }
+//! assert_eq!(st.value(0), CellVal::Reg(VReg(0))); // (0, 4): stored
+//! assert_eq!(st.value(1), CellVal::Clobbered); // (0, 6): overlapped
+//! assert_eq!(st.value(2), CellVal::FromEntry); // (0, 8): a word away
+//! ```
+//!
 //! # Effect assumptions
 //!
 //! * **Externs are memory-transparent.** The EM32 `Ecall` passes
@@ -113,9 +159,7 @@
 //! [`Inst::Call`]: crate::mir::Inst::Call
 //! [`Inst::CallInd`]: crate::mir::Inst::CallInd
 
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
-
+use crate::bitset::BitSet;
 use crate::mir::{BinOp, BlockId, Inst, MirFunction, Program, VReg};
 
 /// Program-wide memory facts the function-local passes consult: which
@@ -293,95 +337,129 @@ impl Sym {
 }
 
 /// Per-function address resolution: maps every virtual register to the
-/// [`AddrInfo`] describing the address it may hold.
+/// [`AddrInfo`] describing the address it may hold, in a table indexed by
+/// register number.
 ///
 /// Registers with several definitions (non-SSA form) resolve to
 /// [`AddrInfo::Unknown`], so the result is conservative — and therefore
 /// sound — on any input, SSA or not.
 #[derive(Debug, Clone, Default)]
 pub struct FnAddrs {
-    sym: BTreeMap<VReg, Sym>,
+    sym: Vec<Sym>,
+}
+
+/// The per-register tables one [`FnAddrs::analyze`] run resolves over.
+struct Resolver<'f> {
+    /// The defining instruction of each register, if any.
+    defs: Vec<Option<&'f Inst>>,
+    /// Registers defined more than once.
+    multi: Vec<bool>,
+    visiting: Vec<bool>,
+    memo: Vec<Option<Sym>>,
 }
 
 impl FnAddrs {
     /// Resolves every register of `f`.
     pub fn analyze(f: &MirFunction) -> FnAddrs {
-        let mut defs: BTreeMap<VReg, &Inst> = BTreeMap::new();
-        let mut multi: BTreeSet<VReg> = BTreeSet::new();
-        for b in f.block_ids() {
-            for inst in &f.block(b).insts {
+        let n = f.next_vreg as usize;
+        let mut r = Resolver {
+            defs: vec![None; n],
+            multi: vec![false; n],
+            visiting: Vec::new(),
+            memo: Vec::new(),
+        };
+        for blk in &f.blocks {
+            for inst in &blk.insts {
                 if let Some(d) = inst.def() {
-                    if defs.insert(d, inst).is_some() {
-                        multi.insert(d);
+                    let i = d.0 as usize;
+                    if i >= r.defs.len() {
+                        r.defs.resize(i + 1, None);
+                        r.multi.resize(i + 1, false);
+                    }
+                    if r.defs[i].replace(inst).is_some() {
+                        r.multi[i] = true;
                     }
                 }
             }
         }
-        let mut out = FnAddrs {
-            sym: BTreeMap::new(),
-        };
-        let mut visiting: BTreeSet<VReg> = BTreeSet::new();
-        for &v in defs.keys() {
-            resolve(v, &defs, &multi, &mut visiting, &mut out.sym);
+        let n = r.defs.len();
+        r.visiting = vec![false; n];
+        r.memo = vec![None; n];
+        // Ascending register order: which register of a cyclic chain is
+        // given up on depends on where the walk enters the cycle.
+        for v in 0..n {
+            if r.defs[v].is_some() {
+                r.resolve(VReg(v as u32));
+            }
         }
-        out
+        FnAddrs {
+            sym: r
+                .memo
+                .into_iter()
+                .map(|s| s.unwrap_or(Sym::Other))
+                .collect(),
+        }
     }
 
     /// What the register is known to address.
     pub fn info(&self, v: VReg) -> AddrInfo {
-        self.sym.get(&v).copied().unwrap_or(Sym::Other).info()
+        self.sym
+            .get(v.0 as usize)
+            .copied()
+            .unwrap_or(Sym::Other)
+            .info()
     }
 }
 
-fn resolve(
-    v: VReg,
-    defs: &BTreeMap<VReg, &Inst>,
-    multi: &BTreeSet<VReg>,
-    visiting: &mut BTreeSet<VReg>,
-    memo: &mut BTreeMap<VReg, Sym>,
-) -> Sym {
-    if let Some(&s) = memo.get(&v) {
-        return s;
-    }
-    // Parameters and undefined registers have no traceable definition;
-    // multiply-defined registers (non-SSA form) and cyclic chains are
-    // given up on rather than reasoned about.
-    let Some(inst) = defs.get(&v) else {
-        memo.insert(v, Sym::Other);
-        return Sym::Other;
-    };
-    if multi.contains(&v) || !visiting.insert(v) {
-        memo.insert(v, Sym::Other);
-        return Sym::Other;
-    }
-    let s = match inst {
-        Inst::Const { value, .. } => Sym::Const(*value),
-        Inst::Addr { global, offset, .. } => Sym::Exact(*global, *offset),
-        Inst::Copy { src, .. } => resolve(*src, defs, multi, visiting, memo),
-        Inst::Bin { op, lhs, rhs, .. } if matches!(op, BinOp::Add | BinOp::Sub) => {
-            let l = resolve(*lhs, defs, multi, visiting, memo);
-            let r = resolve(*rhs, defs, multi, visiting, memo);
-            combine(*op, l, r)
-        }
-        Inst::Phi { args, .. } => {
-            let mut acc: Option<Sym> = None;
-            for (_, a) in args {
-                let s = resolve(*a, defs, multi, visiting, memo);
-                acc = Some(match acc {
-                    None => s,
-                    Some(prev) => meet(prev, s),
-                });
-                if acc == Some(Sym::Other) {
-                    break;
-                }
+impl Resolver<'_> {
+    fn resolve(&mut self, v: VReg) -> Sym {
+        let i = v.0 as usize;
+        // Parameters and undefined registers have no traceable definition;
+        // multiply-defined registers (non-SSA form) and cyclic chains are
+        // given up on rather than reasoned about.
+        let Some(inst) = self.defs.get(i).copied().flatten() else {
+            if let Some(m) = self.memo.get_mut(i) {
+                *m = Some(Sym::Other);
             }
-            acc.unwrap_or(Sym::Other)
+            return Sym::Other;
+        };
+        if let Some(s) = self.memo[i] {
+            return s;
         }
-        _ => Sym::Other,
-    };
-    visiting.remove(&v);
-    memo.insert(v, s);
-    s
+        if self.multi[i] || self.visiting[i] {
+            self.memo[i] = Some(Sym::Other);
+            return Sym::Other;
+        }
+        self.visiting[i] = true;
+        let s = match inst {
+            Inst::Const { value, .. } => Sym::Const(*value),
+            Inst::Addr { global, offset, .. } => Sym::Exact(*global, *offset),
+            Inst::Copy { src, .. } => self.resolve(*src),
+            Inst::Bin { op, lhs, rhs, .. } if matches!(op, BinOp::Add | BinOp::Sub) => {
+                let l = self.resolve(*lhs);
+                let r = self.resolve(*rhs);
+                combine(*op, l, r)
+            }
+            Inst::Phi { args, .. } => {
+                let mut acc: Option<Sym> = None;
+                for (_, a) in args {
+                    let s = self.resolve(*a);
+                    acc = Some(match acc {
+                        None => s,
+                        Some(prev) => meet(prev, s),
+                    });
+                    if acc == Some(Sym::Other) {
+                        break;
+                    }
+                }
+                acc.unwrap_or(Sym::Other)
+            }
+            _ => Sym::Other,
+        };
+        self.visiting[i] = false;
+        self.memo[i] = Some(s);
+        s
+    }
 }
 
 /// Folds `Add`/`Sub` over resolution values. Anything that leaves the
@@ -431,7 +509,7 @@ fn meet(a: Sym, b: Sym) -> Sym {
 /// One exactly addressed word cell of the flat image: `(global index,
 /// byte offset)` — the granule the available-load analysis of
 /// [`crate::opt`] tracks. Equivalent to [`AddrInfo::Exact`], flattened
-/// for use as a set/map key.
+/// for use as a sort key.
 pub type Cell = (usize, i32);
 
 /// The [`AddrInfo`] a [`Cell`] denotes.
@@ -442,22 +520,74 @@ pub fn cell_info(cell: Cell) -> AddrInfo {
     }
 }
 
+/// The finite set of cells one function's cross-block analyses range
+/// over, as a sorted array: a cell's position in it is its *index*, and
+/// every per-cell fact of [`CellState`], [`BlockCells`] and the
+/// availability dataflow is a dense array or [`BitSet`] over those
+/// indices. Sorting by `(global, offset)` keeps each global's cells
+/// contiguous ([`CellUniverse::of_global`]) and makes index order the
+/// order an ordered set of cells would iterate in.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CellUniverse {
+    cells: Vec<Cell>,
+}
+
+impl CellUniverse {
+    /// The universe of exactly the given cells (in any order, duplicates
+    /// allowed).
+    pub fn from_cells(mut cells: Vec<Cell>) -> CellUniverse {
+        cells.sort_unstable();
+        cells.dedup();
+        CellUniverse { cells }
+    }
+
+    /// Number of cells.
+    pub fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// `true` if the universe has no cell.
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
+
+    /// Every cell, in index order.
+    pub fn cells(&self) -> &[Cell] {
+        &self.cells
+    }
+
+    /// The index of `cell`, or `None` if it is not in the universe.
+    pub fn index(&self, cell: Cell) -> Option<usize> {
+        self.cells.binary_search(&cell).ok()
+    }
+
+    /// The cell at `index`.
+    pub fn cell(&self, index: usize) -> Cell {
+        self.cells[index]
+    }
+
+    /// The indices of the cells rooted at `global`.
+    pub fn of_global(&self, global: usize) -> std::ops::Range<usize> {
+        self.cells.partition_point(|c| c.0 < global)..self.cells.partition_point(|c| c.0 <= global)
+    }
+}
+
 /// Every exactly addressed cell `f` loads or stores — the finite universe
 /// the cross-block availability dataflow ranges over. Accesses through
 /// rooted run-time or untraceable addresses contribute no cell (they can
 /// only *kill* availability, never carry it).
-pub fn cell_universe(f: &MirFunction, addrs: &FnAddrs) -> BTreeSet<Cell> {
-    let mut cells = BTreeSet::new();
-    for b in f.block_ids() {
-        for inst in &f.block(b).insts {
+pub fn cell_universe(f: &MirFunction, addrs: &FnAddrs) -> CellUniverse {
+    let mut cells = Vec::new();
+    for blk in &f.blocks {
+        for inst in &blk.insts {
             if let Some(addr) = inst.mem_addr() {
                 if let AddrInfo::Exact { global, offset } = addrs.info(addr) {
-                    cells.insert((global, offset));
+                    cells.push((global, offset));
                 }
             }
         }
     }
-    cells
+    CellUniverse::from_cells(cells)
 }
 
 /// What an in-block forward walk knows about one tracked cell.
@@ -478,7 +608,8 @@ pub enum CellVal {
 /// The forward in-block transfer function over a cell universe: the one
 /// aliasing discipline shared by the block-local forwarding pass, the
 /// per-block summaries ([`BlockCells`]) and the cross-block rewrite walk,
-/// so analysis and transformation can never disagree.
+/// so analysis and transformation can never disagree. Cells are named by
+/// their [`CellUniverse`] index; the state is one [`CellVal`] per index.
 ///
 /// The discipline is [`alias`]'s: an exact store provides its own cell
 /// and clobbers every tracked cell within a word of it (word accesses at
@@ -491,28 +622,50 @@ pub enum CellVal {
 /// clobbers that cell.
 #[derive(Debug, Clone)]
 pub struct CellState<'a> {
-    universe: &'a BTreeSet<Cell>,
-    state: BTreeMap<Cell, CellVal>,
+    universe: &'a CellUniverse,
+    state: Vec<CellVal>,
+    /// Every cell that has held a register during the walk, once each:
+    /// the only cells a register redefinition can make stale.
+    held: Vec<usize>,
+    is_held: BitSet,
 }
 
 impl<'a> CellState<'a> {
     /// A fresh walk state: every universe cell is [`CellVal::FromEntry`].
-    pub fn new(universe: &'a BTreeSet<Cell>) -> CellState<'a> {
+    pub fn new(universe: &'a CellUniverse) -> CellState<'a> {
         CellState {
             universe,
-            state: BTreeMap::new(),
+            state: vec![CellVal::FromEntry; universe.len()],
+            held: Vec::new(),
+            is_held: BitSet::new(universe.len()),
         }
     }
 
-    /// The current knowledge about `cell`.
-    pub fn value(&self, cell: Cell) -> CellVal {
-        self.state.get(&cell).copied().unwrap_or(CellVal::FromEntry)
+    /// Restarts the walk for another block: every cell back to
+    /// [`CellVal::FromEntry`], without reallocating.
+    pub fn reset(&mut self) {
+        self.state.fill(CellVal::FromEntry);
+        self.held.clear();
+        self.is_held.clear();
     }
 
-    /// Overrides the knowledge about `cell` (the cross-block rewriter
-    /// records a forwarded load's replacement register this way).
-    pub fn set(&mut self, cell: Cell, val: CellVal) {
-        self.state.insert(cell, val);
+    /// The current knowledge about the cell at universe index `cell`.
+    pub fn value(&self, cell: usize) -> CellVal {
+        self.state[cell]
+    }
+
+    /// Overrides the knowledge about the cell at universe index `cell`
+    /// (the cross-block rewriter records a forwarded load's replacement
+    /// register this way).
+    pub fn set(&mut self, cell: usize, val: CellVal) {
+        if matches!(val, CellVal::Reg(_)) && self.is_held.insert(cell) {
+            self.held.push(cell);
+        }
+        self.state[cell] = val;
+    }
+
+    fn clobber(&mut self, cells: std::ops::Range<usize>) {
+        self.state[cells].fill(CellVal::Clobbered);
     }
 
     /// Advances the state over one instruction.
@@ -520,51 +673,41 @@ impl<'a> CellState<'a> {
         // A redefinition of a register holding a tracked value makes the
         // remembered content stale (only possible off SSA form).
         if let Some(d) = inst.def() {
-            for cell in self.universe {
-                if self.value(*cell) == CellVal::Reg(d) {
-                    self.state.insert(*cell, CellVal::Clobbered);
+            for &c in &self.held {
+                if self.state[c] == CellVal::Reg(d) {
+                    self.state[c] = CellVal::Clobbered;
                 }
             }
         }
+        let universe = self.universe;
         match inst {
             Inst::Load { dst, addr } => {
                 if let AddrInfo::Exact { global, offset } = addrs.info(*addr) {
-                    let cell = (global, offset);
-                    if self.universe.contains(&cell) && !matches!(self.value(cell), CellVal::Reg(_))
-                    {
-                        self.state.insert(cell, CellVal::Reg(*dst));
+                    if let Some(c) = universe.index((global, offset)) {
+                        if !matches!(self.state[c], CellVal::Reg(_)) {
+                            self.set(c, CellVal::Reg(*dst));
+                        }
                     }
                 }
             }
             Inst::Store { addr, src } => match addrs.info(*addr) {
                 AddrInfo::Exact { global, offset } => {
-                    for cell in self.universe {
-                        if cell.0 == global && overlaps(cell.1, offset) {
-                            self.state.insert(*cell, CellVal::Clobbered);
+                    for c in universe.of_global(global) {
+                        if overlaps(universe.cell(c).1, offset) {
+                            self.state[c] = CellVal::Clobbered;
                         }
                     }
-                    let cell = (global, offset);
-                    if self.universe.contains(&cell) {
-                        self.state.insert(cell, CellVal::Reg(*src));
+                    if let Some(c) = universe.index((global, offset)) {
+                        self.set(c, CellVal::Reg(*src));
                     }
                 }
-                AddrInfo::Base { global } => {
-                    for cell in self.universe {
-                        if cell.0 == global {
-                            self.state.insert(*cell, CellVal::Clobbered);
-                        }
-                    }
-                }
-                AddrInfo::Unknown => {
-                    for cell in self.universe {
-                        self.state.insert(*cell, CellVal::Clobbered);
-                    }
-                }
+                AddrInfo::Base { global } => self.clobber(universe.of_global(global)),
+                AddrInfo::Unknown => self.clobber(0..universe.len()),
             },
             i if i.may_write_mem() => {
-                for cell in self.universe {
+                for (c, cell) in universe.cells().iter().enumerate() {
                     if !model.is_rodata(cell.0) {
-                        self.state.insert(*cell, CellVal::Clobbered);
+                        self.state[c] = CellVal::Clobbered;
                     }
                 }
             }
@@ -575,16 +718,17 @@ impl<'a> CellState<'a> {
 
 /// One block's summarized effect on tracked memory cells — the transfer
 /// function of the cross-block availability dataflow, precomputed by
-/// running [`CellState`] over the block once.
+/// running [`CellState`] over the block once. Sets are [`BitSet`]s over
+/// [`CellUniverse`] indices.
 #[derive(Debug, Clone, Default)]
 pub struct BlockCells {
     /// Cells whose content is in a register at block exit, whatever the
     /// entry state was (a store's source or a load's destination with no
     /// later clobber).
-    pub provides: BTreeMap<Cell, VReg>,
-    /// Cells clobbered (and not re-provided) by the block: entry
-    /// availability dies here.
-    pub killed: BTreeSet<Cell>,
+    provides: BitSet,
+    /// The register each provided cell holds at exit, by ascending cell.
+    providers: Vec<(usize, VReg)>,
+    killed: BitSet,
 }
 
 impl BlockCells {
@@ -592,7 +736,7 @@ impl BlockCells {
     pub fn summarize(
         f: &MirFunction,
         b: BlockId,
-        universe: &BTreeSet<Cell>,
+        universe: &CellUniverse,
         addrs: &FnAddrs,
         model: &MemoryModel,
     ) -> BlockCells {
@@ -600,14 +744,19 @@ impl BlockCells {
         for inst in &f.block(b).insts {
             st.apply(inst, addrs, model);
         }
-        let mut out = BlockCells::default();
-        for (&cell, &val) in &st.state {
-            match val {
+        let mut out = BlockCells {
+            provides: BitSet::new(universe.len()),
+            providers: Vec::new(),
+            killed: BitSet::new(universe.len()),
+        };
+        for (c, val) in st.state.iter().enumerate() {
+            match *val {
                 CellVal::Reg(v) => {
-                    out.provides.insert(cell, v);
+                    out.provides.insert(c);
+                    out.providers.push((c, v));
                 }
                 CellVal::Clobbered => {
-                    out.killed.insert(cell);
+                    out.killed.insert(c);
                 }
                 CellVal::FromEntry => {}
             }
@@ -615,17 +764,32 @@ impl BlockCells {
         out
     }
 
+    /// The register holding provided cell `cell` at block exit.
+    pub fn provider(&self, cell: usize) -> Option<VReg> {
+        self.providers
+            .binary_search_by_key(&cell, |&(c, _)| c)
+            .ok()
+            .map(|i| self.providers[i].1)
+    }
+
+    /// Cells clobbered (and not re-provided) by the block: entry
+    /// availability dies here.
+    pub fn killed(&self) -> &BitSet {
+        &self.killed
+    }
+
     /// `true` if the block neither provides nor kills `cell`: entry
     /// availability (and the entry value) survives to the exit.
-    pub fn transparent(&self, cell: Cell) -> bool {
-        !self.provides.contains_key(&cell) && !self.killed.contains(&cell)
+    pub fn transparent(&self, cell: usize) -> bool {
+        !self.provides.contains(cell) && !self.killed.contains(cell)
     }
 
     /// The block-exit availability set for the given entry set: provided
     /// cells plus surviving entry cells.
-    pub fn flow(&self, entry: &BTreeSet<Cell>) -> BTreeSet<Cell> {
-        let mut out: BTreeSet<Cell> = self.provides.keys().copied().collect();
-        out.extend(entry.iter().copied().filter(|c| self.transparent(*c)));
+    pub fn flow(&self, entry: &BitSet) -> BitSet {
+        let mut out = entry.clone();
+        out.subtract(&self.killed);
+        out.union_with(&self.provides);
         out
     }
 }
@@ -640,26 +804,24 @@ pub struct LoopClobbers {
     /// A `Call`/`CallInd` exists: every *mutable* global may be written
     /// (externs are memory-transparent, see the module docs).
     pub has_call: bool,
-    /// Cells written through exact addresses.
-    pub stored_exact: BTreeSet<(usize, i32)>,
-    /// Globals written through rooted run-time addresses.
-    pub stored_bases: BTreeSet<usize>,
+    /// Cells written through exact addresses, sorted and distinct.
+    pub stored_exact: Vec<Cell>,
+    /// Globals written through rooted run-time addresses, sorted and
+    /// distinct.
+    pub stored_bases: Vec<usize>,
 }
 
 impl LoopClobbers {
-    /// Summarizes the stores and calls of the given blocks.
-    pub fn summarize(f: &MirFunction, body: &BTreeSet<BlockId>, addrs: &FnAddrs) -> LoopClobbers {
+    /// Summarizes the stores and calls of the blocks in `body` (a set of
+    /// block numbers, such as [`crate::cfg::NaturalLoop::body`]).
+    pub fn summarize(f: &MirFunction, body: &BitSet, addrs: &FnAddrs) -> LoopClobbers {
         let mut c = LoopClobbers::default();
-        for &b in body {
-            for inst in &f.block(b).insts {
+        for b in body.iter() {
+            for inst in &f.blocks[b].insts {
                 match inst {
                     Inst::Store { addr, .. } => match addrs.info(*addr) {
-                        AddrInfo::Exact { global, offset } => {
-                            c.stored_exact.insert((global, offset));
-                        }
-                        AddrInfo::Base { global } => {
-                            c.stored_bases.insert(global);
-                        }
+                        AddrInfo::Exact { global, offset } => c.stored_exact.push((global, offset)),
+                        AddrInfo::Base { global } => c.stored_bases.push(global),
                         AddrInfo::Unknown => c.unknown_store = true,
                     },
                     Inst::Call { .. } | Inst::CallInd { .. } => c.has_call = true,
@@ -667,7 +829,18 @@ impl LoopClobbers {
                 }
             }
         }
+        c.stored_exact.sort_unstable();
+        c.stored_exact.dedup();
+        c.stored_bases.sort_unstable();
+        c.stored_bases.dedup();
         c
+    }
+
+    /// The exactly stored cells rooted at `global`.
+    fn exact_in(&self, global: usize) -> &[Cell] {
+        let lo = self.stored_exact.partition_point(|c| c.0 < global);
+        let hi = self.stored_exact.partition_point(|c| c.0 <= global);
+        &self.stored_exact[lo..hi]
     }
 
     /// `true` if a load from `info` may observe a write performed inside
@@ -679,16 +852,16 @@ impl LoopClobbers {
         match info {
             AddrInfo::Exact { global, offset } => {
                 (self.has_call && !model.is_rodata(global))
-                    || self.stored_bases.contains(&global)
+                    || self.stored_bases.binary_search(&global).is_ok()
                     || self
-                        .stored_exact
+                        .exact_in(global)
                         .iter()
-                        .any(|&(g, o)| g == global && overlaps(o, offset))
+                        .any(|&(_, o)| overlaps(o, offset))
             }
             AddrInfo::Base { global } => {
                 (self.has_call && !model.is_rodata(global))
-                    || self.stored_bases.contains(&global)
-                    || self.stored_exact.iter().any(|(g, _)| *g == global)
+                    || self.stored_bases.binary_search(&global).is_ok()
+                    || !self.exact_in(global).is_empty()
             }
             AddrInfo::Unknown => true,
         }
@@ -939,7 +1112,9 @@ mod tests {
         ]);
         let addrs = FnAddrs::analyze(&f);
         let cells = cell_universe(&f, &addrs);
-        assert_eq!(cells, BTreeSet::from([(0, 4), (1, 0)]));
+        assert_eq!(cells.cells(), &[(0, 4), (1, 0)]);
+        assert_eq!(cells.index((1, 0)), Some(1));
+        assert_eq!(cells.index((1, 4)), None);
         assert_eq!(
             cell_info((0, 4)),
             AddrInfo::Exact {
@@ -951,7 +1126,8 @@ mod tests {
 
     #[test]
     fn cell_state_tracks_provides_kills_and_revivals() {
-        let universe: BTreeSet<Cell> = BTreeSet::from([(0, 0), (0, 4), (1, 0)]);
+        let universe = CellUniverse::from_cells(vec![(0, 0), (0, 4), (1, 0)]);
+        let at = |cell| universe.index(cell).expect("tracked cell");
         let f = func(vec![
             Inst::Addr {
                 dst: VReg(1),
@@ -981,8 +1157,8 @@ mod tests {
             &addrs,
             &model,
         );
-        assert_eq!(st.value((0, 0)), CellVal::Reg(VReg(0)));
-        assert_eq!(st.value((0, 4)), CellVal::FromEntry);
+        assert_eq!(st.value(at((0, 0))), CellVal::Reg(VReg(0)));
+        assert_eq!(st.value(at((0, 4))), CellVal::FromEntry);
         // A call clobbers every mutable cell.
         st.apply(
             &Inst::Call {
@@ -993,8 +1169,8 @@ mod tests {
             &addrs,
             &model,
         );
-        assert_eq!(st.value((0, 0)), CellVal::Clobbered);
-        assert_eq!(st.value((0, 4)), CellVal::Clobbered);
+        assert_eq!(st.value(at((0, 0))), CellVal::Clobbered);
+        assert_eq!(st.value(at((0, 4))), CellVal::Clobbered);
         // A load revives its cell.
         st.apply(
             &Inst::Load {
@@ -1004,7 +1180,17 @@ mod tests {
             &addrs,
             &model,
         );
-        assert_eq!(st.value((0, 4)), CellVal::Reg(VReg(9)));
+        assert_eq!(st.value(at((0, 4))), CellVal::Reg(VReg(9)));
+        // Redefining the register a cell is held in makes the cell stale.
+        st.apply(
+            &Inst::Const {
+                dst: VReg(9),
+                value: 0,
+            },
+            &addrs,
+            &model,
+        );
+        assert_eq!(st.value(at((0, 4))), CellVal::Clobbered);
         // A store through a rooted run-time address kills its global only.
         st.apply(
             &Inst::Store {
@@ -1014,7 +1200,7 @@ mod tests {
             &addrs,
             &model,
         );
-        assert_eq!(st.value((1, 0)), CellVal::Reg(VReg(0)));
+        assert_eq!(st.value(at((1, 0))), CellVal::Reg(VReg(0)));
         let mut st2 = CellState::new(&universe);
         let f2 = func(vec![
             Inst::Addr {
@@ -1038,13 +1224,13 @@ mod tests {
             &addrs2,
             &model,
         );
-        assert_eq!(st2.value((1, 0)), CellVal::Clobbered);
-        assert_eq!(st2.value((0, 0)), CellVal::FromEntry);
+        assert_eq!(st2.value(at((1, 0))), CellVal::Clobbered);
+        assert_eq!(st2.value(at((0, 0))), CellVal::FromEntry);
     }
 
     #[test]
     fn block_cells_summarize_and_flow() {
-        let universe: BTreeSet<Cell> = BTreeSet::from([(0, 0), (0, 4), (0, 8)]);
+        let universe = CellUniverse::from_cells(vec![(0, 0), (0, 4), (0, 8)]);
         // An unaligned store at byte 2 clobbers both words it straddles,
         // then (0,0) is re-provided by a store; (0,8) is never touched.
         let f = func(vec![
@@ -1070,12 +1256,15 @@ mod tests {
         let addrs = FnAddrs::analyze(&f);
         let model = MemoryModel::default();
         let cells = BlockCells::summarize(&f, BlockId(0), &universe, &addrs, &model);
-        assert_eq!(cells.provides.get(&(0, 0)), Some(&VReg(0)));
-        assert!(cells.killed.contains(&(0, 4)), "straddled word is killed");
-        assert!(cells.transparent((0, 8)));
-        let entry: BTreeSet<Cell> = BTreeSet::from([(0, 4), (0, 8)]);
+        assert_eq!(cells.provider(0), Some(VReg(0)));
+        assert_eq!(cells.provider(1), None);
+        assert!(cells.killed().contains(1), "straddled word is killed");
+        assert!(cells.transparent(2));
+        let mut entry = BitSet::new(universe.len());
+        entry.insert(1);
+        entry.insert(2);
         let out = cells.flow(&entry);
-        assert_eq!(out, BTreeSet::from([(0, 0), (0, 8)]));
+        assert_eq!(out.iter().collect::<Vec<_>>(), vec![0, 2]);
     }
 
     #[test]
@@ -1092,7 +1281,7 @@ mod tests {
             },
         ]);
         let addrs = FnAddrs::analyze(&f);
-        let body: BTreeSet<BlockId> = BTreeSet::from([BlockId(0)]);
+        let body = BitSet::full(1);
         let c = LoopClobbers::summarize(&f, &body, &addrs);
         let model = MemoryModel::default();
         assert!(c.clobbers(
@@ -1132,7 +1321,7 @@ mod tests {
             args: vec![],
         }]);
         let addrs = FnAddrs::analyze(&f);
-        let body: BTreeSet<BlockId> = BTreeSet::from([BlockId(0)]);
+        let body = BitSet::full(1);
         let c = LoopClobbers::summarize(&f, &body, &addrs);
         let program = Program {
             functions: vec![],

@@ -64,8 +64,9 @@
 //! # Per-pass contracts
 //!
 //! Every SSA pass has the signature [`SsaPass`] and receives the
-//! [`mem::MemoryModel`] of the program it runs inside — the memory
-//! passes consult it for rodata facts; the others ignore it.
+//! function's [`AnalysisCtx`]: the [`mem::MemoryModel`] of the program it
+//! runs inside (the memory passes consult it for rodata facts) plus the
+//! cached per-function analyses described under [Analyses](#analyses).
 //!
 //! * [`sccp`] — sparse conditional constant propagation over the
 //!   ⊤/const/⊥ lattice with the Wegman–Zadeck two-worklist scheme:
@@ -84,7 +85,7 @@
 //!   redundant-load elimination over the tracked memory state of
 //!   [`crate::mem`]; rewrites loads to copies.
 //! * [`cross_block_forward`] — **cross-block** store-to-load forwarding
-//!   / redundant-load elimination over the [`avail_loads`] must-
+//!   / redundant-load elimination over the [`AvailLoads`] must-
 //!   availability dataflow: loads of cells available on every incoming
 //!   path are deleted outright, their uses rewritten through new φs at
 //!   joins where predecessor values differ.
@@ -125,6 +126,82 @@
 //!   value), so the model-level fact "no incoming transition" does not
 //!   survive code generation and the compiler must keep the code.
 //!
+//! # Analyses
+//!
+//! The passes share their analyses instead of each rebuilding them.
+//! [`PassManager::run_function`] owns one [`AnalysisCtx`] per function
+//! and hands it to every pass it runs.
+//!
+//! **What it caches.** Predecessor lists, the [`cfg::DomTree`]
+//! (immediate dominators, tree children, preorder, reachability), the
+//! natural loops, the address resolution [`mem::FnAddrs`], and the
+//! cross-block must-availability dataflow [`AvailLoads`] with its cell
+//! universe and per-block transfer summaries — the context
+//! [`cross_block_forward`] and [`load_pre`] both consume.
+//!
+//! **When it fills.** Lazily: each analysis is computed on the first
+//! request after the context was created or dropped, from whatever it
+//! depends on in the same cache. A pass that needs none of them pays
+//! for none.
+//!
+//! **When it is dropped.** Whenever a pass reports a change —
+//! [`simplify_cfg`] included — and at every [`ssa::construct`] and
+//! [`ssa::destruct`] boundary, so no analysis of the φ-free function
+//! reaches the SSA passes or the other way round. A pass that reports no
+//! change therefore hands the next pass exactly the analyses it found. A pass that edits the function and then keeps
+//! querying the context (LICM transforms one loop per step)
+//! [invalidates](AnalysisCtx::invalidate) it itself after each edit.
+//!
+//! **The no-change contract.** The reuse is sound because a pass that
+//! returns `false` must leave the function exactly as it found it — not
+//! even a fresh register may be allocated. Under verify-each (see
+//! [Verification](#verification)) the manager keeps a copy of the
+//! function before every pass and panics, blaming the pass and round, if
+//! a pass reported no change but the function differs.
+//!
+//! **Representations.** Every analysis is dense: `Vec`s indexed by block
+//! or register number, and [`crate::bitset::BitSet`]s over block numbers
+//! or over the function's [`mem::CellUniverse`]. The pass-local tables of
+//! [`sccp`], [`constant_fold`] and [`dead_code_elim`] are register-indexed
+//! arrays too. Everything iterates in index order, which is the order the
+//! ordered maps and sets they replaced iterated in, so no hash order ever
+//! reaches the output. None of it lives outside the context: there is no
+//! global or thread-local cache, and [`crate::driver`] batch compiles on
+//! several threads without sharing any analysis state.
+//!
+//! ```
+//! use occ::mem::MemoryModel;
+//! use occ::mir::{Block, Inst, MirFunction, Term, VReg};
+//! use occ::opt::{self, AnalysisCtx};
+//!
+//! // v1 = &g0; store v0 -> [v1]; v2 = load [v1]; return v2
+//! let mut f = MirFunction {
+//!     name: "demo".into(),
+//!     params: 1,
+//!     returns_value: true,
+//!     exported: true,
+//!     blocks: vec![Block {
+//!         insts: vec![
+//!             Inst::Addr { dst: VReg(1), global: 0, offset: 0 },
+//!             Inst::Store { addr: VReg(1), src: VReg(0) },
+//!             Inst::Load { dst: VReg(2), addr: VReg(1) },
+//!         ],
+//!         term: Term::Ret(Some(VReg(2))),
+//!     }],
+//!     next_vreg: 3,
+//! };
+//! let model = MemoryModel::default();
+//! let mut ctx = AnalysisCtx::new(&model);
+//! // Nothing to fold: the function is untouched, the cached analyses stay.
+//! assert!(!opt::constant_fold(&mut f, &mut ctx));
+//! assert_eq!(ctx.avail(&f).universe().cells(), &[(0, 0)]);
+//! // The load becomes a copy of the stored register; the pass reported
+//! // a change, so the caller drops what the context holds.
+//! assert!(opt::store_load_forward(&mut f, &mut ctx));
+//! ctx.invalidate();
+//! assert_eq!(f.blocks[0].insts[2], Inst::Copy { dst: VReg(2), src: VReg(0) });
+//! ```
+//!
 //! # Verification
 //!
 //! Every invariant the rosters above rely on is cataloged — and, in
@@ -132,11 +209,12 @@
 //! static verifier: pipeline boundaries are always re-checked, and the
 //! `OCC_VERIFY=each` knob (or [`PassManager::with_verify`]) escalates to
 //! per-pass verification that attributes a broken invariant to the pass
-//! and round that introduced it.
+//! and round that introduced it. Verify-each also checks the no-change
+//! contract of [Analyses](#analyses) after every pass.
 
 use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 
+use crate::bitset::BitSet;
 use crate::cfg;
 use crate::mem;
 use crate::mir::{BinOp, Block, BlockId, Inst, MirFunction, Program, Term, UnOp, VReg, Word};
@@ -299,10 +377,165 @@ impl PipelineStats {
 // ---------------------------------------------------------------------
 
 /// A function-local SSA pass: rewrites the function, returns `true` if
-/// anything changed. The [`mem::MemoryModel`] carries the program-wide
-/// facts (global mutability) the memory passes consult; passes that do
-/// not reason about memory ignore it.
-pub type SsaPass = fn(&mut MirFunction, &mem::MemoryModel) -> bool;
+/// anything changed — and leaves the function untouched when it returns
+/// `false` (the no-change contract of [Analyses](self#analyses)). The
+/// [`AnalysisCtx`] carries the program-wide memory facts the memory
+/// passes consult and the analyses of the function's current state.
+pub type SsaPass = fn(&mut MirFunction, &mut AnalysisCtx<'_>) -> bool;
+
+/// The per-function analysis context every [`SsaPass`] receives: the
+/// program's [`mem::MemoryModel`] plus a lazily filled cache of the
+/// analyses of one function state (see [Analyses](self#analyses)). Each
+/// accessor computes its analysis on first use and returns the cached
+/// value until [`AnalysisCtx::invalidate`] drops it.
+///
+/// The cache describes whichever function the accessors were first
+/// called with; handing one context two different functions, or an
+/// edited function without invalidating, returns stale facts. A pass
+/// called on its own gets a fresh context per call.
+#[derive(Debug)]
+pub struct AnalysisCtx<'m> {
+    model: &'m mem::MemoryModel,
+    preds: Option<Vec<Vec<BlockId>>>,
+    dom: Option<cfg::DomTree>,
+    loops: Option<Vec<cfg::NaturalLoop>>,
+    addrs: Option<mem::FnAddrs>,
+    avail: Option<AvailLoads>,
+}
+
+/// What the two cross-block load passes read from the context.
+struct CrossBlock<'a> {
+    model: &'a mem::MemoryModel,
+    addrs: &'a mem::FnAddrs,
+    avail: &'a AvailLoads,
+    dom: &'a cfg::DomTree,
+    preds: &'a [Vec<BlockId>],
+}
+
+impl CrossBlock<'_> {
+    /// The distinct reachable predecessors of `b`, ascending.
+    fn live_preds(&self, b: BlockId) -> Vec<BlockId> {
+        let mut ps: Vec<BlockId> = self.preds[b.0 as usize]
+            .iter()
+            .copied()
+            .filter(|p| self.dom.is_reachable(*p))
+            .collect();
+        ps.sort_unstable();
+        ps.dedup();
+        ps
+    }
+}
+
+impl<'m> AnalysisCtx<'m> {
+    /// An empty context for one function under `model`.
+    pub fn new(model: &'m mem::MemoryModel) -> AnalysisCtx<'m> {
+        AnalysisCtx {
+            model,
+            preds: None,
+            dom: None,
+            loops: None,
+            addrs: None,
+            avail: None,
+        }
+    }
+
+    /// The program-wide memory facts.
+    pub fn model(&self) -> &'m mem::MemoryModel {
+        self.model
+    }
+
+    /// Drops every cached analysis; the next request recomputes it.
+    pub fn invalidate(&mut self) {
+        *self = AnalysisCtx::new(self.model);
+    }
+
+    /// Predecessor lists ([`cfg::predecessors`]).
+    pub fn preds(&mut self, f: &MirFunction) -> &[Vec<BlockId>] {
+        self.preds.get_or_insert_with(|| cfg::predecessors(f))
+    }
+
+    /// The dominator tree.
+    pub fn dom(&mut self, f: &MirFunction) -> &cfg::DomTree {
+        if self.dom.is_none() {
+            let dom = cfg::DomTree::compute(f, self.preds(f));
+            self.dom = Some(dom);
+        }
+        self.dom.as_ref().expect("filled above")
+    }
+
+    /// The natural loops, innermost first ([`cfg::natural_loops`]).
+    pub fn loops(&mut self, f: &MirFunction) -> &[cfg::NaturalLoop] {
+        if self.loops.is_none() {
+            self.dom(f);
+            let (Some(dom), Some(preds)) = (&self.dom, &self.preds) else {
+                unreachable!("filled by dom()");
+            };
+            self.loops = Some(cfg::natural_loops(f, dom, preds));
+        }
+        self.loops.as_deref().expect("filled above")
+    }
+
+    /// The address resolution ([`mem::FnAddrs`]).
+    pub fn addrs(&mut self, f: &MirFunction) -> &mem::FnAddrs {
+        self.addrs.get_or_insert_with(|| mem::FnAddrs::analyze(f))
+    }
+
+    /// The cross-block must-availability dataflow ([`AvailLoads`]).
+    pub fn avail(&mut self, f: &MirFunction) -> &AvailLoads {
+        if self.avail.is_none() {
+            let universe = mem::cell_universe(f, self.addrs(f));
+            let avail = if universe.is_empty() {
+                AvailLoads::empty(f.blocks.len())
+            } else {
+                self.loops(f);
+                let (Some(addrs), Some(dom), Some(preds), Some(loops)) =
+                    (&self.addrs, &self.dom, &self.preds, &self.loops)
+                else {
+                    unreachable!("filled by addrs() and loops()");
+                };
+                AvailLoads::compute(f, self.model, addrs, universe, dom, preds, loops)
+            };
+            self.avail = Some(avail);
+        }
+        self.avail.as_ref().expect("filled above")
+    }
+
+    /// The loops and the address resolution together (load-hoisting
+    /// LICM reads both).
+    fn loops_and_addrs(&mut self, f: &MirFunction) -> (&[cfg::NaturalLoop], &mem::FnAddrs) {
+        self.loops(f);
+        self.addrs(f);
+        let (Some(loops), Some(addrs)) = (&self.loops, &self.addrs) else {
+            unreachable!("filled above");
+        };
+        (loops, addrs)
+    }
+
+    /// Everything the cross-block load passes read, or `None` when the
+    /// function touches no exactly addressed cell — neither pass has
+    /// anything to do then.
+    fn cross_block(&mut self, f: &MirFunction) -> Option<CrossBlock<'_>> {
+        if self.avail(f).universe().is_empty() {
+            return None;
+        }
+        let (Some(addrs), Some(avail), Some(dom), Some(preds)) =
+            (&self.addrs, &self.avail, &self.dom, &self.preds)
+        else {
+            unreachable!("filled by avail() on a non-empty universe");
+        };
+        Some(CrossBlock {
+            model: self.model,
+            addrs,
+            avail,
+            dom,
+            preds,
+        })
+    }
+}
+
+/// [`simplify_cfg`] as a pass entry, so the manager records and checks it
+/// like any other (it consults no analysis).
+const SIMPLIFY: (&str, SsaPass) = (pass::SIMPLIFY_CFG, |f, _| simplify_cfg(f));
 
 /// How much of the [`crate::verify`] static checker the manager runs in
 /// debug builds (release builds compile all verification out, like the
@@ -467,6 +700,39 @@ impl PassManager {
         assert!(vs.is_empty(), "MIR verifier: {ctx}:{}", verify::report(&vs));
     }
 
+    /// Runs one registered pass and records its stats. Under verify-each
+    /// it also checks the pass's output at `tier` and the no-change
+    /// contract against a copy of `f` taken before the pass. A change
+    /// drops the cached analyses.
+    fn run_pass(
+        &mut self,
+        (name, p): (&'static str, SsaPass),
+        f: &mut MirFunction,
+        cx: &mut AnalysisCtx<'_>,
+        verify_each: bool,
+        tier: verify::Tier,
+        round: &dyn Fn() -> String,
+    ) -> bool {
+        let before_pass = verify_each.then(|| f.clone());
+        let before = f.inst_count();
+        let changed = p(f, cx);
+        let removed = before.saturating_sub(f.inst_count());
+        self.stats.record(name, changed, removed);
+        if changed {
+            cx.invalidate();
+        }
+        if let Some(before_pass) = before_pass {
+            let blame = format!("after {name} in round {}", round());
+            assert!(
+                changed || *f == before_pass,
+                "MIR verifier: {blame}: `{}` changed although the pass reported no change",
+                f.name
+            );
+            self.verify_after(f, cx.model(), tier, &blame);
+        }
+        changed
+    }
+
     /// Runs every function of `program` through
     /// [`PassManager::run_function`], under the program's
     /// [`mem::MemoryModel`].
@@ -481,46 +747,58 @@ impl PassManager {
     /// simplification around an SSA fixed point, then a final cleanup.
     /// `model` carries the program-wide memory facts the memory passes
     /// consult (pass [`mem::MemoryModel::default`] for a bare function).
-    /// Returns `true` if anything changed.
+    /// The function's [`AnalysisCtx`] lives for this call. Returns `true`
+    /// if anything changed.
     pub fn run_function(&mut self, f: &mut MirFunction, model: &mem::MemoryModel) -> bool {
         let verify_each = self.verify_each();
+        let mut cx = AnalysisCtx::new(model);
         let mut any = false;
         for round in 1..=self.outer_rounds {
-            any |= self.simplify(f);
-            if verify_each {
-                let ctx = format!("after {} in round {round}", pass::SIMPLIFY_CFG);
-                self.verify_after(f, model, verify::Tier::PhiFree, &ctx);
-            }
+            any |= self.run_pass(
+                SIMPLIFY,
+                f,
+                &mut cx,
+                verify_each,
+                verify::Tier::PhiFree,
+                &|| round.to_string(),
+            );
             if self.ssa_passes.is_empty() && self.post_passes.is_empty() {
                 break;
             }
             let mut ssa_changed = false;
             if !self.ssa_passes.is_empty() {
                 ssa::construct(f);
-                ssa_changed = self.ssa_fixpoint(f, model, round, verify_each);
+                cx.invalidate();
+                ssa_changed = self.ssa_fixpoint(f, &mut cx, round, verify_each);
                 ssa::destruct(f);
+                cx.invalidate();
             }
             // φ-free post passes see destruct's copy residue; they are
             // cleanup, so they do not drive another outer round on
             // their own.
             for i in 0..self.post_passes.len() {
-                let (name, p) = self.post_passes[i];
-                let before = f.inst_count();
-                let changed = p(f, model);
-                let removed = before.saturating_sub(f.inst_count());
-                self.stats.record(name, changed, removed);
-                any |= changed;
-                if verify_each {
-                    let ctx = format!("after {name} in round {round}");
-                    self.verify_after(f, model, verify::Tier::PhiFree, &ctx);
-                }
+                any |= self.run_pass(
+                    self.post_passes[i],
+                    f,
+                    &mut cx,
+                    verify_each,
+                    verify::Tier::PhiFree,
+                    &|| round.to_string(),
+                );
             }
             any |= ssa_changed;
             if !ssa_changed {
                 break;
             }
         }
-        any |= self.simplify(f);
+        any |= self.run_pass(
+            SIMPLIFY,
+            f,
+            &mut cx,
+            verify_each,
+            verify::Tier::PhiFree,
+            &|| "final".to_string(),
+        );
         // Post-pipeline boundary: whatever the mode, the function handed
         // to the backend must be φ-free, structurally sound, and inside
         // the memory contract.
@@ -561,18 +839,10 @@ impl PassManager {
         self.stats
     }
 
-    fn simplify(&mut self, f: &mut MirFunction) -> bool {
-        let before = f.inst_count();
-        let changed = simplify_cfg(f);
-        let removed = before.saturating_sub(f.inst_count());
-        self.stats.record(pass::SIMPLIFY_CFG, changed, removed);
-        changed
-    }
-
     fn ssa_fixpoint(
         &mut self,
         f: &mut MirFunction,
-        model: &mem::MemoryModel,
+        cx: &mut AnalysisCtx<'_>,
         outer_round: usize,
         verify_each: bool,
     ) -> bool {
@@ -580,16 +850,14 @@ impl PassManager {
         for sweep in 1..=Self::MAX_SSA_ROUNDS {
             let mut round_changed = false;
             for i in 0..self.ssa_passes.len() {
-                let (name, p) = self.ssa_passes[i];
-                let before = f.inst_count();
-                let changed = p(f, model);
-                let removed = before.saturating_sub(f.inst_count());
-                self.stats.record(name, changed, removed);
-                round_changed |= changed;
-                if verify_each {
-                    let ctx = format!("after {name} in round {outer_round}.{sweep}");
-                    self.verify_after(f, model, verify::Tier::Ssa, &ctx);
-                }
+                round_changed |= self.run_pass(
+                    self.ssa_passes[i],
+                    f,
+                    cx,
+                    verify_each,
+                    verify::Tier::Ssa,
+                    &|| format!("{outer_round}.{sweep}"),
+                );
             }
             if !round_changed {
                 break;
@@ -667,42 +935,42 @@ fn run_pipeline_impl(
 
 /// Propagates and folds constants; folds constant branches. Returns `true`
 /// if anything changed.
-pub fn constant_fold(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
-    let mut known: BTreeMap<VReg, i32> = BTreeMap::new();
+pub fn constant_fold(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
+    // The known constant of each register, by register number.
+    let mut known: Vec<Option<i32>> = vec![None; f.next_vreg as usize];
+    let get = |known: &[Option<i32>], v: &VReg| known.get(v.0 as usize).copied().flatten();
     let mut changed = false;
     // SSA: each def has one value; iterate to a fixpoint to flow through
     // φs and copies in any block order.
     loop {
         let mut grew = false;
-        for b in f.block_ids().collect::<Vec<_>>() {
-            for inst in &f.block(b).insts {
+        for blk in &f.blocks {
+            for inst in &blk.insts {
                 let Some(dst) = inst.def() else { continue };
-                if known.contains_key(&dst) {
+                if get(&known, &dst).is_some() {
                     continue;
                 }
                 let value = match inst {
                     Inst::Const { value, .. } => Some(*value),
-                    Inst::Copy { src, .. } => known.get(src).copied(),
-                    Inst::Un { op, src, .. } => known.get(src).map(|v| op.eval(*v)),
-                    Inst::Bin { op, lhs, rhs, .. } => match (known.get(lhs), known.get(rhs)) {
-                        (Some(a), Some(b)) => Some(op.eval(*a, *b)),
+                    Inst::Copy { src, .. } => get(&known, src),
+                    Inst::Un { op, src, .. } => get(&known, src).map(|v| op.eval(v)),
+                    Inst::Bin { op, lhs, rhs, .. } => match (get(&known, lhs), get(&known, rhs)) {
+                        (Some(a), Some(b)) => Some(op.eval(a, b)),
                         _ => None,
                     },
                     Inst::Phi { args, .. } => {
-                        let vals: Option<BTreeSet<i32>> =
-                            args.iter().map(|(_, v)| known.get(v).copied()).collect();
-                        vals.and_then(|s| {
-                            if s.len() == 1 {
-                                s.into_iter().next()
-                            } else {
-                                None
-                            }
-                        })
+                        // One known value shared by every argument.
+                        let first = args.first().and_then(|(_, v)| get(&known, v));
+                        first.filter(|c| args.iter().all(|(_, v)| get(&known, v) == Some(*c)))
                     }
                     _ => None,
                 };
                 if let Some(v) = value {
-                    known.insert(dst, v);
+                    let i = dst.0 as usize;
+                    if i >= known.len() {
+                        known.resize(i + 1, None);
+                    }
+                    known[i] = Some(v);
                     grew = true;
                 }
             }
@@ -714,16 +982,15 @@ pub fn constant_fold(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
     // Rewrite: folded instructions become Consts; constant branches become
     // gotos.
     let mut folded_branch = false;
-    for b in f.block_ids().collect::<Vec<_>>() {
-        let blk = f.block_mut(b);
+    for blk in &mut f.blocks {
         for inst in &mut blk.insts {
             let Some(dst) = inst.def() else { continue };
-            if let Some(v) = known.get(&dst) {
+            if let Some(v) = get(&known, &dst) {
                 let replace = !matches!(inst, Inst::Const { .. })
                     && inst.is_pure()
                     && !matches!(inst, Inst::Load { .. });
                 if replace {
-                    *inst = Inst::Const { dst, value: *v };
+                    *inst = Inst::Const { dst, value: v };
                     changed = true;
                 }
             }
@@ -734,8 +1001,8 @@ pub fn constant_fold(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
                 then_block,
                 else_block,
             } => {
-                if let Some(v) = known.get(cond) {
-                    blk.term = Term::Goto(if *v != 0 { *then_block } else { *else_block });
+                if let Some(v) = get(&known, cond) {
+                    blk.term = Term::Goto(if v != 0 { *then_block } else { *else_block });
                     changed = true;
                     folded_branch = true;
                 }
@@ -745,10 +1012,10 @@ pub fn constant_fold(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
                 cases,
                 default,
             } => {
-                if let Some(v) = known.get(val) {
+                if let Some(v) = get(&known, val) {
                     let target = cases
                         .iter()
-                        .find(|(c, _)| c == v)
+                        .find(|(c, _)| *c == v)
                         .map(|(_, t)| *t)
                         .unwrap_or(*default);
                     blk.term = Term::Goto(target);
@@ -796,26 +1063,64 @@ impl Lattice {
     }
 }
 
+/// Register-indexed lists in compressed form: the items pushed for
+/// register `v` are `items[start[v]..start[v + 1]]`, in push order. One
+/// allocation for all registers instead of a list (or map node) each.
+struct RegLists<T> {
+    start: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T> RegLists<T> {
+    /// Groups `pairs` by register, keeping each register's items in
+    /// `pairs` order (the sort is stable). Every register must be below
+    /// `nregs`.
+    fn build(nregs: usize, mut pairs: Vec<(VReg, T)>) -> RegLists<T> {
+        pairs.sort_by_key(|(v, _)| *v);
+        let mut start = vec![0u32; nregs + 1];
+        for (v, _) in &pairs {
+            start[v.0 as usize + 1] += 1;
+        }
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
+        }
+        RegLists {
+            start,
+            items: pairs.into_iter().map(|(_, t)| t).collect(),
+        }
+    }
+
+    fn get(&self, v: VReg) -> &[T] {
+        let i = v.0 as usize;
+        match (self.start.get(i), self.start.get(i + 1)) {
+            (Some(&lo), Some(&hi)) => &self.items[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+}
+
 /// Analysis state of one [`sccp`] run (the classic two-worklist scheme of
 /// Wegman & Zadeck: a *flow* worklist of CFG edges becoming executable
-/// and an *SSA* worklist of uses whose operand lattice dropped).
+/// and an *SSA* worklist of uses whose operand lattice dropped). Every
+/// table is indexed by register or block number.
 struct SccpState<'a> {
     f: &'a MirFunction,
-    values: BTreeMap<VReg, Lattice>,
-    exec_edge: BTreeSet<(BlockId, BlockId)>,
-    exec_block: BTreeSet<BlockId>,
+    values: Vec<Lattice>,
+    /// Per target block, the sources of its executable incoming edges.
+    exec_edge: Vec<Vec<BlockId>>,
+    exec_block: Vec<bool>,
     /// CFG edges newly marked executable, to propagate from.
     flow: Vec<(BlockId, BlockId)>,
     /// `(block, Some(inst index))` for an instruction re-evaluation,
     /// `(block, None)` for a terminator re-evaluation.
     ssa_work: Vec<(BlockId, Option<usize>)>,
-    inst_users: BTreeMap<VReg, Vec<(BlockId, usize)>>,
-    term_users: BTreeMap<VReg, Vec<BlockId>>,
+    inst_users: RegLists<(BlockId, usize)>,
+    term_users: RegLists<BlockId>,
 }
 
 impl SccpState<'_> {
     fn val(&self, v: VReg) -> Lattice {
-        self.values.get(&v).copied().unwrap_or(Lattice::Top)
+        self.values[v.0 as usize]
     }
 
     /// Lowers `dst` to `meet(old, new)`; queues its users if it moved.
@@ -825,16 +1130,12 @@ impl SccpState<'_> {
         if merged == old {
             return;
         }
-        self.values.insert(dst, merged);
-        if let Some(users) = self.inst_users.get(&dst) {
-            for &(b, i) in users {
-                self.ssa_work.push((b, Some(i)));
-            }
+        self.values[dst.0 as usize] = merged;
+        for &(b, i) in self.inst_users.get(dst) {
+            self.ssa_work.push((b, Some(i)));
         }
-        if let Some(users) = self.term_users.get(&dst) {
-            for &b in users {
-                self.ssa_work.push((b, None));
-            }
+        for &b in self.term_users.get(dst) {
+            self.ssa_work.push((b, None));
         }
     }
 
@@ -854,10 +1155,12 @@ impl SccpState<'_> {
                 (Lattice::Const(a), Lattice::Const(b)) => Lattice::Const(op.eval(a, b)),
                 _ => Lattice::Top,
             },
-            Inst::Phi { args, .. } => args
-                .iter()
-                .filter(|(p, _)| self.exec_edge.contains(&(*p, b)))
-                .fold(Lattice::Top, |acc, (_, v)| Lattice::meet(acc, self.val(*v))),
+            Inst::Phi { args, .. } => {
+                let live = &self.exec_edge[b.0 as usize];
+                args.iter()
+                    .filter(|(p, _)| live.contains(p))
+                    .fold(Lattice::Top, |acc, (_, v)| Lattice::meet(acc, self.val(*v)))
+            }
             // Memory, addresses and call results are never constant here.
             Inst::Load { .. }
             | Inst::Addr { .. }
@@ -921,12 +1224,14 @@ impl SccpState<'_> {
     }
 
     fn run(&mut self) {
-        self.exec_block.insert(BlockId(0));
+        self.exec_block[0] = true;
         self.visit_block(BlockId(0));
         loop {
             if let Some((p, s)) = self.flow.pop() {
-                if self.exec_edge.insert((p, s)) {
-                    if self.exec_block.insert(s) {
+                let sources = &mut self.exec_edge[s.0 as usize];
+                if !sources.contains(&p) {
+                    sources.push(p);
+                    if !std::mem::replace(&mut self.exec_block[s.0 as usize], true) {
                         self.visit_block(s);
                     } else {
                         // Already-executable target: only its φs see the
@@ -941,7 +1246,7 @@ impl SccpState<'_> {
                 continue;
             }
             if let Some((b, oi)) = self.ssa_work.pop() {
-                if self.exec_block.contains(&b) {
+                if self.exec_block[b.0 as usize] {
                     match oi {
                         Some(i) => self.visit_inst(b, i),
                         None => self.visit_term(b),
@@ -965,33 +1270,41 @@ impl SccpState<'_> {
 /// [`fold_terminators`] would clean up afterwards), never-executable
 /// blocks are removed, and φ-arguments of dropped edges are pruned.
 /// Returns `true` if anything changed.
-pub fn sccp(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
+pub fn sccp(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
     // Use lists, so lattice drops re-queue exactly the affected users.
-    let mut inst_users: BTreeMap<VReg, Vec<(BlockId, usize)>> = BTreeMap::new();
-    let mut term_users: BTreeMap<VReg, Vec<BlockId>> = BTreeMap::new();
+    // Tables are sized past the highest register mentioned (normally
+    // `next_vreg`).
+    let mut nregs = f.next_vreg as usize;
+    let mut inst_uses: Vec<(VReg, (BlockId, usize))> = Vec::new();
+    let mut term_uses: Vec<(VReg, BlockId)> = Vec::new();
     for b in f.block_ids() {
         for (i, inst) in f.block(b).insts.iter().enumerate() {
-            for u in inst.uses() {
-                inst_users.entry(u).or_default().push((b, i));
+            inst_uses.extend(inst.uses().into_iter().map(|u| (u, (b, i))));
+            if let Some(d) = inst.def() {
+                nregs = nregs.max(d.0 as usize + 1);
             }
         }
-        for u in f.block(b).term.uses() {
-            term_users.entry(u).or_default().push(b);
-        }
+        term_uses.extend(f.block(b).term.uses().into_iter().map(|u| (u, b)));
     }
-    let mut values: BTreeMap<VReg, Lattice> = BTreeMap::new();
-    for p in 0..f.params {
-        values.insert(VReg(p as u32), Lattice::Bottom);
+    let used = inst_uses
+        .iter()
+        .map(|(u, _)| *u)
+        .chain(term_uses.iter().map(|(u, _)| *u));
+    nregs = used.fold(nregs, |n, u| n.max(u.0 as usize + 1));
+    let mut values = vec![Lattice::Top; nregs];
+    for v in values.iter_mut().take(f.params) {
+        *v = Lattice::Bottom;
     }
+    let nblocks = f.blocks.len();
     let mut state = SccpState {
         f,
         values,
-        exec_edge: BTreeSet::new(),
-        exec_block: BTreeSet::new(),
+        exec_edge: vec![Vec::new(); nblocks],
+        exec_block: vec![false; nblocks],
         flow: Vec::new(),
         ssa_work: Vec::new(),
-        inst_users,
-        term_users,
+        inst_users: RegLists::build(nregs, inst_uses),
+        term_users: RegLists::build(nregs, term_uses),
     };
     state.run();
     let SccpState {
@@ -1000,11 +1313,10 @@ pub fn sccp(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
 
     // Rewrite phase: executable blocks only; the rest are removed below.
     let mut changed = false;
-    for &b in &exec_block {
-        let blk = f.block_mut(b);
+    for (blk, _) in f.blocks.iter_mut().zip(&exec_block).filter(|(_, e)| **e) {
         for inst in &mut blk.insts {
             let Some(dst) = inst.def() else { continue };
-            let Some(Lattice::Const(c)) = values.get(&dst).copied() else {
+            let Lattice::Const(c) = values[dst.0 as usize] else {
                 continue;
             };
             if !matches!(inst, Inst::Const { .. }) && inst.is_pure() {
@@ -1018,8 +1330,8 @@ pub fn sccp(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
                 then_block,
                 else_block,
             } => {
-                if let Some(Lattice::Const(c)) = values.get(cond) {
-                    blk.term = Term::Goto(if *c != 0 { *then_block } else { *else_block });
+                if let Lattice::Const(c) = values[cond.0 as usize] {
+                    blk.term = Term::Goto(if c != 0 { *then_block } else { *else_block });
                     changed = true;
                 }
             }
@@ -1028,10 +1340,10 @@ pub fn sccp(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
                 cases,
                 default,
             } => {
-                if let Some(Lattice::Const(c)) = values.get(val) {
+                if let Lattice::Const(c) = values[val.0 as usize] {
                     let target = cases
                         .iter()
-                        .find(|(k, _)| k == c)
+                        .find(|(k, _)| *k == c)
                         .map(|(_, t)| *t)
                         .unwrap_or(*default);
                     blk.term = Term::Goto(target);
@@ -1056,17 +1368,28 @@ pub fn sccp(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
 /// their φs folded to copies ([`ssa::fold_trivial_phis`]), preserving
 /// the verifier's φ-join discipline.
 fn prune_phi_args(f: &mut MirFunction) {
+    retain_phi_args_of_live_edges(f);
+    ssa::fold_trivial_phis(f);
+}
+
+/// Keeps, in every φ, the first argument per current predecessor and
+/// drops arguments naming a block that is no longer a predecessor.
+fn retain_phi_args_of_live_edges(f: &mut MirFunction) {
     let preds = cfg::predecessors(f);
-    for b in f.block_ids().collect::<Vec<_>>() {
-        let ps: BTreeSet<BlockId> = preds[b.0 as usize].iter().copied().collect();
-        for inst in &mut f.block_mut(b).insts {
+    for (blk, ps) in f.blocks.iter_mut().zip(&preds) {
+        for inst in &mut blk.insts {
             if let Inst::Phi { args, .. } = inst {
-                let mut seen: BTreeSet<BlockId> = BTreeSet::new();
-                args.retain(|(p, _)| ps.contains(p) && seen.insert(*p));
+                let mut seen: Vec<BlockId> = Vec::with_capacity(args.len());
+                args.retain(|(p, _)| {
+                    let keep = ps.contains(p) && !seen.contains(p);
+                    if keep {
+                        seen.push(*p);
+                    }
+                    keep
+                });
             }
         }
     }
-    ssa::fold_trivial_phis(f);
 }
 
 // ---------------------------------------------------------------------
@@ -1074,48 +1397,46 @@ fn prune_phi_args(f: &mut MirFunction) {
 // ---------------------------------------------------------------------
 
 /// Replaces uses of copies with their (transitively resolved) sources.
-pub fn copy_propagate(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
-    let mut alias: BTreeMap<VReg, VReg> = BTreeMap::new();
-    for b in f.block_ids().collect::<Vec<_>>() {
-        for inst in &f.block(b).insts {
+pub fn copy_propagate(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
+    // The copy source of each register, by register number.
+    let mut alias: Vec<Option<VReg>> = Vec::new();
+    let mut copies = 0usize;
+    for blk in &f.blocks {
+        for inst in &blk.insts {
             if let Inst::Copy { dst, src } = inst {
-                alias.insert(*dst, *src);
+                let i = dst.0 as usize;
+                if i >= alias.len() {
+                    alias.resize(i.max(f.next_vreg as usize) + 1, None);
+                }
+                copies += usize::from(alias[i].replace(*src).is_none());
             }
         }
     }
-    if alias.is_empty() {
+    if copies == 0 {
         return false;
     }
     let resolve = |mut v: VReg| {
         let mut hops = 0;
-        while let Some(&next) = alias.get(&v) {
+        while let Some(next) = alias.get(v.0 as usize).copied().flatten() {
             v = next;
             hops += 1;
-            if hops > alias.len() {
+            if hops > copies {
                 break; // defensive: cycles cannot occur in SSA
             }
         }
         v
     };
     let mut changed = false;
-    for b in f.block_ids().collect::<Vec<_>>() {
-        let blk = f.block_mut(b);
+    let mut rewrite = |v: VReg| {
+        let r = resolve(v);
+        changed |= r != v;
+        r
+    };
+    for blk in &mut f.blocks {
         for inst in &mut blk.insts {
-            inst.map_uses(&mut |v| {
-                let r = resolve(v);
-                if r != v {
-                    changed = true;
-                }
-                r
-            });
+            inst.map_uses(&mut rewrite);
         }
-        blk.term.map_uses(&mut |v| {
-            let r = resolve(v);
-            if r != v {
-                changed = true;
-            }
-            r
-        });
+        blk.term.map_uses(&mut rewrite);
     }
     changed
 }
@@ -1146,44 +1467,46 @@ enum GvnKey {
 /// not value-numbered — block-local load redundancy is
 /// [`store_load_forward`]'s job, which tracks clobbers. Returns `true`
 /// if anything changed.
-pub fn gvn_cse(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
-    let idom = cfg::dominators(f);
-    let children = cfg::dominator_tree_children(&idom);
+pub fn gvn_cse(f: &mut MirFunction, cx: &mut AnalysisCtx<'_>) -> bool {
+    let dom = cx.dom(f);
     let mut table: BTreeMap<GvnKey, VReg> = BTreeMap::new();
-    let mut leader: BTreeMap<VReg, VReg> = BTreeMap::new();
+    // The value leader of each register, by register number.
+    let mut leader: Vec<VReg> = (0..f.next_vreg).map(VReg).collect();
     let mut changed = false;
-    gvn_walk(
-        f,
-        BlockId(0),
-        &children,
-        &mut table,
-        &mut leader,
-        &mut changed,
-    );
+    gvn_walk(f, BlockId(0), dom, &mut table, &mut leader, &mut changed);
     changed
 }
 
-fn gvn_leader(leader: &BTreeMap<VReg, VReg>, v: VReg) -> VReg {
-    leader.get(&v).copied().unwrap_or(v)
+fn gvn_leader(leader: &[VReg], v: VReg) -> VReg {
+    leader.get(v.0 as usize).copied().unwrap_or(v)
+}
+
+fn set_leader(leader: &mut Vec<VReg>, v: VReg, l: VReg) {
+    let i = v.0 as usize;
+    if i >= leader.len() {
+        let n = leader.len() as u32;
+        leader.extend((n..=v.0).map(VReg));
+    }
+    leader[i] = l;
 }
 
 fn gvn_walk(
     f: &mut MirFunction,
     b: BlockId,
-    children: &BTreeMap<BlockId, Vec<BlockId>>,
+    dom: &cfg::DomTree,
     table: &mut BTreeMap<GvnKey, VReg>,
-    leader: &mut BTreeMap<VReg, VReg>,
+    leader: &mut Vec<VReg>,
     changed: &mut bool,
 ) {
     // Keys this block introduced; they go out of scope (become
     // non-dominating) when the walk leaves the block's subtree.
     let mut added: Vec<GvnKey> = Vec::new();
     for i in 0..f.block(b).insts.len() {
-        let inst = f.block(b).insts[i].clone();
-        let key = match &inst {
+        let inst = &f.block(b).insts[i];
+        let key = match inst {
             Inst::Copy { dst, src } => {
                 let l = gvn_leader(leader, *src);
-                leader.insert(*dst, l);
+                set_leader(leader, *dst, l);
                 continue;
             }
             Inst::Un { op, src, .. } => Some(GvnKey::Un(*op, gvn_leader(leader, *src))),
@@ -1203,17 +1526,16 @@ fn gvn_walk(
         };
         if let Some(&rep) = table.get(&key) {
             f.block_mut(b).insts[i] = Inst::Copy { dst, src: rep };
-            leader.insert(dst, gvn_leader(leader, rep));
+            let l = gvn_leader(leader, rep);
+            set_leader(leader, dst, l);
             *changed = true;
         } else {
             table.insert(key.clone(), dst);
             added.push(key);
         }
     }
-    if let Some(kids) = children.get(&b) {
-        for &k in kids {
-            gvn_walk(f, k, children, table, leader, changed);
-        }
+    for &k in dom.children(b) {
+        gvn_walk(f, k, dom, table, leader, changed);
     }
     for k in added {
         table.remove(&k);
@@ -1244,18 +1566,21 @@ fn gvn_walk(
 /// Sound on any form: multiply-defined registers resolve to
 /// [`mem::AddrInfo::Unknown`], and a redefinition of a tracked value
 /// register drops its cells, so non-SSA input merely loses precision.
-pub fn store_load_forward(f: &mut MirFunction, model: &mem::MemoryModel) -> bool {
-    let addrs = mem::FnAddrs::analyze(f);
+pub fn store_load_forward(f: &mut MirFunction, cx: &mut AnalysisCtx<'_>) -> bool {
+    let model = cx.model();
+    let addrs = cx.addrs(f);
     let mut changed = false;
-    for b in f.block_ids().collect::<Vec<_>>() {
-        // (global, offset) -> register holding that cell's content here.
-        let mut cells: BTreeMap<(usize, i32), VReg> = BTreeMap::new();
-        for inst in &mut f.block_mut(b).insts {
+    // (cell, register holding that cell's content here); a block tracks
+    // few cells, so a short list beats a map.
+    let mut cells: Vec<(mem::Cell, VReg)> = Vec::new();
+    for blk in &mut f.blocks {
+        cells.clear();
+        for inst in &mut blk.insts {
             // Forward first: the rewrite must see the state *before* this
             // instruction's own definition invalidates anything.
             if let Inst::Load { dst, addr } = *inst {
                 if let mem::AddrInfo::Exact { global, offset } = addrs.info(addr) {
-                    if let Some(&v) = cells.get(&(global, offset)) {
+                    if let Some(&(_, v)) = cells.iter().find(|(c, _)| *c == (global, offset)) {
                         *inst = Inst::Copy { dst, src: v };
                         changed = true;
                     }
@@ -1264,12 +1589,17 @@ pub fn store_load_forward(f: &mut MirFunction, model: &mem::MemoryModel) -> bool
             // A redefinition of a tracked value register makes the
             // remembered content stale (only possible off SSA form).
             if let Some(d) = inst.def() {
-                cells.retain(|_, v| *v != d);
+                cells.retain(|(_, v)| *v != d);
             }
+            let mut track =
+                |cell: mem::Cell, v: VReg| match cells.iter_mut().find(|(c, _)| *c == cell) {
+                    Some(slot) => slot.1 = v,
+                    None => cells.push((cell, v)),
+                };
             match inst {
                 Inst::Load { dst, addr } => {
                     if let mem::AddrInfo::Exact { global, offset } = addrs.info(*addr) {
-                        cells.insert((global, offset), *dst);
+                        track((global, offset), *dst);
                     }
                 }
                 Inst::Store { addr, src } => match addrs.info(*addr) {
@@ -1277,16 +1607,16 @@ pub fn store_load_forward(f: &mut MirFunction, model: &mem::MemoryModel) -> bool
                         // Accesses are words at byte granularity: the
                         // store also corrupts any tracked cell within a
                         // word of its offset.
-                        cells.retain(|&(g, o), _| g != global || !mem::overlaps(o, offset));
-                        cells.insert((global, offset), *src);
+                        cells.retain(|&((g, o), _)| g != global || !mem::overlaps(o, offset));
+                        cells.push(((global, offset), *src));
                     }
                     mem::AddrInfo::Base { global } => {
-                        cells.retain(|(g, _), _| *g != global);
+                        cells.retain(|((g, _), _)| *g != global);
                     }
                     mem::AddrInfo::Unknown => cells.clear(),
                 },
                 i if i.may_write_mem() => {
-                    cells.retain(|(g, _), _| model.is_rodata(*g));
+                    cells.retain(|((g, _), _)| model.is_rodata(*g));
                 }
                 _ => {}
             }
@@ -1308,12 +1638,13 @@ pub fn store_load_forward(f: &mut MirFunction, model: &mem::MemoryModel) -> bool
 /// cannot read memory at all), and the set starts empty at the block end
 /// because memory is live across blocks and calls. Returns `true` if
 /// anything changed.
-pub fn dead_store_elim(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
-    let addrs = mem::FnAddrs::analyze(f);
+pub fn dead_store_elim(f: &mut MirFunction, cx: &mut AnalysisCtx<'_>) -> bool {
+    let addrs = cx.addrs(f);
     let mut changed = false;
-    for b in f.block_ids().collect::<Vec<_>>() {
-        let blk = f.block_mut(b);
-        let mut overwritten: BTreeSet<(usize, i32)> = BTreeSet::new();
+    // Cells surely overwritten before any read; a block tracks few.
+    let mut overwritten: Vec<mem::Cell> = Vec::new();
+    for blk in &mut f.blocks {
+        overwritten.clear();
         let mut kept_rev: Vec<Inst> = Vec::with_capacity(blk.insts.len());
         for inst in std::mem::take(&mut blk.insts).into_iter().rev() {
             match &inst {
@@ -1321,10 +1652,11 @@ pub fn dead_store_elim(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
                     // Stores read no memory, so even an untraceable store
                     // leaves the overwritten set intact.
                     if let mem::AddrInfo::Exact { global, offset } = addrs.info(*addr) {
-                        if !overwritten.insert((global, offset)) {
+                        if overwritten.contains(&(global, offset)) {
                             changed = true;
                             continue; // dead: surely overwritten unread
                         }
+                        overwritten.push((global, offset));
                     }
                 }
                 Inst::Load { addr, .. } => match addrs.info(*addr) {
@@ -1350,132 +1682,156 @@ pub fn dead_store_elim(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Cross-block load redundancy elimination (avail_loads + two passes)
+// Cross-block load redundancy elimination (AvailLoads + two passes)
 // ---------------------------------------------------------------------
 
-/// Result of [`avail_loads`]: per block, the set of exactly addressed
-/// memory cells ([`mem::Cell`]) whose values are *must-available* — on
-/// every path from the entry, the cell was last written or read with no
-/// intervening clobber — on block entry and exit, plus the per-block
-/// [`mem::BlockCells`] transfer summaries the sets were computed from.
+/// The cross-block must-availability dataflow: per block, the set of
+/// exactly addressed memory cells ([`mem::Cell`]) whose values are
+/// *must-available* — on every path from the entry, the cell was last
+/// written or read with no intervening clobber — on block entry and exit,
+/// plus the per-block [`mem::BlockCells`] transfer summaries the sets
+/// were computed from. Sets are [`BitSet`]s over
+/// the indices of the function's [`mem::CellUniverse`].
+///
+/// A cell is available at a point if on *every* path there it was last
+/// stored or loaded with no intervening clobber ([`mem::CellState`]'s
+/// aliasing discipline: may-aliasing stores, and calls to
+/// non-transparent effects — rodata cells survive calls, externs are
+/// memory-transparent). The meet is set intersection over the block's
+/// reachable predecessors, seeded optimistically (everything available
+/// everywhere except the entry, whose in-set is empty) and iterated in
+/// reverse postorder to the greatest fixed point, so loop-transparent
+/// cells stay available around back edges. At natural-loop headers the
+/// in-set is additionally filtered through the loop's
+/// [`mem::LoopClobbers`] summary — the explicit "the body writes this,
+/// kill it" rule, which makes the common reducible case converge in a
+/// single sweep (the fixed point covers irreducible shapes the loop
+/// forest cannot describe).
+///
+/// [`AnalysisCtx::avail`] computes it once per function state.
 #[derive(Debug, Clone, Default)]
 pub struct AvailLoads {
-    universe: BTreeSet<mem::Cell>,
+    universe: mem::CellUniverse,
     effects: Vec<mem::BlockCells>,
-    avail_in: Vec<BTreeSet<mem::Cell>>,
-    avail_out: Vec<BTreeSet<mem::Cell>>,
+    avail_in: Vec<BitSet>,
+    avail_out: Vec<BitSet>,
 }
 
 impl AvailLoads {
-    /// The cell universe the analysis ranged over.
-    pub fn universe(&self) -> &BTreeSet<mem::Cell> {
+    /// The result over an empty cell universe: nothing is ever available.
+    fn empty(nblocks: usize) -> AvailLoads {
+        AvailLoads {
+            universe: mem::CellUniverse::default(),
+            effects: vec![mem::BlockCells::default(); nblocks],
+            avail_in: vec![BitSet::new(0); nblocks],
+            avail_out: vec![BitSet::new(0); nblocks],
+        }
+    }
+
+    /// Runs the dataflow over a non-empty `universe` (the cells of
+    /// [`mem::cell_universe`]).
+    fn compute(
+        f: &MirFunction,
+        model: &mem::MemoryModel,
+        addrs: &mem::FnAddrs,
+        universe: mem::CellUniverse,
+        dom: &cfg::DomTree,
+        preds: &[Vec<BlockId>],
+        loops: &[cfg::NaturalLoop],
+    ) -> AvailLoads {
+        let n = f.blocks.len();
+        let cells = universe.len();
+        let effects: Vec<mem::BlockCells> = f
+            .block_ids()
+            .map(|b| mem::BlockCells::summarize(f, b, &universe, addrs, model))
+            .collect();
+        // Per loop header, the cells its body may write.
+        let mut header_kill: Vec<Option<BitSet>> = vec![None; n];
+        for lp in loops {
+            let cl = mem::LoopClobbers::summarize(f, &lp.body, addrs);
+            let mut kill = BitSet::new(cells);
+            for (c, &cell) in universe.cells().iter().enumerate() {
+                if cl.clobbers(mem::cell_info(cell), model) {
+                    kill.insert(c);
+                }
+            }
+            header_kill[lp.header.0 as usize] = Some(kill);
+        }
+        let mut avail_in = vec![BitSet::new(cells); n];
+        let mut avail_out = vec![BitSet::new(cells); n];
+        for &b in dom.rpo().iter().skip(1) {
+            avail_out[b.0 as usize] = BitSet::full(cells);
+        }
+        loop {
+            let mut changed = false;
+            for &b in dom.rpo() {
+                let i = b.0 as usize;
+                let mut in_set = BitSet::new(cells);
+                if b != BlockId(0) {
+                    let mut first = true;
+                    for p in &preds[i] {
+                        if !dom.is_reachable(*p) {
+                            continue;
+                        }
+                        let out = &avail_out[p.0 as usize];
+                        if first {
+                            in_set.clone_from(out);
+                            first = false;
+                        } else {
+                            in_set.intersect_with(out);
+                        }
+                    }
+                    if let Some(kill) = &header_kill[i] {
+                        in_set.subtract(kill);
+                    }
+                }
+                let out_set = effects[i].flow(&in_set);
+                if in_set != avail_in[i] || out_set != avail_out[i] {
+                    avail_in[i] = in_set;
+                    avail_out[i] = out_set;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        AvailLoads {
+            universe,
+            effects,
+            avail_in,
+            avail_out,
+        }
+    }
+
+    /// The cell universe the analysis ranged over (empty when the
+    /// function accesses no exactly addressed cell).
+    pub fn universe(&self) -> &mem::CellUniverse {
         &self.universe
     }
 
     /// Cells available on entry to `b`.
-    pub fn on_entry(&self, b: BlockId) -> &BTreeSet<mem::Cell> {
+    pub fn on_entry(&self, b: BlockId) -> &BitSet {
         &self.avail_in[b.0 as usize]
     }
 
     /// Cells available at the exit of `b`.
-    pub fn at_exit(&self, b: BlockId) -> &BTreeSet<mem::Cell> {
+    pub fn at_exit(&self, b: BlockId) -> &BitSet {
         &self.avail_out[b.0 as usize]
     }
 
-    /// `true` if `cell` is available on the CFG edge `p → _` (edges
-    /// neither kill nor gen, so edge availability is the source block's
-    /// exit availability) — the per-edge query load-PRE partitions a
-    /// join's predecessors with.
-    pub fn on_edge(&self, p: BlockId, cell: mem::Cell) -> bool {
-        self.avail_out[p.0 as usize].contains(&cell)
+    /// `true` if cell `cell` (a universe index) is available on the CFG
+    /// edge `p → _` (edges neither kill nor gen, so edge availability is
+    /// the source block's exit availability) — the per-edge query
+    /// load-PRE partitions a join's predecessors with.
+    pub fn on_edge(&self, p: BlockId, cell: usize) -> bool {
+        self.avail_out[p.0 as usize].contains(cell)
     }
 
     /// The transfer summary of block `b`.
     pub fn effects(&self, b: BlockId) -> &mem::BlockCells {
         &self.effects[b.0 as usize]
     }
-}
-
-/// Forward must-availability dataflow over the CFG: a cell is available
-/// at a point if on *every* path there it was last stored or loaded with
-/// no intervening clobber ([`mem::CellState`]'s aliasing discipline:
-/// may-aliasing stores, and calls to non-transparent effects — rodata
-/// cells survive calls, externs are memory-transparent).
-///
-/// The meet is set intersection over the block's reachable predecessors,
-/// seeded optimistically (everything available everywhere except the
-/// entry, whose in-set is empty) and iterated in reverse postorder to
-/// the greatest fixed point, so loop-transparent cells stay available
-/// around back edges. At natural-loop headers the in-set is additionally
-/// filtered through the loop's [`mem::LoopClobbers`] summary — the
-/// explicit "the body writes this, kill it" rule, which makes the common
-/// reducible case converge in a single sweep (the fixed point covers
-/// irreducible shapes the loop forest cannot describe).
-pub fn avail_loads(f: &MirFunction, model: &mem::MemoryModel, addrs: &mem::FnAddrs) -> AvailLoads {
-    let n = f.blocks.len();
-    let universe = mem::cell_universe(f, addrs);
-    let effects: Vec<mem::BlockCells> = f
-        .block_ids()
-        .map(|b| mem::BlockCells::summarize(f, b, &universe, addrs, model))
-        .collect();
-    let mut avail = AvailLoads {
-        universe,
-        effects,
-        avail_in: vec![BTreeSet::new(); n],
-        avail_out: vec![BTreeSet::new(); n],
-    };
-    if avail.universe.is_empty() {
-        return avail;
-    }
-    let rpo = cfg::reverse_postorder(f);
-    let reachable: BTreeSet<BlockId> = rpo.iter().copied().collect();
-    let preds = cfg::predecessors(f);
-    let header_clobbers: BTreeMap<BlockId, mem::LoopClobbers> = cfg::natural_loops(f)
-        .iter()
-        .map(|lp| (lp.header, mem::LoopClobbers::summarize(f, &lp.body, addrs)))
-        .collect();
-    for &b in &rpo {
-        if b != BlockId(0) {
-            avail.avail_out[b.0 as usize] = avail.universe.clone();
-        }
-    }
-    loop {
-        let mut changed = false;
-        for &b in &rpo {
-            let mut in_set = BTreeSet::new();
-            if b != BlockId(0) {
-                let ps: BTreeSet<BlockId> = preds[b.0 as usize]
-                    .iter()
-                    .copied()
-                    .filter(|p| reachable.contains(p))
-                    .collect();
-                let mut first = true;
-                for p in ps {
-                    let out = &avail.avail_out[p.0 as usize];
-                    if first {
-                        in_set = out.clone();
-                        first = false;
-                    } else {
-                        in_set.retain(|c| out.contains(c));
-                    }
-                }
-                if let Some(cl) = header_clobbers.get(&b) {
-                    in_set.retain(|&c| !cl.clobbers(mem::cell_info(c), model));
-                }
-            }
-            let out_set = avail.effects[b.0 as usize].flow(&in_set);
-            let i = b.0 as usize;
-            if in_set != avail.avail_in[i] || out_set != avail.avail_out[i] {
-                avail.avail_in[i] = in_set;
-                avail.avail_out[i] = out_set;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    avail
 }
 
 /// A φ the load rewriter decided to insert, not yet materialized (its
@@ -1490,42 +1846,49 @@ struct PendingPhi {
 /// passes use: memoized per-(block, cell) entry values and the φs
 /// allocated to merge differing predecessor values.
 struct LoadResolver<'a> {
-    avail: &'a AvailLoads,
-    preds: &'a [Vec<BlockId>],
-    reachable: &'a BTreeSet<BlockId>,
-    entry_memo: BTreeMap<(BlockId, mem::Cell), VReg>,
+    cb: &'a CrossBlock<'a>,
+    /// Entry value per `(block, cell)` at `block * cells + cell`,
+    /// allocated on first use.
+    entry_memo: Vec<Option<VReg>>,
     phis: Vec<PendingPhi>,
 }
 
-impl LoadResolver<'_> {
+impl<'a> LoadResolver<'a> {
+    fn new(cb: &'a CrossBlock<'a>) -> LoadResolver<'a> {
+        LoadResolver {
+            cb,
+            entry_memo: Vec::new(),
+            phis: Vec::new(),
+        }
+    }
+
     /// The register holding `cell`'s value on entry to `b`. Only valid
     /// when the dataflow proved the cell available there; φs are
     /// allocated at joins whose predecessors disagree, memoized *before*
     /// the recursive argument resolution so loop back edges close on the
     /// φ itself (Braun et al.'s on-demand construction).
-    fn entry_value(&mut self, f: &mut MirFunction, b: BlockId, cell: mem::Cell) -> VReg {
-        if let Some(&v) = self.entry_memo.get(&(b, cell)) {
+    fn entry_value(&mut self, f: &mut MirFunction, b: BlockId, cell: usize) -> VReg {
+        let cells = self.cb.avail.universe().len();
+        if self.entry_memo.is_empty() {
+            self.entry_memo = vec![None; f.blocks.len() * cells];
+        }
+        let slot = b.0 as usize * cells + cell;
+        if let Some(v) = self.entry_memo[slot] {
             return v;
         }
         debug_assert!(
-            self.avail.on_entry(b).contains(&cell),
-            "entry_value on unavailable cell {cell:?} at {b}"
+            self.cb.avail.on_entry(b).contains(cell),
+            "entry_value on unavailable cell #{cell} at {b}"
         );
-        let ps: Vec<BlockId> = self.preds[b.0 as usize]
-            .iter()
-            .copied()
-            .filter(|p| self.reachable.contains(p))
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
+        let ps = self.cb.live_preds(b);
         debug_assert!(!ps.is_empty(), "available cell with no predecessor at {b}");
         if ps.len() == 1 {
             let v = self.exit_value(f, ps[0], cell);
-            self.entry_memo.insert((b, cell), v);
+            self.entry_memo[slot] = Some(v);
             v
         } else {
             let dst = f.fresh();
-            self.entry_memo.insert((b, cell), dst);
+            self.entry_memo[slot] = Some(dst);
             let args: Vec<(BlockId, VReg)> = ps
                 .into_iter()
                 .map(|p| {
@@ -1545,58 +1908,11 @@ impl LoadResolver<'_> {
     /// The register holding `cell`'s value at the exit of `p`: the
     /// block's own provider if it has one, else the entry value carried
     /// through a transparent block.
-    fn exit_value(&mut self, f: &mut MirFunction, p: BlockId, cell: mem::Cell) -> VReg {
-        if let Some(&v) = self.avail.effects(p).provides.get(&cell) {
+    fn exit_value(&mut self, f: &mut MirFunction, p: BlockId, cell: usize) -> VReg {
+        if let Some(v) = self.cb.avail.effects(p).provider(cell) {
             return v;
         }
         self.entry_value(f, p, cell)
-    }
-}
-
-/// The shared analysis prologue of the two cross-block passes: address
-/// resolution, the availability dataflow, dominators and the
-/// dominance-ordered reachable-block walk. One constructor keeps both
-/// passes' view of the CFG identical by construction.
-struct CrossBlockCtx {
-    addrs: mem::FnAddrs,
-    avail: AvailLoads,
-    idom: BTreeMap<BlockId, BlockId>,
-    order: Vec<BlockId>,
-    preds: Vec<Vec<BlockId>>,
-    reachable: BTreeSet<BlockId>,
-}
-
-impl CrossBlockCtx {
-    /// `None` when the function touches no exactly addressed cell —
-    /// neither pass has anything to do then.
-    fn analyze(f: &MirFunction, model: &mem::MemoryModel) -> Option<CrossBlockCtx> {
-        let addrs = mem::FnAddrs::analyze(f);
-        let avail = avail_loads(f, model, &addrs);
-        if avail.universe().is_empty() {
-            return None;
-        }
-        let idom = cfg::dominators(f);
-        let order = cfg::dominator_preorder(&idom);
-        let preds = cfg::predecessors(f);
-        let reachable = order.iter().copied().collect();
-        Some(CrossBlockCtx {
-            addrs,
-            avail,
-            idom,
-            order,
-            preds,
-            reachable,
-        })
-    }
-
-    fn resolver(&self) -> LoadResolver<'_> {
-        LoadResolver {
-            avail: &self.avail,
-            preds: &self.preds,
-            reachable: &self.reachable,
-            entry_memo: BTreeMap::new(),
-            phis: Vec::new(),
-        }
     }
 }
 
@@ -1606,27 +1922,54 @@ impl CrossBlockCtx {
 /// append to predecessor blocks (load-PRE's compensating loads).
 #[derive(Default)]
 struct LoadEdits {
-    /// Replacements for deleted definitions (and collapsed φs); applied
-    /// transitively to every use in the function.
-    repl: BTreeMap<VReg, VReg>,
-    /// `(block, instruction index)` of loads to delete.
-    delete: BTreeSet<(BlockId, usize)>,
+    /// Replacements for deleted definitions (and collapsed φs), by
+    /// register number; applied transitively to every use in the
+    /// function.
+    repl: Vec<Option<VReg>>,
+    /// Number of registers with a replacement.
+    replaced: usize,
+    /// `(block, instruction index)` of loads to delete, in walk order.
+    delete: Vec<(BlockId, usize)>,
     /// Instructions appended to the end of a block (before its
-    /// terminator).
-    append: BTreeMap<BlockId, Vec<Inst>>,
+    /// terminator), in push order.
+    append: Vec<(BlockId, Vec<Inst>)>,
 }
 
 impl LoadEdits {
+    fn replace(&mut self, v: VReg, with: VReg) {
+        let i = v.0 as usize;
+        if i >= self.repl.len() {
+            self.repl.resize(i + 1, None);
+        }
+        if self.repl[i].replace(with).is_none() {
+            self.replaced += 1;
+        }
+    }
+
     fn resolve(&self, mut v: VReg) -> VReg {
         let mut hops = 0;
-        while let Some(&n) = self.repl.get(&v) {
+        while let Some(n) = self.repl.get(v.0 as usize).copied().flatten() {
             v = n;
             hops += 1;
-            if hops > self.repl.len() {
+            if hops > self.replaced {
                 break; // defensive: replacement chains cannot cycle
             }
         }
         v
+    }
+
+    /// Deletes the load at `b[i]`, rewriting uses of its `dst` to `with`.
+    fn forward(&mut self, b: BlockId, i: usize, dst: VReg, with: VReg) {
+        self.delete.push((b, i));
+        self.replace(dst, with);
+    }
+
+    /// Appends `insts` to the end of block `b`.
+    fn append_to(&mut self, b: BlockId, insts: impl IntoIterator<Item = Inst>) {
+        match self.append.iter_mut().find(|(blk, _)| *blk == b) {
+            Some((_, tail)) => tail.extend(insts),
+            None => self.append.push((b, insts.into_iter().collect())),
+        }
     }
 
     /// Applies everything: collapses trivial φs (all arguments resolve
@@ -1641,58 +1984,63 @@ impl LoadEdits {
         }
         // Trivial-φ collapse to a fixed point: collapsing one φ can make
         // another's arguments agree.
+        // A collapse takes effect at once, so later φs of the same sweep
+        // already resolve through it.
         loop {
             let mut collapsed = false;
             phis.retain(|phi| {
-                let distinct: BTreeSet<VReg> = phi
-                    .args
-                    .iter()
-                    .map(|(_, v)| self.resolve(*v))
-                    .filter(|v| *v != phi.dst)
-                    .collect();
-                if distinct.len() == 1 {
-                    let only = *distinct.iter().next().expect("one element");
-                    self.repl.insert(phi.dst, only);
-                    collapsed = true;
-                    false
-                } else {
-                    true
-                }
+                let only = {
+                    let mut others = phi
+                        .args
+                        .iter()
+                        .map(|(_, v)| self.resolve(*v))
+                        .filter(|v| *v != phi.dst);
+                    others.next().filter(|&first| others.all(|v| v == first))
+                };
+                let Some(only) = only else {
+                    return true;
+                };
+                self.replace(phi.dst, only);
+                collapsed = true;
+                false
             });
             if !collapsed {
                 break;
             }
         }
-        let mut phi_by_block: BTreeMap<BlockId, Vec<Inst>> = BTreeMap::new();
+        let nblocks = f.blocks.len();
+        let mut phi_by_block: Vec<Vec<Inst>> = vec![Vec::new(); nblocks];
         for phi in phis {
             let args = phi
                 .args
                 .iter()
                 .map(|&(p, v)| (p, self.resolve(v)))
                 .collect();
-            phi_by_block
-                .entry(phi.block)
-                .or_default()
-                .push(Inst::Phi { dst: phi.dst, args });
+            phi_by_block[phi.block.0 as usize].push(Inst::Phi { dst: phi.dst, args });
         }
-        for b in f.block_ids().collect::<Vec<_>>() {
-            let tail = self.append.remove(&b).unwrap_or_default();
-            let blk = f.block_mut(b);
+        let mut tails: Vec<Vec<Inst>> = vec![Vec::new(); nblocks];
+        for (b, tail) in std::mem::take(&mut self.append) {
+            tails[b.0 as usize] = tail;
+        }
+        self.delete.sort_unstable();
+        let mut deleted = self.delete.iter().peekable();
+        for (bi, ((blk, mut insts), tail)) in
+            f.blocks.iter_mut().zip(phi_by_block).zip(tails).enumerate()
+        {
+            let b = BlockId(bi as u32);
             let old = std::mem::take(&mut blk.insts);
-            let mut insts = phi_by_block.remove(&b).unwrap_or_default();
             insts.reserve(old.len() + tail.len());
             for (i, inst) in old.into_iter().enumerate() {
-                if !self.delete.contains(&(b, i)) {
+                if deleted.next_if(|&&d| d == (b, i)).is_none() {
                     insts.push(inst);
                 }
             }
             insts.extend(tail);
-            blk.insts = insts;
-            let blk = f.block_mut(b);
-            for inst in &mut blk.insts {
+            for inst in &mut insts {
                 inst.map_uses(&mut |v| self.resolve(v));
             }
             blk.term.map_uses(&mut |v| self.resolve(v));
+            blk.insts = insts;
         }
         true
     }
@@ -1700,7 +2048,7 @@ impl LoadEdits {
 
 /// Cross-block store-to-load forwarding / redundant-load elimination, on
 /// SSA — the mid-end's first *global* memory optimization. Backed by
-/// [`avail_loads`]: a load of a cell that is must-available on block
+/// [`AvailLoads`]: a load of a cell that is must-available on block
 /// entry (dominated by a same-cell store or load with no intervening
 /// clobber on any path) is **deleted** and every use of its destination
 /// rewritten to the available value, threaded through the SSA graph with
@@ -1718,44 +2066,48 @@ impl LoadEdits {
 /// boundaries. Deleting the loads here (rather than leaving copies)
 /// makes the pass's `insts_removed` stat the direct count of loads
 /// eliminated. Returns `true` if anything changed.
-pub fn cross_block_forward(f: &mut MirFunction, model: &mem::MemoryModel) -> bool {
-    let Some(ctx) = CrossBlockCtx::analyze(f, model) else {
+pub fn cross_block_forward(f: &mut MirFunction, cx: &mut AnalysisCtx<'_>) -> bool {
+    let Some(cb) = cx.cross_block(f) else {
         return false;
     };
-    let mut resolver = ctx.resolver();
+    let universe = cb.avail.universe();
+    let mut resolver = LoadResolver::new(&cb);
     let mut edits = LoadEdits::default();
-    for &b in &ctx.order {
-        let mut st = mem::CellState::new(ctx.avail.universe());
+    let mut st = mem::CellState::new(universe);
+    for &b in cb.dom.preorder() {
+        st.reset();
         for i in 0..f.block(b).insts.len() {
             let load = match &f.block(b).insts[i] {
                 Inst::Load { dst, addr } => Some((*dst, *addr)),
                 _ => None,
             };
             if let Some((dst, addr)) = load {
-                if let mem::AddrInfo::Exact { global, offset } = ctx.addrs.info(addr) {
-                    let cell = (global, offset);
+                if let mem::AddrInfo::Exact { global, offset } = cb.addrs.info(addr) {
+                    let cell = universe
+                        .index((global, offset))
+                        .expect("every exact access is in the universe");
                     let forwarded = match st.value(cell) {
                         mem::CellVal::Reg(v) => Some(v),
-                        mem::CellVal::FromEntry if ctx.avail.on_entry(b).contains(&cell) => {
+                        mem::CellVal::FromEntry if cb.avail.on_entry(b).contains(cell) => {
                             Some(resolver.entry_value(f, b, cell))
                         }
                         _ => None,
                     };
                     if let Some(v) = forwarded {
-                        edits.delete.insert((b, i));
-                        edits.repl.insert(dst, v);
+                        edits.forward(b, i, dst, v);
                         st.set(cell, mem::CellVal::Reg(v));
                         continue;
                     }
                 }
             }
-            st.apply(&f.block(b).insts[i], &ctx.addrs, model);
+            st.apply(&f.block(b).insts[i], cb.addrs, cb.model);
         }
     }
     if edits.delete.is_empty() {
         return false;
     }
-    edits.apply(f, resolver.phis)
+    let phis = resolver.phis;
+    edits.apply(f, phis)
 }
 
 /// Load partial-redundancy elimination for diamond joins, on SSA. Where
@@ -1774,84 +2126,85 @@ pub fn cross_block_forward(f: &mut MirFunction, model: &mem::MemoryModel) -> boo
 /// rule of [`crate::mem`] — the cell is exactly addressed, so the
 /// address stays inside the VM's data image and the extra load can only
 /// cost time, never behaviour. Returns `true` if anything changed.
-pub fn load_pre(f: &mut MirFunction, model: &mem::MemoryModel) -> bool {
-    let Some(ctx) = CrossBlockCtx::analyze(f, model) else {
+pub fn load_pre(f: &mut MirFunction, cx: &mut AnalysisCtx<'_>) -> bool {
+    let Some(cb) = cx.cross_block(f) else {
         return false;
     };
-    let mut resolver = ctx.resolver();
+    let universe = cb.avail.universe();
+    let mut resolver = LoadResolver::new(&cb);
     let mut edits = LoadEdits::default();
-    for &b in &ctx.order {
-        let ps: Vec<BlockId> = ctx.preds[b.0 as usize]
-            .iter()
-            .copied()
-            .filter(|p| ctx.reachable.contains(p))
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
+    let mut st = mem::CellState::new(universe);
+    for &b in cb.dom.preorder() {
+        let ps = cb.live_preds(b);
         // Diamond joins only: exactly two distinct forward predecessors.
         // A join one of whose edges is a back edge is a loop header —
         // compensating in the latch would reload every iteration.
-        if ps.len() != 2 || ps.iter().any(|&p| cfg::dominates(&ctx.idom, b, p)) {
+        if ps.len() != 2 || ps.iter().any(|&p| cb.dom.dominates(b, p)) {
             continue;
         }
-        let mut st = mem::CellState::new(ctx.avail.universe());
+        st.reset();
         for i in 0..f.block(b).insts.len() {
             let load = match &f.block(b).insts[i] {
                 Inst::Load { dst, addr } => Some((*dst, *addr)),
                 _ => None,
             };
             if let Some((dst, addr)) = load {
-                if let mem::AddrInfo::Exact { global, offset } = ctx.addrs.info(addr) {
-                    let cell = (global, offset);
+                if let mem::AddrInfo::Exact { global, offset } = cb.addrs.info(addr) {
+                    let cell = universe
+                        .index((global, offset))
+                        .expect("every exact access is in the universe");
                     // Only entry-state loads of half-available cells: the
                     // fully available case is cross_block_forward's, a
                     // locally provided value is store_load_forward's, and
                     // a locally clobbered cell cannot be compensated.
                     if st.value(cell) == mem::CellVal::FromEntry
-                        && !ctx.avail.on_entry(b).contains(&cell)
+                        && !cb.avail.on_entry(b).contains(cell)
                     {
                         let have: Vec<BlockId> = ps
                             .iter()
                             .copied()
-                            .filter(|&p| ctx.avail.on_edge(p, cell))
+                            .filter(|&p| cb.avail.on_edge(p, cell))
                             .collect();
                         if have.len() == 1 {
                             let miss = ps[usize::from(ps[0] == have[0])];
                             let available = resolver.exit_value(f, have[0], cell);
                             let addr_reg = f.fresh();
                             let load_reg = f.fresh();
-                            edits.append.entry(miss).or_default().extend([
-                                Inst::Addr {
-                                    dst: addr_reg,
-                                    global,
-                                    offset,
-                                },
-                                Inst::Load {
-                                    dst: load_reg,
-                                    addr: addr_reg,
-                                },
-                            ]);
+                            edits.append_to(
+                                miss,
+                                [
+                                    Inst::Addr {
+                                        dst: addr_reg,
+                                        global,
+                                        offset,
+                                    },
+                                    Inst::Load {
+                                        dst: load_reg,
+                                        addr: addr_reg,
+                                    },
+                                ],
+                            );
                             let phi_dst = f.fresh();
                             resolver.phis.push(PendingPhi {
                                 block: b,
                                 dst: phi_dst,
                                 args: vec![(have[0], available), (miss, load_reg)],
                             });
-                            edits.delete.insert((b, i));
-                            edits.repl.insert(dst, phi_dst);
+                            edits.forward(b, i, dst, phi_dst);
                             st.set(cell, mem::CellVal::Reg(phi_dst));
                             continue;
                         }
                     }
                 }
             }
-            st.apply(&f.block(b).insts[i], &ctx.addrs, model);
+            st.apply(&f.block(b).insts[i], cb.addrs, cb.model);
         }
     }
     if edits.delete.is_empty() {
         return false;
     }
-    edits.apply(f, resolver.phis)
+    let phis = resolver.phis;
+    edits.apply(f, phis)
 }
 
 // ---------------------------------------------------------------------
@@ -1877,37 +2230,39 @@ pub fn load_pre(f: &mut MirFunction, model: &mem::MemoryModel) -> bool {
 /// STT pattern — invariant table-address arithmetic recomputed every
 /// iteration — are the designed beneficiary. Returns `true` if anything
 /// changed.
-pub fn licm(f: &mut MirFunction, model: &mem::MemoryModel) -> bool {
+pub fn licm(f: &mut MirFunction, cx: &mut AnalysisCtx<'_>) -> bool {
     let mut changed = false;
     // One loop is transformed per step and loops are re-discovered, so
     // body sets stay exact after each preheader insertion. Terminates
     // because every step moves ≥1 instruction strictly outward; the
     // bound is defensive.
     for _ in 0..1000 {
-        if !licm_step(f, model) {
+        if !licm_step(f, cx) {
             break;
         }
+        // The step edited the function: the next one needs fresh loops.
+        cx.invalidate();
         changed = true;
     }
     changed
 }
 
 /// Hoists out of the first (innermost) loop with invariant work.
-fn licm_step(f: &mut MirFunction, model: &mem::MemoryModel) -> bool {
-    let loops = cfg::natural_loops(f);
-    if loops.is_empty() {
+fn licm_step(f: &mut MirFunction, cx: &mut AnalysisCtx<'_>) -> bool {
+    if cx.loops(f).is_empty() {
         return false; // loop-free: skip the address analysis entirely
     }
-    let addrs = mem::FnAddrs::analyze(f);
-    for lp in &loops {
+    let model = cx.model();
+    let (loops, addrs) = cx.loops_and_addrs(f);
+    for lp in loops {
         if lp.header == BlockId(0) {
             // A back edge onto the entry block has no spot for a
             // preheader (entry must stay block 0); lowering never emits
             // this shape, random MIR can.
             continue;
         }
-        let hoist = invariant_defs(f, lp, model, &addrs);
-        if hoist.is_empty() {
+        let hoist = invariant_defs(f, lp, model, addrs);
+        if !hoist.iter().any(|h| *h) {
             continue;
         }
         let Some(pre) = ensure_preheader(f, lp) else {
@@ -1919,17 +2274,17 @@ fn licm_step(f: &mut MirFunction, model: &mem::MemoryModel) -> bool {
     false
 }
 
-/// The set of loop-defined registers whose defining instructions should
-/// be hoisted: pure, not φs, with every operand defined outside the loop
-/// or by another hoistable instruction — *seeded from the instructions
-/// worth paying a register for*. Seeds are `Un`/`Bin` computations,
-/// `Addr`/`FnAddr` address formation (EM32's 8-byte worst-case
-/// instruction, re-formed every iteration in the STT dispatch loops) and
-/// clobber-free `Load`s. A `Const` or `Copy` is as cheap to
-/// rematerialize as to read back, so hoisting one on its own only
-/// stretches a live range across the loop and invites spills (EM32 has
-/// seven allocatable registers); those move only as operands of a
-/// hoisted seed.
+/// The loop-defined registers whose defining instructions should be
+/// hoisted, as a register-indexed flag table: pure, not φs, with every
+/// operand defined outside the loop or by another hoistable instruction
+/// — *seeded from the instructions worth paying a register for*. Seeds
+/// are `Un`/`Bin` computations, `Addr`/`FnAddr` address formation
+/// (EM32's 8-byte worst-case instruction, re-formed every iteration in
+/// the STT dispatch loops) and clobber-free `Load`s. A `Const` or `Copy`
+/// is as cheap to rematerialize as to read back, so hoisting one on its
+/// own only stretches a live range across the loop and invites spills
+/// (EM32 has seven allocatable registers); those move only as operands
+/// of a hoisted seed.
 ///
 /// A `Load` qualifies only if its address resolves to a rooted cell the
 /// loop body provably leaves alone: no may-aliasing store, and no
@@ -1942,15 +2297,22 @@ fn invariant_defs(
     lp: &cfg::NaturalLoop,
     model: &mem::MemoryModel,
     addrs: &mem::FnAddrs,
-) -> BTreeSet<VReg> {
-    let mut loop_def: BTreeMap<VReg, &Inst> = BTreeMap::new();
-    for &b in &lp.body {
+) -> Vec<bool> {
+    // The loop's definition of each register (the last one, off SSA).
+    let mut loop_def: Vec<Option<&Inst>> = vec![None; f.next_vreg as usize];
+    for b in lp.blocks() {
         for inst in &f.block(b).insts {
             if let Some(d) = inst.def() {
-                loop_def.insert(d, inst);
+                let i = d.0 as usize;
+                if i >= loop_def.len() {
+                    loop_def.resize(i + 1, None);
+                }
+                loop_def[i] = Some(inst);
             }
         }
     }
+    let n = loop_def.len();
+    let in_loop = |v: &VReg| loop_def.get(v.0 as usize).is_some_and(Option::is_some);
     let clobbers = mem::LoopClobbers::summarize(f, &lp.body, addrs);
     let load_movable = |inst: &Inst| match inst {
         Inst::Load { addr, .. } => {
@@ -1960,23 +2322,24 @@ fn invariant_defs(
         _ => true,
     };
     // Fixpoint: everything that *could* move.
-    let mut hoistable: BTreeSet<VReg> = BTreeSet::new();
+    let mut hoistable = vec![false; n];
     loop {
         let mut grew = false;
-        for inst in loop_def.values() {
-            if matches!(inst, Inst::Phi { .. }) || !inst.is_pure() || !load_movable(inst) {
-                continue;
-            }
-            let Some(d) = inst.def() else { continue };
-            if hoistable.contains(&d) {
+        for (d, inst) in loop_def.iter().enumerate() {
+            let Some(inst) = inst else { continue };
+            if hoistable[d]
+                || matches!(inst, Inst::Phi { .. })
+                || !inst.is_pure()
+                || !load_movable(inst)
+            {
                 continue;
             }
             if inst
                 .uses()
                 .iter()
-                .all(|u| !loop_def.contains_key(u) || hoistable.contains(u))
+                .all(|u| !in_loop(u) || hoistable[u.0 as usize])
             {
-                hoistable.insert(d);
+                hoistable[d] = true;
                 grew = true;
             }
         }
@@ -1985,31 +2348,30 @@ fn invariant_defs(
         }
     }
     // Keep computations plus the operand chains feeding them.
-    let mut wanted: BTreeSet<VReg> = BTreeSet::new();
-    let mut stack: Vec<VReg> = hoistable
-        .iter()
-        .copied()
-        .filter(|d| {
-            matches!(
-                loop_def.get(d),
-                Some(
-                    Inst::Un { .. }
-                        | Inst::Bin { .. }
-                        | Inst::Addr { .. }
-                        | Inst::FnAddr { .. }
-                        | Inst::Load { .. }
+    let mut wanted = vec![false; n];
+    let mut stack: Vec<usize> = (0..n)
+        .filter(|&d| {
+            hoistable[d]
+                && matches!(
+                    loop_def[d],
+                    Some(
+                        Inst::Un { .. }
+                            | Inst::Bin { .. }
+                            | Inst::Addr { .. }
+                            | Inst::FnAddr { .. }
+                            | Inst::Load { .. }
+                    )
                 )
-            )
         })
         .collect();
     while let Some(v) = stack.pop() {
-        if !wanted.insert(v) {
+        if std::mem::replace(&mut wanted[v], true) {
             continue;
         }
-        if let Some(inst) = loop_def.get(&v) {
+        if let Some(inst) = loop_def[v] {
             for u in inst.uses() {
-                if hoistable.contains(&u) {
-                    stack.push(u);
+                if hoistable.get(u.0 as usize).copied().unwrap_or(false) {
+                    stack.push(u.0 as usize);
                 }
             }
         }
@@ -2028,16 +2390,17 @@ fn invariant_defs(
 fn ensure_preheader(f: &mut MirFunction, lp: &cfg::NaturalLoop) -> Option<BlockId> {
     let h = lp.header;
     let preds = cfg::predecessors(f);
-    let outside: BTreeSet<BlockId> = preds[h.0 as usize]
+    let mut outside: Vec<BlockId> = preds[h.0 as usize]
         .iter()
         .copied()
         .filter(|p| !lp.contains(*p))
         .collect();
+    outside.sort_unstable();
+    outside.dedup();
     if outside.is_empty() {
         return None; // unreachable loop; nothing sound to do
     }
-    if outside.len() == 1 {
-        let p = *outside.iter().next().expect("one element");
+    if let [p] = outside[..] {
         if f.block(p).term.succs() == vec![h] {
             return Some(p); // already a dedicated preheader
         }
@@ -2092,7 +2455,7 @@ fn ensure_preheader(f: &mut MirFunction, lp: &cfg::NaturalLoop) -> Option<BlockI
 /// of `pre`, in reverse postorder so definitions keep preceding uses
 /// (an operand's definition dominates its use, and dominators precede
 /// dominated blocks in reverse postorder).
-fn hoist_insts(f: &mut MirFunction, lp: &cfg::NaturalLoop, pre: BlockId, hoist: &BTreeSet<VReg>) {
+fn hoist_insts(f: &mut MirFunction, lp: &cfg::NaturalLoop, pre: BlockId, hoist: &[bool]) {
     let order: Vec<BlockId> = cfg::reverse_postorder(f)
         .into_iter()
         .filter(|b| lp.contains(*b))
@@ -2102,8 +2465,10 @@ fn hoist_insts(f: &mut MirFunction, lp: &cfg::NaturalLoop, pre: BlockId, hoist: 
         let blk = f.block_mut(b);
         let mut kept = Vec::with_capacity(blk.insts.len());
         for inst in std::mem::take(&mut blk.insts) {
-            let hoisted =
-                !matches!(inst, Inst::Phi { .. }) && inst.def().is_some_and(|d| hoist.contains(&d));
+            let hoisted = !matches!(inst, Inst::Phi { .. })
+                && inst
+                    .def()
+                    .is_some_and(|d| hoist.get(d.0 as usize).copied().unwrap_or(false));
             if hoisted {
                 moved.push(inst);
             } else {
@@ -2131,7 +2496,7 @@ fn hoist_insts(f: &mut MirFunction, lp: &cfg::NaturalLoop, pre: BlockId, hoist: 
 /// φ-arguments of blocks that lose duplicate incoming edges are
 /// deduplicated, and blocks made unreachable are removed. Returns `true`
 /// if anything changed.
-pub fn fold_terminators(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
+pub fn fold_terminators(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
     let mut changed = false;
 
     // 1. Collapse redundant multi-way terminators.
@@ -2244,16 +2609,7 @@ pub fn fold_terminators(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool 
 /// down to one predecessor, keeping the verifier's φ/predecessor
 /// agreement and join discipline intact.
 fn dedup_phi_args(f: &mut MirFunction) {
-    let preds = cfg::predecessors(f);
-    for b in f.block_ids().collect::<Vec<_>>() {
-        let ps: BTreeSet<BlockId> = preds[b.0 as usize].iter().copied().collect();
-        for inst in &mut f.block_mut(b).insts {
-            if let Inst::Phi { args, .. } = inst {
-                let mut seen: BTreeSet<BlockId> = BTreeSet::new();
-                args.retain(|(p, _)| ps.contains(p) && seen.insert(*p));
-            }
-        }
-    }
+    retain_phi_args_of_live_edges(f);
     ssa::fold_trivial_phis(f);
 }
 
@@ -2272,34 +2628,39 @@ fn dedup_phi_args(f: &mut MirFunction) {
 /// code elimination" dump: it cannot remove state-machine handler bodies
 /// because they are reached through stores, calls and address-taken
 /// tables.
-pub fn dead_code_elim(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
+pub fn dead_code_elim(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
     // Operand lists of pure definitions; everything read by an impure
     // instruction or a terminator is a root.
-    let mut pure_uses: BTreeMap<VReg, Vec<VReg>> = BTreeMap::new();
+    let mut nregs = f.next_vreg as usize;
+    let mut pure_uses: Vec<(VReg, VReg)> = Vec::new();
     let mut work: Vec<VReg> = Vec::new();
-    for b in f.block_ids() {
-        for inst in &f.block(b).insts {
+    for blk in &f.blocks {
+        for inst in &blk.insts {
             match (inst.is_pure(), inst.def()) {
-                (true, Some(d)) => pure_uses.entry(d).or_default().extend(inst.uses()),
+                (true, Some(d)) => {
+                    nregs = nregs.max(d.0 as usize + 1);
+                    pure_uses.extend(inst.uses().into_iter().map(|u| (d, u)));
+                }
                 _ => work.extend(inst.uses()),
             }
         }
-        work.extend(f.block(b).term.uses());
+        work.extend(blk.term.uses());
     }
-    let mut live: BTreeSet<VReg> = BTreeSet::new();
+    let pure_uses = RegLists::build(nregs, pure_uses);
+    let mut live = vec![false; nregs];
+    let is_live = |live: &[bool], v: VReg| live.get(v.0 as usize).copied().unwrap_or(false);
     while let Some(v) = work.pop() {
-        if live.insert(v) {
-            if let Some(us) = pure_uses.get(&v) {
-                work.extend(us.iter().copied());
+        if let Some(l) = live.get_mut(v.0 as usize) {
+            if !std::mem::replace(l, true) {
+                work.extend_from_slice(pure_uses.get(v));
             }
         }
     }
     let mut changed = false;
-    for b in f.block_ids().collect::<Vec<_>>() {
-        let blk = f.block_mut(b);
+    for blk in &mut f.blocks {
         let before = blk.insts.len();
         blk.insts
-            .retain(|inst| !inst.is_pure() || inst.def().is_none_or(|d| live.contains(&d)));
+            .retain(|inst| !inst.is_pure() || inst.def().is_none_or(|d| is_live(&live, d)));
         changed |= blk.insts.len() != before;
     }
     changed
@@ -2323,7 +2684,7 @@ pub fn dead_code_elim(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
 ///    across blocks.
 ///
 /// Returns `true` if anything changed.
-pub fn coalesce_copies(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
+pub fn coalesce_copies(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
     let mut changed = false;
     for b in f.block_ids().collect::<Vec<_>>() {
         let mut avail: BTreeMap<VReg, VReg> = BTreeMap::new();
@@ -2419,18 +2780,23 @@ pub fn coalesce_copies(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
 /// This is what pays for [`licm`]'s register pressure in the size
 /// ledger: the STT dispatch functions all carry two `return false`
 /// blocks (loop exhausted / no transition fired) that merge here.
-pub fn merge_return_blocks(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
+pub fn merge_return_blocks(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
+    // The entry block cannot become unreachable, so it never merges.
+    let candidates: Vec<BlockId> = f
+        .block_ids()
+        .skip(1)
+        .filter(|&b| {
+            let blk = f.block(b);
+            matches!(blk.term, Term::Ret(_))
+                && !blk.insts.iter().any(|i| matches!(i, Inst::Phi { .. }))
+        })
+        .collect();
+    if candidates.len() < 2 {
+        return false;
+    }
     let mut groups: BTreeMap<String, Vec<BlockId>> = BTreeMap::new();
-    for b in f.block_ids() {
-        if b == BlockId(0) {
-            continue; // the entry block cannot become unreachable
-        }
+    for b in candidates {
         let blk = f.block(b);
-        if !matches!(blk.term, Term::Ret(_))
-            || blk.insts.iter().any(|i| matches!(i, Inst::Phi { .. }))
-        {
-            continue;
-        }
         // Canonical key: block-local defs renumbered from the top of the
         // register space; everything else kept verbatim. Every def —
         // including a *re*definition of an already-seen register — takes
@@ -2460,19 +2826,21 @@ pub fn merge_return_blocks(f: &mut MirFunction, _model: &mem::MemoryModel) -> bo
         parts.push(format!("{t:?}"));
         groups.entry(parts.join(";")).or_default().push(b);
     }
-    let mut redirect: BTreeMap<BlockId, BlockId> = BTreeMap::new();
+    // The representative each duplicate block is redirected to.
+    let mut redirect: Vec<Option<BlockId>> = vec![None; f.blocks.len()];
+    let mut any = false;
     for blocks in groups.values() {
         for &dup in &blocks[1..] {
-            redirect.insert(dup, blocks[0]);
+            redirect[dup.0 as usize] = Some(blocks[0]);
+            any = true;
         }
     }
-    if redirect.is_empty() {
+    if !any {
         return false;
     }
-    for b in f.block_ids().collect::<Vec<_>>() {
-        f.block_mut(b)
-            .term
-            .map_succs(&mut |s| redirect.get(&s).copied().unwrap_or(s));
+    for blk in &mut f.blocks {
+        blk.term
+            .map_succs(&mut |s| redirect[s.0 as usize].unwrap_or(s));
     }
     ssa::remove_unreachable_blocks(f);
     true
@@ -2492,43 +2860,36 @@ pub fn simplify_cfg(f: &mut MirFunction) -> bool {
         ssa::remove_unreachable_blocks(f);
         let mut changed = f.blocks.len() != blocks_before;
 
-        // Thread jumps through empty forwarding blocks.
-        let mut forward: BTreeMap<BlockId, BlockId> = BTreeMap::new();
-        for b in f.block_ids() {
-            if b == BlockId(0) {
-                continue;
-            }
-            let blk = f.block(b);
-            if blk.insts.is_empty() {
-                if let Term::Goto(t) = blk.term {
-                    if t != b {
-                        forward.insert(b, t);
-                    }
-                }
-            }
-        }
-        if !forward.is_empty() {
+        // Thread jumps through empty forwarding blocks: the target each
+        // empty non-entry `Goto` block forwards to, by block number.
+        let forward: Vec<Option<BlockId>> = f
+            .blocks
+            .iter()
+            .enumerate()
+            .map(|(b, blk)| match blk.term {
+                Term::Goto(t) if b != 0 && blk.insts.is_empty() && t.0 as usize != b => Some(t),
+                _ => None,
+            })
+            .collect();
+        let forwarders = forward.iter().flatten().count();
+        if forwarders > 0 {
             let resolve = |mut b: BlockId| {
                 let mut hops = 0;
-                while let Some(&n) = forward.get(&b) {
+                while let Some(n) = forward[b.0 as usize] {
                     b = n;
                     hops += 1;
-                    if hops > forward.len() {
+                    if hops > forwarders {
                         break;
                     }
                 }
                 b
             };
-            for b in f.block_ids().collect::<Vec<_>>() {
-                let mut term = f.block(b).term.clone();
-                term.map_succs(&mut |s| {
+            for blk in &mut f.blocks {
+                blk.term.map_succs(&mut |s| {
                     let r = resolve(s);
-                    if r != s {
-                        changed = true;
-                    }
+                    changed |= r != s;
                     r
                 });
-                f.block_mut(b).term = term;
             }
         }
 
@@ -2539,15 +2900,15 @@ pub fn simplify_cfg(f: &mut MirFunction) -> bool {
         // throughout the sweep because merging only moves an edge's
         // origin, never adds or removes edges.
         let preds = cfg::predecessors(f);
-        let mut consumed: BTreeSet<BlockId> = BTreeSet::new();
+        let mut consumed = vec![false; f.blocks.len()];
         for b in f.block_ids().collect::<Vec<_>>() {
-            if consumed.contains(&b) {
+            if consumed[b.0 as usize] {
                 continue;
             }
             while let Term::Goto(c) = f.block(b).term {
                 if c == b
                     || c == BlockId(0)
-                    || consumed.contains(&c)
+                    || consumed[c.0 as usize]
                     || preds[c.0 as usize].len() != 1
                 {
                     break;
@@ -2557,7 +2918,7 @@ pub fn simplify_cfg(f: &mut MirFunction) -> bool {
                 let blk = f.block_mut(b);
                 blk.insts.append(&mut tail);
                 blk.term = tail_term;
-                consumed.insert(c);
+                consumed[c.0 as usize] = true;
                 changed = true;
             }
         }
@@ -2742,11 +3103,17 @@ pub fn dead_function_elimination(program: &mut Program) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::mir::{BinOp, Block, GlobalData};
+    use std::collections::BTreeSet;
 
     /// The conservative memory model unit tests drive bare functions
     /// with: no globals known, everything treated as mutable.
     fn md() -> mem::MemoryModel {
         mem::MemoryModel::default()
+    }
+
+    fn loops_of(f: &MirFunction) -> Vec<cfg::NaturalLoop> {
+        let preds = cfg::predecessors(f);
+        cfg::natural_loops(f, &cfg::DomTree::compute(f, &preds), &preds)
     }
 
     fn const_add_fn() -> MirFunction {
@@ -2782,8 +3149,8 @@ mod tests {
     fn constant_folding_collapses_math() {
         let mut f = const_add_fn();
         ssa::construct(&mut f);
-        assert!(constant_fold(&mut f, &md()));
-        dead_code_elim(&mut f, &md());
+        assert!(constant_fold(&mut f, &mut AnalysisCtx::new(&md())));
+        dead_code_elim(&mut f, &mut AnalysisCtx::new(&md()));
         ssa::destruct(&mut f);
         simplify_cfg(&mut f);
         // One Const remains, feeding the return.
@@ -2847,7 +3214,7 @@ mod tests {
             ],
             next_vreg: 4,
         };
-        assert!(constant_fold(&mut f, &md()));
+        assert!(constant_fold(&mut f, &mut AnalysisCtx::new(&md())));
         let vs = verify::verify_function(&f, verify::Tier::Ssa);
         assert!(vs.is_empty(), "{}{f}", verify::report(&vs));
         // The single-pred join must not keep a φ at all.
@@ -2897,7 +3264,7 @@ mod tests {
             next_vreg: 3,
         };
         ssa::construct(&mut f);
-        constant_fold(&mut f, &md());
+        constant_fold(&mut f, &mut AnalysisCtx::new(&md()));
         ssa::destruct(&mut f);
         simplify_cfg(&mut f);
         assert!(f.blocks.len() <= 2, "constant branch leaves one path: {f}");
@@ -2934,7 +3301,7 @@ mod tests {
             }],
             next_vreg: 3,
         };
-        assert!(dead_code_elim(&mut f, &md()));
+        assert!(dead_code_elim(&mut f, &mut AnalysisCtx::new(&md())));
         assert_eq!(f.blocks[0].insts.len(), 3);
         assert!(f.blocks[0]
             .insts
@@ -3188,7 +3555,7 @@ mod tests {
             next_vreg: 5,
         };
         ssa::construct(&mut f);
-        assert!(gvn_cse(&mut f, &md()));
+        assert!(gvn_cse(&mut f, &mut AnalysisCtx::new(&md())));
         let adds = f.blocks[0]
             .insts
             .iter()
@@ -3196,8 +3563,8 @@ mod tests {
             .count();
         assert_eq!(adds, 1, "commutative duplicate must become a copy: {f}");
         // After copy propagation + DCE the copy disappears entirely.
-        copy_propagate(&mut f, &md());
-        dead_code_elim(&mut f, &md());
+        copy_propagate(&mut f, &mut AnalysisCtx::new(&md()));
+        dead_code_elim(&mut f, &mut AnalysisCtx::new(&md()));
         assert_eq!(f.blocks[0].insts.len(), 2, "{f}");
     }
 
@@ -3242,7 +3609,7 @@ mod tests {
         };
         ssa::construct(&mut f);
         assert!(
-            !gvn_cse(&mut f, &md()),
+            !gvn_cse(&mut f, &mut AnalysisCtx::new(&md())),
             "sibling defs must not be merged: {f}"
         );
     }
@@ -3278,7 +3645,7 @@ mod tests {
             ],
             next_vreg: 1,
         };
-        assert!(fold_terminators(&mut f, &md()));
+        assert!(fold_terminators(&mut f, &mut AnalysisCtx::new(&md())));
         for b in f.block_ids() {
             assert!(
                 matches!(f.block(b).term, Term::Goto(_) | Term::Ret(_)),
@@ -3327,7 +3694,7 @@ mod tests {
             next_vreg: 2,
         };
         ssa::construct(&mut f);
-        assert!(fold_terminators(&mut f, &md()));
+        assert!(fold_terminators(&mut f, &mut AnalysisCtx::new(&md())));
         // The empty forwarding block is gone; the φ still has one argument
         // per incoming edge.
         let preds = cfg::predecessors(&f);
@@ -3370,6 +3737,43 @@ mod tests {
             (blocks, insts),
             "fixed point must be structurally stable: {f}"
         );
+    }
+
+    /// Breaks the no-change contract the way a careless pass would: it
+    /// allocates a register it then does not use, and reports nothing.
+    fn hides_its_edit(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
+        f.fresh();
+        false
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(
+        expected = "MIR verifier: after hider in round 1.1: `f` changed although the pass reported no change"
+    )]
+    fn verify_each_blames_a_pass_that_hides_a_change() {
+        let mut pm = PassManager::new().with_verify(VerifyMode::Each);
+        pm.register(pass::CONST_FOLD, constant_fold);
+        pm.register("hider", hides_its_edit);
+        pm.run_function(&mut const_add_fn(), &md());
+    }
+
+    #[test]
+    fn analysis_ctx_caches_until_invalidated() {
+        let f = licm_example();
+        let model = md();
+        let mut cx = AnalysisCtx::new(&model);
+        let loops = cx.loops(&f).to_vec();
+        assert_eq!(loops.len(), 1);
+        // A cached query answers for the state it was computed on, even
+        // after the function changes underneath it...
+        let mut g = f.clone();
+        g.blocks[2].term = Term::Goto(BlockId(3)); // the latch leaves the loop
+        assert_eq!(cx.loops(&g), &loops[..]);
+        // ...until the context is dropped.
+        cx.invalidate();
+        assert!(cx.loops(&g).is_empty(), "{g}");
+        assert_eq!(cx.preds(&g)[1], vec![BlockId(0)]);
     }
 
     #[test]
@@ -3428,7 +3832,7 @@ mod tests {
             next_vreg: 4,
         };
         ssa::construct(&mut f);
-        assert!(sccp(&mut f, &md()));
+        assert!(sccp(&mut f, &mut AnalysisCtx::new(&md())));
         // The never-executable else block is gone; the φ collapsed.
         assert!(f.blocks.len() <= 3, "{f}");
         let folded: Vec<i32> = f
@@ -3448,7 +3852,7 @@ mod tests {
             );
         }
         // Idempotent: a second run reports no change.
-        assert!(!sccp(&mut f, &md()), "{f}");
+        assert!(!sccp(&mut f, &mut AnalysisCtx::new(&md())), "{f}");
     }
 
     #[test]
@@ -3490,7 +3894,10 @@ mod tests {
             next_vreg: 2,
         };
         ssa::construct(&mut f);
-        assert!(!sccp(&mut f, &md()), "nothing is provably constant: {f}");
+        assert!(
+            !sccp(&mut f, &mut AnalysisCtx::new(&md())),
+            "nothing is provably constant: {f}"
+        );
         assert_eq!(f.blocks.len(), 4, "no block may be removed: {f}");
     }
 
@@ -3540,7 +3947,7 @@ mod tests {
             next_vreg: 3,
         };
         ssa::construct(&mut f);
-        assert!(sccp(&mut f, &md()));
+        assert!(sccp(&mut f, &mut AnalysisCtx::new(&md())));
         let preds = cfg::predecessors(&f);
         for b in f.block_ids() {
             for inst in &f.block(b).insts {
@@ -3631,11 +4038,11 @@ mod tests {
     fn licm_hoists_invariant_computation_to_preheader() {
         let mut f = licm_example();
         ssa::construct(&mut f);
-        assert!(licm(&mut f, &md()));
-        let loops = cfg::natural_loops(&f);
+        assert!(licm(&mut f, &mut AnalysisCtx::new(&md())));
+        let loops = loops_of(&f);
         assert_eq!(loops.len(), 1, "{f}");
         // The multiplication left the loop body...
-        for &b in &loops[0].body {
+        for b in loops[0].blocks() {
             for inst in &f.block(b).insts {
                 assert!(
                     !matches!(inst, Inst::Bin { op: BinOp::Mul, .. }),
@@ -3644,7 +4051,7 @@ mod tests {
             }
         }
         // ...into a block dominating the header.
-        let idom = cfg::dominators(&f);
+        let dom = cfg::DomTree::of(&f);
         let mul_block = f
             .block_ids()
             .find(|b| {
@@ -3655,14 +4062,14 @@ mod tests {
             })
             .expect("Mul survives (its value feeds a call)");
         assert!(
-            cfg::dominates(&idom, mul_block, loops[0].header),
+            dom.dominates(mul_block, loops[0].header),
             "hoisted code must dominate the loop header: {f}"
         );
         // Idempotent.
-        assert!(!licm(&mut f, &md()), "{f}");
+        assert!(!licm(&mut f, &mut AnalysisCtx::new(&md())), "{f}");
         // And the loop-varying add stayed put.
-        let body_has_add = loops[0].body.iter().any(|b| {
-            f.block(*b)
+        let body_has_add = loops[0].blocks().any(|b| {
+            f.block(b)
                 .insts
                 .iter()
                 .any(|i| matches!(i, Inst::Bin { op: BinOp::Add, .. }))
@@ -3681,11 +4088,11 @@ mod tests {
             addr: VReg(3),
         };
         ssa::construct(&mut f);
-        licm(&mut f, &md());
-        let loops = cfg::natural_loops(&f);
+        licm(&mut f, &mut AnalysisCtx::new(&md()));
+        let loops = loops_of(&f);
         assert_eq!(loops.len(), 1);
-        let body_has_load = loops[0].body.iter().any(|b| {
-            f.block(*b)
+        let body_has_load = loops[0].blocks().any(|b| {
+            f.block(b)
                 .insts
                 .iter()
                 .any(|i| matches!(i, Inst::Load { .. }))
@@ -3781,7 +4188,7 @@ mod tests {
             next_vreg: 7,
         };
         ssa::construct(&mut f);
-        assert!(licm(&mut f, &md()));
+        assert!(licm(&mut f, &mut AnalysisCtx::new(&md())));
         // SSA still holds: every def unique, every φ-arg pred is a real
         // predecessor.
         let mut defs = BTreeSet::new();
@@ -3799,8 +4206,8 @@ mod tests {
             }
         }
         // The invariant Mul is out of every loop.
-        for lp in cfg::natural_loops(&f) {
-            for &b in &lp.body {
+        for lp in loops_of(&f) {
+            for b in lp.blocks() {
                 assert!(
                     !f.block(b)
                         .insts
@@ -3845,7 +4252,7 @@ mod tests {
             }],
             next_vreg: 5,
         };
-        assert!(coalesce_copies(&mut f, &md()));
+        assert!(coalesce_copies(&mut f, &mut AnalysisCtx::new(&md())));
         assert!(
             !f.blocks[0]
                 .insts
@@ -3894,7 +4301,7 @@ mod tests {
             }],
             next_vreg: 4,
         };
-        assert!(coalesce_copies(&mut f, &md()));
+        assert!(coalesce_copies(&mut f, &mut AnalysisCtx::new(&md())));
         // Semantics: find the extern call and check its args trace back
         // to the swapped sources via the remaining copies.
         let insts = &f.blocks[0].insts;
@@ -3971,7 +4378,7 @@ mod tests {
             ],
             next_vreg: 4,
         };
-        assert!(merge_return_blocks(&mut f, &md()));
+        assert!(merge_return_blocks(&mut f, &mut AnalysisCtx::new(&md())));
         assert_eq!(f.blocks.len(), 4, "one duplicate exit gone: {f}");
         let ret_zero = f
             .block_ids()
@@ -3986,7 +4393,10 @@ mod tests {
         assert_eq!(ret_zero, 1, "{f}");
         // A block returning a *live-in* register must not merge with one
         // returning a local constant.
-        assert!(!merge_return_blocks(&mut f, &md()), "idempotent: {f}");
+        assert!(
+            !merge_return_blocks(&mut f, &mut AnalysisCtx::new(&md())),
+            "idempotent: {f}"
+        );
     }
 
     #[test]
@@ -4033,7 +4443,7 @@ mod tests {
             next_vreg: 3,
         };
         assert!(
-            !merge_return_blocks(&mut f, &md()),
+            !merge_return_blocks(&mut f, &mut AnalysisCtx::new(&md())),
             "blocks returning different values must not merge: {f}"
         );
         assert_eq!(f.blocks.len(), 3);
@@ -4068,7 +4478,10 @@ mod tests {
             ],
             next_vreg: 2,
         };
-        assert!(!merge_return_blocks(&mut f, &md()), "{f}");
+        assert!(
+            !merge_return_blocks(&mut f, &mut AnalysisCtx::new(&md())),
+            "{f}"
+        );
         assert_eq!(f.blocks.len(), 3);
     }
 
@@ -4221,7 +4634,10 @@ mod tests {
             ],
             next_vreg: 10,
         };
-        assert!(dead_code_elim(&mut f, &md()), "the cycle must be swept");
+        assert!(
+            dead_code_elim(&mut f, &mut AnalysisCtx::new(&md())),
+            "the cycle must be swept"
+        );
         for b in f.block_ids() {
             for inst in &f.block(b).insts {
                 let d = inst.def();
@@ -4236,7 +4652,7 @@ mod tests {
             .insts
             .iter()
             .any(|i| matches!(i, Inst::Phi { dst, .. } if *dst == VReg(3))));
-        assert!(!dead_code_elim(&mut f, &md()), "{f}");
+        assert!(!dead_code_elim(&mut f, &mut AnalysisCtx::new(&md())), "{f}");
     }
 
     /// `store [Addr(0,0)] = v0; loads…` scaffolding for the memory-pass
@@ -4296,7 +4712,7 @@ mod tests {
             ],
             6,
         );
-        assert!(store_load_forward(&mut f, &md()));
+        assert!(store_load_forward(&mut f, &mut AnalysisCtx::new(&md())));
         assert_eq!(
             f.blocks[0].insts[3],
             Inst::Copy {
@@ -4349,14 +4765,20 @@ mod tests {
             func: 1,
             args: vec![],
         });
-        assert!(!store_load_forward(&mut with_call, &md()), "{with_call}");
+        assert!(
+            !store_load_forward(&mut with_call, &mut AnalysisCtx::new(&md())),
+            "{with_call}"
+        );
         // An extern passes registers only: the cell survives.
         let mut with_ext = build(Inst::CallExtern {
             dst: None,
             ext: 0,
             args: vec![],
         });
-        assert!(store_load_forward(&mut with_ext, &md()), "{with_ext}");
+        assert!(
+            store_load_forward(&mut with_ext, &mut AnalysisCtx::new(&md())),
+            "{with_ext}"
+        );
         assert_eq!(
             with_ext.blocks[0].insts[3],
             Inst::Copy {
@@ -4408,7 +4830,7 @@ mod tests {
             ],
             4,
         );
-        assert!(store_load_forward(&mut f, &model));
+        assert!(store_load_forward(&mut f, &mut AnalysisCtx::new(&model)));
         assert_eq!(
             f.blocks[0].insts[3],
             Inst::Copy {
@@ -4461,7 +4883,7 @@ mod tests {
             5,
         );
         // The g1-rooted store cannot touch g0's cell: still forwarded.
-        assert!(store_load_forward(&mut f, &md()));
+        assert!(store_load_forward(&mut f, &mut AnalysisCtx::new(&md())));
         assert_eq!(
             f.blocks[0].insts[5],
             Inst::Copy {
@@ -4510,7 +4932,7 @@ mod tests {
             4,
         );
         assert!(
-            !store_load_forward(&mut f, &md()),
+            !store_load_forward(&mut f, &mut AnalysisCtx::new(&md())),
             "sub-word overlapping store must kill the tracked cell: {f}"
         );
     }
@@ -4552,7 +4974,7 @@ mod tests {
             4,
         );
         assert!(
-            !dead_store_elim(&mut f, &md()),
+            !dead_store_elim(&mut f, &mut AnalysisCtx::new(&md())),
             "a partially-read store must survive: {f}"
         );
     }
@@ -4586,14 +5008,17 @@ mod tests {
             ],
             3,
         );
-        assert!(dead_store_elim(&mut f, &md()));
+        assert!(dead_store_elim(&mut f, &mut AnalysisCtx::new(&md())));
         let stores = f.blocks[0]
             .insts
             .iter()
             .filter(|i| matches!(i, Inst::Store { .. }))
             .count();
         assert_eq!(stores, 1, "{f}");
-        assert!(!dead_store_elim(&mut f, &md()), "idempotent: {f}");
+        assert!(
+            !dead_store_elim(&mut f, &mut AnalysisCtx::new(&md())),
+            "idempotent: {f}"
+        );
     }
 
     #[test]
@@ -4632,7 +5057,10 @@ mod tests {
             },
         ] {
             let mut f = reader(r);
-            assert!(!dead_store_elim(&mut f, &md()), "{f}");
+            assert!(
+                !dead_store_elim(&mut f, &mut AnalysisCtx::new(&md())),
+                "{f}"
+            );
         }
         // The final store of a block is never dead (memory escapes).
         let mut tail = mem_fn(
@@ -4649,7 +5077,7 @@ mod tests {
             ],
             2,
         );
-        assert!(!dead_store_elim(&mut tail, &md()));
+        assert!(!dead_store_elim(&mut tail, &mut AnalysisCtx::new(&md())));
     }
 
     /// A countdown loop whose body loads `g0[0]` every iteration; with
@@ -4735,20 +5163,30 @@ mod tests {
     #[test]
     fn avail_loads_flows_availability_and_kills_at_joins() {
         let f = diamond_mem_fn(Some(1), None);
-        let addrs = mem::FnAddrs::analyze(&f);
-        let avail = avail_loads(&f, &md(), &addrs);
-        let cell = (0usize, 0i32);
-        assert!(avail.universe().contains(&cell));
+        let model = md();
+        let mut cx = AnalysisCtx::new(&model);
+        let avail = cx.avail(&f);
+        let cell = avail.universe().index((0, 0)).expect("tracked cell");
         // Stored on the then-arm only: available at its exit, not at the
         // else-arm's, so the join entry set is empty.
         assert!(avail.on_edge(BlockId(1), cell));
         assert!(!avail.on_edge(BlockId(2), cell));
-        assert!(!avail.on_entry(BlockId(3)).contains(&cell));
+        assert!(!avail.on_entry(BlockId(3)).contains(cell));
         // Stored on both arms: available on join entry.
         let f2 = diamond_mem_fn(Some(1), Some(2));
-        let addrs2 = mem::FnAddrs::analyze(&f2);
-        let avail2 = avail_loads(&f2, &md(), &addrs2);
-        assert!(avail2.on_entry(BlockId(3)).contains(&cell));
+        let mut cx2 = AnalysisCtx::new(&model);
+        assert!(cx2.avail(&f2).on_entry(BlockId(3)).contains(cell));
+    }
+
+    #[test]
+    fn empty_cell_universe_leaves_nothing_available() {
+        let f = const_add_fn();
+        let model = md();
+        let mut cx = AnalysisCtx::new(&model);
+        let avail = cx.avail(&f);
+        assert!(avail.universe().is_empty());
+        assert!(avail.on_entry(BlockId(0)).is_empty());
+        assert!(!cross_block_forward(&mut f.clone(), &mut cx));
     }
 
     #[test]
@@ -4792,7 +5230,7 @@ mod tests {
             ],
             next_vreg: 4,
         };
-        assert!(cross_block_forward(&mut f, &md()));
+        assert!(cross_block_forward(&mut f, &mut AnalysisCtx::new(&md())));
         assert_eq!(count_loads(&f), 0, "{f}");
         assert_eq!(count_phis(&f), 0, "straight line needs no phi: {f}");
         assert_eq!(f.blocks[1].term, Term::Ret(Some(VReg(0))), "{f}");
@@ -4801,7 +5239,7 @@ mod tests {
     #[test]
     fn cross_block_forward_merges_diamond_values_with_phi() {
         let mut f = diamond_mem_fn(Some(1), Some(2));
-        assert!(cross_block_forward(&mut f, &md()));
+        assert!(cross_block_forward(&mut f, &mut AnalysisCtx::new(&md())));
         assert_eq!(count_loads(&f), 0, "{f}");
         assert_eq!(count_phis(&f), 1, "differing arm values need a phi: {f}");
         let Some(Inst::Phi { dst, args }) = f.blocks[3].insts.first() else {
@@ -4861,7 +5299,7 @@ mod tests {
             ],
             next_vreg: 4,
         };
-        assert!(cross_block_forward(&mut f, &md()));
+        assert!(cross_block_forward(&mut f, &mut AnalysisCtx::new(&md())));
         assert_eq!(count_loads(&f), 0, "{f}");
         assert_eq!(count_phis(&f), 0, "trivial loop phi must collapse: {f}");
         assert_eq!(f.blocks[2].term, Term::Ret(Some(VReg(0))), "{f}");
@@ -4913,7 +5351,7 @@ mod tests {
             ],
             next_vreg: 4,
         };
-        assert!(!cross_block_forward(&mut f, &md()));
+        assert!(!cross_block_forward(&mut f, &mut AnalysisCtx::new(&md())));
         assert_eq!(count_loads(&f), 1, "{f}");
     }
 
@@ -4922,7 +5360,7 @@ mod tests {
         // Stored on the then-arm only: PRE inserts the compensating load
         // in the else-arm and phi-merges, deleting the join's load.
         let mut f = diamond_mem_fn(Some(7), None);
-        assert!(load_pre(&mut f, &md()));
+        assert!(load_pre(&mut f, &mut AnalysisCtx::new(&md())));
         assert_eq!(count_phis(&f), 1, "{f}");
         assert_eq!(
             f.blocks[2]
@@ -4941,13 +5379,13 @@ mod tests {
             "the join's load is gone: {f}"
         );
         // Fully redundant now: a second run has nothing left to do.
-        assert!(!load_pre(&mut f, &md()), "{f}");
+        assert!(!load_pre(&mut f, &mut AnalysisCtx::new(&md())), "{f}");
     }
 
     #[test]
     fn load_pre_leaves_fully_unavailable_joins_alone() {
         let mut f = diamond_mem_fn(None, None);
-        assert!(!load_pre(&mut f, &md()), "{f}");
+        assert!(!load_pre(&mut f, &mut AnalysisCtx::new(&md())), "{f}");
         assert_eq!(count_loads(&f), 1, "{f}");
     }
 
@@ -5034,8 +5472,8 @@ mod tests {
 
     fn loads_in_loop_bodies(f: &MirFunction) -> usize {
         let mut in_loops: BTreeSet<BlockId> = BTreeSet::new();
-        for lp in cfg::natural_loops(f) {
-            in_loops.extend(lp.body.iter().copied());
+        for lp in loops_of(f) {
+            in_loops.extend(lp.blocks());
         }
         in_loops
             .iter()
@@ -5053,7 +5491,7 @@ mod tests {
     fn licm_hoists_clobber_free_loads() {
         let mut f = load_loop(false);
         ssa::construct(&mut f);
-        assert!(licm(&mut f, &md()));
+        assert!(licm(&mut f, &mut AnalysisCtx::new(&md())));
         assert_eq!(
             loads_in_loop_bodies(&f),
             0,
@@ -5065,7 +5503,7 @@ mod tests {
     fn licm_keeps_loads_the_loop_clobbers() {
         let mut f = load_loop(true);
         ssa::construct(&mut f);
-        licm(&mut f, &md());
+        licm(&mut f, &mut AnalysisCtx::new(&md()));
         assert_eq!(
             loads_in_loop_bodies(&f),
             1,

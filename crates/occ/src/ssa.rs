@@ -6,9 +6,6 @@
 //! registers, then a dominator-tree walk renames versions. Destruction
 //! splits critical edges and lowers φs to staged parallel copies.
 
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
-
 use crate::cfg;
 use crate::mir::{Block, BlockId, Inst, MirFunction, Term, VReg};
 
@@ -19,73 +16,77 @@ pub fn construct(f: &mut MirFunction) {
     remove_unreachable_blocks(f);
 
     let preds = cfg::predecessors(f);
-    let df = cfg::dominance_frontiers(f);
-    let idom = cfg::dominators(f);
+    let dom = cfg::DomTree::compute(f, &preds);
+    let df = cfg::dominance_frontiers(&dom, &preds);
 
-    // Definition sites per register.
-    let mut defsites: BTreeMap<VReg, BTreeSet<BlockId>> = BTreeMap::new();
-    let mut def_count: BTreeMap<VReg, usize> = BTreeMap::new();
+    // Every (register, defining block) pair, parameters defined at entry;
+    // sorted, each register's run gives its definition count, and
+    // without duplicates its distinct definition sites.
+    let mut defs: Vec<(VReg, BlockId)> = Vec::new();
     for b in f.block_ids() {
-        for inst in &f.block(b).insts {
-            if let Some(d) = inst.def() {
-                defsites.entry(d).or_default().insert(b);
-                *def_count.entry(d).or_default() += 1;
-            }
-        }
+        defs.extend(
+            f.block(b)
+                .insts
+                .iter()
+                .filter_map(|i| i.def())
+                .map(|d| (d, b)),
+        );
     }
-    // Parameters are defined at entry.
-    for p in 0..f.params {
-        defsites
-            .entry(VReg(p as u32))
-            .or_default()
-            .insert(BlockId(0));
-        *def_count.entry(VReg(p as u32)).or_default() += 1;
-    }
+    defs.extend((0..f.params as u32).map(|p| (VReg(p), BlockId(0))));
+    defs.sort_unstable();
+    let nregs = defs
+        .last()
+        .map_or(0, |(v, _)| v.0 as usize + 1)
+        .max(f.next_vreg as usize);
 
     // φ placement at iterated dominance frontiers for registers with more
-    // than one definition site or several definitions.
-    let mut phis: BTreeMap<BlockId, BTreeMap<VReg, usize>> = BTreeMap::new();
-    for (v, sites) in &defsites {
-        if def_count[v] <= 1 && sites.len() <= 1 {
+    // than one definition site or several definitions. Registers are
+    // visited in ascending order, so each block's φ list is sorted.
+    let mut phis: Vec<Vec<VReg>> = vec![Vec::new(); f.blocks.len()];
+    // The last register a φ was placed for, per block (+1; 0 = none).
+    let mut placed = vec![0u32; f.blocks.len()];
+    let mut work: Vec<BlockId> = Vec::new();
+    for run in defs.chunk_by(|a, b| a.0 == b.0) {
+        let v = run[0].0;
+        if run.len() <= 1 {
             continue;
         }
-        let mut work: Vec<BlockId> = sites.iter().copied().collect();
-        let mut placed: BTreeSet<BlockId> = BTreeSet::new();
+        work.clear();
+        work.extend(run.iter().map(|&(_, b)| b));
+        work.dedup();
         while let Some(b) = work.pop() {
-            let Some(frontier) = df.get(&b) else { continue };
-            for &y in frontier {
-                if placed.insert(y) {
-                    let idx = f.block(y).insts.len();
-                    let _ = idx;
-                    let entry = phis.entry(y).or_default();
-                    entry.insert(*v, preds[y.0 as usize].len());
+            for &y in &df[b.0 as usize] {
+                let mark = &mut placed[y.0 as usize];
+                if *mark != v.0 + 1 {
+                    *mark = v.0 + 1;
+                    phis[y.0 as usize].push(v);
                     work.push(y);
                 }
             }
         }
     }
-    for (b, vars) in &phis {
-        let block_preds = &preds[b.0 as usize];
-        let mut new_insts: Vec<Inst> = Vec::new();
-        for v in vars.keys() {
-            new_insts.push(Inst::Phi {
+    for (b, vars) in phis.iter().enumerate() {
+        if vars.is_empty() {
+            continue;
+        }
+        let block_preds = &preds[b];
+        let mut new_insts: Vec<Inst> = vars
+            .iter()
+            .map(|v| Inst::Phi {
                 dst: *v,
                 args: block_preds.iter().map(|p| (*p, *v)).collect(),
-            });
-        }
-        let blk = f.block_mut(*b);
+            })
+            .collect();
+        let blk = &mut f.blocks[b];
         new_insts.append(&mut blk.insts);
         blk.insts = new_insts;
     }
 
-    // Renaming: dominator-tree walk with version stacks.
-    let children = cfg::dominator_tree_children(&idom);
-    let mut stacks: BTreeMap<VReg, Vec<VReg>> = BTreeMap::new();
-    for p in 0..f.params {
-        stacks.insert(VReg(p as u32), vec![VReg(p as u32)]);
-    }
-
-    rename(f, BlockId(0), &children, &mut stacks, &preds);
+    // Renaming: dominator-tree walk tracking each register's current
+    // version, with an undo log to restore it on the way back up.
+    let mut current: Vec<VReg> = (0..nregs as u32).map(VReg).collect();
+    let mut undo: Vec<(VReg, VReg)> = Vec::new();
+    rename(f, BlockId(0), &dom, &mut current, &mut undo, &preds);
 
     // Strictness repair. A variable first assigned inside a conditional
     // or loop body has no definition on the path that skips the
@@ -95,28 +96,41 @@ pub fn construct(f: &mut MirFunction) {
     // strict (every use dominated by a def, the `crate::verify`
     // contract): the zero is only observable on paths where the source
     // program never reads the variable anyway.
-    let mut defined: BTreeSet<VReg> = (0..f.params as u32).map(VReg).collect();
+    let mut defined = vec![false; f.next_vreg as usize];
+    let mark = |v: VReg, defined: &mut Vec<bool>| {
+        let i = v.0 as usize;
+        if i >= defined.len() {
+            defined.resize(i + 1, false);
+        }
+        defined[i] = true;
+    };
+    for p in 0..f.params {
+        mark(VReg(p as u32), &mut defined);
+    }
     for b in f.block_ids() {
         for inst in &f.block(b).insts {
             if let Some(d) = inst.def() {
-                defined.insert(d);
+                mark(d, &mut defined);
             }
         }
     }
-    let mut dangling: BTreeSet<VReg> = BTreeSet::new();
+    let is_defined = |v: &VReg| defined.get(v.0 as usize).copied().unwrap_or(false);
+    let mut dangling: Vec<VReg> = Vec::new();
     for b in f.block_ids() {
         for inst in &f.block(b).insts {
-            dangling.extend(inst.uses().into_iter().filter(|u| !defined.contains(u)));
+            dangling.extend(inst.uses().into_iter().filter(|u| !is_defined(u)));
         }
         dangling.extend(
             f.block(b)
                 .term
                 .uses()
                 .into_iter()
-                .filter(|u| !defined.contains(u)),
+                .filter(|u| !is_defined(u)),
         );
     }
     if !dangling.is_empty() {
+        dangling.sort_unstable();
+        dangling.dedup();
         let entry = f.block_mut(BlockId(0));
         let mut prefix: Vec<Inst> = dangling
             .into_iter()
@@ -139,6 +153,11 @@ pub fn construct(f: &mut MirFunction) {
     }
 }
 
+/// `true` if `preds` names at least two distinct blocks.
+fn has_two_distinct(preds: &[BlockId]) -> bool {
+    preds.iter().any(|p| *p != preds[0])
+}
+
 /// Folds φs of single-predecessor (and predecessor-less) blocks into
 /// plain copies, preserving the verifier's φ-join discipline
 /// ([`crate::verify::Rule::PhiOutsideJoin`]): edge pruning — a folded
@@ -149,12 +168,11 @@ pub fn construct(f: &mut MirFunction) {
 pub fn fold_trivial_phis(f: &mut MirFunction) -> bool {
     let preds = cfg::predecessors(f);
     let mut changed = false;
-    for b in f.block_ids().collect::<Vec<_>>() {
-        let distinct: BTreeSet<BlockId> = preds[b.0 as usize].iter().copied().collect();
-        if distinct.len() >= 2 {
+    for (b, blk) in f.blocks.iter_mut().enumerate() {
+        if has_two_distinct(&preds[b]) {
             continue;
         }
-        for inst in &mut f.block_mut(b).insts {
+        for inst in &mut blk.insts {
             if let Inst::Phi { dst, args } = inst {
                 if let [(_, src)] = args[..] {
                     *inst = Inst::Copy { dst: *dst, src };
@@ -166,27 +184,27 @@ pub fn fold_trivial_phis(f: &mut MirFunction) -> bool {
     changed
 }
 
-fn top(stacks: &BTreeMap<VReg, Vec<VReg>>, v: VReg) -> VReg {
-    stacks.get(&v).and_then(|s| s.last()).copied().unwrap_or(v)
+/// The current version of `v` (itself until a definition is renamed).
+fn top(current: &[VReg], v: VReg) -> VReg {
+    current.get(v.0 as usize).copied().unwrap_or(v)
 }
 
 fn rename(
     f: &mut MirFunction,
     b: BlockId,
-    children: &BTreeMap<BlockId, Vec<BlockId>>,
-    stacks: &mut BTreeMap<VReg, Vec<VReg>>,
+    dom: &cfg::DomTree,
+    current: &mut Vec<VReg>,
+    undo: &mut Vec<(VReg, VReg)>,
     preds: &[Vec<BlockId>],
 ) {
-    let mut pushed: Vec<VReg> = Vec::new();
+    let undo_mark = undo.len();
 
     // Rewrite instructions.
     let insts_len = f.block(b).insts.len();
     for i in 0..insts_len {
         let is_phi = matches!(f.block(b).insts[i], Inst::Phi { .. });
         if !is_phi {
-            let mut inst = f.block(b).insts[i].clone();
-            inst.map_uses(&mut |v| top(stacks, v));
-            f.block_mut(b).insts[i] = inst;
+            f.block_mut(b).insts[i].map_uses(&mut |v| top(current, v));
         }
         // Redefine the destination with a fresh version.
         if let Some(d) = f.block(b).insts[i].def() {
@@ -194,15 +212,15 @@ fn rename(
             if let Some(dst) = f.block_mut(b).insts[i].def_mut() {
                 *dst = fresh;
             }
-            stacks.entry(d).or_default().push(fresh);
-            pushed.push(d);
+            if d.0 as usize >= current.len() {
+                let n = current.len() as u32;
+                current.extend((n..=d.0).map(VReg));
+            }
+            undo.push((d, current[d.0 as usize]));
+            current[d.0 as usize] = fresh;
         }
     }
-    {
-        let mut term = f.block(b).term.clone();
-        term.map_uses(&mut |v| top(stacks, v));
-        f.block_mut(b).term = term;
-    }
+    f.block_mut(b).term.map_uses(&mut |v| top(current, v));
 
     // Fill φ arguments of successors. A block can appear several times in
     // a successor's predecessor list (e.g. a `Br` whose arms share a
@@ -219,54 +237,49 @@ fn rename(
             !pred_indices.is_empty(),
             "b is a predecessor of its successor"
         );
-        let insts_len = f.block(s).insts.len();
-        for i in 0..insts_len {
+        for inst in &mut f.block_mut(s).insts {
+            let Inst::Phi { args, .. } = inst else {
+                continue;
+            };
             for &pred_index in &pred_indices {
-                let Inst::Phi { args, .. } = &f.block(s).insts[i] else {
-                    continue;
-                };
                 let original = args[pred_index].1;
-                let renamed = top(stacks, original);
-                if let Inst::Phi { args, .. } = &mut f.block_mut(s).insts[i] {
-                    args[pred_index] = (b, renamed);
-                }
+                args[pred_index] = (b, top(current, original));
             }
         }
     }
 
     // Recurse into dominator-tree children.
-    if let Some(kids) = children.get(&b) {
-        for &k in kids {
-            rename(f, k, children, stacks, preds);
-        }
+    for &k in dom.children(b) {
+        rename(f, k, dom, current, undo, preds);
     }
 
-    for v in pushed {
-        stacks.get_mut(&v).expect("pushed").pop();
+    for (v, prev) in undo.drain(undo_mark..).rev() {
+        current[v.0 as usize] = prev;
     }
 }
 
 /// Removes blocks unreachable from the entry, remapping ids.
 pub fn remove_unreachable_blocks(f: &mut MirFunction) {
     let reach = cfg::reachable(f);
-    if reach.len() == f.blocks.len() {
+    if reach.count() == f.blocks.len() {
         return;
     }
-    let mut remap: BTreeMap<BlockId, BlockId> = BTreeMap::new();
-    let mut new_blocks = Vec::new();
-    for b in f.block_ids() {
-        if reach.contains(&b) {
-            remap.insert(b, BlockId(new_blocks.len() as u32));
-            new_blocks.push(f.block(b).clone());
+    let mut remap: Vec<Option<BlockId>> = vec![None; f.blocks.len()];
+    let mut new_blocks = Vec::with_capacity(reach.count());
+    for (b, blk) in std::mem::take(&mut f.blocks).into_iter().enumerate() {
+        if reach.contains(b) {
+            remap[b] = Some(BlockId(new_blocks.len() as u32));
+            new_blocks.push(blk);
         }
     }
+    let to = |b: BlockId| remap[b.0 as usize].expect("successor of a reachable block");
     for blk in &mut new_blocks {
-        blk.term.map_succs(&mut |s| remap[&s]);
+        blk.term.map_succs(&mut |s| to(s));
         for inst in &mut blk.insts {
             if let Inst::Phi { args, .. } = inst {
-                args.retain(|(p, _)| remap.contains_key(p));
+                args.retain(|(p, _)| remap[p.0 as usize].is_some());
                 for (p, _) in args {
-                    *p = remap[p];
+                    *p = to(*p);
                 }
             }
         }
@@ -292,36 +305,38 @@ pub fn destruct(f: &mut MirFunction) {
         }
     }
 
-    let mut edge_copies: BTreeMap<(BlockId, BlockId), Vec<(VReg, VReg)>> = BTreeMap::new();
-    for b in f.block_ids().collect::<Vec<_>>() {
-        let mut kept = Vec::new();
-        for inst in f.block(b).insts.clone() {
-            if let Inst::Phi { dst, args } = inst {
-                for (p, v) in args {
-                    edge_copies.entry((p, b)).or_default().push((dst, v));
-                }
-            } else {
-                kept.push(inst);
+    // (pred, block, dst, src) in block then instruction order; a stable
+    // sort by edge groups each edge's copies in that order.
+    let mut edge_copies: Vec<(BlockId, BlockId, VReg, VReg)> = Vec::new();
+    for (b, blk) in f.blocks.iter_mut().enumerate() {
+        blk.insts.retain(|inst| {
+            let Inst::Phi { dst, args } = inst else {
+                return true;
+            };
+            for &(p, v) in args {
+                edge_copies.push((p, BlockId(b as u32), *dst, v));
             }
-        }
-        f.block_mut(b).insts = kept;
+            false
+        });
     }
     if edge_copies.is_empty() {
         debug_verify_phi_free(f);
         return;
     }
-    for ((p, b), copies) in edge_copies {
+    edge_copies.sort_by_key(|&(p, b, _, _)| (p, b));
+    for edge in edge_copies.chunk_by(|x, y| (x.0, x.1) == (y.0, y.1)) {
+        let (p, b) = (edge[0].0, edge[0].1);
         // Staged parallel copy: tmp_i = src_i ; dst_i = tmp_i. This is
         // immune to the swap/lost-copy problems.
-        let mut seq = Vec::new();
-        let mut temps = Vec::new();
-        for (_, src) in &copies {
+        let mut seq = Vec::with_capacity(2 * edge.len());
+        let mut temps = Vec::with_capacity(edge.len());
+        for &(_, _, _, src) in edge {
             let t = f.fresh();
             temps.push(t);
-            seq.push(Inst::Copy { dst: t, src: *src });
+            seq.push(Inst::Copy { dst: t, src });
         }
-        for ((dst, _), t) in copies.iter().zip(&temps) {
-            seq.push(Inst::Copy { dst: *dst, src: *t });
+        for (&(_, _, dst, _), t) in edge.iter().zip(&temps) {
+            seq.push(Inst::Copy { dst, src: *t });
         }
         let p_succs = f.block(p).term.succs();
         if p_succs.len() == 1 {
@@ -347,6 +362,7 @@ pub fn destruct(f: &mut MirFunction) {
 mod tests {
     use super::*;
     use crate::mir::BinOp;
+    use std::collections::BTreeSet;
 
     /// let x = 0; if c { x = 1 } else { x = 2 }; return x  — the classic
     /// φ example.

@@ -519,7 +519,7 @@ fn check_ssa(f: &MirFunction, out: &mut Vec<Violation>) {
     }
 
     let preds = cfg::predecessors(f);
-    let dom = cfg::DomTree::of(f);
+    let dom = cfg::DomTree::compute(f, &preds);
 
     // `true` if `v`'s unique definition dominates program point
     // (`b`, `pos`), where `pos` is an instruction index or

@@ -1,0 +1,367 @@
+//! Reference test for the dominance analyses of `occ::cfg`.
+//!
+//! `occ::verify` checks SSA dominance through `cfg::DomTree`, so a wrong
+//! dominator tree would blind the optimizer and its verifier at once.
+//! This test draws seeded random CFGs — with unreachable blocks,
+//! self-loops, duplicate `Switch` edges and irreducible cycles — and
+//! checks dominators, dominance frontiers and natural loops against the
+//! textbook set equations, computed here the slow, obvious way:
+//!
+//! * `Dom(entry) = {entry}`, `Dom(n) = {n} ∪ ⋂ Dom(p)` over the reachable
+//!   predecessors `p` of `n`, iterated to the greatest fixed point;
+//! * `idom(n)` is the strict dominator of `n` that every other strict
+//!   dominator dominates;
+//! * `DF(n) = {b : n dominates a predecessor of b, n does not strictly
+//!   dominate b}`;
+//! * a natural loop of back edge `n → h` (`h ∈ Dom(n)`) is `h` plus every
+//!   block that reaches `n` without passing `h`, loops merged by header.
+//!
+//! The entry block never has a predecessor, as in all well-formed MIR
+//! (the verifier's `entry-has-pred` rule).
+
+use std::collections::BTreeSet;
+
+use occ::cfg::{self, DomTree};
+use occ::mir::{Block, BlockId, MirFunction, Term, VReg};
+use umlsm::gen::GenRng;
+
+/// A random CFG of `1..=max_blocks` blocks. Targets are drawn from
+/// `1..n`, so the entry has no predecessor while every other block may
+/// target itself (self-loops) or be targeted by nobody (unreachable).
+fn random_cfg(rng: &mut GenRng, max_blocks: usize) -> MirFunction {
+    let n = rng.range(1, max_blocks);
+    let target = |rng: &mut GenRng| BlockId(rng.range(1, n.max(2) - 1) as u32);
+    let blocks = (0..n)
+        .map(|_| {
+            let term = if n == 1 {
+                Term::Ret(None)
+            } else {
+                match rng.below(10) {
+                    0 | 1 => Term::Ret(None),
+                    2..=4 => Term::Goto(target(rng)),
+                    5..=7 => Term::Br {
+                        cond: VReg(0),
+                        then_block: target(rng),
+                        else_block: target(rng),
+                    },
+                    _ => {
+                        // Case targets repeat freely: duplicate edges.
+                        let cases = (0..rng.range(1, 4))
+                            .map(|k| (k as i32, target(rng)))
+                            .collect();
+                        Term::Switch {
+                            val: VReg(0),
+                            cases,
+                            default: target(rng),
+                        }
+                    }
+                }
+            };
+            Block {
+                insts: vec![],
+                term,
+            }
+        })
+        .collect();
+    MirFunction {
+        name: "cfg".into(),
+        params: 1,
+        returns_value: false,
+        exported: true,
+        blocks,
+        next_vreg: 1,
+    }
+}
+
+/// The set-equation reference for one CFG.
+struct Reference {
+    succs: Vec<Vec<usize>>,
+    preds: Vec<Vec<usize>>,
+    reachable: Vec<bool>,
+    /// `Dom(n)` for reachable `n`; empty for unreachable blocks.
+    dom: Vec<BTreeSet<usize>>,
+}
+
+impl Reference {
+    fn of(f: &MirFunction) -> Reference {
+        let n = f.blocks.len();
+        let succs: Vec<Vec<usize>> = f
+            .blocks
+            .iter()
+            .map(|b| b.term.succs().iter().map(|s| s.0 as usize).collect())
+            .collect();
+        let mut preds = vec![Vec::new(); n];
+        for (b, ss) in succs.iter().enumerate() {
+            for &s in ss {
+                preds[s].push(b);
+            }
+        }
+        let mut reachable = vec![false; n];
+        reachable[0] = true;
+        let mut grew = true;
+        while grew {
+            grew = false;
+            for b in 0..n {
+                if reachable[b] {
+                    for &s in &succs[b] {
+                        grew |= !std::mem::replace(&mut reachable[s], true);
+                    }
+                }
+            }
+        }
+        let all: BTreeSet<usize> = (0..n).filter(|&b| reachable[b]).collect();
+        let mut dom: Vec<BTreeSet<usize>> = (0..n)
+            .map(|b| match b {
+                0 => BTreeSet::from([0]),
+                _ if reachable[b] => all.clone(),
+                _ => BTreeSet::new(),
+            })
+            .collect();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for b in 1..n {
+                if !reachable[b] {
+                    continue;
+                }
+                let mut meet: Option<BTreeSet<usize>> = None;
+                for &p in preds[b].iter().filter(|&&p| reachable[p]) {
+                    meet = Some(match meet {
+                        None => dom[p].clone(),
+                        Some(m) => m.intersection(&dom[p]).copied().collect(),
+                    });
+                }
+                let mut new = meet.unwrap_or_default();
+                new.insert(b);
+                if new != dom[b] {
+                    dom[b] = new;
+                    changed = true;
+                }
+            }
+        }
+        Reference {
+            succs,
+            preds,
+            reachable,
+            dom,
+        }
+    }
+
+    fn dominates(&self, a: usize, b: usize) -> bool {
+        self.dom[b].contains(&a)
+    }
+
+    fn idom(&self, b: usize) -> Option<usize> {
+        if b == 0 || !self.reachable[b] {
+            return None;
+        }
+        let strict: Vec<usize> = self.dom[b].iter().copied().filter(|&d| d != b).collect();
+        strict
+            .iter()
+            .copied()
+            .find(|&d| strict.iter().all(|&o| self.dominates(o, d)))
+    }
+
+    fn frontier(&self, n: usize) -> Vec<usize> {
+        if !self.reachable[n] {
+            return Vec::new();
+        }
+        (0..self.succs.len())
+            .filter(|&b| self.reachable[b])
+            .filter(|&b| {
+                let dominates_a_pred = self.preds[b]
+                    .iter()
+                    .any(|&p| self.reachable[p] && self.dominates(n, p));
+                dominates_a_pred && !(n != b && self.dominates(n, b))
+            })
+            .collect()
+    }
+
+    /// `(header, latches, body)` per natural loop, innermost first.
+    fn loops(&self) -> Vec<(usize, Vec<usize>, Vec<usize>)> {
+        let n = self.succs.len();
+        let mut by_header: Vec<Option<(Vec<usize>, BTreeSet<usize>)>> = vec![None; n];
+        for latch in (0..n).filter(|&b| self.reachable[b]) {
+            for &h in &self.succs[latch] {
+                if !self.dominates(h, latch) {
+                    continue;
+                }
+                let (latches, body) =
+                    by_header[h].get_or_insert_with(|| (Vec::new(), BTreeSet::from([h])));
+                if !latches.contains(&latch) {
+                    latches.push(latch);
+                }
+                let mut stack = vec![latch];
+                while let Some(x) = stack.pop() {
+                    if body.insert(x) {
+                        stack.extend(self.preds[x].iter().filter(|&&p| self.reachable[p]));
+                    }
+                }
+            }
+        }
+        let mut loops: Vec<(usize, Vec<usize>, Vec<usize>)> = by_header
+            .into_iter()
+            .enumerate()
+            .filter_map(|(h, l)| l.map(|(latches, body)| (h, latches, body.into_iter().collect())))
+            .collect();
+        loops.sort_by_key(|(h, _, body)| (body.len(), *h));
+        loops
+    }
+
+    /// `true` if some cycle is entered at two blocks: a DFS retreating
+    /// edge whose target does not dominate its source.
+    fn irreducible(&self) -> bool {
+        let n = self.succs.len();
+        let mut on_stack = vec![false; n];
+        let mut seen = vec![false; n];
+        let mut stack = vec![(0usize, 0usize)];
+        seen[0] = true;
+        on_stack[0] = true;
+        while let Some(&mut (b, ref mut i)) = stack.last_mut() {
+            if let Some(&s) = self.succs[b].get(*i) {
+                *i += 1;
+                if on_stack[s] && !self.dominates(s, b) {
+                    return true;
+                }
+                if !seen[s] {
+                    seen[s] = true;
+                    on_stack[s] = true;
+                    stack.push((s, 0));
+                }
+            } else {
+                on_stack[b] = false;
+                stack.pop();
+            }
+        }
+        false
+    }
+}
+
+fn ids(v: &[BlockId]) -> Vec<usize> {
+    v.iter().map(|b| b.0 as usize).collect()
+}
+
+/// Checks every dense analysis of `f` against the reference.
+fn check(f: &MirFunction, r: &Reference) {
+    let n = f.blocks.len();
+    let preds = cfg::predecessors(f);
+    let dom = DomTree::compute(f, &preds);
+    let reach = cfg::reachable(f);
+    for b in 0..n {
+        let bb = BlockId(b as u32);
+        assert_eq!(reach.contains(b), r.reachable[b], "reachable({b}) in {f}");
+        assert_eq!(
+            dom.is_reachable(bb),
+            r.reachable[b],
+            "is_reachable({b}) in {f}"
+        );
+        assert_eq!(
+            dom.idom(bb).map(|d| d.0 as usize),
+            r.idom(b),
+            "idom({b}) in {f}"
+        );
+        for a in 0..n {
+            let aa = BlockId(a as u32);
+            let want = r.reachable[b] && r.dominates(a, b);
+            assert_eq!(dom.dominates(aa, bb), want, "dominates({a}, {b}) in {f}");
+            assert_eq!(dom.strictly_dominates(aa, bb), want && a != b);
+        }
+        let kids: Vec<usize> = (0..n).filter(|&k| r.idom(k) == Some(b)).collect();
+        assert_eq!(ids(dom.children(bb)), kids, "children({b}) in {f}");
+    }
+    // Both orders visit exactly the reachable blocks, entry first; the
+    // preorder puts every block after its immediate dominator.
+    let reachable: Vec<usize> = (0..n).filter(|&b| r.reachable[b]).collect();
+    for order in [dom.rpo(), dom.preorder()] {
+        let mut sorted = ids(order);
+        assert_eq!(order.first(), Some(&BlockId(0)));
+        sorted.sort_unstable();
+        assert_eq!(sorted, reachable, "{order:?} in {f}");
+    }
+    let pos = |b: usize| dom.preorder().iter().position(|x| x.0 as usize == b);
+    for &b in &reachable[1..] {
+        assert!(
+            pos(r.idom(b).expect("reachable")) < pos(b),
+            "preorder in {f}"
+        );
+    }
+    let df = cfg::dominance_frontiers(&dom, &preds);
+    for (b, members) in df.iter().enumerate() {
+        assert_eq!(ids(members), r.frontier(b), "DF({b}) in {f}");
+    }
+    let loops: Vec<(usize, Vec<usize>, Vec<usize>)> = cfg::natural_loops(f, &dom, &preds)
+        .iter()
+        .map(|l| {
+            let body = l.blocks().map(|b| b.0 as usize).collect();
+            (l.header.0 as usize, ids(&l.latches), body)
+        })
+        .collect();
+    assert_eq!(loops, r.loops(), "natural loops of {f}");
+}
+
+#[test]
+fn dense_dominance_matches_the_set_equations() {
+    let mut rng = GenRng::new(0x5eed_d0e5);
+    let (mut unreachable, mut self_loops, mut dup_switch, mut irreducible) = (0, 0, 0, 0);
+    for _ in 0..600 {
+        let f = random_cfg(&mut rng, 14);
+        let r = Reference::of(&f);
+        check(&f, &r);
+        unreachable += usize::from(r.reachable.iter().any(|x| !x));
+        self_loops += usize::from(r.succs.iter().enumerate().any(|(b, ss)| ss.contains(&b)));
+        dup_switch += usize::from(f.blocks.iter().any(|b| match &b.term {
+            Term::Switch { .. } => {
+                let ss = b.term.succs();
+                ss.iter().collect::<BTreeSet<_>>().len() < ss.len()
+            }
+            _ => false,
+        }));
+        irreducible += usize::from(r.irreducible());
+    }
+    // The corpus must actually exercise the shapes the test promises.
+    for (shape, count) in [
+        ("unreachable blocks", unreachable),
+        ("self-loops", self_loops),
+        ("duplicate switch edges", dup_switch),
+        ("irreducible cycles", irreducible),
+    ] {
+        assert!(count >= 20, "only {count} CFGs with {shape}");
+    }
+}
+
+#[test]
+fn irreducible_cycles_have_no_natural_loop_and_no_back_edge() {
+    // bb0 enters the bb1 ⇄ bb2 cycle at both blocks: neither dominates
+    // the other, so the cycle is no natural loop.
+    let block = |term| Block {
+        insts: vec![],
+        term,
+    };
+    let br = |a, b| Term::Br {
+        cond: VReg(0),
+        then_block: BlockId(a),
+        else_block: BlockId(b),
+    };
+    let f = MirFunction {
+        name: "irreducible".into(),
+        params: 1,
+        returns_value: false,
+        exported: true,
+        blocks: vec![
+            block(br(1, 2)),
+            block(br(2, 3)),
+            block(br(1, 3)),
+            block(Term::Ret(None)),
+        ],
+        next_vreg: 1,
+    };
+    let r = Reference::of(&f);
+    assert!(r.irreducible());
+    check(&f, &r);
+    let preds = cfg::predecessors(&f);
+    let dom = DomTree::compute(&f, &preds);
+    assert!(cfg::natural_loops(&f, &dom, &preds).is_empty());
+    let df = cfg::dominance_frontiers(&dom, &preds);
+    assert_eq!(ids(&df[1]), vec![2, 3]);
+    assert_eq!(ids(&df[2]), vec![1, 3]);
+}

@@ -348,14 +348,18 @@ fn licm_hoists_loads_out_of_stt_dispatch_loops() {
     // makes indirect guard/effect calls (rodata survives calls — no
     // callee can store to `const` data). Measured at the MIR level so
     // the hoist itself is observed, not a proxy statistic.
+    use occ::cfg;
     use occ::mem::MemoryModel;
     use occ::mir::{BlockId, Inst, MirFunction};
+    use occ::opt::AnalysisCtx;
     use std::collections::BTreeSet;
 
     fn loads_in_loop_bodies(f: &MirFunction) -> usize {
+        let preds = cfg::predecessors(f);
+        let dom = cfg::DomTree::compute(f, &preds);
         let mut in_loops: BTreeSet<BlockId> = BTreeSet::new();
-        for lp in occ::cfg::natural_loops(f) {
-            in_loops.extend(lp.body.iter().copied());
+        for lp in cfg::natural_loops(f, &dom, &preds) {
+            in_loops.extend(lp.blocks());
         }
         in_loops
             .iter()
@@ -385,11 +389,11 @@ fn licm_hoists_loads_out_of_stt_dispatch_loops() {
             occ::opt::simplify_cfg(f);
             occ::ssa::construct(f);
             // Canonicalize as the -O2 roster would before LICM runs.
-            occ::opt::sccp(f, &model);
-            occ::opt::copy_propagate(f, &model);
-            occ::opt::gvn_cse(f, &model);
+            occ::opt::sccp(f, &mut AnalysisCtx::new(&model));
+            occ::opt::copy_propagate(f, &mut AnalysisCtx::new(&model));
+            occ::opt::gvn_cse(f, &mut AnalysisCtx::new(&model));
             before += loads_in_loop_bodies(f);
-            occ::opt::licm(f, &model);
+            occ::opt::licm(f, &mut AnalysisCtx::new(&model));
             after += loads_in_loop_bodies(f);
         }
         assert!(

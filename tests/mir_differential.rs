@@ -37,6 +37,7 @@ use proptest::prelude::*;
 
 use occ::mem::MemoryModel;
 use occ::mir::{BinOp, Block, GlobalData, Inst, MirFunction, Program, Term, VReg, Word};
+use occ::opt::AnalysisCtx;
 use occ::vm::{DecodedProgram, FastVm, Vm};
 use occ::{opt, ssa, verify, OptLevel};
 use tlang::RecordingEnv;
@@ -449,7 +450,7 @@ fn trace_with_passes(program: &Program, passes: &[opt::SsaPass]) -> Vec<(String,
         opt::simplify_cfg(f);
         ssa::construct(f);
         for (i, pass) in passes.iter().enumerate() {
-            pass(f, &model);
+            pass(f, &mut AnalysisCtx::new(&model));
             if cfg!(debug_assertions) {
                 let mut vs = verify::verify_function(f, verify::Tier::Ssa);
                 vs.extend(verify::verify_memory(f, &model));
