@@ -121,8 +121,9 @@ else
     # count (the deterministic "time" axis — an optimization that saves
     # bytes by re-executing work fails here), cell-set drift in either
     # direction, a cell whose total pass runs grow beyond the tolerance
-    # (the deterministic compile-cost proxy), or a pass whose changes
-    # drop to zero matrix-wide (silently inert); refresh the baseline
+    # (the deterministic compile-cost proxy), a pass whose changes
+    # drop to zero matrix-wide (silently inert), or a cell whose assembly
+    # digest differs from the baseline's (byte identity); refresh the baseline
     # deliberately with:
     #   cargo run --release -p bench --bin snapshot -- bench_baseline.json
     run_stage "bench snapshot (BENCH_PR3.json)" \

@@ -4,8 +4,10 @@
 //! `text`/`rodata` sections individually — on cell-set drift in either
 //! direction (a lost baseline cell or an unbaselined new cell), on a
 //! cell whose total pass runs grew beyond the tolerance (a fixed point
-//! that stopped converging), and on any pass whose `changes` silently
-//! dropped to zero across the whole matrix. A mid-end change that erodes
+//! that stopped converging), on any pass whose `changes` silently
+//! dropped to zero across the whole matrix, and on any cell whose
+//! assembly digest differs from the baseline's (same sizes, different
+//! code). A mid-end change that erodes
 //! the paper's size numbers, drops coverage, slows the fixed point or
 //! quietly disables a pass fails CI instead of waiting for the next
 //! manual table regeneration.

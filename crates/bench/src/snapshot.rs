@@ -7,23 +7,26 @@
 //! spill-code bytes), the per-pass [`occ::PassStats`] of the mid-end
 //! run, the deterministic executed-instruction count of the
 //! [canonical event storm](crate::throughput) on the fast engine — the
-//! cell's regression-gated "time" — and the driver's cold/warm compile
-//! times plus the warm cache-hit flag. The `snapshot`
-//! binary serializes one to `BENCH_PR3.json`; the `regress` binary
-//! compares a fresh (or freshly written) snapshot against the committed
-//! `bench_baseline.json` and fails on any size regression beyond
-//! [`TOLERANCE_PCT`]/[`TOLERANCE_BYTES`] — the bench-trajectory lock the
-//! ROADMAP's Meliora-style pass-effect measurement calls for.
+//! cell's regression-gated "time" — the driver's cold/warm compile
+//! times plus the warm cache-hit flag, and a digest of the cell's whole
+//! assembly ([`assembly_digest`]) that makes byte identity a gate. The
+//! `snapshot` binary serializes one to `BENCH_PR3.json`; the `regress`
+//! binary compares a fresh (or freshly written) snapshot against the
+//! committed `bench_baseline.json` and fails on any size regression
+//! beyond [`TOLERANCE_PCT`]/[`TOLERANCE_BYTES`], and on any cell whose
+//! assembly digest changed — the bench-trajectory lock the ROADMAP's
+//! Meliora-style pass-effect measurement calls for.
 //!
 //! The JSON is hand-rolled (serialize *and* parse) because this
 //! environment has no crates.io access; the format is a single object
 //! `{"cells": [...]}` of flat cell objects, stable under pretty-printing.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::time::Instant;
 
-use occ::OptLevel;
+use occ::driver::Fnv64;
+use occ::{Assembly, OptLevel};
 
 use crate::BenchError;
 
@@ -104,8 +107,29 @@ pub struct Cell {
     /// whose baseline hit stops hitting means the driver's caching
     /// silently broke. `0` in pre-driver baselines (ungated).
     pub warm_hit: usize,
+    /// [`assembly_digest`] of the cell's assembly. Gated for equality by
+    /// `regress`: an allocator or emitter change that picks different
+    /// registers or orders at the same sizes fails the gate. `0` in
+    /// baselines written before the digest existed (ungated).
+    pub asm_digest: u64,
     /// Mid-end per-pass effects for this cell.
     pub passes: Vec<PassCell>,
+}
+
+/// 64-bit FNV-1a over the `Debug` form of `asm` — every function's
+/// instructions, registers and labels, the data image and the layout —
+/// streamed into the hash without building the string.
+pub fn assembly_digest(asm: &Assembly) -> u64 {
+    struct Sink(Fnv64);
+    impl fmt::Write for Sink {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0.write(s.as_bytes());
+            Ok(())
+        }
+    }
+    let mut sink = Sink(Fnv64::new());
+    let _ = write!(sink, "{asm:?}");
+    sink.0.finish()
 }
 
 impl Cell {
@@ -189,6 +213,7 @@ impl Snapshot {
                     compile_ns,
                     warm_compile_ns,
                     warm_hit,
+                    asm_digest: assembly_digest(artifact.assembly()),
                     passes,
                 });
             }
@@ -211,7 +236,8 @@ impl Snapshot {
                  \"text\": {}, \"rodata\": {}, \"data\": {}, \"total\": {}, \
                  \"spill_slots\": {}, \"saved_regs\": {}, \"spill_bytes\": {}, \
                  \"events\": {}, \"dyn_insts\": {}, \"compile_ns\": {}, \
-                 \"warm_compile_ns\": {}, \"warm_hit\": {}, \"passes\": [",
+                 \"warm_compile_ns\": {}, \"warm_hit\": {}, \"asm_digest\": \"{:016x}\", \
+                 \"passes\": [",
                 json_string(&c.machine),
                 json_string(&c.pattern),
                 json_string(&c.level),
@@ -226,7 +252,8 @@ impl Snapshot {
                 c.dyn_insts,
                 c.compile_ns,
                 c.warm_compile_ns,
-                c.warm_hit
+                c.warm_hit,
+                c.asm_digest
             );
             for (j, p) in c.passes.iter().enumerate() {
                 let _ = write!(
@@ -297,6 +324,9 @@ impl Snapshot {
                 compile_ns: item.usize_field_or("compile_ns", 0)?,
                 warm_compile_ns: item.usize_field_or("warm_compile_ns", 0)?,
                 warm_hit: item.usize_field_or("warm_hit", 0)?,
+                // And for the assembly digest: baselines written before
+                // it existed parse as 0, which is not gated.
+                asm_digest: item.hex_field_or("asm_digest", 0)?,
                 passes,
             });
         }
@@ -435,6 +465,18 @@ pub enum Verdict {
         /// Cell key.
         key: String,
     },
+    /// The cell's [`assembly_digest`] differs from the baseline's: the
+    /// toolchain emits different code for it — other registers, another
+    /// instruction order, other bytes — even if every size and count
+    /// above passed. Gated only where the baseline carries a digest.
+    DigestChanged {
+        /// Cell key.
+        key: String,
+        /// Baseline digest.
+        baseline: u64,
+        /// Current digest.
+        current: u64,
+    },
 }
 
 impl Verdict {
@@ -452,6 +494,7 @@ impl Verdict {
                 | Verdict::DynInstsRegressed { .. }
                 | Verdict::StormChanged { .. }
                 | Verdict::CacheRegressed { .. }
+                | Verdict::DigestChanged { .. }
         )
     }
 
@@ -531,6 +574,14 @@ impl Verdict {
             Verdict::CacheRegressed { key } => {
                 format!("  REGRESSED {key:<40} warm recompile no longer hits the driver cache")
             }
+            Verdict::DigestChanged {
+                key,
+                baseline,
+                current,
+            } => format!(
+                "  CHANGED   {key:<40} assembly digest {baseline:016x} -> {current:016x} \
+                 (refresh the baseline deliberately)"
+            ),
         }
     }
 }
@@ -572,7 +623,9 @@ fn allowed_runs_growth(baseline: usize) -> usize {
 /// baseline measured one, and a storm-shape change (different event
 /// counts) fails outright rather than skipping the cell. A cell whose
 /// baseline recorded a warm driver-cache hit must still hit (the
-/// host-dependent compile *times* are carried but never gated). A cell's
+/// host-dependent compile *times* are carried but never gated), and a
+/// cell whose baseline carries an [`assembly_digest`] must reproduce it
+/// exactly. A cell's
 /// total pass runs may grow by at most [`TOLERANCE_PCT`]. Finally, any
 /// pass that changed code somewhere in the baseline but reports zero
 /// changes across every current cell is flagged as silently inert.
@@ -670,6 +723,15 @@ pub fn compare(baseline: &Snapshot, current: &Snapshot) -> Vec<Verdict> {
         // gated.
         if base.warm_hit == 1 && cur.warm_hit == 0 {
             verdicts.push(Verdict::CacheRegressed { key: key.clone() });
+        }
+        // Byte identity: the same cell must assemble to the same code,
+        // wherever the baseline recorded a digest.
+        if base.asm_digest != 0 && cur.asm_digest != base.asm_digest {
+            verdicts.push(Verdict::DigestChanged {
+                key: key.clone(),
+                baseline: base.asm_digest,
+                current: cur.asm_digest,
+            });
         }
         // Compile-cost proxy: total pass executions in the cell.
         let runs = |c: &Cell| c.passes.iter().map(|p| p.runs).sum::<usize>();
@@ -789,6 +851,19 @@ impl Json {
             None => Ok(default),
             Some(Json::Number(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as usize),
             Some(_) => Err(format!("non-integer field \"{name}\"")),
+        }
+    }
+
+    /// A 64-bit value written as a hexadecimal string (JSON numbers are
+    /// doubles, too narrow for a digest); an absent field yields
+    /// `default`.
+    fn hex_field_or(&self, name: &str, default: u64) -> Result<u64, String> {
+        match self.field(name) {
+            None => Ok(default),
+            Some(Json::String(s)) => {
+                u64::from_str_radix(s, 16).map_err(|_| format!("non-hexadecimal field \"{name}\""))
+            }
+            Some(_) => Err(format!("non-string field \"{name}\"")),
         }
     }
 }
@@ -991,6 +1066,7 @@ mod tests {
                     compile_ns: 2_000_000,
                     warm_compile_ns: 900,
                     warm_hit: 1,
+                    asm_digest: 0x0123_4567_89ab_cdef,
                     passes: vec![PassCell {
                         name: "sccp".into(),
                         runs: 3,
@@ -1014,6 +1090,7 @@ mod tests {
                     compile_ns: 1_500_000,
                     warm_compile_ns: 800,
                     warm_hit: 1,
+                    asm_digest: 0xfedc_ba98_7654_3210,
                     passes: vec![],
                 },
             ],
@@ -1335,6 +1412,67 @@ mod tests {
         let mut cur = sample_snapshot();
         cur.cells[0].warm_hit = 0;
         assert!(!compare(&old, &cur).iter().any(Verdict::is_regression));
+    }
+
+    #[test]
+    fn compare_gates_assembly_digests() {
+        let base = sample_snapshot();
+        assert!(!compare(&base, &base).iter().any(Verdict::is_regression));
+        // Same sizes, same counts, different code: a regression.
+        let mut cur = sample_snapshot();
+        cur.cells[1].asm_digest ^= 1;
+        let verdicts = compare(&base, &cur);
+        let changed: Vec<_> = verdicts
+            .iter()
+            .filter(|v| matches!(v, Verdict::DigestChanged { .. }))
+            .collect();
+        assert_eq!(
+            changed,
+            vec![&Verdict::DigestChanged {
+                key: "flat/STT/-Os".into(),
+                baseline: 0xfedc_ba98_7654_3210,
+                current: 0xfedc_ba98_7654_3211,
+            }]
+        );
+        assert!(changed[0].is_regression());
+        assert!(
+            changed[0].render().contains("fedcba9876543211"),
+            "{}",
+            changed[0].render()
+        );
+        // A baseline written before digests existed parses as 0 and
+        // accepts any current digest.
+        let text = base.to_json().replace(
+            &format!(", \"asm_digest\": \"{:016x}\"", base.cells[1].asm_digest),
+            "",
+        );
+        let old = Snapshot::from_json(&text).expect("parses");
+        assert_eq!(old.cells[1].asm_digest, 0);
+        assert_eq!(old.cells[0].asm_digest, base.cells[0].asm_digest);
+        assert!(!compare(&old, &cur).iter().any(Verdict::is_regression));
+    }
+
+    #[test]
+    fn assembly_digest_tracks_every_register() {
+        let arm = &crate::matrix::arms()[0];
+        let generated = arm.generate().expect("generates");
+        let artifact = arm.compile(OptLevel::O1, &generated).expect("compiles");
+        let asm = artifact.assembly();
+        assert_eq!(assembly_digest(asm), assembly_digest(&asm.clone()));
+        let mut renamed = asm.clone();
+        let reg = renamed.functions[0]
+            .insts
+            .iter_mut()
+            .find_map(|i| match i {
+                occ::backend::AsmInst::Mv { rd, .. } | occ::backend::AsmInst::Li { rd, .. } => {
+                    Some(rd)
+                }
+                _ => None,
+            })
+            .expect("a register write");
+        *reg ^= 1;
+        assert_eq!(renamed.sizes(), asm.sizes(), "same bytes, other register");
+        assert_ne!(assembly_digest(&renamed), assembly_digest(asm));
     }
 
     #[test]

@@ -15,11 +15,9 @@
 //! granularity and cost nothing in the output: emission's jump threading
 //! collapses any that survive layout.
 
-use std::collections::BTreeMap;
-
 use super::emit::switch_uses_table;
 use super::vcode::{EmInst, Reg, VBlock, VCode, VTerm};
-use super::ZERO;
+use super::{ARG_REGS, ZERO};
 use crate::cfg;
 use crate::mir::{BinOp, Inst, MirFunction, Term, UnOp};
 use crate::{CompileError, OptLevel};
@@ -27,13 +25,19 @@ use crate::{CompileError, OptLevel};
 /// Lowers one MIR function to `VCode` with virtual-register operands.
 ///
 /// Fails with [`CompileError::Internal`] on a φ-node (SSA must be
-/// destructed before the backend runs).
+/// destructed before the backend runs), and with
+/// [`CompileError::TooManyArgs`] on a function of more than four
+/// parameters or a reachable call with more than four arguments: the
+/// EM32 convention passes arguments in [`ARG_REGS`] only, and the inline
+/// [`Operands`](super::vcode::Operands) list is sized for that bound.
+/// The front end never produces either; a hand-built `Program` may.
 pub fn lower_function(f: &MirFunction, level: OptLevel) -> Result<VCode, CompileError> {
-    assert!(
-        f.params <= super::ARG_REGS.len(),
-        "front-end lowering enforces the {}-register argument limit",
-        super::ARG_REGS.len()
-    );
+    if f.params > ARG_REGS.len() {
+        return Err(CompileError::TooManyArgs {
+            function: f.name.clone(),
+            arity: f.params,
+        });
+    }
     let preds = cfg::predecessors(f);
     let dom = cfg::DomTree::compute(f, &preds);
     let order = dom.rpo();
@@ -74,6 +78,16 @@ fn v(r: crate::mir::VReg) -> Reg {
 }
 
 fn lower_inst(inst: &Inst, out: &mut Vec<EmInst>, fname: &str) -> Result<(), CompileError> {
+    if let Inst::Call { args, .. } | Inst::CallExtern { args, .. } | Inst::CallInd { args, .. } =
+        inst
+    {
+        if args.len() > ARG_REGS.len() {
+            return Err(CompileError::TooManyArgs {
+                function: format!("<call in {fname}>"),
+                arity: args.len(),
+            });
+        }
+    }
     match inst {
         Inst::Const { dst, value } => out.push(EmInst::Li {
             rd: v(*dst),
@@ -205,26 +219,29 @@ fn split_critical_edges(vc: &mut VCode) {
     }
     // One split block per (pred, succ) pair; a Switch with several cases
     // on the same target shares the split.
-    let mut splits: BTreeMap<(usize, usize), usize> = BTreeMap::new();
+    let mut splits: Vec<(usize, usize)> = Vec::new(); // (succ, split block) of `p`
     for p in 0..n {
-        if vc.blocks[p].term.succs().len() < 2 {
+        if vc.blocks[p].term.succs().nth(1).is_none() {
             continue;
         }
         let p_depth = vc.blocks[p].loop_depth;
-        let mut term = vc.blocks[p].term.clone();
+        let mut term = std::mem::replace(&mut vc.blocks[p].term, VTerm::Ret { value: None });
+        splits.clear();
         term.map_targets(&mut |s| {
             if pred_count[s] < 2 {
                 return s;
             }
-            *splits.entry((p, s)).or_insert_with(|| {
-                let idx = vc.blocks.len();
-                vc.blocks.push(VBlock {
-                    insts: Vec::new(),
-                    term: VTerm::Goto { target: s },
-                    loop_depth: p_depth.min(vc.blocks[s].loop_depth),
-                });
-                idx
-            })
+            if let Some(&(_, split)) = splits.iter().find(|(t, _)| *t == s) {
+                return split;
+            }
+            let idx = vc.blocks.len();
+            vc.blocks.push(VBlock {
+                insts: Vec::new(),
+                term: VTerm::Goto { target: s },
+                loop_depth: p_depth.min(vc.blocks[s].loop_depth),
+            });
+            splits.push((s, idx));
+            idx
         });
         vc.blocks[p].term = term;
     }

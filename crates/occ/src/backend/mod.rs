@@ -9,10 +9,18 @@
 //!
 //! | stage | module | input → output |
 //! |-------|--------|----------------|
-//! | 1. lowering | [`lower`] | MIR function → [`vcode::VCode`] over virtual registers, blocks in reverse postorder with critical edges split |
-//! | 2. register allocation | [`regalloc`] | `VCode` + liveness ranges → `VCode` over physical registers, spill code and prologue/epilogue inserted |
+//! | 1. lowering | [`lower`] | MIR function → [`vcode::VCode`] over virtual registers, blocks in reverse postorder with critical edges split; more than four parameters or call arguments is [`CompileError::TooManyArgs`] |
+//! | 2. register allocation | [`regalloc`] | `VCode` + dense block liveness ([`crate::cfg::Liveness`]) → live ranges, hints and locations in register-indexed `Vec`s → `VCode` over physical registers, spill code and prologue/epilogue inserted |
 //! | 3. verification | [`vcode::VCode::verify_allocated`] | debug builds re-check every operand constraint and clobber fact post-allocation |
 //! | 4. emission | [`emit`] | allocated `VCode` → [`AsmInst`] stream with layout optimization (fall-through ordering, jump-to-next elimination, peephole) |
+//!
+//! Every stage reads an instruction's operands through
+//! [`vcode::EmInst::operands`], an inline [`vcode::Operands`] list of at
+//! most [`vcode::MAX_OPERANDS`] = 6 entries (an indirect call's pointer,
+//! four arguments and result) that never touches the heap; stage 1's
+//! argument-count check is what bounds it. [`crate::compile_timed`]
+//! reports the wall-clock of stages 1, 2 (with 3) and 4 separately as
+//! [`BackendTimes`]; the [`crate::driver`] sums them per session.
 //!
 //! # EM32 ABI and register roles
 //!
@@ -87,6 +95,7 @@
 //! ```
 
 use std::fmt;
+use std::time::{Duration, Instant};
 
 use crate::mir::{BinOp, MirFunction, Program, Word};
 use crate::{CompileError, OptLevel};
@@ -446,10 +455,38 @@ impl Assembly {
     }
 }
 
+/// Wall-clock spent in each backend stage, summed over the functions of
+/// one compiled program.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BackendTimes {
+    /// Stage 1: MIR → [`vcode::VCode`] lowering.
+    pub vcode: Duration,
+    /// Stage 2: register allocation, plus the stage-3 verifier in debug
+    /// builds.
+    pub regalloc: Duration,
+    /// Stage 4: emission, then text layout and data relocation.
+    pub emit: Duration,
+}
+
+impl BackendTimes {
+    /// Total time across the three stages.
+    pub fn total(&self) -> Duration {
+        self.vcode + self.regalloc + self.emit
+    }
+}
+
 /// Compiles one MIR function through the full pipeline: lowering,
-/// register allocation, (debug-build) verification, emission.
-fn compile_function(f: &MirFunction, level: OptLevel) -> Result<AsmFunction, CompileError> {
+/// register allocation, (debug-build) verification, emission — adding
+/// each stage's wall-clock to `times`.
+fn compile_function(
+    f: &MirFunction,
+    level: OptLevel,
+    times: &mut BackendTimes,
+) -> Result<AsmFunction, CompileError> {
+    let t = Instant::now();
     let mut vc = lower::lower_function(f, level)?;
+    let lowered = Instant::now();
+    times.vcode += lowered - t;
     let alloc = regalloc::allocate(&mut vc);
     if cfg!(debug_assertions) {
         if let Err(e) = vc.verify_allocated(&alloc.saved) {
@@ -459,16 +496,42 @@ fn compile_function(f: &MirFunction, level: OptLevel) -> Result<AsmFunction, Com
             )));
         }
     }
-    Ok(emit::emit_function(&vc, level, alloc.stats))
+    let allocated = Instant::now();
+    times.regalloc += allocated - lowered;
+    let asm = emit::emit_function(&vc, level, alloc.stats);
+    times.emit += allocated.elapsed();
+    Ok(asm)
 }
 
 /// Assembles a whole program: per-function compilation, layout, data-image
 /// relocation.
+///
+/// # Errors
+///
+/// [`CompileError::TooManyArgs`] for a function of more than four
+/// parameters or a call with more than four arguments (see
+/// [`lower::lower_function`]), [`CompileError::Internal`] for a φ-node or,
+/// in debug builds, an allocation the verifier rejects.
 pub fn compile_program(program: &Program, level: OptLevel) -> Result<Assembly, CompileError> {
-    let mut functions = Vec::new();
+    compile_program_timed(program, level).map(|(asm, _)| asm)
+}
+
+/// [`compile_program`], additionally reporting the wall-clock of each
+/// backend stage.
+///
+/// # Errors
+///
+/// Exactly [`compile_program`]'s.
+pub(crate) fn compile_program_timed(
+    program: &Program,
+    level: OptLevel,
+) -> Result<(Assembly, BackendTimes), CompileError> {
+    let mut times = BackendTimes::default();
+    let mut functions = Vec::with_capacity(program.functions.len());
     for f in &program.functions {
-        functions.push(compile_function(f, level)?);
+        functions.push(compile_function(f, level, &mut times)?);
     }
+    let t = Instant::now();
     // Text layout.
     let mut fn_addrs = Vec::with_capacity(functions.len());
     let mut cursor = TEXT_BASE;
@@ -496,12 +559,16 @@ pub fn compile_program(program: &Program, level: OptLevel) -> Result<Assembly, C
         });
         offset += g.size as u32;
     }
-    Ok(Assembly {
-        functions,
-        globals,
-        externs: program.externs.clone(),
-        fn_addrs,
-    })
+    times.emit += t.elapsed();
+    Ok((
+        Assembly {
+            functions,
+            globals,
+            externs: program.externs.clone(),
+            fn_addrs,
+        },
+        times,
+    ))
 }
 
 #[cfg(test)]
@@ -529,15 +596,22 @@ mod tests {
     #[test]
     fn compiles_tiny_function() {
         let f = tiny_fn("t", 7);
-        let asm = compile_function(&f, OptLevel::O1).expect("compiles");
+        let asm =
+            compile_function(&f, OptLevel::O1, &mut BackendTimes::default()).expect("compiles");
         assert!(asm.text_size() > 0);
         assert!(asm.insts.iter().any(|i| matches!(i, AsmInst::Ret)));
     }
 
     #[test]
     fn large_immediates_cost_more() {
-        let small = compile_function(&tiny_fn("s", 7), OptLevel::O1).expect("ok");
-        let large = compile_function(&tiny_fn("l", 1_000_000), OptLevel::O1).expect("ok");
+        let small = compile_function(&tiny_fn("s", 7), OptLevel::O1, &mut BackendTimes::default())
+            .expect("ok");
+        let large = compile_function(
+            &tiny_fn("l", 1_000_000),
+            OptLevel::O1,
+            &mut BackendTimes::default(),
+        )
+        .expect("ok");
         assert!(large.text_size() > small.text_size());
     }
 
@@ -546,7 +620,8 @@ mod tests {
         // A call-free function keeps everything in caller-saved registers:
         // no saves, no slots, no prologue stores.
         let f = tiny_fn("leaf", 7);
-        let asm = compile_function(&f, OptLevel::O1).expect("compiles");
+        let asm =
+            compile_function(&f, OptLevel::O1, &mut BackendTimes::default()).expect("compiles");
         assert_eq!(asm.stats.saved_regs, 0, "{:?}", asm.insts);
         assert_eq!(asm.stats.spill_slots, 0);
         assert_eq!(asm.stats.spill_bytes, 0);
@@ -578,7 +653,8 @@ mod tests {
             }],
             next_vreg: 1,
         };
-        let asm = compile_function(&f, OptLevel::O1).expect("compiles");
+        let asm =
+            compile_function(&f, OptLevel::O1, &mut BackendTimes::default()).expect("compiles");
         assert_eq!(asm.stats.saved_regs, 1, "{:?}", asm.insts);
         assert_eq!(asm.stats.spill_slots, 0);
     }
@@ -608,7 +684,7 @@ mod tests {
                 ],
                 next_vreg: 1,
             };
-            let asm = compile_function(&f, level).expect("compiles");
+            let asm = compile_function(&f, level, &mut BackendTimes::default()).expect("compiles");
             let has_table = asm
                 .insts
                 .iter()
@@ -649,6 +725,83 @@ mod tests {
         let text = asm.listing();
         assert!(text.contains("main:"));
         assert!(text.contains("Ret"));
+    }
+
+    #[test]
+    fn over_long_argument_lists_are_errors_not_panics() {
+        // A five-parameter function.
+        let mut wide = tiny_fn("wide", 1);
+        wide.params = 5;
+        wide.next_vreg = 5;
+        let p = Program {
+            functions: vec![tiny_fn("main", 0), wide],
+            globals: vec![],
+            externs: vec![],
+        };
+        assert_eq!(
+            compile_program(&p, OptLevel::O2).map(|_| ()),
+            Err(CompileError::TooManyArgs {
+                function: "wide".into(),
+                arity: 5,
+            })
+        );
+        // A five-argument call of each kind.
+        let args: Vec<VReg> = vec![VReg(0); 5];
+        for call in [
+            Inst::Call {
+                dst: None,
+                func: 0,
+                args: args.clone(),
+            },
+            Inst::CallExtern {
+                dst: None,
+                ext: 0,
+                args: args.clone(),
+            },
+            Inst::CallInd {
+                dst: Some(VReg(1)),
+                ptr: VReg(0),
+                args: args.clone(),
+            },
+        ] {
+            let mut caller = tiny_fn("caller", 3);
+            caller.next_vreg = 2;
+            caller.blocks[0].insts.push(call);
+            let p = Program {
+                functions: vec![caller],
+                globals: vec![],
+                externs: vec!["env".into()],
+            };
+            assert!(
+                matches!(
+                    compile_program(&p, OptLevel::O0),
+                    Err(CompileError::TooManyArgs { arity: 5, .. })
+                ),
+                "{:?}",
+                p.functions[0].blocks[0].insts[1]
+            );
+            // Four arguments are the convention's limit, and fine.
+            let mut p = p;
+            if let Inst::Call { args, .. }
+            | Inst::CallExtern { args, .. }
+            | Inst::CallInd { args, .. } = &mut p.functions[0].blocks[0].insts[1]
+            {
+                args.pop();
+            }
+            compile_program(&p, OptLevel::O0).expect("four arguments compile");
+        }
+    }
+
+    #[test]
+    fn timed_compiles_split_the_backend_and_match_untimed_ones() {
+        let p = Program {
+            functions: vec![tiny_fn("a", 1), tiny_fn("b", 1_000_000)],
+            globals: vec![],
+            externs: vec![],
+        };
+        let (asm, times) = compile_program_timed(&p, OptLevel::O2).expect("assembles");
+        assert_eq!(asm, compile_program(&p, OptLevel::O2).expect("assembles"));
+        assert_eq!(times.total(), times.vcode + times.regalloc + times.emit);
     }
 
     #[test]

@@ -27,19 +27,46 @@
 //!   (call arguments/results, returned values) are satisfied here with
 //!   parallel-move resolution (cycle-breaking through `r13`), then the
 //!   call pseudo-ops collapse to their physical form.
-
-use std::collections::{BTreeMap, BTreeSet};
+//!
+//! # Representation
+//!
+//! Everything the allocator keeps per virtual register — the live range,
+//! the def and use hints, the final location — lives in a `Vec` indexed
+//! by register number over `0..`[`VCode::next_vreg`] (the
+//! [`crate::verify`] `vreg-out-of-range` rule keeps MIR registers below
+//! it; a register beyond it widens the tables instead of panicking).
+//! Block liveness is the dense [`cfg::Liveness`] the mid-end's
+//! `copy-coalesce` also uses, gathered in the same single walk over the
+//! operands that builds the ranges. Operands come from
+//! [`EmInst::operands`] as an inline list of at most
+//! [`MAX_OPERANDS`](super::vcode::MAX_OPERANDS) entries — pointer, four
+//! arguments and result of the widest call — and clobbers as a register
+//! mask, so the walk allocates nothing per instruction. The call list is
+//! in position order, so the calls inside a range are found by binary
+//! search; candidate registers are probed in order without building a
+//! list; the rewrite reuses one parallel-move buffer and each block's
+//! emptied instruction vector as the next block's output.
+//!
+//! The decisions are fixed by these orders: ranges are allocated in
+//! `(start, register)` order; candidates are probed as def hint, use
+//! hint, `r2, r3, r4, r1`, callee-saved registers already in use
+//! (ascending), then the unused ones (ascending); the eviction victim is
+//! the first cheapest active range holding a register no call inside the
+//! new range clobbers.
 
 use super::vcode::{Constraint, EmInst, OpKind, Reg, VCode, VTerm};
 use super::{
-    is_callee_saved, RegAllocStats, ALLOC_REGS, ARG_REGS, RET_REG, SCRATCH0, SCRATCH1, SP,
+    is_callee_saved, RegAllocStats, ALLOC_REGS, ARG_REGS, RET_REG, SCRATCH0, SCRATCH1, SP, ZERO,
 };
-use crate::cfg;
+use crate::cfg::{self, BlockSets};
 use crate::mir::{BinOp, VReg};
 
 /// Caller-saved probe order: keep `r1` last so it stays free for result
 /// forwarding unless a hint asks for it.
 const CALLER_ORDER: [u8; 4] = [2, 3, 4, 1];
+
+/// The "no hint" entry of the per-register hint tables.
+const NO_HINT: u8 = u8::MAX;
 
 /// Where a virtual register lives for its whole range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,9 +87,8 @@ pub struct Allocation {
 }
 
 /// One contiguous live range (conservative over the linear block order).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Range {
-    vreg: VReg,
     start: u32,
     end: u32,
     /// Loop-depth-weighted use/def occurrence count.
@@ -70,6 +96,23 @@ struct Range {
 }
 
 impl Range {
+    /// The entry of a register that occurs nowhere.
+    const NONE: Range = Range {
+        start: u32::MAX,
+        end: 0,
+        weight_sum: 0.0,
+    };
+
+    fn exists(&self) -> bool {
+        self.start != u32::MAX
+    }
+
+    /// Extends the range to cover `pos`.
+    fn touch(&mut self, pos: u32) {
+        self.start = self.start.min(pos);
+        self.end = self.end.max(pos);
+    }
+
     fn weight(&self) -> f64 {
         self.weight_sum / f64::from(self.end - self.start + 1)
     }
@@ -92,166 +135,167 @@ pub fn allocate(vc: &mut VCode) -> Allocation {
     }
 }
 
+/// The allocator's input, indexed by virtual-register number.
 struct Intervals {
+    /// Live range per register ([`Range::NONE`] if it never occurs).
     ranges: Vec<Range>,
-    /// `(use-position, clobber mask)` per call instruction.
+    /// `(use-position, clobber mask)` per call instruction, in position
+    /// order.
     calls: Vec<(u32, u16)>,
     /// Strong register preferences (fixed-def constraints, parameters).
-    hint_def: BTreeMap<VReg, u8>,
+    hint_def: Vec<u8>,
     /// Weak preferences (fixed-use constraints).
-    hint_use: BTreeMap<VReg, u8>,
+    hint_use: Vec<u8>,
 }
 
 fn build_ranges(vc: &VCode) -> Intervals {
-    let n = vc.blocks.len();
-    // Block-level liveness over virtual registers.
-    let mut use_set = vec![BTreeSet::new(); n];
-    let mut def_set = vec![BTreeSet::new(); n];
-    let mut succs = Vec::with_capacity(n);
-    for (bi, block) in vc.blocks.iter().enumerate() {
-        for ops in block
-            .insts
-            .iter()
-            .map(EmInst::operands)
-            .chain(std::iter::once(block.term.operands()))
-        {
-            for op in ops {
-                let Reg::Virt(v) = op.reg else { continue };
-                match op.kind {
-                    OpKind::Use => {
-                        if !def_set[bi].contains(&v) {
-                            use_set[bi].insert(v);
-                        }
-                    }
-                    OpKind::Def | OpKind::EarlyDef => {
-                        def_set[bi].insert(v);
-                    }
-                }
-            }
+    let params = vc.params.iter().map(|p| p.0 + 1).max().unwrap_or(0);
+    let mut domain = vc.next_vreg.max(params) as usize;
+    loop {
+        match scan_operands(vc, domain) {
+            Ok(iv) => return iv,
+            Err(wider) => domain = wider,
         }
-        succs.push(block.term.succs());
     }
-    let live = cfg::solve_liveness(&succs, &use_set, &def_set);
+}
 
+/// One walk over every operand: block use/def sets, instruction-position
+/// ranges, weights, hints and calls; then block liveness extends each
+/// range over the block boundaries it is live across. Fails with a wider
+/// domain if a register lies at or beyond `domain`.
+fn scan_operands(vc: &VCode, domain: usize) -> Result<Intervals, usize> {
+    let n = vc.blocks.len();
+    let mut sets = BlockSets::new(n, domain);
+    let mut ranges = vec![Range::NONE; domain];
+    let mut hint_def = vec![NO_HINT; domain];
+    let mut hint_use = vec![NO_HINT; domain];
+    let mut calls = Vec::new();
+    // First and last position of each block.
+    let mut bounds = Vec::with_capacity(n);
     // Instruction numbering: position 0 belongs to the parameters, each
     // instruction i reads at 2i and writes at 2i+1.
-    let mut ranges: BTreeMap<VReg, Range> = BTreeMap::new();
-    let touch = |map: &mut BTreeMap<VReg, Range>, v: VReg, pos: u32| {
-        let r = map.entry(v).or_insert(Range {
-            vreg: v,
-            start: pos,
-            end: pos,
-            weight_sum: 0.0,
-        });
-        r.start = r.start.min(pos);
-        r.end = r.end.max(pos);
-    };
-    let mut calls = Vec::new();
-    let mut hint_def = BTreeMap::new();
-    let mut hint_use = BTreeMap::new();
     let mut idx = 1u32;
     for (bi, block) in vc.blocks.iter().enumerate() {
         let depth_weight = 1.0 + 3.0 * f64::from(block.loop_depth);
         let first_pos = 2 * idx;
-        for v in &live.live_in[bi] {
-            touch(&mut ranges, *v, first_pos);
-        }
         let inst_ops = block
             .insts
             .iter()
             .map(|i| (i.operands(), i.clobbers()))
-            .chain(std::iter::once((block.term.operands(), Vec::new())));
+            .chain(std::iter::once((block.term.operands(), 0)));
         for (ops, clobbers) in inst_ops {
             let use_pos = 2 * idx;
             let def_pos = 2 * idx + 1;
             for op in ops {
-                if let Constraint::Fixed(p) = op.constraint {
-                    if let Reg::Virt(v) = op.reg {
-                        match op.kind {
-                            OpKind::Use => {
-                                hint_use.entry(v).or_insert(p);
-                            }
-                            OpKind::Def | OpKind::EarlyDef => {
-                                hint_def.entry(v).or_insert(p);
-                            }
-                        }
-                    }
-                }
                 let Reg::Virt(v) = op.reg else { continue };
                 let pos = match op.kind {
-                    OpKind::Use | OpKind::EarlyDef => use_pos,
-                    OpKind::Def => def_pos,
+                    OpKind::Use => {
+                        sets.read(bi, v);
+                        use_pos
+                    }
+                    OpKind::EarlyDef => {
+                        sets.write(bi, v);
+                        use_pos
+                    }
+                    OpKind::Def => {
+                        sets.write(bi, v);
+                        def_pos
+                    }
                 };
-                touch(&mut ranges, v, pos);
-                ranges.get_mut(&v).expect("just touched").weight_sum += depth_weight;
-            }
-            if !clobbers.is_empty() {
-                let mut mask = 0u16;
-                for c in clobbers {
-                    mask |= 1 << c;
+                let vi = v.0 as usize;
+                if vi >= domain {
+                    continue; // `sets` asks for a wider domain below
                 }
-                calls.push((use_pos, mask));
+                if let Constraint::Fixed(p) = op.constraint {
+                    let hint = match op.kind {
+                        OpKind::Use => &mut hint_use[vi],
+                        OpKind::Def | OpKind::EarlyDef => &mut hint_def[vi],
+                    };
+                    if *hint == NO_HINT {
+                        *hint = p;
+                    }
+                }
+                let r = &mut ranges[vi];
+                r.touch(pos);
+                r.weight_sum += depth_weight;
+            }
+            if clobbers != 0 {
+                calls.push((use_pos, clobbers));
             }
             idx += 1;
         }
-        let block_end = 2 * (idx - 1) + 1;
-        for v in &live.live_out[bi] {
-            touch(&mut ranges, *v, block_end);
+        bounds.push((first_pos, 2 * (idx - 1) + 1));
+    }
+    if let Some(wider) = sets.widened() {
+        return Err(wider);
+    }
+    let live = cfg::solve_liveness(|b| vc.blocks[b].term.succs(), &sets);
+    for (bi, &(first_pos, block_end)) in bounds.iter().enumerate() {
+        for v in live.live_in.iter(bi) {
+            ranges[v].touch(first_pos);
+        }
+        for v in live.live_out.iter(bi) {
+            ranges[v].touch(block_end);
         }
     }
     // Parameters are defined at position 0 in ARG_REGS order; dead
     // parameters (no occurrences at all) get no range and no move.
     for (i, p) in vc.params.iter().enumerate() {
-        if ranges.contains_key(p) {
-            touch(&mut ranges, *p, 0);
-            hint_def.entry(*p).or_insert(ARG_REGS[i]);
+        let pi = p.0 as usize;
+        if ranges[pi].exists() {
+            ranges[pi].touch(0);
+            if hint_def[pi] == NO_HINT {
+                hint_def[pi] = ARG_REGS[i];
+            }
         }
     }
-    Intervals {
-        ranges: ranges.into_values().collect(),
+    Ok(Intervals {
+        ranges,
         calls,
         hint_def,
         hint_use,
-    }
+    })
 }
 
-fn scan(iv: &Intervals) -> (BTreeMap<VReg, Loc>, Vec<u8>, usize) {
-    let mut order: Vec<&Range> = iv.ranges.iter().collect();
-    order.sort_by_key(|r| (r.start, r.vreg));
-    let mut active: Vec<(u32, u8, VReg, f64)> = Vec::new(); // (end, phys, vreg, weight)
-    let mut loc: BTreeMap<VReg, Loc> = BTreeMap::new();
+fn scan(iv: &Intervals) -> (Vec<Option<Loc>>, Vec<u8>, usize) {
+    let mut order: Vec<u32> = (0..iv.ranges.len() as u32)
+        .filter(|&v| iv.ranges[v as usize].exists())
+        .collect();
+    order.sort_unstable_by_key(|&v| (iv.ranges[v as usize].start, v));
+    let mut active: Vec<(u32, u8, u32, f64)> = Vec::new(); // (end, phys, vreg, weight)
+    let mut loc: Vec<Option<Loc>> = vec![None; iv.ranges.len()];
     let mut saved: Vec<u8> = Vec::new();
+    let mut saved_mask = 0u16;
     let mut slots = 0usize;
-    for r in order {
+    for v in order {
+        let vi = v as usize;
+        let r = iv.ranges[vi];
         active.retain(|(end, ..)| *end >= r.start);
-        let mut forbidden = 0u16;
-        for (cp, mask) in &iv.calls {
-            if r.start < *cp && r.end > *cp {
-                forbidden |= mask;
-            }
-        }
-        let mut in_use = 0u16;
-        for (_, p, ..) in &active {
-            in_use |= 1 << p;
-        }
+        // Calls strictly inside the range: the list is in position order.
+        let first = iv.calls.partition_point(|(cp, _)| *cp <= r.start);
+        let forbidden = iv.calls[first..]
+            .iter()
+            .take_while(|(cp, _)| *cp < r.end)
+            .fold(0u16, |m, (_, mask)| m | mask);
+        let in_use = active.iter().fold(0u16, |m, (_, p, ..)| m | 1 << p);
         let ok = |p: u8| forbidden & (1 << p) == 0;
         let free = |p: u8| in_use & (1 << p) == 0;
 
-        let mut candidates: Vec<u8> = Vec::new();
-        candidates.extend(iv.hint_def.get(&r.vreg));
-        candidates.extend(iv.hint_use.get(&r.vreg));
-        candidates.extend(CALLER_ORDER);
-        let mut used_callee: Vec<u8> = saved.clone();
-        used_callee.sort_unstable();
-        candidates.extend(used_callee);
-        candidates.extend(ALLOC_REGS.iter().filter(|p| !saved.contains(p)));
-
-        if let Some(p) = candidates.into_iter().find(|p| ok(*p) && free(*p)) {
-            if is_callee_saved(p) && !saved.contains(&p) {
+        let is_saved = |p: &u8| saved_mask & (1 << p) != 0;
+        let candidate = [iv.hint_def[vi], iv.hint_use[vi]]
+            .into_iter()
+            .filter(|&p| p != NO_HINT)
+            .chain(CALLER_ORDER)
+            .chain(ALLOC_REGS.into_iter().filter(is_saved))
+            .chain(ALLOC_REGS.into_iter().filter(|p| !is_saved(p)))
+            .find(|p| ok(*p) && free(*p));
+        if let Some(p) = candidate {
+            if is_callee_saved(p) && saved_mask & (1 << p) == 0 {
                 saved.push(p);
+                saved_mask |= 1 << p;
             }
-            loc.insert(r.vreg, Loc::Reg(p));
-            active.push((r.end, p, r.vreg, r.weight()));
+            loc[vi] = Some(Loc::Reg(p));
+            active.push((r.end, p, v, r.weight()));
             continue;
         }
         // Nothing free: evict the cheapest active range holding an
@@ -265,13 +309,13 @@ fn scan(iv: &Intervals) -> (BTreeMap<VReg, Loc>, Vec<u8>, usize) {
         match victim {
             Some(i) if active[i].3 < r.weight() => {
                 let (_, p, evicted, _) = active.swap_remove(i);
-                loc.insert(evicted, Loc::Slot(slots));
+                loc[evicted as usize] = Some(Loc::Slot(slots));
                 slots += 1;
-                loc.insert(r.vreg, Loc::Reg(p));
-                active.push((r.end, p, r.vreg, r.weight()));
+                loc[vi] = Some(Loc::Reg(p));
+                active.push((r.end, p, v, r.weight()));
             }
             _ => {
-                loc.insert(r.vreg, Loc::Slot(slots));
+                loc[vi] = Some(Loc::Slot(slots));
                 slots += 1;
             }
         }
@@ -287,10 +331,13 @@ enum Src {
 }
 
 struct Rewriter<'a> {
-    loc: &'a BTreeMap<VReg, Loc>,
+    loc: &'a [Option<Loc>],
     saved: &'a [u8],
     frame: i32,
     spill_bytes: usize,
+    /// The pending parallel moves of one call or prologue (kept for its
+    /// capacity between uses).
+    moves: Vec<(u8, Src)>,
 }
 
 impl Rewriter<'_> {
@@ -301,7 +348,7 @@ impl Rewriter<'_> {
     fn loc_of(&self, r: Reg) -> Loc {
         match r {
             Reg::Phys(p) => Loc::Reg(p),
-            Reg::Virt(v) => *self.loc.get(&v).expect("every occurring vreg has a range"),
+            Reg::Virt(v) => self.loc[v.0 as usize].expect("every occurring vreg has a range"),
         }
     }
 
@@ -324,91 +371,75 @@ impl Rewriter<'_> {
     }
 
     /// Rewrites one straight-line (non-call) instruction: reloads spilled
-    /// uses into scratches, routes a spilled def through `r12`.
+    /// uses into scratches (`r12`, then `r13`; once per register, in
+    /// operand order), routes a spilled def through `r12`.
     fn rewrite_simple(&mut self, inst: &EmInst, out: &mut Vec<EmInst>) {
-        let mut scratch_iter = [SCRATCH0, SCRATCH1].into_iter();
-        let mut reloaded: BTreeMap<Reg, u8> = BTreeMap::new();
-        let mut uses = Vec::new();
+        let mut reloaded = [(Reg::Phys(ZERO), 0u8); 2];
+        let mut nreloaded = 0;
         let mut def_store = None;
-        // Resolve operands first (emitting reloads), then map fields.
         for op in inst.operands() {
-            match op.kind {
-                OpKind::Use => match self.loc_of(op.reg) {
-                    Loc::Reg(p) => {
-                        uses.push((op.reg, p));
+            match (op.kind, self.loc_of(op.reg)) {
+                (OpKind::Use, Loc::Reg(_)) => {}
+                (OpKind::Use, Loc::Slot(s)) => {
+                    if !reloaded[..nreloaded].iter().any(|(r, _)| *r == op.reg) {
+                        let p = [SCRATCH0, SCRATCH1][nreloaded];
+                        self.load_slot(p, s, out);
+                        reloaded[nreloaded] = (op.reg, p);
+                        nreloaded += 1;
                     }
-                    Loc::Slot(_) => {
-                        let p = *reloaded.entry(op.reg).or_insert_with(|| {
-                            scratch_iter.next().expect("at most two spilled uses")
-                        });
-                        uses.push((op.reg, p));
-                    }
-                },
-                OpKind::Def | OpKind::EarlyDef => match self.loc_of(op.reg) {
-                    Loc::Reg(p) => def_store = Some((p, None)),
-                    Loc::Slot(s) => def_store = Some((SCRATCH0, Some(s))),
-                },
-            }
-        }
-        // Emit the reloads (deduplicated by operand register).
-        let mut done: BTreeSet<Reg> = BTreeSet::new();
-        for op in inst.operands() {
-            if op.kind != OpKind::Use {
-                continue;
-            }
-            if let Loc::Slot(s) = self.loc_of(op.reg) {
-                if done.insert(op.reg) {
-                    let p = reloaded[&op.reg];
-                    self.load_slot(p, s, out);
+                }
+                (OpKind::Def | OpKind::EarlyDef, Loc::Reg(p)) => def_store = Some((p, None)),
+                (OpKind::Def | OpKind::EarlyDef, Loc::Slot(s)) => {
+                    def_store = Some((SCRATCH0, Some(s)));
                 }
             }
         }
-        let map_use = |r: Reg, uses: &[(Reg, u8)]| -> Reg {
-            let p = uses
-                .iter()
-                .find(|(orig, _)| *orig == r)
-                .expect("use operand was resolved")
-                .1;
-            Reg::Phys(p)
+        let map_use = |r: Reg| -> Reg {
+            Reg::Phys(match self.loc_of(r) {
+                Loc::Reg(p) => p,
+                Loc::Slot(_) => {
+                    reloaded[..nreloaded]
+                        .iter()
+                        .find(|(orig, _)| *orig == r)
+                        .expect("spilled use was reloaded")
+                        .1
+                }
+            })
         };
-        let map_def =
-            |_r: Reg| -> Reg { Reg::Phys(def_store.expect("def operand was resolved").0) };
-        let rewritten = match inst.clone() {
-            EmInst::Li { rd, imm } => EmInst::Li {
-                rd: map_def(rd),
-                imm,
+        let map_def = || Reg::Phys(def_store.expect("def operand was resolved").0);
+        let rewritten = match *inst {
+            EmInst::Li { imm, .. } => EmInst::Li { rd: map_def(), imm },
+            EmInst::Mv { rs, .. } => EmInst::Mv {
+                rd: map_def(),
+                rs: map_use(rs),
             },
-            EmInst::Mv { rd, rs } => EmInst::Mv {
-                rd: map_def(rd),
-                rs: map_use(rs, &uses),
-            },
-            EmInst::Alu { op, rd, rs1, rs2 } => EmInst::Alu {
+            EmInst::Alu { op, rs1, rs2, .. } => EmInst::Alu {
                 op,
-                rd: map_def(rd),
-                rs1: map_use(rs1, &uses),
-                rs2: map_use(rs2, &uses),
+                rd: map_def(),
+                rs1: map_use(rs1),
+                rs2: map_use(rs2),
             },
-            EmInst::Lw { rd, base, off } => EmInst::Lw {
-                rd: map_def(rd),
-                base: map_use(base, &uses),
+            EmInst::Lw { base, off, .. } => EmInst::Lw {
+                rd: map_def(),
+                base: map_use(base),
                 off,
             },
             EmInst::Sw { src, base, off } => EmInst::Sw {
-                src: map_use(src, &uses),
-                base: map_use(base, &uses),
+                src: map_use(src),
+                base: map_use(base),
                 off,
             },
-            EmInst::La { rd, global, off } => EmInst::La {
-                rd: map_def(rd),
+            EmInst::La { global, off, .. } => EmInst::La {
+                rd: map_def(),
                 global,
                 off,
             },
-            EmInst::LaFn { rd, func } => EmInst::LaFn {
-                rd: map_def(rd),
+            EmInst::LaFn { func, .. } => EmInst::LaFn {
+                rd: map_def(),
                 func,
             },
-            call @ (EmInst::Jal { .. } | EmInst::Jalr { .. } | EmInst::Ecall { .. }) => {
-                unreachable!("calls are rewritten by rewrite_call: {call:?}")
+            EmInst::Jal { .. } | EmInst::Jalr { .. } | EmInst::Ecall { .. } => {
+                unreachable!("calls are rewritten by rewrite_call: {inst:?}")
             }
         };
         out.push(rewritten);
@@ -417,10 +448,11 @@ impl Rewriter<'_> {
         }
     }
 
-    /// Emits a parallel move set: register-to-register moves plus slot
-    /// reloads, in an order that never overwrites a still-needed source;
-    /// cycles break through `r13`.
-    fn resolve_moves(&mut self, mut pending: Vec<(u8, Src)>, out: &mut Vec<EmInst>) {
+    /// Emits the pending parallel move set: register-to-register moves
+    /// plus slot reloads, in an order that never overwrites a
+    /// still-needed source; cycles break through `r13`.
+    fn resolve_moves(&mut self, out: &mut Vec<EmInst>) {
+        let mut pending = std::mem::take(&mut self.moves);
         pending.retain(|(d, s)| *s != Src::Reg(*d));
         while !pending.is_empty() {
             let ready = pending
@@ -462,19 +494,7 @@ impl Rewriter<'_> {
                 }
             }
         }
-    }
-
-    fn arg_moves(&mut self, args: &[Reg]) -> Vec<(u8, Src)> {
-        args.iter()
-            .enumerate()
-            .map(|(i, a)| {
-                let src = match self.loc_of(*a) {
-                    Loc::Reg(p) => Src::Reg(p),
-                    Loc::Slot(s) => Src::Slot(self.slot_off(s)),
-                };
-                (ARG_REGS[i], src)
-            })
-            .collect()
+        self.moves = pending;
     }
 
     fn store_ret(&mut self, ret: Option<Reg>, out: &mut Vec<EmInst>) {
@@ -492,55 +512,47 @@ impl Rewriter<'_> {
         }
     }
 
-    fn rewrite_call(&mut self, inst: &EmInst, out: &mut Vec<EmInst>) {
-        match inst.clone() {
-            EmInst::Jal { func, args, ret } => {
-                let moves = self.arg_moves(&args);
-                self.resolve_moves(moves, out);
-                out.push(EmInst::Jal {
-                    func,
-                    args: (0..args.len()).map(|i| Reg::Phys(ARG_REGS[i])).collect(),
-                    ret: ret.map(|_| Reg::Phys(RET_REG)),
-                });
-                self.store_ret(ret, out);
-            }
-            EmInst::Ecall { ext, args, ret } => {
-                let moves = self.arg_moves(&args);
-                self.resolve_moves(moves, out);
-                out.push(EmInst::Ecall {
-                    ext,
-                    args: (0..args.len()).map(|i| Reg::Phys(ARG_REGS[i])).collect(),
-                    ret: ret.map(|_| Reg::Phys(RET_REG)),
-                });
-                self.store_ret(ret, out);
-            }
-            EmInst::Jalr { ptr, args, ret } => {
-                let mut moves = self.arg_moves(&args);
-                // The target address must survive the argument moves: any
-                // register outside the written ARG_REGS prefix does, a
-                // spilled or argument-register pointer routes through r12
-                // as one more parallel move.
-                let ptr_phys = match self.loc_of(ptr) {
-                    Loc::Reg(p) if !ARG_REGS[..args.len()].contains(&p) => p,
-                    Loc::Reg(p) => {
-                        moves.push((SCRATCH0, Src::Reg(p)));
-                        SCRATCH0
-                    }
-                    Loc::Slot(s) => {
-                        moves.push((SCRATCH0, Src::Slot(self.slot_off(s))));
-                        SCRATCH0
-                    }
-                };
-                self.resolve_moves(moves, out);
-                out.push(EmInst::Jalr {
-                    ptr: Reg::Phys(ptr_phys),
-                    args: (0..args.len()).map(|i| Reg::Phys(ARG_REGS[i])).collect(),
-                    ret: ret.map(|_| Reg::Phys(RET_REG)),
-                });
-                self.store_ret(ret, out);
-            }
+    /// Rewrites a call pseudo-op in place to its physical form, preceded
+    /// by the argument moves and followed by the result's store.
+    fn rewrite_call(&mut self, mut inst: EmInst, out: &mut Vec<EmInst>) {
+        let (ptr, args, ret) = match &mut inst {
+            EmInst::Jal { args, ret, .. } | EmInst::Ecall { args, ret, .. } => (None, args, ret),
+            EmInst::Jalr { ptr, args, ret } => (Some(ptr), args, ret),
             other => unreachable!("not a call: {other:?}"),
+        };
+        self.moves.clear();
+        for (i, a) in args.iter_mut().enumerate() {
+            let src = match self.loc_of(*a) {
+                Loc::Reg(p) => Src::Reg(p),
+                Loc::Slot(s) => Src::Slot(self.slot_off(s)),
+            };
+            self.moves.push((ARG_REGS[i], src));
+            *a = Reg::Phys(ARG_REGS[i]);
         }
+        if let Some(ptr) = ptr {
+            // The target address must survive the argument moves: any
+            // register outside the written ARG_REGS prefix does, a
+            // spilled or argument-register pointer routes through r12
+            // as one more parallel move.
+            let ptr_phys = match self.loc_of(*ptr) {
+                Loc::Reg(p) if !ARG_REGS[..args.len()].contains(&p) => p,
+                Loc::Reg(p) => {
+                    self.moves.push((SCRATCH0, Src::Reg(p)));
+                    SCRATCH0
+                }
+                Loc::Slot(s) => {
+                    let off = self.slot_off(s);
+                    self.moves.push((SCRATCH0, Src::Slot(off)));
+                    SCRATCH0
+                }
+            };
+            *ptr = Reg::Phys(ptr_phys);
+        }
+        let value = *ret;
+        *ret = value.map(|_| Reg::Phys(RET_REG));
+        self.resolve_moves(out);
+        out.push(inst);
+        self.store_ret(value, out);
     }
 
     fn prologue(&mut self, params: &[VReg], out: &mut Vec<EmInst>) {
@@ -565,15 +577,15 @@ impl Rewriter<'_> {
         }
         // Incoming arguments: slot stores first (they clobber nothing),
         // then the register shuffle as one parallel move.
-        let mut moves = Vec::new();
+        self.moves.clear();
         for (i, p) in params.iter().enumerate() {
-            match self.loc.get(p) {
-                Some(Loc::Reg(r)) => moves.push((*r, Src::Reg(ARG_REGS[i]))),
-                Some(Loc::Slot(s)) => self.store_slot(ARG_REGS[i], *s, out),
+            match self.loc.get(p.0 as usize).copied().flatten() {
+                Some(Loc::Reg(r)) => self.moves.push((r, Src::Reg(ARG_REGS[i]))),
+                Some(Loc::Slot(s)) => self.store_slot(ARG_REGS[i], s, out),
                 None => {} // dead parameter
             }
         }
-        self.resolve_moves(moves, out);
+        self.resolve_moves(out);
     }
 
     fn epilogue(&mut self, value: Option<Reg>, out: &mut Vec<EmInst>) {
@@ -610,82 +622,67 @@ impl Rewriter<'_> {
             });
         }
     }
+
+    /// The physical register a branch operand reads: its own, or `r12`
+    /// after a reload.
+    fn branch_operand(&mut self, r: &mut Reg, out: &mut Vec<EmInst>) {
+        let p = match self.loc_of(*r) {
+            Loc::Reg(p) => p,
+            Loc::Slot(s) => {
+                self.load_slot(SCRATCH0, s, out);
+                SCRATCH0
+            }
+        };
+        *r = Reg::Phys(p);
+    }
 }
 
-fn rewrite(vc: &mut VCode, loc: &BTreeMap<VReg, Loc>, saved: &[u8], slots: usize) -> usize {
+fn rewrite(vc: &mut VCode, loc: &[Option<Loc>], saved: &[u8], slots: usize) -> usize {
     let mut rw = Rewriter {
         loc,
         saved,
         frame: ((saved.len() + slots) * 4) as i32,
         spill_bytes: 0,
+        moves: Vec::new(),
     };
-    let params = vc.params.clone();
-    for (bi, block) in vc.blocks.iter_mut().enumerate() {
-        let mut out = Vec::with_capacity(block.insts.len() + 4);
+    let VCode { params, blocks, .. } = vc;
+    // Each block's emptied input vector becomes the next block's output.
+    let mut spare: Vec<EmInst> = Vec::new();
+    for (bi, block) in blocks.iter_mut().enumerate() {
+        let mut out = std::mem::take(&mut spare);
+        out.reserve(block.insts.len() + 4);
         if bi == 0 {
-            rw.prologue(&params, &mut out);
+            rw.prologue(params, &mut out);
         }
-        for inst in &block.insts {
+        let mut insts = std::mem::take(&mut block.insts);
+        for inst in insts.drain(..) {
             match inst {
                 EmInst::Jal { .. } | EmInst::Jalr { .. } | EmInst::Ecall { .. } => {
                     rw.rewrite_call(inst, &mut out);
                 }
-                _ => rw.rewrite_simple(inst, &mut out),
+                _ => rw.rewrite_simple(&inst, &mut out),
             }
         }
-        block.term = match block.term.clone() {
-            VTerm::Goto { target } => VTerm::Goto { target },
-            VTerm::Br {
-                cond,
-                then_target,
-                else_target,
-            } => {
-                let c = match rw.loc_of(cond) {
-                    Loc::Reg(p) => p,
-                    Loc::Slot(s) => {
-                        rw.load_slot(SCRATCH0, s, &mut out);
-                        SCRATCH0
-                    }
-                };
-                VTerm::Br {
-                    cond: Reg::Phys(c),
-                    then_target,
-                    else_target,
-                }
-            }
-            VTerm::Switch {
-                val,
-                tmp,
-                cases,
-                default,
-            } => {
-                let v = match rw.loc_of(val) {
-                    Loc::Reg(p) => p,
-                    Loc::Slot(s) => {
-                        rw.load_slot(SCRATCH0, s, &mut out);
-                        SCRATCH0
-                    }
-                };
+        spare = insts;
+        match &mut block.term {
+            VTerm::Goto { .. } => {}
+            VTerm::Br { cond, .. } => rw.branch_operand(cond, &mut out),
+            VTerm::Switch { val, tmp, .. } => {
+                rw.branch_operand(val, &mut out);
                 // The chain temp needs no slot traffic: it is dead after
                 // the terminator, so a spilled temp just runs in r13.
-                let tmp = tmp.map(|t| match rw.loc_of(t) {
-                    Loc::Reg(p) => Reg::Phys(p),
-                    Loc::Slot(_) => Reg::Phys(SCRATCH1),
-                });
-                VTerm::Switch {
-                    val: Reg::Phys(v),
-                    tmp,
-                    cases,
-                    default,
+                if let Some(t) = tmp {
+                    *t = Reg::Phys(match rw.loc_of(*t) {
+                        Loc::Reg(p) => p,
+                        Loc::Slot(_) => SCRATCH1,
+                    });
                 }
             }
             VTerm::Ret { value } => {
-                rw.epilogue(value, &mut out);
-                VTerm::Ret {
-                    value: value.map(|_| Reg::Phys(RET_REG)),
-                }
+                rw.epilogue(*value, &mut out);
+                *value = value.map(|_| Reg::Phys(RET_REG));
             }
-        };
+        }
         block.insts = out;
     }
     rw.spill_bytes
@@ -881,6 +878,34 @@ mod tests {
         let alloc = allocate(&mut vc);
         vc.verify_allocated(&alloc.saved).expect("valid allocation");
         assert_eq!(alloc.stats.saved_regs, 0, "r2..r4 survive a 1-arg ecall");
+    }
+
+    #[test]
+    fn registers_beyond_next_vreg_widen_the_tables() {
+        // Malformed: next_vreg says 1, the code uses v0..v2. The
+        // allocator must still place every register, not index past its
+        // tables.
+        let mut vc = single_block(
+            vec![
+                EmInst::Li {
+                    rd: vreg(1),
+                    imm: 1,
+                },
+                EmInst::Alu {
+                    op: BinOp::Add,
+                    rd: vreg(2),
+                    rs1: vreg(0),
+                    rs2: vreg(1),
+                },
+            ],
+            VTerm::Ret {
+                value: Some(vreg(2)),
+            },
+            1,
+            1,
+        );
+        let alloc = allocate(&mut vc);
+        vc.verify_allocated(&alloc.saved).expect("valid allocation");
     }
 
     #[test]

@@ -10,16 +10,17 @@
 //!
 //! Each instruction describes itself to the allocator through two
 //! queries: [`EmInst::operands`] (the use/def/early-def triples with
-//! their [`Constraint`]s) and [`EmInst::clobbers`] (physical registers
-//! the instruction may overwrite beyond its defs). The debug-build
+//! their [`Constraint`]s, as an inline [`Operands`] list of at most
+//! [`MAX_OPERANDS`] entries) and [`EmInst::clobbers`] (a mask of the
+//! physical registers the instruction may overwrite beyond its defs).
+//! Neither allocates, so the allocator can ask for them per instruction
+//! as often as it likes. The debug-build
 //! [`VCode::verify_allocated`] re-checks both against the allocated
 //! stream, the same way the [`crate::verify`] memory tier re-checks the
 //! alias model: constraint satisfaction, early-def distinctness,
 //! callee-saved discipline, and — via a physical-register liveness
 //! analysis — that no value is live across an instruction that clobbers
 //! its register.
-
-use std::collections::BTreeSet;
 
 use super::{is_callee_saved, ARG_REGS, RET_REG, SP, ZERO};
 use crate::mir::{BinOp, VReg};
@@ -92,6 +93,66 @@ impl Operand {
             kind,
             constraint,
         }
+    }
+}
+
+/// Capacity of an [`Operands`] list: the largest operand report is an
+/// indirect call's — pointer, four arguments ([`ARG_REGS`]), result. The
+/// backend rejects a wider call or function with
+/// [`crate::CompileError::TooManyArgs`] before building `VCode`.
+pub const MAX_OPERANDS: usize = 6;
+
+/// An operand report held inline: at most [`MAX_OPERANDS`] entries and
+/// no heap allocation. Dereferences to a slice of [`Operand`]s in report
+/// order.
+#[derive(Debug, Clone, Copy)]
+pub struct Operands {
+    ops: [Operand; MAX_OPERANDS],
+    len: usize,
+}
+
+impl Operands {
+    fn new() -> Operands {
+        Operands {
+            ops: [Operand::new(Reg::Phys(ZERO), OpKind::Use, Constraint::Any); MAX_OPERANDS],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, op: Operand) {
+        self.ops[self.len] = op;
+        self.len += 1;
+    }
+
+    fn with(mut self, op: Operand) -> Operands {
+        self.push(op);
+        self
+    }
+}
+
+impl std::ops::Deref for Operands {
+    type Target = [Operand];
+
+    fn deref(&self) -> &[Operand] {
+        &self.ops[..self.len]
+    }
+}
+
+impl IntoIterator for Operands {
+    type Item = Operand;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Operand, MAX_OPERANDS>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.ops.into_iter().take(self.len)
+    }
+}
+
+impl<'a> IntoIterator for &'a Operands {
+    type Item = &'a Operand;
+    type IntoIter = std::slice::Iter<'a, Operand>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
     }
 }
 
@@ -196,68 +257,72 @@ pub enum EmInst {
 
 impl EmInst {
     /// The operand report: every register this instruction touches, with
-    /// access kind and placement constraint.
-    pub fn operands(&self) -> Vec<Operand> {
-        use Constraint::{Any, Fixed};
+    /// access kind and placement constraint — uses before defs, a call's
+    /// pointer before its arguments.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a call with more than four arguments (more than
+    /// [`ARG_REGS`] can carry).
+    pub fn operands(&self) -> Operands {
+        use Constraint::Any;
         use OpKind::{Def, Use};
+        let ops = Operands::new();
         match self {
             EmInst::Li { rd, .. } | EmInst::La { rd, .. } | EmInst::LaFn { rd, .. } => {
-                vec![Operand::new(*rd, Def, Any)]
+                ops.with(Operand::new(*rd, Def, Any))
             }
-            EmInst::Mv { rd, rs } => vec![Operand::new(*rs, Use, Any), Operand::new(*rd, Def, Any)],
-            EmInst::Alu { rd, rs1, rs2, .. } => vec![
-                Operand::new(*rs1, Use, Any),
-                Operand::new(*rs2, Use, Any),
-                Operand::new(*rd, Def, Any),
-            ],
-            EmInst::Lw { rd, base, .. } => {
-                vec![Operand::new(*base, Use, Any), Operand::new(*rd, Def, Any)]
-            }
-            EmInst::Sw { src, base, .. } => {
-                vec![Operand::new(*src, Use, Any), Operand::new(*base, Use, Any)]
-            }
+            EmInst::Mv { rd, rs: src } | EmInst::Lw { rd, base: src, .. } => ops
+                .with(Operand::new(*src, Use, Any))
+                .with(Operand::new(*rd, Def, Any)),
+            EmInst::Alu { rd, rs1, rs2, .. } => ops
+                .with(Operand::new(*rs1, Use, Any))
+                .with(Operand::new(*rs2, Use, Any))
+                .with(Operand::new(*rd, Def, Any)),
+            EmInst::Sw { src, base, .. } => ops
+                .with(Operand::new(*src, Use, Any))
+                .with(Operand::new(*base, Use, Any)),
             EmInst::Jal { args, ret, .. } | EmInst::Ecall { args, ret, .. } => {
-                let mut ops: Vec<Operand> = args
-                    .iter()
-                    .enumerate()
-                    .map(|(i, a)| Operand::new(*a, Use, Fixed(ARG_REGS[i])))
-                    .collect();
-                if let Some(r) = ret {
-                    ops.push(Operand::new(*r, Def, Fixed(RET_REG)));
-                }
-                ops
+                call_operands(ops, args, *ret)
             }
             EmInst::Jalr { ptr, args, ret } => {
-                let mut ops = vec![Operand::new(*ptr, Use, Any)];
-                for (i, a) in args.iter().enumerate() {
-                    ops.push(Operand::new(*a, Use, Fixed(ARG_REGS[i])));
-                }
-                if let Some(r) = ret {
-                    ops.push(Operand::new(*r, Def, Fixed(RET_REG)));
-                }
-                ops
+                call_operands(ops.with(Operand::new(*ptr, Use, Any)), args, *ret)
             }
         }
     }
 
-    /// Physical registers this instruction may overwrite beyond its defs.
-    pub fn clobbers(&self) -> Vec<u8> {
+    /// Physical registers this instruction may overwrite beyond its defs,
+    /// as a mask (bit `p` for register `p`).
+    pub fn clobbers(&self) -> u16 {
+        let mask = |regs: &[u8]| regs.iter().fold(0u16, |m, r| m | 1 << r);
         match self {
             // The callee runs arbitrary code: every caller-saved register
             // is fair game.
-            EmInst::Jal { .. } | EmInst::Jalr { .. } => ARG_REGS.to_vec(),
+            EmInst::Jal { .. } | EmInst::Jalr { .. } => mask(&ARG_REGS),
             // The VM's Ecall reads r1..rN and writes only r1 when a
             // result is produced.
             EmInst::Ecall { args, ret, .. } => {
-                let mut c: Vec<u8> = ARG_REGS[..args.len()].to_vec();
-                if ret.is_some() && !c.contains(&RET_REG) {
-                    c.push(RET_REG);
-                }
-                c
+                mask(&ARG_REGS[..args.len()]) | if ret.is_some() { 1 << RET_REG } else { 0 }
             }
-            _ => Vec::new(),
+            _ => 0,
         }
     }
+}
+
+/// Appends a call's arguments (fixed to [`ARG_REGS`]) and result (fixed
+/// to [`RET_REG`]).
+fn call_operands(mut ops: Operands, args: &[Reg], ret: Option<Reg>) -> Operands {
+    for (i, a) in args.iter().enumerate() {
+        ops.push(Operand::new(
+            *a,
+            OpKind::Use,
+            Constraint::Fixed(ARG_REGS[i]),
+        ));
+    }
+    if let Some(r) = ret {
+        ops.push(Operand::new(r, OpKind::Def, Constraint::Fixed(RET_REG)));
+    }
+    ops
 }
 
 /// A block terminator over [`Reg`] operands, with targets as `VCode`
@@ -300,42 +365,41 @@ pub enum VTerm {
 }
 
 impl VTerm {
-    /// Successor block indices, in emission order.
-    pub fn succs(&self) -> Vec<usize> {
-        match self {
-            VTerm::Goto { target } => vec![*target],
+    /// Successor block indices, in emission order (a `Switch`'s cases,
+    /// then its default), without building a list.
+    pub fn succs(&self) -> impl Iterator<Item = usize> + '_ {
+        let (cases, tail): (&[(i32, usize)], [Option<usize>; 2]) = match self {
+            VTerm::Goto { target } => (&[], [Some(*target), None]),
             VTerm::Br {
                 then_target,
                 else_target,
                 ..
-            } => vec![*then_target, *else_target],
-            VTerm::Switch { cases, default, .. } => {
-                let mut v: Vec<usize> = cases.iter().map(|(_, t)| *t).collect();
-                v.push(*default);
-                v
-            }
-            VTerm::Ret { .. } => vec![],
-        }
+            } => (&[], [Some(*then_target), Some(*else_target)]),
+            VTerm::Switch { cases, default, .. } => (cases, [Some(*default), None]),
+            VTerm::Ret { .. } => (&[], [None, None]),
+        };
+        cases
+            .iter()
+            .map(|(_, t)| *t)
+            .chain(tail.into_iter().flatten())
     }
 
     /// The operand report of the terminator.
-    pub fn operands(&self) -> Vec<Operand> {
+    pub fn operands(&self) -> Operands {
         use Constraint::{Any, Fixed};
         use OpKind::{EarlyDef, Use};
+        let ops = Operands::new();
         match self {
-            VTerm::Goto { .. } => vec![],
-            VTerm::Br { cond, .. } => vec![Operand::new(*cond, Use, Any)],
+            VTerm::Goto { .. } | VTerm::Ret { value: None } => ops,
+            VTerm::Br { cond, .. } => ops.with(Operand::new(*cond, Use, Any)),
             VTerm::Switch { val, tmp, .. } => {
-                let mut ops = vec![Operand::new(*val, Use, Any)];
-                if let Some(t) = tmp {
-                    ops.push(Operand::new(*t, EarlyDef, Any));
+                let ops = ops.with(Operand::new(*val, Use, Any));
+                match tmp {
+                    Some(t) => ops.with(Operand::new(*t, EarlyDef, Any)),
+                    None => ops,
                 }
-                ops
             }
-            VTerm::Ret { value } => value
-                .iter()
-                .map(|v| Operand::new(*v, Use, Fixed(RET_REG)))
-                .collect(),
+            VTerm::Ret { value: Some(v) } => ops.with(Operand::new(*v, Use, Fixed(RET_REG))),
         }
     }
 
@@ -423,14 +487,9 @@ impl VCode {
             let inst_ops = block
                 .insts
                 .iter()
-                .map(EmInst::operands)
-                .chain(std::iter::once(block.term.operands()));
-            let clobbers = block
-                .insts
-                .iter()
-                .map(EmInst::clobbers)
-                .chain(std::iter::once(Vec::new()));
-            for (ii, (ops, clob)) in inst_ops.zip(clobbers).enumerate() {
+                .map(|i| (i.operands(), i.clobbers()))
+                .chain(std::iter::once((block.term.operands(), 0)));
+            for (ii, (ops, clob_mask)) in inst_ops.enumerate() {
                 let mut uses: u16 = 0;
                 let mut defs: u16 = 0;
                 for op in &ops {
@@ -474,10 +533,6 @@ impl VCode {
                             ));
                         }
                     }
-                }
-                let mut clob_mask: u16 = 0;
-                for c in clob {
-                    clob_mask |= 1 << c;
                 }
                 masks.push((uses, defs, clob_mask));
             }
@@ -531,27 +586,6 @@ impl VCode {
         }
         Ok(())
     }
-
-    /// The set of virtual registers appearing anywhere in the function
-    /// (handy for tests and diagnostics).
-    pub fn virtual_regs(&self) -> BTreeSet<VReg> {
-        let mut set = BTreeSet::new();
-        for block in &self.blocks {
-            for ops in block
-                .insts
-                .iter()
-                .map(EmInst::operands)
-                .chain(std::iter::once(block.term.operands()))
-            {
-                for op in ops {
-                    if let Reg::Virt(v) = op.reg {
-                        set.insert(v);
-                    }
-                }
-            }
-        }
-        set
-    }
 }
 
 #[cfg(test)]
@@ -570,11 +604,37 @@ mod tests {
             ret: Some(Reg::Virt(VReg(5))),
         };
         let ops = call.operands();
+        assert_eq!(ops.len(), 3);
         assert_eq!(ops[0].constraint, Constraint::Fixed(1));
         assert_eq!(ops[1].constraint, Constraint::Fixed(2));
         assert_eq!(ops[2].constraint, Constraint::Fixed(RET_REG));
         assert_eq!(ops[2].kind, OpKind::Def);
-        assert_eq!(call.clobbers(), vec![1, 2, 3, 4]);
+        assert_eq!(call.clobbers(), 0b1_1110, "r1..r4");
+    }
+
+    #[test]
+    fn the_widest_operand_report_fits_inline() {
+        let v = |n| Reg::Virt(VReg(n));
+        let call = EmInst::Jalr {
+            ptr: v(0),
+            args: vec![v(1), v(2), v(3), v(4)],
+            ret: Some(v(5)),
+        };
+        let ops = call.operands();
+        assert_eq!(ops.len(), MAX_OPERANDS);
+        assert_eq!(ops[0].constraint, Constraint::Any, "pointer first");
+        let regs: Vec<Reg> = ops.into_iter().map(|o| o.reg).collect();
+        assert_eq!(regs, (0..6).map(v).collect::<Vec<_>>());
+        let term = VTerm::Switch {
+            val: v(0),
+            tmp: Some(v(1)),
+            cases: vec![(0, 2), (1, 1)],
+            default: 3,
+        };
+        assert_eq!(term.operands()[1].kind, OpKind::EarlyDef);
+        assert_eq!(term.succs().collect::<Vec<_>>(), vec![2, 1, 3]);
+        assert_eq!(VTerm::Ret { value: None }.operands().len(), 0);
+        assert_eq!(VTerm::Ret { value: None }.succs().count(), 0);
     }
 
     #[test]
@@ -584,13 +644,13 @@ mod tests {
             args: vec![Reg::Virt(VReg(0))],
             ret: None,
         };
-        assert_eq!(e.clobbers(), vec![1]);
+        assert_eq!(e.clobbers(), 1 << 1);
         let e2 = EmInst::Ecall {
             ext: 0,
             args: vec![],
             ret: Some(Reg::Virt(VReg(0))),
         };
-        assert_eq!(e2.clobbers(), vec![RET_REG]);
+        assert_eq!(e2.clobbers(), 1 << RET_REG);
     }
 
     #[test]

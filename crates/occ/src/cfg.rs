@@ -11,7 +11,8 @@
 //!
 //! Every analysis is dense: indexed by block number, never keyed through
 //! an ordered map. Predecessor lists are a `Vec` per block, reachability
-//! and loop bodies are [`BitSet`]s over block numbers, and the
+//! and loop bodies are [`BitSet`]s over block numbers, [`Liveness`] is a
+//! pair of [`BitMatrix`]es (a row of register bits per block), and the
 //! [`DomTree`] stores immediate dominators, tree children and a preorder
 //! numbering in flat arrays, so a dominance query is two comparisons
 //! rather than a walk up the tree. Lists come out in ascending block
@@ -49,9 +50,7 @@
 //! assert_eq!(loops[0].blocks().collect::<Vec<_>>(), vec![BlockId(1), BlockId(2)]);
 //! ```
 
-use std::collections::BTreeSet;
-
-use crate::bitset::BitSet;
+use crate::bitset::{BitMatrix, BitSet};
 use crate::mir::{BlockId, MirFunction, Term, VReg};
 
 /// Marks an unreachable block in the dense dominator arrays.
@@ -387,89 +386,193 @@ pub fn natural_loops(f: &MirFunction, dom: &DomTree, preds: &[Vec<BlockId>]) -> 
     loops
 }
 
-/// Per-block live-in/live-out sets of virtual registers.
+/// Per-block live-in/live-out sets of virtual registers: row `b` of each
+/// [`BitMatrix`] is block `b`'s set over register numbers, so the whole
+/// function's liveness is two allocations however many blocks it has.
+///
+/// ```
+/// use occ::cfg;
+/// use occ::mir::{BinOp, Block, BlockId, Inst, MirFunction, Term, VReg};
+///
+/// // bb0: v1 = 0; goto bb1
+/// // bb1: v1 = v1 + v0; br v1 ? bb1 : bb2     (a loop carrying v1)
+/// // bb2: ret v1
+/// let f = MirFunction {
+///     name: "sum".into(),
+///     params: 1,
+///     returns_value: true,
+///     exported: true,
+///     blocks: vec![
+///         Block {
+///             insts: vec![Inst::Const { dst: VReg(1), value: 0 }],
+///             term: Term::Goto(BlockId(1)),
+///         },
+///         Block {
+///             insts: vec![Inst::Bin { op: BinOp::Add, dst: VReg(1), lhs: VReg(1), rhs: VReg(0) }],
+///             term: Term::Br { cond: VReg(1), then_block: BlockId(1), else_block: BlockId(2) },
+///         },
+///         Block { insts: vec![], term: Term::Ret(Some(VReg(1))) },
+///     ],
+///     next_vreg: 2,
+/// };
+/// let live = cfg::liveness(&f);
+/// assert_eq!(live.live_in.iter(0).collect::<Vec<_>>(), vec![0]);
+/// assert_eq!(live.live_in.iter(1).collect::<Vec<_>>(), vec![0, 1]);
+/// assert_eq!(live.live_out.iter(1).collect::<Vec<_>>(), vec![0, 1]);
+/// assert!(live.live_in.contains(2, 1) && !live.live_in.contains(2, 0));
+/// ```
 #[derive(Debug, Clone, Default)]
 pub struct Liveness {
-    /// Registers live on entry of each block.
-    pub live_in: Vec<BTreeSet<VReg>>,
-    /// Registers live on exit of each block.
-    pub live_out: Vec<BTreeSet<VReg>>,
+    /// Registers live on entry of each block (row per block).
+    pub live_in: BitMatrix,
+    /// Registers live on exit of each block (row per block).
+    pub live_out: BitMatrix,
 }
 
-/// Classic backward dataflow liveness over the MIR CFG.
-pub fn liveness(f: &MirFunction) -> Liveness {
-    let n = f.blocks.len();
-    let mut use_set = vec![BTreeSet::new(); n];
-    let mut def_set = vec![BTreeSet::new(); n];
-    for b in f.block_ids() {
-        let i = b.0 as usize;
-        for inst in &f.block(b).insts {
-            for u in inst.uses() {
-                if !def_set[i].contains(&u) {
-                    use_set[i].insert(u);
-                }
-            }
-            if let Some(d) = inst.def() {
-                def_set[i].insert(d);
-            }
-        }
-        for u in f.block(b).term.uses() {
-            if !def_set[i].contains(&u) {
-                use_set[i].insert(u);
-            }
+/// The per-block inputs of [`solve_liveness`] over register numbers
+/// `0..domain`, gathered one register access at a time in execution
+/// order: upward-exposed uses (read before any write in the block) and
+/// definitions.
+#[derive(Debug, Clone)]
+pub struct BlockSets {
+    /// Row `b`: registers read in block `b` before any write to them there.
+    pub uses: BitMatrix,
+    /// Row `b`: registers written in block `b`.
+    pub defs: BitMatrix,
+    /// Smallest domain covering every register noted so far.
+    needed: usize,
+}
+
+impl BlockSets {
+    /// Empty sets for `blocks` blocks over registers `0..domain`.
+    pub fn new(blocks: usize, domain: usize) -> BlockSets {
+        BlockSets {
+            uses: BitMatrix::new(blocks, domain),
+            defs: BitMatrix::new(blocks, domain),
+            needed: domain,
         }
     }
-    let succs: Vec<Vec<usize>> = f
-        .block_ids()
-        .map(|b| {
-            f.block(b)
-                .term
-                .succs()
-                .into_iter()
-                .map(|s| s.0 as usize)
-                .collect()
-        })
-        .collect();
-    solve_liveness(&succs, &use_set, &def_set)
+
+    /// Notes a read of `v` in block `b`.
+    pub fn read(&mut self, b: usize, v: VReg) {
+        let i = v.0 as usize;
+        if i >= self.uses.domain() {
+            self.needed = self.needed.max(i + 1);
+        } else if !self.defs.contains(b, i) {
+            self.uses.insert(b, i);
+        }
+    }
+
+    /// Notes a write of `v` in block `b`.
+    pub fn write(&mut self, b: usize, v: VReg) {
+        let i = v.0 as usize;
+        if i >= self.defs.domain() {
+            self.needed = self.needed.max(i + 1);
+        } else {
+            self.defs.insert(b, i);
+        }
+    }
+
+    /// `Some(domain)` if a noted register lay outside the domain: the
+    /// sets are incomplete and must be gathered again over the wider
+    /// domain returned. Well-formed code never needs this (the
+    /// [`crate::verify`] `vreg-out-of-range` rule); it keeps malformed
+    /// code from panicking.
+    pub fn widened(&self) -> Option<usize> {
+        (self.needed > self.uses.domain()).then_some(self.needed)
+    }
 }
 
-/// Backward dataflow liveness over an arbitrary graph of indexed blocks.
+/// Successor block numbers of `term`, in [`Term::succs`] order, without
+/// building the list.
+fn succ_indices(term: &Term) -> impl Iterator<Item = usize> + '_ {
+    (0..).map_while(move |i| nth_succ(term, i).map(|b| b.0 as usize))
+}
+
+/// Classic backward dataflow liveness over the MIR CFG, over registers
+/// `0..next_vreg` (widened to cover any register beyond it).
+pub fn liveness(f: &MirFunction) -> Liveness {
+    let mut domain = f.next_vreg as usize;
+    loop {
+        let mut sets = BlockSets::new(f.blocks.len(), domain);
+        for (b, block) in f.blocks.iter().enumerate() {
+            for inst in &block.insts {
+                for u in inst.uses() {
+                    sets.read(b, u);
+                }
+                if let Some(d) = inst.def() {
+                    sets.write(b, d);
+                }
+            }
+            for u in block.term.uses() {
+                sets.read(b, u);
+            }
+        }
+        match sets.widened() {
+            Some(wider) => domain = wider,
+            None => return solve_liveness(|b| succ_indices(&f.blocks[b].term), &sets),
+        }
+    }
+}
+
+/// Backward dataflow liveness over an arbitrary graph of indexed blocks:
+/// the least fixed point of `in(b) = uses(b) ∪ (out(b) ∖ defs(b))` and
+/// `out(b) = ⋃ in(s)` over the successors `succs(b)`. The rows of the
+/// result are updated in place, sweeping the blocks in reverse until
+/// nothing changes.
 ///
-/// `use_set[b]` must hold the registers read in `b` before any write to
-/// them (upward-exposed uses), `def_set[b]` every register written in
-/// `b`. The MIR-level [`liveness`] and the backend's virtual-register
+/// The MIR-level [`liveness`] and the backend's virtual-register
 /// allocator both solve their fixpoints through this: the allocator
 /// needs liveness at `VCode` granularity — where call pseudo-ops carry
 /// operand lists and blocks are in lowering order — which has no
 /// `MirFunction` to hand.
-pub fn solve_liveness(
-    succs: &[Vec<usize>],
-    use_set: &[BTreeSet<VReg>],
-    def_set: &[BTreeSet<VReg>],
+///
+/// ```
+/// use occ::cfg::{self, BlockSets};
+/// use occ::mir::VReg;
+///
+/// // 0 → 1 ⇄ 2, 1 → 3. Block 0 defines v0; block 2 reads v0 and
+/// // redefines v1; block 3 reads v1.
+/// let succs: [&[usize]; 4] = [&[1], &[2, 3], &[1], &[]];
+/// let mut sets = BlockSets::new(4, 2);
+/// sets.write(0, VReg(0));
+/// sets.read(2, VReg(0));
+/// sets.write(2, VReg(1));
+/// sets.read(3, VReg(1));
+/// let live = cfg::solve_liveness(|b| succs[b].iter().copied(), &sets);
+/// assert_eq!(live.live_out.iter(0).collect::<Vec<_>>(), vec![0, 1]);
+/// assert_eq!(live.live_in.iter(2).collect::<Vec<_>>(), vec![0]);
+/// assert_eq!(live.live_in.iter(1).collect::<Vec<_>>(), vec![0, 1]);
+/// assert_eq!(live.live_out.iter(3).count(), 0);
+/// ```
+pub fn solve_liveness<S: IntoIterator<Item = usize>>(
+    succs: impl Fn(usize) -> S,
+    sets: &BlockSets,
 ) -> Liveness {
-    let n = succs.len();
-    assert_eq!(use_set.len(), n);
-    assert_eq!(def_set.len(), n);
-    let mut live_in = vec![BTreeSet::new(); n];
-    let mut live_out = vec![BTreeSet::new(); n];
+    let (uses, defs) = (&sets.uses, &sets.defs);
+    let (n, domain) = (uses.rows(), uses.domain());
+    let mut live_in = BitMatrix::new(n, domain);
+    let mut live_out = BitMatrix::new(n, domain);
     let mut changed = true;
     while changed {
         changed = false;
-        for i in (0..n).rev() {
-            let mut out = BTreeSet::new();
-            for s in &succs[i] {
-                out.extend(live_in[*s].iter().copied());
-            }
-            let mut inn: BTreeSet<VReg> = use_set[i].clone();
-            for v in &out {
-                if !def_set[i].contains(v) {
-                    inn.insert(*v);
+        for b in (0..n).rev() {
+            // Every set only grows from the empty start, so each `out`
+            // absorbs its successors' current `in` rather than being
+            // rebuilt from scratch.
+            let out = live_out.row_mut(b);
+            for s in succs(b) {
+                for (o, i) in out.iter_mut().zip(live_in.row(s)) {
+                    *o |= *i;
                 }
             }
-            if inn != live_in[i] || out != live_out[i] {
-                live_in[i] = inn;
-                live_out[i] = out;
-                changed = true;
+            let words = uses.row(b).iter().zip(defs.row(b)).zip(live_out.row(b));
+            for (inn, ((u, d), o)) in live_in.row_mut(b).iter_mut().zip(words) {
+                let w = u | (o & !d);
+                if w != *inn {
+                    *inn = w;
+                    changed = true;
+                }
             }
         }
     }
@@ -564,9 +667,22 @@ mod tests {
         let f = diamond();
         let lv = liveness(&f);
         // v0 is used in bb3 and bb0, so live-in everywhere on the path.
-        assert!(lv.live_in[0].contains(&VReg(0)));
-        assert!(lv.live_in[1].contains(&VReg(0)));
-        assert!(lv.live_out[0].contains(&VReg(0)));
+        assert!(lv.live_in.contains(0, 0));
+        assert!(lv.live_in.contains(1, 0));
+        assert!(lv.live_out.contains(0, 0));
+        // v3 is defined and used in bb3 only; v1, v2 are dead everywhere.
+        for b in 0..4 {
+            assert!(!lv.live_in.contains(b, 3) && !lv.live_out.contains(b, 1));
+        }
+    }
+
+    #[test]
+    fn liveness_widens_past_next_vreg_instead_of_panicking() {
+        let mut f = diamond();
+        f.next_vreg = 1; // malformed: v1..v3 lie beyond it
+        let lv = liveness(&f);
+        assert_eq!(lv.live_in.domain(), 4);
+        assert!(lv.live_out.contains(0, 0));
     }
 
     fn block(term: Term) -> Block {

@@ -61,7 +61,8 @@
 //!
 //! Every session accumulates [`DriverStats`]: jobs served, memory/disk
 //! hits, misses, rejected disk entries, and per-stage compile wall-clock
-//! (lower / opt / backend / decode, from [`crate::compile_timed`]).
+//! (lower / opt / backend — split into `VCode` lowering, register
+//! allocation and emission — / decode, from [`crate::compile_timed`]).
 //! [`DriverStats::machines_per_sec`] reports session compile throughput;
 //! a batch's parallel wall-clock throughput comes from
 //! [`BatchReport::machines_per_sec`].
@@ -107,7 +108,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::backend::{AsmFunction, AsmGlobal, AsmInst, Assembly, RegAllocStats};
+use crate::backend::{AsmFunction, AsmGlobal, AsmInst, Assembly, BackendTimes, RegAllocStats};
 use crate::mir;
 use crate::opt::{pass, PassStats, PipelineStats};
 use crate::vm::DecodedProgram;
@@ -1040,7 +1041,9 @@ struct Counters {
     rejected: AtomicUsize,
     lower_ns: AtomicU64,
     opt_ns: AtomicU64,
-    backend_ns: AtomicU64,
+    vcode_ns: AtomicU64,
+    regalloc_ns: AtomicU64,
+    emit_ns: AtomicU64,
     decode_ns: AtomicU64,
     serve_ns: AtomicU64,
 }
@@ -1064,8 +1067,8 @@ pub struct DriverStats {
     pub lower: Duration,
     /// Wall-clock spent in the mid-end pipeline, across misses.
     pub opt: Duration,
-    /// Wall-clock spent in the backend, across misses.
-    pub backend: Duration,
+    /// Wall-clock spent in the backend, across misses, by stage.
+    pub backend: BackendTimes,
     /// Wall-clock spent pre-decoding for the fast engine, across misses.
     pub decode: Duration,
     /// Total wall-clock spent servicing jobs (hits and misses; summed
@@ -1106,7 +1109,8 @@ impl DriverStats {
         format!(
             "{} jobs: {} hit ({} mem, {} disk, {:.1}%), {} compiled{}; \
              {:.0} machines/sec (stages: lower {:.1}ms, opt {:.1}ms, \
-             backend {:.1}ms, decode {:.1}ms)",
+             backend {:.1}ms [vcode {:.1}ms, regalloc {:.1}ms, emit {:.1}ms], \
+             decode {:.1}ms)",
             self.jobs,
             self.hits(),
             self.mem_hits,
@@ -1121,7 +1125,10 @@ impl DriverStats {
             self.machines_per_sec(),
             self.lower.as_secs_f64() * 1e3,
             self.opt.as_secs_f64() * 1e3,
-            self.backend.as_secs_f64() * 1e3,
+            self.backend.total().as_secs_f64() * 1e3,
+            self.backend.vcode.as_secs_f64() * 1e3,
+            self.backend.regalloc.as_secs_f64() * 1e3,
+            self.backend.emit.as_secs_f64() * 1e3,
             self.decode.as_secs_f64() * 1e3,
         )
     }
@@ -1239,7 +1246,9 @@ impl Driver {
         for (counter, d) in [
             (&self.counters.lower_ns, times.lower),
             (&self.counters.opt_ns, times.opt),
-            (&self.counters.backend_ns, times.backend),
+            (&self.counters.vcode_ns, times.backend.vcode),
+            (&self.counters.regalloc_ns, times.backend.regalloc),
+            (&self.counters.emit_ns, times.backend.emit),
             (&self.counters.decode_ns, times.decode),
         ] {
             counter.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
@@ -1279,7 +1288,11 @@ impl Driver {
             rejected: self.counters.rejected.load(Ordering::Relaxed),
             lower: ns(&self.counters.lower_ns),
             opt: ns(&self.counters.opt_ns),
-            backend: ns(&self.counters.backend_ns),
+            backend: BackendTimes {
+                vcode: ns(&self.counters.vcode_ns),
+                regalloc: ns(&self.counters.regalloc_ns),
+                emit: ns(&self.counters.emit_ns),
+            },
             decode: ns(&self.counters.decode_ns),
             serve: ns(&self.counters.serve_ns),
         }
@@ -1459,6 +1472,11 @@ mod tests {
         // Distinct levels are distinct jobs.
         driver.compile(&m, OptLevel::O0).expect("compiles");
         assert_eq!(driver.stats().misses, 2);
+        // The summary line splits the backend into its three stages.
+        let line = driver.stats().render();
+        for stage in ["backend", "vcode", "regalloc", "emit"] {
+            assert!(line.contains(stage), "{stage} missing from {line}");
+        }
     }
 
     #[test]

@@ -240,16 +240,17 @@ pub struct StageTimes {
     pub lower: std::time::Duration,
     /// Mid-end pass pipeline.
     pub opt: std::time::Duration,
-    /// Backend (lowering, regalloc, emission).
-    pub backend: std::time::Duration,
+    /// Backend, by stage: `VCode` lowering, register allocation,
+    /// emission.
+    pub backend: backend::BackendTimes,
     /// Pre-decode for the fast engine.
     pub decode: std::time::Duration,
 }
 
 impl StageTimes {
-    /// Total time across all four stages.
+    /// Total time across all stages.
     pub fn total(&self) -> std::time::Duration {
-        self.lower + self.opt + self.backend + self.decode
+        self.lower + self.opt + self.backend.total() + self.decode
     }
 }
 
@@ -287,9 +288,8 @@ pub fn compile_timed(
     let pass_stats = opt::run_pipeline(&mut program, level);
     times.opt = t.elapsed();
 
-    let t = std::time::Instant::now();
-    let asm = backend::compile_program(&program, level)?;
-    times.backend = t.elapsed();
+    let (asm, backend_times) = backend::compile_program_timed(&program, level)?;
+    times.backend = backend_times;
 
     let t = std::time::Instant::now();
     let decoded = vm::DecodedProgram::decode(&asm)

@@ -256,23 +256,35 @@ impl Inst {
         }
     }
 
-    /// The used registers.
-    pub fn uses(&self) -> Vec<VReg> {
+    /// The used registers, in operand order (a call's pointer before its
+    /// arguments, a φ's values in argument order), without allocating.
+    pub fn uses(&self) -> Uses<'_> {
+        let mut u = Uses {
+            fixed: [VReg(0); 2],
+            nfixed: 0,
+            at: 0,
+            args: [].iter(),
+            phi: [].iter(),
+        };
         match self {
-            Inst::Const { .. } | Inst::Addr { .. } | Inst::FnAddr { .. } => vec![],
+            Inst::Const { .. } | Inst::Addr { .. } | Inst::FnAddr { .. } => {}
             Inst::Copy { src, .. } | Inst::Un { src, .. } | Inst::Load { addr: src, .. } => {
-                vec![*src]
+                u.fixed[0] = *src;
+                u.nfixed = 1;
             }
-            Inst::Bin { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Inst::Store { addr, src } => vec![*addr, *src],
-            Inst::Call { args, .. } | Inst::CallExtern { args, .. } => args.clone(),
+            Inst::Bin { lhs: a, rhs: b, .. } | Inst::Store { addr: a, src: b } => {
+                u.fixed = [*a, *b];
+                u.nfixed = 2;
+            }
+            Inst::Call { args, .. } | Inst::CallExtern { args, .. } => u.args = args.iter(),
             Inst::CallInd { ptr, args, .. } => {
-                let mut v = vec![*ptr];
-                v.extend(args);
-                v
+                u.fixed[0] = *ptr;
+                u.nfixed = 1;
+                u.args = args.iter();
             }
-            Inst::Phi { args, .. } => args.iter().map(|(_, v)| *v).collect(),
+            Inst::Phi { args, .. } => u.phi = args.iter(),
         }
+        u
     }
 
     /// Rewrites every used register through `f` (φ-nodes included).
@@ -354,6 +366,41 @@ impl Inst {
     }
 }
 
+/// The registers an instruction reads, from [`Inst::uses`].
+#[derive(Debug, Clone)]
+pub struct Uses<'a> {
+    /// Register operands that are fields of the instruction itself.
+    fixed: [VReg; 2],
+    nfixed: u8,
+    at: u8,
+    /// Call arguments, read after the fixed operands.
+    args: std::slice::Iter<'a, VReg>,
+    /// φ arguments.
+    phi: std::slice::Iter<'a, (BlockId, VReg)>,
+}
+
+impl Iterator for Uses<'_> {
+    type Item = VReg;
+
+    fn next(&mut self) -> Option<VReg> {
+        if self.at < self.nfixed {
+            self.at += 1;
+            return Some(self.fixed[usize::from(self.at - 1)]);
+        }
+        match self.args.next() {
+            Some(v) => Some(*v),
+            None => self.phi.next().map(|(_, v)| *v),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = usize::from(self.nfixed - self.at) + self.args.len() + self.phi.len();
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Uses<'_> {}
+
 /// A block terminator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Term {
@@ -400,15 +447,13 @@ impl Term {
         }
     }
 
-    /// Used registers.
-    pub fn uses(&self) -> Vec<VReg> {
+    /// The used register, if any (a terminator reads at most one).
+    pub fn uses(&self) -> std::option::IntoIter<VReg> {
         match self {
-            Term::Goto(_) => vec![],
-            Term::Br { cond, .. } => vec![*cond],
-            Term::Switch { val, .. } => vec![*val],
-            Term::Ret(Some(v)) => vec![*v],
-            Term::Ret(None) => vec![],
+            Term::Goto(_) | Term::Ret(None) => None,
+            Term::Br { cond: v, .. } | Term::Switch { val: v, .. } | Term::Ret(Some(v)) => Some(*v),
         }
+        .into_iter()
     }
 
     /// Rewrites used registers through `f`.
@@ -591,7 +636,27 @@ mod tests {
             rhs: VReg(2),
         };
         assert_eq!(i.def(), Some(VReg(3)));
-        assert_eq!(i.uses(), vec![VReg(1), VReg(2)]);
+        assert_eq!(i.uses().collect::<Vec<_>>(), vec![VReg(1), VReg(2)]);
+        let call = Inst::CallInd {
+            dst: None,
+            ptr: VReg(7),
+            args: vec![VReg(8), VReg(9)],
+        };
+        assert_eq!(call.uses().len(), 3);
+        assert_eq!(
+            call.uses().collect::<Vec<_>>(),
+            vec![VReg(7), VReg(8), VReg(9)]
+        );
+        let phi = Inst::Phi {
+            dst: VReg(4),
+            args: vec![(BlockId(0), VReg(5)), (BlockId(1), VReg(6))],
+        };
+        assert_eq!(phi.uses().collect::<Vec<_>>(), vec![VReg(5), VReg(6)]);
+        assert_eq!(
+            Term::Ret(Some(VReg(2))).uses().collect::<Vec<_>>(),
+            vec![VReg(2)]
+        );
+        assert_eq!(Term::Goto(BlockId(0)).uses().count(), 0);
         let s = Inst::Store {
             addr: VReg(4),
             src: VReg(5),
@@ -655,6 +720,6 @@ mod tests {
             rhs: VReg(2),
         };
         i.map_uses(&mut |v| VReg(v.0 + 10));
-        assert_eq!(i.uses(), vec![VReg(11), VReg(12)]);
+        assert_eq!(i.uses().collect::<Vec<_>>(), vec![VReg(11), VReg(12)]);
     }
 }

@@ -1279,12 +1279,12 @@ pub fn sccp(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
     let mut term_uses: Vec<(VReg, BlockId)> = Vec::new();
     for b in f.block_ids() {
         for (i, inst) in f.block(b).insts.iter().enumerate() {
-            inst_uses.extend(inst.uses().into_iter().map(|u| (u, (b, i))));
+            inst_uses.extend(inst.uses().map(|u| (u, (b, i))));
             if let Some(d) = inst.def() {
                 nregs = nregs.max(d.0 as usize + 1);
             }
         }
-        term_uses.extend(f.block(b).term.uses().into_iter().map(|u| (u, b)));
+        term_uses.extend(f.block(b).term.uses().map(|u| (u, b)));
     }
     let used = inst_uses
         .iter()
@@ -2334,11 +2334,7 @@ fn invariant_defs(
             {
                 continue;
             }
-            if inst
-                .uses()
-                .iter()
-                .all(|u| !in_loop(u) || hoistable[u.0 as usize])
-            {
+            if inst.uses().all(|u| !in_loop(&u) || hoistable[u.0 as usize]) {
                 hoistable[d] = true;
                 grew = true;
             }
@@ -2639,7 +2635,7 @@ pub fn dead_code_elim(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
             match (inst.is_pure(), inst.def()) {
                 (true, Some(d)) => {
                     nregs = nregs.max(d.0 as usize + 1);
-                    pure_uses.extend(inst.uses().into_iter().map(|u| (d, u)));
+                    pure_uses.extend(inst.uses().map(|u| (d, u)));
                 }
                 _ => work.extend(inst.uses()),
             }
@@ -2685,81 +2681,132 @@ pub fn dead_code_elim(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
 ///
 /// Returns `true` if anything changed.
 pub fn coalesce_copies(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
+    const NONE: u32 = u32::MAX;
     let mut changed = false;
-    for b in f.block_ids().collect::<Vec<_>>() {
-        let mut avail: BTreeMap<VReg, VReg> = BTreeMap::new();
-        let resolve = |avail: &BTreeMap<VReg, VReg>, mut v: VReg| {
-            let mut hops = 0;
-            while let Some(&n) = avail.get(&v) {
-                v = n;
-                hops += 1;
-                if hops > avail.len() {
-                    break; // defensive; invalidation prevents cycles
-                }
-            }
-            v
+    // The block's available copies `dst = src`, as `avail[dst] = src`
+    // (`NONE` where there is none). No source is ever itself a key — a
+    // copy's source is resolved before it is entered, and a redefinition
+    // drops every entry it touches — so resolving is one lookup.
+    // `src_count[v]` counts the entries whose source is `v`, so only a
+    // redefinition of a live source scans the block's entry list.
+    let nregs = f.next_vreg as usize;
+    let mut avail: Vec<u32> = vec![NONE; nregs];
+    let mut src_count: Vec<u32> = vec![0; nregs];
+    let mut keys: Vec<u32> = Vec::new();
+    let is_copy = |i: &Inst| matches!(i, Inst::Copy { .. });
+    for blk in &mut f.blocks {
+        // Until a block's first copy nothing is available, so nothing
+        // before it (and nothing at all in a copy-free block) changes.
+        let Some(first) = blk.insts.iter().position(is_copy) else {
+            continue;
         };
-        let blk = f.block_mut(b);
-        let mut kept: Vec<Inst> = Vec::with_capacity(blk.insts.len());
-        for mut inst in std::mem::take(&mut blk.insts) {
+        for k in keys.drain(..) {
+            let s = std::mem::replace(&mut avail[k as usize], NONE);
+            if s != NONE {
+                src_count[s as usize] = 0;
+            }
+        }
+        let resolve = |avail: &[u32], v: VReg| match avail.get(v.0 as usize) {
+            Some(&s) if s != NONE => VReg(s),
+            _ => v,
+        };
+        let mut at = 0;
+        blk.insts.retain_mut(|inst| {
+            at += 1;
+            if at <= first {
+                return true;
+            }
             // φs (not expected in φ-free form, but defensive): their
             // arguments are per-edge values, not block-local uses.
             if !matches!(inst, Inst::Phi { .. }) {
                 inst.map_uses(&mut |v| {
                     let r = resolve(&avail, v);
-                    if r != v {
-                        changed = true;
-                    }
+                    changed |= r != v;
                     r
                 });
             }
             if let Some(d) = inst.def() {
-                avail.retain(|k, v| *k != d && *v != d);
+                let di = d.0 as usize;
+                if let Some(s) = avail.get_mut(di).map(|a| std::mem::replace(a, NONE)) {
+                    if s != NONE {
+                        src_count[s as usize] -= 1;
+                    }
+                }
+                if src_count.get(di).is_some_and(|&c| c > 0) {
+                    for &k in &keys {
+                        if avail[k as usize] == d.0 {
+                            avail[k as usize] = NONE;
+                        }
+                    }
+                    src_count[di] = 0;
+                }
             }
-            if let Inst::Copy { dst, src } = inst {
+            if let Inst::Copy { dst, src } = *inst {
                 if dst == src {
                     changed = true;
-                    continue; // no-op copy
+                    return false; // no-op copy
                 }
-                avail.insert(dst, src);
+                let top = dst.0.max(src.0) as usize + 1;
+                if top > avail.len() {
+                    avail.resize(top, NONE);
+                    src_count.resize(top, 0);
+                }
+                avail[dst.0 as usize] = src.0;
+                src_count[src.0 as usize] += 1;
+                keys.push(dst.0);
             }
-            kept.push(inst);
-        }
+            true
+        });
         blk.term.map_uses(&mut |v| {
             let r = resolve(&avail, v);
-            if r != v {
-                changed = true;
-            }
+            changed |= r != v;
             r
         });
-        blk.insts = kept;
     }
 
     // Dead-copy sweep: a copy whose destination is not live afterwards
     // is gone. Restricted to copies (general dead-code removal is DCE's
     // job); the backward in-block walk keeps the check precise on
-    // non-SSA code, where a register is redefined many times.
+    // non-SSA code, where a register is redefined many times. It only
+    // needs to reach back to the block's first copy, and a function with
+    // no copy left needs no liveness at all.
+    if !f.blocks.iter().any(|blk| blk.insts.iter().any(is_copy)) {
+        return changed;
+    }
     let live = cfg::liveness(f);
-    for b in f.block_ids().collect::<Vec<_>>() {
-        let mut live_now = live.live_out[b.0 as usize].clone();
-        live_now.extend(f.block(b).term.uses());
-        let blk = f.block_mut(b);
-        let mut kept_rev: Vec<Inst> = Vec::with_capacity(blk.insts.len());
-        for inst in std::mem::take(&mut blk.insts).into_iter().rev() {
-            if let Inst::Copy { dst, .. } = inst {
-                if !live_now.contains(&dst) {
-                    changed = true;
-                    continue;
-                }
+    let mut live_now = BitSet::new(live.live_out.domain());
+    let mut keep: Vec<bool> = Vec::new();
+    for (b, blk) in f.blocks.iter_mut().enumerate() {
+        let Some(first) = blk.insts.iter().position(is_copy) else {
+            continue;
+        };
+        live.live_out.copy_row_to(b, &mut live_now);
+        for u in blk.term.uses() {
+            live_now.insert(u.0 as usize);
+        }
+        keep.clear();
+        for inst in blk.insts[first..].iter().rev() {
+            let dead = matches!(inst, Inst::Copy { dst, .. } if !live_now.contains(dst.0 as usize));
+            keep.push(!dead);
+            if dead {
+                changed = true;
+                continue;
             }
             if let Some(d) = inst.def() {
-                live_now.remove(&d);
+                live_now.remove(d.0 as usize);
             }
-            live_now.extend(inst.uses());
-            kept_rev.push(inst);
+            for u in inst.uses() {
+                live_now.insert(u.0 as usize);
+            }
         }
-        kept_rev.reverse();
-        blk.insts = kept_rev;
+        // `keep` runs backwards from the block's last instruction.
+        let last = blk.insts.len() - 1;
+        let mut at = 0;
+        blk.insts.retain(|_| {
+            let kept = at < first || keep[last - at];
+            at += 1;
+            kept
+        });
     }
     changed
 }
@@ -2782,57 +2829,34 @@ pub fn coalesce_copies(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
 /// blocks (loop exhausted / no transition fired) that merge here.
 pub fn merge_return_blocks(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
     // The entry block cannot become unreachable, so it never merges.
-    let candidates: Vec<BlockId> = f
-        .block_ids()
+    let is_candidate = |blk: &Block| {
+        matches!(blk.term, Term::Ret(_)) && !blk.insts.iter().any(|i| matches!(i, Inst::Phi { .. }))
+    };
+    if f.blocks
+        .iter()
         .skip(1)
-        .filter(|&b| {
-            let blk = f.block(b);
-            matches!(blk.term, Term::Ret(_))
-                && !blk.insts.iter().any(|i| matches!(i, Inst::Phi { .. }))
-        })
-        .collect();
-    if candidates.len() < 2 {
+        .filter(|b| is_candidate(b))
+        .nth(1)
+        .is_none()
+    {
         return false;
     }
-    let mut groups: BTreeMap<String, Vec<BlockId>> = BTreeMap::new();
-    for b in candidates {
-        let blk = f.block(b);
-        // Canonical key: block-local defs renumbered from the top of the
-        // register space; everything else kept verbatim. Every def —
-        // including a *re*definition of an already-seen register — takes
-        // a fresh id from a monotonic counter (`local.len()` would stall
-        // on redefinitions and hand a later register a colliding id).
-        let mut local: BTreeMap<VReg, u32> = BTreeMap::new();
-        let mut next_id = 0u32;
-        let canon = |local: &BTreeMap<VReg, u32>, v: VReg| {
-            local.get(&v).map(|i| VReg(u32::MAX - i)).unwrap_or(v)
-        };
-        let mut parts: Vec<String> = Vec::with_capacity(blk.insts.len() + 1);
-        for inst in &blk.insts {
-            let mut c = inst.clone();
-            c.map_uses(&mut |v| canon(&local, v));
-            if let Some(d) = inst.def() {
-                let id = next_id;
-                next_id += 1;
-                local.insert(d, id);
-                if let Some(dm) = c.def_mut() {
-                    *dm = VReg(u32::MAX - id);
-                }
-            }
-            parts.push(format!("{c:?}"));
-        }
-        let mut t = blk.term.clone();
-        t.map_uses(&mut |v| canon(&local, v));
-        parts.push(format!("{t:?}"));
-        groups.entry(parts.join(";")).or_default().push(b);
-    }
-    // The representative each duplicate block is redirected to.
+    // Each group's canonical block and representative (its lowest block).
+    let mut groups: Vec<((Vec<Inst>, Term), BlockId)> = Vec::new();
     let mut redirect: Vec<Option<BlockId>> = vec![None; f.blocks.len()];
     let mut any = false;
-    for blocks in groups.values() {
-        for &dup in &blocks[1..] {
-            redirect[dup.0 as usize] = Some(blocks[0]);
-            any = true;
+    let mut local = vec![LOCAL_NONE; f.next_vreg as usize];
+    for (b, blk) in f.blocks.iter().enumerate().skip(1) {
+        if !is_candidate(blk) {
+            continue;
+        }
+        let key = canonical_block(blk, &mut local);
+        match groups.iter().find(|(k, _)| *k == key) {
+            Some(&(_, rep)) => {
+                redirect[b] = Some(rep);
+                any = true;
+            }
+            None => groups.push((key, BlockId(b as u32))),
         }
     }
     if !any {
@@ -2844,6 +2868,46 @@ pub fn merge_return_blocks(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bo
     }
     ssa::remove_unreachable_blocks(f);
     true
+}
+
+/// Marks a register with no block-local id in [`canonical_block`]'s table.
+const LOCAL_NONE: u32 = u32::MAX;
+
+/// `blk`'s instructions and terminator with its block-local definitions
+/// renumbered from the top of the register space; everything else kept
+/// verbatim. Every def — including a *re*definition of an already-seen
+/// register — takes a fresh id from a monotonic counter. `local` is a
+/// scratch table indexed by register number, all [`LOCAL_NONE`] on entry
+/// and on return.
+fn canonical_block(blk: &Block, local: &mut Vec<u32>) -> (Vec<Inst>, Term) {
+    let canon = |local: &[u32], v: VReg| match local.get(v.0 as usize) {
+        Some(&id) if id != LOCAL_NONE => VReg(u32::MAX - id),
+        _ => v,
+    };
+    let mut next_id = 0u32;
+    let mut insts = Vec::with_capacity(blk.insts.len());
+    for inst in &blk.insts {
+        let mut c = inst.clone();
+        c.map_uses(&mut |v| canon(local, v));
+        if let Some(d) = inst.def() {
+            let di = d.0 as usize;
+            if di >= local.len() {
+                local.resize(di + 1, LOCAL_NONE);
+            }
+            local[di] = next_id;
+            if let Some(dm) = c.def_mut() {
+                *dm = VReg(u32::MAX - next_id);
+            }
+            next_id += 1;
+        }
+        insts.push(c);
+    }
+    let mut term = blk.term.clone();
+    term.map_uses(&mut |v| canon(local, v));
+    for d in blk.insts.iter().filter_map(Inst::def) {
+        local[d.0 as usize] = LOCAL_NONE;
+    }
+    (insts, term)
 }
 
 // ---------------------------------------------------------------------

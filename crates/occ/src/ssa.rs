@@ -118,15 +118,9 @@ pub fn construct(f: &mut MirFunction) {
     let mut dangling: Vec<VReg> = Vec::new();
     for b in f.block_ids() {
         for inst in &f.block(b).insts {
-            dangling.extend(inst.uses().into_iter().filter(|u| !is_defined(u)));
+            dangling.extend(inst.uses().filter(|u| !is_defined(u)));
         }
-        dangling.extend(
-            f.block(b)
-                .term
-                .uses()
-                .into_iter()
-                .filter(|u| !is_defined(u)),
-        );
+        dangling.extend(f.block(b).term.uses().filter(|u| !is_defined(u)));
     }
     if !dangling.is_empty() {
         dangling.sort_unstable();

@@ -442,7 +442,7 @@ fn check_structural(f: &MirFunction, out: &mut Vec<Violation>) -> bool {
                     ));
                 }
             }
-            for v in inst.uses().into_iter().chain(inst.def()) {
+            for v in inst.uses().chain(inst.def()) {
                 if v.0 >= f.next_vreg {
                     out.push(at(
                         Rule::VRegOutOfRange,

@@ -18,11 +18,18 @@
 //!
 //! The entry block never has a predecessor, as in all well-formed MIR
 //! (the verifier's `entry-has-pred` rule).
+//!
+//! The same CFGs, filled with random register definitions and uses, check
+//! `cfg::liveness` against the textbook equations, least fixed point:
+//!
+//! * `in(b) = use(b) ∪ (out(b) − def(b))`, where `use(b)` holds the
+//!   registers `b` reads before writing them and `def(b)` those it writes;
+//! * `out(b) = ⋃ in(s)` over the successors `s` of `b`.
 
 use std::collections::BTreeSet;
 
 use occ::cfg::{self, DomTree};
-use occ::mir::{Block, BlockId, MirFunction, Term, VReg};
+use occ::mir::{BinOp, Block, BlockId, Inst, MirFunction, Term, VReg};
 use umlsm::gen::GenRng;
 
 /// A random CFG of `1..=max_blocks` blocks. Targets are drawn from
@@ -71,6 +78,128 @@ fn random_cfg(rng: &mut GenRng, max_blocks: usize) -> MirFunction {
         blocks,
         next_vreg: 1,
     }
+}
+
+/// `f` with random register traffic over `v0..v{regs}`: every block
+/// gets up to five instructions defining and reading registers (copies,
+/// arithmetic, stores and calls), and every terminator that can read a
+/// register reads a random one. Registers end up defined in several
+/// blocks, read before any definition, and read in unreachable blocks.
+fn with_registers(rng: &mut GenRng, mut f: MirFunction, regs: u32) -> MirFunction {
+    let reg = |rng: &mut GenRng| VReg(rng.below(regs as usize) as u32);
+    let args = |rng: &mut GenRng| (0..rng.below(5)).map(|_| reg(rng)).collect();
+    for blk in &mut f.blocks {
+        blk.insts = (0..rng.below(6))
+            .map(|_| match rng.below(7) {
+                0 => Inst::Const {
+                    dst: reg(rng),
+                    value: 1,
+                },
+                1 | 2 => Inst::Copy {
+                    dst: reg(rng),
+                    src: reg(rng),
+                },
+                3 => Inst::Bin {
+                    op: BinOp::Add,
+                    dst: reg(rng),
+                    lhs: reg(rng),
+                    rhs: reg(rng),
+                },
+                4 => Inst::Store {
+                    addr: reg(rng),
+                    src: reg(rng),
+                },
+                5 => Inst::Call {
+                    dst: rng.pct(50).then(|| reg(rng)),
+                    func: 0,
+                    args: args(rng),
+                },
+                _ => Inst::CallInd {
+                    dst: rng.pct(50).then(|| reg(rng)),
+                    ptr: reg(rng),
+                    args: args(rng),
+                },
+            })
+            .collect();
+        match &mut blk.term {
+            Term::Br { cond: r, .. } | Term::Switch { val: r, .. } => *r = reg(rng),
+            Term::Ret(value) => *value = rng.pct(70).then(|| reg(rng)),
+            Term::Goto(_) => {}
+        }
+    }
+    f.next_vreg = regs;
+    f
+}
+
+/// The registers `inst` reads, then the one it writes — spelled out here
+/// rather than taken from `Inst::uses`, which is under test too.
+fn reads_writes(inst: &Inst) -> (Vec<u32>, Option<u32>) {
+    match inst {
+        Inst::Const { dst, .. } => (vec![], Some(dst.0)),
+        Inst::Copy { dst, src } => (vec![src.0], Some(dst.0)),
+        Inst::Bin { dst, lhs, rhs, .. } => (vec![lhs.0, rhs.0], Some(dst.0)),
+        Inst::Store { addr, src } => (vec![addr.0, src.0], None),
+        Inst::Call { dst, args, .. } => (args.iter().map(|a| a.0).collect(), dst.map(|d| d.0)),
+        Inst::CallInd { dst, ptr, args } => (
+            std::iter::once(ptr.0)
+                .chain(args.iter().map(|a| a.0))
+                .collect(),
+            dst.map(|d| d.0),
+        ),
+        other => unreachable!("not generated: {other:?}"),
+    }
+}
+
+/// The textbook liveness of `f`: `(use, def, in, out)` per block, by
+/// naive iteration over `BTreeSet`s from empty sets.
+#[allow(clippy::type_complexity)]
+fn reference_liveness(f: &MirFunction, succs: &[Vec<usize>]) -> [Vec<BTreeSet<u32>>; 4] {
+    let n = f.blocks.len();
+    let mut uses = vec![BTreeSet::new(); n];
+    let mut defs = vec![BTreeSet::new(); n];
+    for (b, blk) in f.blocks.iter().enumerate() {
+        let term_reads = match blk.term {
+            Term::Br { cond: r, .. } | Term::Switch { val: r, .. } | Term::Ret(Some(r)) => {
+                vec![r.0]
+            }
+            _ => vec![],
+        };
+        let accesses = blk
+            .insts
+            .iter()
+            .map(reads_writes)
+            .chain(std::iter::once((term_reads, None)));
+        for (reads, write) in accesses {
+            for r in reads {
+                if !defs[b].contains(&r) {
+                    uses[b].insert(r);
+                }
+            }
+            defs[b].extend(write);
+        }
+    }
+    let mut live_in = vec![BTreeSet::new(); n];
+    let mut live_out = vec![BTreeSet::new(); n];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for b in 0..n {
+            let out: BTreeSet<u32> = succs[b]
+                .iter()
+                .flat_map(|&s| &live_in[s])
+                .copied()
+                .collect();
+            let inn: BTreeSet<u32> = uses[b]
+                .iter()
+                .chain(out.difference(&defs[b]))
+                .copied()
+                .collect();
+            changed |= inn != live_in[b] || out != live_out[b];
+            live_in[b] = inn;
+            live_out[b] = out;
+        }
+    }
+    [uses, defs, live_in, live_out]
 }
 
 /// The set-equation reference for one CFG.
@@ -326,6 +455,60 @@ fn dense_dominance_matches_the_set_equations() {
         ("irreducible cycles", irreducible),
     ] {
         assert!(count >= 20, "only {count} CFGs with {shape}");
+    }
+}
+
+#[test]
+fn dense_liveness_matches_the_set_equations() {
+    let mut rng = GenRng::new(0x11fe_5eed);
+    let (mut multi_def, mut use_before_def, mut unreachable_only, mut wide) = (0, 0, 0, 0);
+    for _ in 0..800 {
+        let cfg = random_cfg(&mut rng, 14);
+        let regs = if rng.pct(20) {
+            rng.range(65, 140)
+        } else {
+            rng.range(1, 12)
+        } as u32;
+        let f = with_registers(&mut rng, cfg, regs);
+        let r = Reference::of(&f);
+        let [uses, defs, live_in, live_out] = reference_liveness(&f, &r.succs);
+        let live = cfg::liveness(&f);
+        assert_eq!(live.live_in.domain(), regs as usize, "{f}");
+        for b in 0..f.blocks.len() {
+            let got_in: BTreeSet<u32> = live.live_in.iter(b).map(|v| v as u32).collect();
+            let got_out: BTreeSet<u32> = live.live_out.iter(b).map(|v| v as u32).collect();
+            assert_eq!(got_in, live_in[b], "live-in of bb{b} in {f}");
+            assert_eq!(got_out, live_out[b], "live-out of bb{b} in {f}");
+            for v in 0..regs as usize + 3 {
+                assert_eq!(
+                    live.live_in.contains(b, v),
+                    live_in[b].contains(&(v as u32))
+                );
+            }
+        }
+        // Shapes the corpus must exercise.
+        let def_blocks = |v: &u32| defs.iter().filter(|d| d.contains(v)).count();
+        multi_def += usize::from((0..regs).any(|v| def_blocks(&v) >= 2));
+        use_before_def +=
+            usize::from((0..f.blocks.len()).any(|b| uses[b].iter().any(|v| defs[b].contains(v))));
+        unreachable_only += usize::from((0..regs).any(|v| {
+            let readers: Vec<usize> = (0..f.blocks.len())
+                .filter(|&b| uses[b].contains(&v))
+                .collect();
+            !readers.is_empty() && readers.iter().all(|&b| !r.reachable[b])
+        }));
+        wide += usize::from(regs > 64 && live_in.iter().any(|s| s.iter().any(|&v| v >= 64)));
+    }
+    for (shape, count) in [
+        ("registers defined in several blocks", multi_def),
+        ("registers read before their definition", use_before_def),
+        (
+            "registers read only in unreachable blocks",
+            unreachable_only,
+        ),
+        ("live registers past the first word", wide),
+    ] {
+        assert!(count >= 20, "only {count} functions with {shape}");
     }
 }
 

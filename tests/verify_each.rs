@@ -85,7 +85,7 @@ fn corrupt_operand(f: &mut MirFunction, rng: &mut StdRng) -> Option<Rule> {
     let mut candidates: Vec<(BlockId, usize)> = Vec::new();
     for b in f.block_ids() {
         for (i, inst) in f.block(b).insts.iter().enumerate() {
-            if !inst.uses().is_empty() {
+            if inst.uses().next().is_some() {
                 candidates.push((b, i));
             }
         }
