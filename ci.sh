@@ -68,17 +68,17 @@ run_stage "cargo fmt --check" cargo fmt --all -- --check
 # The whole workspace is clippy-clean; keep it that way. (The issue floor
 # was umlsm + mbo only, but every crate currently passes -D warnings.)
 run_stage "cargo clippy --workspace -D warnings" \
-    cargo clippy --workspace --all-targets -- -D warnings
+    cargo clippy --locked --workspace --all-targets -- -D warnings
 
 run_stage "cargo doc (rustdoc -D warnings)" rustdoc_check
 
 if [[ $fast -eq 1 ]]; then
-    run_stage "cargo test --workspace (dev)" cargo test --workspace -q
+    run_stage "cargo test --workspace (dev)" cargo test --locked --workspace -q
 else
     run_stage "cargo build --release" \
-        cargo build --release --workspace --all-targets
+        cargo build --locked --release --workspace --all-targets
     run_stage "cargo test --workspace --release (MIR_DIFF_CASES=$full_gate_diff_cases)" \
-        env MIR_DIFF_CASES=$full_gate_diff_cases cargo test --workspace --release -q
+        env MIR_DIFF_CASES=$full_gate_diff_cases cargo test --locked --workspace --release -q
     # The backend's VCode verifier and the occ::verify pipeline hooks are
     # debug-only (`cfg!(debug_assertions)` compiles them out of release
     # artifacts), so the gate must run the occ and root-matrix tests
@@ -86,7 +86,7 @@ else
     # register-allocation constraint and every MIR/SSA invariant is
     # actually re-checked, per pass (OCC_VERIFY=$occ_verify_mode).
     run_stage "cargo test -p occ -p mbot (debug: verifiers active, OCC_VERIFY=$occ_verify_mode)" \
-        env OCC_VERIFY=$occ_verify_mode cargo test -p occ -p mbot -q
+        env OCC_VERIFY=$occ_verify_mode cargo test --locked -p occ -p mbot -q
     run_stage "bench smoke (6 binaries)" bench_smoke
     # Event-storm throughput smoke: run the full machine×pattern×level
     # storm matrix (BENCH_SMOKE=1 shortens the timed storms to the
@@ -95,12 +95,12 @@ else
     # timing line is how a dispatch-loop slowdown shows up in CI logs.
     run_stage "bench throughput smoke (BENCH_SMOKE=1)" \
         env BENCH_SMOKE=1 cargo run --release -q -p bench --bin throughput
-    # Batch-compile smoke: cold pass then warm passes (memory + disk
-    # artifact-cache tiers) over the full 48-cell matrix. The bin itself
-    # asserts 100% warm hit rates and a machines/sec improvement over
-    # cold, and prints both; a caching or hashing regression fails here.
-    # Its timed stage line is the toolchain-throughput trajectory in CI
-    # logs (cache dir: .occ-cache/ci-batch, gitignored).
+    # Batch-compile smoke: a cold pass then a warm pass of one driver
+    # session's in-memory artifact cache over the full 48-cell matrix.
+    # The bin itself asserts that the cold pass hits nothing, the warm
+    # pass hits every cell and beats the cold machines/sec, and prints
+    # both; a caching or hashing regression fails here. Its timed stage
+    # line is the toolchain-throughput trajectory in CI logs.
     run_stage "bench batch-compile smoke (cold+warm, 48 cells)" \
         cargo run --release -q -p bench --bin batch
     # Differential fuzz smoke: a deterministic-seed corpus of generated

@@ -4,14 +4,12 @@
 //!
 //! Compiles the flat machine at every optimization level and probes whether
 //! the unreachable state's functions survive; then shows that model-level
-//! optimization removes them before the compiler ever sees them. The
-//! per-pass effect lines come from the mid-end roster documented in the
-//! `occ::opt` module rustdoc — dead-function elimination keeping the
-//! address-taken handlers is the paper's §III.C point, at every level.
+//! optimization removes them before the compiler ever sees them.
+//! Dead-function elimination (see the `occ::opt` module rustdoc) keeping
+//! the address-taken handlers is the paper's §III.C point, at every level.
 //! Run with `cargo run -p bench --bin deadcode`.
 
-use bench::{compile_artifact, matrix, optimize_model, pass_effect_lines};
-use cgen::Pattern;
+use bench::{compile_artifact, matrix, optimize_model};
 use occ::OptLevel;
 use umlsm::samples;
 
@@ -90,19 +88,6 @@ fn main() {
                 eprintln!("  model-opt + -Os: ERROR: {e}\n");
                 failures += 1;
             }
-        }
-    }
-
-    println!("per-pass effects (-Os, NestedSwitch, unoptimized model):");
-    match compile_artifact(&machine, Pattern::NestedSwitch, OptLevel::Os) {
-        Ok(artifact) => {
-            for line in pass_effect_lines(&artifact) {
-                println!("  {line}");
-            }
-        }
-        Err(e) => {
-            eprintln!("  ERROR: {e}");
-            failures += 1;
         }
     }
     println!("{}", bench::driver_summary());

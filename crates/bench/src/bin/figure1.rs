@@ -10,9 +10,8 @@
 //!
 //! Run with `cargo run -p bench --bin figure1`.
 
-use bench::{compile_artifact, optimize_model, pass_effect_lines, pct_gain, BenchError, GainRow};
+use bench::{optimize_model, pct_gain, BenchError, GainRow};
 use cgen::Pattern;
-use occ::OptLevel;
 use umlsm::samples;
 
 fn main() {
@@ -55,14 +54,6 @@ fn run() -> Result<(), BenchError> {
         "\nshape check: hierarchical gain {} the paper's '>45%' ballpark",
         if ok1 { "matches" } else { "MISSES" }
     );
-
-    println!("\nper-pass effects (flat machine, NestedSwitch at -Os):");
-    // This cell was already compiled inside `GainRow::measure` above, so
-    // the shared session serves it from cache — visible in the summary.
-    let artifact = compile_artifact(&flat, Pattern::NestedSwitch, OptLevel::Os)?;
-    for line in pass_effect_lines(&artifact) {
-        println!("  {line}");
-    }
     println!("{}", bench::driver_summary());
     Ok(())
 }

@@ -48,7 +48,13 @@ fn main() {
         return;
     }
 
-    let cfg = fuzz::config_from_env();
+    let cfg = match fuzz::config_from_env() {
+        Ok(cfg) => cfg,
+        Err(e) => {
+            eprintln!("ERROR: {e}");
+            std::process::exit(2);
+        }
+    };
     println!(
         "=== differential fuzz: {} cases from seed {} (3 patterns × 4 levels per case{}) ===",
         cfg.cases,

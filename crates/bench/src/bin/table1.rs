@@ -11,9 +11,8 @@
 //!
 //! Run with `cargo run -p bench --bin table1`.
 
-use bench::{compile_artifact, matrix, pass_effect_lines, GainRow};
+use bench::{matrix, GainRow};
 use cgen::Pattern;
-use occ::OptLevel;
 use umlsm::samples;
 
 /// Paper Table I numbers (non-opt bytes, optimized bytes, rate) per
@@ -89,19 +88,6 @@ fn main() {
         "gain order matches the paper: StatePattern > NestedSwitch > STT",
         sp.1.gain() > ns.1.gain() && ns.1.gain() > stt.1.gain(),
     );
-
-    println!("\nper-pass effects (NestedSwitch at -Os, unoptimized model):");
-    match compile_artifact(&machine, Pattern::NestedSwitch, OptLevel::Os) {
-        Ok(artifact) => {
-            for line in pass_effect_lines(&artifact) {
-                println!("  {line}");
-            }
-        }
-        Err(e) => {
-            eprintln!("  ERROR: {e}");
-            failures += 1;
-        }
-    }
 
     println!("\ndeviation notes (details + history in EXPERIMENTS.md):");
     println!("  * our STT pays one engine copy per region, so on hierarchical machines");

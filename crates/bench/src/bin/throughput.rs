@@ -7,23 +7,21 @@
 //! storm whose executed-instruction count joins the snapshot/regress gate
 //! (reprinted here per cell so the timed and gated numbers can be read
 //! side by side). Events/sec figures are informational (they move with
-//! the host); the self-check line at the bottom reports the fast-engine
-//! speedup on the hierarchical STT `-O2` cell, the ISSUE 8 acceptance
-//! cell.
+//! the host); the oracle column is the reference engine the fast engine
+//! is measured against.
 //!
 //! Run with `cargo run --release -p bench --bin throughput`. Environment
 //! knobs:
 //!
 //! * `BENCH_SMOKE=1` — shorten the timed storms to the canonical length
 //!   (CI smoke stage);
-//! * `BENCH_EVENTS=<n>` — explicit timed-storm length.
+//! * `BENCH_EVENTS=<n>` — explicit timed-storm length (a value that does
+//!   not parse is an error).
 
 use std::time::Instant;
 
 use bench::matrix::{self, Arm};
 use bench::throughput::{run_storm, CountingEnv, STORM_EVENTS};
-use bench::{compile_generated, generate};
-use cgen::Pattern;
 use occ::vm::{FastVm, Vm};
 use occ::OptLevel;
 
@@ -38,14 +36,14 @@ struct Row {
     dyn_insts: u64,
 }
 
-fn timed_events() -> usize {
-    if let Ok(v) = std::env::var("BENCH_EVENTS") {
-        return v.parse().unwrap_or(DEFAULT_TIMED_EVENTS);
+fn timed_events() -> Result<usize, String> {
+    if let Some(events) = bench::env_knob("BENCH_EVENTS")? {
+        return Ok(events);
     }
     if std::env::var("BENCH_SMOKE").is_ok_and(|v| v == "1") {
-        return STORM_EVENTS;
+        return Ok(STORM_EVENTS);
     }
-    DEFAULT_TIMED_EVENTS
+    Ok(DEFAULT_TIMED_EVENTS)
 }
 
 /// Measures all four levels of one machine × pattern arm (one generation
@@ -83,7 +81,13 @@ fn measure_job(arm: &Arm, events: usize) -> Result<Vec<Row>, String> {
 }
 
 fn main() {
-    let events = timed_events();
+    let events = match timed_events() {
+        Ok(events) => events,
+        Err(e) => {
+            eprintln!("ERROR: {e}");
+            std::process::exit(2);
+        }
+    };
     let jobs = matrix::arms();
 
     // The shared worker pool (atomic job cursor + mpsc funnel) lives in
@@ -122,320 +126,8 @@ fn main() {
         );
     }
 
-    // ISSUE 8 acceptance self-check: the fast engine vs the *pre-PR*
-    // reference interpreter on the hierarchical STT -O2 cell, re-measured
-    // serially (no pool contention) and with a storm long enough for a
-    // stable figure even under BENCH_SMOKE. The in-tree oracle already
-    // carries this PR's clone-fix, so the table above understates the win;
-    // `legacy::Vm` below reproduces the pre-PR loop exactly for an honest
-    // baseline.
-    let acceptance = format!("hierarchical/{}/-O2", Pattern::StateTable.label());
-    match self_check(events.max(4 * DEFAULT_TIMED_EVENTS)) {
-        Ok((fast_eps, legacy_eps)) => {
-            let speedup = fast_eps / legacy_eps.max(1e-9);
-            println!(
-                "self-check {acceptance}: {fast_eps:.0} ev/s fast vs {legacy_eps:.0} ev/s \
-                 pre-PR interpreter ({speedup:.1}x)"
-            );
-            if speedup < 5.0 {
-                eprintln!("WARNING: fast-engine speedup below the 5x acceptance target");
-            }
-        }
-        Err(e) => {
-            eprintln!("acceptance cell {acceptance} failed: {e}");
-            failed = true;
-        }
-    }
     println!("{}", bench::driver_summary());
     if failed {
         std::process::exit(1);
-    }
-}
-
-/// Serial re-measurement of the acceptance cell (hierarchical STT -O2):
-/// fast engine vs the reconstructed pre-PR interpreter, events/sec each.
-fn self_check(events: usize) -> Result<(f64, f64), String> {
-    let machine = matrix::sample_machines()
-        .into_iter()
-        .find(|(name, _)| *name == "hierarchical")
-        .map(|(_, m)| m)
-        .ok_or("no hierarchical sample machine")?;
-    let generated = generate(&machine, Pattern::StateTable).map_err(|e| e.to_string())?;
-    let artifact = compile_generated(
-        machine.name(),
-        Pattern::StateTable,
-        OptLevel::O2,
-        &generated,
-    )
-    .map_err(|e| e.to_string())?;
-
-    // Warm-up round + best-of-three per engine: the acceptance number
-    // should reflect the engines, not whatever else the host was doing
-    // during one particular storm (standard min-noise benchmarking).
-    let mut fast_eps: f64 = 0.0;
-    let mut legacy_eps: f64 = 0.0;
-    let mut fast = FastVm::new(artifact.decoded(), CountingEnv::default());
-    let mut old = legacy::Vm::new(artifact.assembly(), CountingEnv::default());
-    run_storm(&mut fast, &generated.codes, events).map_err(|e| e.to_string())?;
-    run_storm(&mut old, &generated.codes, events / 4).map_err(|e| e.to_string())?;
-    for _ in 0..3 {
-        let started = Instant::now();
-        let storm = run_storm(&mut fast, &generated.codes, events).map_err(|e| e.to_string())?;
-        fast_eps = fast_eps.max(storm.events as f64 / started.elapsed().as_secs_f64().max(1e-9));
-
-        let started = Instant::now();
-        let storm = run_storm(&mut old, &generated.codes, events).map_err(|e| e.to_string())?;
-        legacy_eps =
-            legacy_eps.max(storm.events as f64 / started.elapsed().as_secs_f64().max(1e-9));
-    }
-    Ok((fast_eps, legacy_eps))
-}
-
-/// A faithful reconstruction of the reference interpreter as it stood
-/// before this PR, kept only as the acceptance baseline: it clones every
-/// instruction out of the stream (heap traffic on `JumpTable`), charges
-/// fuel for zero-size labels, finds the callee by linear scan on every
-/// `run`, and allocates a fresh `Vec<Value>` per ecall. Do not "fix" it —
-/// its slowness is the measurement.
-mod legacy {
-    use occ::backend::{AsmInst, Assembly, DATA_BASE};
-    use occ::vm::{Engine, VmError};
-    use tlang::{Env, Value};
-
-    const STACK_SIZE: usize = 64 * 1024;
-    const SP: usize = 14;
-
-    pub struct Vm<'a, E> {
-        asm: &'a Assembly,
-        mem: Vec<u8>,
-        regs: [i32; 16],
-        env: E,
-        fuel: u64,
-        executed: u64,
-        labels: Vec<std::collections::BTreeMap<usize, usize>>,
-    }
-
-    impl<'a, E: Env> Vm<'a, E> {
-        pub fn new(asm: &'a Assembly, env: E) -> Vm<'a, E> {
-            let data_len: usize = asm.globals.iter().map(|g| g.words.len() * 4).sum();
-            let mem_len = DATA_BASE as usize + data_len + STACK_SIZE;
-            let mut mem = vec![0u8; mem_len];
-            for g in &asm.globals {
-                let base = DATA_BASE as usize + g.offset as usize;
-                for (i, w) in g.words.iter().enumerate() {
-                    mem[base + i * 4..base + i * 4 + 4].copy_from_slice(&w.to_le_bytes());
-                }
-            }
-            let labels = asm
-                .functions
-                .iter()
-                .map(|f| {
-                    f.insts
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, inst)| match inst {
-                            AsmInst::Label(l) => Some((*l, i)),
-                            _ => None,
-                        })
-                        .collect()
-                })
-                .collect();
-            Vm {
-                asm,
-                mem,
-                regs: [0; 16],
-                env,
-                fuel: 50_000_000,
-                executed: 0,
-                labels,
-            }
-        }
-
-        fn write(&mut self, rd: u8, v: i32) {
-            if rd != 0 {
-                self.regs[rd as usize] = v;
-            }
-        }
-
-        fn label(&self, fi: usize, l: usize) -> Result<usize, VmError> {
-            self.labels[fi].get(&l).copied().ok_or(VmError::BadLabel(l))
-        }
-
-        fn load(&self, addr: i64) -> Result<i32, VmError> {
-            let a = usize::try_from(addr).map_err(|_| VmError::MemoryFault { addr })?;
-            let bytes = self
-                .mem
-                .get(a..a + 4)
-                .ok_or(VmError::MemoryFault { addr })?;
-            Ok(i32::from_le_bytes(bytes.try_into().unwrap()))
-        }
-
-        fn store(&mut self, addr: i64, v: i32) -> Result<(), VmError> {
-            let a = usize::try_from(addr).map_err(|_| VmError::MemoryFault { addr })?;
-            let bytes = self
-                .mem
-                .get_mut(a..a + 4)
-                .ok_or(VmError::MemoryFault { addr })?;
-            bytes.copy_from_slice(&v.to_le_bytes());
-            Ok(())
-        }
-
-        pub fn run(&mut self, name: &str, args: &[i32]) -> Result<i32, VmError> {
-            let func = self
-                .asm
-                .functions
-                .iter()
-                .position(|f| f.name == name && f.exported)
-                .ok_or_else(|| VmError::UnknownFunction(name.to_string()))?;
-            for (i, a) in args.iter().enumerate().take(4) {
-                self.regs[1 + i] = *a;
-            }
-            self.regs[SP] = self.mem.len() as i32;
-            let mut stack: Vec<(usize, usize)> = Vec::new();
-            let mut fi = func;
-            let mut pc = 0usize;
-            loop {
-                if self.fuel == 0 {
-                    return Err(VmError::OutOfFuel);
-                }
-                self.fuel -= 1;
-                self.executed += 1;
-                let insts = &self.asm.functions[fi].insts;
-                if pc >= insts.len() {
-                    match stack.pop() {
-                        Some((rf, rpc)) => {
-                            fi = rf;
-                            pc = rpc;
-                            continue;
-                        }
-                        None => return Ok(self.regs[1]),
-                    }
-                }
-                match insts[pc].clone() {
-                    AsmInst::Label(_) => pc += 1,
-                    AsmInst::Li { rd, imm } => {
-                        self.write(rd, imm);
-                        pc += 1;
-                    }
-                    AsmInst::Mv { rd, rs } => {
-                        let v = self.regs[rs as usize];
-                        self.write(rd, v);
-                        pc += 1;
-                    }
-                    AsmInst::Alu { op, rd, rs1, rs2 } => {
-                        let v = op.eval(self.regs[rs1 as usize], self.regs[rs2 as usize]);
-                        self.write(rd, v);
-                        pc += 1;
-                    }
-                    AsmInst::Lw { rd, base, off } => {
-                        let v = self.load(i64::from(self.regs[base as usize]) + i64::from(off))?;
-                        self.write(rd, v);
-                        pc += 1;
-                    }
-                    AsmInst::Sw { src, base, off } => {
-                        let v = self.regs[src as usize];
-                        self.store(i64::from(self.regs[base as usize]) + i64::from(off), v)?;
-                        pc += 1;
-                    }
-                    AsmInst::Beq { rs1, rs2, label } => {
-                        if self.regs[rs1 as usize] == self.regs[rs2 as usize] {
-                            pc = self.label(fi, label)?;
-                        } else {
-                            pc += 1;
-                        }
-                    }
-                    AsmInst::Bne { rs1, rs2, label } => {
-                        if self.regs[rs1 as usize] != self.regs[rs2 as usize] {
-                            pc = self.label(fi, label)?;
-                        } else {
-                            pc += 1;
-                        }
-                    }
-                    AsmInst::J { label } => pc = self.label(fi, label)?,
-                    AsmInst::Jal { func } => {
-                        stack.push((fi, pc + 1));
-                        fi = func;
-                        pc = 0;
-                    }
-                    AsmInst::Jalr { rs } => {
-                        let addr = self.regs[rs as usize];
-                        let target = self
-                            .asm
-                            .fn_addrs
-                            .iter()
-                            .position(|a| *a as i32 == addr)
-                            .ok_or(VmError::BadCodeAddress(addr))?;
-                        stack.push((fi, pc + 1));
-                        fi = target;
-                        pc = 0;
-                    }
-                    AsmInst::Ecall {
-                        ext,
-                        nargs,
-                        returns,
-                    } => {
-                        let name = &self.asm.externs[ext];
-                        let args: Vec<Value> =
-                            (0..nargs).map(|i| Value::Int(self.regs[1 + i])).collect();
-                        let result = self.env.call_extern(name, &args).map_err(VmError::Host)?;
-                        if returns {
-                            let v = match result {
-                                Value::Int(v) => v,
-                                Value::Bool(b) => i32::from(b),
-                                _ => 0,
-                            };
-                            self.write(1, v);
-                        }
-                        pc += 1;
-                    }
-                    AsmInst::Ret => match stack.pop() {
-                        Some((rf, rpc)) => {
-                            fi = rf;
-                            pc = rpc;
-                        }
-                        None => return Ok(self.regs[1]),
-                    },
-                    AsmInst::La { rd, global, off } => {
-                        let g = &self.asm.globals[global];
-                        let addr = DATA_BASE as i32 + g.offset as i32 + off;
-                        self.write(rd, addr);
-                        pc += 1;
-                    }
-                    AsmInst::LaFn { rd, func } => {
-                        let addr = self.asm.fn_addrs[func] as i32;
-                        self.write(rd, addr);
-                        pc += 1;
-                    }
-                    AsmInst::JumpTable {
-                        rs,
-                        lo,
-                        labels,
-                        default,
-                    } => {
-                        let v = i64::from(self.regs[rs as usize]) - i64::from(lo);
-                        let target = if v >= 0 && (v as usize) < labels.len() {
-                            labels[v as usize]
-                        } else {
-                            default
-                        };
-                        pc = self.label(fi, target)?;
-                    }
-                }
-            }
-        }
-    }
-
-    impl<E: Env> Engine for Vm<'_, E> {
-        fn call(&mut self, name: &str, args: &[i32]) -> Result<i32, VmError> {
-            self.run(name, args)
-        }
-
-        fn executed(&self) -> u64 {
-            self.executed
-        }
-
-        fn set_fuel(&mut self, fuel: u64) {
-            self.fuel = fuel;
-        }
     }
 }

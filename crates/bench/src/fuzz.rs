@@ -50,8 +50,11 @@
 //! | `FUZZ_SECS`    | unset   | soft wall-clock cap, checked per batch    |
 //! | `FUZZ_PROMOTE` | unset   | `1` writes shrunk findings to the corpus  |
 //!
-//! The CI smoke runs the default deterministic-seed corpus; a deeper
-//! sweep is one `FUZZ_CASES=5000 FUZZ_SECS=600` away without a rebuild.
+//! An unset knob keeps its default; a set one that does not parse
+//! (`FUZZ_CASES=5k`) is an error naming the variable, never a silent
+//! default. The CI smoke runs the default deterministic-seed corpus; a
+//! deeper sweep is one `FUZZ_CASES=5000 FUZZ_SECS=600` away without a
+//! rebuild.
 
 use std::time::{Duration, Instant};
 
@@ -89,7 +92,7 @@ pub struct FuzzConfig {
     pub evolve_rounds: usize,
     /// Auto-shrink diverging cases before reporting.
     pub shrink: bool,
-    /// Evict the shared driver session's memory tier between batches.
+    /// Evict the shared driver session's artifact cache between batches.
     /// Corpus cases are distinct machines, so retained entries buy
     /// nothing across batches; the bin enables this to bound footprint.
     pub trim_session: bool,
@@ -112,19 +115,21 @@ impl Default for FuzzConfig {
 
 /// Reads the `FUZZ_*` environment knobs (see the [module docs](self))
 /// over bin-scale defaults: 500 cases, session trimming on.
-pub fn config_from_env() -> FuzzConfig {
-    fn parse<T: std::str::FromStr>(name: &str) -> Option<T> {
-        std::env::var(name).ok().and_then(|v| v.parse().ok())
-    }
-    FuzzConfig {
-        cases: parse("FUZZ_CASES").unwrap_or(500),
-        seed: parse("FUZZ_SEED").unwrap_or(1),
-        threads: parse("FUZZ_THREADS").unwrap_or(0),
-        time_budget: parse("FUZZ_SECS").map(Duration::from_secs),
+///
+/// # Errors
+///
+/// A knob that is set but does not parse is an error naming it (see
+/// [`crate::env_knob`]); an unset knob keeps its default.
+pub fn config_from_env() -> Result<FuzzConfig, String> {
+    Ok(FuzzConfig {
+        cases: crate::env_knob("FUZZ_CASES")?.unwrap_or(500),
+        seed: crate::env_knob("FUZZ_SEED")?.unwrap_or(1),
+        threads: crate::env_knob("FUZZ_THREADS")?.unwrap_or(0),
+        time_budget: crate::env_knob("FUZZ_SECS")?.map(Duration::from_secs),
         evolve_rounds: 24,
         trim_session: true,
         ..FuzzConfig::default()
-    }
+    })
 }
 
 // ----------------------------------------------------------------------

@@ -202,11 +202,37 @@ pub fn optimize_model(machine: &StateMachine) -> Result<StateMachine, BenchError
         })
 }
 
-/// Renders the per-pass effect counters of an artifact's mid-end run,
-/// one line per pass — the harness-facing view of [`occ::PassStats`].
-/// Delegates to the single renderer in `occ` so the two can never drift.
-pub fn pass_effect_lines(artifact: &Artifact) -> Vec<String> {
-    artifact.pass_log()
+/// Reads the environment knob `name`: `Ok(None)` when it is unset, the
+/// parsed value when it is set, and an error naming the variable when it
+/// is set to something that does not parse — `FUZZ_CASES=5k` must fail,
+/// not quietly run the default.
+///
+/// # Errors
+///
+/// Returns `"<name>=<value> ..."` when the value does not parse as `T`
+/// (or is not UTF-8).
+pub fn env_knob<T: std::str::FromStr>(name: &str) -> Result<Option<T>, String> {
+    parse_knob(name, std::env::var_os(name).as_deref())
+}
+
+fn parse_knob<T: std::str::FromStr>(
+    name: &str,
+    value: Option<&std::ffi::OsStr>,
+) -> Result<Option<T>, String> {
+    let Some(value) = value else {
+        return Ok(None);
+    };
+    value
+        .to_str()
+        .and_then(|v| v.parse().ok())
+        .map(Some)
+        .ok_or_else(|| {
+            format!(
+                "{name}={} does not parse as {}",
+                value.to_string_lossy(),
+                std::any::type_name::<T>()
+            )
+        })
 }
 
 /// Percentage gain from `before` to `after` bytes (positive = smaller).
@@ -251,6 +277,21 @@ impl GainRow {
 mod tests {
     use super::*;
     use umlsm::samples;
+
+    #[test]
+    fn knobs_parse_or_name_the_variable() {
+        use std::ffi::OsStr;
+        assert_eq!(parse_knob::<usize>("K", None), Ok(None));
+        assert_eq!(
+            parse_knob::<usize>("K", Some(OsStr::new("5000"))),
+            Ok(Some(5000))
+        );
+        assert_eq!(parse_knob::<u64>("K", Some(OsStr::new("0"))), Ok(Some(0)));
+        for bad in ["5k", "", " 5", "-1", "25six"] {
+            let err = parse_knob::<usize>("FUZZ_CASES", Some(OsStr::new(bad))).expect_err(bad);
+            assert!(err.starts_with(&format!("FUZZ_CASES={bad} ")), "{err}");
+        }
+    }
 
     #[test]
     fn pct_gain_basics() {

@@ -414,8 +414,12 @@ pub enum Verdict {
     /// `store-load-fwd` and `inline` rewrite or move code without
     /// removing any, so an `insts_removed` key could never see them go
     /// dead. A pass with zero changes matrix-wide in the baseline is not
-    /// gated at all — today that is `load-pre`, which makes no change on
-    /// the 48 sample cells.
+    /// gated here — today `load-pre` and `dead-fn-elim`, which make no
+    /// change on the 48 sample cells but do on generated machines. The
+    /// corpus test `every_rostered_pass_fires_somewhere_in_the_corpus` in
+    /// `tests/end_to_end.rs` covers them: it fails when any pass on a
+    /// level's roster makes no change at that level over the samples plus
+    /// eight generated machines.
     PassInert {
         /// Canonical pass name.
         name: String,

@@ -13,40 +13,24 @@
 //! A *job* is a `(tlang::Module, OptLevel)` pair. [`job_hash`] serializes
 //! the job to canonical bytes — a deterministic, tagged, length-prefixed
 //! encoding of the whole AST (no pointer identity, no hash-map iteration
-//! order) — and hashes them with the hand-rolled 128-bit FNV-1a in this
-//! module (no crates.io). The hash is salted with the
-//! [`toolchain_fingerprint`]: a 64-bit FNV-1a over the driver format
-//! version, the crate version and the
-//! [`PassManager`](crate::opt::PassManager) roster signature of every
-//! optimization level ([`crate::opt::PassManager::roster_signature`]).
-//! Changing the pass roster — adding, removing or reordering a pass, or
-//! changing a level's outer rounds — therefore invalidates every cached
-//! artifact at once; there is no way to observe a stale artifact across a
-//! toolchain change short of a hash collision.
+//! order) — and hashes them, behind the level, with the hand-rolled
+//! 128-bit FNV-1a in this module (no crates.io).
 //!
-//! # The two-tier artifact cache
+//! The hash carries no toolchain salt. Artifacts live only in the memory
+//! of the process that compiled them, so a cached artifact can never
+//! outlive the pass roster, backend or format that produced it: a
+//! toolchain change is a new binary, and a new binary starts with an
+//! empty cache.
 //!
-//! * **Memory tier** — a `HashMap<u128, Arc<Artifact>>` behind a mutex
-//!   that is only ever held for lookups and inserts, never across a
-//!   compile (the sfuzz code-cache discipline: compile outside the lock,
-//!   publish under it). Two threads racing on the same cold key may both
-//!   compile; compilation is deterministic, the artifacts are
-//!   byte-identical, and the first insert wins — a benign duplicate, not
-//!   a correctness hazard.
-//! * **Disk tier** (optional, [`Driver::with_disk_cache`]) — one file per
-//!   job under the cache directory, named by fingerprint and job hash,
-//!   holding the compact [`serialize_artifact`] encoding: a versioned
-//!   magic, the toolchain fingerprint, the [`Assembly`] instruction
-//!   stream, pass and register-allocation statistics, surviving
-//!   functions, and a trailing FNV-1a checksum. The fast engine's
-//!   micro-ops are *not* persisted: a load re-runs
-//!   [`DecodedProgram::decode`](crate::vm::DecodedProgram::decode), so
-//!   the decoded form can evolve without a cache-format bump. A corrupt,
-//!   truncated, version-mismatched or undecodable entry is deleted and
-//!   falls back to a clean recompile — the cache can lose entries, never
-//!   poison a session. Writes go to a temporary file first and are
-//!   renamed into place, so a crashed writer leaves no half-written
-//!   entry under the final name.
+//! # The artifact cache
+//!
+//! A `HashMap<u128, Arc<Artifact>>` behind a mutex that is only ever held
+//! for lookups and inserts, never across a compile (the sfuzz code-cache
+//! discipline: compile outside the lock, publish under it). Two threads
+//! racing on the same cold key may both compile; compilation is
+//! deterministic, the artifacts are byte-identical, and the first insert
+//! wins — a benign duplicate, not a correctness hazard. Nothing is
+//! persisted: no process reads an artifact another process compiled.
 //!
 //! # Parallel batch compilation
 //!
@@ -59,10 +43,10 @@
 //!
 //! # Observability
 //!
-//! Every session accumulates [`DriverStats`]: jobs served, memory/disk
-//! hits, misses, rejected disk entries, and per-stage compile wall-clock
-//! (lower / opt / backend — split into `VCode` lowering, register
-//! allocation and emission — / decode, from [`crate::compile_timed`]).
+//! Every session accumulates [`DriverStats`]: jobs served, cache hits,
+//! misses, and per-stage compile wall-clock (lower / opt / backend —
+//! split into `VCode` lowering, register allocation and emission — /
+//! decode, from [`crate::compile_timed`]).
 //! [`DriverStats::machines_per_sec`] reports session compile throughput;
 //! a batch's parallel wall-clock throughput comes from
 //! [`BatchReport::machines_per_sec`].
@@ -102,30 +86,13 @@
 //! ```
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::backend::{AsmFunction, AsmGlobal, AsmInst, Assembly, BackendTimes, RegAllocStats};
-use crate::mir;
-use crate::opt::{pass, PassStats, PipelineStats};
-use crate::vm::DecodedProgram;
+use crate::backend::BackendTimes;
 use crate::{Artifact, CompileError, OptLevel};
-
-/// Conventional on-disk cache directory name (repo-relative); listed in
-/// `.gitignore`. Sessions pass it to [`Driver::with_disk_cache`] when
-/// they want artifacts to survive the process.
-pub const DEFAULT_CACHE_DIR: &str = ".occ-cache";
-
-/// Bumped whenever the serialized artifact encoding changes shape; part
-/// of the [`toolchain_fingerprint`], so old entries are simply never
-/// looked at again.
-const FORMAT_VERSION: u32 = 1;
-
-/// Magic prefix of every cache entry.
-const MAGIC: &[u8; 8] = b"OCCART01";
 
 // ---------------------------------------------------------------------
 // FNV-1a hashing (hand-rolled; no crates.io)
@@ -136,8 +103,8 @@ const FNV64_PRIME: u64 = 0x100000001b3;
 const FNV128_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 const FNV128_PRIME: u128 = 0x0000000001000000000000000000013b;
 
-/// Incremental 64-bit FNV-1a hasher (checksums, the toolchain
-/// fingerprint).
+/// Incremental 64-bit FNV-1a hasher (the bench snapshot's per-cell
+/// assembly digests).
 #[derive(Debug, Clone)]
 pub struct Fnv64(u64);
 
@@ -203,33 +170,12 @@ impl Default for Fnv128 {
 // Canonical job serialization + hashing
 // ---------------------------------------------------------------------
 
-/// The toolchain fingerprint salting every [`job_hash`] and stamped into
-/// every disk entry: driver format version, crate version, and the pass
-/// roster signature of every optimization level. Any roster change
-/// invalidates the whole cache.
-pub fn toolchain_fingerprint() -> u64 {
-    let mut h = Fnv64::new();
-    h.write(&FORMAT_VERSION.to_le_bytes());
-    h.write(env!("CARGO_PKG_VERSION").as_bytes());
-    for level in OptLevel::all() {
-        h.write(level.flag().as_bytes());
-        h.write(
-            crate::opt::PassManager::for_level(level)
-                .roster_signature()
-                .as_bytes(),
-        );
-    }
-    h.finish()
-}
-
-/// Content-hashes one `(module, level)` job: the canonical byte
-/// serialization of the whole AST, salted by the
-/// [`toolchain_fingerprint`]. Equal jobs hash equal on every run of
-/// every build of the same toolchain; any AST difference — a renamed
-/// function, a changed literal, a reordered global — changes the hash.
+/// Content-hashes one `(module, level)` job: the level, then the
+/// canonical byte serialization of the whole AST. Equal jobs hash equal
+/// on every run; any AST difference — a renamed function, a changed
+/// literal, a reordered global — changes the hash.
 pub fn job_hash(module: &tlang::Module, level: OptLevel) -> u128 {
     let mut h = Fnv128::new();
-    h.write(&toolchain_fingerprint().to_le_bytes());
     h.write(&[level_code(level)]);
     h.write(&serialize_job(module));
     h.finish()
@@ -287,16 +233,6 @@ fn level_code(level: OptLevel) -> u8 {
         OptLevel::O1 => 1,
         OptLevel::O2 => 2,
         OptLevel::Os => 3,
-    }
-}
-
-fn level_from_code(code: u8) -> Option<OptLevel> {
-    match code {
-        0 => Some(OptLevel::O0),
-        1 => Some(OptLevel::O1),
-        2 => Some(OptLevel::O2),
-        3 => Some(OptLevel::Os),
-        _ => None,
     }
 }
 
@@ -525,450 +461,6 @@ fn ser_init(out: &mut Vec<u8>, init: &tlang::Init) {
 }
 
 // ---------------------------------------------------------------------
-// Artifact (de)serialization — the on-disk cache entry format
-// ---------------------------------------------------------------------
-
-/// Serializes an artifact to the compact cache-entry encoding: magic,
-/// toolchain fingerprint, level, the full [`Assembly`], pass and
-/// register-allocation statistics, surviving functions, and a trailing
-/// FNV-1a checksum. The fast-engine micro-ops are intentionally absent —
-/// [`deserialize_artifact`] re-runs
-/// [`DecodedProgram::decode`](crate::vm::DecodedProgram::decode) instead.
-pub fn serialize_artifact(artifact: &Artifact) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 * 1024);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&toolchain_fingerprint().to_le_bytes());
-    out.push(level_code(artifact.level()));
-    let asm = artifact.assembly();
-    out.extend_from_slice(&(asm.functions.len() as u32).to_le_bytes());
-    for f in &asm.functions {
-        ser_str(&mut out, &f.name);
-        out.push(u8::from(f.exported));
-        for n in [f.stats.spill_slots, f.stats.saved_regs, f.stats.spill_bytes] {
-            out.extend_from_slice(&(n as u32).to_le_bytes());
-        }
-        out.extend_from_slice(&(f.insts.len() as u32).to_le_bytes());
-        for inst in &f.insts {
-            ser_inst(&mut out, inst);
-        }
-    }
-    out.extend_from_slice(&(asm.globals.len() as u32).to_le_bytes());
-    for g in &asm.globals {
-        ser_str(&mut out, &g.name);
-        out.push(u8::from(g.mutable));
-        out.extend_from_slice(&g.offset.to_le_bytes());
-        out.extend_from_slice(&(g.words.len() as u32).to_le_bytes());
-        for w in &g.words {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-    }
-    out.extend_from_slice(&(asm.externs.len() as u32).to_le_bytes());
-    for e in &asm.externs {
-        ser_str(&mut out, e);
-    }
-    out.extend_from_slice(&(asm.fn_addrs.len() as u32).to_le_bytes());
-    for a in &asm.fn_addrs {
-        out.extend_from_slice(&a.to_le_bytes());
-    }
-    let passes = artifact.pass_stats().passes();
-    out.extend_from_slice(&(passes.len() as u32).to_le_bytes());
-    for p in passes {
-        ser_str(&mut out, p.name);
-        for n in [p.runs, p.changes, p.insts_removed] {
-            out.extend_from_slice(&(n as u32).to_le_bytes());
-        }
-    }
-    out.extend_from_slice(&(artifact.surviving_functions().len() as u32).to_le_bytes());
-    for f in artifact.surviving_functions() {
-        ser_str(&mut out, f);
-    }
-    let mut checksum = Fnv64::new();
-    checksum.write(&out);
-    let checksum = checksum.finish();
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
-}
-
-fn ser_inst(out: &mut Vec<u8>, inst: &AsmInst) {
-    match inst {
-        AsmInst::Label(l) => {
-            out.push(0);
-            out.extend_from_slice(&(*l as u32).to_le_bytes());
-        }
-        AsmInst::Li { rd, imm } => {
-            out.push(1);
-            out.push(*rd);
-            out.extend_from_slice(&imm.to_le_bytes());
-        }
-        AsmInst::Mv { rd, rs } => {
-            out.push(2);
-            out.push(*rd);
-            out.push(*rs);
-        }
-        AsmInst::Alu { op, rd, rs1, rs2 } => {
-            out.push(3);
-            out.push(mir_bin_op_code(*op));
-            out.push(*rd);
-            out.push(*rs1);
-            out.push(*rs2);
-        }
-        AsmInst::Lw { rd, base, off } => {
-            out.push(4);
-            out.push(*rd);
-            out.push(*base);
-            out.extend_from_slice(&off.to_le_bytes());
-        }
-        AsmInst::Sw { src, base, off } => {
-            out.push(5);
-            out.push(*src);
-            out.push(*base);
-            out.extend_from_slice(&off.to_le_bytes());
-        }
-        AsmInst::Beq { rs1, rs2, label } => {
-            out.push(6);
-            out.push(*rs1);
-            out.push(*rs2);
-            out.extend_from_slice(&(*label as u32).to_le_bytes());
-        }
-        AsmInst::Bne { rs1, rs2, label } => {
-            out.push(7);
-            out.push(*rs1);
-            out.push(*rs2);
-            out.extend_from_slice(&(*label as u32).to_le_bytes());
-        }
-        AsmInst::J { label } => {
-            out.push(8);
-            out.extend_from_slice(&(*label as u32).to_le_bytes());
-        }
-        AsmInst::Jal { func } => {
-            out.push(9);
-            out.extend_from_slice(&(*func as u32).to_le_bytes());
-        }
-        AsmInst::Jalr { rs } => {
-            out.push(10);
-            out.push(*rs);
-        }
-        AsmInst::Ecall {
-            ext,
-            nargs,
-            returns,
-        } => {
-            out.push(11);
-            out.extend_from_slice(&(*ext as u32).to_le_bytes());
-            out.push(*nargs as u8);
-            out.push(u8::from(*returns));
-        }
-        AsmInst::Ret => out.push(12),
-        AsmInst::La { rd, global, off } => {
-            out.push(13);
-            out.push(*rd);
-            out.extend_from_slice(&(*global as u32).to_le_bytes());
-            out.extend_from_slice(&off.to_le_bytes());
-        }
-        AsmInst::LaFn { rd, func } => {
-            out.push(14);
-            out.push(*rd);
-            out.extend_from_slice(&(*func as u32).to_le_bytes());
-        }
-        AsmInst::JumpTable {
-            rs,
-            lo,
-            labels,
-            default,
-        } => {
-            out.push(15);
-            out.push(*rs);
-            out.extend_from_slice(&lo.to_le_bytes());
-            out.extend_from_slice(&(labels.len() as u32).to_le_bytes());
-            for l in labels {
-                out.extend_from_slice(&(*l as u32).to_le_bytes());
-            }
-            out.extend_from_slice(&(*default as u32).to_le_bytes());
-        }
-    }
-}
-
-fn mir_bin_op_code(op: mir::BinOp) -> u8 {
-    use mir::BinOp::*;
-    match op {
-        Add => 0,
-        Sub => 1,
-        Mul => 2,
-        Div => 3,
-        Rem => 4,
-        And => 5,
-        Or => 6,
-        Xor => 7,
-        Eq => 8,
-        Ne => 9,
-        Lt => 10,
-        Le => 11,
-        Gt => 12,
-        Ge => 13,
-    }
-}
-
-fn mir_bin_op_from_code(code: u8) -> Option<mir::BinOp> {
-    use mir::BinOp::*;
-    [
-        Add, Sub, Mul, Div, Rem, And, Or, Xor, Eq, Ne, Lt, Le, Gt, Ge,
-    ]
-    .get(code as usize)
-    .copied()
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|end| *end <= self.bytes.len())
-            .ok_or_else(|| format!("truncated at byte {}", self.pos))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn i32(&mut self) -> Result<i32, String> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn len(&mut self) -> Result<usize, String> {
-        let n = self.u32()? as usize;
-        // A length can never exceed the remaining payload: reject early
-        // so corrupt lengths do not turn into giant allocations.
-        if n > self.bytes.len().saturating_sub(self.pos) {
-            return Err(format!("implausible length {n} at byte {}", self.pos));
-        }
-        Ok(n)
-    }
-
-    fn str(&mut self) -> Result<String, String> {
-        let n = self.len()?;
-        std::str::from_utf8(self.take(n)?)
-            .map(str::to_string)
-            .map_err(|_| format!("non-UTF-8 string at byte {}", self.pos))
-    }
-}
-
-/// Deserializes a cache entry written by [`serialize_artifact`]: checks
-/// the magic, the toolchain fingerprint and the trailing checksum,
-/// rebuilds the [`Assembly`] and statistics, and re-runs
-/// [`DecodedProgram::decode`](crate::vm::DecodedProgram::decode) for the
-/// fast engine.
-///
-/// # Errors
-///
-/// Returns a description of the first problem — truncation, corruption,
-/// a fingerprint from a different toolchain, an unknown pass name, or a
-/// decode failure. Callers treat every error the same way: ignore the
-/// entry and recompile.
-pub fn deserialize_artifact(bytes: &[u8]) -> Result<Artifact, String> {
-    if bytes.len() < MAGIC.len() + 8 + 8 {
-        return Err("entry shorter than header + checksum".to_string());
-    }
-    let (payload, checksum_bytes) = bytes.split_at(bytes.len() - 8);
-    let mut checksum = Fnv64::new();
-    checksum.write(payload);
-    if checksum.finish() != u64::from_le_bytes(checksum_bytes.try_into().unwrap()) {
-        return Err("checksum mismatch (corrupt or truncated entry)".to_string());
-    }
-    let mut r = Reader {
-        bytes: payload,
-        pos: 0,
-    };
-    if r.take(MAGIC.len())? != MAGIC {
-        return Err("bad magic".to_string());
-    }
-    if r.u64()? != toolchain_fingerprint() {
-        return Err("toolchain fingerprint mismatch (stale entry)".to_string());
-    }
-    let level = level_from_code(r.u8()?).ok_or("bad level code")?;
-
-    let n_functions = r.len()?;
-    let mut functions = Vec::with_capacity(n_functions);
-    for _ in 0..n_functions {
-        let name = r.str()?;
-        let exported = r.u8()? != 0;
-        let stats = RegAllocStats {
-            spill_slots: r.u32()? as usize,
-            saved_regs: r.u32()? as usize,
-            spill_bytes: r.u32()? as usize,
-        };
-        let n_insts = r.len()?;
-        let mut insts = Vec::with_capacity(n_insts);
-        for _ in 0..n_insts {
-            insts.push(de_inst(&mut r)?);
-        }
-        functions.push(AsmFunction {
-            name,
-            exported,
-            insts,
-            stats,
-        });
-    }
-    let n_globals = r.len()?;
-    let mut globals = Vec::with_capacity(n_globals);
-    for _ in 0..n_globals {
-        let name = r.str()?;
-        let mutable = r.u8()? != 0;
-        let offset = r.u32()?;
-        let n_words = r.len()?;
-        let mut words = Vec::with_capacity(n_words);
-        for _ in 0..n_words {
-            words.push(r.i32()?);
-        }
-        globals.push(AsmGlobal {
-            name,
-            words,
-            mutable,
-            offset,
-        });
-    }
-    let n_externs = r.len()?;
-    let mut externs = Vec::with_capacity(n_externs);
-    for _ in 0..n_externs {
-        externs.push(r.str()?);
-    }
-    let n_addrs = r.len()?;
-    let mut fn_addrs = Vec::with_capacity(n_addrs);
-    for _ in 0..n_addrs {
-        fn_addrs.push(r.u32()?);
-    }
-    let asm = Assembly {
-        functions,
-        globals,
-        externs,
-        fn_addrs,
-    };
-
-    let n_passes = r.len()?;
-    let mut passes = Vec::with_capacity(n_passes);
-    for _ in 0..n_passes {
-        let name = r.str()?;
-        let name = pass::canonical(&name).ok_or_else(|| format!("unknown pass `{name}`"))?;
-        passes.push(PassStats {
-            name,
-            runs: r.u32()? as usize,
-            changes: r.u32()? as usize,
-            insts_removed: r.u32()? as usize,
-        });
-    }
-    let n_surviving = r.len()?;
-    let mut surviving_functions = Vec::with_capacity(n_surviving);
-    for _ in 0..n_surviving {
-        surviving_functions.push(r.str()?);
-    }
-    if r.pos != payload.len() {
-        return Err(format!("trailing garbage at byte {}", r.pos));
-    }
-
-    let decoded = DecodedProgram::decode(&asm).map_err(|e| format!("re-decode failed: {e}"))?;
-    Ok(Artifact {
-        asm,
-        decoded,
-        pass_stats: PipelineStats::from_passes(passes),
-        surviving_functions,
-        level,
-    })
-}
-
-fn de_inst(r: &mut Reader<'_>) -> Result<AsmInst, String> {
-    Ok(match r.u8()? {
-        0 => AsmInst::Label(r.u32()? as usize),
-        1 => AsmInst::Li {
-            rd: r.u8()?,
-            imm: r.i32()?,
-        },
-        2 => AsmInst::Mv {
-            rd: r.u8()?,
-            rs: r.u8()?,
-        },
-        3 => AsmInst::Alu {
-            op: mir_bin_op_from_code(r.u8()?).ok_or("bad ALU op code")?,
-            rd: r.u8()?,
-            rs1: r.u8()?,
-            rs2: r.u8()?,
-        },
-        4 => AsmInst::Lw {
-            rd: r.u8()?,
-            base: r.u8()?,
-            off: r.i32()?,
-        },
-        5 => AsmInst::Sw {
-            src: r.u8()?,
-            base: r.u8()?,
-            off: r.i32()?,
-        },
-        6 => AsmInst::Beq {
-            rs1: r.u8()?,
-            rs2: r.u8()?,
-            label: r.u32()? as usize,
-        },
-        7 => AsmInst::Bne {
-            rs1: r.u8()?,
-            rs2: r.u8()?,
-            label: r.u32()? as usize,
-        },
-        8 => AsmInst::J {
-            label: r.u32()? as usize,
-        },
-        9 => AsmInst::Jal {
-            func: r.u32()? as usize,
-        },
-        10 => AsmInst::Jalr { rs: r.u8()? },
-        11 => AsmInst::Ecall {
-            ext: r.u32()? as usize,
-            nargs: r.u8()? as usize,
-            returns: r.u8()? != 0,
-        },
-        12 => AsmInst::Ret,
-        13 => AsmInst::La {
-            rd: r.u8()?,
-            global: r.u32()? as usize,
-            off: r.i32()?,
-        },
-        14 => AsmInst::LaFn {
-            rd: r.u8()?,
-            func: r.u32()? as usize,
-        },
-        15 => {
-            let rs = r.u8()?;
-            let lo = r.i32()?;
-            let n = r.len()?;
-            let mut labels = Vec::with_capacity(n);
-            for _ in 0..n {
-                labels.push(r.u32()? as usize);
-            }
-            AsmInst::JumpTable {
-                rs,
-                lo,
-                labels,
-                default: r.u32()? as usize,
-            }
-        }
-        other => return Err(format!("bad instruction tag {other}")),
-    })
-}
-
-// ---------------------------------------------------------------------
 // The shared worker pool
 // ---------------------------------------------------------------------
 
@@ -1036,9 +528,7 @@ where
 struct Counters {
     jobs: AtomicUsize,
     mem_hits: AtomicUsize,
-    disk_hits: AtomicUsize,
     misses: AtomicUsize,
-    rejected: AtomicUsize,
     lower_ns: AtomicU64,
     opt_ns: AtomicU64,
     vcode_ns: AtomicU64,
@@ -1054,15 +544,10 @@ struct Counters {
 pub struct DriverStats {
     /// Jobs served ([`Driver::compile`] calls).
     pub jobs: usize,
-    /// Jobs answered from the in-memory tier.
+    /// Jobs answered from the artifact cache.
     pub mem_hits: usize,
-    /// Jobs answered from the on-disk tier.
-    pub disk_hits: usize,
     /// Jobs that compiled from scratch.
     pub misses: usize,
-    /// On-disk entries rejected (corrupt, truncated, stale fingerprint)
-    /// and recompiled cleanly.
-    pub rejected: usize,
     /// Wall-clock spent in type check + MIR lowering, across misses.
     pub lower: Duration,
     /// Wall-clock spent in the mid-end pipeline, across misses.
@@ -1077,12 +562,12 @@ pub struct DriverStats {
 }
 
 impl DriverStats {
-    /// Cache hits across both tiers.
+    /// Cache hits (the same count as [`DriverStats::mem_hits`]).
     pub fn hits(&self) -> usize {
-        self.mem_hits + self.disk_hits
+        self.mem_hits
     }
 
-    /// Fraction of jobs answered from a cache tier (0.0 with no jobs).
+    /// Fraction of jobs answered from the cache (0.0 with no jobs).
     pub fn hit_rate(&self) -> f64 {
         if self.jobs == 0 {
             0.0
@@ -1107,21 +592,14 @@ impl DriverStats {
     /// One human-readable summary line.
     pub fn render(&self) -> String {
         format!(
-            "{} jobs: {} hit ({} mem, {} disk, {:.1}%), {} compiled{}; \
+            "{} jobs: {} hit ({:.1}%), {} compiled; \
              {:.0} machines/sec (stages: lower {:.1}ms, opt {:.1}ms, \
              backend {:.1}ms [vcode {:.1}ms, regalloc {:.1}ms, emit {:.1}ms], \
              decode {:.1}ms)",
             self.jobs,
             self.hits(),
-            self.mem_hits,
-            self.disk_hits,
             100.0 * self.hit_rate(),
             self.misses,
-            if self.rejected > 0 {
-                format!(" ({} stale/corrupt disk entries rejected)", self.rejected)
-            } else {
-                String::new()
-            },
             self.machines_per_sec(),
             self.lower.as_secs_f64() * 1e3,
             self.opt.as_secs_f64() * 1e3,
@@ -1161,12 +639,10 @@ impl BatchReport {
     }
 }
 
-/// A compilation session: content-addressed artifact cache (in-memory,
-/// optionally on-disk) plus the batch entry point. See the module doc
-/// for the full contract.
+/// A compilation session: content-addressed in-memory artifact cache
+/// plus the batch entry point. See the module doc for the full contract.
 pub struct Driver {
     mem: Mutex<HashMap<u128, Arc<Artifact>>>,
-    disk: Option<PathBuf>,
     counters: Counters,
 }
 
@@ -1177,40 +653,21 @@ impl Default for Driver {
 }
 
 impl Driver {
-    /// A session with the in-memory tier only.
+    /// A session with an empty artifact cache.
     pub fn new() -> Driver {
         Driver {
             mem: Mutex::new(HashMap::new()),
-            disk: None,
             counters: Counters::default(),
         }
     }
 
-    /// A session that additionally persists artifacts under `dir`
-    /// (created on first write; see [`DEFAULT_CACHE_DIR`] for the
-    /// conventional name). Disk entries written by an earlier session of
-    /// the *same* toolchain are served as hits; anything else is
-    /// rejected and recompiled.
-    pub fn with_disk_cache(dir: impl Into<PathBuf>) -> Driver {
-        Driver {
-            mem: Mutex::new(HashMap::new()),
-            disk: Some(dir.into()),
-            counters: Counters::default(),
-        }
-    }
-
-    /// The on-disk cache directory, if this session has one.
-    pub fn cache_dir(&self) -> Option<&Path> {
-        self.disk.as_deref()
-    }
-
-    /// Compiles one job through the cache: memory tier, then disk tier,
-    /// then a real compile (outside any lock) published to both tiers.
+    /// Compiles one job through the cache: a hit returns the cached
+    /// artifact; a miss compiles (outside any lock) and publishes the
+    /// result.
     ///
     /// # Errors
     ///
-    /// Exactly [`crate::compile`]'s errors; cache-tier problems are
-    /// never surfaced (a bad entry falls back to a clean recompile).
+    /// Exactly [`crate::compile`]'s errors.
     pub fn compile(
         &self,
         module: &tlang::Module,
@@ -1223,17 +680,6 @@ impl Driver {
         let hit = self.lock_mem().get(&key).cloned();
         if let Some(artifact) = hit {
             self.counters.mem_hits.fetch_add(1, Ordering::Relaxed);
-            self.bump_serve(started);
-            return Ok(artifact);
-        }
-
-        if let Some(artifact) = self.try_disk_load(key) {
-            let artifact = self
-                .lock_mem()
-                .entry(key)
-                .or_insert_with(|| Arc::new(artifact))
-                .clone();
-            self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
             self.bump_serve(started);
             return Ok(artifact);
         }
@@ -1253,7 +699,6 @@ impl Driver {
         ] {
             counter.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
         }
-        self.try_disk_store(key, &artifact);
         let artifact = self
             .lock_mem()
             .entry(key)
@@ -1283,9 +728,7 @@ impl Driver {
         DriverStats {
             jobs: self.counters.jobs.load(Ordering::Relaxed),
             mem_hits: self.counters.mem_hits.load(Ordering::Relaxed),
-            disk_hits: self.counters.disk_hits.load(Ordering::Relaxed),
             misses: self.counters.misses.load(Ordering::Relaxed),
-            rejected: self.counters.rejected.load(Ordering::Relaxed),
             lower: ns(&self.counters.lower_ns),
             opt: ns(&self.counters.opt_ns),
             backend: BackendTimes {
@@ -1298,9 +741,9 @@ impl Driver {
         }
     }
 
-    /// Drops every entry of the in-memory tier, returning how many were
-    /// evicted. Cumulative counters and the disk tier are untouched, and
-    /// outstanding `Arc<Artifact>` handles stay valid.
+    /// Drops every entry of the artifact cache, returning how many were
+    /// evicted. Cumulative counters are untouched, and outstanding
+    /// `Arc<Artifact>` handles stay valid.
     ///
     /// Corpus-scale callers (the fuzz harness compiles thousands of
     /// *distinct* machines through one session, so the cache buys nothing
@@ -1322,50 +765,6 @@ impl Driver {
         self.counters
             .serve_ns
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    fn entry_path(&self, key: u128) -> Option<PathBuf> {
-        self.disk.as_ref().map(|dir| {
-            dir.join(format!(
-                "{:016x}-{key:032x}.occart",
-                toolchain_fingerprint()
-            ))
-        })
-    }
-
-    fn try_disk_load(&self, key: u128) -> Option<Artifact> {
-        let path = self.entry_path(key)?;
-        let bytes = std::fs::read(&path).ok()?;
-        match deserialize_artifact(&bytes) {
-            Ok(artifact) => Some(artifact),
-            Err(_) => {
-                // Present but unusable: drop it so the slot heals, and
-                // fall through to a clean recompile.
-                self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                let _ = std::fs::remove_file(&path);
-                None
-            }
-        }
-    }
-
-    fn try_disk_store(&self, key: u128, artifact: &Artifact) {
-        let Some(path) = self.entry_path(key) else {
-            return;
-        };
-        let Some(dir) = path.parent() else {
-            return;
-        };
-        // Best effort throughout: a full disk or permission problem must
-        // not fail the compile, only the caching.
-        if std::fs::create_dir_all(dir).is_err() {
-            return;
-        }
-        let tmp = dir.join(format!(".tmp-{}-{key:032x}", std::process::id()));
-        if std::fs::write(&tmp, serialize_artifact(artifact)).is_ok()
-            && std::fs::rename(&tmp, &path).is_err()
-        {
-            let _ = std::fs::remove_file(&tmp);
-        }
     }
 }
 
@@ -1409,54 +808,6 @@ mod tests {
             job_hash(&module_returning("demo2", 42), OptLevel::Os),
             "the module name is part of the job"
         );
-    }
-
-    #[test]
-    fn fingerprint_is_deterministic() {
-        assert_eq!(toolchain_fingerprint(), toolchain_fingerprint());
-    }
-
-    #[test]
-    fn artifact_roundtrips_through_the_cache_encoding() {
-        let m = module_returning("demo", 7);
-        let artifact = crate::compile(&m, OptLevel::Os).expect("compiles");
-        let bytes = serialize_artifact(&artifact);
-        let back = deserialize_artifact(&bytes).expect("deserializes");
-        assert_eq!(back.assembly(), artifact.assembly());
-        assert_eq!(back.pass_stats(), artifact.pass_stats());
-        assert_eq!(back.regalloc_stats(), artifact.regalloc_stats());
-        assert_eq!(back.surviving_functions(), artifact.surviving_functions());
-        assert_eq!(back.level(), artifact.level());
-        // Canonical: re-serializing the deserialized artifact is
-        // byte-identical.
-        assert_eq!(serialize_artifact(&back), bytes);
-    }
-
-    #[test]
-    fn corrupt_entries_are_rejected_not_adopted() {
-        let m = module_returning("demo", 7);
-        let artifact = crate::compile(&m, OptLevel::O1).expect("compiles");
-        let bytes = serialize_artifact(&artifact);
-        // Truncation.
-        assert!(deserialize_artifact(&bytes[..bytes.len() - 1]).is_err());
-        assert!(deserialize_artifact(&[]).is_err());
-        // Any flipped payload byte breaks the checksum.
-        let mut flipped = bytes.clone();
-        flipped[MAGIC.len() + 3] ^= 0xff;
-        assert!(deserialize_artifact(&flipped).is_err());
-        // A checksum-correct entry from a different fingerprint is stale.
-        let mut other = bytes.clone();
-        let fp_at = MAGIC.len();
-        for b in &mut other[fp_at..fp_at + 8] {
-            *b = b.wrapping_add(1);
-        }
-        let payload_len = other.len() - 8;
-        let mut ck = Fnv64::new();
-        ck.write(&other[..payload_len]);
-        let ck = ck.finish().to_le_bytes();
-        other[payload_len..].copy_from_slice(&ck);
-        let err = deserialize_artifact(&other).expect_err("stale entry");
-        assert!(err.contains("fingerprint"), "{err}");
     }
 
     #[test]
@@ -1530,51 +881,5 @@ mod tests {
         assert!(report.results[0].is_ok());
         assert!(matches!(report.results[1], Err(CompileError::Check(_))));
         assert_eq!(report.ok_count(), 1);
-    }
-
-    #[test]
-    fn disk_tier_survives_sessions_and_heals_corruption() {
-        let dir = std::env::temp_dir().join(format!(
-            "occ-driver-unit-{}-{:x}",
-            std::process::id(),
-            job_hash(&module_returning("salt", 0), OptLevel::O0) as u64
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let m = module_returning("demo", 9);
-
-        let cold = Driver::with_disk_cache(&dir);
-        let a = cold.compile(&m, OptLevel::Os).expect("compiles");
-        assert_eq!(cold.stats().misses, 1);
-
-        // A new session over the same directory loads from disk.
-        let warm = Driver::with_disk_cache(&dir);
-        let b = warm.compile(&m, OptLevel::Os).expect("loads");
-        let stats = warm.stats();
-        assert_eq!((stats.disk_hits, stats.misses), (1, 0), "{stats:?}");
-        assert_eq!(a.assembly(), b.assembly());
-        assert_eq!(a.pass_stats(), b.pass_stats());
-
-        // Corrupt the single entry: the next session recompiles cleanly.
-        let entry = std::fs::read_dir(&dir)
-            .expect("cache dir")
-            .filter_map(Result::ok)
-            .find(|e| e.path().extension().is_some_and(|x| x == "occart"))
-            .expect("one cache entry")
-            .path();
-        let mut bytes = std::fs::read(&entry).expect("reads");
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        std::fs::write(&entry, &bytes).expect("writes");
-        let healed = Driver::with_disk_cache(&dir);
-        let c = healed.compile(&m, OptLevel::Os).expect("recompiles");
-        let stats = healed.stats();
-        assert_eq!(
-            (stats.disk_hits, stats.misses, stats.rejected),
-            (0, 1, 1),
-            "{stats:?}"
-        );
-        assert_eq!(c.assembly(), a.assembly());
-
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -8,11 +8,12 @@
 //! * **Mid end**: SSA construction (Cytron-style dominance frontiers,
 //!   [`ssa`]), then the fixed-point [`PassManager`] of [`opt`] — sparse
 //!   conditional constant propagation (Wegman-Zadeck), dense constant
-//!   folding, root-based dead-code elimination, copy propagation, global
-//!   value numbering / CSE, block-local *and* cross-block store-to-load
-//!   forwarding (the latter over the available-load dataflow
-//!   [`opt::AvailLoads`]), load partial-redundancy elimination
-//!   on diamond joins, dead-store elimination — all over the
+//!   folding (`-O1`'s constant pass), root-based dead-code elimination,
+//!   copy propagation, global value numbering / CSE, block-local *and*
+//!   cross-block store-to-load forwarding (the latter over the
+//!   available-load dataflow [`opt::AvailLoads`]), load
+//!   partial-redundancy elimination on diamond joins, dead-store
+//!   elimination — all over the
 //!   memory-dependence layer of [`mem`] (flat-image alias model: `Addr`
 //!   roots plus constant offsets) — loop-invariant code motion out of
 //!   natural loops ([`cfg::natural_loops`]) including clobber-free
@@ -47,12 +48,12 @@
 //!   re-check every pipeline boundary, and `OCC_VERIFY=each` escalates
 //!   to per-pass verification with pass blame.
 //! * **Driver**: the batch-compilation session layer ([`driver`]) —
-//!   content-addressed artifact caching (an in-memory tier behind a
-//!   lookup-only lock plus an optional on-disk tier) and parallel batch
-//!   compilation over a shared worker pool, with per-session
-//!   [`driver::DriverStats`] observability (cache hits/misses, compile
-//!   throughput, per-stage wall-clock). The [`driver`] module doc is the
-//!   canonical caching/hashing/parallelism contract.
+//!   content-addressed in-memory artifact caching behind a lookup-only
+//!   lock and parallel batch compilation over a shared worker pool, with
+//!   per-session [`driver::DriverStats`] observability (cache
+//!   hits/misses, compile throughput, per-stage wall-clock). The
+//!   [`driver`] module doc is the canonical caching/hashing/parallelism
+//!   contract.
 //!
 //! The central property the dead-code experiment (paper §III.C) relies on
 //! falls out of soundness, not special-casing: generated state-machine code
@@ -212,12 +213,6 @@ impl Artifact {
     /// unreachable state still exists").
     pub fn pass_stats(&self) -> &PipelineStats {
         &self.pass_stats
-    }
-
-    /// One human-readable line per executed pass, rendered from
-    /// [`Artifact::pass_stats`].
-    pub fn pass_log(&self) -> Vec<String> {
-        self.pass_stats.render()
     }
 
     /// Names of the functions present in the final program — the direct

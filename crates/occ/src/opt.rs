@@ -41,7 +41,7 @@
 //! | pass                    | `-O1` (2 rounds) | `-O2`/`-Os` (3 rounds) |
 //! |-------------------------|------------------|------------------------|
 //! | [`sccp`]                |                  | ✓                      |
-//! | [`constant_fold`]       | ✓                | ✓                      |
+//! | [`constant_fold`]       | ✓                |                        |
 //! | [`copy_propagate`]      |                  | ✓                      |
 //! | [`gvn_cse`]             |                  | ✓                      |
 //! | [`store_load_forward`]  | ✓                | ✓                      |
@@ -75,8 +75,9 @@
 //!   removes never-executable blocks. Folds through branches the dense
 //!   fold must leave.
 //! * [`constant_fold`] — dense constant propagation/folding with branch
-//!   folding; residue cleanup behind SCCP at `-O2`+, the only constant
-//!   pass at `-O1`.
+//!   folding; the only constant pass at `-O1`. It is not registered at
+//!   `-O2`/`-Os`, where [`sccp`] subsumes it (its doc has the
+//!   measurement).
 //! * [`copy_propagate`] — transitive copy propagation into uses.
 //! * [`gvn_cse`] — dominator-scoped global value numbering / common
 //!   subexpression elimination with commutative canonicalization; loads
@@ -278,34 +279,6 @@ pub mod pass {
     pub const INLINE: &str = "inline";
     /// Call-graph dead-function elimination.
     pub const DEAD_FN_ELIM: &str = "dead-fn-elim";
-
-    /// Resolves a pass name carried in serialized form (a cached
-    /// artifact, a snapshot cell) back to its canonical `&'static str`.
-    /// Returns `None` for a name this toolchain does not know — a cache
-    /// entry written by a different pass roster must be treated as
-    /// stale, not adopted.
-    pub fn canonical(name: &str) -> Option<&'static str> {
-        [
-            CONST_FOLD,
-            COPY_PROP,
-            SCCP,
-            LICM,
-            COPY_COALESCE,
-            TAIL_MERGE,
-            GVN_CSE,
-            STORE_LOAD_FWD,
-            CROSS_LOAD_FWD,
-            LOAD_PRE,
-            DSE,
-            TERM_FOLD,
-            DCE,
-            SIMPLIFY_CFG,
-            INLINE,
-            DEAD_FN_ELIM,
-        ]
-        .into_iter()
-        .find(|c| *c == name)
-    }
 }
 
 /// Per-pass statistics for one whole [`run_pipeline`] invocation, in
@@ -321,12 +294,6 @@ impl PipelineStats {
         &self.passes
     }
 
-    /// Rebuilds stats from deserialized parts (the driver's on-disk
-    /// artifact cache round-trips them; names are already canonical).
-    pub(crate) fn from_passes(passes: Vec<PassStats>) -> PipelineStats {
-        PipelineStats { passes }
-    }
-
     /// Looks up one pass by canonical name.
     pub fn get(&self, name: &str) -> Option<&PassStats> {
         self.passes.iter().find(|p| p.name == name)
@@ -335,20 +302,6 @@ impl PipelineStats {
     /// Total instructions removed by all passes.
     pub fn total_insts_removed(&self) -> usize {
         self.passes.iter().map(|p| p.insts_removed).sum()
-    }
-
-    /// Renders one human-readable, column-aligned line per executed pass.
-    pub fn render(&self) -> Vec<String> {
-        self.passes
-            .iter()
-            .filter(|p| p.runs > 0)
-            .map(|p| {
-                format!(
-                    "{:<14} runs {:>3}  changes {:>3}  insts removed {:>4}",
-                    p.name, p.runs, p.changes, p.insts_removed
-                )
-            })
-            .collect()
     }
 
     fn entry(&mut self, name: &'static str) -> &mut PassStats {
@@ -623,15 +576,13 @@ impl PassManager {
                 // Extra outer rounds let φ-free CFG cleanup and the SSA
                 // passes feed each other; copy propagation erases the
                 // copies each construct/destruct round introduces. SCCP
-                // leads: it subsumes the dense fold and folds through
-                // branches it must leave, so the dense pass after it is
-                // cheap residue cleanup. The memory passes run after
+                // leads and subsumes the dense fold, which therefore
+                // does not run here. The memory passes run after
                 // GVN/CSE (addresses are canonical by then) and before
                 // LICM, so forwarding eats block-local load redundancy
                 // first and LICM hoists only the loads that survive.
                 pm.outer_rounds = 3;
                 pm.register(pass::SCCP, sccp);
-                pm.register(pass::CONST_FOLD, constant_fold);
                 pm.register(pass::COPY_PROP, copy_propagate);
                 pm.register(pass::GVN_CSE, gvn_cse);
                 pm.register(pass::STORE_LOAD_FWD, store_load_forward);
@@ -658,13 +609,6 @@ impl PassManager {
     /// round, under its reporting name.
     pub fn register_post(&mut self, name: &'static str, p: SsaPass) -> &mut PassManager {
         self.post_passes.push((name, p));
-        self
-    }
-
-    /// Overrides the number of outer rounds (φ-free simplify + SSA
-    /// fixed point) per function.
-    pub fn with_outer_rounds(mut self, rounds: usize) -> PassManager {
-        self.outer_rounds = rounds.max(1);
         self
     }
 
@@ -811,24 +755,6 @@ impl PassManager {
         any
     }
 
-    /// A deterministic textual signature of this manager's registration
-    /// data: outer rounds plus the SSA and φ-free pass rosters in
-    /// registration order. [`crate::driver`] hashes the signatures of
-    /// every level into its toolchain fingerprint, so any roster change
-    /// (a pass added, removed or reordered) invalidates every cached
-    /// artifact.
-    pub fn roster_signature(&self) -> String {
-        let names = |ps: &[(&'static str, SsaPass)]| {
-            ps.iter().map(|(n, _)| *n).collect::<Vec<_>>().join(",")
-        };
-        format!(
-            "rounds={};ssa={};post={}",
-            self.outer_rounds,
-            names(&self.ssa_passes),
-            names(&self.post_passes)
-        )
-    }
-
     /// The collected statistics so far.
     pub fn stats(&self) -> &PipelineStats {
         &self.stats
@@ -935,6 +861,12 @@ fn run_pipeline_impl(
 
 /// Propagates and folds constants; folds constant branches. Returns `true`
 /// if anything changed.
+///
+/// Registered at `-O1` only, where it is the only constant pass. At
+/// `-O2`/`-Os` [`sccp`] subsumes it: behind SCCP it made 0 changes in
+/// 186,232 `-O2` and 183,486 `-Os` runs over the samples plus `umlsm::gen`
+/// seeds 1–500 (original and `mbo`-optimized, three patterns), against
+/// 21,596 changes at `-O1`.
 pub fn constant_fold(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
     // The known constant of each register, by register number.
     let mut known: Vec<Option<i32>> = vec![None; f.next_vreg as usize];
@@ -1447,8 +1379,9 @@ pub fn copy_propagate(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
 
 /// A value-number key for a pure, memory-free computation. `Const` is
 /// deliberately absent: re-materializing an immediate is as cheap as a
-/// copy, and CSE-ing constants would ping-pong with [`constant_fold`]
-/// (which rewrites known-value copies back into constants).
+/// copy, and CSE-ing constants would ping-pong with [`sccp`] and
+/// [`constant_fold`] (which rewrite known-value copies back into
+/// constants).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 enum GvnKey {
     Un(UnOp, VReg),
@@ -2126,6 +2059,12 @@ pub fn cross_block_forward(f: &mut MirFunction, cx: &mut AnalysisCtx<'_>) -> boo
 /// rule of [`crate::mem`] — the cell is exactly addressed, so the
 /// address stays inside the VM's data image and the extra load can only
 /// cost time, never behaviour. Returns `true` if anything changed.
+///
+/// The 48 sample cells never exercise it (0 changes in 1,674 runs), but
+/// generated machines do: over the samples plus `umlsm::gen` seeds 1–500
+/// (original and `mbo`-optimized, three patterns) it made 745, 885 and
+/// 783 changes at `-O1`, `-O2` and `-Os`, on original machines from seed
+/// 3 onward at every pattern and level.
 pub fn load_pre(f: &mut MirFunction, cx: &mut AnalysisCtx<'_>) -> bool {
     let Some(cb) = cx.cross_block(f) else {
         return false;
@@ -3782,12 +3721,11 @@ mod tests {
         let mut f = const_add_fn();
         assert!(pm.run_function(&mut f, &md()));
         let stats = pm.stats();
-        // SCCP leads the -O2 roster, so it (not the dense fold) reports
-        // the constant-folding changes; const-fold still runs.
+        // SCCP is the -O2 roster's constant pass; the dense fold it
+        // subsumes is not registered there.
         let sc = stats.get(pass::SCCP).expect("sccp ran");
         assert!(sc.runs > 0 && sc.changes > 0, "{stats:?}");
-        let cf = stats.get(pass::CONST_FOLD).expect("const-fold ran");
-        assert!(cf.runs > 0, "{stats:?}");
+        assert!(stats.get(pass::CONST_FOLD).is_none(), "{stats:?}");
         let dce = stats.get(pass::DCE).expect("dce ran");
         assert!(dce.insts_removed > 0, "{stats:?}");
         // Idempotence: a second run over the optimized function reports no

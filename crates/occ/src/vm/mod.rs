@@ -64,6 +64,13 @@
 //! `OutOfFuel` faults land at exactly the same instruction boundary as on
 //! the oracle, trace and count included.
 //!
+//! Fusion is measured to pay for itself. With the fused ops, the fusion
+//! peephole and their dispatch arms removed, the repository benchmark's
+//! `storm` workload (8 alternating 25 s pairs, seed 1, on a 2-core
+//! x86-64 VM) fell from 9.44M to 8.32M events/s in the median, about
+//! 12% (worse in 7 of 8 pairs), and its p90 event latency rose from
+//! 0.111 to 0.134 µs (worse in 8 of 8).
+//!
 //! Only genuinely run-time faults remain at dispatch time: memory faults,
 //! indirect calls to non-entry addresses, host rejections, and fuel
 //! exhaustion.

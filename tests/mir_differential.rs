@@ -24,7 +24,8 @@
 //!
 //! The property depth is CI-tunable: `MIR_DIFF_CASES=<n>` overrides the
 //! per-property case count (default 96), so the full `ci.sh` gate runs
-//! the net deeper than a local `--fast` iteration.
+//! the net deeper than a local `--fast` iteration. A value that does not
+//! parse fails the run instead of falling back to the default.
 //!
 //! In debug builds every property additionally runs the [`occ::verify`]
 //! static checker in verify-each mode (forced via
@@ -43,11 +44,11 @@ use occ::{opt, ssa, verify, OptLevel};
 use tlang::RecordingEnv;
 
 /// Per-property case count: `MIR_DIFF_CASES` when set (CI's full gate
-/// raises it), 96 otherwise.
+/// raises it), 96 otherwise. A value that does not parse panics, naming
+/// the variable, instead of running the default depth.
 fn cases() -> u32 {
-    std::env::var("MIR_DIFF_CASES")
-        .ok()
-        .and_then(|s| s.parse().ok())
+    bench::env_knob("MIR_DIFF_CASES")
+        .unwrap_or_else(|e| panic!("{e}"))
         .unwrap_or(96)
 }
 
@@ -799,12 +800,14 @@ proptest! {
     }
 }
 
-/// The env knob parses and has the documented default.
+/// The env knob parses — a malformed value fails here, naming the
+/// variable — and has the documented default.
 #[test]
 fn mir_diff_cases_env_default() {
-    if std::env::var("MIR_DIFF_CASES").is_err() {
-        assert_eq!(cases(), 96);
+    let n = cases();
+    if std::env::var_os("MIR_DIFF_CASES").is_none() {
+        assert_eq!(n, 96);
     } else {
-        assert!(cases() > 0, "MIR_DIFF_CASES must parse to a positive count");
+        assert!(n > 0, "MIR_DIFF_CASES must be a positive count");
     }
 }
