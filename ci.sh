@@ -1,18 +1,21 @@
 #!/usr/bin/env bash
 # CI gate for the mbot workspace. Run from the repository root:
 #
-#   ./ci.sh            # full gate: fmt, clippy, rustdoc, build, deep
-#                      # tests, bench smoke, throughput smoke,
-#                      # batch-compile smoke, differential fuzz smoke,
-#                      # bench-regression gate
+#   ./ci.sh            # full gate: fmt, clippy, rustdoc, release build,
+#                      # release tests (MIR_DIFF_CASES=256), dev-profile
+#                      # occ + mbot tests under OCC_VERIFY=each, bench
+#                      # smoke, throughput smoke, batch-compile smoke,
+#                      # differential fuzz smoke, snapshot + regression
+#                      # gate (including the per-cell assembly digests)
 #   ./ci.sh --fast     # quick gate: fmt, clippy, rustdoc, dev tests
 #
 # Mirrors the tier-1 verify command of ROADMAP.md plus style gates, the
-# bench-binary smoke loop, the event-storm throughput smoke and the
-# regression gate (sizes, pass activity and per-cell dynamic instruction
-# counts) against the committed bench_baseline.json. Every stage's
-# wall-clock time is reported at the end so slow stages are visible in
-# CI logs.
+# verify-each dev-profile run, the bench-binary smoke loop, the
+# event-storm throughput, batch-compile and differential fuzz smokes, and
+# the regression gate (sizes, pass activity, per-cell dynamic
+# instruction counts, warm cache hits and assembly digests) against the
+# committed bench_baseline.json. Every stage's wall-clock time is
+# reported at the end so slow stages are visible in CI logs.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -25,7 +28,7 @@ full_gate_diff_cases=256
 
 # The full gate's dev-profile stage runs the occ::verify static checker
 # after *every* mid-end pass (OCC_VERIFY=each), not just at pipeline
-# boundaries, so an invariant breakage is blamed on the pass and round
+# boundaries, so an invariant breakage is blamed on the pass and stage
 # that introduced it. Debug-build-only, like the VCode verifier; the
 # --fast gate keeps the default boundary-only checks.
 occ_verify_mode=each

@@ -7,8 +7,8 @@
 //! spill-code bytes), the per-pass [`occ::PassStats`] of the mid-end
 //! run, the deterministic executed-instruction count of the
 //! [canonical event storm](crate::throughput) on the fast engine — the
-//! cell's regression-gated "time" — the driver's cold/warm compile
-//! times plus the warm cache-hit flag, and a digest of the cell's whole
+//! cell's regression-gated "time" — whether an immediate recompile hits
+//! the driver's cache, and a digest of the cell's whole
 //! assembly ([`assembly_digest`]) that makes byte identity a gate. The
 //! `snapshot` binary serializes one to `BENCH_PR3.json`; the `regress`
 //! binary compares a fresh (or freshly written) snapshot against the
@@ -23,7 +23,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
-use std::time::Instant;
 
 use occ::driver::Fnv64;
 use occ::{Assembly, OptLevel};
@@ -94,14 +93,6 @@ pub struct Cell {
     /// Deterministic executed-instruction count of the canonical storm
     /// on the fast engine — the regression-gated "time" of this cell.
     pub dyn_insts: usize,
-    /// Wall-clock nanoseconds of this cell's first (cold) compile
-    /// through the shared driver session. Host-dependent, so recorded
-    /// but never gated; `0` in baselines written before the driver
-    /// existed.
-    pub compile_ns: usize,
-    /// Wall-clock nanoseconds of an immediate recompile of the same
-    /// cell — the cache-hit service time. Host-dependent, never gated.
-    pub warm_compile_ns: usize,
     /// `1` if the immediate recompile was served from the driver's
     /// cache, `0` otherwise. Gated for presence by `regress`: a cell
     /// whose baseline hit stops hitting means the driver's caching
@@ -149,8 +140,8 @@ pub struct Snapshot {
 impl Snapshot {
     /// Measures every [`crate::matrix`] cell: sizes, regalloc counters,
     /// pass effects, the canonical storm's deterministic dynamic
-    /// instruction count on the fast engine, and the shared driver
-    /// session's cold/warm compile times and warm hit flag.
+    /// instruction count on the fast engine, and whether an immediate
+    /// recompile hits the shared driver session's cache.
     ///
     /// # Errors
     ///
@@ -165,16 +156,11 @@ impl Snapshot {
             // measurement, and every level must see the same storm.
             let generated = arm.generate()?;
             for level in OptLevel::all() {
-                let started = Instant::now();
                 let artifact = arm.compile(level, &generated)?;
-                let compile_ns = started.elapsed().as_nanos() as usize;
                 // An immediate recompile of the same cell must be a
-                // session-cache hit; its service time is the cell's warm
-                // compile time, and the hit itself is gated by regress.
+                // session-cache hit; regress gates the hit.
                 let hits_before = crate::driver().stats().hits();
-                let started = Instant::now();
                 let _ = arm.compile(level, &generated)?;
-                let warm_compile_ns = started.elapsed().as_nanos() as usize;
                 let warm_hit = usize::from(crate::driver().stats().hits() > hits_before);
                 let storm = crate::throughput::canonical_storm(&artifact, &generated.codes)
                     .map_err(|e| BenchError::Compile {
@@ -210,8 +196,6 @@ impl Snapshot {
                     spill_bytes: regalloc.spill_bytes,
                     events: storm.events,
                     dyn_insts: storm.dyn_insts as usize,
-                    compile_ns,
-                    warm_compile_ns,
                     warm_hit,
                     asm_digest: assembly_digest(artifact.assembly()),
                     passes,
@@ -235,9 +219,8 @@ impl Snapshot {
                 "    {{\"machine\": {}, \"pattern\": {}, \"level\": {}, \
                  \"text\": {}, \"rodata\": {}, \"data\": {}, \"total\": {}, \
                  \"spill_slots\": {}, \"saved_regs\": {}, \"spill_bytes\": {}, \
-                 \"events\": {}, \"dyn_insts\": {}, \"compile_ns\": {}, \
-                 \"warm_compile_ns\": {}, \"warm_hit\": {}, \"asm_digest\": \"{:016x}\", \
-                 \"passes\": [",
+                 \"events\": {}, \"dyn_insts\": {}, \"warm_hit\": {}, \
+                 \"asm_digest\": \"{:016x}\", \"passes\": [",
                 json_string(&c.machine),
                 json_string(&c.pattern),
                 json_string(&c.level),
@@ -250,8 +233,6 @@ impl Snapshot {
                 c.spill_bytes,
                 c.events,
                 c.dyn_insts,
-                c.compile_ns,
-                c.warm_compile_ns,
                 c.warm_hit,
                 c.asm_digest
             );
@@ -318,11 +299,10 @@ impl Snapshot {
                 // trajectory: absent fields parse as 0 and are not gated.
                 events: item.usize_field_or("events", 0)?,
                 dyn_insts: item.usize_field_or("dyn_insts", 0)?,
-                // Same leniency for the driver-session fields (PR 9):
-                // pre-driver baselines carry no compile times or hit
-                // flags, and parse as ungated zeros.
-                compile_ns: item.usize_field_or("compile_ns", 0)?,
-                warm_compile_ns: item.usize_field_or("warm_compile_ns", 0)?,
+                // Same leniency for the warm-hit flag: pre-driver
+                // baselines carry none, and parse as an ungated zero.
+                // Fields this reader does not know (the compile times
+                // older baselines carry) are ignored.
                 warm_hit: item.usize_field_or("warm_hit", 0)?,
                 // And for the assembly digest: baselines written before
                 // it existed parse as 0, which is not gated.
@@ -1067,8 +1047,6 @@ mod tests {
                     spill_bytes: 24,
                     events: 512,
                     dyn_insts: 40_000,
-                    compile_ns: 2_000_000,
-                    warm_compile_ns: 900,
                     warm_hit: 1,
                     asm_digest: 0x0123_4567_89ab_cdef,
                     passes: vec![PassCell {
@@ -1091,8 +1069,6 @@ mod tests {
                     spill_bytes: 0,
                     events: 512,
                     dyn_insts: 36_000,
-                    compile_ns: 1_500_000,
-                    warm_compile_ns: 800,
                     warm_hit: 1,
                     asm_digest: 0xfedc_ba98_7654_3210,
                     passes: vec![],
@@ -1359,9 +1335,8 @@ mod tests {
                 cell.key()
             );
             assert!(cell.dyn_insts > 0, "{} executed nothing", cell.key());
-            // Every cell is compile-timed, and its immediate recompile
-            // hit the shared driver session.
-            assert!(cell.compile_ns > 0, "{} has no compile time", cell.key());
+            // Every cell's immediate recompile hit the shared driver
+            // session.
             assert_eq!(cell.warm_hit, 1, "{} warm recompile missed", cell.key());
         }
     }
@@ -1401,16 +1376,9 @@ mod tests {
         assert_eq!(cache.len(), 1, "{verdicts:?}");
         assert!(cache[0].is_regression());
         assert!(cache[0].render().contains("driver cache"), "{:?}", cache[0]);
-        // Host-dependent compile times are carried but never gated.
-        let mut slower = sample_snapshot();
-        slower.cells[0].compile_ns *= 100;
-        slower.cells[0].warm_compile_ns *= 100;
-        assert!(!compare(&base, &slower).iter().any(Verdict::is_regression));
         // A pre-driver baseline (warm_hit 0) does not gate the cache.
         let mut old = sample_snapshot();
         for c in &mut old.cells {
-            c.compile_ns = 0;
-            c.warm_compile_ns = 0;
             c.warm_hit = 0;
         }
         let mut cur = sample_snapshot();
@@ -1481,26 +1449,42 @@ mod tests {
 
     #[test]
     fn old_baselines_without_driver_fields_parse_as_ungated_zeros() {
-        // The PR 8 events/dyn_insts precedent: a pre-driver baseline has
-        // no compile_ns/warm_compile_ns/warm_hit fields and must parse —
-        // as zeros — without gating the cache.
+        // The events/dyn_insts precedent: a pre-driver baseline has no
+        // warm_hit field and must parse — as zero — without gating the
+        // cache.
         let text = "{\"cells\": [{\"machine\": \"m\", \"pattern\": \"p\",
             \"level\": \"-O0\", \"text\": 1, \"rodata\": 2, \"data\": 3,
             \"total\": 6, \"spill_slots\": 0, \"saved_regs\": 0,
             \"spill_bytes\": 0, \"events\": 512, \"dyn_insts\": 100,
             \"passes\": []}]}";
         let base = Snapshot::from_json(text).expect("parses");
-        assert_eq!(base.cells[0].compile_ns, 0);
-        assert_eq!(base.cells[0].warm_compile_ns, 0);
         assert_eq!(base.cells[0].warm_hit, 0);
         let mut cur = base.clone();
-        cur.cells[0].compile_ns = 5_000_000;
-        cur.cells[0].warm_compile_ns = 700;
         cur.cells[0].warm_hit = 1;
         assert!(
             !compare(&base, &cur).iter().any(Verdict::is_regression),
             "driver fields new in the current snapshot must not gate"
         );
+    }
+
+    #[test]
+    fn baselines_with_compile_times_parse_and_drop_them() {
+        // Baselines once carried per-cell compile times; the reader looks
+        // fields up by name, so such a baseline still parses and the
+        // times are dropped.
+        let text = "{\"cells\": [{\"machine\": \"m\", \"pattern\": \"p\",
+            \"level\": \"-O1\", \"text\": 1, \"rodata\": 2, \"data\": 3,
+            \"total\": 6, \"spill_slots\": 0, \"saved_regs\": 0,
+            \"spill_bytes\": 0, \"events\": 512, \"dyn_insts\": 100,
+            \"compile_ns\": 5000000, \"warm_compile_ns\": 700, \"warm_hit\": 1,
+            \"asm_digest\": \"00000000000000ff\", \"passes\": []}]}";
+        let base = Snapshot::from_json(text).expect("parses");
+        let cell = &base.cells[0];
+        assert_eq!(
+            (cell.dyn_insts, cell.warm_hit, cell.asm_digest),
+            (100, 1, 0xff)
+        );
+        assert!(!base.to_json().contains("compile_ns"), "{}", base.to_json());
     }
 
     #[test]

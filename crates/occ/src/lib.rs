@@ -17,14 +17,15 @@
 //!   memory-dependence layer of [`mem`] (flat-image alias model: `Addr`
 //!   roots plus constant offsets) — loop-invariant code motion out of
 //!   natural loops ([`cfg::natural_loops`]) including clobber-free
-//!   loads, terminator folding and jump threading, copy coalescing and
-//!   return-block tail merging on the φ-free form, CFG simplification,
-//!   bottom-up inlining of small functions, and call-graph dead-function
-//!   elimination. The full roster per level and the per-pass contracts
-//!   are documented in the [`opt`] module rustdoc; the pass set mirrors
-//!   GCC's `-O0/-O1/-O2/-Os` philosophy ([`OptLevel`]), and every pass
-//!   reports effect counters ([`PassStats`]) on the compiled
-//!   [`Artifact`].
+//!   loads, return-block tail merging, CFG simplification (terminator
+//!   folding, jump threading, block merging) on SSA and on the φ-free
+//!   input, copy coalescing after SSA destruction, bottom-up inlining of
+//!   small functions, and call-graph dead-function elimination. Each
+//!   function goes through SSA once. The full roster per level and the
+//!   per-pass contracts are documented in the [`opt`] module rustdoc; the
+//!   pass set mirrors GCC's `-O0/-O1/-O2/-Os` philosophy ([`OptLevel`]),
+//!   and every pass reports effect counters ([`PassStats`]) on the
+//!   compiled [`Artifact`].
 //! * **Back end**: a four-stage, Cranelift-shaped pipeline ([`backend`]):
 //!   MIR lowers to `VCode` (machine instruction shapes over virtual
 //!   registers with operand constraints), a liveness-range linear scan

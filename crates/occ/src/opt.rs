@@ -7,22 +7,21 @@
 //!
 //! [`run_pipeline`] is the entry point. For `-O1` and above it builds a
 //! [`PassManager`] with the SSA passes registered for the level and runs
-//! every function through it. The pass manager drives each function
-//! through bounded **outer rounds** of
+//! every function through it. The pass manager takes each function
+//! through SSA and back exactly once, in one fixed sequence:
 //!
 //! ```text
-//! simplify_cfg → ssa::construct → [SSA passes to a fixed point] → ssa::destruct → [post passes]
+//! simplify_cfg → ssa::construct → [SSA passes to a fixed point] → ssa::destruct → coalesce_copies
 //! ```
 //!
-//! and iterates the registered SSA passes inside each round until a full
-//! sweep changes nothing (or [`PassManager::MAX_SSA_ROUNDS`] is hit). The
-//! outer rounds matter because φ-free CFG simplification exposes work the
-//! SSA passes could not see — threading two empty arms of a `Br` onto the
-//! same join block, for example, creates the equal-target branch that
-//! [`fold_terminators`] collapses in the next round. The φ-free **post
-//! passes** run after each `ssa::destruct`, where the φ-lowering copy
-//! residue is first visible; they are cleanup and never drive another
-//! outer round on their own.
+//! It iterates the registered SSA passes until a full sweep changes
+//! nothing (or [`PassManager::MAX_SSA_ROUNDS`] is hit). [`simplify_cfg`]
+//! works on both forms: on the φ-free input it hands construction a
+//! small CFG, and inside the fixed point it folds the equal-target
+//! branches that [`merge_return_blocks`] and jump threading leave and
+//! merges the chains they expose, so no second trip through SSA is
+//! needed to see that work. [`coalesce_copies`] runs once after
+//! `ssa::destruct`, where the φ-lowering copies first exist.
 //!
 //! Every pass records a [`PassStats`] entry — `runs`, `changes` (runs
 //! that rewrote something) and `insts_removed` — collected into the
@@ -38,22 +37,23 @@
 //! `-O0` runs nothing. The SSA fixed point then runs, in registration
 //! order:
 //!
-//! | pass                    | `-O1` (2 rounds) | `-O2`/`-Os` (3 rounds) |
-//! |-------------------------|------------------|------------------------|
-//! | [`sccp`]                |                  | ✓                      |
-//! | [`constant_fold`]       | ✓                |                        |
-//! | [`copy_propagate`]      |                  | ✓                      |
-//! | [`gvn_cse`]             |                  | ✓                      |
-//! | [`store_load_forward`]  | ✓                | ✓                      |
-//! | [`cross_block_forward`] | ✓                | ✓                      |
-//! | [`load_pre`]            | ✓                | ✓                      |
-//! | [`dead_store_elim`]     | ✓                | ✓                      |
-//! | [`licm`]                |                  | ✓                      |
-//! | [`fold_terminators`]    | ✓                | ✓                      |
-//! | [`dead_code_elim`]      | ✓                | ✓                      |
+//! | pass                    | `-O1` | `-O2`/`-Os` |
+//! |-------------------------|-------|-------------|
+//! | [`sccp`]                |       | ✓           |
+//! | [`constant_fold`]       | ✓     |             |
+//! | [`copy_propagate`]      |       | ✓           |
+//! | [`gvn_cse`]             |       | ✓           |
+//! | [`store_load_forward`]  | ✓     | ✓           |
+//! | [`cross_block_forward`] | ✓     | ✓           |
+//! | [`load_pre`]            | ✓     | ✓           |
+//! | [`dead_store_elim`]     | ✓     | ✓           |
+//! | [`licm`]                |       | ✓           |
+//! | [`merge_return_blocks`] | ✓     | ✓           |
+//! | [`simplify_cfg`]        | ✓     | ✓           |
+//! | [`dead_code_elim`]      | ✓     | ✓           |
 //!
-//! with [`coalesce_copies`] and [`merge_return_blocks`] as the φ-free
-//! post passes at every level above `-O0`, and the program passes
+//! with [`simplify_cfg`] before `ssa::construct` and [`coalesce_copies`]
+//! after `ssa::destruct` at every level above `-O0`, and the program passes
 //! [`inline_small_functions`] → [`dead_function_elimination`] framing
 //! the per-function loop at `-O2`/`-Os` (with a size-tuned inlining
 //! threshold at `-Os`). The memory passes run after [`gvn_cse`] —
@@ -100,21 +100,24 @@
 //!   φ-safe preheader insertion, seeded from computations worth a
 //!   register; hoists loads whose address is invariant and whose cell
 //!   the loop body provably leaves alone ([`mem::LoopClobbers`]).
-//! * [`fold_terminators`] — terminator folding (equal-target `Br`,
-//!   `Switch` arm pruning) and φ-safe SSA jump threading through empty
-//!   forwarding blocks.
+//! * [`merge_return_blocks`] — crossjumping restricted to
+//!   `Ret`-terminated blocks without φs, canonical-key comparison up to
+//!   block-local renaming. Sound on SSA: a `Ret` block's definitions
+//!   dominate nothing outside it.
+//! * [`simplify_cfg`] — on SSA or φ-free form: terminator folding
+//!   (equal-target `Br`, `Switch` arm pruning), φ-safe jump threading
+//!   through empty forwarding blocks, unreachable-block removal, and
+//!   straight-line chain merging that substitutes the merged block's
+//!   one-argument φs away.
 //! * [`dead_code_elim`] — mark-and-sweep removal of pure instructions
 //!   unreachable from the impure/terminator roots; dead loop-carried
 //!   φ-cycles retire wholesale.
 //!
-//! φ-free post passes:
+//! The step after `ssa::destruct`:
 //!
-//! * [`coalesce_copies`] — cheap copy coalescing of the φ-lowering
-//!   residue (block-local propagation + liveness-based dead-copy sweep);
-//!   this is what lets `-O1` afford a second outer round.
-//! * [`merge_return_blocks`] — crossjumping restricted to
-//!   `Ret`-terminated blocks, canonical-key comparison up to block-local
-//!   renaming.
+//! * [`coalesce_copies`] — cheap copy coalescing of the φ-lowering copies
+//!   (block-local propagation + liveness-based dead-copy sweep); `-O1`
+//!   registers no copy propagation, so this is what cleans them there.
 //!
 //! Program passes (`-O2`+, run once before the per-function loop):
 //!
@@ -145,20 +148,21 @@
 //! depends on in the same cache. A pass that needs none of them pays
 //! for none.
 //!
-//! **When it is dropped.** Whenever a pass reports a change —
-//! [`simplify_cfg`] included — and at every [`ssa::construct`] and
-//! [`ssa::destruct`] boundary, so no analysis of the φ-free function
-//! reaches the SSA passes or the other way round. A pass that reports no
-//! change therefore hands the next pass exactly the analyses it found. A pass that edits the function and then keeps
-//! querying the context (LICM transforms one loop per step)
-//! [invalidates](AnalysisCtx::invalidate) it itself after each edit.
+//! **When it is dropped.** Whenever a pass reports a change, and at the
+//! two form boundaries, [`ssa::construct`] and [`ssa::destruct`], so no
+//! analysis of the φ-free function reaches the SSA passes or the other
+//! way round. A pass that reports no change therefore hands the next
+//! pass exactly the analyses it found. A pass that edits the function
+//! and then keeps querying the context (LICM transforms one loop per
+//! step) [invalidates](AnalysisCtx::invalidate) it itself after each
+//! edit.
 //!
 //! **The no-change contract.** The reuse is sound because a pass that
 //! returns `false` must leave the function exactly as it found it — not
 //! even a fresh register may be allocated. Under verify-each (see
 //! [Verification](#verification)) the manager keeps a copy of the
-//! function before every pass and panics, blaming the pass and round, if
-//! a pass reported no change but the function differs.
+//! function before every pass and panics, blaming the pass and its stage,
+//! if a pass reported no change but the function differs.
 //!
 //! **Representations.** Every analysis is dense: `Vec`s indexed by block
 //! or register number, and [`crate::bitset::BitSet`]s over block numbers
@@ -210,8 +214,10 @@
 //! static verifier: pipeline boundaries are always re-checked, and the
 //! `OCC_VERIFY=each` knob (or [`PassManager::with_verify`]) escalates to
 //! per-pass verification that attributes a broken invariant to the pass
-//! and round that introduced it. Verify-each also checks the no-change
-//! contract of [Analyses](#analyses) after every pass.
+//! that introduced it and its stage: the sweep of the SSA fixed point
+//! (`after gvn-cse in sweep 2`), or the step before `ssa::construct` or
+//! after `ssa::destruct`. Verify-each also checks the no-change contract
+//! of [Analyses](#analyses) after every pass.
 
 use std::collections::BTreeMap;
 
@@ -228,7 +234,7 @@ use crate::OptLevel;
 // ---------------------------------------------------------------------
 
 /// Effect counters for one named pass, aggregated over every function and
-/// round it ran on.
+/// sweep it ran in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PassStats {
     /// Canonical pass name (see the [`pass`] constants).
@@ -269,11 +275,9 @@ pub mod pass {
     pub const LOAD_PRE: &str = "load-pre";
     /// Dead-store elimination.
     pub const DSE: &str = "dse";
-    /// Terminator folding and SSA jump threading.
-    pub const TERM_FOLD: &str = "term-fold";
     /// Dead-code elimination.
     pub const DCE: &str = "dce";
-    /// φ-free CFG simplification.
+    /// CFG simplification (SSA or φ-free form).
     pub const SIMPLIFY_CFG: &str = "simplify-cfg";
     /// Bottom-up inlining of small functions.
     pub const INLINE: &str = "inline";
@@ -486,10 +490,6 @@ impl<'m> AnalysisCtx<'m> {
     }
 }
 
-/// [`simplify_cfg`] as a pass entry, so the manager records and checks it
-/// like any other (it consults no analysis).
-const SIMPLIFY: (&str, SsaPass) = (pass::SIMPLIFY_CFG, |f, _| simplify_cfg(f));
-
 /// How much of the [`crate::verify`] static checker the manager runs in
 /// debug builds (release builds compile all verification out, like the
 /// backend's `VCode` verifier).
@@ -497,11 +497,11 @@ const SIMPLIFY: (&str, SsaPass) = (pass::SIMPLIFY_CFG, |f, _| simplify_cfg(f));
 pub enum VerifyMode {
     /// Verify only at pipeline boundaries: after lowering, after
     /// [`ssa::construct`]/[`ssa::destruct`] (those hooks live in their
-    /// producers) and once per function after the final cleanup.
+    /// producers) and once per function after [`coalesce_copies`].
     #[default]
     Boundaries,
     /// Verify-each: additionally re-check the appropriate tier after
-    /// *every* pass, attributing any violation to the pass and round
+    /// *every* pass, attributing any violation to the pass and stage
     /// that introduced it. Selected by default when the `OCC_VERIFY`
     /// environment variable is `each`.
     Each,
@@ -518,36 +518,26 @@ impl VerifyMode {
     }
 }
 
-/// Runs registered SSA passes over functions to a bounded fixed point and
-/// records per-pass [`PassStats`].
+/// Runs each function once through SSA and back, with the registered
+/// SSA passes iterated to a bounded fixed point in between, and records
+/// per-pass [`PassStats`].
 #[derive(Debug, Default)]
 pub struct PassManager {
     ssa_passes: Vec<(&'static str, SsaPass)>,
-    /// φ-free passes run after [`ssa::destruct`] in every outer round
-    /// (copy coalescing lives here: destruct's parallel-copy residue is
-    /// only visible once the φs are lowered).
-    post_passes: Vec<(&'static str, SsaPass)>,
-    outer_rounds: usize,
     verify: Option<VerifyMode>,
     stats: PipelineStats,
 }
 
 impl PassManager {
-    /// Bound on SSA-pass sweeps inside one outer round; a sweep that
-    /// changes nothing ends the fixed-point loop early, so this only
-    /// caps pathological ping-ponging between passes.
+    /// Bound on sweeps of the SSA fixed point; a sweep that changes
+    /// nothing ends it early, so this only caps pathological
+    /// ping-ponging between passes.
     pub const MAX_SSA_ROUNDS: usize = 8;
 
-    /// An empty manager running a single outer round, with the
-    /// verification mode taken from [`VerifyMode::from_env`].
+    /// An empty manager, with the verification mode taken from
+    /// [`VerifyMode::from_env`].
     pub fn new() -> PassManager {
-        PassManager {
-            ssa_passes: Vec::new(),
-            post_passes: Vec::new(),
-            outer_rounds: 1,
-            verify: None,
-            stats: PipelineStats::default(),
-        }
+        PassManager::default()
     }
 
     /// The standard pass roster for `level`.
@@ -556,32 +546,25 @@ impl PassManager {
         match level {
             OptLevel::O0 => {}
             OptLevel::O1 => {
-                // Copy coalescing cleans the construct/destruct φ-copy
-                // round trip without the O2 roster, so O1 can afford a
-                // second outer round. The block-local memory passes are
-                // cheap enough for O1 and directly shrink the
-                // context-variable traffic every generated handler emits.
-                pm.outer_rounds = 2;
+                // The block-local memory passes are cheap enough for O1
+                // and directly shrink the context-variable traffic every
+                // generated handler emits.
                 pm.register(pass::CONST_FOLD, constant_fold);
                 pm.register(pass::STORE_LOAD_FWD, store_load_forward);
                 pm.register(pass::CROSS_LOAD_FWD, cross_block_forward);
                 pm.register(pass::LOAD_PRE, load_pre);
                 pm.register(pass::DSE, dead_store_elim);
-                pm.register(pass::TERM_FOLD, fold_terminators);
+                pm.register(pass::TAIL_MERGE, merge_return_blocks);
+                pm.register(pass::SIMPLIFY_CFG, simplify_cfg);
                 pm.register(pass::DCE, dead_code_elim);
-                pm.register_post(pass::COPY_COALESCE, coalesce_copies);
-                pm.register_post(pass::TAIL_MERGE, merge_return_blocks);
             }
             OptLevel::O2 | OptLevel::Os => {
-                // Extra outer rounds let φ-free CFG cleanup and the SSA
-                // passes feed each other; copy propagation erases the
-                // copies each construct/destruct round introduces. SCCP
-                // leads and subsumes the dense fold, which therefore
-                // does not run here. The memory passes run after
+                // SCCP leads and subsumes the dense fold, which therefore
+                // does not run here; copy propagation erases the copies
+                // the other passes leave. The memory passes run after
                 // GVN/CSE (addresses are canonical by then) and before
                 // LICM, so forwarding eats block-local load redundancy
                 // first and LICM hoists only the loads that survive.
-                pm.outer_rounds = 3;
                 pm.register(pass::SCCP, sccp);
                 pm.register(pass::COPY_PROP, copy_propagate);
                 pm.register(pass::GVN_CSE, gvn_cse);
@@ -590,10 +573,9 @@ impl PassManager {
                 pm.register(pass::LOAD_PRE, load_pre);
                 pm.register(pass::DSE, dead_store_elim);
                 pm.register(pass::LICM, licm);
-                pm.register(pass::TERM_FOLD, fold_terminators);
+                pm.register(pass::TAIL_MERGE, merge_return_blocks);
+                pm.register(pass::SIMPLIFY_CFG, simplify_cfg);
                 pm.register(pass::DCE, dead_code_elim);
-                pm.register_post(pass::COPY_COALESCE, coalesce_copies);
-                pm.register_post(pass::TAIL_MERGE, merge_return_blocks);
             }
         }
         pm
@@ -602,13 +584,6 @@ impl PassManager {
     /// Registers an SSA pass under its reporting name.
     pub fn register(&mut self, name: &'static str, p: SsaPass) -> &mut PassManager {
         self.ssa_passes.push((name, p));
-        self
-    }
-
-    /// Registers a φ-free pass run after SSA destruction in every outer
-    /// round, under its reporting name.
-    pub fn register_post(&mut self, name: &'static str, p: SsaPass) -> &mut PassManager {
-        self.post_passes.push((name, p));
         self
     }
 
@@ -627,7 +602,7 @@ impl PassManager {
     }
 
     /// Debug-build verification hook: checks `f` at `tier` plus the
-    /// memory tier and panics with `ctx` (the pass/round blame) on the
+    /// memory tier and panics with `ctx` (the pass/stage blame) on the
     /// first broken invariant.
     fn verify_after(
         &self,
@@ -644,9 +619,10 @@ impl PassManager {
         assert!(vs.is_empty(), "MIR verifier: {ctx}:{}", verify::report(&vs));
     }
 
-    /// Runs one registered pass and records its stats. Under verify-each
-    /// it also checks the pass's output at `tier` and the no-change
-    /// contract against a copy of `f` taken before the pass. A change
+    /// Runs one pass and records its stats. Under verify-each it also
+    /// checks the pass's output at `tier` and the no-change contract
+    /// against a copy of `f` taken before the pass, blaming the pass and
+    /// its `stage` ("in sweep 2", "before ssa::construct"). A change
     /// drops the cached analyses.
     fn run_pass(
         &mut self,
@@ -655,7 +631,7 @@ impl PassManager {
         cx: &mut AnalysisCtx<'_>,
         verify_each: bool,
         tier: verify::Tier,
-        round: &dyn Fn() -> String,
+        stage: &dyn Fn() -> String,
     ) -> bool {
         let before_pass = verify_each.then(|| f.clone());
         let before = f.inst_count();
@@ -666,7 +642,7 @@ impl PassManager {
             cx.invalidate();
         }
         if let Some(before_pass) = before_pass {
-            let blame = format!("after {name} in round {}", round());
+            let blame = format!("after {name} {}", stage());
             assert!(
                 changed || *f == before_pass,
                 "MIR verifier: {blame}: `{}` changed although the pass reported no change",
@@ -687,62 +663,40 @@ impl PassManager {
         }
     }
 
-    /// Optimizes one function: bounded outer rounds of φ-free CFG
-    /// simplification around an SSA fixed point, then a final cleanup.
-    /// `model` carries the program-wide memory facts the memory passes
-    /// consult (pass [`mem::MemoryModel::default`] for a bare function).
-    /// The function's [`AnalysisCtx`] lives for this call. Returns `true`
-    /// if anything changed.
+    /// Optimizes one function in one fixed sequence: [`simplify_cfg`] on
+    /// the φ-free input, [`ssa::construct`], the registered SSA passes to
+    /// a fixed point, [`ssa::destruct`], and [`coalesce_copies`] over
+    /// destruct's copies. With no SSA pass registered only the first step
+    /// runs. `model` carries the program-wide memory facts the memory
+    /// passes consult (pass [`mem::MemoryModel::default`] for a bare
+    /// function). The function's [`AnalysisCtx`] lives for this call.
+    /// Returns `true` if any pass changed the function.
     pub fn run_function(&mut self, f: &mut MirFunction, model: &mem::MemoryModel) -> bool {
         let verify_each = self.verify_each();
         let mut cx = AnalysisCtx::new(model);
-        let mut any = false;
-        for round in 1..=self.outer_rounds {
-            any |= self.run_pass(
-                SIMPLIFY,
-                f,
-                &mut cx,
-                verify_each,
-                verify::Tier::PhiFree,
-                &|| round.to_string(),
-            );
-            if self.ssa_passes.is_empty() && self.post_passes.is_empty() {
-                break;
-            }
-            let mut ssa_changed = false;
-            if !self.ssa_passes.is_empty() {
-                ssa::construct(f);
-                cx.invalidate();
-                ssa_changed = self.ssa_fixpoint(f, &mut cx, round, verify_each);
-                ssa::destruct(f);
-                cx.invalidate();
-            }
-            // φ-free post passes see destruct's copy residue; they are
-            // cleanup, so they do not drive another outer round on
-            // their own.
-            for i in 0..self.post_passes.len() {
-                any |= self.run_pass(
-                    self.post_passes[i],
-                    f,
-                    &mut cx,
-                    verify_each,
-                    verify::Tier::PhiFree,
-                    &|| round.to_string(),
-                );
-            }
-            any |= ssa_changed;
-            if !ssa_changed {
-                break;
-            }
-        }
-        any |= self.run_pass(
-            SIMPLIFY,
+        let mut any = self.run_pass(
+            (pass::SIMPLIFY_CFG, simplify_cfg),
             f,
             &mut cx,
             verify_each,
             verify::Tier::PhiFree,
-            &|| "final".to_string(),
+            &|| "before ssa::construct".to_string(),
         );
+        if !self.ssa_passes.is_empty() {
+            ssa::construct(f);
+            cx.invalidate();
+            any |= self.ssa_fixpoint(f, &mut cx, verify_each);
+            ssa::destruct(f);
+            cx.invalidate();
+            any |= self.run_pass(
+                (pass::COPY_COALESCE, coalesce_copies),
+                f,
+                &mut cx,
+                verify_each,
+                verify::Tier::PhiFree,
+                &|| "after ssa::destruct".to_string(),
+            );
+        }
         // Post-pipeline boundary: whatever the mode, the function handed
         // to the backend must be φ-free, structurally sound, and inside
         // the memory contract.
@@ -769,23 +723,22 @@ impl PassManager {
         &mut self,
         f: &mut MirFunction,
         cx: &mut AnalysisCtx<'_>,
-        outer_round: usize,
         verify_each: bool,
     ) -> bool {
         let mut any = false;
         for sweep in 1..=Self::MAX_SSA_ROUNDS {
-            let mut round_changed = false;
+            let mut sweep_changed = false;
             for i in 0..self.ssa_passes.len() {
-                round_changed |= self.run_pass(
+                sweep_changed |= self.run_pass(
                     self.ssa_passes[i],
                     f,
                     cx,
                     verify_each,
                     verify::Tier::Ssa,
-                    &|| format!("{outer_round}.{sweep}"),
+                    &|| format!("in sweep {sweep}"),
                 );
             }
-            if !round_changed {
+            if !sweep_changed {
                 break;
             }
             any = true;
@@ -1199,7 +1152,7 @@ impl SccpState<'_> {
 /// is still folded: reachability and constancy reinforce each other.
 /// Instructions proven constant become `Const`s, terminators with a
 /// proven scrutinee become `Goto`s (subsuming most of what
-/// [`fold_terminators`] would clean up afterwards), never-executable
+/// [`simplify_cfg`] would clean up afterwards), never-executable
 /// blocks are removed, and φ-arguments of dropped edges are pruned.
 /// Returns `true` if anything changed.
 pub fn sccp(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
@@ -2416,22 +2369,30 @@ fn hoist_insts(f: &mut MirFunction, lp: &cfg::NaturalLoop, pre: BlockId, hoist: 
 }
 
 // ---------------------------------------------------------------------
-// Terminator folding + SSA jump threading
+// CFG simplification (SSA or φ-free form)
 // ---------------------------------------------------------------------
 
-/// Folds redundant terminators and threads jumps, on SSA form:
+/// Simplifies the control-flow graph of an SSA or a φ-free function, in
+/// four steps:
 ///
-/// * a `Br` whose arms share a target becomes a `Goto`,
-/// * `Switch` cases targeting the default block are dropped; a `Switch`
-///   whose every arm agrees becomes a `Goto`,
-/// * edges through an empty block ending in `Goto` are retargeted to its
-///   destination when every φ in the destination agrees on the merged
-///   value (SSA-safe jump threading).
+/// 1. a `Br` whose arms share a target becomes a `Goto`; `Switch` cases
+///    targeting the default block are dropped, and a `Switch` whose every
+///    arm agrees becomes a `Goto`;
+/// 2. edges through an empty block ending in `Goto` are retargeted to its
+///    destination when every φ in the destination agrees on the merged
+///    value (φ-safe jump threading);
+/// 3. unreachable blocks are dropped and φ arguments of vanished or
+///    duplicate edges pruned;
+/// 4. every straight-line chain merges into its head in one sweep:
+///    block `c` joins `b` when it is `b`'s only successor and `b` its only
+///    predecessor (never the entry block, never across a self-loop). The
+///    one-argument φs of `c` are substituted away, transitively, and φ
+///    entries naming `c` in its successors name `b` instead.
 ///
-/// φ-arguments of blocks that lose duplicate incoming edges are
-/// deduplicated, and blocks made unreachable are removed. Returns `true`
-/// if anything changed.
-pub fn fold_terminators(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
+/// Finally the φs of blocks left with one predecessor fold to copies.
+/// On φ-free input every φ step does nothing. Returns `true` exactly
+/// when the function changed — dropping an unreachable block counts.
+pub fn simplify_cfg(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
     let mut changed = false;
 
     // 1. Collapse redundant multi-way terminators.
@@ -2444,17 +2405,10 @@ pub fn fold_terminators(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool 
                 ..
             } if then_block == else_block => Some(*then_block),
             Term::Switch { cases, default, .. } => {
-                let d = *default;
                 let before = cases.len();
-                cases.retain(|(_, t)| *t != d);
-                if cases.len() != before {
-                    changed = true;
-                }
-                if cases.is_empty() {
-                    Some(d)
-                } else {
-                    None
-                }
+                cases.retain(|(_, t)| t != default);
+                changed |= cases.len() != before;
+                cases.is_empty().then_some(*default)
             }
             _ => None,
         };
@@ -2467,10 +2421,9 @@ pub fn fold_terminators(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool 
     // 2. Thread edges through empty forwarding blocks. One retarget per
     // search so predecessor lists stay fresh; chains converge within the
     // loop.
-    loop {
+    'thread: loop {
         let preds = cfg::predecessors(f);
-        let mut acted = false;
-        'search: for s in f.block_ids().collect::<Vec<_>>() {
+        for s in f.block_ids().collect::<Vec<_>>() {
             if s == BlockId(0) || !f.block(s).insts.is_empty() {
                 continue;
             }
@@ -2486,18 +2439,18 @@ pub fn fold_terminators(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool 
             }
             // φ-safety: the value joining `t` via `s` must agree with any
             // existing entry for a predecessor about to be merged in.
-            for inst in &f.block(t).insts {
-                let Inst::Phi { args, .. } = inst else {
-                    continue;
-                };
-                let Some(via_s) = args.iter().find(|(p, _)| *p == s).map(|(_, v)| *v) else {
-                    continue 'search;
-                };
-                for p in &sp {
-                    if args.iter().any(|(q, w)| q == p && *w != via_s) {
-                        continue 'search;
-                    }
+            let safe = f.block(t).insts.iter().all(|inst| match inst {
+                Inst::Phi { args, .. } => {
+                    args.iter()
+                        .find(|(p, _)| *p == s)
+                        .is_some_and(|&(_, via_s)| {
+                            args.iter().all(|(q, w)| *w == via_s || !sp.contains(q))
+                        })
                 }
+                _ => true,
+            });
+            if !safe {
+                continue;
             }
             // Rewrite φs in `t`: the `s` entry becomes one entry per
             // incoming predecessor (skipping those already present).
@@ -2515,37 +2468,102 @@ pub fn fold_terminators(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool 
                     }
                 }
             }
-            acted = true;
             changed = true;
             for p in &sp {
                 f.block_mut(*p)
                     .term
                     .map_succs(&mut |x| if x == s { t } else { x });
             }
-            break;
+            continue 'thread;
         }
-        if !acted {
-            break;
-        }
+        break;
     }
 
+    // 3. Predecessors are counted below only once unreachable blocks —
+    // forwarders threaded away included — are gone. Duplicate φ entries
+    // come from collapsed duplicate edges and carry the same value, so
+    // keeping the first is sound.
+    let blocks = f.blocks.len();
+    ssa::remove_unreachable_blocks(f);
+    changed |= f.blocks.len() != blocks;
     if changed {
-        dedup_phi_args(f);
+        retain_phi_args_of_live_edges(f);
+    }
+
+    // 4. Merge chains.
+    if merge_chains(f) {
+        changed = true;
         ssa::remove_unreachable_blocks(f);
+    }
+    if changed {
+        ssa::fold_trivial_phis(f);
     }
     changed
 }
 
-/// Removes duplicate φ-arguments for the same predecessor. Duplicate
-/// entries only arise from collapsed duplicate edges (a folded
-/// equal-target `Br`, dropped `Switch` arms), where both slots carry the
-/// same renamed value, so keeping the first is sound. Also prunes
-/// arguments for edges the fold removed outright and folds φs of blocks
-/// down to one predecessor, keeping the verifier's φ/predecessor
-/// agreement and join discipline intact.
-fn dedup_phi_args(f: &mut MirFunction) {
-    retain_phi_args_of_live_edges(f);
-    ssa::fold_trivial_phis(f);
+/// Step 4 of [`simplify_cfg`]: merges `c` into `b` wherever `c` is `b`'s
+/// only successor and `b` its only predecessor, following each chain to
+/// its end. Predecessor counts stay valid throughout the sweep, because
+/// merging moves an edge's origin but never adds or removes an edge. The
+/// consumed blocks are left unreachable. Returns `true` if any merged.
+fn merge_chains(f: &mut MirFunction) -> bool {
+    let preds = cfg::predecessors(f);
+    let mut consumed = vec![false; f.blocks.len()];
+    // `subst[v]`: the register a substituted φ `v` now reads.
+    let mut subst: Vec<Option<VReg>> = Vec::new();
+    for b in f.block_ids().collect::<Vec<_>>() {
+        while let Term::Goto(c) = f.block(b).term {
+            let multi_arg_phi = |i: &Inst| matches!(i, Inst::Phi { args, .. } if args.len() != 1);
+            if consumed[b.0 as usize]
+                || c == b
+                || c == BlockId(0)
+                || consumed[c.0 as usize]
+                || preds[c.0 as usize].len() != 1
+                || f.block(c).insts.iter().any(multi_arg_phi)
+            {
+                break;
+            }
+            let nregs = f.next_vreg as usize;
+            let mut tail = std::mem::take(&mut f.block_mut(c).insts);
+            tail.retain(|inst| {
+                let Inst::Phi { dst, args } = inst else {
+                    return true;
+                };
+                subst.resize(nregs, None);
+                subst[dst.0 as usize] = Some(args[0].1);
+                false
+            });
+            let tail_term = f.block(c).term.clone();
+            for s in tail_term.succs() {
+                for inst in &mut f.block_mut(s).insts {
+                    if let Inst::Phi { args, .. } = inst {
+                        for (p, _) in args.iter_mut().filter(|(p, _)| *p == c) {
+                            *p = b;
+                        }
+                    }
+                }
+            }
+            let blk = f.block_mut(b);
+            blk.insts.append(&mut tail);
+            blk.term = tail_term;
+            consumed[c.0 as usize] = true;
+        }
+    }
+    if !subst.is_empty() {
+        let resolve = &mut |mut v: VReg| {
+            while let Some(Some(w)) = subst.get(v.0 as usize) {
+                v = *w;
+            }
+            v
+        };
+        for blk in &mut f.blocks {
+            for inst in &mut blk.insts {
+                inst.map_uses(resolve);
+            }
+            blk.term.map_uses(resolve);
+        }
+    }
+    consumed.contains(&true)
 }
 
 // ---------------------------------------------------------------------
@@ -2605,12 +2623,11 @@ pub fn dead_code_elim(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
 // Copy coalescing (φ-free form)
 // ---------------------------------------------------------------------
 
-/// Cheap copy coalescing on φ-free code: the post-destruct cleanup that
-/// lets `-O1` run more than one outer round. [`ssa::destruct`] lowers
-/// every φ to a staged parallel copy (`tmp = src; dst = tmp`); at `-O2`
-/// the next round's [`copy_propagate`] erases them, but `-O1` does not
-/// register it, so the round trip used to grow code every round. This
-/// pass is deliberately cheap and sound on non-SSA code:
+/// Cheap copy coalescing on φ-free code: the step after
+/// [`ssa::destruct`], which lowers every φ to a staged parallel copy
+/// (`tmp = src; dst = tmp`). No SSA pass sees those copies, so without
+/// this step they would reach the backend at every level. This pass is
+/// deliberately cheap and sound on non-SSA code:
 ///
 /// 1. per block, forward-propagates available copies into uses
 ///    (invalidating on redefinition of either side) and drops no-op
@@ -2751,17 +2768,21 @@ pub fn coalesce_copies(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Return-block tail merging (φ-free form)
+// Return-block tail merging (on SSA)
 // ---------------------------------------------------------------------
 
-/// Cross-jumping for return blocks (φ-free form): structurally identical
+/// Cross-jumping for return blocks: structurally identical
 /// `Ret`-terminated blocks are merged into one and every edge into a
 /// duplicate is redirected to the representative — GCC's `-Os`
 /// crossjumping, restricted to the exit blocks where it needs no
 /// successor-φ reasoning. Blocks compare equal up to renaming of their
 /// *block-local* definitions (a fresh register materialized and returned
 /// is the same code whatever its number); registers live into the block
-/// must match exactly. Returns `true` if anything changed.
+/// must match exactly. Blocks with φs are skipped, and a `Ret` block's
+/// definitions dominate nothing outside it, so the pass is sound on SSA
+/// as well as φ-free code. A predecessor branching to two merged blocks
+/// is left with an equal-target `Br` for [`simplify_cfg`]. Returns
+/// `true` if anything changed.
 ///
 /// This is what pays for [`licm`]'s register pressure in the size
 /// ledger: the STT dispatch functions all carry two `return false`
@@ -2847,91 +2868,6 @@ fn canonical_block(blk: &Block, local: &mut Vec<u32>) -> (Vec<Inst>, Term) {
         local[d.0 as usize] = LOCAL_NONE;
     }
     (insts, term)
-}
-
-// ---------------------------------------------------------------------
-// CFG simplification (φ-free form only)
-// ---------------------------------------------------------------------
-
-/// Removes unreachable blocks, threads empty forwarding blocks and merges
-/// every eligible straight-line chain in one sweep. Must run on φ-free
-/// functions. Returns `true` if anything changed.
-pub fn simplify_cfg(f: &mut MirFunction) -> bool {
-    let mut any = false;
-    loop {
-        let blocks_before = f.blocks.len();
-        ssa::remove_unreachable_blocks(f);
-        let mut changed = f.blocks.len() != blocks_before;
-
-        // Thread jumps through empty forwarding blocks: the target each
-        // empty non-entry `Goto` block forwards to, by block number.
-        let forward: Vec<Option<BlockId>> = f
-            .blocks
-            .iter()
-            .enumerate()
-            .map(|(b, blk)| match blk.term {
-                Term::Goto(t) if b != 0 && blk.insts.is_empty() && t.0 as usize != b => Some(t),
-                _ => None,
-            })
-            .collect();
-        let forwarders = forward.iter().flatten().count();
-        if forwarders > 0 {
-            let resolve = |mut b: BlockId| {
-                let mut hops = 0;
-                while let Some(n) = forward[b.0 as usize] {
-                    b = n;
-                    hops += 1;
-                    if hops > forwarders {
-                        break;
-                    }
-                }
-                b
-            };
-            for blk in &mut f.blocks {
-                blk.term.map_succs(&mut |s| {
-                    let r = resolve(s);
-                    changed |= r != s;
-                    r
-                });
-            }
-        }
-
-        // Merge b <- c when c is b's unique successor and b its unique
-        // predecessor — following each chain to its end, every chain in
-        // one sweep. Consumed blocks become unreachable and are dropped
-        // at the top of the next round; predecessor *counts* stay valid
-        // throughout the sweep because merging only moves an edge's
-        // origin, never adds or removes edges.
-        let preds = cfg::predecessors(f);
-        let mut consumed = vec![false; f.blocks.len()];
-        for b in f.block_ids().collect::<Vec<_>>() {
-            if consumed[b.0 as usize] {
-                continue;
-            }
-            while let Term::Goto(c) = f.block(b).term {
-                if c == b
-                    || c == BlockId(0)
-                    || consumed[c.0 as usize]
-                    || preds[c.0 as usize].len() != 1
-                {
-                    break;
-                }
-                let mut tail = std::mem::take(&mut f.block_mut(c).insts);
-                let tail_term = f.block(c).term.clone();
-                let blk = f.block_mut(b);
-                blk.insts.append(&mut tail);
-                blk.term = tail_term;
-                consumed[c.0 as usize] = true;
-                changed = true;
-            }
-        }
-
-        if !changed {
-            ssa::remove_unreachable_blocks(f);
-            return any;
-        }
-        any = true;
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -3155,7 +3091,7 @@ mod tests {
         assert!(constant_fold(&mut f, &mut AnalysisCtx::new(&md())));
         dead_code_elim(&mut f, &mut AnalysisCtx::new(&md()));
         ssa::destruct(&mut f);
-        simplify_cfg(&mut f);
+        simplify_cfg(&mut f, &mut AnalysisCtx::new(&md()));
         // One Const remains, feeding the return.
         let consts: Vec<i32> = f.blocks[0]
             .insts
@@ -3269,7 +3205,7 @@ mod tests {
         ssa::construct(&mut f);
         constant_fold(&mut f, &mut AnalysisCtx::new(&md()));
         ssa::destruct(&mut f);
-        simplify_cfg(&mut f);
+        simplify_cfg(&mut f, &mut AnalysisCtx::new(&md()));
         assert!(f.blocks.len() <= 2, "constant branch leaves one path: {f}");
     }
 
@@ -3480,7 +3416,7 @@ mod tests {
             ],
             next_vreg: 0,
         };
-        assert!(simplify_cfg(&mut f));
+        assert!(simplify_cfg(&mut f, &mut AnalysisCtx::new(&md())));
         assert_eq!(f.blocks.len(), 1, "{f}");
     }
 
@@ -3511,7 +3447,7 @@ mod tests {
             blocks,
             next_vreg: n,
         };
-        assert!(simplify_cfg(&mut f));
+        assert!(simplify_cfg(&mut f, &mut AnalysisCtx::new(&md())));
         assert_eq!(f.blocks.len(), 1, "{f}");
         let values: Vec<i32> = f.blocks[0]
             .insts
@@ -3522,6 +3458,50 @@ mod tests {
             })
             .collect();
         assert_eq!(values, (0..n as i32).collect::<Vec<_>>(), "{f}");
+    }
+
+    #[test]
+    fn simplify_cfg_merges_chains_on_ssa() {
+        // bb2 is reached only from bb1 and carries a one-argument φ; the
+        // join bb3 has a φ entry naming bb2. Merging bb2 into bb1 must
+        // substitute the φ away and rename the join's entry to bb1.
+        let add = |dst, v| Inst::Bin {
+            op: BinOp::Add,
+            dst: VReg(dst),
+            lhs: VReg(v),
+            rhs: VReg(v),
+        };
+        let phi = |dst, args: &[(u32, u32)]| Inst::Phi {
+            dst: VReg(dst),
+            args: args.iter().map(|&(p, v)| (BlockId(p), VReg(v))).collect(),
+        };
+        let block = |insts, term| Block { insts, term };
+        let mut f = MirFunction {
+            name: "ssa_chain".into(),
+            params: 2,
+            returns_value: true,
+            exported: true,
+            blocks: vec![
+                block(
+                    vec![],
+                    Term::Br {
+                        cond: VReg(0),
+                        then_block: BlockId(1),
+                        else_block: BlockId(3),
+                    },
+                ),
+                block(vec![add(2, 1)], Term::Goto(BlockId(2))),
+                block(vec![phi(3, &[(1, 2)]), add(4, 3)], Term::Goto(BlockId(3))),
+                block(vec![phi(5, &[(0, 1), (2, 4)])], Term::Ret(Some(VReg(5)))),
+            ],
+            next_vreg: 6,
+        };
+        assert!(simplify_cfg(&mut f, &mut AnalysisCtx::new(&md())));
+        assert_eq!(f.blocks.len(), 3, "{f}");
+        assert_eq!(f.blocks[1].insts, vec![add(2, 1), add(4, 2)], "{f}");
+        assert_eq!(f.blocks[2].insts, vec![phi(5, &[(0, 1), (1, 4)])], "{f}");
+        let vs = verify::verify_function(&f, verify::Tier::Ssa);
+        assert!(vs.is_empty(), "{}{f}", verify::report(&vs));
     }
 
     #[test]
@@ -3618,7 +3598,7 @@ mod tests {
     }
 
     #[test]
-    fn fold_terminators_collapses_equal_targets() {
+    fn simplify_cfg_collapses_equal_targets() {
         let mut f = MirFunction {
             name: "eq".into(),
             params: 1,
@@ -3648,7 +3628,7 @@ mod tests {
             ],
             next_vreg: 1,
         };
-        assert!(fold_terminators(&mut f, &mut AnalysisCtx::new(&md())));
+        assert!(simplify_cfg(&mut f, &mut AnalysisCtx::new(&md())));
         for b in f.block_ids() {
             assert!(
                 matches!(f.block(b).term, Term::Goto(_) | Term::Ret(_)),
@@ -3658,7 +3638,7 @@ mod tests {
     }
 
     #[test]
-    fn fold_terminators_threads_empty_blocks_through_phis() {
+    fn simplify_cfg_threads_empty_blocks_through_phis() {
         // bb0 -Br-> bb1 (empty, Goto bb3) / bb2 (v=2, Goto bb3); bb3 has a
         // φ. Threading bb0->bb1->bb3 must keep the φ consistent.
         let mut f = MirFunction {
@@ -3697,7 +3677,7 @@ mod tests {
             next_vreg: 2,
         };
         ssa::construct(&mut f);
-        assert!(fold_terminators(&mut f, &mut AnalysisCtx::new(&md())));
+        assert!(simplify_cfg(&mut f, &mut AnalysisCtx::new(&md())));
         // The empty forwarding block is gone; the φ still has one argument
         // per incoming edge.
         let preds = cfg::predecessors(&f);
@@ -3751,7 +3731,7 @@ mod tests {
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(
-        expected = "MIR verifier: after hider in round 1.1: `f` changed although the pass reported no change"
+        expected = "MIR verifier: after hider in sweep 1: `f` changed although the pass reported no change"
     )]
     fn verify_each_blames_a_pass_that_hides_a_change() {
         let mut pm = PassManager::new().with_verify(VerifyMode::Each);
@@ -4488,10 +4468,10 @@ mod tests {
     }
 
     #[test]
-    fn o1_runs_two_outer_rounds_with_coalescing() {
-        // The φ example needs the construct/destruct round trip; at -O1
-        // the coalescer must clean the copy residue so a second round is
-        // net-profitable (this was a single-round level before).
+    fn o1_coalesces_destruct_residue_once() {
+        // The φ example needs the construct/destruct round trip; -O1 has
+        // no copy propagation, so the coalescer after destruct must clean
+        // the copy residue — once, as the function goes through SSA once.
         let mut f = MirFunction {
             name: "o1".into(),
             params: 1,
@@ -4534,7 +4514,7 @@ mod tests {
         pm.run_function(&mut f, &md());
         let stats = pm.stats();
         let cc = stats.get(pass::COPY_COALESCE).expect("coalesce ran");
-        assert!(cc.runs >= 1, "{stats:?}");
+        assert_eq!(cc.runs, 1, "{stats:?}");
         // No copy-of-copy chains survive at -O1 any more.
         for b in f.block_ids() {
             let copies = f

@@ -9,7 +9,7 @@
 //! [`verify_program`] validate an IR snapshot and return structured
 //! [`Violation`]s — never panics — so tests can assert on a specific
 //! [`Rule`] and the pass manager can attribute a breakage to the pass
-//! that introduced it (`after gvn-cse in round 2.1: use of v17 in bb4
+//! that introduced it (`after gvn-cse in sweep 2: use of v17 in bb4
 //! not dominated by def in bb7`).
 //!
 //! # Strictness tiers
@@ -63,10 +63,10 @@
 //! [`crate::lower`] verifies its output (φ-free + memory tiers),
 //! [`crate::ssa::construct`]/[`crate::ssa::destruct`] verify theirs, and
 //! the [`crate::opt::PassManager`] verifies each function once more
-//! after the final cleanup. Setting the `OCC_VERIFY=each` environment
+//! after its last step. Setting the `OCC_VERIFY=each` environment
 //! knob (or [`crate::opt::PassManager::with_verify`]) escalates to
 //! **verify-each**: the appropriate tier runs after *every* pass, and a
-//! violation panics with the pass name and round that introduced it.
+//! violation panics with the pass name and stage that introduced it.
 //! Release builds compile all of it out, exactly like the backend's
 //! `VCode` verifier.
 //!

@@ -235,7 +235,7 @@ fn new_passes_fire_on_sample_machines_at_o2() {
                 "load-pre",
                 "dse",
                 "licm",
-                "term-fold",
+                "simplify-cfg",
                 "dce",
                 "copy-coalesce",
                 "tail-merge",
@@ -253,7 +253,7 @@ fn new_passes_fire_on_sample_machines_at_o2() {
         "store-load-fwd",
         "cross-load-fwd",
         "dse",
-        "term-fold",
+        "simplify-cfg",
         "copy-coalesce",
     ] {
         assert!(fired[name], "{name} fired on no sample machine at -O2");
@@ -309,6 +309,37 @@ fn every_rostered_pass_fires_somewhere_in_the_corpus() {
         "passes that never fire on the corpus:\n  {}",
         idle.join("\n  ")
     );
+}
+
+#[test]
+fn every_function_goes_through_ssa_once() {
+    // `copy-coalesce` runs exactly once after each `ssa::destruct`, so
+    // its run count is the number of SSA round trips: one per function
+    // that reaches the backend.
+    for machine in [
+        samples::flat_unreachable(),
+        samples::hierarchical_never_active(),
+        samples::cruise_control(),
+        samples::protocol_handler(),
+    ] {
+        for pattern in Pattern::all() {
+            let generated = cgen::generate(&machine, pattern).expect("generates");
+            for level in [OptLevel::O1, OptLevel::O2, OptLevel::Os] {
+                let artifact = occ::compile(&generated.module, level).expect("compiles");
+                let coalesce = artifact
+                    .pass_stats()
+                    .get("copy-coalesce")
+                    .expect("copy-coalesce ran");
+                assert_eq!(
+                    coalesce.runs,
+                    artifact.surviving_functions().len(),
+                    "{} / {pattern:?} at {}",
+                    machine.name(),
+                    level.flag()
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -439,7 +470,7 @@ fn licm_hoists_loads_out_of_stt_dispatch_loops() {
         let mut before = 0usize;
         let mut after = 0usize;
         for f in &mut program.functions {
-            occ::opt::simplify_cfg(f);
+            occ::opt::simplify_cfg(f, &mut AnalysisCtx::new(&model));
             occ::ssa::construct(f);
             // Canonicalize as the -O2 roster would before LICM runs.
             occ::opt::sccp(f, &mut AnalysisCtx::new(&model));

@@ -448,7 +448,7 @@ fn trace_with_passes(program: &Program, passes: &[opt::SsaPass]) -> Vec<(String,
     let mut p = program.clone();
     let model = MemoryModel::of(&p);
     for f in &mut p.functions {
-        opt::simplify_cfg(f);
+        opt::simplify_cfg(f, &mut AnalysisCtx::new(&model));
         ssa::construct(f);
         for (i, pass) in passes.iter().enumerate() {
             pass(f, &mut AnalysisCtx::new(&model));
@@ -464,7 +464,7 @@ fn trace_with_passes(program: &Program, passes: &[opt::SsaPass]) -> Vec<(String,
             }
         }
         ssa::destruct(f);
-        opt::simplify_cfg(f);
+        opt::simplify_cfg(f, &mut AnalysisCtx::new(&model));
     }
     let asm = occ::backend::compile_program(&p, OptLevel::O0).expect("compiles");
     let mut vm = Vm::new(&asm, RecordingEnv::new());
@@ -532,22 +532,23 @@ proptest! {
         prop_assert_eq!(&cleaned, &oracle, "gvn_cse + cleanup diverges");
     }
 
-    /// Terminator folding / jump threading alone preserves the trace.
+    /// CFG simplification alone (terminator folding, jump threading,
+    /// chain merging on SSA) preserves the trace.
     #[test]
-    fn fold_terminators_preserves_em32_trace(
+    fn simplify_cfg_preserves_em32_trace(
         consts in prop::collection::vec(-8i32..8, 2..5),
         ops in prop::collection::vec((0u8..14, any::<u8>(), any::<u8>()), 1..4),
         blocks in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 2..6),
     ) {
         let program = build_program(&consts, &ops, &blocks, 0);
         let oracle = trace_at(&program, OptLevel::O0);
-        let got = trace_with_passes(&program, &[opt::fold_terminators]);
-        prop_assert_eq!(&got, &oracle, "fold_terminators diverges");
+        let got = trace_with_passes(&program, &[opt::simplify_cfg]);
+        prop_assert_eq!(&got, &oracle, "simplify_cfg diverges");
         let cleaned = trace_with_passes(
             &program,
-            &[opt::fold_terminators, opt::dead_code_elim],
+            &[opt::simplify_cfg, opt::dead_code_elim],
         );
-        prop_assert_eq!(&cleaned, &oracle, "fold_terminators + dce diverges");
+        prop_assert_eq!(&cleaned, &oracle, "simplify_cfg + dce diverges");
     }
 
     /// SCCP alone preserves the trace — the generated programs fold

@@ -19,8 +19,9 @@
 use std::collections::BTreeSet;
 
 use cgen::Pattern;
+use occ::mem::MemoryModel;
 use occ::mir::{BlockId, Inst, MirFunction, Term, VReg};
-use occ::opt::{self, VerifyMode};
+use occ::opt::{self, AnalysisCtx, VerifyMode};
 use occ::verify::{self, Rule, Tier};
 use occ::{lower, ssa, OptLevel};
 use rand::rngs::StdRng;
@@ -175,12 +176,13 @@ fn mutation_smoke_verifier_catches_random_corruptions() {
     let generated = cgen::generate(&machine, Pattern::all()[0]).expect("generates");
     generated.module.check().expect("checks");
     let program = lower::lower_module(&generated.module).expect("lowers");
+    let model = MemoryModel::of(&program);
     let mut rng = StdRng::seed_from_u64(0xC0FFEE);
     let mut hits = 0;
     for _ in 0..96 {
         let fi = rng.gen_range(0..program.functions.len());
         let mut f = program.functions[fi].clone();
-        opt::simplify_cfg(&mut f);
+        opt::simplify_cfg(&mut f, &mut AnalysisCtx::new(&model));
         ssa::construct(&mut f);
         let expected = match rng.gen_range(0..5) {
             0 => corrupt_goto_out_of_range(&mut f, &mut rng),
