@@ -5,17 +5,19 @@
 #                      # release tests (MIR_DIFF_CASES=256), dev-profile
 #                      # occ + mbot tests under OCC_VERIFY=each, bench
 #                      # smoke, throughput smoke, batch-compile smoke,
-#                      # differential fuzz smoke, snapshot + regression
-#                      # gate (including the per-cell assembly digests)
+#                      # perfbench smoke, differential fuzz smoke,
+#                      # snapshot + regression gate (including the
+#                      # per-cell assembly digests)
 #   ./ci.sh --fast     # quick gate: fmt, clippy, rustdoc, dev tests
 #
 # Mirrors the tier-1 verify command of ROADMAP.md plus style gates, the
 # verify-each dev-profile run, the bench-binary smoke loop, the
-# event-storm throughput, batch-compile and differential fuzz smokes, and
-# the regression gate (sizes, pass activity, per-cell dynamic
-# instruction counts, warm cache hits and assembly digests) against the
-# committed bench_baseline.json. Every stage's wall-clock time is
-# reported at the end so slow stages are visible in CI logs.
+# event-storm throughput, batch-compile, repository-benchmark and
+# differential fuzz smokes, and the regression gate (sizes, pass
+# activity, per-cell dynamic instruction counts, warm cache hits and
+# assembly digests) against the committed bench_baseline.json. Every
+# stage's wall-clock time is reported at the end so slow stages are
+# visible in CI logs.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -52,6 +54,20 @@ run_stage() {
     "$@"
     stage_names+=("$name")
     stage_secs+=($((SECONDS - t0)))
+}
+
+perfbench_smoke() {
+    # The repository benchmark (perfbench/, its own Cargo package) builds
+    # against the toolchain crates by path, so an `occ` API change that
+    # breaks it, or output its correctness check rejects, must fail here.
+    # Each workload runs one second; perfbench exits non-zero unless its
+    # JSON line reports `"correct": true`.
+    local workload
+    for workload in compile storm recompile; do
+        echo "    perfbench smoke: $workload"
+        cargo run --release --quiet --offline --locked --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seconds 1 --trace 0 > /dev/null
+    done
 }
 
 bench_smoke() {
@@ -93,9 +109,10 @@ else
     run_stage "bench smoke (6 binaries)" bench_smoke
     # Event-storm throughput smoke: run the full machine×pattern×level
     # storm matrix (BENCH_SMOKE=1 shortens the timed storms to the
-    # canonical length) so a fast-engine/oracle divergence or a storm
-    # fault fails CI. Its own timed stage — the storms dominate, and the
-    # timing line is how a dispatch-loop slowdown shows up in CI logs.
+    # canonical length) so a fast-engine/oracle divergence (events,
+    # executed instructions or extern calls) or a storm fault fails CI.
+    # Its own timed stage — the storms dominate, and the timing line is
+    # how a dispatch-loop slowdown shows up in CI logs.
     run_stage "bench throughput smoke (BENCH_SMOKE=1)" \
         env BENCH_SMOKE=1 cargo run --release -q -p bench --bin throughput
     # Batch-compile smoke: a cold pass then a warm pass of one driver
@@ -106,6 +123,7 @@ else
     # line is the toolchain-throughput trajectory in CI logs.
     run_stage "bench batch-compile smoke (cold+warm, 48 cells)" \
         cargo run --release -q -p bench --bin batch
+    run_stage "perfbench smoke (compile, storm, recompile; 1 s each)" perfbench_smoke
     # Differential fuzz smoke: a deterministic-seed corpus of generated
     # machines (umlsm::gen) runs the whole chain differentially — model
     # interpreter oracle vs tlang reference vs compiled EM32 on both

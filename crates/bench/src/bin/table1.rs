@@ -2,8 +2,8 @@
 //! patterns on the hierarchical machine of Fig. 1.
 //!
 //! Compiled with the full `occ` mid-end roster (see the `occ::opt`
-//! module rustdoc: SCCP, GVN/CSE, block-local and cross-block
-//! store-to-load forwarding, load-PRE, DSE, LICM, DCE, crossjumping).
+//! module rustdoc: SCCP, GVN/CSE, store-to-load forwarding, DSE, DCE,
+//! crossjumping).
 //! Where the printed shape checks deviate from the paper's Table I —
 //! the STT-smallest claim and the SP-vs-NS fine gain ordering — the
 //! deviation is recorded and explained in EXPERIMENTS.md (entries 1

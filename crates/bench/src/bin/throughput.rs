@@ -8,7 +8,9 @@
 //! (reprinted here per cell so the timed and gated numbers can be read
 //! side by side). Events/sec figures are informational (they move with
 //! the host); the oracle column is the reference engine the fast engine
-//! is measured against.
+//! is measured against. A cell fails, and the run exits non-zero, when
+//! the two timed storms disagree on events delivered, instructions
+//! executed or extern calls made.
 //!
 //! Run with `cargo run --release -p bench --bin throughput`. Environment
 //! knobs:
@@ -63,8 +65,19 @@ fn measure_job(arm: &Arm, events: usize) -> Result<Vec<Row>, String> {
 
         let mut oracle = Vm::new(artifact.assembly(), CountingEnv::default());
         let started = Instant::now();
-        run_storm(&mut oracle, &generated.codes, events).map_err(|e| format!("{key}: {e}"))?;
+        let oracle_storm =
+            run_storm(&mut oracle, &generated.codes, events).map_err(|e| format!("{key}: {e}"))?;
         let oracle_secs = started.elapsed().as_secs_f64();
+
+        // The two-engine contract of `occ::vm`, under storm load.
+        let (fast_calls, oracle_calls) = (fast.env().calls, oracle.env().calls);
+        if storm != oracle_storm || fast_calls != oracle_calls {
+            return Err(format!(
+                "{key}: engines disagree: fast engine {} events, {} dyn insts, {fast_calls} \
+                 extern calls; oracle {} events, {} dyn insts, {oracle_calls} extern calls",
+                storm.events, storm.dyn_insts, oracle_storm.events, oracle_storm.dyn_insts
+            ));
+        }
 
         // The gated number: the canonical storm on a fresh engine.
         let canonical = bench::throughput::canonical_storm(&artifact, &generated.codes)

@@ -390,12 +390,12 @@ pub enum Verdict {
     /// zero [`occ::PassStats::changes`] across *all* cells — it has
     /// silently gone inert (unregistered, reordered into impotence, or
     /// broken) even if another pass papers over the bytes. Keyed on
-    /// `changes`, not `insts_removed`: `copy-prop`, `gvn-cse`, `licm`,
-    /// `store-load-fwd` and `inline` rewrite or move code without
-    /// removing any, so an `insts_removed` key could never see them go
-    /// dead. A pass with zero changes matrix-wide in the baseline is not
-    /// gated here — today `load-pre` and `dead-fn-elim`, which make no
-    /// change on the 48 sample cells but do on generated machines. The
+    /// `changes`, not `insts_removed`: `copy-prop`, `gvn-cse` and
+    /// `inline` rewrite code without removing any, so an `insts_removed`
+    /// key could never see them go dead. A pass with zero changes
+    /// matrix-wide in the baseline is not gated here — today
+    /// `dead-fn-elim`, which makes no change on the 48 sample cells but
+    /// does on generated machines. The
     /// corpus test `every_rostered_pass_fires_somewhere_in_the_corpus` in
     /// `tests/end_to_end.rs` covers them: it fails when any pass on a
     /// level's roster makes no change at that level over the samples plus
@@ -606,9 +606,8 @@ fn allowed_runs_growth(baseline: usize) -> usize {
 /// (within `max(TOLERANCE_PCT, TOLERANCE_DYN_INSTS)`) wherever the
 /// baseline measured one, and a storm-shape change (different event
 /// counts) fails outright rather than skipping the cell. A cell whose
-/// baseline recorded a warm driver-cache hit must still hit (the
-/// host-dependent compile *times* are carried but never gated), and a
-/// cell whose baseline carries an [`assembly_digest`] must reproduce it
+/// baseline recorded a warm driver-cache hit must still hit, and a cell
+/// whose baseline carries an [`assembly_digest`] must reproduce it
 /// exactly. A cell's
 /// total pass runs may grow by at most [`TOLERANCE_PCT`]. Finally, any
 /// pass that changed code somewhere in the baseline but reports zero
@@ -702,9 +701,7 @@ pub fn compare(baseline: &Snapshot, current: &Snapshot) -> Vec<Verdict> {
             }
         }
         // Driver-session cache presence: gated only where the baseline
-        // observed a hit (pre-driver baselines carry 0 and are ungated);
-        // the timing fields themselves are host-dependent and never
-        // gated.
+        // observed a hit (pre-driver baselines carry 0 and are ungated).
         if base.warm_hit == 1 && cur.warm_hit == 0 {
             verdicts.push(Verdict::CacheRegressed { key: key.clone() });
         }
@@ -1242,32 +1239,33 @@ mod tests {
     }
 
     #[test]
-    fn compare_flags_licm_gone_inert_by_changes() {
-        // LICM moves code and removes none: its effect shows only in
-        // `changes`, which is what the inert gate keys on.
-        let licm = |changes| PassCell {
-            name: "licm".into(),
+    fn compare_flags_gvn_cse_gone_inert_by_changes() {
+        // GVN/CSE rewrites redundant expressions into copies and removes
+        // no instruction itself: its effect shows only in `changes`,
+        // which is what the inert gate keys on.
+        let gvn = |changes| PassCell {
+            name: "gvn-cse".into(),
             runs: 4,
             changes,
             insts_removed: 0,
         };
         let mut base = sample_snapshot();
-        base.cells[0].passes.push(licm(2));
+        base.cells[0].passes.push(gvn(2));
         let mut cur = base.clone();
-        cur.cells[0].passes[1] = licm(0);
+        cur.cells[0].passes[1] = gvn(0);
         let verdicts = compare(&base, &cur);
         let inert = inert_passes(&verdicts);
         assert_eq!(inert.len(), 1, "{verdicts:?}");
         assert_eq!(
             inert[0],
             &Verdict::PassInert {
-                name: "licm".into(),
+                name: "gvn-cse".into(),
                 baseline_changes: 2,
             }
         );
         // A pass with no change anywhere in the baseline is ungated.
         let mut idle = sample_snapshot();
-        idle.cells[0].passes.push(licm(0));
+        idle.cells[0].passes.push(gvn(0));
         assert!(inert_passes(&compare(&idle, &idle.clone())).is_empty());
     }
 

@@ -280,10 +280,10 @@ fn region_engine(gen: &Gen, rid: RegionId) -> Result<Function, CodegenError> {
         },
         // The rule count is indexed straight out of the table in the
         // loop condition, like the naive generated C++ the paper
-        // compiles: the table is const and `base` is loop-invariant, so
-        // a memory-aware compiler (occ's load-hoisting LICM) lifts the
-        // load out of the loop — hand-caching it in a local here would
-        // only hide the optimization the experiment measures.
+        // compiles, so it is loaded on every iteration. The generated
+        // code stays naive on purpose: caching the count in a local here
+        // would be an optimization of the generator, not of the compiler
+        // the experiment measures.
         Stmt::While {
             cond: Expr::var("k").bin(tlang::BinOp::Lt, idx("count", Expr::var("base"))),
             body: vec![

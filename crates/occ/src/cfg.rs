@@ -4,8 +4,7 @@
 //! Dominators use the iterative algorithm of Cooper, Harvey & Kennedy;
 //! frontiers follow Cytron et al., feeding φ-placement in [`crate::ssa`].
 //! Natural loops are discovered from back edges (an edge `n → h` where
-//! `h` dominates `n`), feeding loop-invariant code motion in
-//! [`crate::opt`] and loop-depth spill weights in the backend.
+//! `h` dominates `n`), feeding loop-depth spill weights in the backend.
 //!
 //! # Representation
 //!
@@ -313,9 +312,7 @@ pub fn dominance_frontiers(dom: &DomTree, preds: &[Vec<BlockId>]) -> Vec<Vec<Blo
 /// (the classic treatment of `continue`-style multi-latch loops).
 ///
 /// Irreducible ("multi-entry") cycles have no back edge by dominance —
-/// neither entry dominates the other — so they are *not* reported;
-/// [`natural_loops`] rejecting them is exactly the safety condition
-/// loop-invariant code motion needs.
+/// neither entry dominates the other — so they are *not* reported.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NaturalLoop {
     /// The loop header: dominates every block of the loop.
@@ -340,8 +337,7 @@ impl NaturalLoop {
 
 /// Finds every natural loop of `f` from the back edges of its dominator
 /// tree, merging loops that share a header. Returned innermost-first
-/// (ascending body size, then header), which is the order loop transforms
-/// want.
+/// (ascending body size, then header).
 pub fn natural_loops(f: &MirFunction, dom: &DomTree, preds: &[Vec<BlockId>]) -> Vec<NaturalLoop> {
     let nblocks = f.blocks.len();
     let mut by_header: Vec<Option<NaturalLoop>> = vec![None; nblocks];
@@ -818,7 +814,7 @@ mod tests {
     fn irreducible_multi_entry_cycle_is_rejected() {
         // bb0 branches into *both* bb1 and bb2, which form a cycle:
         // neither dominates the other, so there is no back edge and no
-        // natural loop — exactly the shape LICM must refuse to touch.
+        // natural loop.
         let f = func(vec![
             block(Term::Br {
                 cond: VReg(0),

@@ -9,18 +9,15 @@
 //!   [`ssa`]), then the fixed-point [`PassManager`] of [`opt`] — sparse
 //!   conditional constant propagation (Wegman-Zadeck), dense constant
 //!   folding (`-O1`'s constant pass), root-based dead-code elimination,
-//!   copy propagation, global value numbering / CSE, block-local *and*
-//!   cross-block store-to-load forwarding (the latter over the
-//!   available-load dataflow [`opt::AvailLoads`]), load
-//!   partial-redundancy elimination on diamond joins, dead-store
-//!   elimination — all over the
-//!   memory-dependence layer of [`mem`] (flat-image alias model: `Addr`
-//!   roots plus constant offsets) — loop-invariant code motion out of
-//!   natural loops ([`cfg::natural_loops`]) including clobber-free
-//!   loads, return-block tail merging, CFG simplification (terminator
-//!   folding, jump threading, block merging) on SSA and on the φ-free
-//!   input, copy coalescing after SSA destruction, bottom-up inlining of
-//!   small functions, and call-graph dead-function elimination. Each
+//!   copy propagation, global value numbering / CSE, store-to-load
+//!   forwarding inside and across blocks (over the available-load
+//!   dataflow [`opt::AvailLoads`]) and dead-store elimination — both
+//!   over the memory-dependence layer of [`mem`] (flat-image alias
+//!   model: `Addr` roots plus constant offsets) — return-block tail
+//!   merging, CFG simplification (terminator folding, jump threading,
+//!   block merging) on SSA and on the φ-free input, copy coalescing
+//!   after SSA destruction, bottom-up inlining of small functions, and
+//!   call-graph dead-function elimination. Each
 //!   function goes through SSA once. The full roster per level and the
 //!   per-pass contracts are documented in the [`opt`] module rustdoc; the
 //!   pass set mirrors GCC's `-O0/-O1/-O2/-Os` philosophy ([`OptLevel`]),

@@ -1,13 +1,12 @@
 //! The memory-dependence layer: symbolic addresses over the flat EM32
 //! global image, the alias queries the memory passes of [`crate::opt`]
-//! build on, per-block cell transfer summaries for the cross-block
-//! availability dataflow, and loop clobber summaries for load-hoisting
-//! LICM. This module doc is the canonical description of the alias
-//! model and its effect assumptions; ROADMAP.md's Building section only
-//! points here. The in-object contract the model assumes (resolved
-//! offsets in bounds, no stores into rodata) is *checked*, not merely
-//! assumed, by the memory tier of the [`crate::verify`] static verifier,
-//! which runs between passes in debug builds.
+//! build on, and per-block cell transfer summaries for the cross-block
+//! availability dataflow. This module doc is the canonical description
+//! of the alias model and its effect assumptions; ROADMAP.md's Building
+//! section only points here. The in-object contract the model assumes
+//! (resolved offsets in bounds, no stores into rodata) is *checked*, not
+//! merely assumed, by the memory tier of the [`crate::verify`] static
+//! verifier, which runs between passes in debug builds.
 //!
 //! # The alias model
 //!
@@ -99,8 +98,7 @@
 //! a sorted array whose positions index everything else: [`CellState`]
 //! holds one [`CellVal`] per universe index, and [`BlockCells`] — like the
 //! availability dataflow [`crate::opt::AvailLoads`] built from it — is a
-//! pair of [`BitSet`]s over those indices. [`LoopClobbers`] keeps its
-//! stored cells and roots as sorted arrays. Index order is `(global,
+//! pair of [`BitSet`]s over those indices. Index order is `(global,
 //! offset)` order, so walking a set visits cells exactly as an ordered
 //! set of [`Cell`]s would. The mid-end computes [`FnAddrs`] and the
 //! dataflow at most once per function state and shares them between
@@ -151,13 +149,16 @@
 //!   only the indirect (callee) channel is excluded.
 //! * **Rooted loads never fault.** In-object addresses always fall
 //!   inside the VM's data image, so a load from an [`AddrInfo::Exact`]
-//!   or [`AddrInfo::Base`] address can be executed speculatively (the
-//!   license load-hoisting LICM relies on).
+//!   or [`AddrInfo::Base`] address cannot fault. That is why
+//!   [`Inst::is_pure`] counts loads as removable: dead-code elimination
+//!   deletes a load whose result nothing uses without removing a fault.
+//!   No pass executes a load on a path that did not already execute it.
 //!
 //! [`Inst::Addr`]: crate::mir::Inst::Addr
 //! [`Inst::CallExtern`]: crate::mir::Inst::CallExtern
 //! [`Inst::Call`]: crate::mir::Inst::Call
 //! [`Inst::CallInd`]: crate::mir::Inst::CallInd
+//! [`Inst::is_pure`]: crate::mir::Inst::is_pure
 
 use crate::bitset::BitSet;
 use crate::mir::{BinOp, BlockId, Inst, MirFunction, Program, VReg};
@@ -512,14 +513,6 @@ fn meet(a: Sym, b: Sym) -> Sym {
 /// for use as a sort key.
 pub type Cell = (usize, i32);
 
-/// The [`AddrInfo`] a [`Cell`] denotes.
-pub fn cell_info(cell: Cell) -> AddrInfo {
-    AddrInfo::Exact {
-        global: cell.0,
-        offset: cell.1,
-    }
-}
-
 /// The finite set of cells one function's cross-block analyses range
 /// over, as a sorted array: a cell's position in it is its *index*, and
 /// every per-cell fact of [`CellState`], [`BlockCells`] and the
@@ -606,9 +599,9 @@ pub enum CellVal {
 }
 
 /// The forward in-block transfer function over a cell universe: the one
-/// aliasing discipline shared by the block-local forwarding pass, the
-/// per-block summaries ([`BlockCells`]) and the cross-block rewrite walk,
-/// so analysis and transformation can never disagree. Cells are named by
+/// aliasing discipline shared by the per-block summaries ([`BlockCells`])
+/// and the rewrite walk of [`crate::opt::cross_block_forward`], so
+/// analysis and transformation can never disagree. Cells are named by
 /// their [`CellUniverse`] index; the state is one [`CellVal`] per index.
 ///
 /// The discipline is [`alias`]'s: an exact store provides its own cell
@@ -791,80 +784,6 @@ impl BlockCells {
         out.subtract(&self.killed);
         out.union_with(&self.provides);
         out
-    }
-}
-
-/// What a loop body can do to memory: the clobber summary load-hoisting
-/// LICM checks a candidate load against.
-#[derive(Debug, Clone, Default)]
-pub struct LoopClobbers {
-    /// A store through an untraceable address exists: everything may be
-    /// written.
-    pub unknown_store: bool,
-    /// A `Call`/`CallInd` exists: every *mutable* global may be written
-    /// (externs are memory-transparent, see the module docs).
-    pub has_call: bool,
-    /// Cells written through exact addresses, sorted and distinct.
-    pub stored_exact: Vec<Cell>,
-    /// Globals written through rooted run-time addresses, sorted and
-    /// distinct.
-    pub stored_bases: Vec<usize>,
-}
-
-impl LoopClobbers {
-    /// Summarizes the stores and calls of the blocks in `body` (a set of
-    /// block numbers, such as [`crate::cfg::NaturalLoop::body`]).
-    pub fn summarize(f: &MirFunction, body: &BitSet, addrs: &FnAddrs) -> LoopClobbers {
-        let mut c = LoopClobbers::default();
-        for b in body.iter() {
-            for inst in &f.blocks[b].insts {
-                match inst {
-                    Inst::Store { addr, .. } => match addrs.info(*addr) {
-                        AddrInfo::Exact { global, offset } => c.stored_exact.push((global, offset)),
-                        AddrInfo::Base { global } => c.stored_bases.push(global),
-                        AddrInfo::Unknown => c.unknown_store = true,
-                    },
-                    Inst::Call { .. } | Inst::CallInd { .. } => c.has_call = true,
-                    _ => {}
-                }
-            }
-        }
-        c.stored_exact.sort_unstable();
-        c.stored_exact.dedup();
-        c.stored_bases.sort_unstable();
-        c.stored_bases.dedup();
-        c
-    }
-
-    /// The exactly stored cells rooted at `global`.
-    fn exact_in(&self, global: usize) -> &[Cell] {
-        let lo = self.stored_exact.partition_point(|c| c.0 < global);
-        let hi = self.stored_exact.partition_point(|c| c.0 <= global);
-        &self.stored_exact[lo..hi]
-    }
-
-    /// `true` if a load from `info` may observe a write performed inside
-    /// the summarized blocks.
-    pub fn clobbers(&self, info: AddrInfo, model: &MemoryModel) -> bool {
-        if self.unknown_store {
-            return true;
-        }
-        match info {
-            AddrInfo::Exact { global, offset } => {
-                (self.has_call && !model.is_rodata(global))
-                    || self.stored_bases.binary_search(&global).is_ok()
-                    || self
-                        .exact_in(global)
-                        .iter()
-                        .any(|&(_, o)| overlaps(o, offset))
-            }
-            AddrInfo::Base { global } => {
-                (self.has_call && !model.is_rodata(global))
-                    || self.stored_bases.binary_search(&global).is_ok()
-                    || !self.exact_in(global).is_empty()
-            }
-            AddrInfo::Unknown => true,
-        }
     }
 }
 
@@ -1115,13 +1034,6 @@ mod tests {
         assert_eq!(cells.cells(), &[(0, 4), (1, 0)]);
         assert_eq!(cells.index((1, 0)), Some(1));
         assert_eq!(cells.index((1, 4)), None);
-        assert_eq!(
-            cell_info((0, 4)),
-            AddrInfo::Exact {
-                global: 0,
-                offset: 4
-            }
-        );
     }
 
     #[test]
@@ -1265,88 +1177,5 @@ mod tests {
         entry.insert(2);
         let out = cells.flow(&entry);
         assert_eq!(out.iter().collect::<Vec<_>>(), vec![0, 2]);
-    }
-
-    #[test]
-    fn loop_clobbers_distinguish_cells_and_roots() {
-        let f = func(vec![
-            Inst::Addr {
-                dst: VReg(1),
-                global: 0,
-                offset: 0,
-            },
-            Inst::Store {
-                addr: VReg(1),
-                src: VReg(0),
-            },
-        ]);
-        let addrs = FnAddrs::analyze(&f);
-        let body = BitSet::full(1);
-        let c = LoopClobbers::summarize(&f, &body, &addrs);
-        let model = MemoryModel::default();
-        assert!(c.clobbers(
-            AddrInfo::Exact {
-                global: 0,
-                offset: 0
-            },
-            &model
-        ));
-        assert!(
-            c.clobbers(
-                AddrInfo::Exact {
-                    global: 0,
-                    offset: 2
-                },
-                &model
-            ),
-            "sub-word overlap with the stored cell clobbers"
-        );
-        assert!(!c.clobbers(
-            AddrInfo::Exact {
-                global: 0,
-                offset: 4
-            },
-            &model
-        ));
-        assert!(!c.clobbers(AddrInfo::Base { global: 1 }, &model));
-        assert!(c.clobbers(AddrInfo::Base { global: 0 }, &model));
-        assert!(c.clobbers(AddrInfo::Unknown, &model));
-    }
-
-    #[test]
-    fn calls_clobber_mutable_globals_only() {
-        let f = func(vec![Inst::Call {
-            dst: None,
-            func: 0,
-            args: vec![],
-        }]);
-        let addrs = FnAddrs::analyze(&f);
-        let body = BitSet::full(1);
-        let c = LoopClobbers::summarize(&f, &body, &addrs);
-        let program = Program {
-            functions: vec![],
-            globals: vec![GlobalData {
-                name: "tbl".into(),
-                size: 4,
-                words: vec![Word::Int(1)],
-                mutable: false,
-            }],
-            externs: vec![],
-        };
-        let model = MemoryModel::of(&program);
-        assert!(!c.clobbers(
-            AddrInfo::Exact {
-                global: 0,
-                offset: 0
-            },
-            &model
-        ));
-        assert!(c.clobbers(
-            AddrInfo::Exact {
-                global: 1,
-                offset: 0
-            },
-            &model
-        ));
     }
 }

@@ -43,11 +43,8 @@
 //! | [`constant_fold`]       | ✓     |             |
 //! | [`copy_propagate`]      |       | ✓           |
 //! | [`gvn_cse`]             |       | ✓           |
-//! | [`store_load_forward`]  | ✓     | ✓           |
 //! | [`cross_block_forward`] | ✓     | ✓           |
-//! | [`load_pre`]            | ✓     | ✓           |
 //! | [`dead_store_elim`]     | ✓     | ✓           |
-//! | [`licm`]                |       | ✓           |
 //! | [`merge_return_blocks`] | ✓     | ✓           |
 //! | [`simplify_cfg`]        | ✓     | ✓           |
 //! | [`dead_code_elim`]      | ✓     | ✓           |
@@ -56,10 +53,12 @@
 //! after `ssa::destruct` at every level above `-O0`, and the program passes
 //! [`inline_small_functions`] → [`dead_function_elimination`] framing
 //! the per-function loop at `-O2`/`-Os` (with a size-tuned inlining
-//! threshold at `-Os`). The memory passes run after [`gvn_cse`] —
-//! addresses are canonical by then — and before [`licm`], so forwarding
-//! eats load redundancy first and LICM hoists only the loads that
-//! survive.
+//! threshold at `-Os`). The two memory passes run after [`gvn_cse`], when
+//! addresses are canonical. [`cross_block_forward`] is the one pass that
+//! forwards loads and [`dead_store_elim`] the one that removes stores. No
+//! pass moves code out of loops: load-PRE and load-hoisting LICM were
+//! deleted because, over the samples plus `umlsm::gen` seeds 1–300, they
+//! made `-O2` code larger and made it execute more instructions.
 //!
 //! # Per-pass contracts
 //!
@@ -82,24 +81,14 @@
 //! * [`gvn_cse`] — dominator-scoped global value numbering / common
 //!   subexpression elimination with commutative canonicalization; loads
 //!   are deliberately not value-numbered (the memory passes own them).
-//! * [`store_load_forward`] — block-local store-to-load forwarding and
-//!   redundant-load elimination over the tracked memory state of
-//!   [`crate::mem`]; rewrites loads to copies.
-//! * [`cross_block_forward`] — **cross-block** store-to-load forwarding
-//!   / redundant-load elimination over the [`AvailLoads`] must-
-//!   availability dataflow: loads of cells available on every incoming
-//!   path are deleted outright, their uses rewritten through new φs at
-//!   joins where predecessor values differ.
-//! * [`load_pre`] — load partial-redundancy elimination for diamond
-//!   joins: a load available on exactly one of two incoming edges gets a
-//!   speculative compensating load in the other predecessor (licensed by
-//!   the rooted-loads-never-fault rule of [`crate::mem`]) and a φ-merge.
+//! * [`cross_block_forward`] — store-to-load forwarding and
+//!   redundant-load elimination, inside a block and across blocks, over
+//!   the [`AvailLoads`] must-availability dataflow: a load whose cell's
+//!   value is already in a register — provided earlier in its block, or
+//!   available on every incoming path — is deleted outright, its uses
+//!   rewritten through new φs at joins where predecessor values differ.
 //! * [`dead_store_elim`] — block-local backward sweep dropping stores
 //!   overwritten before any possible read.
-//! * [`licm`] — loop-invariant code motion out of natural loops with
-//!   φ-safe preheader insertion, seeded from computations worth a
-//!   register; hoists loads whose address is invariant and whose cell
-//!   the loop body provably leaves alone ([`mem::LoopClobbers`]).
 //! * [`merge_return_blocks`] — crossjumping restricted to
 //!   `Ret`-terminated blocks without φs, canonical-key comparison up to
 //!   block-local renaming. Sound on SSA: a `Ret` block's definitions
@@ -138,10 +127,9 @@
 //!
 //! **What it caches.** Predecessor lists, the [`cfg::DomTree`]
 //! (immediate dominators, tree children, preorder, reachability), the
-//! natural loops, the address resolution [`mem::FnAddrs`], and the
-//! cross-block must-availability dataflow [`AvailLoads`] with its cell
-//! universe and per-block transfer summaries — the context
-//! [`cross_block_forward`] and [`load_pre`] both consume.
+//! address resolution [`mem::FnAddrs`], and the cross-block
+//! must-availability dataflow [`AvailLoads`] with its cell universe and
+//! per-block transfer summaries, which [`cross_block_forward`] consumes.
 //!
 //! **When it fills.** Lazily: each analysis is computed on the first
 //! request after the context was created or dropped, from whatever it
@@ -153,9 +141,8 @@
 //! analysis of the φ-free function reaches the SSA passes or the other
 //! way round. A pass that reports no change therefore hands the next
 //! pass exactly the analyses it found. A pass that edits the function
-//! and then keeps querying the context (LICM transforms one loop per
-//! step) [invalidates](AnalysisCtx::invalidate) it itself after each
-//! edit.
+//! and then keeps querying the context must
+//! [invalidate](AnalysisCtx::invalidate) it itself after each edit.
 //!
 //! **The no-change contract.** The reuse is sound because a pass that
 //! returns `false` must leave the function exactly as it found it — not
@@ -200,11 +187,12 @@
 //! // Nothing to fold: the function is untouched, the cached analyses stay.
 //! assert!(!opt::constant_fold(&mut f, &mut ctx));
 //! assert_eq!(ctx.avail(&f).universe().cells(), &[(0, 0)]);
-//! // The load becomes a copy of the stored register; the pass reported
-//! // a change, so the caller drops what the context holds.
-//! assert!(opt::store_load_forward(&mut f, &mut ctx));
+//! // The load is deleted and the return reads the stored register; the
+//! // pass reported a change, so the caller drops what the context holds.
+//! assert!(opt::cross_block_forward(&mut f, &mut ctx));
 //! ctx.invalidate();
-//! assert_eq!(f.blocks[0].insts[2], Inst::Copy { dst: VReg(2), src: VReg(0) });
+//! assert_eq!(f.blocks[0].insts.len(), 2);
+//! assert_eq!(f.blocks[0].term, Term::Ret(Some(VReg(0))));
 //! ```
 //!
 //! # Verification
@@ -259,20 +247,15 @@ pub mod pass {
     pub const COPY_PROP: &str = "copy-prop";
     /// Sparse conditional constant propagation.
     pub const SCCP: &str = "sccp";
-    /// Loop-invariant code motion.
-    pub const LICM: &str = "licm";
     /// φ-free copy coalescing (post-destruct cleanup).
     pub const COPY_COALESCE: &str = "copy-coalesce";
     /// Return-block tail merging (crossjumping).
     pub const TAIL_MERGE: &str = "tail-merge";
     /// Global value numbering / common-subexpression elimination.
     pub const GVN_CSE: &str = "gvn-cse";
-    /// Store-to-load forwarding and redundant-load elimination.
-    pub const STORE_LOAD_FWD: &str = "store-load-fwd";
-    /// Cross-block store-to-load forwarding / redundant-load elimination.
+    /// Store-to-load forwarding / redundant-load elimination, inside a
+    /// block and across blocks.
     pub const CROSS_LOAD_FWD: &str = "cross-load-fwd";
-    /// Load partial-redundancy elimination for diamond joins.
-    pub const LOAD_PRE: &str = "load-pre";
     /// Dead-store elimination.
     pub const DSE: &str = "dse";
     /// Dead-code elimination.
@@ -355,12 +338,11 @@ pub struct AnalysisCtx<'m> {
     model: &'m mem::MemoryModel,
     preds: Option<Vec<Vec<BlockId>>>,
     dom: Option<cfg::DomTree>,
-    loops: Option<Vec<cfg::NaturalLoop>>,
     addrs: Option<mem::FnAddrs>,
     avail: Option<AvailLoads>,
 }
 
-/// What the two cross-block load passes read from the context.
+/// What [`cross_block_forward`] reads from the context.
 struct CrossBlock<'a> {
     model: &'a mem::MemoryModel,
     addrs: &'a mem::FnAddrs,
@@ -390,7 +372,6 @@ impl<'m> AnalysisCtx<'m> {
             model,
             preds: None,
             dom: None,
-            loops: None,
             addrs: None,
             avail: None,
         }
@@ -420,18 +401,6 @@ impl<'m> AnalysisCtx<'m> {
         self.dom.as_ref().expect("filled above")
     }
 
-    /// The natural loops, innermost first ([`cfg::natural_loops`]).
-    pub fn loops(&mut self, f: &MirFunction) -> &[cfg::NaturalLoop] {
-        if self.loops.is_none() {
-            self.dom(f);
-            let (Some(dom), Some(preds)) = (&self.dom, &self.preds) else {
-                unreachable!("filled by dom()");
-            };
-            self.loops = Some(cfg::natural_loops(f, dom, preds));
-        }
-        self.loops.as_deref().expect("filled above")
-    }
-
     /// The address resolution ([`mem::FnAddrs`]).
     pub fn addrs(&mut self, f: &MirFunction) -> &mem::FnAddrs {
         self.addrs.get_or_insert_with(|| mem::FnAddrs::analyze(f))
@@ -444,33 +413,21 @@ impl<'m> AnalysisCtx<'m> {
             let avail = if universe.is_empty() {
                 AvailLoads::empty(f.blocks.len())
             } else {
-                self.loops(f);
-                let (Some(addrs), Some(dom), Some(preds), Some(loops)) =
-                    (&self.addrs, &self.dom, &self.preds, &self.loops)
+                self.dom(f);
+                let (Some(addrs), Some(dom), Some(preds)) = (&self.addrs, &self.dom, &self.preds)
                 else {
-                    unreachable!("filled by addrs() and loops()");
+                    unreachable!("filled by addrs() and dom()");
                 };
-                AvailLoads::compute(f, self.model, addrs, universe, dom, preds, loops)
+                AvailLoads::compute(f, self.model, addrs, universe, dom, preds)
             };
             self.avail = Some(avail);
         }
         self.avail.as_ref().expect("filled above")
     }
 
-    /// The loops and the address resolution together (load-hoisting
-    /// LICM reads both).
-    fn loops_and_addrs(&mut self, f: &MirFunction) -> (&[cfg::NaturalLoop], &mem::FnAddrs) {
-        self.loops(f);
-        self.addrs(f);
-        let (Some(loops), Some(addrs)) = (&self.loops, &self.addrs) else {
-            unreachable!("filled above");
-        };
-        (loops, addrs)
-    }
-
-    /// Everything the cross-block load passes read, or `None` when the
-    /// function touches no exactly addressed cell — neither pass has
-    /// anything to do then.
+    /// Everything [`cross_block_forward`] reads, or `None` when the
+    /// function touches no exactly addressed cell — the pass has nothing
+    /// to do then.
     fn cross_block(&mut self, f: &MirFunction) -> Option<CrossBlock<'_>> {
         if self.avail(f).universe().is_empty() {
             return None;
@@ -546,13 +503,11 @@ impl PassManager {
         match level {
             OptLevel::O0 => {}
             OptLevel::O1 => {
-                // The block-local memory passes are cheap enough for O1
-                // and directly shrink the context-variable traffic every
-                // generated handler emits.
+                // The memory passes are cheap enough for O1 and directly
+                // shrink the context-variable traffic every generated
+                // handler emits.
                 pm.register(pass::CONST_FOLD, constant_fold);
-                pm.register(pass::STORE_LOAD_FWD, store_load_forward);
                 pm.register(pass::CROSS_LOAD_FWD, cross_block_forward);
-                pm.register(pass::LOAD_PRE, load_pre);
                 pm.register(pass::DSE, dead_store_elim);
                 pm.register(pass::TAIL_MERGE, merge_return_blocks);
                 pm.register(pass::SIMPLIFY_CFG, simplify_cfg);
@@ -562,17 +517,12 @@ impl PassManager {
                 // SCCP leads and subsumes the dense fold, which therefore
                 // does not run here; copy propagation erases the copies
                 // the other passes leave. The memory passes run after
-                // GVN/CSE (addresses are canonical by then) and before
-                // LICM, so forwarding eats block-local load redundancy
-                // first and LICM hoists only the loads that survive.
+                // GVN/CSE, when addresses are canonical.
                 pm.register(pass::SCCP, sccp);
                 pm.register(pass::COPY_PROP, copy_propagate);
                 pm.register(pass::GVN_CSE, gvn_cse);
-                pm.register(pass::STORE_LOAD_FWD, store_load_forward);
                 pm.register(pass::CROSS_LOAD_FWD, cross_block_forward);
-                pm.register(pass::LOAD_PRE, load_pre);
                 pm.register(pass::DSE, dead_store_elim);
-                pm.register(pass::LICM, licm);
                 pm.register(pass::TAIL_MERGE, merge_return_blocks);
                 pm.register(pass::SIMPLIFY_CFG, simplify_cfg);
                 pm.register(pass::DCE, dead_code_elim);
@@ -1350,9 +1300,8 @@ enum GvnKey {
 /// leftovers. Operands are canonicalized through already-discovered
 /// value leaders (and by operand order for commutative operators), so
 /// second-order redundancies fall in one sweep. Loads are deliberately
-/// not value-numbered — block-local load redundancy is
-/// [`store_load_forward`]'s job, which tracks clobbers. Returns `true`
-/// if anything changed.
+/// not value-numbered — load redundancy is [`cross_block_forward`]'s
+/// job, which tracks clobbers. Returns `true` if anything changed.
 pub fn gvn_cse(f: &mut MirFunction, cx: &mut AnalysisCtx<'_>) -> bool {
     let dom = cx.dom(f);
     let mut table: BTreeMap<GvnKey, VReg> = BTreeMap::new();
@@ -1429,89 +1378,6 @@ fn gvn_walk(
 }
 
 // ---------------------------------------------------------------------
-// Store-to-load forwarding / redundant-load elimination (block-local)
-// ---------------------------------------------------------------------
-
-/// Block-local store-to-load forwarding and redundant-load elimination
-/// over a tracked memory state. Walking each block forward, the pass
-/// remembers which register holds the current content of every exactly
-/// addressed cell ([`mem::AddrInfo::Exact`]) — from a store's source or
-/// a previous load's destination — and rewrites a later load of the same
-/// cell into a `Copy` (copy propagation and DCE then erase it). The
-/// aliasing discipline is [`mem::alias`]: an exact store invalidates
-/// its own cell and any tracked cell within a word of it (accesses are
-/// words at byte granularity, so near offsets partially overlap), a
-/// rooted run-time store invalidates its global, an untraceable store
-/// invalidates everything. `Call`/`CallInd` invalidate
-/// every mutable global's cells (rodata survives: no callee can store to
-/// a `const` global); `CallExtern` invalidates nothing (the EM32 `Ecall`
-/// passes registers only). This is the pass that shrinks the
-/// load-global → test → store-global context traffic every generated
-/// handler emits. Returns `true` if anything changed.
-///
-/// Sound on any form: multiply-defined registers resolve to
-/// [`mem::AddrInfo::Unknown`], and a redefinition of a tracked value
-/// register drops its cells, so non-SSA input merely loses precision.
-pub fn store_load_forward(f: &mut MirFunction, cx: &mut AnalysisCtx<'_>) -> bool {
-    let model = cx.model();
-    let addrs = cx.addrs(f);
-    let mut changed = false;
-    // (cell, register holding that cell's content here); a block tracks
-    // few cells, so a short list beats a map.
-    let mut cells: Vec<(mem::Cell, VReg)> = Vec::new();
-    for blk in &mut f.blocks {
-        cells.clear();
-        for inst in &mut blk.insts {
-            // Forward first: the rewrite must see the state *before* this
-            // instruction's own definition invalidates anything.
-            if let Inst::Load { dst, addr } = *inst {
-                if let mem::AddrInfo::Exact { global, offset } = addrs.info(addr) {
-                    if let Some(&(_, v)) = cells.iter().find(|(c, _)| *c == (global, offset)) {
-                        *inst = Inst::Copy { dst, src: v };
-                        changed = true;
-                    }
-                }
-            }
-            // A redefinition of a tracked value register makes the
-            // remembered content stale (only possible off SSA form).
-            if let Some(d) = inst.def() {
-                cells.retain(|(_, v)| *v != d);
-            }
-            let mut track =
-                |cell: mem::Cell, v: VReg| match cells.iter_mut().find(|(c, _)| *c == cell) {
-                    Some(slot) => slot.1 = v,
-                    None => cells.push((cell, v)),
-                };
-            match inst {
-                Inst::Load { dst, addr } => {
-                    if let mem::AddrInfo::Exact { global, offset } = addrs.info(*addr) {
-                        track((global, offset), *dst);
-                    }
-                }
-                Inst::Store { addr, src } => match addrs.info(*addr) {
-                    mem::AddrInfo::Exact { global, offset } => {
-                        // Accesses are words at byte granularity: the
-                        // store also corrupts any tracked cell within a
-                        // word of its offset.
-                        cells.retain(|&((g, o), _)| g != global || !mem::overlaps(o, offset));
-                        cells.push(((global, offset), *src));
-                    }
-                    mem::AddrInfo::Base { global } => {
-                        cells.retain(|((g, _), _)| *g != global);
-                    }
-                    mem::AddrInfo::Unknown => cells.clear(),
-                },
-                i if i.may_write_mem() => {
-                    cells.retain(|((g, _), _)| model.is_rodata(*g));
-                }
-                _ => {}
-            }
-        }
-    }
-    changed
-}
-
-// ---------------------------------------------------------------------
 // Dead-store elimination (block-local)
 // ---------------------------------------------------------------------
 
@@ -1568,7 +1434,7 @@ pub fn dead_store_elim(f: &mut MirFunction, cx: &mut AnalysisCtx<'_>) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Cross-block load redundancy elimination (AvailLoads + two passes)
+// Load forwarding / redundant-load elimination (AvailLoads + one pass)
 // ---------------------------------------------------------------------
 
 /// The cross-block must-availability dataflow: per block, the set of
@@ -1586,13 +1452,10 @@ pub fn dead_store_elim(f: &mut MirFunction, cx: &mut AnalysisCtx<'_>) -> bool {
 /// memory-transparent). The meet is set intersection over the block's
 /// reachable predecessors, seeded optimistically (everything available
 /// everywhere except the entry, whose in-set is empty) and iterated in
-/// reverse postorder to the greatest fixed point, so loop-transparent
-/// cells stay available around back edges. At natural-loop headers the
-/// in-set is additionally filtered through the loop's
-/// [`mem::LoopClobbers`] summary — the explicit "the body writes this,
-/// kill it" rule, which makes the common reducible case converge in a
-/// single sweep (the fixed point covers irreducible shapes the loop
-/// forest cannot describe).
+/// reverse postorder to the greatest fixed point: a cell a loop body
+/// writes drops out of the header's in-set on the sweep after the
+/// latch's out-set loses it, and loop-transparent cells stay available
+/// around back edges.
 ///
 /// [`AnalysisCtx::avail`] computes it once per function state.
 #[derive(Debug, Clone, Default)]
@@ -1623,7 +1486,6 @@ impl AvailLoads {
         universe: mem::CellUniverse,
         dom: &cfg::DomTree,
         preds: &[Vec<BlockId>],
-        loops: &[cfg::NaturalLoop],
     ) -> AvailLoads {
         let n = f.blocks.len();
         let cells = universe.len();
@@ -1631,18 +1493,6 @@ impl AvailLoads {
             .block_ids()
             .map(|b| mem::BlockCells::summarize(f, b, &universe, addrs, model))
             .collect();
-        // Per loop header, the cells its body may write.
-        let mut header_kill: Vec<Option<BitSet>> = vec![None; n];
-        for lp in loops {
-            let cl = mem::LoopClobbers::summarize(f, &lp.body, addrs);
-            let mut kill = BitSet::new(cells);
-            for (c, &cell) in universe.cells().iter().enumerate() {
-                if cl.clobbers(mem::cell_info(cell), model) {
-                    kill.insert(c);
-                }
-            }
-            header_kill[lp.header.0 as usize] = Some(kill);
-        }
         let mut avail_in = vec![BitSet::new(cells); n];
         let mut avail_out = vec![BitSet::new(cells); n];
         for &b in dom.rpo().iter().skip(1) {
@@ -1666,9 +1516,6 @@ impl AvailLoads {
                         } else {
                             in_set.intersect_with(out);
                         }
-                    }
-                    if let Some(kill) = &header_kill[i] {
-                        in_set.subtract(kill);
                     }
                 }
                 let out_set = effects[i].flow(&in_set);
@@ -1706,14 +1553,6 @@ impl AvailLoads {
         &self.avail_out[b.0 as usize]
     }
 
-    /// `true` if cell `cell` (a universe index) is available on the CFG
-    /// edge `p → _` (edges neither kill nor gen, so edge availability is
-    /// the source block's exit availability) — the per-edge query
-    /// load-PRE partitions a join's predecessors with.
-    pub fn on_edge(&self, p: BlockId, cell: usize) -> bool {
-        self.avail_out[p.0 as usize].contains(cell)
-    }
-
     /// The transfer summary of block `b`.
     pub fn effects(&self, b: BlockId) -> &mem::BlockCells {
         &self.effects[b.0 as usize]
@@ -1728,9 +1567,9 @@ struct PendingPhi {
     args: Vec<(BlockId, VReg)>,
 }
 
-/// Shared state of the lazy cell-value resolution both cross-block
-/// passes use: memoized per-(block, cell) entry values and the φs
-/// allocated to merge differing predecessor values.
+/// State of the lazy cell-value resolution [`cross_block_forward`] uses:
+/// memoized per-(block, cell) entry values and the φs allocated to merge
+/// differing predecessor values.
 struct LoadResolver<'a> {
     cb: &'a CrossBlock<'a>,
     /// Entry value per `(block, cell)` at `block * cells + cell`,
@@ -1802,10 +1641,9 @@ impl<'a> LoadResolver<'a> {
     }
 }
 
-/// The edits a cross-block pass accumulates before touching the
-/// function: loads to delete (with every use of their destination
-/// rewritten to the forwarded value), φs to materialize, instructions to
-/// append to predecessor blocks (load-PRE's compensating loads).
+/// The edits [`cross_block_forward`] accumulates before touching the
+/// function: loads to delete, with every use of their destination
+/// rewritten to the forwarded value, and φs to materialize.
 #[derive(Default)]
 struct LoadEdits {
     /// Replacements for deleted definitions (and collapsed φs), by
@@ -1816,9 +1654,6 @@ struct LoadEdits {
     replaced: usize,
     /// `(block, instruction index)` of loads to delete, in walk order.
     delete: Vec<(BlockId, usize)>,
-    /// Instructions appended to the end of a block (before its
-    /// terminator), in push order.
-    append: Vec<(BlockId, Vec<Inst>)>,
 }
 
 impl LoadEdits {
@@ -1850,24 +1685,12 @@ impl LoadEdits {
         self.replace(dst, with);
     }
 
-    /// Appends `insts` to the end of block `b`.
-    fn append_to(&mut self, b: BlockId, insts: impl IntoIterator<Item = Inst>) {
-        match self.append.iter_mut().find(|(blk, _)| *blk == b) {
-            Some((_, tail)) => tail.extend(insts),
-            None => self.append.push((b, insts.into_iter().collect())),
-        }
-    }
-
     /// Applies everything: collapses trivial φs (all arguments resolve
     /// to one value besides the φ itself — such a φ *is* that value, the
     /// self-argument being the unchanged loop-carried copy), prepends the
-    /// surviving φs, deletes the forwarded loads, rewrites every use
-    /// through the replacement map and appends the compensating
-    /// instructions. Returns `true` if the function changed.
-    fn apply(mut self, f: &mut MirFunction, mut phis: Vec<PendingPhi>) -> bool {
-        if self.delete.is_empty() && phis.is_empty() && self.append.is_empty() {
-            return false;
-        }
+    /// surviving φs, deletes the forwarded loads and rewrites every use
+    /// through the replacement map.
+    fn apply(mut self, f: &mut MirFunction, mut phis: Vec<PendingPhi>) {
         // Trivial-φ collapse to a fixed point: collapsing one φ can make
         // another's arguments agree.
         // A collapse takes effect at once, so later φs of the same sweep
@@ -1904,54 +1727,65 @@ impl LoadEdits {
                 .collect();
             phi_by_block[phi.block.0 as usize].push(Inst::Phi { dst: phi.dst, args });
         }
-        let mut tails: Vec<Vec<Inst>> = vec![Vec::new(); nblocks];
-        for (b, tail) in std::mem::take(&mut self.append) {
-            tails[b.0 as usize] = tail;
-        }
         self.delete.sort_unstable();
         let mut deleted = self.delete.iter().peekable();
-        for (bi, ((blk, mut insts), tail)) in
-            f.blocks.iter_mut().zip(phi_by_block).zip(tails).enumerate()
-        {
+        for (bi, (blk, mut insts)) in f.blocks.iter_mut().zip(phi_by_block).enumerate() {
             let b = BlockId(bi as u32);
             let old = std::mem::take(&mut blk.insts);
-            insts.reserve(old.len() + tail.len());
+            insts.reserve(old.len());
             for (i, inst) in old.into_iter().enumerate() {
                 if deleted.next_if(|&&d| d == (b, i)).is_none() {
                     insts.push(inst);
                 }
             }
-            insts.extend(tail);
             for inst in &mut insts {
                 inst.map_uses(&mut |v| self.resolve(v));
             }
             blk.term.map_uses(&mut |v| self.resolve(v));
             blk.insts = insts;
         }
-        true
     }
 }
 
-/// Cross-block store-to-load forwarding / redundant-load elimination, on
-/// SSA — the mid-end's first *global* memory optimization. Backed by
-/// [`AvailLoads`]: a load of a cell that is must-available on block
-/// entry (dominated by a same-cell store or load with no intervening
-/// clobber on any path) is **deleted** and every use of its destination
-/// rewritten to the available value, threaded through the SSA graph with
-/// new φs at joins where the incoming values differ (and closing over
-/// back edges with loop φs — a loop-transparent cell's value enters the
-/// φ from outside and recycles through the latch). Trivial φs (every
-/// argument one value) collapse away before materialization, so
-/// straight-line chains — the State Pattern's call-free handler paths
-/// re-reading the context cell the caller just tested — forward with no
-/// φ at all.
+/// Store-to-load forwarding and redundant-load elimination on SSA, inside
+/// a block and across blocks: the mid-end's one load-forwarding pass.
+/// Walking each block forward in dominator preorder, it keeps one
+/// [`mem::CellState`] over the function's cell universe: which register
+/// holds the current content of every exactly addressed cell
+/// ([`mem::AddrInfo::Exact`]), from a store's source or an earlier
+/// load's destination. A load of a cell whose content is known is
+/// **deleted** and every use of its destination rewritten to that
+/// register. The content is known when the block itself provided it, or
+/// when [`AvailLoads`] proves the cell must-available on block entry — a
+/// same-cell store or load on every path with no clobber in between. In
+/// the second case the value is threaded through the SSA graph with new
+/// φs at joins where the incoming values differ, closing over back edges
+/// with loop φs: a loop-transparent cell's value enters the φ from
+/// outside and recycles through the latch. Trivial φs (every argument one
+/// value) collapse away before materialization, so straight-line chains
+/// — the State Pattern's call-free handler paths re-reading the context
+/// cell the caller just tested — forward with no φ at all.
 ///
-/// This is the pass the recorded `gain_order_matches_table1` deviation
-/// pointed at: block-local forwarding helps the State Pattern least
-/// because its handlers re-load the same context cells *across* block
-/// boundaries. Deleting the loads here (rather than leaving copies)
-/// makes the pass's `insts_removed` stat the direct count of loads
-/// eliminated. Returns `true` if anything changed.
+/// The aliasing discipline is [`mem::CellState`]'s, shared with the
+/// dataflow so analysis and rewrite cannot disagree:
+///
+/// * an exact store provides its own cell and clobbers every cell within
+///   a word of it (word accesses at byte granularity, see
+///   [`mem::overlaps`]);
+/// * a store through a rooted run-time address ([`mem::AddrInfo::Base`])
+///   clobbers its global, and an untraceable store clobbers everything;
+/// * `Call`/`CallInd` clobber every mutable global's cells, while rodata
+///   cells survive them (no callee can store to a `const` global);
+/// * `CallExtern` clobbers nothing (the EM32 `Ecall` passes registers
+///   only).
+///
+/// This is the pass that shrinks the load-global → test → store-global
+/// context traffic every generated handler emits, and the one the
+/// recorded `gain_order_matches_table1` deviation pointed at: the State
+/// Pattern's handlers re-load the same context cells *across* block
+/// boundaries. Deleting the loads (rather than leaving copies) makes the
+/// pass's `insts_removed` stat the direct count of loads eliminated.
+/// Returns `true` if anything changed.
 pub fn cross_block_forward(f: &mut MirFunction, cx: &mut AnalysisCtx<'_>) -> bool {
     let Some(cb) = cx.cross_block(f) else {
         return false;
@@ -1993,379 +1827,8 @@ pub fn cross_block_forward(f: &mut MirFunction, cx: &mut AnalysisCtx<'_>) -> boo
         return false;
     }
     let phis = resolver.phis;
-    edits.apply(f, phis)
-}
-
-/// Load partial-redundancy elimination for diamond joins, on SSA. Where
-/// [`cross_block_forward`] needs a cell available on *every* incoming
-/// path, this pass handles the half-available case: at a two-predecessor
-/// join that is not a loop header, a load of a cell available on exactly
-/// one incoming edge ([`AvailLoads::on_edge`]) is made fully redundant
-/// by inserting the compensating load in the *other* predecessor — a
-/// fresh `Addr` + `Load` of the cell before its terminator — and
-/// φ-merging the two values. The original load is deleted and its uses
-/// rewritten to the φ.
-///
-/// The insertion is speculative when the lacking predecessor has other
-/// successors: the compensating load then also executes on paths that
-/// never reach the join. That is licensed by the rooted-loads-never-fault
-/// rule of [`crate::mem`] — the cell is exactly addressed, so the
-/// address stays inside the VM's data image and the extra load can only
-/// cost time, never behaviour. Returns `true` if anything changed.
-///
-/// The 48 sample cells never exercise it (0 changes in 1,674 runs), but
-/// generated machines do: over the samples plus `umlsm::gen` seeds 1–500
-/// (original and `mbo`-optimized, three patterns) it made 745, 885 and
-/// 783 changes at `-O1`, `-O2` and `-Os`, on original machines from seed
-/// 3 onward at every pattern and level.
-pub fn load_pre(f: &mut MirFunction, cx: &mut AnalysisCtx<'_>) -> bool {
-    let Some(cb) = cx.cross_block(f) else {
-        return false;
-    };
-    let universe = cb.avail.universe();
-    let mut resolver = LoadResolver::new(&cb);
-    let mut edits = LoadEdits::default();
-    let mut st = mem::CellState::new(universe);
-    for &b in cb.dom.preorder() {
-        let ps = cb.live_preds(b);
-        // Diamond joins only: exactly two distinct forward predecessors.
-        // A join one of whose edges is a back edge is a loop header —
-        // compensating in the latch would reload every iteration.
-        if ps.len() != 2 || ps.iter().any(|&p| cb.dom.dominates(b, p)) {
-            continue;
-        }
-        st.reset();
-        for i in 0..f.block(b).insts.len() {
-            let load = match &f.block(b).insts[i] {
-                Inst::Load { dst, addr } => Some((*dst, *addr)),
-                _ => None,
-            };
-            if let Some((dst, addr)) = load {
-                if let mem::AddrInfo::Exact { global, offset } = cb.addrs.info(addr) {
-                    let cell = universe
-                        .index((global, offset))
-                        .expect("every exact access is in the universe");
-                    // Only entry-state loads of half-available cells: the
-                    // fully available case is cross_block_forward's, a
-                    // locally provided value is store_load_forward's, and
-                    // a locally clobbered cell cannot be compensated.
-                    if st.value(cell) == mem::CellVal::FromEntry
-                        && !cb.avail.on_entry(b).contains(cell)
-                    {
-                        let have: Vec<BlockId> = ps
-                            .iter()
-                            .copied()
-                            .filter(|&p| cb.avail.on_edge(p, cell))
-                            .collect();
-                        if have.len() == 1 {
-                            let miss = ps[usize::from(ps[0] == have[0])];
-                            let available = resolver.exit_value(f, have[0], cell);
-                            let addr_reg = f.fresh();
-                            let load_reg = f.fresh();
-                            edits.append_to(
-                                miss,
-                                [
-                                    Inst::Addr {
-                                        dst: addr_reg,
-                                        global,
-                                        offset,
-                                    },
-                                    Inst::Load {
-                                        dst: load_reg,
-                                        addr: addr_reg,
-                                    },
-                                ],
-                            );
-                            let phi_dst = f.fresh();
-                            resolver.phis.push(PendingPhi {
-                                block: b,
-                                dst: phi_dst,
-                                args: vec![(have[0], available), (miss, load_reg)],
-                            });
-                            edits.forward(b, i, dst, phi_dst);
-                            st.set(cell, mem::CellVal::Reg(phi_dst));
-                            continue;
-                        }
-                    }
-                }
-            }
-            st.apply(&f.block(b).insts[i], cb.addrs, cb.model);
-        }
-    }
-    if edits.delete.is_empty() {
-        return false;
-    }
-    let phis = resolver.phis;
-    edits.apply(f, phis)
-}
-
-// ---------------------------------------------------------------------
-// Loop-invariant code motion (on SSA)
-// ---------------------------------------------------------------------
-
-/// Loop-invariant code motion on SSA. Natural loops come from
-/// [`cfg::natural_loops`] (irreducible cycles are never reported, so they
-/// are never touched); each loop with hoistable work gets a preheader —
-/// reusing an existing unique outside predecessor that already ends in a
-/// `Goto` to the header, otherwise inserting a fresh block and φ-safely
-/// collapsing the header φs' outside arguments through it — and every
-/// pure instruction whose operands are defined outside the loop (or
-/// themselves hoisted) moves there. EM32 arithmetic never traps
-/// (division by zero yields zero), so speculatively executing a hoisted
-/// instruction once in the preheader is always safe; a `Load` is
-/// additionally hoisted only when its address resolves to a rooted cell
-/// ([`mem::AddrInfo`], rooted loads never fault) that no store or call
-/// in the loop body can clobber ([`mem::LoopClobbers`]) — the
-/// memory-aware extension that lifts the state/context reads out of the
-/// STT dispatch loops, whose rodata rule tables survive even the guard
-/// and effect calls in the body. The state-machine dispatch loops of the
-/// STT pattern — invariant table-address arithmetic recomputed every
-/// iteration — are the designed beneficiary. Returns `true` if anything
-/// changed.
-pub fn licm(f: &mut MirFunction, cx: &mut AnalysisCtx<'_>) -> bool {
-    let mut changed = false;
-    // One loop is transformed per step and loops are re-discovered, so
-    // body sets stay exact after each preheader insertion. Terminates
-    // because every step moves ≥1 instruction strictly outward; the
-    // bound is defensive.
-    for _ in 0..1000 {
-        if !licm_step(f, cx) {
-            break;
-        }
-        // The step edited the function: the next one needs fresh loops.
-        cx.invalidate();
-        changed = true;
-    }
-    changed
-}
-
-/// Hoists out of the first (innermost) loop with invariant work.
-fn licm_step(f: &mut MirFunction, cx: &mut AnalysisCtx<'_>) -> bool {
-    if cx.loops(f).is_empty() {
-        return false; // loop-free: skip the address analysis entirely
-    }
-    let model = cx.model();
-    let (loops, addrs) = cx.loops_and_addrs(f);
-    for lp in loops {
-        if lp.header == BlockId(0) {
-            // A back edge onto the entry block has no spot for a
-            // preheader (entry must stay block 0); lowering never emits
-            // this shape, random MIR can.
-            continue;
-        }
-        let hoist = invariant_defs(f, lp, model, addrs);
-        if !hoist.iter().any(|h| *h) {
-            continue;
-        }
-        let Some(pre) = ensure_preheader(f, lp) else {
-            continue;
-        };
-        hoist_insts(f, lp, pre, &hoist);
-        return true;
-    }
-    false
-}
-
-/// The loop-defined registers whose defining instructions should be
-/// hoisted, as a register-indexed flag table: pure, not φs, with every
-/// operand defined outside the loop or by another hoistable instruction
-/// — *seeded from the instructions worth paying a register for*. Seeds
-/// are `Un`/`Bin` computations, `Addr`/`FnAddr` address formation
-/// (EM32's 8-byte worst-case instruction, re-formed every iteration in
-/// the STT dispatch loops) and clobber-free `Load`s. A `Const` or `Copy`
-/// is as cheap to rematerialize as to read back, so hoisting one on its
-/// own only stretches a live range across the loop and invites spills
-/// (EM32 has seven allocatable registers); those move only as operands
-/// of a hoisted seed.
-///
-/// A `Load` qualifies only if its address resolves to a rooted cell the
-/// loop body provably leaves alone: no may-aliasing store, and no
-/// `Call`/`CallInd` when the root is mutable (rodata roots survive calls
-/// — `tlang` rejects stores to `const` globals, so no callee can write
-/// them; externs are memory-transparent). Rooted addresses stay inside
-/// the data image, so the speculative preheader execution cannot fault.
-fn invariant_defs(
-    f: &MirFunction,
-    lp: &cfg::NaturalLoop,
-    model: &mem::MemoryModel,
-    addrs: &mem::FnAddrs,
-) -> Vec<bool> {
-    // The loop's definition of each register (the last one, off SSA).
-    let mut loop_def: Vec<Option<&Inst>> = vec![None; f.next_vreg as usize];
-    for b in lp.blocks() {
-        for inst in &f.block(b).insts {
-            if let Some(d) = inst.def() {
-                let i = d.0 as usize;
-                if i >= loop_def.len() {
-                    loop_def.resize(i + 1, None);
-                }
-                loop_def[i] = Some(inst);
-            }
-        }
-    }
-    let n = loop_def.len();
-    let in_loop = |v: &VReg| loop_def.get(v.0 as usize).is_some_and(Option::is_some);
-    let clobbers = mem::LoopClobbers::summarize(f, &lp.body, addrs);
-    let load_movable = |inst: &Inst| match inst {
-        Inst::Load { addr, .. } => {
-            let info = addrs.info(*addr);
-            info != mem::AddrInfo::Unknown && !clobbers.clobbers(info, model)
-        }
-        _ => true,
-    };
-    // Fixpoint: everything that *could* move.
-    let mut hoistable = vec![false; n];
-    loop {
-        let mut grew = false;
-        for (d, inst) in loop_def.iter().enumerate() {
-            let Some(inst) = inst else { continue };
-            if hoistable[d]
-                || matches!(inst, Inst::Phi { .. })
-                || !inst.is_pure()
-                || !load_movable(inst)
-            {
-                continue;
-            }
-            if inst.uses().all(|u| !in_loop(&u) || hoistable[u.0 as usize]) {
-                hoistable[d] = true;
-                grew = true;
-            }
-        }
-        if !grew {
-            break;
-        }
-    }
-    // Keep computations plus the operand chains feeding them.
-    let mut wanted = vec![false; n];
-    let mut stack: Vec<usize> = (0..n)
-        .filter(|&d| {
-            hoistable[d]
-                && matches!(
-                    loop_def[d],
-                    Some(
-                        Inst::Un { .. }
-                            | Inst::Bin { .. }
-                            | Inst::Addr { .. }
-                            | Inst::FnAddr { .. }
-                            | Inst::Load { .. }
-                    )
-                )
-        })
-        .collect();
-    while let Some(v) = stack.pop() {
-        if std::mem::replace(&mut wanted[v], true) {
-            continue;
-        }
-        if let Some(inst) = loop_def[v] {
-            for u in inst.uses() {
-                if hoistable.get(u.0 as usize).copied().unwrap_or(false) {
-                    stack.push(u.0 as usize);
-                }
-            }
-        }
-    }
-    wanted
-}
-
-/// Returns a block that dominates the loop header and is executed
-/// exactly on entry to the loop: the unique outside predecessor if it
-/// already forwards straight to the header, otherwise a freshly inserted
-/// preheader. Insertion rewires every outside edge and collapses the
-/// outside arguments of each header φ into a single argument through the
-/// preheader (inserting a merge φ in the preheader when several distinct
-/// outside predecessors join) — the φ- and SSA-safety the tentpole
-/// requires.
-fn ensure_preheader(f: &mut MirFunction, lp: &cfg::NaturalLoop) -> Option<BlockId> {
-    let h = lp.header;
-    let preds = cfg::predecessors(f);
-    let mut outside: Vec<BlockId> = preds[h.0 as usize]
-        .iter()
-        .copied()
-        .filter(|p| !lp.contains(*p))
-        .collect();
-    outside.sort_unstable();
-    outside.dedup();
-    if outside.is_empty() {
-        return None; // unreachable loop; nothing sound to do
-    }
-    if let [p] = outside[..] {
-        if f.block(p).term.succs() == vec![h] {
-            return Some(p); // already a dedicated preheader
-        }
-    }
-    let pre = BlockId(f.blocks.len() as u32);
-    // Collapse header-φ outside arguments through the new preheader.
-    let mut pre_insts: Vec<Inst> = Vec::new();
-    for i in 0..f.block(h).insts.len() {
-        let Inst::Phi { args, .. } = &f.block(h).insts[i] else {
-            continue;
-        };
-        // One argument per distinct outside predecessor (duplicate edges
-        // carry the same renamed value, as in `dedup_phi_args`).
-        let mut outside_args: Vec<(BlockId, VReg)> = Vec::new();
-        for (p, v) in args {
-            if !lp.contains(*p) && !outside_args.iter().any(|(q, _)| q == p) {
-                outside_args.push((*p, *v));
-            }
-        }
-        if outside_args.is_empty() {
-            continue;
-        }
-        let via_pre = if outside_args.len() == 1 {
-            outside_args[0].1
-        } else {
-            let merged = f.fresh();
-            pre_insts.push(Inst::Phi {
-                dst: merged,
-                args: outside_args,
-            });
-            merged
-        };
-        let Inst::Phi { args, .. } = &mut f.block_mut(h).insts[i] else {
-            unreachable!("checked above");
-        };
-        args.retain(|(p, _)| lp.contains(*p));
-        args.push((pre, via_pre));
-    }
-    f.blocks.push(Block {
-        insts: pre_insts,
-        term: Term::Goto(h),
-    });
-    for p in outside {
-        f.block_mut(p)
-            .term
-            .map_succs(&mut |s| if s == h { pre } else { s });
-    }
-    Some(pre)
-}
-
-/// Moves the instructions defining `hoist` from the loop body to the end
-/// of `pre`, in reverse postorder so definitions keep preceding uses
-/// (an operand's definition dominates its use, and dominators precede
-/// dominated blocks in reverse postorder).
-fn hoist_insts(f: &mut MirFunction, lp: &cfg::NaturalLoop, pre: BlockId, hoist: &[bool]) {
-    let order: Vec<BlockId> = cfg::reverse_postorder(f)
-        .into_iter()
-        .filter(|b| lp.contains(*b))
-        .collect();
-    let mut moved: Vec<Inst> = Vec::new();
-    for b in order {
-        let blk = f.block_mut(b);
-        let mut kept = Vec::with_capacity(blk.insts.len());
-        for inst in std::mem::take(&mut blk.insts) {
-            let hoisted = !matches!(inst, Inst::Phi { .. })
-                && inst
-                    .def()
-                    .is_some_and(|d| hoist.get(d.0 as usize).copied().unwrap_or(false));
-            if hoisted {
-                moved.push(inst);
-            } else {
-                kept.push(inst);
-            }
-        }
-        blk.insts = kept;
-    }
-    f.block_mut(pre).insts.extend(moved);
+    edits.apply(f, phis);
+    true
 }
 
 // ---------------------------------------------------------------------
@@ -2784,9 +2247,8 @@ pub fn coalesce_copies(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
 /// is left with an equal-target `Br` for [`simplify_cfg`]. Returns
 /// `true` if anything changed.
 ///
-/// This is what pays for [`licm`]'s register pressure in the size
-/// ledger: the STT dispatch functions all carry two `return false`
-/// blocks (loop exhausted / no transition fired) that merge here.
+/// The STT dispatch functions all carry two `return false` blocks (loop
+/// exhausted / no transition fired) that merge here.
 pub fn merge_return_blocks(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
     // The entry block cannot become unreachable, so it never merges.
     let is_candidate = |blk: &Block| {
@@ -3042,17 +2504,11 @@ pub fn dead_function_elimination(program: &mut Program) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::mir::{BinOp, Block, GlobalData};
-    use std::collections::BTreeSet;
 
     /// The conservative memory model unit tests drive bare functions
     /// with: no globals known, everything treated as mutable.
     fn md() -> mem::MemoryModel {
         mem::MemoryModel::default()
-    }
-
-    fn loops_of(f: &MirFunction) -> Vec<cfg::NaturalLoop> {
-        let preds = cfg::predecessors(f);
-        cfg::natural_loops(f, &cfg::DomTree::compute(f, &preds), &preds)
     }
 
     fn const_add_fn() -> MirFunction {
@@ -3742,19 +3198,21 @@ mod tests {
 
     #[test]
     fn analysis_ctx_caches_until_invalidated() {
-        let f = licm_example();
+        let f = diamond_mem_fn(None, None);
         let model = md();
         let mut cx = AnalysisCtx::new(&model);
-        let loops = cx.loops(&f).to_vec();
-        assert_eq!(loops.len(), 1);
+        assert!(cx.dom(&f).is_reachable(BlockId(2)));
+        assert_eq!(cx.dom(&f).idom(BlockId(3)), Some(BlockId(0)));
         // A cached query answers for the state it was computed on, even
         // after the function changes underneath it...
         let mut g = f.clone();
-        g.blocks[2].term = Term::Goto(BlockId(3)); // the latch leaves the loop
-        assert_eq!(cx.loops(&g), &loops[..]);
+        g.blocks[0].term = Term::Goto(BlockId(1)); // the else arm is cut off
+        assert!(cx.dom(&g).is_reachable(BlockId(2)));
+        assert_eq!(cx.dom(&g).idom(BlockId(3)), Some(BlockId(0)));
         // ...until the context is dropped.
         cx.invalidate();
-        assert!(cx.loops(&g).is_empty(), "{g}");
+        assert!(!cx.dom(&g).is_reachable(BlockId(2)), "{g}");
+        assert_eq!(cx.dom(&g).idom(BlockId(3)), Some(BlockId(1)), "{g}");
         assert_eq!(cx.preds(&g)[1], vec![BlockId(0)]);
     }
 
@@ -3941,262 +3399,6 @@ mod tests {
                         );
                     }
                 }
-            }
-        }
-    }
-
-    /// `n = 10; k = 0; while (k < n) { t = n * 4; sink(t); k += 1 }` —
-    /// `n * 4` is the invariant computation LICM must hoist. The `sink`
-    /// call keeps `t` alive so DCE cannot take the shortcut.
-    fn licm_example() -> MirFunction {
-        MirFunction {
-            name: "loopy".into(),
-            params: 1, // v0 = n (unknown, so the loop is not folded away)
-            returns_value: true,
-            exported: true,
-            blocks: vec![
-                Block {
-                    insts: vec![Inst::Const {
-                        dst: VReg(1),
-                        value: 0,
-                    }],
-                    term: Term::Goto(BlockId(1)),
-                },
-                Block {
-                    // header: k < n
-                    insts: vec![Inst::Bin {
-                        op: BinOp::Lt,
-                        dst: VReg(2),
-                        lhs: VReg(1),
-                        rhs: VReg(0),
-                    }],
-                    term: Term::Br {
-                        cond: VReg(2),
-                        then_block: BlockId(2),
-                        else_block: BlockId(3),
-                    },
-                },
-                Block {
-                    // body: t = n * 4 (invariant); sink(t); k = k + 1
-                    insts: vec![
-                        Inst::Const {
-                            dst: VReg(3),
-                            value: 4,
-                        },
-                        Inst::Bin {
-                            op: BinOp::Mul,
-                            dst: VReg(4),
-                            lhs: VReg(0),
-                            rhs: VReg(3),
-                        },
-                        Inst::CallExtern {
-                            dst: None,
-                            ext: 0,
-                            args: vec![VReg(4)],
-                        },
-                        Inst::Const {
-                            dst: VReg(5),
-                            value: 1,
-                        },
-                        Inst::Bin {
-                            op: BinOp::Add,
-                            dst: VReg(1),
-                            lhs: VReg(1),
-                            rhs: VReg(5),
-                        },
-                    ],
-                    term: Term::Goto(BlockId(1)),
-                },
-                Block {
-                    insts: vec![],
-                    term: Term::Ret(Some(VReg(1))),
-                },
-            ],
-            next_vreg: 6,
-        }
-    }
-
-    #[test]
-    fn licm_hoists_invariant_computation_to_preheader() {
-        let mut f = licm_example();
-        ssa::construct(&mut f);
-        assert!(licm(&mut f, &mut AnalysisCtx::new(&md())));
-        let loops = loops_of(&f);
-        assert_eq!(loops.len(), 1, "{f}");
-        // The multiplication left the loop body...
-        for b in loops[0].blocks() {
-            for inst in &f.block(b).insts {
-                assert!(
-                    !matches!(inst, Inst::Bin { op: BinOp::Mul, .. }),
-                    "invariant Mul must be hoisted: {f}"
-                );
-            }
-        }
-        // ...into a block dominating the header.
-        let dom = cfg::DomTree::of(&f);
-        let mul_block = f
-            .block_ids()
-            .find(|b| {
-                f.block(*b)
-                    .insts
-                    .iter()
-                    .any(|i| matches!(i, Inst::Bin { op: BinOp::Mul, .. }))
-            })
-            .expect("Mul survives (its value feeds a call)");
-        assert!(
-            dom.dominates(mul_block, loops[0].header),
-            "hoisted code must dominate the loop header: {f}"
-        );
-        // Idempotent.
-        assert!(!licm(&mut f, &mut AnalysisCtx::new(&md())), "{f}");
-        // And the loop-varying add stayed put.
-        let body_has_add = loops[0].blocks().any(|b| {
-            f.block(b)
-                .insts
-                .iter()
-                .any(|i| matches!(i, Inst::Bin { op: BinOp::Add, .. }))
-        });
-        assert!(body_has_add, "k += 1 must stay in the loop: {f}");
-    }
-
-    #[test]
-    fn licm_leaves_loads_and_calls_alone() {
-        // A load from invariant address: a store in the loop could change
-        // it, so it must not move (conservative: we never hoist loads).
-        let mut f = licm_example();
-        // Replace the Mul with a Load from an invariant address.
-        f.blocks[2].insts[1] = Inst::Load {
-            dst: VReg(4),
-            addr: VReg(3),
-        };
-        ssa::construct(&mut f);
-        licm(&mut f, &mut AnalysisCtx::new(&md()));
-        let loops = loops_of(&f);
-        assert_eq!(loops.len(), 1);
-        let body_has_load = loops[0].blocks().any(|b| {
-            f.block(b)
-                .insts
-                .iter()
-                .any(|i| matches!(i, Inst::Load { .. }))
-        });
-        assert!(body_has_load, "loads must never be hoisted: {f}");
-    }
-
-    #[test]
-    fn licm_inserts_phi_safe_preheader_for_multi_entry_headers() {
-        // Two outside edges into the loop header with *different* values
-        // for the header φ: preheader insertion must merge them with a
-        // preheader φ, preserving SSA.
-        let mut f = MirFunction {
-            name: "multi".into(),
-            params: 1,
-            returns_value: true,
-            exported: true,
-            blocks: vec![
-                Block {
-                    insts: vec![
-                        Inst::Const {
-                            dst: VReg(1),
-                            value: 5,
-                        },
-                        Inst::Const {
-                            dst: VReg(2),
-                            value: 9,
-                        },
-                    ],
-                    term: Term::Br {
-                        cond: VReg(0),
-                        then_block: BlockId(1),
-                        else_block: BlockId(2),
-                    },
-                },
-                Block {
-                    insts: vec![Inst::Copy {
-                        dst: VReg(3),
-                        src: VReg(1),
-                    }],
-                    term: Term::Goto(BlockId(3)),
-                },
-                Block {
-                    insts: vec![Inst::Copy {
-                        dst: VReg(3),
-                        src: VReg(2),
-                    }],
-                    term: Term::Goto(BlockId(3)),
-                },
-                Block {
-                    // loop header: k = φ(entry paths, latch); invariant
-                    // work inside the body below.
-                    insts: vec![
-                        Inst::Const {
-                            dst: VReg(4),
-                            value: 7,
-                        },
-                        Inst::Bin {
-                            op: BinOp::Mul,
-                            dst: VReg(5),
-                            lhs: VReg(0),
-                            rhs: VReg(4),
-                        },
-                        Inst::CallExtern {
-                            dst: None,
-                            ext: 0,
-                            args: vec![VReg(5)],
-                        },
-                        Inst::Bin {
-                            op: BinOp::Add,
-                            dst: VReg(3),
-                            lhs: VReg(3),
-                            rhs: VReg(4),
-                        },
-                        Inst::Bin {
-                            op: BinOp::Lt,
-                            dst: VReg(6),
-                            lhs: VReg(3),
-                            rhs: VReg(0),
-                        },
-                    ],
-                    term: Term::Br {
-                        cond: VReg(6),
-                        then_block: BlockId(3),
-                        else_block: BlockId(4),
-                    },
-                },
-                Block {
-                    insts: vec![],
-                    term: Term::Ret(Some(VReg(3))),
-                },
-            ],
-            next_vreg: 7,
-        };
-        ssa::construct(&mut f);
-        assert!(licm(&mut f, &mut AnalysisCtx::new(&md())));
-        // SSA still holds: every def unique, every φ-arg pred is a real
-        // predecessor.
-        let mut defs = BTreeSet::new();
-        let preds = cfg::predecessors(&f);
-        for b in f.block_ids() {
-            for inst in &f.block(b).insts {
-                if let Some(d) = inst.def() {
-                    assert!(defs.insert(d), "double def of {d}: {f}");
-                }
-                if let Inst::Phi { args, .. } = inst {
-                    for (p, _) in args {
-                        assert!(preds[b.0 as usize].contains(p), "{f}");
-                    }
-                }
-            }
-        }
-        // The invariant Mul is out of every loop.
-        for lp in loops_of(&f) {
-            for b in lp.blocks() {
-                assert!(
-                    !f.block(b)
-                        .insts
-                        .iter()
-                        .any(|i| matches!(i, Inst::Bin { op: BinOp::Mul, .. })),
-                    "{f}"
-                );
             }
         }
     }
@@ -4653,8 +3855,21 @@ mod tests {
         }
     }
 
+    /// The arguments of the last extern call in block 0.
+    fn last_extern_args(f: &MirFunction) -> &[VReg] {
+        f.blocks[0]
+            .insts
+            .iter()
+            .rev()
+            .find_map(|i| match i {
+                Inst::CallExtern { args, .. } => Some(&args[..]),
+                _ => None,
+            })
+            .expect("an extern call")
+    }
+
     #[test]
-    fn store_load_forward_forwards_and_dedups() {
+    fn cross_block_forward_forwards_and_dedups_in_a_block() {
         let mut f = mem_fn(
             vec![
                 Inst::Addr {
@@ -4694,27 +3909,17 @@ mod tests {
             ],
             6,
         );
-        assert!(store_load_forward(&mut f, &mut AnalysisCtx::new(&md())));
+        assert!(cross_block_forward(&mut f, &mut AnalysisCtx::new(&md())));
+        assert_eq!(count_loads(&f), 1, "only the first load of g0+4 stays: {f}");
         assert_eq!(
-            f.blocks[0].insts[3],
-            Inst::Copy {
-                dst: VReg(3),
-                src: VReg(0)
-            },
-            "{f}"
-        );
-        assert_eq!(
-            f.blocks[0].insts[5],
-            Inst::Copy {
-                dst: VReg(5),
-                src: VReg(4)
-            },
-            "redundant load must copy the first load: {f}"
+            last_extern_args(&f),
+            &[VReg(0), VReg(4), VReg(4)],
+            "uses read the stored value and the first load: {f}"
         );
     }
 
     #[test]
-    fn store_load_forward_clobbers_on_calls_but_not_externs() {
+    fn cross_block_forward_clobbers_on_calls_but_not_externs() {
         let build = |clobber: Inst| {
             mem_fn(
                 vec![
@@ -4748,9 +3953,10 @@ mod tests {
             args: vec![],
         });
         assert!(
-            !store_load_forward(&mut with_call, &mut AnalysisCtx::new(&md())),
+            !cross_block_forward(&mut with_call, &mut AnalysisCtx::new(&md())),
             "{with_call}"
         );
+        assert_eq!(count_loads(&with_call), 1, "{with_call}");
         // An extern passes registers only: the cell survives.
         let mut with_ext = build(Inst::CallExtern {
             dst: None,
@@ -4758,21 +3964,15 @@ mod tests {
             args: vec![],
         });
         assert!(
-            store_load_forward(&mut with_ext, &mut AnalysisCtx::new(&md())),
+            cross_block_forward(&mut with_ext, &mut AnalysisCtx::new(&md())),
             "{with_ext}"
         );
-        assert_eq!(
-            with_ext.blocks[0].insts[3],
-            Inst::Copy {
-                dst: VReg(3),
-                src: VReg(0)
-            },
-            "{with_ext}"
-        );
+        assert_eq!(count_loads(&with_ext), 0, "{with_ext}");
+        assert_eq!(last_extern_args(&with_ext), &[VReg(0)], "{with_ext}");
     }
 
     #[test]
-    fn store_load_forward_rodata_survives_calls() {
+    fn cross_block_forward_rodata_survives_calls() {
         let program = Program {
             functions: vec![],
             globals: vec![GlobalData {
@@ -4812,19 +4012,17 @@ mod tests {
             ],
             4,
         );
-        assert!(store_load_forward(&mut f, &mut AnalysisCtx::new(&model)));
+        assert!(cross_block_forward(&mut f, &mut AnalysisCtx::new(&model)));
+        assert_eq!(count_loads(&f), 1, "{f}");
         assert_eq!(
-            f.blocks[0].insts[3],
-            Inst::Copy {
-                dst: VReg(3),
-                src: VReg(2)
-            },
+            last_extern_args(&f),
+            &[VReg(2), VReg(2)],
             "rodata cell must survive the call: {f}"
         );
     }
 
     #[test]
-    fn store_load_forward_base_store_invalidates_its_global_only() {
+    fn cross_block_forward_base_store_invalidates_its_global_only() {
         let mut f = mem_fn(
             vec![
                 Inst::Addr {
@@ -4865,19 +4063,13 @@ mod tests {
             5,
         );
         // The g1-rooted store cannot touch g0's cell: still forwarded.
-        assert!(store_load_forward(&mut f, &mut AnalysisCtx::new(&md())));
-        assert_eq!(
-            f.blocks[0].insts[5],
-            Inst::Copy {
-                dst: VReg(4),
-                src: VReg(0)
-            },
-            "{f}"
-        );
+        assert!(cross_block_forward(&mut f, &mut AnalysisCtx::new(&md())));
+        assert_eq!(count_loads(&f), 0, "{f}");
+        assert_eq!(last_extern_args(&f), &[VReg(0)], "{f}");
     }
 
     #[test]
-    fn store_load_forward_respects_sub_word_overlap() {
+    fn cross_block_forward_respects_sub_word_overlap() {
         // store [g0+0]; store [g0+2] (partially overwrites bytes 2..4);
         // load [g0+0] must NOT be forwarded: the EM32 word access is
         // byte-addressed, so offsets less than a word apart alias.
@@ -4914,9 +4106,10 @@ mod tests {
             4,
         );
         assert!(
-            !store_load_forward(&mut f, &mut AnalysisCtx::new(&md())),
+            !cross_block_forward(&mut f, &mut AnalysisCtx::new(&md())),
             "sub-word overlapping store must kill the tracked cell: {f}"
         );
+        assert_eq!(count_loads(&f), 1, "{f}");
     }
 
     #[test]
@@ -5062,10 +4255,8 @@ mod tests {
         assert!(!dead_store_elim(&mut tail, &mut AnalysisCtx::new(&md())));
     }
 
-    /// A countdown loop whose body loads `g0[0]` every iteration; with
-    /// `store_in_body`, the body also stores to that global.
-    /// bb0: a = &g0; store a, v0; Br v0 → bb1 | bb2; both store (or not)
-    /// and join in bb3, which loads the cell.
+    /// bb0: Br v0 → bb1 | bb2; each arm forms `&g0` and stores a constant
+    /// to it (or not), and both join in bb3, which loads the cell.
     fn diamond_mem_fn(store_then: Option<i32>, store_else: Option<i32>) -> MirFunction {
         let store_arm = |value: Option<i32>, base: u32| {
             let mut insts = vec![Inst::Addr {
@@ -5151,8 +4342,8 @@ mod tests {
         let cell = avail.universe().index((0, 0)).expect("tracked cell");
         // Stored on the then-arm only: available at its exit, not at the
         // else-arm's, so the join entry set is empty.
-        assert!(avail.on_edge(BlockId(1), cell));
-        assert!(!avail.on_edge(BlockId(2), cell));
+        assert!(avail.at_exit(BlockId(1)).contains(cell));
+        assert!(!avail.at_exit(BlockId(2)).contains(cell));
         assert!(!avail.on_entry(BlockId(3)).contains(cell));
         // Stored on both arms: available on join entry.
         let f2 = diamond_mem_fn(Some(1), Some(2));
@@ -5335,161 +4526,5 @@ mod tests {
         };
         assert!(!cross_block_forward(&mut f, &mut AnalysisCtx::new(&md())));
         assert_eq!(count_loads(&f), 1, "{f}");
-    }
-
-    #[test]
-    fn load_pre_compensates_the_lacking_diamond_arm() {
-        // Stored on the then-arm only: PRE inserts the compensating load
-        // in the else-arm and phi-merges, deleting the join's load.
-        let mut f = diamond_mem_fn(Some(7), None);
-        assert!(load_pre(&mut f, &mut AnalysisCtx::new(&md())));
-        assert_eq!(count_phis(&f), 1, "{f}");
-        assert_eq!(
-            f.blocks[2]
-                .insts
-                .iter()
-                .filter(|i| matches!(i, Inst::Load { .. }))
-                .count(),
-            1,
-            "compensating load lands in the lacking arm: {f}"
-        );
-        assert!(
-            !f.blocks[3]
-                .insts
-                .iter()
-                .any(|i| matches!(i, Inst::Load { .. })),
-            "the join's load is gone: {f}"
-        );
-        // Fully redundant now: a second run has nothing left to do.
-        assert!(!load_pre(&mut f, &mut AnalysisCtx::new(&md())), "{f}");
-    }
-
-    #[test]
-    fn load_pre_leaves_fully_unavailable_joins_alone() {
-        let mut f = diamond_mem_fn(None, None);
-        assert!(!load_pre(&mut f, &mut AnalysisCtx::new(&md())), "{f}");
-        assert_eq!(count_loads(&f), 1, "{f}");
-    }
-
-    fn load_loop(store_in_body: bool) -> MirFunction {
-        let mut body = vec![
-            Inst::Addr {
-                dst: VReg(4),
-                global: 0,
-                offset: 0,
-            },
-            Inst::Load {
-                dst: VReg(5),
-                addr: VReg(4),
-            },
-            Inst::CallExtern {
-                dst: None,
-                ext: 0,
-                args: vec![VReg(5)],
-            },
-            Inst::Bin {
-                op: BinOp::Sub,
-                dst: VReg(0),
-                lhs: VReg(0),
-                rhs: VReg(1),
-            },
-        ];
-        if store_in_body {
-            body.insert(
-                2,
-                Inst::Store {
-                    addr: VReg(4),
-                    src: VReg(0),
-                },
-            );
-        }
-        MirFunction {
-            name: "ll".into(),
-            params: 0,
-            returns_value: false,
-            exported: true,
-            blocks: vec![
-                Block {
-                    insts: vec![
-                        Inst::Const {
-                            dst: VReg(0),
-                            value: 3,
-                        },
-                        Inst::Const {
-                            dst: VReg(1),
-                            value: 1,
-                        },
-                        Inst::Const {
-                            dst: VReg(2),
-                            value: 0,
-                        },
-                    ],
-                    term: Term::Goto(BlockId(1)),
-                },
-                Block {
-                    insts: vec![Inst::Bin {
-                        op: BinOp::Gt,
-                        dst: VReg(3),
-                        lhs: VReg(0),
-                        rhs: VReg(2),
-                    }],
-                    term: Term::Br {
-                        cond: VReg(3),
-                        then_block: BlockId(2),
-                        else_block: BlockId(3),
-                    },
-                },
-                Block {
-                    insts: body,
-                    term: Term::Goto(BlockId(1)),
-                },
-                Block {
-                    insts: vec![],
-                    term: Term::Ret(None),
-                },
-            ],
-            next_vreg: 6,
-        }
-    }
-
-    fn loads_in_loop_bodies(f: &MirFunction) -> usize {
-        let mut in_loops: BTreeSet<BlockId> = BTreeSet::new();
-        for lp in loops_of(f) {
-            in_loops.extend(lp.blocks());
-        }
-        in_loops
-            .iter()
-            .map(|b| {
-                f.block(*b)
-                    .insts
-                    .iter()
-                    .filter(|i| matches!(i, Inst::Load { .. }))
-                    .count()
-            })
-            .sum()
-    }
-
-    #[test]
-    fn licm_hoists_clobber_free_loads() {
-        let mut f = load_loop(false);
-        ssa::construct(&mut f);
-        assert!(licm(&mut f, &mut AnalysisCtx::new(&md())));
-        assert_eq!(
-            loads_in_loop_bodies(&f),
-            0,
-            "the invariant, unclobbered load must leave the loop: {f}"
-        );
-    }
-
-    #[test]
-    fn licm_keeps_loads_the_loop_clobbers() {
-        let mut f = load_loop(true);
-        ssa::construct(&mut f);
-        licm(&mut f, &mut AnalysisCtx::new(&md()));
-        assert_eq!(
-            loads_in_loop_bodies(&f),
-            1,
-            "a store to the cell pins the load in the body: {f}"
-        );
     }
 }

@@ -47,8 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Code generation (Nested Switch) + compilation at -Os, before
     //    and after model optimization. -Os runs occ's full mid-end
-    //    roster — SCCP, GVN/CSE, the block-local and cross-block
-    //    store-to-load forwarding family, load-PRE, DSE, LICM, DCE,
+    //    roster — SCCP, GVN/CSE, store-to-load forwarding, DSE, DCE,
     //    crossjumping (see the occ::opt module rustdoc); where measured
     //    orderings deviate from the paper's tables, EXPERIMENTS.md is
     //    the ledger of record.

@@ -2,17 +2,17 @@
 //! programs — duplicated pure expressions (GVN/CSE fodder), branches and
 //! switches with shared or all-equal targets (terminator-folding fodder),
 //! latch-guarded back edges (loop fodder for SCCP's executable-edge
-//! analysis and LICM's preheader insertion), and `Load`/`Store`/`Addr`
-//! mixes over overlapping and disjoint cells of mutable and rodata
-//! globals (memory-pass fodder: stores landing in loop bodies, and
-//! store/load mixes *across* block boundaries — cross-block forwarding
-//! and load-PRE fodder) — must produce the same EM32 extern-call trace
-//! at `-O1`/`-O2`/`-Os` as at `-O0`, and under each new pass applied in
-//! isolation.
+//! analysis and for the availability dataflow around back edges), and
+//! `Load`/`Store`/`Addr` mixes over overlapping and disjoint cells of
+//! mutable and rodata globals (memory-pass fodder: stores landing in loop
+//! bodies, and store/load mixes inside blocks and *across* block
+//! boundaries for load forwarding and dead-store elimination) — must
+//! produce the same EM32 extern-call trace at `-O1`/`-O2`/`-Os` as at
+//! `-O0`, and under each pass applied in isolation.
 //!
 //! Every load's value is emitted through the `emit` extern, so a memory
-//! pass that forwards, removes or hoists the wrong thing changes the
-//! observable trace. Addresses respect the alias model's in-object
+//! pass that forwards or removes the wrong thing changes the observable
+//! trace. Addresses respect the alias model's in-object
 //! contract (offsets stay inside their global; the one run-time index is
 //! masked in-bounds), exactly as front-end-lowered code does.
 //!
@@ -281,8 +281,8 @@ fn build_program(
             ext: 0,
             args: vec![marker, value],
         });
-        // Memory traffic: every loaded value is emitted, so forwarding,
-        // dead-store and hoisting mistakes surface in the trace.
+        // Memory traffic: every loaded value is emitted, so forwarding
+        // and dead-store mistakes surface in the trace.
         let sel = (m / 8) as usize;
         let store_at = store_pool[sel % store_pool.len()];
         let load_at = load_pool[sel % load_pool.len()];
@@ -572,26 +572,6 @@ proptest! {
         prop_assert_eq!(&cleaned, &oracle, "sccp + dce diverges");
     }
 
-    /// LICM alone preserves the trace — the latch-guarded back edges of
-    /// `build_program` give it headers with φs, multi-entry headers after
-    /// branchy prefixes, and loop bodies full of movable pure ops.
-    #[test]
-    fn licm_preserves_em32_trace(
-        consts in prop::collection::vec(-8i32..8, 2..5),
-        ops in prop::collection::vec((0u8..14, any::<u8>(), any::<u8>()), 1..6),
-        blocks in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 2..6),
-    ) {
-        let program = build_program(&consts, &ops, &blocks, 0);
-        let oracle = trace_at(&program, OptLevel::O0);
-        let got = trace_with_passes(&program, &[opt::licm]);
-        prop_assert_eq!(&got, &oracle, "licm diverges");
-        let cleaned = trace_with_passes(
-            &program,
-            &[opt::licm, opt::gvn_cse, opt::copy_propagate, opt::dead_code_elim],
-        );
-        prop_assert_eq!(&cleaned, &oracle, "licm + cleanup diverges");
-    }
-
     /// The φ-free copy coalescer and return-block merger preserve the
     /// trace when stacked on the SSA round trip (they run post-destruct
     /// in the real pipeline; `trace_with_passes` destructs afterwards,
@@ -608,28 +588,6 @@ proptest! {
         prop_assert_eq!(&got, &oracle, "coalesce_copies diverges");
         let merged = trace_with_passes(&program, &[opt::merge_return_blocks]);
         prop_assert_eq!(&merged, &oracle, "merge_return_blocks diverges");
-    }
-
-    /// Store-to-load forwarding / redundant-load elimination alone
-    /// preserves the trace — the memory blocks store and reload
-    /// overlapping cells through distinct address expressions, so the
-    /// alias resolution (exact cells, rooted run-time indices, rodata)
-    /// is what is on trial here.
-    #[test]
-    fn store_load_forward_preserves_em32_trace(
-        consts in prop::collection::vec(-8i32..8, 2..5),
-        ops in prop::collection::vec((0u8..14, any::<u8>(), any::<u8>()), 1..4),
-        blocks in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 1..6),
-    ) {
-        let program = build_program(&consts, &ops, &blocks, 0);
-        let oracle = trace_at(&program, OptLevel::O0);
-        let got = trace_with_passes(&program, &[opt::store_load_forward]);
-        prop_assert_eq!(&got, &oracle, "store_load_forward diverges");
-        let cleaned = trace_with_passes(
-            &program,
-            &[opt::store_load_forward, opt::copy_propagate, opt::dead_code_elim],
-        );
-        prop_assert_eq!(&cleaned, &oracle, "store_load_forward + cleanup diverges");
     }
 
     /// Dead-store elimination alone preserves the trace — the
@@ -652,11 +610,13 @@ proptest! {
         prop_assert_eq!(&cleaned, &oracle, "dead_store_elim + dce diverges");
     }
 
-    /// Cross-block store-to-load forwarding alone preserves the trace —
-    /// the generated blocks store and reload overlapping cells across
-    /// branch, switch and latch edges, so the availability dataflow
-    /// (loop-transparent cells included) and the φ threading at joins
-    /// are what is on trial here.
+    /// Store-to-load forwarding alone preserves the trace — the generated
+    /// blocks store and reload overlapping cells through distinct address
+    /// expressions, inside blocks and across branch, switch and latch
+    /// edges, so the alias resolution (exact cells, rooted run-time
+    /// indices, rodata), the availability dataflow (loop-transparent
+    /// cells included) and the φ threading at joins are what is on trial
+    /// here.
     #[test]
     fn cross_block_forward_preserves_em32_trace(
         consts in prop::collection::vec(-8i32..8, 2..5),
@@ -674,32 +634,9 @@ proptest! {
         prop_assert_eq!(&cleaned, &oracle, "cross_block_forward + cleanup diverges");
     }
 
-    /// Load partial-redundancy elimination alone preserves the trace —
-    /// its speculative compensating loads must read the same cell the
-    /// deleted join load would have, on every path.
-    #[test]
-    fn load_pre_preserves_em32_trace(
-        consts in prop::collection::vec(-8i32..8, 2..5),
-        ops in prop::collection::vec((0u8..14, any::<u8>(), any::<u8>()), 1..4),
-        blocks in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 2..6),
-    ) {
-        let program = build_program(&consts, &ops, &blocks, 0);
-        let oracle = trace_at(&program, OptLevel::O0);
-        let got = trace_with_passes(&program, &[opt::load_pre]);
-        prop_assert_eq!(&got, &oracle, "load_pre diverges");
-        // PRE makes the join load fully redundant; cross-block forwarding
-        // stacked on top must agree too.
-        let stacked = trace_with_passes(
-            &program,
-            &[opt::load_pre, opt::cross_block_forward, opt::dead_code_elim],
-        );
-        prop_assert_eq!(&stacked, &oracle, "load_pre + cross_block_forward diverges");
-    }
-
-    /// The whole memory family stacked — load-hoisting LICM over blocks
-    /// whose loops store to the very globals being read, then block-local
-    /// and cross-block forwarding, PRE and dead-store elimination, then
-    /// cleanup — preserves the trace.
+    /// The whole memory family stacked — forwarding over blocks whose
+    /// loops store to the very globals being read, then dead-store
+    /// elimination, then cleanup — preserves the trace.
     #[test]
     fn memory_pass_family_preserves_em32_trace(
         consts in prop::collection::vec(-8i32..8, 2..5),
@@ -711,10 +648,7 @@ proptest! {
         let got = trace_with_passes(
             &program,
             &[
-                opt::licm,
-                opt::store_load_forward,
                 opt::cross_block_forward,
-                opt::load_pre,
                 opt::dead_store_elim,
                 opt::gvn_cse,
                 opt::copy_propagate,
