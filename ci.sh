@@ -4,20 +4,20 @@
 #   ./ci.sh            # full gate: fmt, clippy, rustdoc, release build,
 #                      # release tests (MIR_DIFF_CASES=256), dev-profile
 #                      # occ + mbot tests under OCC_VERIFY=each, bench
-#                      # smoke, throughput smoke, batch-compile smoke,
-#                      # perfbench smoke, differential fuzz smoke,
-#                      # snapshot + regression gate (including the
-#                      # per-cell assembly digests)
+#                      # smoke, perfbench smoke, differential fuzz smoke,
+#                      # snapshot (with the two-engine storm check) +
+#                      # regression gate (including the per-cell
+#                      # assembly digests)
 #   ./ci.sh --fast     # quick gate: fmt, clippy, rustdoc, dev tests
 #
 # Mirrors the tier-1 verify command of ROADMAP.md plus style gates, the
 # verify-each dev-profile run, the bench-binary smoke loop, the
-# event-storm throughput, batch-compile, repository-benchmark and
-# differential fuzz smokes, and the regression gate (sizes, pass
-# activity, per-cell dynamic instruction counts, warm cache hits and
-# assembly digests) against the committed bench_baseline.json. Every
-# stage's wall-clock time is reported at the end so slow stages are
-# visible in CI logs.
+# repository-benchmark and differential fuzz smokes, the snapshot (whose
+# canonical storms must agree on both EM32 engines), and the regression
+# gate (sizes, pass activity, per-cell dynamic instruction counts, warm
+# cache hits and assembly digests) against the committed
+# bench_baseline.json. Every stage's wall-clock time is reported at the
+# end so slow stages are visible in CI logs.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -107,22 +107,6 @@ else
     run_stage "cargo test -p occ -p mbot (debug: verifiers active, OCC_VERIFY=$occ_verify_mode)" \
         env OCC_VERIFY=$occ_verify_mode cargo test --locked -p occ -p mbot -q
     run_stage "bench smoke (6 binaries)" bench_smoke
-    # Event-storm throughput smoke: run the full machine×pattern×level
-    # storm matrix (BENCH_SMOKE=1 shortens the timed storms to the
-    # canonical length) so a fast-engine/oracle divergence (events,
-    # executed instructions or extern calls) or a storm fault fails CI.
-    # Its own timed stage — the storms dominate, and the timing line is
-    # how a dispatch-loop slowdown shows up in CI logs.
-    run_stage "bench throughput smoke (BENCH_SMOKE=1)" \
-        env BENCH_SMOKE=1 cargo run --release -q -p bench --bin throughput
-    # Batch-compile smoke: a cold pass then a warm pass of one driver
-    # session's in-memory artifact cache over the full 48-cell matrix.
-    # The bin itself asserts that the cold pass hits nothing, the warm
-    # pass hits every cell and beats the cold machines/sec, and prints
-    # both; a caching or hashing regression fails here. Its timed stage
-    # line is the toolchain-throughput trajectory in CI logs.
-    run_stage "bench batch-compile smoke (cold+warm, 48 cells)" \
-        cargo run --release -q -p bench --bin batch
     run_stage "perfbench smoke (compile, storm, recompile; 1 s each)" perfbench_smoke
     # Differential fuzz smoke: a deterministic-seed corpus of generated
     # machines (umlsm::gen) runs the whole chain differentially — model
@@ -136,21 +120,25 @@ else
     run_stage "bench differential fuzz smoke (FUZZ_CASES=${FUZZ_CASES:-500})" \
         env FUZZ_CASES="${FUZZ_CASES:-500}" cargo run --release -q -p bench --bin fuzz
     # Regression gate: snapshot the current toolchain, then compare
-    # against the committed baseline. Any machine×pattern×level cell
+    # against the committed baseline. The snapshot itself fails on a
+    # cell whose canonical storm faults or whose fast engine and
+    # reference oracle disagree on events, executed instructions or
+    # extern calls. Any machine×pattern×level cell
     # (total or text/rodata section) growing beyond the tolerance fails
     # the gate, as does a cell's canonical-storm dynamic instruction
     # count (the deterministic "time" axis — an optimization that saves
     # bytes by re-executing work fails here), cell-set drift in either
     # direction, a cell whose total pass runs grow beyond the tolerance
     # (the deterministic compile-cost proxy), a pass whose changes
-    # drop to zero matrix-wide (silently inert), or a cell whose assembly
+    # drop to zero matrix-wide (silently inert), a cell whose warm
+    # recompile stopped hitting the driver cache, or a cell whose assembly
     # digest differs from the baseline's (byte identity); refresh the baseline
     # deliberately with:
     #   cargo run --release -p bench --bin snapshot -- bench_baseline.json
     run_stage "bench snapshot (BENCH_PR3.json)" \
         cargo run --release -q -p bench --bin snapshot
     run_stage "bench regression gate" \
-        cargo run --release -q -p bench --bin regress
+        cargo run --release -q -p bench --bin regress -- bench_baseline.json BENCH_PR3.json
 fi
 
 echo

@@ -13,9 +13,11 @@
 //! manual table regeneration.
 //!
 //! Run with `cargo run -p bench --bin regress [-- <baseline> [current]]`.
-//! If a current-snapshot path is given (or `BENCH_PR3.json` exists, as
-//! written by `bench --bin snapshot`), it is compared as-is; otherwise a
-//! fresh snapshot is measured in-process.
+//! A current-snapshot path, when given, is compared as-is (CI passes the
+//! `BENCH_PR3.json` that `bench --bin snapshot` just wrote); without one,
+//! a fresh snapshot is measured in-process. A snapshot file that is not
+//! named is never read, so one left over from an earlier run cannot
+//! stand in for the measurement.
 
 use bench::snapshot::{compare, Snapshot};
 
@@ -46,7 +48,6 @@ fn main() {
     let baseline = load(&baseline_path);
     let current = match &current_path {
         Some(p) => load(p),
-        None if std::path::Path::new("BENCH_PR3.json").exists() => load("BENCH_PR3.json"),
         None => match Snapshot::measure() {
             Ok(s) => s,
             Err(e) => {
@@ -58,13 +59,7 @@ fn main() {
 
     println!(
         "=== bench regression gate: {} vs {} ===",
-        current_path.as_deref().unwrap_or_else(|| {
-            if std::path::Path::new("BENCH_PR3.json").exists() {
-                "BENCH_PR3.json"
-            } else {
-                "<fresh measurement>"
-            }
-        }),
+        current_path.as_deref().unwrap_or("<fresh measurement>"),
         baseline_path
     );
     let verdicts = compare(&baseline, &current);

@@ -11,9 +11,9 @@
 //!
 //! Compiles go through the process-wide [`driver`](crate::driver)
 //! session and cases fan out over [`occ::driver::parallel_map`], so a
-//! corpus run exercises the same concurrent-session path the batch
-//! gate locks. Each case is a pure function of its seed: a finding
-//! reproduces from the seed alone, on any thread count.
+//! corpus run exercises the driver's concurrent-session path. Each case
+//! is a pure function of its seed: a finding reproduces from the seed
+//! alone, on any thread count.
 //!
 //! # Coverage feedback
 //!
@@ -197,8 +197,6 @@ pub struct FuzzReport {
     pub sequences: usize,
     /// Confirmed divergences, shrunk and serialized.
     pub divergences: Vec<Divergence>,
-    /// Campaign wall-clock.
-    pub elapsed: Duration,
 }
 
 // ----------------------------------------------------------------------
@@ -705,7 +703,6 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
             }
         }
     }
-    report.elapsed = started.elapsed();
     report
 }
 

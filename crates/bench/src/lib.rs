@@ -13,13 +13,17 @@
 //! | `twostep`  | §VI: two-step (model + compiler) optimization     |
 //!
 //! Three further binaries feed the CI gates rather than a paper
-//! artifact: `snapshot` writes the machine-readable `BENCH_PR3.json`
-//! (sizes, per-pass stats and canonical-storm dynamic instruction counts
-//! for every sample machine × pattern × level), `regress` compares it
-//! against the committed `bench_baseline.json` (see [`snapshot`]), and
-//! `throughput` drives run-to-completion event storms through every cell
-//! from a worker pool, reporting events/sec and the fast-engine speedup
-//! over the reference oracle (see [`throughput`]).
+//! artifact:
+//!
+//! | binary     | gate                                              |
+//! |------------|---------------------------------------------------|
+//! | `snapshot` | writes `BENCH_PR3.json`: sizes, per-pass stats, canonical-storm counts (checked against the reference oracle, see [`storm`]), warm-hit flag and assembly digest for every sample machine × pattern × level |
+//! | `regress`  | compares a snapshot against the committed `bench_baseline.json` (see [`snapshot`]) |
+//! | `fuzz`     | differential fuzzing of the whole chain over generated machines (see [`fuzz`]) |
+//!
+//! No binary here reads a clock except `fuzz`, for its `FUZZ_SECS`
+//! budget: the toolchain's speed is measured by the repository benchmark
+//! (`perfbench/`).
 //!
 //! Absolute byte counts differ from the paper's (GCC/x86 vs our EM32
 //! backend); the *shape* — who wins, by roughly what factor, where the
@@ -31,7 +35,7 @@
 pub mod fuzz;
 pub mod matrix;
 pub mod snapshot;
-pub mod throughput;
+pub mod storm;
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -84,6 +88,18 @@ pub enum BenchError {
         /// Underlying error text.
         message: String,
     },
+    /// The canonical storm of a compiled cell faulted, or the fast
+    /// engine and the reference oracle disagreed on it.
+    Storm {
+        /// Machine name.
+        machine: String,
+        /// Implementation pattern.
+        pattern: Pattern,
+        /// Optimization level.
+        level: OptLevel,
+        /// What went wrong.
+        message: String,
+    },
     /// Model-level optimization failed.
     Optimize {
         /// Machine name.
@@ -109,6 +125,15 @@ impl fmt::Display for BenchError {
             } => write!(
                 f,
                 "compile failed for {machine}/{pattern}/{level}: {message}"
+            ),
+            BenchError::Storm {
+                machine,
+                pattern,
+                level,
+                message,
+            } => write!(
+                f,
+                "canonical storm failed for {machine}/{pattern}/{level}: {message}"
             ),
             BenchError::Optimize { machine, message } => {
                 write!(f, "model optimization failed for {machine}: {message}")

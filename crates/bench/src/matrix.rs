@@ -7,8 +7,7 @@
 //! machine × pattern combination — the unit that shares a single code
 //! generation, because the generated event-code map defines the
 //! canonical storm and every optimization level of an arm must see the
-//! same storm. The full 48-cell job list for the artifact-cache batch
-//! path comes from [`batch_jobs`].
+//! same storm.
 
 use cgen::Pattern;
 use occ::OptLevel;
@@ -81,30 +80,12 @@ pub fn arms_for(name: &str, machine: &StateMachine) -> Vec<Arm> {
 }
 
 /// Every machine × pattern arm of the sample matrix (the 12 arms whose
-/// 48 level-cells the snapshot and throughput gates measure).
+/// 48 level-cells the snapshot measures).
 pub fn arms() -> Vec<Arm> {
     sample_machines()
         .into_iter()
         .flat_map(|(name, machine)| arms_for(name, &machine))
         .collect()
-}
-
-/// The full machine × pattern × level job list in matrix order, each
-/// arm generated once — the input shape of
-/// [`occ::driver::Driver::compile_batch`].
-///
-/// # Errors
-///
-/// Returns the first [`BenchError::Codegen`] naming a failing arm.
-pub fn batch_jobs() -> Result<Vec<(tlang::Module, OptLevel)>, BenchError> {
-    let mut jobs = Vec::new();
-    for arm in arms() {
-        let generated = arm.generate()?;
-        for level in OptLevel::all() {
-            jobs.push((generated.module.clone(), level));
-        }
-    }
-    Ok(jobs)
 }
 
 #[cfg(test)]
@@ -117,8 +98,6 @@ mod tests {
         assert_eq!(arms.len(), 4 * 3);
         let keys: std::collections::BTreeSet<String> = arms.iter().map(Arm::key).collect();
         assert_eq!(keys.len(), arms.len(), "arm keys must be unique");
-        let jobs = batch_jobs().expect("generates");
-        assert_eq!(jobs.len(), 4 * 3 * 4);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! ([`occ::RegAllocStats`]: spill slots, saved callee-saved registers,
 //! spill-code bytes), the per-pass [`occ::PassStats`] of the mid-end
 //! run, the deterministic executed-instruction count of the
-//! [canonical event storm](crate::throughput) on the fast engine — the
-//! cell's regression-gated "time" — whether an immediate recompile hits
+//! [canonical event storm](crate::storm) on the fast engine — the
+//! cell's regression-gated "time", checked against the reference oracle
+//! — whether an immediate recompile hits
 //! the driver's cache, and a digest of the cell's whole
 //! assembly ([`assembly_digest`]) that makes byte identity a gate. The
 //! `snapshot` binary serializes one to `BENCH_PR3.json`; the `regress`
@@ -87,8 +88,8 @@ pub struct Cell {
     /// Text bytes of inserted spill code (slot loads/stores).
     pub spill_bytes: usize,
     /// Events in the canonical storm this cell was measured with
-    /// ([`crate::throughput::STORM_EVENTS`]); `0` in baselines written
-    /// before the throughput trajectory existed.
+    /// ([`crate::storm::STORM_EVENTS`]); `0` in baselines written
+    /// before storms were measured.
     pub events: usize,
     /// Deterministic executed-instruction count of the canonical storm
     /// on the fast engine — the regression-gated "time" of this cell.
@@ -141,13 +142,16 @@ impl Snapshot {
     /// Measures every [`crate::matrix`] cell: sizes, regalloc counters,
     /// pass effects, the canonical storm's deterministic dynamic
     /// instruction count on the fast engine, and whether an immediate
-    /// recompile hits the shared driver session's cache.
+    /// recompile hits the shared driver session's cache. Each cell's
+    /// canonical storm also runs on the reference oracle, which must
+    /// match the fast engine in events, executed instructions and extern
+    /// calls.
     ///
     /// # Errors
     ///
-    /// Returns the first [`BenchError`] naming a failing cell (a VM
-    /// fault during the storm is reported as a compile-cell error: the
-    /// program is unusable either way).
+    /// Returns the first [`BenchError`] naming a failing cell:
+    /// [`BenchError::Storm`] when a storm faults or the two engines
+    /// disagree.
     pub fn measure() -> Result<Snapshot, BenchError> {
         let mut cells = Vec::new();
         for arm in crate::matrix::arms() {
@@ -162,13 +166,22 @@ impl Snapshot {
                 let hits_before = crate::driver().stats().hits();
                 let _ = arm.compile(level, &generated)?;
                 let warm_hit = usize::from(crate::driver().stats().hits() > hits_before);
-                let storm = crate::throughput::canonical_storm(&artifact, &generated.codes)
-                    .map_err(|e| BenchError::Compile {
-                        machine: arm.machine.name().to_string(),
-                        pattern: arm.pattern,
-                        level,
-                        message: format!("canonical storm faulted: {e}"),
-                    })?;
+                let storm_error = |message: String| BenchError::Storm {
+                    machine: arm.machine.name().to_string(),
+                    pattern: arm.pattern,
+                    level,
+                    message,
+                };
+                let storm = crate::storm::canonical_storm(&artifact, &generated.codes)
+                    .map_err(|e| storm_error(format!("fast engine faulted: {e}")))?;
+                let oracle = crate::storm::canonical_oracle_storm(&artifact, &generated.codes)
+                    .map_err(|e| storm_error(format!("oracle faulted: {e}")))?;
+                // The two-engine contract of `occ::vm` under storm load.
+                if storm != oracle {
+                    return Err(storm_error(format!(
+                        "engines disagree: fast engine {storm:?}, oracle {oracle:?}"
+                    )));
+                }
                 let sizes = artifact.sizes();
                 let regalloc = artifact.regalloc_stats();
                 let passes = artifact
@@ -295,8 +308,8 @@ impl Snapshot {
                 spill_slots: item.usize_field("spill_slots")?,
                 saved_regs: item.usize_field("saved_regs")?,
                 spill_bytes: item.usize_field("spill_bytes")?,
-                // Lenient for baselines written before the throughput
-                // trajectory: absent fields parse as 0 and are not gated.
+                // Lenient for baselines written before storms were
+                // measured: absent fields parse as 0 and are not gated.
                 events: item.usize_field_or("events", 0)?,
                 dyn_insts: item.usize_field_or("dyn_insts", 0)?,
                 // Same leniency for the warm-hit flag: pre-driver
@@ -1328,7 +1341,7 @@ mod tests {
             // Every cell is storm-measured.
             assert_eq!(
                 cell.events,
-                crate::throughput::STORM_EVENTS,
+                crate::storm::STORM_EVENTS,
                 "{} missing its storm",
                 cell.key()
             );
@@ -1341,7 +1354,7 @@ mod tests {
 
     #[test]
     fn old_baselines_without_storm_fields_parse_and_are_not_gated() {
-        // A pre-throughput baseline (no events/dyn_insts in the JSON)
+        // A pre-storm baseline (no events/dyn_insts in the JSON)
         // must still parse — as zeros — and must not gate dyn_insts.
         let text = "{\"cells\": [{\"machine\": \"m\", \"pattern\": \"p\",
             \"level\": \"-O0\", \"text\": 1, \"rodata\": 2, \"data\": 3,

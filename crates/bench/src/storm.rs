@@ -1,31 +1,24 @@
-//! Run-to-completion event storms: the time-like axis of the bench
-//! trajectory.
+//! Run-to-completion event storms: the deterministic time axis of the
+//! bench snapshot.
 //!
 //! A *storm* initializes a generated state machine (`sm_init`) and then
 //! delivers a deterministic cycling sequence of event codes through
 //! `sm_step`, run to completion each time — the "heavy traffic" dispatch
-//! load the ROADMAP north-star asks about. Two numbers come out of it:
-//!
-//! * **events/sec** — wall-clock throughput, informational only (it moves
-//!   with the host machine);
-//! * **executed instructions** — the deterministic dynamic instruction
-//!   count of the [canonical storm](STORM_EVENTS), identical on every
-//!   machine and every run by the two-engine fuel contract
-//!   ([`occ::vm`]), so it can be regression-gated like a size
-//!   ([`crate::snapshot`] records it per cell).
-//!
-//! The `throughput` binary fans the full machine × pattern × level matrix
-//! out over a hand-rolled `std::thread` worker pool and self-reports the
-//! fast-engine speedup over the reference oracle per cell.
+//! load. The [canonical storm](STORM_EVENTS) yields three counts
+//! ([`StormResult`]): events delivered, instructions executed and extern
+//! calls made. By the two-engine contract of [`occ::vm`] they are the
+//! same on every host, every run and both engines, so
+//! [`crate::snapshot`] records the fast engine's instruction count per
+//! cell for the regression gate and fails a cell whose reference-oracle
+//! storm differs. Storm wall-clock is measured by the repository
+//! benchmark (`perfbench/`, workload `storm`), not here.
 
 use cgen::CodeMap;
-use occ::vm::{Engine, VmError};
+use occ::vm::{Engine, FastVm, Vm, VmError};
 use tlang::{Env, Value};
 
-/// Events in the canonical deterministic storm — the storm whose
-/// executed-instruction count joins the snapshot cells and the regression
-/// gate. Timed storms may be longer; the gated count always comes from
-/// this one.
+/// Events in the canonical deterministic storm — the storm whose counts
+/// join the snapshot cells and the regression gate.
 pub const STORM_EVENTS: usize = 512;
 
 /// An [`Env`] that counts extern calls and discards them — storm runs
@@ -44,7 +37,8 @@ impl Env for CountingEnv {
     }
 }
 
-/// What one storm did: how many events were delivered and what they cost.
+/// What one canonical storm did. Both engines must produce equal results
+/// for the same artifact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StormResult {
     /// Events delivered through `sm_step` (after the one `sm_init`).
@@ -52,27 +46,27 @@ pub struct StormResult {
     /// Instructions the engine executed for the whole storm, `sm_init`
     /// included — deterministic for a deterministic program.
     pub dyn_insts: u64,
+    /// Extern calls the program made during the storm, `sm_init`'s
+    /// included.
+    pub extern_calls: u64,
 }
 
 /// Drives one run-to-completion event storm through an engine: `sm_init`,
 /// then `events` calls of `sm_step` cycling through the machine's event
-/// codes in [`CodeMap`] order. Engine-generic, so the same storm times
-/// the fast engine and the oracle.
+/// codes in [`CodeMap`] order. `calls` reads the extern-call count of the
+/// engine's [`CountingEnv`]; like the instruction count, the result holds
+/// only what this storm added to it.
 ///
 /// The engine's fuel is raised to `u64::MAX` first: storms are bounded by
 /// the event count, not by a budget.
-///
-/// # Errors
-///
-/// Returns the first [`VmError`] (a generated program faulting under
-/// storm load is a bug worth failing loudly on).
-pub fn run_storm<E: Engine>(
+fn run_storm<E: Engine>(
     engine: &mut E,
+    calls: impl Fn(&E) -> u64,
     codes: &CodeMap,
     events: usize,
 ) -> Result<StormResult, VmError> {
     engine.set_fuel(u64::MAX);
-    let start = engine.executed();
+    let (insts_before, calls_before) = (engine.executed(), calls(engine));
     engine.call("sm_init", &[])?;
     let n = codes.event_count();
     if n > 0 {
@@ -91,7 +85,8 @@ pub fn run_storm<E: Engine>(
     }
     Ok(StormResult {
         events: if n > 0 { events } else { 0 },
-        dyn_insts: engine.executed() - start,
+        dyn_insts: engine.executed() - insts_before,
+        extern_calls: calls(engine) - calls_before,
     })
 }
 
@@ -100,10 +95,25 @@ pub fn run_storm<E: Engine>(
 ///
 /// # Errors
 ///
-/// Returns the first [`VmError`].
+/// Returns the first [`VmError`] (a generated program faulting under
+/// storm load is a bug worth failing loudly on).
 pub fn canonical_storm(artifact: &occ::Artifact, codes: &CodeMap) -> Result<StormResult, VmError> {
-    let mut vm = occ::vm::FastVm::new(artifact.decoded(), CountingEnv::default());
-    run_storm(&mut vm, codes, STORM_EVENTS)
+    let mut vm = FastVm::new(artifact.decoded(), CountingEnv::default());
+    run_storm(&mut vm, |vm| vm.env().calls, codes, STORM_EVENTS)
+}
+
+/// Runs the [canonical storm](STORM_EVENTS) on a freshly created
+/// reference oracle — the result [`canonical_storm`] must equal.
+///
+/// # Errors
+///
+/// Returns the first [`VmError`].
+pub fn canonical_oracle_storm(
+    artifact: &occ::Artifact,
+    codes: &CodeMap,
+) -> Result<StormResult, VmError> {
+    let mut vm = Vm::new(artifact.assembly(), CountingEnv::default());
+    run_storm(&mut vm, |vm| vm.env().calls, codes, STORM_EVENTS)
 }
 
 #[cfg(test)]
@@ -111,7 +121,6 @@ mod tests {
     use super::*;
     use crate::{compile_generated, generate};
     use cgen::Pattern;
-    use occ::vm::{FastVm, Vm};
     use occ::OptLevel;
     use umlsm::samples;
 
@@ -130,11 +139,10 @@ mod tests {
         let b = canonical_storm(&artifact, &generated.codes).expect("storms");
         assert_eq!(a, b, "same program + storm must cost the same");
         assert_eq!(a.events, STORM_EVENTS);
-        assert!(a.dyn_insts > 0);
-        // The oracle executes the exact same instruction count: this is
-        // the two-engine fuel contract under a real workload.
-        let mut oracle = Vm::new(artifact.assembly(), CountingEnv::default());
-        let o = run_storm(&mut oracle, &generated.codes, STORM_EVENTS).expect("storms");
+        assert!(a.dyn_insts > 0 && a.extern_calls > 0, "{a:?}");
+        // The oracle executes the exact same instructions and extern
+        // calls: this is the two-engine contract under a real workload.
+        let o = canonical_oracle_storm(&artifact, &generated.codes).expect("storms");
         assert_eq!(o, a, "oracle and fast engine storms must agree");
     }
 
@@ -150,12 +158,15 @@ mod tests {
         )
         .expect("compiles");
         let mut vm = FastVm::new(artifact.decoded(), CountingEnv::default());
-        let first = run_storm(&mut vm, &generated.codes, 64).expect("storms");
-        let second = run_storm(&mut vm, &generated.codes, 64).expect("storms");
+        let first = run_storm(&mut vm, |vm| vm.env().calls, &generated.codes, 64).expect("storms");
+        let second = run_storm(&mut vm, |vm| vm.env().calls, &generated.codes, 64).expect("storms");
         // Memory persists, but a re-initialized machine replays the same
         // trajectory, so the marginal cost is identical.
-        assert_eq!(first.dyn_insts, second.dyn_insts);
-        assert!(vm.env().calls > 0, "storm should reach extern emissions");
+        assert_eq!(first, second);
+        assert!(
+            first.extern_calls > 0,
+            "storm should reach extern emissions"
+        );
     }
 
     #[test]
@@ -171,7 +182,13 @@ mod tests {
         .expect("compiles");
         let short = canonical_storm(&artifact, &generated.codes).expect("storms");
         let mut vm = FastVm::new(artifact.decoded(), CountingEnv::default());
-        let long = run_storm(&mut vm, &generated.codes, STORM_EVENTS * 4).expect("storms");
+        let long = run_storm(
+            &mut vm,
+            |vm| vm.env().calls,
+            &generated.codes,
+            STORM_EVENTS * 4,
+        )
+        .expect("storms");
         assert!(
             long.dyn_insts > short.dyn_insts * 3,
             "4x the events should cost roughly 4x the instructions \

@@ -18,9 +18,9 @@
 //! [`vcode::EmInst::operands`], an inline [`vcode::Operands`] list of at
 //! most [`vcode::MAX_OPERANDS`] = 6 entries (an indirect call's pointer,
 //! four arguments and result) that never touches the heap; stage 1's
-//! argument-count check is what bounds it. [`crate::compile_timed`]
-//! reports the wall-clock of stages 1, 2 (with 3) and 4 separately as
-//! [`BackendTimes`]; the [`crate::driver`] sums them per session.
+//! argument-count check is what bounds it. No stage reads a clock: the
+//! repository benchmark's traced run (`perfbench/`) times the backend as
+//! one span around [`compile_program`] (`occ.backend_ms`).
 //!
 //! # EM32 ABI and register roles
 //!
@@ -95,7 +95,6 @@
 //! ```
 
 use std::fmt;
-use std::time::{Duration, Instant};
 
 use crate::mir::{BinOp, MirFunction, Program, Word};
 use crate::{CompileError, OptLevel};
@@ -455,38 +454,10 @@ impl Assembly {
     }
 }
 
-/// Wall-clock spent in each backend stage, summed over the functions of
-/// one compiled program.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BackendTimes {
-    /// Stage 1: MIR → [`vcode::VCode`] lowering.
-    pub vcode: Duration,
-    /// Stage 2: register allocation, plus the stage-3 verifier in debug
-    /// builds.
-    pub regalloc: Duration,
-    /// Stage 4: emission, then text layout and data relocation.
-    pub emit: Duration,
-}
-
-impl BackendTimes {
-    /// Total time across the three stages.
-    pub fn total(&self) -> Duration {
-        self.vcode + self.regalloc + self.emit
-    }
-}
-
 /// Compiles one MIR function through the full pipeline: lowering,
-/// register allocation, (debug-build) verification, emission — adding
-/// each stage's wall-clock to `times`.
-fn compile_function(
-    f: &MirFunction,
-    level: OptLevel,
-    times: &mut BackendTimes,
-) -> Result<AsmFunction, CompileError> {
-    let t = Instant::now();
+/// register allocation, (debug-build) verification, emission.
+fn compile_function(f: &MirFunction, level: OptLevel) -> Result<AsmFunction, CompileError> {
     let mut vc = lower::lower_function(f, level)?;
-    let lowered = Instant::now();
-    times.vcode += lowered - t;
     let alloc = regalloc::allocate(&mut vc);
     if cfg!(debug_assertions) {
         if let Err(e) = vc.verify_allocated(&alloc.saved) {
@@ -496,11 +467,7 @@ fn compile_function(
             )));
         }
     }
-    let allocated = Instant::now();
-    times.regalloc += allocated - lowered;
-    let asm = emit::emit_function(&vc, level, alloc.stats);
-    times.emit += allocated.elapsed();
-    Ok(asm)
+    Ok(emit::emit_function(&vc, level, alloc.stats))
 }
 
 /// Assembles a whole program: per-function compilation, layout, data-image
@@ -513,25 +480,10 @@ fn compile_function(
 /// [`lower::lower_function`]), [`CompileError::Internal`] for a φ-node or,
 /// in debug builds, an allocation the verifier rejects.
 pub fn compile_program(program: &Program, level: OptLevel) -> Result<Assembly, CompileError> {
-    compile_program_timed(program, level).map(|(asm, _)| asm)
-}
-
-/// [`compile_program`], additionally reporting the wall-clock of each
-/// backend stage.
-///
-/// # Errors
-///
-/// Exactly [`compile_program`]'s.
-pub(crate) fn compile_program_timed(
-    program: &Program,
-    level: OptLevel,
-) -> Result<(Assembly, BackendTimes), CompileError> {
-    let mut times = BackendTimes::default();
     let mut functions = Vec::with_capacity(program.functions.len());
     for f in &program.functions {
-        functions.push(compile_function(f, level, &mut times)?);
+        functions.push(compile_function(f, level)?);
     }
-    let t = Instant::now();
     // Text layout.
     let mut fn_addrs = Vec::with_capacity(functions.len());
     let mut cursor = TEXT_BASE;
@@ -559,16 +511,12 @@ pub(crate) fn compile_program_timed(
         });
         offset += g.size as u32;
     }
-    times.emit += t.elapsed();
-    Ok((
-        Assembly {
-            functions,
-            globals,
-            externs: program.externs.clone(),
-            fn_addrs,
-        },
-        times,
-    ))
+    Ok(Assembly {
+        functions,
+        globals,
+        externs: program.externs.clone(),
+        fn_addrs,
+    })
 }
 
 #[cfg(test)]
@@ -596,22 +544,15 @@ mod tests {
     #[test]
     fn compiles_tiny_function() {
         let f = tiny_fn("t", 7);
-        let asm =
-            compile_function(&f, OptLevel::O1, &mut BackendTimes::default()).expect("compiles");
+        let asm = compile_function(&f, OptLevel::O1).expect("compiles");
         assert!(asm.text_size() > 0);
         assert!(asm.insts.iter().any(|i| matches!(i, AsmInst::Ret)));
     }
 
     #[test]
     fn large_immediates_cost_more() {
-        let small = compile_function(&tiny_fn("s", 7), OptLevel::O1, &mut BackendTimes::default())
-            .expect("ok");
-        let large = compile_function(
-            &tiny_fn("l", 1_000_000),
-            OptLevel::O1,
-            &mut BackendTimes::default(),
-        )
-        .expect("ok");
+        let small = compile_function(&tiny_fn("s", 7), OptLevel::O1).expect("ok");
+        let large = compile_function(&tiny_fn("l", 1_000_000), OptLevel::O1).expect("ok");
         assert!(large.text_size() > small.text_size());
     }
 
@@ -620,8 +561,7 @@ mod tests {
         // A call-free function keeps everything in caller-saved registers:
         // no saves, no slots, no prologue stores.
         let f = tiny_fn("leaf", 7);
-        let asm =
-            compile_function(&f, OptLevel::O1, &mut BackendTimes::default()).expect("compiles");
+        let asm = compile_function(&f, OptLevel::O1).expect("compiles");
         assert_eq!(asm.stats.saved_regs, 0, "{:?}", asm.insts);
         assert_eq!(asm.stats.spill_slots, 0);
         assert_eq!(asm.stats.spill_bytes, 0);
@@ -653,8 +593,7 @@ mod tests {
             }],
             next_vreg: 1,
         };
-        let asm =
-            compile_function(&f, OptLevel::O1, &mut BackendTimes::default()).expect("compiles");
+        let asm = compile_function(&f, OptLevel::O1).expect("compiles");
         assert_eq!(asm.stats.saved_regs, 1, "{:?}", asm.insts);
         assert_eq!(asm.stats.spill_slots, 0);
     }
@@ -684,7 +623,7 @@ mod tests {
                 ],
                 next_vreg: 1,
             };
-            let asm = compile_function(&f, level, &mut BackendTimes::default()).expect("compiles");
+            let asm = compile_function(&f, level).expect("compiles");
             let has_table = asm
                 .insts
                 .iter()
@@ -790,18 +729,6 @@ mod tests {
             }
             compile_program(&p, OptLevel::O0).expect("four arguments compile");
         }
-    }
-
-    #[test]
-    fn timed_compiles_split_the_backend_and_match_untimed_ones() {
-        let p = Program {
-            functions: vec![tiny_fn("a", 1), tiny_fn("b", 1_000_000)],
-            globals: vec![],
-            externs: vec![],
-        };
-        let (asm, times) = compile_program_timed(&p, OptLevel::O2).expect("assembles");
-        assert_eq!(asm, compile_program(&p, OptLevel::O2).expect("assembles"));
-        assert_eq!(times.total(), times.vcode + times.regalloc + times.emit);
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Compilation driver: content-addressed artifact caching and parallel
-//! batch compilation — the toolchain's session layer.
+//! Compilation driver: content-addressed artifact caching and a shared
+//! worker pool — the toolchain's session layer.
 //!
 //! [`compile`](crate::compile) is a pure function; production scale means
 //! calling it millions of times over largely overlapping inputs (bench
 //! matrices, pass-ordering sweeps, fuzz corpora). A [`Driver`] wraps it
-//! in a session that makes repeated work free and independent work
-//! parallel. This module doc is the canonical contract for the three
-//! mechanisms involved.
+//! in a session that makes repeated work free, and [`parallel_map`] lets
+//! callers run independent work in parallel. This module doc is the
+//! canonical contract for the three mechanisms involved.
 //!
 //! # Content addressing
 //!
@@ -32,29 +32,29 @@
 //! wins — a benign duplicate, not a correctness hazard. Nothing is
 //! persisted: no process reads an artifact another process compiled.
 //!
-//! # Parallel batch compilation
+//! # The shared worker pool
 //!
-//! [`Driver::compile_batch`] fans a job list out over [`parallel_map`]:
-//! a `std::thread::scope` worker pool pulling indices from a shared
-//! atomic cursor and funneling `(index, result)` pairs through an mpsc
-//! channel — the pool generalized out of the `throughput` bench binary,
-//! which now consumes this copy. Results come back in job order;
-//! `threads == 0` uses the host's available parallelism.
+//! [`parallel_map`] fans a slice out over a `std::thread::scope` worker
+//! pool pulling indices from a shared atomic cursor and funneling
+//! `(index, result)` pairs through an mpsc channel. Results come back in
+//! item order; `threads == 0` uses the host's available parallelism. A
+//! [`Driver`] is `Sync`, so a parallel batch of compiles is
+//! [`parallel_map`] over the jobs calling [`Driver::compile`], as the
+//! example below does.
 //!
 //! # Observability
 //!
-//! Every session accumulates [`DriverStats`]: jobs served, cache hits,
-//! misses, and per-stage compile wall-clock (lower / opt / backend —
-//! split into `VCode` lowering, register allocation and emission — /
-//! decode, from [`crate::compile_timed`]).
-//! [`DriverStats::machines_per_sec`] reports session compile throughput;
-//! a batch's parallel wall-clock throughput comes from
-//! [`BatchReport::machines_per_sec`].
+//! Every session counts jobs served, cache hits and misses
+//! ([`DriverStats`]). Nothing in the driver reads a clock: the
+//! repository benchmark (`perfbench/`) times the toolchain from outside,
+//! and its traced run reports each compile stage (`occ.lower_ms`,
+//! `occ.opt_ms.<level>`, `occ.backend_ms`, `occ.vm.decode_ms`) and the
+//! warm path (`occ.driver.hash_us`, `occ.driver.lookup_us`).
 //!
 //! # Example
 //!
 //! ```
-//! use occ::driver::Driver;
+//! use occ::driver::{parallel_map, Driver};
 //! use occ::OptLevel;
 //! use tlang::{Expr, Function, Module, Stmt, Type};
 //!
@@ -76,22 +76,21 @@
 //! let stats = driver.stats();
 //! assert_eq!((stats.jobs, stats.mem_hits, stats.misses), (2, 1, 1));
 //!
-//! // Batches fan out over the shared worker pool, in job order.
+//! // A batch fans out over the shared worker pool and comes back in job
+//! // order; the -Os job is a hit.
 //! let jobs = vec![(module.clone(), OptLevel::O0), (module, OptLevel::Os)];
-//! let batch = driver.compile_batch(&jobs, 2);
-//! assert_eq!(batch.results.len(), 2);
-//! assert!(batch.results.iter().all(Result::is_ok));
+//! let results = parallel_map(&jobs, 2, |(m, level)| driver.compile(m, *level));
+//! assert!(results.iter().all(Result::is_ok));
+//! assert!(std::sync::Arc::ptr_eq(results[1].as_ref().expect("hit"), &cold));
 //! # Ok(())
 //! # }
 //! ```
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
-use crate::backend::BackendTimes;
 use crate::{Artifact, CompileError, OptLevel};
 
 // ---------------------------------------------------------------------
@@ -468,9 +467,7 @@ fn ser_init(out: &mut Vec<u8>, init: &tlang::Init) {
 /// atomic job cursor, one worker per thread, `(index, result)` pairs
 /// funneled back through an mpsc channel — and returns the results in
 /// item order. `threads == 0` uses the host's available parallelism;
-/// the pool never spawns more workers than items. This is the pool the
-/// `throughput` bench binary hand-rolled, promoted to shared code;
-/// [`Driver::compile_batch`] runs on it too.
+/// the pool never spawns more workers than items.
 pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -529,17 +526,9 @@ struct Counters {
     jobs: AtomicUsize,
     mem_hits: AtomicUsize,
     misses: AtomicUsize,
-    lower_ns: AtomicU64,
-    opt_ns: AtomicU64,
-    vcode_ns: AtomicU64,
-    regalloc_ns: AtomicU64,
-    emit_ns: AtomicU64,
-    decode_ns: AtomicU64,
-    serve_ns: AtomicU64,
 }
 
-/// Cumulative observability counters of one [`Driver`] session — the
-/// toolchain's first throughput surface.
+/// Cumulative counters of one [`Driver`] session.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DriverStats {
     /// Jobs served ([`Driver::compile`] calls).
@@ -548,17 +537,6 @@ pub struct DriverStats {
     pub mem_hits: usize,
     /// Jobs that compiled from scratch.
     pub misses: usize,
-    /// Wall-clock spent in type check + MIR lowering, across misses.
-    pub lower: Duration,
-    /// Wall-clock spent in the mid-end pipeline, across misses.
-    pub opt: Duration,
-    /// Wall-clock spent in the backend, across misses, by stage.
-    pub backend: BackendTimes,
-    /// Wall-clock spent pre-decoding for the fast engine, across misses.
-    pub decode: Duration,
-    /// Total wall-clock spent servicing jobs (hits and misses; summed
-    /// per job, so parallel batches accumulate more than elapsed time).
-    pub serve: Duration,
 }
 
 impl DriverStats {
@@ -576,71 +554,20 @@ impl DriverStats {
         }
     }
 
-    /// Session compile throughput: jobs served per second of
-    /// job-servicing wall-clock. For serial callers this is the actual
-    /// machines/sec; for a parallel batch, prefer
-    /// [`BatchReport::machines_per_sec`] (elapsed wall-clock).
-    pub fn machines_per_sec(&self) -> f64 {
-        let secs = self.serve.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.jobs as f64 / secs
-        }
-    }
-
     /// One human-readable summary line.
     pub fn render(&self) -> String {
         format!(
-            "{} jobs: {} hit ({:.1}%), {} compiled; \
-             {:.0} machines/sec (stages: lower {:.1}ms, opt {:.1}ms, \
-             backend {:.1}ms [vcode {:.1}ms, regalloc {:.1}ms, emit {:.1}ms], \
-             decode {:.1}ms)",
+            "{} jobs: {} hit ({:.1}%), {} compiled",
             self.jobs,
             self.hits(),
             100.0 * self.hit_rate(),
             self.misses,
-            self.machines_per_sec(),
-            self.lower.as_secs_f64() * 1e3,
-            self.opt.as_secs_f64() * 1e3,
-            self.backend.total().as_secs_f64() * 1e3,
-            self.backend.vcode.as_secs_f64() * 1e3,
-            self.backend.regalloc.as_secs_f64() * 1e3,
-            self.backend.emit.as_secs_f64() * 1e3,
-            self.decode.as_secs_f64() * 1e3,
         )
     }
 }
 
-/// What one [`Driver::compile_batch`] call did: per-job results in job
-/// order plus the batch's elapsed wall-clock.
-#[derive(Debug)]
-pub struct BatchReport {
-    /// One result per job, in job order.
-    pub results: Vec<Result<Arc<Artifact>, CompileError>>,
-    /// Elapsed wall-clock of the whole batch.
-    pub wall: Duration,
-}
-
-impl BatchReport {
-    /// Batch throughput: jobs per second of elapsed wall-clock.
-    pub fn machines_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.results.len() as f64 / secs
-        }
-    }
-
-    /// Count of jobs that produced an artifact.
-    pub fn ok_count(&self) -> usize {
-        self.results.iter().filter(|r| r.is_ok()).count()
-    }
-}
-
-/// A compilation session: content-addressed in-memory artifact cache
-/// plus the batch entry point. See the module doc for the full contract.
+/// A compilation session: a content-addressed in-memory artifact cache
+/// around [`crate::compile`]. See the module doc for the full contract.
 pub struct Driver {
     mem: Mutex<HashMap<u128, Arc<Artifact>>>,
     counters: Counters,
@@ -673,71 +600,34 @@ impl Driver {
         module: &tlang::Module,
         level: OptLevel,
     ) -> Result<Arc<Artifact>, CompileError> {
-        let started = Instant::now();
         self.counters.jobs.fetch_add(1, Ordering::Relaxed);
         let key = job_hash(module, level);
 
         let hit = self.lock_mem().get(&key).cloned();
         if let Some(artifact) = hit {
             self.counters.mem_hits.fetch_add(1, Ordering::Relaxed);
-            self.bump_serve(started);
             return Ok(artifact);
         }
 
         // Miss: compile with no lock held. A concurrent thread racing on
         // the same key compiles the same bytes; the or_insert below keeps
         // whichever artifact published first.
-        let (artifact, times) = crate::compile_timed(module, level)?;
+        let artifact = crate::compile(module, level)?;
         self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        for (counter, d) in [
-            (&self.counters.lower_ns, times.lower),
-            (&self.counters.opt_ns, times.opt),
-            (&self.counters.vcode_ns, times.backend.vcode),
-            (&self.counters.regalloc_ns, times.backend.regalloc),
-            (&self.counters.emit_ns, times.backend.emit),
-            (&self.counters.decode_ns, times.decode),
-        ] {
-            counter.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-        }
         let artifact = self
             .lock_mem()
             .entry(key)
             .or_insert_with(|| Arc::new(artifact))
             .clone();
-        self.bump_serve(started);
         Ok(artifact)
-    }
-
-    /// Compiles a job list over the shared worker pool ([`parallel_map`];
-    /// `threads == 0` uses the host's available parallelism), returning
-    /// per-job results in job order plus the batch wall-clock.
-    pub fn compile_batch(&self, jobs: &[(tlang::Module, OptLevel)], threads: usize) -> BatchReport {
-        let started = Instant::now();
-        let results = parallel_map(jobs, threads, |(module, level)| {
-            self.compile(module, *level)
-        });
-        BatchReport {
-            results,
-            wall: started.elapsed(),
-        }
     }
 
     /// A snapshot of this session's cumulative counters.
     pub fn stats(&self) -> DriverStats {
-        let ns = |c: &AtomicU64| Duration::from_nanos(c.load(Ordering::Relaxed));
         DriverStats {
             jobs: self.counters.jobs.load(Ordering::Relaxed),
             mem_hits: self.counters.mem_hits.load(Ordering::Relaxed),
             misses: self.counters.misses.load(Ordering::Relaxed),
-            lower: ns(&self.counters.lower_ns),
-            opt: ns(&self.counters.opt_ns),
-            backend: BackendTimes {
-                vcode: ns(&self.counters.vcode_ns),
-                regalloc: ns(&self.counters.regalloc_ns),
-                emit: ns(&self.counters.emit_ns),
-            },
-            decode: ns(&self.counters.decode_ns),
-            serve: ns(&self.counters.serve_ns),
         }
     }
 
@@ -759,12 +649,6 @@ impl Driver {
 
     fn lock_mem(&self) -> std::sync::MutexGuard<'_, HashMap<u128, Arc<Artifact>>> {
         self.mem.lock().expect("driver cache lock poisoned")
-    }
-
-    fn bump_serve(&self, started: Instant) {
-        self.counters
-            .serve_ns
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 }
 
@@ -823,11 +707,7 @@ mod tests {
         // Distinct levels are distinct jobs.
         driver.compile(&m, OptLevel::O0).expect("compiles");
         assert_eq!(driver.stats().misses, 2);
-        // The summary line splits the backend into its three stages.
-        let line = driver.stats().render();
-        for stage in ["backend", "vcode", "regalloc", "emit"] {
-            assert!(line.contains(stage), "{stage} missing from {line}");
-        }
+        assert_eq!(driver.stats().render(), "3 jobs: 1 hit (33.3%), 2 compiled");
     }
 
     #[test]
@@ -847,19 +727,18 @@ mod tests {
             .map(|i| (module_returning("m", i), OptLevel::Os))
             .chain(std::iter::once((module_returning("m", 0), OptLevel::Os)))
             .collect();
-        let report = driver.compile_batch(&jobs, 4);
-        assert_eq!(report.results.len(), 7);
-        assert_eq!(report.ok_count(), 7);
+        let results = parallel_map(&jobs, 4, |(m, level)| driver.compile(m, *level));
+        assert_eq!(results.len(), 7);
+        assert!(results.iter().all(Result::is_ok));
         // The duplicate job is the same artifact as its first occurrence.
-        let first = report.results[0].as_ref().expect("ok");
-        let dup = report.results[6].as_ref().expect("ok");
+        let first = results[0].as_ref().expect("ok");
+        let dup = results[6].as_ref().expect("ok");
         assert_eq!(dup.assembly(), first.assembly());
         let stats = driver.stats();
         assert_eq!(stats.jobs, 7);
         // 6 distinct jobs; the duplicate either hit the cache or raced a
         // concurrent compile of the same key (benign, byte-identical).
         assert!(stats.misses >= 6 && stats.misses <= 7, "{stats:?}");
-        assert!(report.machines_per_sec() > 0.0);
     }
 
     #[test]
@@ -877,9 +756,8 @@ mod tests {
             (module_returning("ok", 1), OptLevel::Os),
             (bad, OptLevel::Os),
         ];
-        let report = driver.compile_batch(&jobs, 2);
-        assert!(report.results[0].is_ok());
-        assert!(matches!(report.results[1], Err(CompileError::Check(_))));
-        assert_eq!(report.ok_count(), 1);
+        let results = parallel_map(&jobs, 2, |(m, level)| driver.compile(m, *level));
+        assert!(results[0].is_ok());
+        assert!(matches!(results[1], Err(CompileError::Check(_))));
     }
 }

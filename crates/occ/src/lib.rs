@@ -45,13 +45,14 @@
 //!   module doc is the canonical invariant catalogue; debug builds
 //!   re-check every pipeline boundary, and `OCC_VERIFY=each` escalates
 //!   to per-pass verification with pass blame.
-//! * **Driver**: the batch-compilation session layer ([`driver`]) —
+//! * **Driver**: the compilation session layer ([`driver`]) —
 //!   content-addressed in-memory artifact caching behind a lookup-only
-//!   lock and parallel batch compilation over a shared worker pool, with
-//!   per-session [`driver::DriverStats`] observability (cache
-//!   hits/misses, compile throughput, per-stage wall-clock). The
-//!   [`driver`] module doc is the canonical caching/hashing/parallelism
-//!   contract.
+//!   lock, a shared worker pool ([`driver::parallel_map`]) for callers
+//!   that fan work out, and per-session [`driver::DriverStats`] counters
+//!   (jobs, cache hits, misses). The [`driver`] module doc is the
+//!   canonical caching/hashing/parallelism contract. Nothing in this
+//!   crate reads a clock: the repository benchmark (`perfbench/`) times
+//!   the toolchain and its stages from outside.
 //!
 //! The central property the dead-code experiment (paper §III.C) relies on
 //! falls out of soundness, not special-casing: generated state-machine code
@@ -225,81 +226,32 @@ impl Artifact {
     }
 }
 
-/// Wall-clock cost of one [`compile`] call, split by pipeline stage —
-/// the per-compile granularity behind [`driver::DriverStats`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StageTimes {
-    /// Type check + MIR lowering.
-    pub lower: std::time::Duration,
-    /// Mid-end pass pipeline.
-    pub opt: std::time::Duration,
-    /// Backend, by stage: `VCode` lowering, register allocation,
-    /// emission.
-    pub backend: backend::BackendTimes,
-    /// Pre-decode for the fast engine.
-    pub decode: std::time::Duration,
-}
-
-impl StageTimes {
-    /// Total time across all stages.
-    pub fn total(&self) -> std::time::Duration {
-        self.lower + self.opt + self.backend.total() + self.decode
-    }
-}
-
-/// Compiles a module at the given optimization level.
+/// Compiles a module at the given optimization level: type check, MIR
+/// lowering, the mid-end pipeline, the backend, and the fast engine's
+/// pre-decode. This is the one compile entry point; [`driver::Driver`]
+/// caches its results.
 ///
 /// # Errors
 ///
 /// Fails if the module does not type-check or exceeds backend limits (see
 /// [`CompileError`]).
 pub fn compile(module: &tlang::Module, level: OptLevel) -> Result<Artifact, CompileError> {
-    compile_timed(module, level).map(|(artifact, _)| artifact)
-}
-
-/// [`compile`], additionally reporting per-stage wall-clock times. The
-/// [`driver`] aggregates these into its observability counters; plain
-/// callers use [`compile`].
-///
-/// # Errors
-///
-/// Fails if the module does not type-check or exceeds backend limits (see
-/// [`CompileError`]).
-pub fn compile_timed(
-    module: &tlang::Module,
-    level: OptLevel,
-) -> Result<(Artifact, StageTimes), CompileError> {
-    let mut times = StageTimes::default();
-    let t = std::time::Instant::now();
     module
         .check()
         .map_err(|e| CompileError::Check(e.to_string()))?;
     let mut program = lower::lower_module(module)?;
-    times.lower = t.elapsed();
-
-    let t = std::time::Instant::now();
     let pass_stats = opt::run_pipeline(&mut program, level);
-    times.opt = t.elapsed();
-
-    let (asm, backend_times) = backend::compile_program_timed(&program, level)?;
-    times.backend = backend_times;
-
-    let t = std::time::Instant::now();
+    let asm = backend::compile_program(&program, level)?;
     let decoded = vm::DecodedProgram::decode(&asm)
         .map_err(|e| CompileError::Internal(format!("decode: {e}")))?;
-    times.decode = t.elapsed();
-
     let surviving_functions = program.functions.iter().map(|f| f.name.clone()).collect();
-    Ok((
-        Artifact {
-            asm,
-            decoded,
-            pass_stats,
-            surviving_functions,
-            level,
-        },
-        times,
-    ))
+    Ok(Artifact {
+        asm,
+        decoded,
+        pass_stats,
+        surviving_functions,
+        level,
+    })
 }
 
 #[cfg(test)]

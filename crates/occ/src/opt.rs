@@ -158,8 +158,8 @@
 //! arrays too. Everything iterates in index order, which is the order the
 //! ordered maps and sets they replaced iterated in, so no hash order ever
 //! reaches the output. None of it lives outside the context: there is no
-//! global or thread-local cache, and [`crate::driver`] batch compiles on
-//! several threads without sharing any analysis state.
+//! global or thread-local cache, and one [`crate::driver`] session
+//! compiles on several threads without sharing any analysis state.
 //!
 //! ```
 //! use occ::mem::MemoryModel;
@@ -3177,19 +3177,19 @@ mod tests {
         );
     }
 
-    /// Breaks the no-change contract the way a careless pass would: it
-    /// allocates a register it then does not use, and reports nothing.
-    fn hides_its_edit(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
-        f.fresh();
-        false
-    }
-
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(
         expected = "MIR verifier: after hider in sweep 1: `f` changed although the pass reported no change"
     )]
     fn verify_each_blames_a_pass_that_hides_a_change() {
+        /// Breaks the no-change contract the way a careless pass would:
+        /// it allocates a register it then does not use, and reports
+        /// nothing.
+        fn hides_its_edit(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
+            f.fresh();
+            false
+        }
         let mut pm = PassManager::new().with_verify(VerifyMode::Each);
         pm.register(pass::CONST_FOLD, constant_fold);
         pm.register("hider", hides_its_edit);

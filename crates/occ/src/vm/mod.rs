@@ -84,7 +84,8 @@
 //! (one bit per [`DecodedProgram::op_count`] slot) with popcount and
 //! merge — and [`NoCoverage`] is the zero-cost default that
 //! [`FastVm::run`] monomorphizes away, so the plain dispatch loop stays
-//! byte-for-byte the hot path the throughput gate locks.
+//! byte-for-byte the hot path the repository benchmark's `storm`
+//! workload times.
 //!
 //! Coverage is recorded per *fetch*: a fused superinstruction lights the
 //! bit of the pair's first slot only (its still-populated second slot is
@@ -116,8 +117,9 @@
 //!   return costs one like the explicit `Ret` the decoder materializes.
 //!
 //! That deterministic count is the time-like axis of the bench
-//! trajectory: `bench --bin throughput` reports it per machine × pattern
-//! × level cell and the regression gate locks it, so an "optimization"
+//! trajectory: the bench snapshot records it per machine × pattern ×
+//! level cell from the canonical event storm, checks it against the
+//! oracle's, and the regression gate locks it, so an "optimization"
 //! that shrinks bytes but inflates dynamic instructions fails CI. The
 //! MIR differential net (`tests/mir_differential.rs`) holds the two
 //! engines to this contract over the generated corpus at every level,
@@ -206,8 +208,8 @@ impl fmt::Display for VmError {
 impl std::error::Error for VmError {}
 
 /// The shared engine interface: what both EM32 execution engines expose,
-/// so harnesses (the MIR differential net, the throughput bench) can
-/// drive either one generically and diff them.
+/// so harnesses (the MIR differential net, the bench snapshot's storms)
+/// can drive either one generically and diff them.
 ///
 /// Implementations must honour the fuel/trace contract in the
 /// [module docs](self): one fuel unit per executed instruction, identical

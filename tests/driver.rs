@@ -51,10 +51,15 @@ fn batch_artifacts_are_byte_identical_across_thread_counts() {
         .collect();
     // One driver per thread count: each batch compiles cold, so the
     // comparison is compile-vs-compile, not compile-vs-cache.
-    let serial = Driver::new().compile_batch(&jobs, 1);
-    let parallel = Driver::new().compile_batch(&jobs, 4);
-    assert_eq!(serial.results.len(), parallel.results.len());
-    for (i, (s, p)) in serial.results.iter().zip(&parallel.results).enumerate() {
+    let batch = |threads| {
+        let driver = Driver::new();
+        parallel_map(&jobs, threads, |(module, level)| {
+            driver.compile(module, *level)
+        })
+    };
+    let (serial, parallel) = (batch(1), batch(4));
+    assert_eq!(serial.len(), parallel.len());
+    for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
         let (s, p) = (s.as_ref().expect("ok"), p.as_ref().expect("ok"));
         assert_artifacts_equal(s, p);
         assert_eq!(p.level(), jobs[i].1, "results must come back in job order");

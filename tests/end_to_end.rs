@@ -329,7 +329,7 @@ fn o2_executes_less_than_o1_and_rarely_more_than_o0_on_the_corpus() {
             let generated = cgen::generate(machine, pattern).expect("generates");
             let insts = levels.map(|level| {
                 let artifact = occ::compile(&generated.module, level).expect("compiles");
-                bench::throughput::canonical_storm(&artifact, &generated.codes)
+                bench::storm::canonical_storm(&artifact, &generated.codes)
                     .expect("storms")
                     .dyn_insts
             });

@@ -24,8 +24,7 @@ use occ::mir::{BlockId, Inst, MirFunction, Term, VReg};
 use occ::opt::{self, AnalysisCtx, VerifyMode};
 use occ::verify::{self, Rule, Tier};
 use occ::{lower, ssa, OptLevel};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use umlsm::gen::GenRng;
 use umlsm::{samples, StateMachine};
 
 fn machines() -> Vec<StateMachine> {
@@ -69,8 +68,8 @@ fn bench_matrix_is_clean_under_verify_each() {
 
 /// Retargets one block's terminator past the last block. Always yields
 /// `target-out-of-range` when the block has successors.
-fn corrupt_goto_out_of_range(f: &mut MirFunction, rng: &mut StdRng) -> Option<Rule> {
-    let b = BlockId(rng.gen_range(0..f.blocks.len() as u32));
+fn corrupt_goto_out_of_range(f: &mut MirFunction, rng: &mut GenRng) -> Option<Rule> {
+    let b = BlockId(rng.below(f.blocks.len()) as u32);
     if f.block(b).term.succs().is_empty() {
         return None;
     }
@@ -81,7 +80,7 @@ fn corrupt_goto_out_of_range(f: &mut MirFunction, rng: &mut StdRng) -> Option<Ru
 
 /// Rewrites one instruction operand to a register that is defined
 /// nowhere (and is out of `next_vreg` range on top).
-fn corrupt_operand(f: &mut MirFunction, rng: &mut StdRng) -> Option<Rule> {
+fn corrupt_operand(f: &mut MirFunction, rng: &mut GenRng) -> Option<Rule> {
     let bogus = VReg(f.next_vreg + 100);
     let mut candidates: Vec<(BlockId, usize)> = Vec::new();
     for b in f.block_ids() {
@@ -94,7 +93,7 @@ fn corrupt_operand(f: &mut MirFunction, rng: &mut StdRng) -> Option<Rule> {
     if candidates.is_empty() {
         return None;
     }
-    let (b, i) = candidates[rng.gen_range(0..candidates.len())];
+    let (b, i) = candidates[rng.below(candidates.len())];
     let mut first = true;
     f.block_mut(b).insts[i].map_uses(&mut |v| {
         if std::mem::take(&mut first) {
@@ -108,7 +107,7 @@ fn corrupt_operand(f: &mut MirFunction, rng: &mut StdRng) -> Option<Rule> {
 
 /// Makes a second instruction redefine an already-defined register —
 /// fatal in SSA form.
-fn corrupt_double_def(f: &mut MirFunction, rng: &mut StdRng) -> Option<Rule> {
+fn corrupt_double_def(f: &mut MirFunction, rng: &mut GenRng) -> Option<Rule> {
     let mut defs: Vec<(BlockId, usize)> = Vec::new();
     for b in f.block_ids() {
         for (i, inst) in f.block(b).insts.iter().enumerate() {
@@ -120,8 +119,8 @@ fn corrupt_double_def(f: &mut MirFunction, rng: &mut StdRng) -> Option<Rule> {
     if defs.len() < 2 {
         return None;
     }
-    let first = rng.gen_range(0..defs.len());
-    let second = (first + 1 + rng.gen_range(0..defs.len() - 1)) % defs.len();
+    let first = rng.below(defs.len());
+    let second = (first + 1 + rng.below(defs.len() - 1)) % defs.len();
     let (fb, fi) = defs[first];
     let reg = f.block(fb).insts[fi].def().expect("filtered on def");
     let (sb, si) = defs[second];
@@ -133,7 +132,7 @@ fn corrupt_double_def(f: &mut MirFunction, rng: &mut StdRng) -> Option<Rule> {
 
 /// Retargets one φ-argument at a block that is not a predecessor of the
 /// join.
-fn corrupt_phi_pred(f: &mut MirFunction, rng: &mut StdRng) -> Option<Rule> {
+fn corrupt_phi_pred(f: &mut MirFunction, rng: &mut GenRng) -> Option<Rule> {
     let mut phis: Vec<(BlockId, usize)> = Vec::new();
     for b in f.block_ids() {
         for (i, inst) in f.block(b).insts.iter().enumerate() {
@@ -145,13 +144,13 @@ fn corrupt_phi_pred(f: &mut MirFunction, rng: &mut StdRng) -> Option<Rule> {
     if phis.is_empty() {
         return None;
     }
-    let (b, i) = phis[rng.gen_range(0..phis.len())];
+    let (b, i) = phis[rng.below(phis.len())];
     let Inst::Phi { args, .. } = &f.block(b).insts[i] else {
         unreachable!("filtered on Phi");
     };
     let preds: BTreeSet<BlockId> = args.iter().map(|(p, _)| *p).collect();
     let non_pred = f.block_ids().find(|c| !preds.contains(c))?;
-    let slot = rng.gen_range(0..args.len());
+    let slot = rng.below(args.len());
     let Inst::Phi { args, .. } = &mut f.block_mut(b).insts[i] else {
         unreachable!("filtered on Phi");
     };
@@ -161,8 +160,8 @@ fn corrupt_phi_pred(f: &mut MirFunction, rng: &mut StdRng) -> Option<Rule> {
 
 /// Points one block's terminator back at the entry block, which must
 /// have no predecessors.
-fn corrupt_entry_edge(f: &mut MirFunction, rng: &mut StdRng) -> Option<Rule> {
-    let b = BlockId(rng.gen_range(0..f.blocks.len() as u32));
+fn corrupt_entry_edge(f: &mut MirFunction, rng: &mut GenRng) -> Option<Rule> {
+    let b = BlockId(rng.below(f.blocks.len()) as u32);
     f.block_mut(b).term = Term::Goto(BlockId(0));
     Some(Rule::EntryHasPred)
 }
@@ -177,14 +176,14 @@ fn mutation_smoke_verifier_catches_random_corruptions() {
     generated.module.check().expect("checks");
     let program = lower::lower_module(&generated.module).expect("lowers");
     let model = MemoryModel::of(&program);
-    let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+    let mut rng = GenRng::new(0xC0FFEE);
     let mut hits = 0;
     for _ in 0..96 {
-        let fi = rng.gen_range(0..program.functions.len());
+        let fi = rng.below(program.functions.len());
         let mut f = program.functions[fi].clone();
         opt::simplify_cfg(&mut f, &mut AnalysisCtx::new(&model));
         ssa::construct(&mut f);
-        let expected = match rng.gen_range(0..5) {
+        let expected = match rng.below(5) {
             0 => corrupt_goto_out_of_range(&mut f, &mut rng),
             1 => corrupt_operand(&mut f, &mut rng),
             2 => corrupt_double_def(&mut f, &mut rng),
