@@ -74,11 +74,11 @@ bench_smoke() {
     # Smoke-run every bench binary: a mid-end regression that only breaks
     # artifact generation (a panic, a failed shape check, an incomplete
     # table) must fail CI, not wait for the next manual regeneration.
-    # BENCH_SMOKE=1 shortens the scaling sweep.
+    # Each runs exactly as it does by hand (scaling's full sweep included).
     local bin
     for bin in figure1 table1 table2 scaling deadcode twostep; do
         echo "    bench smoke: $bin"
-        BENCH_SMOKE=1 cargo run --release -q -p bench --bin "$bin" > /dev/null
+        cargo run --release -q -p bench --bin "$bin" > /dev/null
     done
 }
 

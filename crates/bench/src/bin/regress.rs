@@ -15,9 +15,11 @@
 //! Run with `cargo run -p bench --bin regress [-- <baseline> [current]]`.
 //! A current-snapshot path, when given, is compared as-is (CI passes the
 //! `BENCH_PR3.json` that `bench --bin snapshot` just wrote); without one,
-//! a fresh snapshot is measured in-process. A snapshot file that is not
-//! named is never read, so one left over from an earlier run cannot
-//! stand in for the measurement.
+//! a fresh snapshot is measured in-process, and the shared driver
+//! session's summary line follows the verdicts. A snapshot file that is
+//! not named is never read, so one left over from an earlier run cannot
+//! stand in for the measurement. A file missing any field `snapshot`
+//! writes is rejected, naming the field.
 
 use bench::snapshot::{compare, Snapshot};
 
@@ -79,7 +81,9 @@ fn main() {
         "{} checks: {ok} ok, {shown} tolerated, {regressions} regressed",
         verdicts.len()
     );
-    println!("{}", bench::driver_summary());
+    if current_path.is_none() {
+        println!("{}", bench::driver_summary());
+    }
     if regressions > 0 {
         eprintln!("bench regression gate FAILED ({regressions} cell(s))");
         eprintln!("(if the growth is intended, refresh the baseline:");

@@ -5,8 +5,8 @@
 //! reports the size gain per pattern, compiled through the full `occ`
 //! mid-end roster (see the `occ::opt` module rustdoc; qualitative
 //! deviations from the paper are recorded in EXPERIMENTS.md). Run with
-//! `cargo run -p bench --bin scaling`; set `BENCH_SMOKE=1` for the short
-//! CI sweep.
+//! `cargo run -p bench --bin scaling`; CI's bench smoke runs the same
+//! full sweep.
 
 use bench::{matrix, GainRow};
 use cgen::Pattern;
@@ -19,15 +19,9 @@ fn main() {
         "{:>5} {:>12} {:>12} {:>12}",
         "dead", "STT", "NestedSwitch", "StatePattern"
     );
-    let smoke = std::env::var_os("BENCH_SMOKE").is_some();
-    let ks: &[usize] = if smoke {
-        &[0, 4, 8]
-    } else {
-        &[0, 1, 2, 4, 6, 8, 10, 12]
-    };
     let mut ns_gains = Vec::new();
     let mut failures = 0usize;
-    for &k in ks {
+    for k in [0, 1, 2, 4, 6, 8, 10, 12] {
         let machine = samples::flat_with_unreachable(k);
         let mut cells = Vec::new();
         for arm in matrix::arms_for(&format!("flat+{k}"), &machine) {

@@ -104,10 +104,10 @@ mod tests {
     fn arm_compiles_through_the_shared_session() {
         let arm = &arms_for("flat", &samples::flat_unreachable())[0];
         let generated = arm.generate().expect("generates");
-        let hits_before = crate::driver().stats().mem_hits;
+        let hits_before = crate::driver().stats().hits();
         let a = arm.compile(OptLevel::O0, &generated).expect("compiles");
         let b = arm.compile(OptLevel::O0, &generated).expect("compiles");
         assert!(std::sync::Arc::ptr_eq(&a, &b), "repeat cell must hit");
-        assert!(crate::driver().stats().mem_hits > hits_before);
+        assert!(crate::driver().stats().hits() > hits_before);
     }
 }

@@ -88,8 +88,7 @@ pub struct Cell {
     /// Text bytes of inserted spill code (slot loads/stores).
     pub spill_bytes: usize,
     /// Events in the canonical storm this cell was measured with
-    /// ([`crate::storm::STORM_EVENTS`]); `0` in baselines written
-    /// before storms were measured.
+    /// ([`crate::storm::STORM_EVENTS`]).
     pub events: usize,
     /// Deterministic executed-instruction count of the canonical storm
     /// on the fast engine — the regression-gated "time" of this cell.
@@ -97,12 +96,11 @@ pub struct Cell {
     /// `1` if the immediate recompile was served from the driver's
     /// cache, `0` otherwise. Gated for presence by `regress`: a cell
     /// whose baseline hit stops hitting means the driver's caching
-    /// silently broke. `0` in pre-driver baselines (ungated).
+    /// silently broke.
     pub warm_hit: usize,
     /// [`assembly_digest`] of the cell's assembly. Gated for equality by
     /// `regress`: an allocator or emitter change that picks different
-    /// registers or orders at the same sizes fails the gate. `0` in
-    /// baselines written before the digest existed (ungated).
+    /// registers or orders at the same sizes fails the gate.
     pub asm_digest: u64,
     /// Mid-end per-pass effects for this cell.
     pub passes: Vec<PassCell>,
@@ -271,11 +269,17 @@ impl Snapshot {
         out
     }
 
-    /// Parses the snapshot JSON format.
+    /// Parses the snapshot JSON format. Every field [`to_json`] writes is
+    /// required — a gate fed a cell without, say, its `asm_digest` would
+    /// otherwise stop gating it — while fields this reader does not know
+    /// (the compile times older baselines carry) are ignored.
+    ///
+    /// [`to_json`]: Snapshot::to_json
     ///
     /// # Errors
     ///
-    /// Returns a description of the first syntax or shape problem.
+    /// Returns a description of the first syntax or shape problem; a
+    /// missing field is named.
     pub fn from_json(text: &str) -> Result<Snapshot, String> {
         let value = Json::parse(text)?;
         let cells_value = value
@@ -286,16 +290,17 @@ impl Snapshot {
         };
         let mut cells = Vec::new();
         for item in items {
+            let Some(Json::Array(ps)) = item.field("passes") else {
+                return Err("missing or non-array field \"passes\"".to_string());
+            };
             let mut passes = Vec::new();
-            if let Some(Json::Array(ps)) = item.field("passes") {
-                for p in ps {
-                    passes.push(PassCell {
-                        name: p.string_field("name")?,
-                        runs: p.usize_field("runs")?,
-                        changes: p.usize_field("changes")?,
-                        insts_removed: p.usize_field("insts_removed")?,
-                    });
-                }
+            for p in ps {
+                passes.push(PassCell {
+                    name: p.string_field("name")?,
+                    runs: p.usize_field("runs")?,
+                    changes: p.usize_field("changes")?,
+                    insts_removed: p.usize_field("insts_removed")?,
+                });
             }
             cells.push(Cell {
                 machine: item.string_field("machine")?,
@@ -308,18 +313,10 @@ impl Snapshot {
                 spill_slots: item.usize_field("spill_slots")?,
                 saved_regs: item.usize_field("saved_regs")?,
                 spill_bytes: item.usize_field("spill_bytes")?,
-                // Lenient for baselines written before storms were
-                // measured: absent fields parse as 0 and are not gated.
-                events: item.usize_field_or("events", 0)?,
-                dyn_insts: item.usize_field_or("dyn_insts", 0)?,
-                // Same leniency for the warm-hit flag: pre-driver
-                // baselines carry none, and parse as an ungated zero.
-                // Fields this reader does not know (the compile times
-                // older baselines carry) are ignored.
-                warm_hit: item.usize_field_or("warm_hit", 0)?,
-                // And for the assembly digest: baselines written before
-                // it existed parse as 0, which is not gated.
-                asm_digest: item.hex_field_or("asm_digest", 0)?,
+                events: item.usize_field("events")?,
+                dyn_insts: item.usize_field("dyn_insts")?,
+                warm_hit: item.usize_field("warm_hit")?,
+                asm_digest: item.hex_field("asm_digest")?,
                 passes,
             });
         }
@@ -465,7 +462,7 @@ pub enum Verdict {
     /// The cell's [`assembly_digest`] differs from the baseline's: the
     /// toolchain emits different code for it — other registers, another
     /// instruction order, other bytes — even if every size and count
-    /// above passed. Gated only where the baseline carries a digest.
+    /// above passed.
     DigestChanged {
         /// Cell key.
         key: String,
@@ -616,12 +613,11 @@ fn allowed_runs_growth(baseline: usize) -> usize {
 /// the current snapshot no longer measures, or a current cell the
 /// baseline does not know (refresh the baseline deliberately). The
 /// canonical storm's dynamic instruction count is gated the same way
-/// (within `max(TOLERANCE_PCT, TOLERANCE_DYN_INSTS)`) wherever the
-/// baseline measured one, and a storm-shape change (different event
-/// counts) fails outright rather than skipping the cell. A cell whose
-/// baseline recorded a warm driver-cache hit must still hit, and a cell
-/// whose baseline carries an [`assembly_digest`] must reproduce it
-/// exactly. A cell's
+/// (within `max(TOLERANCE_PCT, TOLERANCE_DYN_INSTS)`), and a storm-shape
+/// change (different event counts) fails outright rather than skipping
+/// the cell. A cell whose baseline recorded a warm driver-cache hit must
+/// still hit, and every cell must reproduce its baseline
+/// [`assembly_digest`] exactly. A cell's
 /// total pass runs may grow by at most [`TOLERANCE_PCT`]. Finally, any
 /// pass that changed code somewhere in the baseline but reports zero
 /// changes across every current cell is flagged as silently inert.
@@ -694,33 +690,29 @@ pub fn compare(baseline: &Snapshot, current: &Snapshot) -> Vec<Verdict> {
             });
         }
         // Time-like axis: the canonical storm's deterministic dynamic
-        // instruction count. Only gated when the baseline has one (old
-        // baselines carry 0 events) and both snapshots measured the same
-        // storm — a storm-shape change is its own failure, never a
-        // silent skip.
-        if base.events > 0 {
-            if base.events != cur.events {
-                verdicts.push(Verdict::StormChanged {
-                    key: key.clone(),
-                    baseline_events: base.events,
-                    current_events: cur.events,
-                });
-            } else if cur.dyn_insts > base.dyn_insts + allowed_dyn_growth(base.dyn_insts) {
-                verdicts.push(Verdict::DynInstsRegressed {
-                    key: key.clone(),
-                    baseline: base.dyn_insts,
-                    current: cur.dyn_insts,
-                });
-            }
+        // instruction count, comparable only when both snapshots measured
+        // the same storm — a storm-shape change is its own failure, never
+        // a silent skip.
+        if base.events != cur.events {
+            verdicts.push(Verdict::StormChanged {
+                key: key.clone(),
+                baseline_events: base.events,
+                current_events: cur.events,
+            });
+        } else if cur.dyn_insts > base.dyn_insts + allowed_dyn_growth(base.dyn_insts) {
+            verdicts.push(Verdict::DynInstsRegressed {
+                key: key.clone(),
+                baseline: base.dyn_insts,
+                current: cur.dyn_insts,
+            });
         }
-        // Driver-session cache presence: gated only where the baseline
-        // observed a hit (pre-driver baselines carry 0 and are ungated).
+        // Driver-session cache presence: gated where the baseline
+        // observed a hit.
         if base.warm_hit == 1 && cur.warm_hit == 0 {
             verdicts.push(Verdict::CacheRegressed { key: key.clone() });
         }
-        // Byte identity: the same cell must assemble to the same code,
-        // wherever the baseline recorded a digest.
-        if base.asm_digest != 0 && cur.asm_digest != base.asm_digest {
+        // Byte identity: the same cell must assemble to the same code.
+        if cur.asm_digest != base.asm_digest {
             verdicts.push(Verdict::DigestChanged {
                 key: key.clone(),
                 baseline: base.asm_digest,
@@ -837,28 +829,14 @@ impl Json {
         }
     }
 
-    /// Like [`usize_field`](Json::usize_field), but an *absent* field
-    /// yields `default` (a present-but-malformed one is still an error) —
-    /// for fields added to the format after baselines existed.
-    fn usize_field_or(&self, name: &str, default: usize) -> Result<usize, String> {
-        match self.field(name) {
-            None => Ok(default),
-            Some(Json::Number(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as usize),
-            Some(_) => Err(format!("non-integer field \"{name}\"")),
-        }
-    }
-
     /// A 64-bit value written as a hexadecimal string (JSON numbers are
-    /// doubles, too narrow for a digest); an absent field yields
-    /// `default`.
-    fn hex_field_or(&self, name: &str, default: u64) -> Result<u64, String> {
+    /// doubles, too narrow for a digest).
+    fn hex_field(&self, name: &str) -> Result<u64, String> {
         match self.field(name) {
-            None => Ok(default),
-            Some(Json::String(s)) => {
-                u64::from_str_radix(s, 16).map_err(|_| format!("non-hexadecimal field \"{name}\""))
-            }
-            Some(_) => Err(format!("non-string field \"{name}\"")),
+            Some(Json::String(s)) => u64::from_str_radix(s, 16).ok(),
+            _ => None,
         }
+        .ok_or_else(|| format!("missing or non-hexadecimal field \"{name}\""))
     }
 }
 
@@ -1099,7 +1077,8 @@ mod tests {
         let text = "{ \"cells\" : [ {\"machine\": \"a\\\"b\", \"pattern\": \"p\",\n
             \"level\": \"-O0\", \"text\": 1, \"rodata\": 2, \"data\": 3,
             \"total\": 6, \"spill_slots\": 0, \"saved_regs\": 0,
-            \"spill_bytes\": 0, \"passes\": []} ] }";
+            \"spill_bytes\": 0, \"events\" :512, \"dyn_insts\": 100,
+            \"warm_hit\": 1, \"asm_digest\":\"00ff\", \"passes\": []} ] }";
         let snap = Snapshot::from_json(text).expect("parses");
         assert_eq!(snap.cells[0].machine, "a\"b");
         assert_eq!(snap.cells[0].total, 6);
@@ -1353,23 +1332,37 @@ mod tests {
     }
 
     #[test]
-    fn old_baselines_without_storm_fields_parse_and_are_not_gated() {
-        // A pre-storm baseline (no events/dyn_insts in the JSON)
-        // must still parse — as zeros — and must not gate dyn_insts.
-        let text = "{\"cells\": [{\"machine\": \"m\", \"pattern\": \"p\",
-            \"level\": \"-O0\", \"text\": 1, \"rodata\": 2, \"data\": 3,
-            \"total\": 6, \"spill_slots\": 0, \"saved_regs\": 0,
-            \"spill_bytes\": 0, \"passes\": []}]}";
-        let base = Snapshot::from_json(text).expect("parses");
-        assert_eq!(base.cells[0].events, 0);
-        assert_eq!(base.cells[0].dyn_insts, 0);
-        let mut cur = base.clone();
-        cur.cells[0].events = 512;
-        cur.cells[0].dyn_insts = 1_000_000;
-        assert!(
-            !compare(&base, &cur).iter().any(Verdict::is_regression),
-            "an ungated baseline cell must accept any current storm"
-        );
+    fn parser_requires_every_written_field() {
+        // Renaming a key hides the field from the reader, which ignores
+        // keys it does not know: each written field in turn goes missing.
+        let text = sample_snapshot().to_json();
+        for field in [
+            "machine",
+            "pattern",
+            "level",
+            "text",
+            "rodata",
+            "data",
+            "total",
+            "spill_slots",
+            "saved_regs",
+            "spill_bytes",
+            "events",
+            "dyn_insts",
+            "warm_hit",
+            "asm_digest",
+            "passes",
+            "name",
+            "runs",
+            "changes",
+            "insts_removed",
+        ] {
+            let key = format!("\"{field}\":");
+            assert!(text.contains(&key), "to_json writes {field}");
+            let dropped = text.replacen(&key, "\"dropped\":", 1);
+            let err = Snapshot::from_json(&dropped).expect_err(field);
+            assert!(err.contains(&format!("\"{field}\"")), "{field}: {err}");
+        }
     }
 
     #[test]
@@ -1387,14 +1380,14 @@ mod tests {
         assert_eq!(cache.len(), 1, "{verdicts:?}");
         assert!(cache[0].is_regression());
         assert!(cache[0].render().contains("driver cache"), "{:?}", cache[0]);
-        // A pre-driver baseline (warm_hit 0) does not gate the cache.
-        let mut old = sample_snapshot();
-        for c in &mut old.cells {
+        // A baseline cell that missed (warm_hit 0) does not gate the cache.
+        let mut missed = sample_snapshot();
+        for c in &mut missed.cells {
             c.warm_hit = 0;
         }
         let mut cur = sample_snapshot();
         cur.cells[0].warm_hit = 0;
-        assert!(!compare(&old, &cur).iter().any(Verdict::is_regression));
+        assert!(!compare(&missed, &cur).iter().any(Verdict::is_regression));
     }
 
     #[test]
@@ -1423,16 +1416,6 @@ mod tests {
             "{}",
             changed[0].render()
         );
-        // A baseline written before digests existed parses as 0 and
-        // accepts any current digest.
-        let text = base.to_json().replace(
-            &format!(", \"asm_digest\": \"{:016x}\"", base.cells[1].asm_digest),
-            "",
-        );
-        let old = Snapshot::from_json(&text).expect("parses");
-        assert_eq!(old.cells[1].asm_digest, 0);
-        assert_eq!(old.cells[0].asm_digest, base.cells[0].asm_digest);
-        assert!(!compare(&old, &cur).iter().any(Verdict::is_regression));
     }
 
     #[test]
@@ -1456,26 +1439,6 @@ mod tests {
         *reg ^= 1;
         assert_eq!(renamed.sizes(), asm.sizes(), "same bytes, other register");
         assert_ne!(assembly_digest(&renamed), assembly_digest(asm));
-    }
-
-    #[test]
-    fn old_baselines_without_driver_fields_parse_as_ungated_zeros() {
-        // The events/dyn_insts precedent: a pre-driver baseline has no
-        // warm_hit field and must parse — as zero — without gating the
-        // cache.
-        let text = "{\"cells\": [{\"machine\": \"m\", \"pattern\": \"p\",
-            \"level\": \"-O0\", \"text\": 1, \"rodata\": 2, \"data\": 3,
-            \"total\": 6, \"spill_slots\": 0, \"saved_regs\": 0,
-            \"spill_bytes\": 0, \"events\": 512, \"dyn_insts\": 100,
-            \"passes\": []}]}";
-        let base = Snapshot::from_json(text).expect("parses");
-        assert_eq!(base.cells[0].warm_hit, 0);
-        let mut cur = base.clone();
-        cur.cells[0].warm_hit = 1;
-        assert!(
-            !compare(&base, &cur).iter().any(Verdict::is_regression),
-            "driver fields new in the current snapshot must not gate"
-        );
     }
 
     #[test]

@@ -16,6 +16,10 @@ use crate::equivalence::{check_trace_equivalence, EquivConfig, EquivReport};
 use crate::passes::{self, ModelPass};
 use crate::report::OptimizationReport;
 
+/// Fixpoint iterations [`Optimizer::optimize`] runs at most (each applies
+/// the full selection once).
+const MAX_ITERATIONS: usize = 8;
+
 /// The user-selectable optimization catalogue (the menu of the paper's
 /// tool).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -142,8 +146,6 @@ pub struct OptimizeOutcome {
 pub struct Optimizer {
     selected: Vec<Optimization>,
     check_behaviour: bool,
-    equiv_config: EquivConfig,
-    max_iterations: usize,
 }
 
 impl Default for Optimizer {
@@ -159,8 +161,6 @@ impl Optimizer {
         Optimizer {
             selected: Vec::new(),
             check_behaviour: false,
-            equiv_config: EquivConfig::default(),
-            max_iterations: 8,
         }
     }
 
@@ -191,19 +191,6 @@ impl Optimizer {
         self
     }
 
-    /// Overrides the equivalence-check configuration.
-    pub fn equivalence_config(mut self, config: EquivConfig) -> Self {
-        self.equiv_config = config;
-        self
-    }
-
-    /// Bounds the number of fixpoint iterations (each iteration applies the
-    /// full selection once).
-    pub fn max_iterations(mut self, n: usize) -> Self {
-        self.max_iterations = n.max(1);
-        self
-    }
-
     /// Runs the selected passes to a fixpoint and returns the optimized
     /// model plus reports.
     ///
@@ -223,15 +210,12 @@ impl Optimizer {
         // Application order is canonical regardless of selection order:
         // analyses feed each other (guard folding exposes dead transitions,
         // dead transitions expose unreachable states, ...).
-        let mut ordered: Vec<Optimization> = Optimization::all()
+        let ordered: Vec<Optimization> = Optimization::all()
             .into_iter()
             .filter(|o| self.selected.contains(o))
             .collect();
-        if ordered.is_empty() {
-            ordered = Vec::new();
-        }
 
-        for _ in 0..self.max_iterations {
+        for _ in 0..MAX_ITERATIONS {
             report.iterations += 1;
             let mut changed = false;
             for opt in &ordered {
@@ -253,7 +237,7 @@ impl Optimizer {
         report.after = out.metrics();
 
         let equivalence = if self.check_behaviour {
-            let r = check_trace_equivalence(machine, &out, &self.equiv_config)
+            let r = check_trace_equivalence(machine, &out, &EquivConfig::default())
                 .map_err(|e| OptimizeError::CheckFailed(e.to_string()))?;
             if !r.equivalent {
                 return Err(OptimizeError::BehaviourChanged(r));

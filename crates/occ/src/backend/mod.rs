@@ -419,11 +419,6 @@ impl Assembly {
             .collect()
     }
 
-    /// Finds a function index by name.
-    pub fn function_index(&self, name: &str) -> Option<usize> {
-        self.functions.iter().position(|f| f.name == name)
-    }
-
     /// Renders a human-readable listing.
     pub fn listing(&self) -> String {
         let mut out = String::new();

@@ -42,14 +42,6 @@ impl Reg {
             Reg::Virt(_) => None,
         }
     }
-
-    /// The virtual register, if not yet allocated.
-    pub fn virt(self) -> Option<VReg> {
-        match self {
-            Reg::Virt(v) => Some(v),
-            Reg::Phys(_) => None,
-        }
-    }
 }
 
 /// How an instruction touches an operand.

@@ -10,11 +10,17 @@
 //!
 //! # Content addressing
 //!
-//! A *job* is a `(tlang::Module, OptLevel)` pair. [`job_hash`] serializes
-//! the job to canonical bytes — a deterministic, tagged, length-prefixed
-//! encoding of the whole AST (no pointer identity, no hash-map iteration
-//! order) — and hashes them, behind the level, with the hand-rolled
-//! 128-bit FNV-1a in this module (no crates.io).
+//! A *job* is a `(tlang::Module, OptLevel)` pair. [`job_hash`] feeds the
+//! job's derived [`Hash`] — the level, then every node of the `tlang`
+//! AST — through a private [`Hasher`] adapter into the hand-rolled
+//! 128-bit FNV-1a in this module (no crates.io). The adapter writes
+//! lengths and enum tags as LEB128 varints and everything else as the
+//! derive gives it; [`serialize_job`] sends the module's share of the
+//! same bytes to a vector instead. The encoding is derived from the type
+//! definitions, so there is no hand-written copy of the AST to keep in
+//! step: a field added to a `tlang` node is part of the key at once. It
+//! is deterministic (no pointer identity, no hash-map iteration order)
+//! and self-delimiting, so distinct jobs give distinct bytes.
 //!
 //! The hash carries no toolchain salt. Artifacts live only in the memory
 //! of the process that compiled them, so a cached artifact can never
@@ -74,7 +80,7 @@
 //! // The warm call is a cache hit: the very same artifact comes back.
 //! assert!(std::sync::Arc::ptr_eq(&cold, &warm));
 //! let stats = driver.stats();
-//! assert_eq!((stats.jobs, stats.mem_hits, stats.misses), (2, 1, 1));
+//! assert_eq!((stats.jobs, stats.hits(), stats.misses), (2, 1, 1));
 //!
 //! // A batch fans out over the shared worker pool and comes back in job
 //! // order; the -Os job is a hit.
@@ -87,6 +93,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -136,327 +143,81 @@ impl Default for Fnv64 {
 /// Incremental 128-bit FNV-1a hasher — the content-address space of the
 /// artifact cache. 128 bits keep accidental collisions out of reach for
 /// any realistic corpus size.
-#[derive(Debug, Clone)]
-pub struct Fnv128(u128);
+struct Fnv128(u128);
 
 impl Fnv128 {
-    /// A fresh hasher at the FNV offset basis.
-    pub fn new() -> Fnv128 {
+    fn new() -> Fnv128 {
         Fnv128(FNV128_OFFSET)
     }
 
-    /// Absorbs bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
+    fn write(&mut self, bytes: &[u8]) {
         for b in bytes {
             self.0 ^= u128::from(*b);
             self.0 = self.0.wrapping_mul(FNV128_PRIME);
         }
     }
 
-    /// The current hash value.
-    pub fn finish(&self) -> u128 {
+    fn finish(&self) -> u128 {
         self.0
     }
 }
 
-impl Default for Fnv128 {
-    fn default() -> Fnv128 {
-        Fnv128::new()
+// ---------------------------------------------------------------------
+// Job encoding + hashing
+// ---------------------------------------------------------------------
+
+/// The one encoding of a job: hands every byte a derived [`Hash`] writes
+/// to its sink (the FNV-128 state or a byte vector), with lengths
+/// (`write_usize`) and enum tags (`write_isize`) as LEB128 varints —
+/// seven bits per byte, so a small value takes one byte. Strings end in
+/// `0xff` and the other integers are fixed-width, so the encoding is
+/// self-delimiting.
+struct Encoder<F: FnMut(&[u8])>(F);
+
+impl<F: FnMut(&[u8])> Hasher for Encoder<F> {
+    fn write(&mut self, bytes: &[u8]) {
+        (self.0)(bytes);
+    }
+
+    fn write_usize(&mut self, mut n: usize) {
+        let mut buf = [0u8; 10];
+        let mut len = 0;
+        while n >= 0x80 {
+            buf[len] = n as u8 | 0x80;
+            n >>= 7;
+            len += 1;
+        }
+        buf[len] = n as u8;
+        (self.0)(&buf[..=len]);
+    }
+
+    fn write_isize(&mut self, n: isize) {
+        self.write_usize(n as usize);
+    }
+
+    fn finish(&self) -> u64 {
+        unreachable!("the encoder only forwards bytes; its sink holds the result")
     }
 }
 
-// ---------------------------------------------------------------------
-// Canonical job serialization + hashing
-// ---------------------------------------------------------------------
-
-/// Content-hashes one `(module, level)` job: the level, then the
-/// canonical byte serialization of the whole AST. Equal jobs hash equal
-/// on every run; any AST difference — a renamed function, a changed
-/// literal, a reordered global — changes the hash.
+/// Content-hashes one `(module, level)` job: FNV-128 over the level's
+/// tag byte followed by [`serialize_job`]'s bytes, streamed without
+/// building the vector. Equal jobs hash equal on every run; any AST
+/// difference — a renamed function, a changed literal, a reordered
+/// global — changes the hash.
 pub fn job_hash(module: &tlang::Module, level: OptLevel) -> u128 {
     let mut h = Fnv128::new();
-    h.write(&[level_code(level)]);
-    h.write(&serialize_job(module));
+    (level, module).hash(&mut Encoder(|bytes: &[u8]| h.write(bytes)));
     h.finish()
 }
 
-/// The canonical byte serialization of a module: deterministic, tagged,
-/// length-prefixed. This is the hashed representation, exposed so tests
-/// can assert canonicity directly.
+/// The bytes [`job_hash`] hashes after the level: the module's derived
+/// [`Hash`] through the varint encoder. Exposed so callers can measure
+/// what is hashed.
 pub fn serialize_job(module: &tlang::Module) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4096);
-    ser_str(&mut out, &module.name);
-    out.extend_from_slice(&(module.structs.len() as u32).to_le_bytes());
-    for s in &module.structs {
-        ser_str(&mut out, &s.name);
-        out.extend_from_slice(&(s.fields.len() as u32).to_le_bytes());
-        for (name, ty) in &s.fields {
-            ser_str(&mut out, name);
-            ser_type(&mut out, ty);
-        }
-    }
-    out.extend_from_slice(&(module.externs.len() as u32).to_le_bytes());
-    for e in &module.externs {
-        ser_str(&mut out, &e.name);
-        out.extend_from_slice(&(e.params.len() as u32).to_le_bytes());
-        for p in &e.params {
-            ser_type(&mut out, p);
-        }
-        ser_type(&mut out, &e.ret);
-    }
-    out.extend_from_slice(&(module.globals.len() as u32).to_le_bytes());
-    for g in &module.globals {
-        ser_str(&mut out, &g.name);
-        ser_type(&mut out, &g.ty);
-        ser_init(&mut out, &g.init);
-        out.push(u8::from(g.mutable));
-    }
-    out.extend_from_slice(&(module.functions.len() as u32).to_le_bytes());
-    for f in &module.functions {
-        ser_str(&mut out, &f.name);
-        out.extend_from_slice(&(f.params.len() as u32).to_le_bytes());
-        for (name, ty) in &f.params {
-            ser_str(&mut out, name);
-            ser_type(&mut out, ty);
-        }
-        ser_type(&mut out, &f.ret);
-        ser_stmts(&mut out, &f.body);
-        out.push(u8::from(f.exported));
-    }
+    let mut out = Vec::new();
+    module.hash(&mut Encoder(|bytes: &[u8]| out.extend_from_slice(bytes)));
     out
-}
-
-fn level_code(level: OptLevel) -> u8 {
-    match level {
-        OptLevel::O0 => 0,
-        OptLevel::O1 => 1,
-        OptLevel::O2 => 2,
-        OptLevel::Os => 3,
-    }
-}
-
-fn ser_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn ser_type(out: &mut Vec<u8>, ty: &tlang::Type) {
-    match ty {
-        tlang::Type::I32 => out.push(0),
-        tlang::Type::Bool => out.push(1),
-        tlang::Type::Void => out.push(2),
-        tlang::Type::Struct(name) => {
-            out.push(3);
-            ser_str(out, name);
-        }
-        tlang::Type::Array(elem, n) => {
-            out.push(4);
-            ser_type(out, elem);
-            out.extend_from_slice(&(*n as u64).to_le_bytes());
-        }
-        tlang::Type::FnPtr { params, ret } => {
-            out.push(5);
-            out.extend_from_slice(&(params.len() as u32).to_le_bytes());
-            for p in params {
-                ser_type(out, p);
-            }
-            ser_type(out, ret);
-        }
-    }
-}
-
-fn ser_place(out: &mut Vec<u8>, place: &tlang::Place) {
-    match place {
-        tlang::Place::Var(name) => {
-            out.push(0);
-            ser_str(out, name);
-        }
-        tlang::Place::Field(base, name) => {
-            out.push(1);
-            ser_place(out, base);
-            ser_str(out, name);
-        }
-        tlang::Place::Index(base, index) => {
-            out.push(2);
-            ser_place(out, base);
-            ser_expr(out, index);
-        }
-    }
-}
-
-fn bin_op_code(op: tlang::BinOp) -> u8 {
-    use tlang::BinOp::*;
-    match op {
-        Add => 0,
-        Sub => 1,
-        Mul => 2,
-        Div => 3,
-        Rem => 4,
-        Eq => 5,
-        Ne => 6,
-        Lt => 7,
-        Le => 8,
-        Gt => 9,
-        Ge => 10,
-        And => 11,
-        Or => 12,
-    }
-}
-
-fn ser_expr(out: &mut Vec<u8>, expr: &tlang::Expr) {
-    match expr {
-        tlang::Expr::Int(v) => {
-            out.push(0);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        tlang::Expr::Bool(b) => {
-            out.push(1);
-            out.push(u8::from(*b));
-        }
-        tlang::Expr::Place(p) => {
-            out.push(2);
-            ser_place(out, p);
-        }
-        tlang::Expr::Unary(op, e) => {
-            out.push(3);
-            out.push(match op {
-                tlang::UnOp::Neg => 0,
-                tlang::UnOp::Not => 1,
-            });
-            ser_expr(out, e);
-        }
-        tlang::Expr::Binary(op, l, r) => {
-            out.push(4);
-            out.push(bin_op_code(*op));
-            ser_expr(out, l);
-            ser_expr(out, r);
-        }
-        tlang::Expr::Call(name, args) => {
-            out.push(5);
-            ser_str(out, name);
-            out.extend_from_slice(&(args.len() as u32).to_le_bytes());
-            for a in args {
-                ser_expr(out, a);
-            }
-        }
-        tlang::Expr::CallPtr(target, args) => {
-            out.push(6);
-            ser_expr(out, target);
-            out.extend_from_slice(&(args.len() as u32).to_le_bytes());
-            for a in args {
-                ser_expr(out, a);
-            }
-        }
-        tlang::Expr::FnAddr(name) => {
-            out.push(7);
-            ser_str(out, name);
-        }
-    }
-}
-
-fn ser_stmts(out: &mut Vec<u8>, stmts: &[tlang::Stmt]) {
-    out.extend_from_slice(&(stmts.len() as u32).to_le_bytes());
-    for s in stmts {
-        ser_stmt(out, s);
-    }
-}
-
-fn ser_stmt(out: &mut Vec<u8>, stmt: &tlang::Stmt) {
-    match stmt {
-        tlang::Stmt::Let { name, ty, init } => {
-            out.push(0);
-            ser_str(out, name);
-            ser_type(out, ty);
-            match init {
-                None => out.push(0),
-                Some(e) => {
-                    out.push(1);
-                    ser_expr(out, e);
-                }
-            }
-        }
-        tlang::Stmt::Assign { place, value } => {
-            out.push(1);
-            ser_place(out, place);
-            ser_expr(out, value);
-        }
-        tlang::Stmt::If {
-            cond,
-            then_body,
-            else_body,
-        } => {
-            out.push(2);
-            ser_expr(out, cond);
-            ser_stmts(out, then_body);
-            ser_stmts(out, else_body);
-        }
-        tlang::Stmt::While { cond, body } => {
-            out.push(3);
-            ser_expr(out, cond);
-            ser_stmts(out, body);
-        }
-        tlang::Stmt::Switch {
-            scrutinee,
-            cases,
-            default,
-        } => {
-            out.push(4);
-            ser_expr(out, scrutinee);
-            out.extend_from_slice(&(cases.len() as u32).to_le_bytes());
-            for (value, body) in cases {
-                out.extend_from_slice(&value.to_le_bytes());
-                ser_stmts(out, body);
-            }
-            ser_stmts(out, default);
-        }
-        tlang::Stmt::Return(e) => {
-            out.push(5);
-            match e {
-                None => out.push(0),
-                Some(e) => {
-                    out.push(1);
-                    ser_expr(out, e);
-                }
-            }
-        }
-        tlang::Stmt::Expr(e) => {
-            out.push(6);
-            ser_expr(out, e);
-        }
-        tlang::Stmt::Break => out.push(7),
-    }
-}
-
-fn ser_init(out: &mut Vec<u8>, init: &tlang::Init) {
-    match init {
-        tlang::Init::Int(v) => {
-            out.push(0);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        tlang::Init::Bool(b) => {
-            out.push(1);
-            out.push(u8::from(*b));
-        }
-        tlang::Init::Array(items) => {
-            out.push(2);
-            out.extend_from_slice(&(items.len() as u32).to_le_bytes());
-            for i in items {
-                ser_init(out, i);
-            }
-        }
-        tlang::Init::Struct(items) => {
-            out.push(3);
-            out.extend_from_slice(&(items.len() as u32).to_le_bytes());
-            for i in items {
-                ser_init(out, i);
-            }
-        }
-        tlang::Init::FnAddr(name) => {
-            out.push(4);
-            ser_str(out, name);
-        }
-        tlang::Init::Zero => out.push(5),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -524,7 +285,7 @@ where
 #[derive(Default)]
 struct Counters {
     jobs: AtomicUsize,
-    mem_hits: AtomicUsize,
+    hits: AtomicUsize,
     misses: AtomicUsize,
 }
 
@@ -533,16 +294,15 @@ struct Counters {
 pub struct DriverStats {
     /// Jobs served ([`Driver::compile`] calls).
     pub jobs: usize,
-    /// Jobs answered from the artifact cache.
-    pub mem_hits: usize,
+    hits: usize,
     /// Jobs that compiled from scratch.
     pub misses: usize,
 }
 
 impl DriverStats {
-    /// Cache hits (the same count as [`DriverStats::mem_hits`]).
+    /// Jobs answered from the artifact cache.
     pub fn hits(&self) -> usize {
-        self.mem_hits
+        self.hits
     }
 
     /// Fraction of jobs answered from the cache (0.0 with no jobs).
@@ -605,7 +365,7 @@ impl Driver {
 
         let hit = self.lock_mem().get(&key).cloned();
         if let Some(artifact) = hit {
-            self.counters.mem_hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(artifact);
         }
 
@@ -626,7 +386,7 @@ impl Driver {
     pub fn stats(&self) -> DriverStats {
         DriverStats {
             jobs: self.counters.jobs.load(Ordering::Relaxed),
-            mem_hits: self.counters.mem_hits.load(Ordering::Relaxed),
+            hits: self.counters.hits.load(Ordering::Relaxed),
             misses: self.counters.misses.load(Ordering::Relaxed),
         }
     }
@@ -655,7 +415,7 @@ impl Driver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tlang::{Expr, Function, Module, Stmt, Type};
+    use tlang::{Expr, ExternDecl, Function, GlobalDef, Init, Module, Stmt, StructDef, Type};
 
     fn module_returning(name: &str, value: i64) -> Module {
         let mut m = Module::new(name);
@@ -695,6 +455,84 @@ mod tests {
     }
 
     #[test]
+    fn every_ast_field_is_part_of_the_job() {
+        let mut base = module_returning("demo", 42);
+        base.push_struct(StructDef {
+            name: "Ctx".into(),
+            fields: vec![("state".into(), Type::I32)],
+        });
+        base.push_extern(ExternDecl {
+            name: "emit".into(),
+            params: vec![Type::I32],
+            ret: Type::Void,
+        });
+        base.push_global(GlobalDef {
+            name: "g".into(),
+            ty: Type::I32,
+            init: Init::Int(0),
+            mutable: true,
+        });
+        type Edit = fn(&mut Module);
+        let edits: [(&str, Edit); 16] = [
+            ("Module.name", |m| m.name.push('2')),
+            ("StructDef.name", |m| m.structs[0].name.push('2')),
+            ("StructDef field name", |m| {
+                m.structs[0].fields[0].0.push('2')
+            }),
+            ("StructDef field type", |m| {
+                m.structs[0].fields[0].1 = Type::Bool
+            }),
+            ("ExternDecl.name", |m| m.externs[0].name.push('2')),
+            ("ExternDecl.params", |m| m.externs[0].params.push(Type::I32)),
+            ("ExternDecl.ret", |m| m.externs[0].ret = Type::I32),
+            ("GlobalDef.name", |m| m.globals[0].name.push('2')),
+            ("GlobalDef.ty", |m| m.globals[0].ty = Type::Bool),
+            ("GlobalDef.init", |m| m.globals[0].init = Init::Int(1)),
+            ("GlobalDef.mutable", |m| m.globals[0].mutable = false),
+            ("Function.name", |m| m.functions[0].name.push('2')),
+            ("Function.params", |m| {
+                m.functions[0].params.push(("x".into(), Type::I32));
+            }),
+            ("Function.ret", |m| m.functions[0].ret = Type::Bool),
+            ("Function.body", |m| m.functions[0].body.push(Stmt::Break)),
+            ("Function.exported", |m| m.functions[0].exported = false),
+        ];
+        let base_hash = job_hash(&base, OptLevel::O2);
+        for (field, edit) in edits {
+            let mut edited = base.clone();
+            edit(&mut edited);
+            assert_ne!(job_hash(&edited, OptLevel::O2), base_hash, "{field}");
+        }
+    }
+
+    #[test]
+    fn job_hash_is_fnv128_over_the_level_then_serialize_job() {
+        let m = module_returning("demo", 42);
+        for level in OptLevel::all() {
+            let mut h = Fnv128::new();
+            h.write(&[level as u8]);
+            h.write(&serialize_job(&m));
+            assert_eq!(job_hash(&m, level), h.finish(), "{level:?}");
+        }
+        // Strings end in 0xff; the four empty lists are one-byte lengths.
+        assert_eq!(serialize_job(&Module::new("m")), b"m\xff\0\0\0\0");
+    }
+
+    #[test]
+    fn varints_take_seven_bits_per_byte() {
+        let varint = |n: usize| {
+            let mut out = Vec::new();
+            Encoder(|bytes: &[u8]| out.extend_from_slice(bytes)).write_usize(n);
+            out
+        };
+        assert_eq!(varint(0), [0]);
+        assert_eq!(varint(127), [0x7f]);
+        assert_eq!(varint(128), [0x80, 0x01]);
+        assert_eq!(varint(300), [0xac, 0x02]);
+        assert_eq!(varint(usize::MAX).len(), usize::BITS.div_ceil(7) as usize);
+    }
+
+    #[test]
     fn memory_tier_serves_repeats() {
         let driver = Driver::new();
         let m = module_returning("demo", 1);
@@ -702,7 +540,7 @@ mod tests {
         let b = driver.compile(&m, OptLevel::Os).expect("hits");
         assert!(Arc::ptr_eq(&a, &b));
         let stats = driver.stats();
-        assert_eq!((stats.jobs, stats.mem_hits, stats.misses), (2, 1, 1));
+        assert_eq!((stats.jobs, stats.hits(), stats.misses), (2, 1, 1));
         assert!(stats.hit_rate() > 0.49 && stats.hit_rate() < 0.51);
         // Distinct levels are distinct jobs.
         driver.compile(&m, OptLevel::O0).expect("compiles");

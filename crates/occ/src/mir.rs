@@ -579,13 +579,6 @@ pub struct Program {
     pub externs: Vec<String>,
 }
 
-impl Program {
-    /// Finds a function index by name.
-    pub fn function_index(&self, name: &str) -> Option<usize> {
-        self.functions.iter().position(|f| f.name == name)
-    }
-}
-
 impl fmt::Display for MirFunction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(

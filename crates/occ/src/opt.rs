@@ -286,11 +286,6 @@ impl PipelineStats {
         self.passes.iter().find(|p| p.name == name)
     }
 
-    /// Total instructions removed by all passes.
-    pub fn total_insts_removed(&self) -> usize {
-        self.passes.iter().map(|p| p.insts_removed).sum()
-    }
-
     fn entry(&mut self, name: &'static str) -> &mut PassStats {
         if let Some(i) = self.passes.iter().position(|p| p.name == name) {
             return &mut self.passes[i];

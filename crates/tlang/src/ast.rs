@@ -342,7 +342,7 @@ pub struct Function {
 }
 
 /// A compilation unit.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Module {
     /// Module name.
     pub name: String,

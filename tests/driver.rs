@@ -76,7 +76,7 @@ fn cached_artifacts_equal_fresh_compiles() {
     assert!(Arc::ptr_eq(&cold, &warm), "a hit must share the Arc");
     assert_artifacts_equal(&fresh, &warm);
     let stats = driver.stats();
-    assert_eq!((stats.mem_hits, stats.misses), (1, 1));
+    assert_eq!((stats.hits(), stats.misses), (1, 1));
 }
 
 #[test]
