@@ -51,22 +51,20 @@ pub struct StormResult {
     pub extern_calls: u64,
 }
 
-/// Drives one run-to-completion event storm through an engine: `sm_init`,
-/// then `events` calls of `sm_step` cycling through the machine's event
-/// codes in [`CodeMap`] order. `calls` reads the extern-call count of the
-/// engine's [`CountingEnv`]; like the instruction count, the result holds
-/// only what this storm added to it.
+/// Drives the [canonical storm](STORM_EVENTS) through a fresh engine:
+/// `sm_init`, then [`STORM_EVENTS`] calls of `sm_step` cycling through the
+/// machine's event codes in [`CodeMap`] order. `calls` reads the
+/// extern-call count of the engine's [`CountingEnv`]; the result is the
+/// engine's totals.
 ///
 /// The engine's fuel is raised to `u64::MAX` first: storms are bounded by
 /// the event count, not by a budget.
 fn run_storm<E: Engine>(
-    engine: &mut E,
+    mut engine: E,
     calls: impl Fn(&E) -> u64,
     codes: &CodeMap,
-    events: usize,
 ) -> Result<StormResult, VmError> {
     engine.set_fuel(u64::MAX);
-    let (insts_before, calls_before) = (engine.executed(), calls(engine));
     engine.call("sm_init", &[])?;
     let n = codes.event_count();
     if n > 0 {
@@ -75,7 +73,7 @@ fn run_storm<E: Engine>(
         // handful of dispatched instructions.
         let n = n as i64;
         let mut code: i64 = 0;
-        for _ in 0..events {
+        for _ in 0..STORM_EVENTS {
             engine.call("sm_step", &[code as i32])?;
             code += 1;
             if code == n {
@@ -84,9 +82,9 @@ fn run_storm<E: Engine>(
         }
     }
     Ok(StormResult {
-        events: if n > 0 { events } else { 0 },
-        dyn_insts: engine.executed() - insts_before,
-        extern_calls: calls(engine) - calls_before,
+        events: if n > 0 { STORM_EVENTS } else { 0 },
+        dyn_insts: engine.executed(),
+        extern_calls: calls(&engine),
     })
 }
 
@@ -98,8 +96,8 @@ fn run_storm<E: Engine>(
 /// Returns the first [`VmError`] (a generated program faulting under
 /// storm load is a bug worth failing loudly on).
 pub fn canonical_storm(artifact: &occ::Artifact, codes: &CodeMap) -> Result<StormResult, VmError> {
-    let mut vm = FastVm::new(artifact.decoded(), CountingEnv::default());
-    run_storm(&mut vm, |vm| vm.env().calls, codes, STORM_EVENTS)
+    let vm = FastVm::new(artifact.decoded(), CountingEnv::default());
+    run_storm(vm, |vm| vm.env().calls, codes)
 }
 
 /// Runs the [canonical storm](STORM_EVENTS) on a freshly created
@@ -112,8 +110,8 @@ pub fn canonical_oracle_storm(
     artifact: &occ::Artifact,
     codes: &CodeMap,
 ) -> Result<StormResult, VmError> {
-    let mut vm = Vm::new(artifact.assembly(), CountingEnv::default());
-    run_storm(&mut vm, |vm| vm.env().calls, codes, STORM_EVENTS)
+    let vm = Vm::new(artifact.assembly(), CountingEnv::default());
+    run_storm(vm, |vm| vm.env().calls, codes)
 }
 
 #[cfg(test)]
@@ -144,57 +142,5 @@ mod tests {
         // calls: this is the two-engine contract under a real workload.
         let o = canonical_oracle_storm(&artifact, &generated.codes).expect("storms");
         assert_eq!(o, a, "oracle and fast engine storms must agree");
-    }
-
-    #[test]
-    fn storm_counts_accumulate_per_engine_instance() {
-        let machine = samples::flat_unreachable();
-        let generated = generate(&machine, Pattern::NestedSwitch).expect("generates");
-        let artifact = compile_generated(
-            machine.name(),
-            Pattern::NestedSwitch,
-            OptLevel::Os,
-            &generated,
-        )
-        .expect("compiles");
-        let mut vm = FastVm::new(artifact.decoded(), CountingEnv::default());
-        let first = run_storm(&mut vm, |vm| vm.env().calls, &generated.codes, 64).expect("storms");
-        let second = run_storm(&mut vm, |vm| vm.env().calls, &generated.codes, 64).expect("storms");
-        // Memory persists, but a re-initialized machine replays the same
-        // trajectory, so the marginal cost is identical.
-        assert_eq!(first, second);
-        assert!(
-            first.extern_calls > 0,
-            "storm should reach extern emissions"
-        );
-    }
-
-    #[test]
-    fn storm_cost_scales_with_events() {
-        let machine = samples::cruise_control();
-        let generated = generate(&machine, Pattern::StatePattern).expect("generates");
-        let artifact = compile_generated(
-            machine.name(),
-            Pattern::StatePattern,
-            OptLevel::O1,
-            &generated,
-        )
-        .expect("compiles");
-        let short = canonical_storm(&artifact, &generated.codes).expect("storms");
-        let mut vm = FastVm::new(artifact.decoded(), CountingEnv::default());
-        let long = run_storm(
-            &mut vm,
-            |vm| vm.env().calls,
-            &generated.codes,
-            STORM_EVENTS * 4,
-        )
-        .expect("storms");
-        assert!(
-            long.dyn_insts > short.dyn_insts * 3,
-            "4x the events should cost roughly 4x the instructions \
-             ({} vs {})",
-            long.dyn_insts,
-            short.dyn_insts
-        );
     }
 }

@@ -6,18 +6,18 @@
 //! * **Front end**: [`lower`] translates a checked [`tlang::Module`] into a
 //!   three-address control-flow-graph IR ([`mir`]).
 //! * **Mid end**: SSA construction (Cytron-style dominance frontiers,
-//!   [`ssa`]), then the fixed-point [`PassManager`] of [`opt`] — sparse
-//!   conditional constant propagation (Wegman-Zadeck), dense constant
-//!   folding (`-O1`'s constant pass), root-based dead-code elimination,
-//!   copy propagation, global value numbering / CSE, store-to-load
-//!   forwarding inside and across blocks (over the available-load
-//!   dataflow [`opt::AvailLoads`]) and dead-store elimination — both
-//!   over the memory-dependence layer of [`mem`] (flat-image alias
-//!   model: `Addr` roots plus constant offsets) — return-block tail
-//!   merging, CFG simplification (terminator folding, jump threading,
-//!   block merging) on SSA and on the φ-free input, copy coalescing
-//!   after SSA destruction, bottom-up inlining of small functions, and
-//!   call-graph dead-function elimination. Each
+//!   [`ssa`]), then the fixed-point [`PassManager`] of [`opt`] —
+//!   conditional constant propagation (Wegman-Zadeck's lattice, evaluated
+//!   densely; the one constant pass at every level), root-based dead-code
+//!   elimination, copy propagation, global value numbering / CSE,
+//!   store-to-load forwarding inside and across blocks (over the
+//!   available-load dataflow [`opt::AvailLoads`]) and dead-store
+//!   elimination — both over the memory-dependence layer of [`mem`]
+//!   (flat-image alias model: `Addr` roots plus constant offsets) —
+//!   return-block tail merging, CFG simplification (terminator folding,
+//!   jump threading, block merging) on SSA and on the φ-free input, copy
+//!   coalescing after SSA destruction, bottom-up inlining of small
+//!   functions, and call-graph dead-function elimination. Each
 //!   function goes through SSA once. The full roster per level and the
 //!   per-pass contracts are documented in the [`opt`] module rustdoc; the
 //!   pass set mirrors GCC's `-O0/-O1/-O2/-Os` philosophy ([`OptLevel`]),
@@ -107,10 +107,11 @@ pub use opt::{PassManager, PassStats, PipelineStats};
 pub enum OptLevel {
     /// No optimization: straight lowering, fast-allocated registers.
     O0,
-    /// Basic cleanups: CFG simplification, local folding, DCE.
+    /// Basic cleanups: conditional constant propagation, the memory
+    /// passes, tail merging, CFG simplification, DCE.
     O1,
-    /// Full mid-end: O1 plus constant propagation, copy propagation,
-    /// inlining, dead-function elimination.
+    /// Full mid-end: O1 plus copy propagation, GVN/CSE, inlining,
+    /// dead-function elimination.
     O2,
     /// Optimize for size: the O2 pipeline with size-tuned inlining and
     /// size-aware switch lowering (the paper's `-Os`).

@@ -39,8 +39,7 @@
 //!
 //! | pass                    | `-O1` | `-O2`/`-Os` |
 //! |-------------------------|-------|-------------|
-//! | [`sccp`]                |       | ✓           |
-//! | [`constant_fold`]       | ✓     |             |
+//! | [`sccp`]                | ✓     | ✓           |
 //! | [`copy_propagate`]      |       | ✓           |
 //! | [`gvn_cse`]             |       | ✓           |
 //! | [`cross_block_forward`] | ✓     | ✓           |
@@ -67,16 +66,13 @@
 //! runs inside (the memory passes consult it for rodata facts) plus the
 //! cached per-function analyses described under [Analyses](#analyses).
 //!
-//! * [`sccp`] — sparse conditional constant propagation over the
-//!   ⊤/const/⊥ lattice with the Wegman–Zadeck two-worklist scheme:
-//!   tracks executable CFG edges, meets φs over executable incoming
-//!   edges only, folds proven-constant instructions and terminators, and
-//!   removes never-executable blocks. Folds through branches the dense
-//!   fold must leave.
-//! * [`constant_fold`] — dense constant propagation/folding with branch
-//!   folding; the only constant pass at `-O1`. It is not registered at
-//!   `-O2`/`-Os`, where [`sccp`] subsumes it (its doc has the
-//!   measurement).
+//! * [`sccp`] — the one constant pass: conditional constant propagation
+//!   over Wegman–Zadeck's ⊤/const/⊥ lattice, evaluated densely in
+//!   sweeps over the executable blocks until nothing moves. It tracks
+//!   executable CFG edges, meets φs over executable incoming edges only,
+//!   folds proven-constant instructions and terminators, and removes
+//!   never-executable blocks, so it also folds a constant through the
+//!   branch that constant decides.
 //! * [`copy_propagate`] — transitive copy propagation into uses.
 //! * [`gvn_cse`] — dominator-scoped global value numbering / common
 //!   subexpression elimination with commutative canonicalization; loads
@@ -154,9 +150,9 @@
 //! **Representations.** Every analysis is dense: `Vec`s indexed by block
 //! or register number, and [`crate::bitset::BitSet`]s over block numbers
 //! or over the function's [`mem::CellUniverse`]. The pass-local tables of
-//! [`sccp`], [`constant_fold`] and [`dead_code_elim`] are register-indexed
-//! arrays too. Everything iterates in index order, which is the order the
-//! ordered maps and sets they replaced iterated in, so no hash order ever
+//! [`sccp`] and [`dead_code_elim`] are register-indexed arrays too.
+//! Everything iterates in index order, which is the order the ordered
+//! maps and sets they replaced iterated in, so no hash order ever
 //! reaches the output. None of it lives outside the context: there is no
 //! global or thread-local cache, and one [`crate::driver`] session
 //! compiles on several threads without sharing any analysis state.
@@ -185,7 +181,7 @@
 //! let model = MemoryModel::default();
 //! let mut ctx = AnalysisCtx::new(&model);
 //! // Nothing to fold: the function is untouched, the cached analyses stay.
-//! assert!(!opt::constant_fold(&mut f, &mut ctx));
+//! assert!(!opt::sccp(&mut f, &mut ctx));
 //! assert_eq!(ctx.avail(&f).universe().cells(), &[(0, 0)]);
 //! // The load is deleted and the return reads the stored register; the
 //! // pass reported a change, so the caller drops what the context holds.
@@ -241,11 +237,10 @@ pub struct PassStats {
 
 /// Canonical pass names as they appear in [`PassStats::name`].
 pub mod pass {
-    /// Constant propagation/folding with branch folding.
-    pub const CONST_FOLD: &str = "const-fold";
     /// Transitive copy propagation.
     pub const COPY_PROP: &str = "copy-prop";
-    /// Sparse conditional constant propagation.
+    /// Conditional constant propagation, evaluated densely: the one
+    /// constant pass.
     pub const SCCP: &str = "sccp";
     /// φ-free copy coalescing (post-destruct cleanup).
     pub const COPY_COALESCE: &str = "copy-coalesce";
@@ -495,34 +490,24 @@ impl PassManager {
     /// The standard pass roster for `level`.
     pub fn for_level(level: OptLevel) -> PassManager {
         let mut pm = PassManager::new();
-        match level {
-            OptLevel::O0 => {}
-            OptLevel::O1 => {
-                // The memory passes are cheap enough for O1 and directly
-                // shrink the context-variable traffic every generated
-                // handler emits.
-                pm.register(pass::CONST_FOLD, constant_fold);
-                pm.register(pass::CROSS_LOAD_FWD, cross_block_forward);
-                pm.register(pass::DSE, dead_store_elim);
-                pm.register(pass::TAIL_MERGE, merge_return_blocks);
-                pm.register(pass::SIMPLIFY_CFG, simplify_cfg);
-                pm.register(pass::DCE, dead_code_elim);
-            }
-            OptLevel::O2 | OptLevel::Os => {
-                // SCCP leads and subsumes the dense fold, which therefore
-                // does not run here; copy propagation erases the copies
-                // the other passes leave. The memory passes run after
-                // GVN/CSE, when addresses are canonical.
-                pm.register(pass::SCCP, sccp);
-                pm.register(pass::COPY_PROP, copy_propagate);
-                pm.register(pass::GVN_CSE, gvn_cse);
-                pm.register(pass::CROSS_LOAD_FWD, cross_block_forward);
-                pm.register(pass::DSE, dead_store_elim);
-                pm.register(pass::TAIL_MERGE, merge_return_blocks);
-                pm.register(pass::SIMPLIFY_CFG, simplify_cfg);
-                pm.register(pass::DCE, dead_code_elim);
-            }
+        if level == OptLevel::O0 {
+            return pm;
         }
+        pm.register(pass::SCCP, sccp);
+        if level >= OptLevel::O2 {
+            // Copy propagation erases the copies the other passes leave;
+            // the memory passes run after GVN/CSE, when addresses are
+            // canonical.
+            pm.register(pass::COPY_PROP, copy_propagate);
+            pm.register(pass::GVN_CSE, gvn_cse);
+        }
+        // The memory passes are cheap enough for O1 and directly shrink
+        // the context-variable traffic every generated handler emits.
+        pm.register(pass::CROSS_LOAD_FWD, cross_block_forward);
+        pm.register(pass::DSE, dead_store_elim);
+        pm.register(pass::TAIL_MERGE, merge_return_blocks);
+        pm.register(pass::SIMPLIFY_CFG, simplify_cfg);
+        pm.register(pass::DCE, dead_code_elim);
         pm
     }
 
@@ -728,13 +713,10 @@ fn run_pipeline_impl(
         let before: usize = program.functions.iter().map(MirFunction::inst_count).sum();
         let removed_fns = dead_function_elimination(program);
         let after: usize = program.functions.iter().map(MirFunction::inst_count).sum();
-        pm.stats.record(
-            pass::DEAD_FN_ELIM,
-            !removed_fns.is_empty(),
-            before.saturating_sub(after),
-        );
         let st = pm.stats.entry(pass::DEAD_FN_ELIM);
-        st.changes = st.changes.max(removed_fns.len());
+        st.runs += 1;
+        st.changes += removed_fns.len();
+        st.insts_removed += before.saturating_sub(after);
         // Program-pass boundary: inlining remaps registers and call
         // indices across functions; re-check before the per-function
         // loop (debug builds only).
@@ -754,124 +736,11 @@ fn run_pipeline_impl(
 }
 
 // ---------------------------------------------------------------------
-// Constant propagation + folding + branch folding (on SSA)
+// Conditional constant propagation (on SSA)
 // ---------------------------------------------------------------------
 
-/// Propagates and folds constants; folds constant branches. Returns `true`
-/// if anything changed.
-///
-/// Registered at `-O1` only, where it is the only constant pass. At
-/// `-O2`/`-Os` [`sccp`] subsumes it: behind SCCP it made 0 changes in
-/// 186,232 `-O2` and 183,486 `-Os` runs over the samples plus `umlsm::gen`
-/// seeds 1–500 (original and `mbo`-optimized, three patterns), against
-/// 21,596 changes at `-O1`.
-pub fn constant_fold(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
-    // The known constant of each register, by register number.
-    let mut known: Vec<Option<i32>> = vec![None; f.next_vreg as usize];
-    let get = |known: &[Option<i32>], v: &VReg| known.get(v.0 as usize).copied().flatten();
-    let mut changed = false;
-    // SSA: each def has one value; iterate to a fixpoint to flow through
-    // φs and copies in any block order.
-    loop {
-        let mut grew = false;
-        for blk in &f.blocks {
-            for inst in &blk.insts {
-                let Some(dst) = inst.def() else { continue };
-                if get(&known, &dst).is_some() {
-                    continue;
-                }
-                let value = match inst {
-                    Inst::Const { value, .. } => Some(*value),
-                    Inst::Copy { src, .. } => get(&known, src),
-                    Inst::Un { op, src, .. } => get(&known, src).map(|v| op.eval(v)),
-                    Inst::Bin { op, lhs, rhs, .. } => match (get(&known, lhs), get(&known, rhs)) {
-                        (Some(a), Some(b)) => Some(op.eval(a, b)),
-                        _ => None,
-                    },
-                    Inst::Phi { args, .. } => {
-                        // One known value shared by every argument.
-                        let first = args.first().and_then(|(_, v)| get(&known, v));
-                        first.filter(|c| args.iter().all(|(_, v)| get(&known, v) == Some(*c)))
-                    }
-                    _ => None,
-                };
-                if let Some(v) = value {
-                    let i = dst.0 as usize;
-                    if i >= known.len() {
-                        known.resize(i + 1, None);
-                    }
-                    known[i] = Some(v);
-                    grew = true;
-                }
-            }
-        }
-        if !grew {
-            break;
-        }
-    }
-    // Rewrite: folded instructions become Consts; constant branches become
-    // gotos.
-    let mut folded_branch = false;
-    for blk in &mut f.blocks {
-        for inst in &mut blk.insts {
-            let Some(dst) = inst.def() else { continue };
-            if let Some(v) = get(&known, &dst) {
-                let replace = !matches!(inst, Inst::Const { .. })
-                    && inst.is_pure()
-                    && !matches!(inst, Inst::Load { .. });
-                if replace {
-                    *inst = Inst::Const { dst, value: v };
-                    changed = true;
-                }
-            }
-        }
-        match &blk.term {
-            Term::Br {
-                cond,
-                then_block,
-                else_block,
-            } => {
-                if let Some(v) = get(&known, cond) {
-                    blk.term = Term::Goto(if v != 0 { *then_block } else { *else_block });
-                    changed = true;
-                    folded_branch = true;
-                }
-            }
-            Term::Switch {
-                val,
-                cases,
-                default,
-            } => {
-                if let Some(v) = get(&known, val) {
-                    let target = cases
-                        .iter()
-                        .find(|(c, _)| *c == v)
-                        .map(|(_, t)| *t)
-                        .unwrap_or(*default);
-                    blk.term = Term::Goto(target);
-                    changed = true;
-                    folded_branch = true;
-                }
-            }
-            _ => {}
-        }
-    }
-    // Folding a branch removes CFG edges, which strands φ-arguments in the
-    // old arms' targets; prune them (and fold now-trivial φs) so the SSA
-    // invariants hold after this pass just like after `sccp`.
-    if folded_branch {
-        ssa::remove_unreachable_blocks(f);
-        prune_phi_args(f);
-    }
-    changed
-}
-
-// ---------------------------------------------------------------------
-// Sparse conditional constant propagation (on SSA)
-// ---------------------------------------------------------------------
-
-/// The SCCP value lattice: unknown (⊤) → a single constant → overdefined
-/// (⊥). Values only ever move downward, which bounds the worklist run.
+/// The constant lattice: unknown (⊤) → a single constant → overdefined
+/// (⊥). Values only ever move downward, which bounds the sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Lattice {
     /// No evidence yet (optimistic initial state).
@@ -893,257 +762,158 @@ impl Lattice {
     }
 }
 
-/// Register-indexed lists in compressed form: the items pushed for
-/// register `v` are `items[start[v]..start[v + 1]]`, in push order. One
-/// allocation for all registers instead of a list (or map node) each.
-struct RegLists<T> {
-    start: Vec<u32>,
-    items: Vec<T>,
-}
-
-impl<T> RegLists<T> {
-    /// Groups `pairs` by register, keeping each register's items in
-    /// `pairs` order (the sort is stable). Every register must be below
-    /// `nregs`.
-    fn build(nregs: usize, mut pairs: Vec<(VReg, T)>) -> RegLists<T> {
-        pairs.sort_by_key(|(v, _)| *v);
-        let mut start = vec![0u32; nregs + 1];
-        for (v, _) in &pairs {
-            start[v.0 as usize + 1] += 1;
-        }
-        for i in 1..start.len() {
-            start[i] += start[i - 1];
-        }
-        RegLists {
-            start,
-            items: pairs.into_iter().map(|(_, t)| t).collect(),
-        }
-    }
-
-    fn get(&self, v: VReg) -> &[T] {
-        let i = v.0 as usize;
-        match (self.start.get(i), self.start.get(i + 1)) {
-            (Some(&lo), Some(&hi)) => &self.items[lo as usize..hi as usize],
-            _ => &[],
-        }
+/// The arm a `Br` or `Switch` takes when `values` proves its scrutinee
+/// constant; `None` for any other terminator or scrutinee.
+fn proven_arm(term: &Term, values: &[Lattice]) -> Option<BlockId> {
+    match term {
+        Term::Br {
+            cond,
+            then_block,
+            else_block,
+        } => match values[cond.0 as usize] {
+            Lattice::Const(c) => Some(if c != 0 { *then_block } else { *else_block }),
+            _ => None,
+        },
+        Term::Switch {
+            val,
+            cases,
+            default,
+        } => match values[val.0 as usize] {
+            Lattice::Const(c) => Some(
+                cases
+                    .iter()
+                    .find(|(k, _)| *k == c)
+                    .map_or(*default, |(_, t)| *t),
+            ),
+            _ => None,
+        },
+        Term::Goto(_) | Term::Ret(_) => None,
     }
 }
 
-/// Analysis state of one [`sccp`] run (the classic two-worklist scheme of
-/// Wegman & Zadeck: a *flow* worklist of CFG edges becoming executable
-/// and an *SSA* worklist of uses whose operand lattice dropped). Every
-/// table is indexed by register or block number.
-struct SccpState<'a> {
-    f: &'a MirFunction,
-    values: Vec<Lattice>,
-    /// Per target block, the sources of its executable incoming edges.
-    exec_edge: Vec<Vec<BlockId>>,
-    exec_block: Vec<bool>,
-    /// CFG edges newly marked executable, to propagate from.
-    flow: Vec<(BlockId, BlockId)>,
-    /// `(block, Some(inst index))` for an instruction re-evaluation,
-    /// `(block, None)` for a terminator re-evaluation.
-    ssa_work: Vec<(BlockId, Option<usize>)>,
-    inst_users: RegLists<(BlockId, usize)>,
-    term_users: RegLists<BlockId>,
-}
-
-impl SccpState<'_> {
-    fn val(&self, v: VReg) -> Lattice {
-        self.values[v.0 as usize]
-    }
-
-    /// Lowers `dst` to `meet(old, new)`; queues its users if it moved.
-    fn lower(&mut self, dst: VReg, new: Lattice) {
-        let old = self.val(dst);
-        let merged = Lattice::meet(old, new);
-        if merged == old {
-            return;
-        }
-        self.values[dst.0 as usize] = merged;
-        for &(b, i) in self.inst_users.get(dst) {
-            self.ssa_work.push((b, Some(i)));
-        }
-        for &b in self.term_users.get(dst) {
-            self.ssa_work.push((b, None));
-        }
-    }
-
-    fn visit_inst(&mut self, b: BlockId, i: usize) {
-        let inst = &self.f.block(b).insts[i];
-        let Some(dst) = inst.def() else { return };
-        let new = match inst {
-            Inst::Const { value, .. } => Lattice::Const(*value),
-            Inst::Copy { src, .. } => self.val(*src),
-            Inst::Un { op, src, .. } => match self.val(*src) {
-                Lattice::Top => Lattice::Top,
-                Lattice::Const(c) => Lattice::Const(op.eval(c)),
-                Lattice::Bottom => Lattice::Bottom,
-            },
-            Inst::Bin { op, lhs, rhs, .. } => match (self.val(*lhs), self.val(*rhs)) {
-                (Lattice::Bottom, _) | (_, Lattice::Bottom) => Lattice::Bottom,
-                (Lattice::Const(a), Lattice::Const(b)) => Lattice::Const(op.eval(a, b)),
-                _ => Lattice::Top,
-            },
-            Inst::Phi { args, .. } => {
-                let live = &self.exec_edge[b.0 as usize];
-                args.iter()
-                    .filter(|(p, _)| live.contains(p))
-                    .fold(Lattice::Top, |acc, (_, v)| Lattice::meet(acc, self.val(*v)))
-            }
-            // Memory, addresses and call results are never constant here.
-            Inst::Load { .. }
-            | Inst::Addr { .. }
-            | Inst::FnAddr { .. }
-            | Inst::Call { .. }
-            | Inst::CallExtern { .. }
-            | Inst::CallInd { .. }
-            | Inst::Store { .. } => Lattice::Bottom,
-        };
-        self.lower(dst, new);
-    }
-
-    fn visit_term(&mut self, b: BlockId) {
-        match &self.f.block(b).term {
-            Term::Goto(t) => self.flow.push((b, *t)),
-            Term::Br {
-                cond,
-                then_block,
-                else_block,
-            } => match self.val(*cond) {
-                Lattice::Top => {}
-                Lattice::Const(c) => {
-                    let t = if c != 0 { *then_block } else { *else_block };
-                    self.flow.push((b, t));
-                }
-                Lattice::Bottom => {
-                    self.flow.push((b, *then_block));
-                    self.flow.push((b, *else_block));
-                }
-            },
-            Term::Switch {
-                val,
-                cases,
-                default,
-            } => match self.val(*val) {
-                Lattice::Top => {}
-                Lattice::Const(c) => {
-                    let t = cases
-                        .iter()
-                        .find(|(k, _)| *k == c)
-                        .map(|(_, t)| *t)
-                        .unwrap_or(*default);
-                    self.flow.push((b, t));
-                }
-                Lattice::Bottom => {
-                    for (_, t) in cases {
-                        self.flow.push((b, *t));
-                    }
-                    self.flow.push((b, *default));
-                }
-            },
-            Term::Ret(_) => {}
-        }
-    }
-
-    fn visit_block(&mut self, b: BlockId) {
-        for i in 0..self.f.block(b).insts.len() {
-            self.visit_inst(b, i);
-        }
-        self.visit_term(b);
-    }
-
-    fn run(&mut self) {
-        self.exec_block[0] = true;
-        self.visit_block(BlockId(0));
-        loop {
-            if let Some((p, s)) = self.flow.pop() {
-                let sources = &mut self.exec_edge[s.0 as usize];
-                if !sources.contains(&p) {
-                    sources.push(p);
-                    if !std::mem::replace(&mut self.exec_block[s.0 as usize], true) {
-                        self.visit_block(s);
-                    } else {
-                        // Already-executable target: only its φs see the
-                        // new incoming edge.
-                        for i in 0..self.f.block(s).insts.len() {
-                            if matches!(self.f.block(s).insts[i], Inst::Phi { .. }) {
-                                self.visit_inst(s, i);
-                            }
-                        }
-                    }
-                }
-                continue;
-            }
-            if let Some((b, oi)) = self.ssa_work.pop() {
-                if self.exec_block[b.0 as usize] {
-                    match oi {
-                        Some(i) => self.visit_inst(b, i),
-                        None => self.visit_term(b),
-                    }
-                }
-                continue;
-            }
-            break;
-        }
+/// Whether `term` can branch to its successor `s` under `values`: a
+/// `Goto` always; a `Br` or `Switch` to no arm while its scrutinee is ⊤,
+/// to the [proven arm](proven_arm) once it is constant, and to every arm
+/// once it is ⊥.
+fn can_take(term: &Term, values: &[Lattice], s: BlockId) -> bool {
+    match term {
+        Term::Goto(_) => true,
+        Term::Ret(_) => false,
+        Term::Br { cond: v, .. } | Term::Switch { val: v, .. } => match values[v.0 as usize] {
+            Lattice::Top => false,
+            Lattice::Const(_) => proven_arm(term, values) == Some(s),
+            Lattice::Bottom => true,
+        },
     }
 }
 
-/// Sparse conditional constant propagation (Wegman–Zadeck), on SSA.
+/// The value of `inst`, a definition in block `b`, under `values`. A φ
+/// meets only the arguments on edges that can execute: from an
+/// executable predecessor whose terminator can take the edge to `b`.
+fn evaluate(
+    f: &MirFunction,
+    values: &[Lattice],
+    exec: &[bool],
+    b: BlockId,
+    inst: &Inst,
+) -> Lattice {
+    let val = |v: &VReg| values[v.0 as usize];
+    match inst {
+        Inst::Const { value, .. } => Lattice::Const(*value),
+        Inst::Copy { src, .. } => val(src),
+        Inst::Un { op, src, .. } => match val(src) {
+            Lattice::Const(c) => Lattice::Const(op.eval(c)),
+            other => other,
+        },
+        Inst::Bin { op, lhs, rhs, .. } => match (val(lhs), val(rhs)) {
+            (Lattice::Bottom, _) | (_, Lattice::Bottom) => Lattice::Bottom,
+            (Lattice::Const(x), Lattice::Const(y)) => Lattice::Const(op.eval(x, y)),
+            _ => Lattice::Top,
+        },
+        Inst::Phi { args, .. } => args
+            .iter()
+            .filter(|(p, _)| exec[p.0 as usize] && can_take(&f.block(*p).term, values, b))
+            .fold(Lattice::Top, |acc, (_, v)| Lattice::meet(acc, val(v))),
+        // Memory, addresses and call results are never constant here.
+        Inst::Load { .. }
+        | Inst::Addr { .. }
+        | Inst::FnAddr { .. }
+        | Inst::Call { .. }
+        | Inst::CallExtern { .. }
+        | Inst::CallInd { .. }
+        | Inst::Store { .. } => Lattice::Bottom,
+    }
+}
+
+/// Conditional constant propagation over Wegman & Zadeck's ⊤/const/⊥
+/// lattice and executable edges, on SSA: the one constant pass, at every
+/// level above `-O0`.
 ///
-/// Unlike the dense [`constant_fold`] fixpoint, SCCP tracks which CFG
-/// edges can execute and meets φ-arguments over *executable* incoming
-/// edges only, so a constant flowing through a branch it itself decides
-/// is still folded: reachability and constancy reinforce each other.
+/// The evaluation is dense. Registers start at ⊤, parameters at ⊥, and
+/// only the entry block is executable. Each sweep visits the executable
+/// blocks in index order: it lowers every definition not yet at ⊥ to the
+/// meet of its old value and its evaluation, in which a φ meets only the
+/// arguments on edges that can execute, and marks every successor the
+/// block's terminator can take executable. Sweeps repeat until one
+/// changes nothing. This is the fixed point of Wegman & Zadeck's sparse
+/// two-worklist form (TOPLAS 1991), with neither use lists nor
+/// worklists. Reachability and constancy reinforce each other, so a
+/// constant flowing through a branch it itself decides is still folded.
+///
 /// Instructions proven constant become `Const`s, terminators with a
 /// proven scrutinee become `Goto`s (subsuming most of what
-/// [`simplify_cfg`] would clean up afterwards), never-executable
-/// blocks are removed, and φ-arguments of dropped edges are pruned.
-/// Returns `true` if anything changed.
+/// [`simplify_cfg`] would clean up afterwards), never-executable blocks
+/// are removed, and φ-arguments of dropped edges are pruned. Returns
+/// `true` if anything changed.
 pub fn sccp(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
-    // Use lists, so lattice drops re-queue exactly the affected users.
-    // Tables are sized past the highest register mentioned (normally
-    // `next_vreg`).
-    let mut nregs = f.next_vreg as usize;
-    let mut inst_uses: Vec<(VReg, (BlockId, usize))> = Vec::new();
-    let mut term_uses: Vec<(VReg, BlockId)> = Vec::new();
-    for b in f.block_ids() {
-        for (i, inst) in f.block(b).insts.iter().enumerate() {
-            inst_uses.extend(inst.uses().map(|u| (u, (b, i))));
-            if let Some(d) = inst.def() {
-                nregs = nregs.max(d.0 as usize + 1);
-            }
-        }
-        term_uses.extend(f.block(b).term.uses().map(|u| (u, b)));
-    }
-    let used = inst_uses
-        .iter()
-        .map(|(u, _)| *u)
-        .chain(term_uses.iter().map(|(u, _)| *u));
-    nregs = used.fold(nregs, |n, u| n.max(u.0 as usize + 1));
-    let mut values = vec![Lattice::Top; nregs];
+    // No register reaches `next_vreg` (the verifier's `VRegOutOfRange`
+    // rule), so it sizes the table.
+    let mut values = vec![Lattice::Top; f.next_vreg as usize];
     for v in values.iter_mut().take(f.params) {
         *v = Lattice::Bottom;
     }
-    let nblocks = f.blocks.len();
-    let mut state = SccpState {
-        f,
-        values,
-        exec_edge: vec![Vec::new(); nblocks],
-        exec_block: vec![false; nblocks],
-        flow: Vec::new(),
-        ssa_work: Vec::new(),
-        inst_users: RegLists::build(nregs, inst_uses),
-        term_users: RegLists::build(nregs, term_uses),
-    };
-    state.run();
-    let SccpState {
-        values, exec_block, ..
-    } = state;
+    let mut exec = vec![false; f.blocks.len()];
+    exec[0] = true;
+    let mut moved = true;
+    while moved {
+        moved = false;
+        for b in f.block_ids() {
+            if !exec[b.0 as usize] {
+                continue;
+            }
+            let blk = f.block(b);
+            for inst in &blk.insts {
+                let Some(dst) = inst.def() else { continue };
+                let old = values[dst.0 as usize];
+                if old != Lattice::Bottom {
+                    let new = Lattice::meet(old, evaluate(f, &values, &exec, b, inst));
+                    moved |= new != old;
+                    values[dst.0 as usize] = new;
+                }
+            }
+            let term = &blk.term;
+            let mut take = |s: &BlockId| {
+                moved |= can_take(term, &values, *s)
+                    && !std::mem::replace(&mut exec[s.0 as usize], true);
+            };
+            match term {
+                Term::Goto(s) => take(s),
+                Term::Br {
+                    then_block,
+                    else_block,
+                    ..
+                } => [then_block, else_block].into_iter().for_each(take),
+                Term::Switch { cases, default, .. } => {
+                    cases.iter().map(|(_, s)| s).chain([default]).for_each(take);
+                }
+                Term::Ret(_) => {}
+            }
+        }
+    }
 
     // Rewrite phase: executable blocks only; the rest are removed below.
     let mut changed = false;
-    for (blk, _) in f.blocks.iter_mut().zip(&exec_block).filter(|(_, e)| **e) {
+    for (blk, _) in f.blocks.iter_mut().zip(&exec).filter(|(_, e)| **e) {
         for inst in &mut blk.insts {
             let Some(dst) = inst.def() else { continue };
             let Lattice::Const(c) = values[dst.0 as usize] else {
@@ -1154,33 +924,9 @@ pub fn sccp(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
                 changed = true;
             }
         }
-        match &blk.term {
-            Term::Br {
-                cond,
-                then_block,
-                else_block,
-            } => {
-                if let Lattice::Const(c) = values[cond.0 as usize] {
-                    blk.term = Term::Goto(if c != 0 { *then_block } else { *else_block });
-                    changed = true;
-                }
-            }
-            Term::Switch {
-                val,
-                cases,
-                default,
-            } => {
-                if let Lattice::Const(c) = values[val.0 as usize] {
-                    let target = cases
-                        .iter()
-                        .find(|(k, _)| *k == c)
-                        .map(|(_, t)| *t)
-                        .unwrap_or(*default);
-                    blk.term = Term::Goto(target);
-                    changed = true;
-                }
-            }
-            _ => {}
+        if let Some(t) = proven_arm(&blk.term, &values) {
+            blk.term = Term::Goto(t);
+            changed = true;
         }
     }
     if changed {
@@ -1277,9 +1023,8 @@ pub fn copy_propagate(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
 
 /// A value-number key for a pure, memory-free computation. `Const` is
 /// deliberately absent: re-materializing an immediate is as cheap as a
-/// copy, and CSE-ing constants would ping-pong with [`sccp`] and
-/// [`constant_fold`] (which rewrite known-value copies back into
-/// constants).
+/// copy, and CSE-ing constants would ping-pong with [`sccp`] (which
+/// rewrites known-value copies back into constants).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 enum GvnKey {
     Un(UnOp, VReg),
@@ -2028,6 +1773,42 @@ fn merge_chains(f: &mut MirFunction) -> bool {
 // Dead code elimination (on SSA)
 // ---------------------------------------------------------------------
 
+/// Register-indexed lists in compressed form: the items pushed for
+/// register `v` are `items[start[v]..start[v + 1]]`, in push order. One
+/// allocation for all registers instead of a list (or map node) each.
+struct RegLists<T> {
+    start: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T> RegLists<T> {
+    /// Groups `pairs` by register, keeping each register's items in
+    /// `pairs` order (the sort is stable). Every register must be below
+    /// `nregs`.
+    fn build(nregs: usize, mut pairs: Vec<(VReg, T)>) -> RegLists<T> {
+        pairs.sort_by_key(|(v, _)| *v);
+        let mut start = vec![0u32; nregs + 1];
+        for (v, _) in &pairs {
+            start[v.0 as usize + 1] += 1;
+        }
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
+        }
+        RegLists {
+            start,
+            items: pairs.into_iter().map(|(_, t)| t).collect(),
+        }
+    }
+
+    fn get(&self, v: VReg) -> &[T] {
+        let i = v.0 as usize;
+        match (self.start.get(i), self.start.get(i + 1)) {
+            (Some(&lo), Some(&hi)) => &self.items[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+}
+
 /// Removes pure instructions whose results cannot reach an effect:
 /// mark-and-sweep from the roots (registers read by impure instructions
 /// and terminators), with liveness propagating through the operands of
@@ -2536,10 +2317,10 @@ mod tests {
     }
 
     #[test]
-    fn constant_folding_collapses_math() {
+    fn sccp_collapses_constant_math() {
         let mut f = const_add_fn();
         ssa::construct(&mut f);
-        assert!(constant_fold(&mut f, &mut AnalysisCtx::new(&md())));
+        assert!(sccp(&mut f, &mut AnalysisCtx::new(&md())));
         dead_code_elim(&mut f, &mut AnalysisCtx::new(&md()));
         ssa::destruct(&mut f);
         simplify_cfg(&mut f, &mut AnalysisCtx::new(&md()));
@@ -2558,11 +2339,11 @@ mod tests {
 
     /// Regression keyed to the verifier's `phi-outside-join` and
     /// `phi-pred-mismatch` rules: folding a constant branch removes a
-    /// CFG edge, so `constant_fold` must prune the join φ's stale arm
-    /// (and fold the now-trivial φ) instead of leaving it dangling for
-    /// the next pass to trip over.
+    /// CFG edge, so `sccp` must prune the join φ's stale arm (and fold
+    /// the now-trivial φ) instead of leaving it dangling for the next
+    /// pass to trip over.
     #[test]
-    fn constant_fold_prunes_stale_phi_args_after_branch_folding() {
+    fn sccp_prunes_stale_phi_args_after_branch_folding() {
         let mut f = MirFunction {
             name: "g".into(),
             params: 0,
@@ -2604,7 +2385,7 @@ mod tests {
             ],
             next_vreg: 4,
         };
-        assert!(constant_fold(&mut f, &mut AnalysisCtx::new(&md())));
+        assert!(sccp(&mut f, &mut AnalysisCtx::new(&md())));
         let vs = verify::verify_function(&f, verify::Tier::Ssa);
         assert!(vs.is_empty(), "{}{f}", verify::report(&vs));
         // The single-pred join must not keep a φ at all.
@@ -2654,7 +2435,7 @@ mod tests {
             next_vreg: 3,
         };
         ssa::construct(&mut f);
-        constant_fold(&mut f, &mut AnalysisCtx::new(&md()));
+        sccp(&mut f, &mut AnalysisCtx::new(&md()));
         ssa::destruct(&mut f);
         simplify_cfg(&mut f, &mut AnalysisCtx::new(&md()));
         assert!(f.blocks.len() <= 2, "constant branch leaves one path: {f}");
@@ -3152,11 +2933,8 @@ mod tests {
         let mut f = const_add_fn();
         assert!(pm.run_function(&mut f, &md()));
         let stats = pm.stats();
-        // SCCP is the -O2 roster's constant pass; the dense fold it
-        // subsumes is not registered there.
         let sc = stats.get(pass::SCCP).expect("sccp ran");
         assert!(sc.runs > 0 && sc.changes > 0, "{stats:?}");
-        assert!(stats.get(pass::CONST_FOLD).is_none(), "{stats:?}");
         let dce = stats.get(pass::DCE).expect("dce ran");
         assert!(dce.insts_removed > 0, "{stats:?}");
         // Idempotence: a second run over the optimized function reports no
@@ -3186,7 +2964,7 @@ mod tests {
             false
         }
         let mut pm = PassManager::new().with_verify(VerifyMode::Each);
-        pm.register(pass::CONST_FOLD, constant_fold);
+        pm.register(pass::SCCP, sccp);
         pm.register("hider", hides_its_edit);
         pm.run_function(&mut const_add_fn(), &md());
     }
@@ -3212,11 +2990,11 @@ mod tests {
     }
 
     #[test]
-    fn sccp_folds_through_branches_the_dense_fold_leaves() {
+    fn sccp_folds_through_the_branch_a_constant_decides() {
         // x = 1; if x { y = 2 } else { y = 3 }; z = y + 4; return z.
-        // The dense fold gets there too (it folds x, then the branch, but
-        // only φ-meets over *all* args); SCCP must prove y = 2 because
-        // the else edge is not executable, and fold z to 6 in one run.
+        // The φ for y meets only the arguments of executable edges, and
+        // the else edge never executes: sccp must prove y = 2 and fold z
+        // to 6 in one run, not only fold the branch.
         let mut f = MirFunction {
             name: "s".into(),
             params: 0,
@@ -3721,6 +3499,76 @@ mod tests {
                 .filter(|i| matches!(i, Inst::Copy { .. }))
                 .count();
             assert!(copies <= 1, "destruct residue must be coalesced: {f}");
+        }
+    }
+
+    #[test]
+    fn o1_folds_what_only_conditional_propagation_proves() {
+        // i = 1; do { if i != 1 { i = 2 } } while p; return i.
+        // The loop header's φ for i meets the join's, and the join's meets
+        // the `i = 2` arm: a fold meeting every φ argument proves neither
+        // constant. -O1's constant pass must see that the arm never
+        // executes, prove i = 1 everywhere and drop the arm.
+        let mut f = MirFunction {
+            name: "loop".into(),
+            params: 1,
+            returns_value: true,
+            exported: true,
+            blocks: vec![
+                Block {
+                    insts: vec![Inst::Const {
+                        dst: VReg(1),
+                        value: 1,
+                    }],
+                    term: Term::Goto(BlockId(1)),
+                },
+                Block {
+                    insts: vec![
+                        Inst::Const {
+                            dst: VReg(2),
+                            value: 1,
+                        },
+                        Inst::Bin {
+                            op: BinOp::Ne,
+                            dst: VReg(3),
+                            lhs: VReg(1),
+                            rhs: VReg(2),
+                        },
+                    ],
+                    term: Term::Br {
+                        cond: VReg(3),
+                        then_block: BlockId(2),
+                        else_block: BlockId(3),
+                    },
+                },
+                Block {
+                    insts: vec![Inst::Const {
+                        dst: VReg(1),
+                        value: 2,
+                    }],
+                    term: Term::Goto(BlockId(3)),
+                },
+                Block {
+                    insts: vec![],
+                    term: Term::Br {
+                        cond: VReg(0),
+                        then_block: BlockId(1),
+                        else_block: BlockId(4),
+                    },
+                },
+                Block {
+                    insts: vec![],
+                    term: Term::Ret(Some(VReg(1))),
+                },
+            ],
+            next_vreg: 4,
+        };
+        PassManager::for_level(OptLevel::O1).run_function(&mut f, &md());
+        for inst in f.blocks.iter().flat_map(|b| &b.insts) {
+            assert!(
+                !matches!(inst, Inst::Bin { .. } | Inst::Const { value: 2, .. }),
+                "{f}"
+            );
         }
     }
 
