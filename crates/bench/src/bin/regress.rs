@@ -85,8 +85,8 @@ fn main() {
         println!("{}", bench::driver_summary());
     }
     if regressions > 0 {
-        eprintln!("bench regression gate FAILED ({regressions} cell(s))");
-        eprintln!("(if the growth is intended, refresh the baseline:");
+        eprintln!("bench regression gate FAILED ({regressions} regressed check(s))");
+        eprintln!("(if every regressed check is an intended change, refresh the baseline:");
         eprintln!("  cargo run --release -p bench --bin snapshot -- bench_baseline.json)");
         std::process::exit(1);
     }

@@ -400,9 +400,9 @@ pub enum Verdict {
     /// zero [`occ::PassStats::changes`] across *all* cells — it has
     /// silently gone inert (unregistered, reordered into impotence, or
     /// broken) even if another pass papers over the bytes. Keyed on
-    /// `changes`, not `insts_removed`: `copy-prop`, `gvn-cse` and
-    /// `inline` rewrite code without removing any, so an `insts_removed`
-    /// key could never see them go dead. A pass with zero changes
+    /// `changes`, not `insts_removed`: `gvn-cse` and `inline` rewrite
+    /// code without removing any, so an `insts_removed` key could never
+    /// see them go dead. A pass with zero changes
     /// matrix-wide in the baseline is not gated here — today
     /// `dead-fn-elim`, which makes no change on the 48 sample cells but
     /// does on generated machines. The

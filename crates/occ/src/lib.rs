@@ -9,8 +9,8 @@
 //!   [`ssa`]), then the fixed-point [`PassManager`] of [`opt`] —
 //!   conditional constant propagation (Wegman-Zadeck's lattice, evaluated
 //!   densely; the one constant pass at every level), root-based dead-code
-//!   elimination, copy propagation, global value numbering / CSE,
-//!   store-to-load forwarding inside and across blocks (over the
+//!   elimination, global value numbering / CSE (which also propagates
+//!   copies), store-to-load forwarding inside and across blocks (over the
 //!   available-load dataflow [`opt::AvailLoads`]) and dead-store
 //!   elimination — both over the memory-dependence layer of [`mem`]
 //!   (flat-image alias model: `Addr` roots plus constant offsets) —
@@ -110,8 +110,8 @@ pub enum OptLevel {
     /// Basic cleanups: conditional constant propagation, the memory
     /// passes, tail merging, CFG simplification, DCE.
     O1,
-    /// Full mid-end: O1 plus copy propagation, GVN/CSE, inlining,
-    /// dead-function elimination.
+    /// Full mid-end: O1 plus GVN/CSE (which also propagates copies),
+    /// inlining, dead-function elimination.
     O2,
     /// Optimize for size: the O2 pipeline with size-tuned inlining and
     /// size-aware switch lowering (the paper's `-Os`).

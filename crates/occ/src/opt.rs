@@ -40,7 +40,6 @@
 //! | pass                    | `-O1` | `-O2`/`-Os` |
 //! |-------------------------|-------|-------------|
 //! | [`sccp`]                | ✓     | ✓           |
-//! | [`copy_propagate`]      |       | ✓           |
 //! | [`gvn_cse`]             |       | ✓           |
 //! | [`cross_block_forward`] | ✓     | ✓           |
 //! | [`dead_store_elim`]     | ✓     | ✓           |
@@ -73,10 +72,12 @@
 //!   folds proven-constant instructions and terminators, and removes
 //!   never-executable blocks, so it also folds a constant through the
 //!   branch that constant decides.
-//! * [`copy_propagate`] — transitive copy propagation into uses.
 //! * [`gvn_cse`] — dominator-scoped global value numbering / common
-//!   subexpression elimination with commutative canonicalization; loads
-//!   are deliberately not value-numbered (the memory passes own them).
+//!   subexpression elimination with commutative canonicalization, and
+//!   the one pass that propagates copies: it rewrites every use to its
+//!   value leader, so the copies and recomputations it finds are dead
+//!   for [`dead_code_elim`] in the same sweep. Loads are deliberately not
+//!   value-numbered (the memory passes own them).
 //! * [`cross_block_forward`] — store-to-load forwarding and
 //!   redundant-load elimination, inside a block and across blocks, over
 //!   the [`AvailLoads`] must-availability dataflow: a load whose cell's
@@ -101,8 +102,8 @@
 //! The step after `ssa::destruct`:
 //!
 //! * [`coalesce_copies`] — cheap copy coalescing of the φ-lowering copies
-//!   (block-local propagation + liveness-based dead-copy sweep); `-O1`
-//!   registers no copy propagation, so this is what cleans them there.
+//!   (block-local propagation + liveness-based dead-copy sweep). It is
+//!   the only copy propagation at `-O1`, which registers no [`gvn_cse`].
 //!
 //! Program passes (`-O2`+, run once before the per-function loop):
 //!
@@ -237,8 +238,6 @@ pub struct PassStats {
 
 /// Canonical pass names as they appear in [`PassStats::name`].
 pub mod pass {
-    /// Transitive copy propagation.
-    pub const COPY_PROP: &str = "copy-prop";
     /// Conditional constant propagation, evaluated densely: the one
     /// constant pass.
     pub const SCCP: &str = "sccp";
@@ -455,12 +454,27 @@ pub enum VerifyMode {
 }
 
 impl VerifyMode {
-    /// The mode the `OCC_VERIFY` environment knob selects (`each` turns
-    /// on per-pass verification; anything else keeps boundaries only).
-    pub fn from_env() -> VerifyMode {
-        match std::env::var("OCC_VERIFY") {
-            Ok(v) if v == "each" => VerifyMode::Each,
-            _ => VerifyMode::Boundaries,
+    /// The mode the `OCC_VERIFY` environment knob selects: unset keeps
+    /// boundaries only, `each` turns on per-pass verification.
+    ///
+    /// # Errors
+    ///
+    /// Returns `"OCC_VERIFY=<value> ..."`, naming the accepted value, when
+    /// the knob is set to anything else: a misspelt mode must fail, not
+    /// quietly turn per-pass verification off.
+    pub fn from_env() -> Result<VerifyMode, String> {
+        VerifyMode::parse(std::env::var_os("OCC_VERIFY").as_deref())
+    }
+
+    /// [`VerifyMode::from_env`] over the knob's value, `None` when unset.
+    fn parse(value: Option<&std::ffi::OsStr>) -> Result<VerifyMode, String> {
+        match value {
+            None => Ok(VerifyMode::Boundaries),
+            Some(v) if v == "each" => Ok(VerifyMode::Each),
+            Some(v) => Err(format!(
+                "OCC_VERIFY={} is not a verification mode: set it to `each` or leave it unset",
+                v.to_string_lossy()
+            )),
         }
     }
 }
@@ -482,7 +496,8 @@ impl PassManager {
     pub const MAX_SSA_ROUNDS: usize = 8;
 
     /// An empty manager, with the verification mode taken from
-    /// [`VerifyMode::from_env`].
+    /// [`VerifyMode::from_env`]; in debug builds a knob value it rejects
+    /// panics on the first function run.
     pub fn new() -> PassManager {
         PassManager::default()
     }
@@ -495,10 +510,8 @@ impl PassManager {
         }
         pm.register(pass::SCCP, sccp);
         if level >= OptLevel::O2 {
-            // Copy propagation erases the copies the other passes leave;
-            // the memory passes run after GVN/CSE, when addresses are
-            // canonical.
-            pm.register(pass::COPY_PROP, copy_propagate);
+            // GVN/CSE also propagates copies, so the memory passes after
+            // it see canonical addresses.
             pm.register(pass::GVN_CSE, gvn_cse);
         }
         // The memory passes are cheap enough for O1 and directly shrink
@@ -528,7 +541,10 @@ impl PassManager {
 
     fn verify_each(&self) -> bool {
         cfg!(debug_assertions)
-            && self.verify.unwrap_or_else(VerifyMode::from_env) == VerifyMode::Each
+            && self
+                .verify
+                .unwrap_or_else(|| VerifyMode::from_env().unwrap_or_else(|e| panic!("{e}")))
+                == VerifyMode::Each
     }
 
     /// Debug-build verification hook: checks `f` at `tier` plus the
@@ -969,52 +985,67 @@ fn retain_phi_args_of_live_edges(f: &mut MirFunction) {
 }
 
 // ---------------------------------------------------------------------
-// Copy propagation (on SSA)
+// Register substitution (on SSA)
 // ---------------------------------------------------------------------
 
-/// Replaces uses of copies with their (transitively resolved) sources.
-pub fn copy_propagate(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
-    // The copy source of each register, by register number.
-    let mut alias: Vec<Option<VReg>> = Vec::new();
-    let mut copies = 0usize;
-    for blk in &f.blocks {
-        for inst in &blk.insts {
-            if let Inst::Copy { dst, src } = inst {
-                let i = dst.0 as usize;
-                if i >= alias.len() {
-                    alias.resize(i.max(f.next_vreg as usize) + 1, None);
-                }
-                copies += usize::from(alias[i].replace(*src).is_none());
-            }
+/// A substitution `v ↦ w` of registers by registers in one SSA
+/// function: how a pass retires a definition whose value another
+/// register already holds. [`gvn_cse`] maps registers to their value
+/// leaders, [`cross_block_forward`] a deleted load to the value it would
+/// read, and [`simplify_cfg`]'s chain merging a one-argument φ to its
+/// argument. [`Subst::rewrite`] then rewrites every use at once.
+///
+/// Chains cannot cycle: every `v ↦ w` maps a definition to a value whose
+/// definition strictly dominates it (a copy's source or a dominating
+/// leader, a value the load's block or a dominator of it provided, the one
+/// value of a trivial φ, the incoming value of a φ whose block has one
+/// predecessor), and strict dominance has no cycles.
+#[derive(Default)]
+struct Subst {
+    /// `to[v]`: the register `v` stands for; a register mapped to itself,
+    /// or past the end, stands for itself.
+    to: Vec<VReg>,
+}
+
+impl Subst {
+    /// Maps `v` to `w`.
+    fn set(&mut self, v: VReg, w: VReg) {
+        let i = v.0 as usize;
+        if i >= self.to.len() {
+            let n = self.to.len() as u32;
+            self.to.extend((n..=v.0).map(VReg));
         }
+        self.to[i] = w;
     }
-    if copies == 0 {
-        return false;
-    }
-    let resolve = |mut v: VReg| {
-        let mut hops = 0;
-        while let Some(next) = alias.get(v.0 as usize).copied().flatten() {
-            v = next;
-            hops += 1;
-            if hops > copies {
-                break; // defensive: cycles cannot occur in SSA
-            }
+
+    /// The register `v` stands for, following the chain to its end.
+    fn resolve(&self, mut v: VReg) -> VReg {
+        while let Some(&w) = self.to.get(v.0 as usize).filter(|&&w| w != v) {
+            v = w;
         }
         v
-    };
-    let mut changed = false;
-    let mut rewrite = |v: VReg| {
-        let r = resolve(v);
-        changed |= r != v;
-        r
-    };
-    for blk in &mut f.blocks {
-        for inst in &mut blk.insts {
-            inst.map_uses(&mut rewrite);
-        }
-        blk.term.map_uses(&mut rewrite);
     }
-    changed
+
+    /// Rewrites every use in `f` — operands, φ arguments, terminators —
+    /// through [`Subst::resolve`]. Returns `true` if any use changed.
+    fn rewrite(&self, f: &mut MirFunction) -> bool {
+        if self.to.is_empty() {
+            return false;
+        }
+        let mut changed = false;
+        let mut map = |v: VReg| {
+            let w = self.resolve(v);
+            changed |= w != v;
+            w
+        };
+        for blk in &mut f.blocks {
+            for inst in &mut blk.insts {
+                inst.map_uses(&mut map);
+            }
+            blk.term.map_uses(&mut map);
+        }
+        changed
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1034,35 +1065,26 @@ enum GvnKey {
 }
 
 /// Dominator-scoped global value numbering / common-subexpression
-/// elimination. A pure, memory-free instruction recomputing a value
+/// elimination, and the mid-end's copy propagation. Walking the
+/// dominator tree, it gives every register a value leader: a copy's is
+/// its source's, and a pure, memory-free instruction recomputing a value
 /// already available from a dominating definition is replaced by a
-/// `Copy` from that definition; copy propagation and DCE then erase the
-/// leftovers. Operands are canonicalized through already-discovered
-/// value leaders (and by operand order for commutative operators), so
-/// second-order redundancies fall in one sweep. Loads are deliberately
-/// not value-numbered — load redundancy is [`cross_block_forward`]'s
-/// job, which tracks clobbers. Returns `true` if anything changed.
+/// `Copy` from that definition, its leader. Operands are canonicalized
+/// through the leaders found so far (and by operand order for
+/// commutative operators), so second-order redundancies fall in one
+/// sweep. The walk ends by rewriting every use — operands, φ arguments,
+/// terminators — to its leader, which leaves the copies dead for
+/// [`dead_code_elim`] in the same sweep. Loads are deliberately not
+/// value-numbered — load redundancy is [`cross_block_forward`]'s job,
+/// which tracks clobbers. Returns `true` if it replaced an instruction
+/// or rewrote a use.
 pub fn gvn_cse(f: &mut MirFunction, cx: &mut AnalysisCtx<'_>) -> bool {
     let dom = cx.dom(f);
     let mut table: BTreeMap<GvnKey, VReg> = BTreeMap::new();
-    // The value leader of each register, by register number.
-    let mut leader: Vec<VReg> = (0..f.next_vreg).map(VReg).collect();
+    let mut leaders = Subst::default();
     let mut changed = false;
-    gvn_walk(f, BlockId(0), dom, &mut table, &mut leader, &mut changed);
-    changed
-}
-
-fn gvn_leader(leader: &[VReg], v: VReg) -> VReg {
-    leader.get(v.0 as usize).copied().unwrap_or(v)
-}
-
-fn set_leader(leader: &mut Vec<VReg>, v: VReg, l: VReg) {
-    let i = v.0 as usize;
-    if i >= leader.len() {
-        let n = leader.len() as u32;
-        leader.extend((n..=v.0).map(VReg));
-    }
-    leader[i] = l;
+    gvn_walk(f, BlockId(0), dom, &mut table, &mut leaders, &mut changed);
+    leaders.rewrite(f) || changed
 }
 
 fn gvn_walk(
@@ -1070,7 +1092,7 @@ fn gvn_walk(
     b: BlockId,
     dom: &cfg::DomTree,
     table: &mut BTreeMap<GvnKey, VReg>,
-    leader: &mut Vec<VReg>,
+    leaders: &mut Subst,
     changed: &mut bool,
 ) {
     // Keys this block introduced; they go out of scope (become
@@ -1080,13 +1102,12 @@ fn gvn_walk(
         let inst = &f.block(b).insts[i];
         let key = match inst {
             Inst::Copy { dst, src } => {
-                let l = gvn_leader(leader, *src);
-                set_leader(leader, *dst, l);
+                leaders.set(*dst, *src);
                 continue;
             }
-            Inst::Un { op, src, .. } => Some(GvnKey::Un(*op, gvn_leader(leader, *src))),
+            Inst::Un { op, src, .. } => Some(GvnKey::Un(*op, leaders.resolve(*src))),
             Inst::Bin { op, lhs, rhs, .. } => {
-                let (mut a, mut c) = (gvn_leader(leader, *lhs), gvn_leader(leader, *rhs));
+                let (mut a, mut c) = (leaders.resolve(*lhs), leaders.resolve(*rhs));
                 if op.commutative() && c < a {
                     std::mem::swap(&mut a, &mut c);
                 }
@@ -1101,8 +1122,7 @@ fn gvn_walk(
         };
         if let Some(&rep) = table.get(&key) {
             f.block_mut(b).insts[i] = Inst::Copy { dst, src: rep };
-            let l = gvn_leader(leader, rep);
-            set_leader(leader, dst, l);
+            leaders.set(dst, rep);
             *changed = true;
         } else {
             table.insert(key.clone(), dst);
@@ -1110,7 +1130,7 @@ fn gvn_walk(
         }
     }
     for &k in dom.children(b) {
-        gvn_walk(f, k, dom, table, leader, changed);
+        gvn_walk(f, k, dom, table, leaders, changed);
     }
     for k in added {
         table.remove(&k);
@@ -1386,50 +1406,25 @@ impl<'a> LoadResolver<'a> {
 /// rewritten to the forwarded value, and φs to materialize.
 #[derive(Default)]
 struct LoadEdits {
-    /// Replacements for deleted definitions (and collapsed φs), by
-    /// register number; applied transitively to every use in the
-    /// function.
-    repl: Vec<Option<VReg>>,
-    /// Number of registers with a replacement.
-    replaced: usize,
+    /// Deleted loads (and collapsed φs) mapped to the values replacing
+    /// them.
+    subst: Subst,
     /// `(block, instruction index)` of loads to delete, in walk order.
     delete: Vec<(BlockId, usize)>,
 }
 
 impl LoadEdits {
-    fn replace(&mut self, v: VReg, with: VReg) {
-        let i = v.0 as usize;
-        if i >= self.repl.len() {
-            self.repl.resize(i + 1, None);
-        }
-        if self.repl[i].replace(with).is_none() {
-            self.replaced += 1;
-        }
-    }
-
-    fn resolve(&self, mut v: VReg) -> VReg {
-        let mut hops = 0;
-        while let Some(n) = self.repl.get(v.0 as usize).copied().flatten() {
-            v = n;
-            hops += 1;
-            if hops > self.replaced {
-                break; // defensive: replacement chains cannot cycle
-            }
-        }
-        v
-    }
-
     /// Deletes the load at `b[i]`, rewriting uses of its `dst` to `with`.
     fn forward(&mut self, b: BlockId, i: usize, dst: VReg, with: VReg) {
         self.delete.push((b, i));
-        self.replace(dst, with);
+        self.subst.set(dst, with);
     }
 
     /// Applies everything: collapses trivial φs (all arguments resolve
     /// to one value besides the φ itself — such a φ *is* that value, the
     /// self-argument being the unchanged loop-carried copy), prepends the
     /// surviving φs, deletes the forwarded loads and rewrites every use
-    /// through the replacement map.
+    /// through the substitution.
     fn apply(mut self, f: &mut MirFunction, mut phis: Vec<PendingPhi>) {
         // Trivial-φ collapse to a fixed point: collapsing one φ can make
         // another's arguments agree.
@@ -1442,14 +1437,14 @@ impl LoadEdits {
                     let mut others = phi
                         .args
                         .iter()
-                        .map(|(_, v)| self.resolve(*v))
+                        .map(|(_, v)| self.subst.resolve(*v))
                         .filter(|v| *v != phi.dst);
                     others.next().filter(|&first| others.all(|v| v == first))
                 };
                 let Some(only) = only else {
                     return true;
                 };
-                self.replace(phi.dst, only);
+                self.subst.set(phi.dst, only);
                 collapsed = true;
                 false
             });
@@ -1460,12 +1455,10 @@ impl LoadEdits {
         let nblocks = f.blocks.len();
         let mut phi_by_block: Vec<Vec<Inst>> = vec![Vec::new(); nblocks];
         for phi in phis {
-            let args = phi
-                .args
-                .iter()
-                .map(|&(p, v)| (p, self.resolve(v)))
-                .collect();
-            phi_by_block[phi.block.0 as usize].push(Inst::Phi { dst: phi.dst, args });
+            phi_by_block[phi.block.0 as usize].push(Inst::Phi {
+                dst: phi.dst,
+                args: phi.args,
+            });
         }
         self.delete.sort_unstable();
         let mut deleted = self.delete.iter().peekable();
@@ -1478,12 +1471,9 @@ impl LoadEdits {
                     insts.push(inst);
                 }
             }
-            for inst in &mut insts {
-                inst.map_uses(&mut |v| self.resolve(v));
-            }
-            blk.term.map_uses(&mut |v| self.resolve(v));
             blk.insts = insts;
         }
+        self.subst.rewrite(f);
     }
 }
 
@@ -1712,8 +1702,8 @@ pub fn simplify_cfg(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
 fn merge_chains(f: &mut MirFunction) -> bool {
     let preds = cfg::predecessors(f);
     let mut consumed = vec![false; f.blocks.len()];
-    // `subst[v]`: the register a substituted φ `v` now reads.
-    let mut subst: Vec<Option<VReg>> = Vec::new();
+    // Each substituted φ mapped to the register it now reads.
+    let mut subst = Subst::default();
     for b in f.block_ids().collect::<Vec<_>>() {
         while let Term::Goto(c) = f.block(b).term {
             let multi_arg_phi = |i: &Inst| matches!(i, Inst::Phi { args, .. } if args.len() != 1);
@@ -1726,14 +1716,12 @@ fn merge_chains(f: &mut MirFunction) -> bool {
             {
                 break;
             }
-            let nregs = f.next_vreg as usize;
             let mut tail = std::mem::take(&mut f.block_mut(c).insts);
             tail.retain(|inst| {
                 let Inst::Phi { dst, args } = inst else {
                     return true;
                 };
-                subst.resize(nregs, None);
-                subst[dst.0 as usize] = Some(args[0].1);
+                subst.set(*dst, args[0].1);
                 false
             });
             let tail_term = f.block(c).term.clone();
@@ -1752,20 +1740,7 @@ fn merge_chains(f: &mut MirFunction) -> bool {
             consumed[c.0 as usize] = true;
         }
     }
-    if !subst.is_empty() {
-        let resolve = &mut |mut v: VReg| {
-            while let Some(Some(w)) = subst.get(v.0 as usize) {
-                v = *w;
-            }
-            v
-        };
-        for blk in &mut f.blocks {
-            for inst in &mut blk.insts {
-                inst.map_uses(resolve);
-            }
-            blk.term.map_uses(resolve);
-        }
-    }
+    subst.rewrite(f);
     consumed.contains(&true)
 }
 
@@ -2338,107 +2313,106 @@ mod tests {
     }
 
     /// Regression keyed to the verifier's `phi-outside-join` and
-    /// `phi-pred-mismatch` rules: folding a constant branch removes a
-    /// CFG edge, so `sccp` must prune the join φ's stale arm (and fold
-    /// the now-trivial φ) instead of leaving it dangling for the next
-    /// pass to trip over.
+    /// `phi-pred-mismatch` rules: folding a constant branch removes a CFG
+    /// edge, so `sccp` must prune the join φ's stale argument, fold the
+    /// φ left at a one-predecessor join, and leave one path. Three
+    /// shapes branch on the constant 1: into a join whose φ is written by
+    /// hand, into one whose φ SSA construction places (one arm reading a
+    /// parameter), and into two returning arms with no join at all.
     #[test]
-    fn sccp_prunes_stale_phi_args_after_branch_folding() {
-        let mut f = MirFunction {
-            name: "g".into(),
-            params: 0,
-            returns_value: true,
-            exported: true,
-            blocks: vec![
-                Block {
-                    insts: vec![Inst::Const {
-                        dst: VReg(0),
-                        value: 1,
-                    }],
-                    term: Term::Br {
-                        cond: VReg(0),
-                        then_block: BlockId(1),
-                        else_block: BlockId(2),
-                    },
-                },
-                Block {
-                    insts: vec![Inst::Const {
-                        dst: VReg(1),
-                        value: 10,
-                    }],
-                    term: Term::Goto(BlockId(3)),
-                },
-                Block {
-                    insts: vec![Inst::Const {
-                        dst: VReg(2),
-                        value: 20,
-                    }],
-                    term: Term::Goto(BlockId(3)),
-                },
-                Block {
-                    insts: vec![Inst::Phi {
-                        dst: VReg(3),
-                        args: vec![(BlockId(1), VReg(1)), (BlockId(2), VReg(2))],
-                    }],
-                    term: Term::Ret(Some(VReg(3))),
-                },
-            ],
-            next_vreg: 4,
+    fn sccp_folds_a_constant_branch_to_one_path() {
+        let konst = |dst, value| Inst::Const {
+            dst: VReg(dst),
+            value,
         };
-        assert!(sccp(&mut f, &mut AnalysisCtx::new(&md())));
-        let vs = verify::verify_function(&f, verify::Tier::Ssa);
-        assert!(vs.is_empty(), "{}{f}", verify::report(&vs));
-        // The single-pred join must not keep a φ at all.
-        let phis = f
-            .blocks
-            .iter()
-            .flat_map(|b| &b.insts)
-            .filter(|i| matches!(i, Inst::Phi { .. }))
-            .count();
-        assert_eq!(phis, 0, "{f}");
-    }
-
-    #[test]
-    fn branch_folding_removes_dead_arm() {
-        let mut f = MirFunction {
-            name: "g".into(),
-            params: 0,
-            returns_value: true,
-            exported: true,
-            blocks: vec![
-                Block {
-                    insts: vec![Inst::Const {
-                        dst: VReg(0),
-                        value: 1,
-                    }],
-                    term: Term::Br {
-                        cond: VReg(0),
-                        then_block: BlockId(1),
-                        else_block: BlockId(2),
-                    },
+        // `v{cond} = 1; br v{cond}` into two arms, which meet at `join`
+        // or, without one, each return what they define last.
+        let shape = |params, cond, arms: [Vec<Inst>; 2], join: Option<Block>| {
+            let mut blocks = vec![Block {
+                insts: vec![konst(cond, 1)],
+                term: Term::Br {
+                    cond: VReg(cond),
+                    then_block: BlockId(1),
+                    else_block: BlockId(2),
                 },
-                Block {
-                    insts: vec![Inst::Const {
-                        dst: VReg(1),
-                        value: 10,
-                    }],
-                    term: Term::Ret(Some(VReg(1))),
-                },
-                Block {
-                    insts: vec![Inst::Const {
-                        dst: VReg(2),
-                        value: 20,
-                    }],
-                    term: Term::Ret(Some(VReg(2))),
-                },
-            ],
-            next_vreg: 3,
+            }];
+            for insts in arms {
+                let term = match join {
+                    Some(_) => Term::Goto(BlockId(3)),
+                    None => Term::Ret(insts.last().and_then(Inst::def)),
+                };
+                blocks.push(Block { insts, term });
+            }
+            blocks.extend(join);
+            MirFunction {
+                name: "g".into(),
+                params,
+                returns_value: true,
+                exported: true,
+                blocks,
+                next_vreg: 4,
+            }
         };
-        ssa::construct(&mut f);
-        sccp(&mut f, &mut AnalysisCtx::new(&md()));
-        ssa::destruct(&mut f);
-        simplify_cfg(&mut f, &mut AnalysisCtx::new(&md()));
-        assert!(f.blocks.len() <= 2, "constant branch leaves one path: {f}");
+        let constructed = |mut f: MirFunction| {
+            ssa::construct(&mut f);
+            f
+        };
+        let join = |insts, v| Block {
+            insts,
+            term: Term::Ret(Some(VReg(v))),
+        };
+        let hand_phi = Inst::Phi {
+            dst: VReg(3),
+            args: vec![(BlockId(1), VReg(1)), (BlockId(2), VReg(2))],
+        };
+        let param_sum = Inst::Bin {
+            op: BinOp::Add,
+            dst: VReg(2),
+            lhs: VReg(0),
+            rhs: VReg(0),
+        };
+        let shapes = [
+            shape(
+                0,
+                0,
+                [vec![konst(1, 10)], vec![konst(2, 20)]],
+                Some(join(vec![hand_phi], 3)),
+            ),
+            constructed(shape(
+                1,
+                1,
+                [vec![konst(2, 10)], vec![param_sum]],
+                Some(join(vec![], 2)),
+            )),
+            constructed(shape(0, 0, [vec![konst(1, 10)], vec![konst(2, 20)]], None)),
+        ];
+        for mut f in shapes {
+            assert!(sccp(&mut f, &mut AnalysisCtx::new(&md())), "{f}");
+            let vs = verify::verify_function(&f, verify::Tier::Ssa);
+            assert!(vs.is_empty(), "{}{f}", verify::report(&vs));
+            let preds = cfg::predecessors(&f);
+            for b in f.block_ids() {
+                let ps = &preds[b.0 as usize];
+                for inst in &f.block(b).insts {
+                    let Inst::Phi { args, .. } = inst else {
+                        continue;
+                    };
+                    assert!(ps.len() > 1, "φ left at a one-predecessor join: {f}");
+                    for (p, _) in args {
+                        assert!(ps.contains(p), "stale φ-arg from {p} in {f}");
+                    }
+                }
+            }
+            // One path: following the `Goto`s from the entry reaches a
+            // `Ret` through every block.
+            let (mut b, mut seen) = (BlockId(0), 1);
+            while let Term::Goto(next) = f.block(b).term {
+                (b, seen) = (next, seen + 1);
+                assert!(seen <= f.blocks.len(), "{f}");
+            }
+            assert!(matches!(f.block(b).term, Term::Ret(_)), "{f}");
+            assert_eq!(seen, f.blocks.len(), "a block is off the path: {f}");
+        }
     }
 
     #[test]
@@ -2777,8 +2751,7 @@ mod tests {
             .filter(|i| matches!(i, Inst::Bin { op: BinOp::Add, .. }))
             .count();
         assert_eq!(adds, 1, "commutative duplicate must become a copy: {f}");
-        // After copy propagation + DCE the copy disappears entirely.
-        copy_propagate(&mut f, &mut AnalysisCtx::new(&md()));
+        // GVN rewrote the copy's uses, so DCE erases it entirely.
         dead_code_elim(&mut f, &mut AnalysisCtx::new(&md()));
         assert_eq!(f.blocks[0].insts.len(), 2, "{f}");
     }
@@ -2827,6 +2800,116 @@ mod tests {
             !gvn_cse(&mut f, &mut AnalysisCtx::new(&md())),
             "sibling defs must not be merged: {f}"
         );
+    }
+
+    #[test]
+    fn gvn_cse_leaves_no_use_of_a_copy() {
+        // bb0: v2 = v0 + v1; v3 = v1 + v0; v4 = v3; br v0 -> bb1, bb2
+        // bb1: v5 = v4 * v2; goto bb3      bb2: goto bb3
+        // bb3: v6 = φ(bb1: v5, bb2: v4); ret v6
+        // v3 is redundant, v4 a copy of it, and both an operand and a φ
+        // argument read v4: gvn_cse alone must rewrite them all to v2.
+        let bin = |op, dst, lhs, rhs| Inst::Bin {
+            op,
+            dst: VReg(dst),
+            lhs: VReg(lhs),
+            rhs: VReg(rhs),
+        };
+        let mut f = MirFunction {
+            name: "copies".into(),
+            params: 2,
+            returns_value: true,
+            exported: true,
+            blocks: vec![
+                Block {
+                    insts: vec![
+                        bin(BinOp::Add, 2, 0, 1),
+                        bin(BinOp::Add, 3, 1, 0),
+                        Inst::Copy {
+                            dst: VReg(4),
+                            src: VReg(3),
+                        },
+                    ],
+                    term: Term::Br {
+                        cond: VReg(0),
+                        then_block: BlockId(1),
+                        else_block: BlockId(2),
+                    },
+                },
+                Block {
+                    insts: vec![bin(BinOp::Mul, 5, 4, 2)],
+                    term: Term::Goto(BlockId(3)),
+                },
+                Block {
+                    insts: vec![],
+                    term: Term::Goto(BlockId(3)),
+                },
+                Block {
+                    insts: vec![Inst::Phi {
+                        dst: VReg(6),
+                        args: vec![(BlockId(1), VReg(5)), (BlockId(2), VReg(4))],
+                    }],
+                    term: Term::Ret(Some(VReg(6))),
+                },
+            ],
+            next_vreg: 7,
+        };
+        assert!(gvn_cse(&mut f, &mut AnalysisCtx::new(&md())));
+        let vs = verify::verify_function(&f, verify::Tier::Ssa);
+        assert!(vs.is_empty(), "{}{f}", verify::report(&vs));
+        let copies: Vec<VReg> = f
+            .blocks
+            .iter()
+            .flat_map(|b| &b.insts)
+            .filter_map(|i| matches!(i, Inst::Copy { .. }).then(|| i.def()).flatten())
+            .collect();
+        assert_eq!(copies, vec![VReg(3), VReg(4)], "{f}");
+        for blk in &f.blocks {
+            for u in blk.insts.iter().flat_map(Inst::uses).chain(blk.term.uses()) {
+                assert!(!copies.contains(&u), "{u} reads a copy: {f}");
+            }
+        }
+        assert_eq!(f.blocks[1].insts, vec![bin(BinOp::Mul, 5, 2, 2)], "{f}");
+        // Nothing is left to rewrite: the copies only wait for DCE.
+        assert!(!gvn_cse(&mut f, &mut AnalysisCtx::new(&md())), "{f}");
+    }
+
+    #[test]
+    fn o2_drops_what_gvn_finds_in_the_same_sweep() {
+        // v1 = &g0+0; v2 = &g0+0; v3 = v1 - v2; ret v3. GVN turns v2 into
+        // a copy of v1 and rewrites v3 to read v1, so DCE erases the copy
+        // in sweep 1 and sweep 2 finds nothing: the fixed point ends
+        // after two sweeps, not three.
+        let addr = |dst| Inst::Addr {
+            dst: VReg(dst),
+            global: 0,
+            offset: 0,
+        };
+        let mut f = MirFunction {
+            name: "addrs".into(),
+            params: 0,
+            returns_value: true,
+            exported: true,
+            blocks: vec![Block {
+                insts: vec![
+                    addr(1),
+                    addr(2),
+                    Inst::Bin {
+                        op: BinOp::Sub,
+                        dst: VReg(3),
+                        lhs: VReg(1),
+                        rhs: VReg(2),
+                    },
+                ],
+                term: Term::Ret(Some(VReg(3))),
+            }],
+            next_vreg: 4,
+        };
+        let mut pm = PassManager::for_level(OptLevel::O2);
+        assert!(pm.run_function(&mut f, &md()));
+        let sweeps = pm.stats().get(pass::SCCP).map(|s| s.runs);
+        assert_eq!(sweeps, Some(2), "sweeps: {sweeps:?}\n{f}");
+        assert_eq!(f.inst_count(), 3, "{f}");
     }
 
     #[test]
@@ -2967,6 +3050,21 @@ mod tests {
         pm.register(pass::SCCP, sccp);
         pm.register("hider", hides_its_edit);
         pm.run_function(&mut const_add_fn(), &md());
+    }
+
+    #[test]
+    fn verify_knob_accepts_each_or_unset_and_names_itself_otherwise() {
+        use std::ffi::OsStr;
+        assert_eq!(VerifyMode::parse(None), Ok(VerifyMode::Boundaries));
+        assert_eq!(
+            VerifyMode::parse(Some(OsStr::new("each"))),
+            Ok(VerifyMode::Each)
+        );
+        for bad in ["Each", "EACH", "each ", "", "1", "boundaries", "eahc"] {
+            let err = VerifyMode::parse(Some(OsStr::new(bad))).expect_err(bad);
+            assert!(err.starts_with(&format!("OCC_VERIFY={bad} ")), "{err}");
+            assert!(err.contains("`each`"), "{err}");
+        }
     }
 
     #[test]
@@ -3112,68 +3210,6 @@ mod tests {
             "nothing is provably constant: {f}"
         );
         assert_eq!(f.blocks.len(), 4, "no block may be removed: {f}");
-    }
-
-    #[test]
-    fn sccp_prunes_phi_args_of_folded_edges() {
-        // bb0 -Br(c)-> bb1 / bb2, both goto bb3 (φ); bb2 is also reachable
-        // from bb4... simplified: constant branch kills one edge; the φ in
-        // the join must lose the stale argument.
-        let mut f = MirFunction {
-            name: "p".into(),
-            params: 1,
-            returns_value: true,
-            exported: true,
-            blocks: vec![
-                Block {
-                    insts: vec![Inst::Const {
-                        dst: VReg(1),
-                        value: 1,
-                    }],
-                    term: Term::Br {
-                        cond: VReg(1),
-                        then_block: BlockId(1),
-                        else_block: BlockId(2),
-                    },
-                },
-                Block {
-                    insts: vec![Inst::Const {
-                        dst: VReg(2),
-                        value: 10,
-                    }],
-                    term: Term::Goto(BlockId(3)),
-                },
-                Block {
-                    insts: vec![Inst::Bin {
-                        op: BinOp::Add,
-                        dst: VReg(2),
-                        lhs: VReg(0),
-                        rhs: VReg(0),
-                    }],
-                    term: Term::Goto(BlockId(3)),
-                },
-                Block {
-                    insts: vec![],
-                    term: Term::Ret(Some(VReg(2))),
-                },
-            ],
-            next_vreg: 3,
-        };
-        ssa::construct(&mut f);
-        assert!(sccp(&mut f, &mut AnalysisCtx::new(&md())));
-        let preds = cfg::predecessors(&f);
-        for b in f.block_ids() {
-            for inst in &f.block(b).insts {
-                if let Inst::Phi { args, .. } = inst {
-                    for (p, _) in args {
-                        assert!(
-                            preds[b.0 as usize].contains(p),
-                            "stale φ-arg from {p} in {f}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

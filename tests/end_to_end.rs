@@ -226,7 +226,6 @@ fn new_passes_fire_on_sample_machines_at_o2() {
             let stats = artifact.pass_stats();
             for name in [
                 "sccp",
-                "copy-prop",
                 "gvn-cse",
                 "cross-load-fwd",
                 "dse",

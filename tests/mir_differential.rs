@@ -527,7 +527,7 @@ proptest! {
         // With cleanup passes stacked on top it still agrees.
         let cleaned = trace_with_passes(
             &program,
-            &[opt::gvn_cse, opt::copy_propagate, opt::dead_code_elim],
+            &[opt::gvn_cse, opt::dead_code_elim],
         );
         prop_assert_eq!(&cleaned, &oracle, "gvn_cse + cleanup diverges");
     }
@@ -629,7 +629,7 @@ proptest! {
         prop_assert_eq!(&got, &oracle, "cross_block_forward diverges");
         let cleaned = trace_with_passes(
             &program,
-            &[opt::cross_block_forward, opt::copy_propagate, opt::dead_code_elim],
+            &[opt::cross_block_forward, opt::gvn_cse, opt::dead_code_elim],
         );
         prop_assert_eq!(&cleaned, &oracle, "cross_block_forward + cleanup diverges");
     }
@@ -651,7 +651,6 @@ proptest! {
                 opt::cross_block_forward,
                 opt::dead_store_elim,
                 opt::gvn_cse,
-                opt::copy_propagate,
                 opt::dead_code_elim,
             ],
         );
