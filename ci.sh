@@ -2,7 +2,7 @@
 # CI gate for the mbot workspace. Run from the repository root:
 #
 #   ./ci.sh            # full gate: fmt, clippy, rustdoc, release build,
-#                      # release tests (MIR_DIFF_CASES=256), dev-profile
+#                      # release tests (256 MIR net cases), dev-profile
 #                      # occ + mbot tests under OCC_VERIFY=each, bench
 #                      # smoke, perfbench smoke, differential fuzz smoke,
 #                      # snapshot (with the two-engine storm check) +
@@ -23,10 +23,6 @@ cd "$(dirname "$0")"
 
 fast=0
 [[ "${1:-}" == "--fast" ]] && fast=1
-
-# The full gate runs the MIR differential property net deeper than the
-# local default (96 cases per property).
-full_gate_diff_cases=256
 
 # The full gate's dev-profile stage runs the occ::verify static checker
 # after *every* mid-end pass (OCC_VERIFY=each), not just at pipeline
@@ -96,8 +92,10 @@ if [[ $fast -eq 1 ]]; then
 else
     run_stage "cargo build --release" \
         cargo build --locked --release --workspace --all-targets
-    run_stage "cargo test --workspace --release (MIR_DIFF_CASES=$full_gate_diff_cases)" \
-        env MIR_DIFF_CASES=$full_gate_diff_cases cargo test --locked --workspace --release -q
+    # Release builds run the MIR differential property net at 256 cases
+    # per property, debug builds at 96 (they verify after every pass).
+    run_stage "cargo test --workspace --release (256 MIR net cases)" \
+        cargo test --locked --workspace --release -q
     # The backend's VCode verifier and the occ::verify pipeline hooks are
     # debug-only (`cfg!(debug_assertions)` compiles them out of release
     # artifacts), so the gate must run the occ and root-matrix tests

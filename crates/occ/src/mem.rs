@@ -100,9 +100,10 @@
 //! availability dataflow [`crate::opt::AvailLoads`] built from it — is a
 //! pair of [`BitSet`]s over those indices. Index order is `(global,
 //! offset)` order, so walking a set visits cells exactly as an ordered
-//! set of [`Cell`]s would. The mid-end computes [`FnAddrs`] and the
-//! dataflow at most once per function state and shares them between
-//! passes (see the "Analyses" section of [`crate::opt`]).
+//! set of [`Cell`]s would. The mid-end computes [`FnAddrs`] at most once
+//! per function state and shares it between passes; the dataflow is
+//! computed by the one pass that reads it (see the "Analyses" section of
+//! [`crate::opt`]).
 //!
 //! ```
 //! use occ::mem::{CellState, CellUniverse, CellVal, FnAddrs, MemoryModel};
@@ -610,17 +611,14 @@ pub enum CellVal {
 /// an untraceable store clobbers everything; `Call`/`CallInd` clobber
 /// every mutable global's cells (rodata survives — no callee can store
 /// to a `const` global) while `CallExtern` clobbers nothing (the EM32
-/// `Ecall` passes registers only). A load revives its cell. Sound off
-/// SSA form too: a redefinition of a register holding a tracked value
-/// clobbers that cell.
+/// `Ecall` passes registers only). A load revives its cell.
+///
+/// The walk assumes SSA form: a register that holds a cell's content is
+/// never redefined later in the block, so it is not checked for.
 #[derive(Debug, Clone)]
 pub struct CellState<'a> {
     universe: &'a CellUniverse,
     state: Vec<CellVal>,
-    /// Every cell that has held a register during the walk, once each:
-    /// the only cells a register redefinition can make stale.
-    held: Vec<usize>,
-    is_held: BitSet,
 }
 
 impl<'a> CellState<'a> {
@@ -629,8 +627,6 @@ impl<'a> CellState<'a> {
         CellState {
             universe,
             state: vec![CellVal::FromEntry; universe.len()],
-            held: Vec::new(),
-            is_held: BitSet::new(universe.len()),
         }
     }
 
@@ -638,8 +634,6 @@ impl<'a> CellState<'a> {
     /// [`CellVal::FromEntry`], without reallocating.
     pub fn reset(&mut self) {
         self.state.fill(CellVal::FromEntry);
-        self.held.clear();
-        self.is_held.clear();
     }
 
     /// The current knowledge about the cell at universe index `cell`.
@@ -651,9 +645,6 @@ impl<'a> CellState<'a> {
     /// (the cross-block rewriter records a forwarded load's replacement
     /// register this way).
     pub fn set(&mut self, cell: usize, val: CellVal) {
-        if matches!(val, CellVal::Reg(_)) && self.is_held.insert(cell) {
-            self.held.push(cell);
-        }
         self.state[cell] = val;
     }
 
@@ -663,22 +654,13 @@ impl<'a> CellState<'a> {
 
     /// Advances the state over one instruction.
     pub fn apply(&mut self, inst: &Inst, addrs: &FnAddrs, model: &MemoryModel) {
-        // A redefinition of a register holding a tracked value makes the
-        // remembered content stale (only possible off SSA form).
-        if let Some(d) = inst.def() {
-            for &c in &self.held {
-                if self.state[c] == CellVal::Reg(d) {
-                    self.state[c] = CellVal::Clobbered;
-                }
-            }
-        }
         let universe = self.universe;
         match inst {
             Inst::Load { dst, addr } => {
                 if let AddrInfo::Exact { global, offset } = addrs.info(*addr) {
                     if let Some(c) = universe.index((global, offset)) {
                         if !matches!(self.state[c], CellVal::Reg(_)) {
-                            self.set(c, CellVal::Reg(*dst));
+                            self.state[c] = CellVal::Reg(*dst);
                         }
                     }
                 }
@@ -691,7 +673,7 @@ impl<'a> CellState<'a> {
                         }
                     }
                     if let Some(c) = universe.index((global, offset)) {
-                        self.set(c, CellVal::Reg(*src));
+                        self.state[c] = CellVal::Reg(*src);
                     }
                 }
                 AddrInfo::Base { global } => self.clobber(universe.of_global(global)),
@@ -713,7 +695,7 @@ impl<'a> CellState<'a> {
 /// function of the cross-block availability dataflow, precomputed by
 /// running [`CellState`] over the block once. Sets are [`BitSet`]s over
 /// [`CellUniverse`] indices.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct BlockCells {
     /// Cells whose content is in a register at block exit, whatever the
     /// entry state was (a store's source or a load's destination with no
@@ -721,6 +703,8 @@ pub struct BlockCells {
     provides: BitSet,
     /// The register each provided cell holds at exit, by ascending cell.
     providers: Vec<(usize, VReg)>,
+    /// Cells clobbered (and not re-provided) by the block: entry
+    /// availability dies here.
     killed: BitSet,
 }
 
@@ -763,18 +747,6 @@ impl BlockCells {
             .binary_search_by_key(&cell, |&(c, _)| c)
             .ok()
             .map(|i| self.providers[i].1)
-    }
-
-    /// Cells clobbered (and not re-provided) by the block: entry
-    /// availability dies here.
-    pub fn killed(&self) -> &BitSet {
-        &self.killed
-    }
-
-    /// `true` if the block neither provides nor kills `cell`: entry
-    /// availability (and the entry value) survives to the exit.
-    pub fn transparent(&self, cell: usize) -> bool {
-        !self.provides.contains(cell) && !self.killed.contains(cell)
     }
 
     /// The block-exit availability set for the given entry set: provided
@@ -1093,16 +1065,6 @@ mod tests {
             &model,
         );
         assert_eq!(st.value(at((0, 4))), CellVal::Reg(VReg(9)));
-        // Redefining the register a cell is held in makes the cell stale.
-        st.apply(
-            &Inst::Const {
-                dst: VReg(9),
-                value: 0,
-            },
-            &addrs,
-            &model,
-        );
-        assert_eq!(st.value(at((0, 4))), CellVal::Clobbered);
         // A store through a rooted run-time address kills its global only.
         st.apply(
             &Inst::Store {
@@ -1170,8 +1132,9 @@ mod tests {
         let cells = BlockCells::summarize(&f, BlockId(0), &universe, &addrs, &model);
         assert_eq!(cells.provider(0), Some(VReg(0)));
         assert_eq!(cells.provider(1), None);
-        assert!(cells.killed().contains(1), "straddled word is killed");
-        assert!(cells.transparent(2));
+        assert_eq!(cells.provider(2), None);
+        // Entry availability dies in the straddled word, survives in the
+        // untouched one, and the re-stored word is available at exit.
         let mut entry = BitSet::new(universe.len());
         entry.insert(1);
         entry.insert(2);

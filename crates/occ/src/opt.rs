@@ -123,10 +123,11 @@
 //! and hands it to every pass it runs.
 //!
 //! **What it caches.** Predecessor lists, the [`cfg::DomTree`]
-//! (immediate dominators, tree children, preorder, reachability), the
-//! address resolution [`mem::FnAddrs`], and the cross-block
-//! must-availability dataflow [`AvailLoads`] with its cell universe and
-//! per-block transfer summaries, which [`cross_block_forward`] consumes.
+//! (immediate dominators, tree children, preorder, reachability) and the
+//! address resolution [`mem::FnAddrs`]. The cross-block
+//! must-availability dataflow [`AvailLoads`] is not cached:
+//! [`cross_block_forward`], its only reader, computes it from those three
+//! on every run, and any edit it makes would drop it anyway.
 //!
 //! **When it fills.** Lazily: each analysis is computed on the first
 //! request after the context was created or dropped, from whatever it
@@ -159,7 +160,7 @@
 //! compiles on several threads without sharing any analysis state.
 //!
 //! ```
-//! use occ::mem::MemoryModel;
+//! use occ::mem::{AddrInfo, MemoryModel};
 //! use occ::mir::{Block, Inst, MirFunction, Term, VReg};
 //! use occ::opt::{self, AnalysisCtx};
 //!
@@ -183,7 +184,7 @@
 //! let mut ctx = AnalysisCtx::new(&model);
 //! // Nothing to fold: the function is untouched, the cached analyses stay.
 //! assert!(!opt::sccp(&mut f, &mut ctx));
-//! assert_eq!(ctx.avail(&f).universe().cells(), &[(0, 0)]);
+//! assert_eq!(ctx.addrs(&f).info(VReg(1)), AddrInfo::Exact { global: 0, offset: 0 });
 //! // The load is deleted and the return reads the stored register; the
 //! // pass reported a change, so the caller drops what the context holds.
 //! assert!(opt::cross_block_forward(&mut f, &mut ctx));
@@ -328,14 +329,14 @@ pub struct AnalysisCtx<'m> {
     preds: Option<Vec<Vec<BlockId>>>,
     dom: Option<cfg::DomTree>,
     addrs: Option<mem::FnAddrs>,
-    avail: Option<AvailLoads>,
 }
 
-/// What [`cross_block_forward`] reads from the context.
+/// What [`cross_block_forward`] reads: the context's analyses and the
+/// availability dataflow computed from them.
 struct CrossBlock<'a> {
     model: &'a mem::MemoryModel,
     addrs: &'a mem::FnAddrs,
-    avail: &'a AvailLoads,
+    avail: AvailLoads,
     dom: &'a cfg::DomTree,
     preds: &'a [Vec<BlockId>],
 }
@@ -362,7 +363,6 @@ impl<'m> AnalysisCtx<'m> {
             preds: None,
             dom: None,
             addrs: None,
-            avail: None,
         }
     }
 
@@ -395,41 +395,22 @@ impl<'m> AnalysisCtx<'m> {
         self.addrs.get_or_insert_with(|| mem::FnAddrs::analyze(f))
     }
 
-    /// The cross-block must-availability dataflow ([`AvailLoads`]).
-    pub fn avail(&mut self, f: &MirFunction) -> &AvailLoads {
-        if self.avail.is_none() {
-            let universe = mem::cell_universe(f, self.addrs(f));
-            let avail = if universe.is_empty() {
-                AvailLoads::empty(f.blocks.len())
-            } else {
-                self.dom(f);
-                let (Some(addrs), Some(dom), Some(preds)) = (&self.addrs, &self.dom, &self.preds)
-                else {
-                    unreachable!("filled by addrs() and dom()");
-                };
-                AvailLoads::compute(f, self.model, addrs, universe, dom, preds)
-            };
-            self.avail = Some(avail);
-        }
-        self.avail.as_ref().expect("filled above")
-    }
-
-    /// Everything [`cross_block_forward`] reads, or `None` when the
-    /// function touches no exactly addressed cell — the pass has nothing
-    /// to do then.
+    /// Everything [`cross_block_forward`] reads, with the availability
+    /// dataflow computed afresh; `None` when the function touches no
+    /// exactly addressed cell — the pass has nothing to do then.
     fn cross_block(&mut self, f: &MirFunction) -> Option<CrossBlock<'_>> {
-        if self.avail(f).universe().is_empty() {
+        let universe = mem::cell_universe(f, self.addrs(f));
+        if universe.is_empty() {
             return None;
         }
-        let (Some(addrs), Some(avail), Some(dom), Some(preds)) =
-            (&self.addrs, &self.avail, &self.dom, &self.preds)
-        else {
-            unreachable!("filled by avail() on a non-empty universe");
+        self.dom(f);
+        let (Some(addrs), Some(dom), Some(preds)) = (&self.addrs, &self.dom, &self.preds) else {
+            unreachable!("filled by addrs() and dom()");
         };
         Some(CrossBlock {
             model: self.model,
             addrs,
-            avail,
+            avail: AvailLoads::compute(f, self.model, addrs, universe, dom, preds),
             dom,
             preds,
         })
@@ -1217,8 +1198,9 @@ pub fn dead_store_elim(f: &mut MirFunction, cx: &mut AnalysisCtx<'_>) -> bool {
 /// latch's out-set loses it, and loop-transparent cells stay available
 /// around back edges.
 ///
-/// [`AnalysisCtx::avail`] computes it once per function state.
-#[derive(Debug, Clone, Default)]
+/// [`cross_block_forward`] computes it on every run that has cells to
+/// track.
+#[derive(Debug, Clone)]
 pub struct AvailLoads {
     universe: mem::CellUniverse,
     effects: Vec<mem::BlockCells>,
@@ -1227,16 +1209,6 @@ pub struct AvailLoads {
 }
 
 impl AvailLoads {
-    /// The result over an empty cell universe: nothing is ever available.
-    fn empty(nblocks: usize) -> AvailLoads {
-        AvailLoads {
-            universe: mem::CellUniverse::default(),
-            effects: vec![mem::BlockCells::default(); nblocks],
-            avail_in: vec![BitSet::new(0); nblocks],
-            avail_out: vec![BitSet::new(0); nblocks],
-        }
-    }
-
     /// Runs the dataflow over a non-empty `universe` (the cells of
     /// [`mem::cell_universe`]).
     fn compute(
@@ -1297,8 +1269,7 @@ impl AvailLoads {
         }
     }
 
-    /// The cell universe the analysis ranged over (empty when the
-    /// function accesses no exactly addressed cell).
+    /// The cell universe the analysis ranged over.
     pub fn universe(&self) -> &mem::CellUniverse {
         &self.universe
     }
@@ -4217,7 +4188,7 @@ mod tests {
         let f = diamond_mem_fn(Some(1), None);
         let model = md();
         let mut cx = AnalysisCtx::new(&model);
-        let avail = cx.avail(&f);
+        let avail = cx.cross_block(&f).expect("the diamond stores").avail;
         let cell = avail.universe().index((0, 0)).expect("tracked cell");
         // Stored on the then-arm only: available at its exit, not at the
         // else-arm's, so the join entry set is empty.
@@ -4227,7 +4198,8 @@ mod tests {
         // Stored on both arms: available on join entry.
         let f2 = diamond_mem_fn(Some(1), Some(2));
         let mut cx2 = AnalysisCtx::new(&model);
-        assert!(cx2.avail(&f2).on_entry(BlockId(3)).contains(cell));
+        let avail2 = cx2.cross_block(&f2).expect("the diamond stores").avail;
+        assert!(avail2.on_entry(BlockId(3)).contains(cell));
     }
 
     #[test]
@@ -4235,9 +4207,8 @@ mod tests {
         let f = const_add_fn();
         let model = md();
         let mut cx = AnalysisCtx::new(&model);
-        let avail = cx.avail(&f);
-        assert!(avail.universe().is_empty());
-        assert!(avail.on_entry(BlockId(0)).is_empty());
+        assert!(mem::cell_universe(&f, cx.addrs(&f)).is_empty());
+        assert!(cx.cross_block(&f).is_none(), "no cell, no dataflow");
         assert!(!cross_block_forward(&mut f.clone(), &mut cx));
     }
 

@@ -1,8 +1,9 @@
 //! Differential tests of the mid-end at the MIR level: randomly built MIR
-//! programs — duplicated pure expressions (GVN/CSE fodder), branches and
-//! switches with shared or all-equal targets (terminator-folding fodder),
-//! latch-guarded back edges (loop fodder for SCCP's executable-edge
-//! analysis and for the availability dataflow around back edges), and
+//! programs — duplicated and operand-swapped pure expressions (GVN/CSE
+//! fodder), branches and switches with shared or all-equal targets
+//! (terminator-folding fodder), latch-guarded back edges (loop fodder for
+//! SCCP's executable-edge analysis and for the availability dataflow
+//! around back edges), and
 //! `Load`/`Store`/`Addr` mixes over overlapping and disjoint cells of
 //! mutable and rodata globals (memory-pass fodder: stores landing in loop
 //! bodies, and store/load mixes inside blocks and *across* block
@@ -22,19 +23,19 @@
 //! including runs truncated by the fuel budget (identical `OutOfFuel`
 //! faults and trace prefixes).
 //!
-//! The property depth is CI-tunable: `MIR_DIFF_CASES=<n>` overrides the
-//! per-property case count (default 96), so the full `ci.sh` gate runs
-//! the net deeper than a local `--fast` iteration. A value that does not
-//! parse fails the run instead of falling back to the default.
+//! Each property runs [`CASES`] programs. Their inputs come from one
+//! [`GenRng`] stream per property, opened at [`SEED`], so every run
+//! draws the same programs. A failing case prints its index and the
+//! inputs that built it.
 //!
 //! In debug builds every property additionally runs the [`occ::verify`]
 //! static checker in verify-each mode (forced via
 //! [`opt::run_pipeline_with_verify`], independent of the `OCC_VERIFY`
 //! knob): a broken invariant panics with the offending pass and round,
-//! and proptest then prints the generated program that provoked it — a
-//! violation is attributed to a pass *and* to a reproducer case.
+//! and the case's inputs are printed with it — a violation is
+//! attributed to a pass *and* to a reproducer case.
 
-use proptest::prelude::*;
+use std::ops::Range;
 
 use occ::mem::MemoryModel;
 use occ::mir::{BinOp, Block, GlobalData, Inst, MirFunction, Program, Term, VReg, Word};
@@ -42,15 +43,14 @@ use occ::opt::AnalysisCtx;
 use occ::vm::{DecodedProgram, FastVm, Vm};
 use occ::{opt, ssa, verify, OptLevel};
 use tlang::RecordingEnv;
+use umlsm::gen::GenRng;
 
-/// Per-property case count: `MIR_DIFF_CASES` when set (CI's full gate
-/// raises it), 96 otherwise. A value that does not parse panics, naming
-/// the variable, instead of running the default depth.
-fn cases() -> u32 {
-    bench::env_knob("MIR_DIFF_CASES")
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or(96)
-}
+/// Cases per property. Debug builds verify after every pass, so a case
+/// costs more there.
+const CASES: usize = if cfg!(debug_assertions) { 96 } else { 256 };
+
+/// The state every property's input stream starts from.
+const SEED: u64 = 0x853c_49e6_748f_ea9b;
 
 const BIN_OPS: [BinOp; 14] = [
     BinOp::Add,
@@ -71,14 +71,15 @@ const BIN_OPS: [BinOp; 14] = [
 
 /// Builds a terminating single-function program.
 ///
-/// * Block 0 defines constants, then every op of `ops` **twice** — the
-///   duplicates are exactly what GVN/CSE must collapse without changing
-///   the trace — and an address pool over three globals (two mutable,
-///   one rodata): exact cells that overlap through distinct expressions
-///   (`&m0+4` vs `Addr(m0,4)`), disjoint cells, an unaligned cell whose
-///   word straddles two aligned ones (sub-word overlap), and one masked
-///   run-time index (`&m0 + (v & 12)`), so every [`occ::mem::AddrInfo`]
-///   shape is live.
+/// * Block 0 defines constants, then every op of `ops` **twice** and
+///   once more with its operands swapped — GVN/CSE must collapse the
+///   duplicates without changing the trace, and merge the swapped twin
+///   only when the operator commutes — and an address pool over three
+///   globals (two mutable, one rodata): exact cells that overlap through
+///   distinct expressions (`&m0+4` vs `Addr(m0,4)`), disjoint cells, an
+///   unaligned cell whose word straddles two aligned ones (sub-word
+///   overlap), and one masked run-time index (`&m0 + (v & 12)`), so every
+///   [`occ::mem::AddrInfo`] shape is live.
 /// * Every block emits its id and a computed value through the `emit`
 ///   extern, so both the path taken and the values computed are
 ///   observable. A block's fourth tuple byte may add memory traffic —
@@ -100,13 +101,8 @@ const BIN_OPS: [BinOp; 14] = [
 ///   back edges into the GVN scope, threadable latches) are exercised
 ///   too. Every cycle passes through a latch and every latch decrements
 ///   the countdown, so all programs terminate.
-fn build_program(
-    consts: &[i32],
-    ops: &[(u8, u8, u8)],
-    blocks: &[(u8, u8, u8, u8)],
-    pressure: u8,
-) -> Program {
-    let nb = blocks.len().max(1);
+fn build_program(inputs: &Inputs) -> Program {
+    let nb = inputs.blocks.len().max(1);
     let mut defined: Vec<VReg> = Vec::new();
     let mut next = 0u32;
     let mut fresh = || {
@@ -115,30 +111,30 @@ fn build_program(
         v
     };
 
-    // Block 0: loop budget + constants + duplicated expression chain.
+    // Block 0: loop budget + constants + duplicated and swapped expressions.
     let mut entry = Vec::new();
     let counter = fresh();
     let zero = fresh();
     let one = fresh();
     entry.push(Inst::Const {
         dst: counter,
-        value: 1 + (consts.len() as i32 % 5),
+        value: 1 + (inputs.consts.len() as i32 % 5),
     });
     entry.push(Inst::Const {
         dst: zero,
         value: 0,
     });
     entry.push(Inst::Const { dst: one, value: 1 });
-    for &c in consts {
+    for &c in &inputs.consts {
         let dst = fresh();
         entry.push(Inst::Const { dst, value: c });
         defined.push(dst);
     }
-    for &(op, a, b) in ops {
+    for &(op, a, b) in &inputs.ops {
         let op = BIN_OPS[op as usize % BIN_OPS.len()];
         let lhs = defined[a as usize % defined.len()];
         let rhs = defined[b as usize % defined.len()];
-        for _ in 0..2 {
+        for (lhs, rhs) in [(lhs, rhs), (lhs, rhs), (rhs, lhs)] {
             let dst = fresh();
             entry.push(Inst::Bin { op, dst, lhs, rhs });
             defined.push(dst);
@@ -216,14 +212,14 @@ fn build_program(
     // value. Everything in the cluster is live across the call, so the
     // allocator must combine callee-saved registers and spill slots —
     // and every reload is observable in the trace.
-    if pressure > 0 {
+    if inputs.pressure > 0 {
         let base = fresh();
         entry.push(Inst::Load {
             dst: base,
             addr: m0_0,
         });
         let mut cluster = Vec::new();
-        for k in 0..pressure as i32 {
+        for k in 0..i32::from(inputs.pressure) {
             let c = fresh();
             entry.push(Inst::Const {
                 dst: c,
@@ -263,7 +259,7 @@ fn build_program(
     }
 
     let mut mir_blocks: Vec<Block> = Vec::new();
-    for (i, &(kind, x, y, m)) in blocks.iter().enumerate() {
+    for (i, &(kind, x, y, m)) in inputs.blocks.iter().enumerate() {
         let mut insts = if i == 0 {
             std::mem::take(&mut entry)
         } else {
@@ -472,181 +468,201 @@ fn trace_with_passes(program: &Program, passes: &[opt::SsaPass]) -> Vec<(String,
     vm.into_env().calls
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
+/// The inputs [`build_program`] turns into one program.
+#[derive(Debug)]
+struct Inputs {
+    consts: Vec<i32>,
+    ops: Vec<(u8, u8, u8)>,
+    blocks: Vec<(u8, u8, u8, u8)>,
+    pressure: u8,
+}
 
-    /// The whole pipeline preserves the trace at every level.
-    #[test]
-    fn pipeline_preserves_em32_trace(
-        consts in prop::collection::vec(-8i32..8, 2..5),
-        ops in prop::collection::vec((0u8..14, any::<u8>(), any::<u8>()), 1..6),
-        blocks in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 1..6),
-    ) {
-        let program = build_program(&consts, &ops, &blocks, 0);
-        let oracle = trace_at(&program, OptLevel::O0);
-        prop_assert!(!oracle.is_empty(), "every program emits at least once");
-        for level in [OptLevel::O1, OptLevel::O2, OptLevel::Os] {
-            let got = trace_at(&program, level);
-            prop_assert_eq!(&got, &oracle, "{} diverges from -O0", level);
+/// A vector whose length is drawn uniformly from `len`, then its
+/// elements in order.
+fn vec_of<T>(
+    rng: &mut GenRng,
+    len: Range<usize>,
+    mut elem: impl FnMut(&mut GenRng) -> T,
+) -> Vec<T> {
+    let n = len.start + rng.below(len.end - len.start);
+    (0..n).map(|_| elem(rng)).collect()
+}
+
+/// The low byte of one draw.
+fn byte(rng: &mut GenRng) -> u8 {
+    rng.next_u64() as u8
+}
+
+/// Prints a case's index and inputs if a panic unwinds through it.
+struct Reporter<'a>(usize, &'a Inputs);
+
+impl Drop for Reporter<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("case #{} failed; it was built from {:?}", self.0, self.1);
         }
     }
+}
 
-    /// High register pressure across a call preserves the trace at every
-    /// level: the pressure cluster keeps ≥ 10 unfoldable values
-    /// simultaneously live across a `CallExtern`, so the allocator's
-    /// callee-saved selection, spill-slot assignment and reload insertion
-    /// all land on the execution path — any misplaced spill or clobbered
-    /// register changes the emitted values.
-    #[test]
-    fn register_pressure_preserves_em32_trace(
-        consts in prop::collection::vec(-8i32..8, 2..5),
-        ops in prop::collection::vec((0u8..14, any::<u8>(), any::<u8>()), 1..4),
-        blocks in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 1..4),
-        pressure in 10u8..16,
-    ) {
-        let program = build_program(&consts, &ops, &blocks, pressure);
-        let oracle = trace_at(&program, OptLevel::O0);
-        prop_assert!(!oracle.is_empty(), "every program emits at least once");
+/// Runs `check` on [`CASES`] programs drawn from a fresh stream. Each
+/// case draws 2–4 constants in `-8..8`; an op count in `ops`, each op an
+/// operator index below 14 and two operand bytes; a block count in
+/// `blocks`, four bytes per block; and, with `pressure`, a cluster size
+/// in `10..16`.
+fn for_each_program(
+    ops: Range<usize>,
+    blocks: Range<usize>,
+    pressure: bool,
+    check: impl Fn(&Program),
+) {
+    let mut rng = GenRng::new(SEED);
+    for case in 0..CASES {
+        let inputs = Inputs {
+            consts: vec_of(&mut rng, 2..5, |r| r.below(16) as i32 - 8),
+            ops: vec_of(&mut rng, ops.clone(), |r| {
+                (r.below(14) as u8, byte(r), byte(r))
+            }),
+            blocks: vec_of(&mut rng, blocks.clone(), |r| {
+                (byte(r), byte(r), byte(r), byte(r))
+            }),
+            pressure: if pressure { 10 + rng.below(6) as u8 } else { 0 },
+        };
+        let _reporter = Reporter(case, &inputs);
+        check(&build_program(&inputs));
+    }
+}
+
+/// The whole pipeline preserves the trace at every level.
+#[test]
+fn pipeline_preserves_em32_trace() {
+    for_each_program(1..6, 1..6, false, |program| {
+        let oracle = trace_at(program, OptLevel::O0);
+        assert!(!oracle.is_empty(), "every program emits at least once");
         for level in [OptLevel::O1, OptLevel::O2, OptLevel::Os] {
-            let got = trace_at(&program, level);
-            prop_assert_eq!(&got, &oracle, "{} diverges from -O0 under pressure", level);
+            let got = trace_at(program, level);
+            assert_eq!(got, oracle, "{level} diverges from -O0");
         }
-    }
+    });
+}
 
-    /// GVN/CSE alone preserves the trace.
-    #[test]
-    fn gvn_cse_preserves_em32_trace(
-        consts in prop::collection::vec(-8i32..8, 2..5),
-        ops in prop::collection::vec((0u8..14, any::<u8>(), any::<u8>()), 1..6),
-        blocks in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 1..4),
-    ) {
-        let program = build_program(&consts, &ops, &blocks, 0);
-        let oracle = trace_at(&program, OptLevel::O0);
-        let got = trace_with_passes(&program, &[opt::gvn_cse]);
-        prop_assert_eq!(&got, &oracle, "gvn_cse diverges");
-        // With cleanup passes stacked on top it still agrees.
-        let cleaned = trace_with_passes(
-            &program,
-            &[opt::gvn_cse, opt::dead_code_elim],
-        );
-        prop_assert_eq!(&cleaned, &oracle, "gvn_cse + cleanup diverges");
-    }
+/// High register pressure across a call preserves the trace at every
+/// level: the pressure cluster keeps ≥ 10 unfoldable values
+/// simultaneously live across a `CallExtern`, so the allocator's
+/// callee-saved selection, spill-slot assignment and reload insertion
+/// all land on the execution path — any misplaced spill or clobbered
+/// register changes the emitted values.
+#[test]
+fn register_pressure_preserves_em32_trace() {
+    for_each_program(1..4, 1..4, true, |program| {
+        let oracle = trace_at(program, OptLevel::O0);
+        assert!(!oracle.is_empty(), "every program emits at least once");
+        for level in [OptLevel::O1, OptLevel::O2, OptLevel::Os] {
+            let got = trace_at(program, level);
+            assert_eq!(got, oracle, "{level} diverges from -O0 under pressure");
+        }
+    });
+}
 
-    /// CFG simplification alone (terminator folding, jump threading,
-    /// chain merging on SSA) preserves the trace.
-    #[test]
-    fn simplify_cfg_preserves_em32_trace(
-        consts in prop::collection::vec(-8i32..8, 2..5),
-        ops in prop::collection::vec((0u8..14, any::<u8>(), any::<u8>()), 1..4),
-        blocks in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 2..6),
-    ) {
-        let program = build_program(&consts, &ops, &blocks, 0);
-        let oracle = trace_at(&program, OptLevel::O0);
-        let got = trace_with_passes(&program, &[opt::simplify_cfg]);
-        prop_assert_eq!(&got, &oracle, "simplify_cfg diverges");
-        let cleaned = trace_with_passes(
-            &program,
-            &[opt::simplify_cfg, opt::dead_code_elim],
-        );
-        prop_assert_eq!(&cleaned, &oracle, "simplify_cfg + dce diverges");
-    }
+/// GVN/CSE alone preserves the trace, and so it does with cleanup
+/// stacked on top.
+#[test]
+fn gvn_cse_preserves_em32_trace() {
+    for_each_program(1..6, 1..4, false, |program| {
+        let oracle = trace_at(program, OptLevel::O0);
+        let got = trace_with_passes(program, &[opt::gvn_cse]);
+        assert_eq!(got, oracle, "gvn_cse diverges");
+        let got = trace_with_passes(program, &[opt::gvn_cse, opt::dead_code_elim]);
+        assert_eq!(got, oracle, "gvn_cse + cleanup diverges");
+    });
+}
 
-    /// SCCP alone preserves the trace — the generated programs fold
-    /// entirely to constants (all leaves are `Const`s), so this drives
-    /// the executable-edge analysis through every terminator shape,
-    /// including back edges.
-    #[test]
-    fn sccp_preserves_em32_trace(
-        consts in prop::collection::vec(-8i32..8, 2..5),
-        ops in prop::collection::vec((0u8..14, any::<u8>(), any::<u8>()), 1..6),
-        blocks in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 1..6),
-    ) {
-        let program = build_program(&consts, &ops, &blocks, 0);
-        let oracle = trace_at(&program, OptLevel::O0);
-        let got = trace_with_passes(&program, &[opt::sccp]);
-        prop_assert_eq!(&got, &oracle, "sccp diverges");
-        let cleaned = trace_with_passes(
-            &program,
-            &[opt::sccp, opt::dead_code_elim],
-        );
-        prop_assert_eq!(&cleaned, &oracle, "sccp + dce diverges");
-    }
+/// CFG simplification alone (terminator folding, jump threading,
+/// chain merging on SSA) preserves the trace.
+#[test]
+fn simplify_cfg_preserves_em32_trace() {
+    for_each_program(1..4, 2..6, false, |program| {
+        let oracle = trace_at(program, OptLevel::O0);
+        let got = trace_with_passes(program, &[opt::simplify_cfg]);
+        assert_eq!(got, oracle, "simplify_cfg diverges");
+        let got = trace_with_passes(program, &[opt::simplify_cfg, opt::dead_code_elim]);
+        assert_eq!(got, oracle, "simplify_cfg + dce diverges");
+    });
+}
 
-    /// The φ-free copy coalescer and return-block merger preserve the
-    /// trace when stacked on the SSA round trip (they run post-destruct
-    /// in the real pipeline; `trace_with_passes` destructs afterwards,
-    /// which also proves they tolerate SSA form).
-    #[test]
-    fn phi_free_cleanups_preserve_em32_trace(
-        consts in prop::collection::vec(-8i32..8, 2..5),
-        ops in prop::collection::vec((0u8..14, any::<u8>(), any::<u8>()), 1..4),
-        blocks in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 2..6),
-    ) {
-        let program = build_program(&consts, &ops, &blocks, 0);
-        let oracle = trace_at(&program, OptLevel::O0);
-        let got = trace_with_passes(&program, &[opt::coalesce_copies]);
-        prop_assert_eq!(&got, &oracle, "coalesce_copies diverges");
-        let merged = trace_with_passes(&program, &[opt::merge_return_blocks]);
-        prop_assert_eq!(&merged, &oracle, "merge_return_blocks diverges");
-    }
+/// SCCP alone preserves the trace — the generated programs fold
+/// entirely to constants (all leaves are `Const`s), so this drives
+/// the executable-edge analysis through every terminator shape,
+/// including back edges.
+#[test]
+fn sccp_preserves_em32_trace() {
+    for_each_program(1..6, 1..6, false, |program| {
+        let oracle = trace_at(program, OptLevel::O0);
+        let got = trace_with_passes(program, &[opt::sccp]);
+        assert_eq!(got, oracle, "sccp diverges");
+        let got = trace_with_passes(program, &[opt::sccp, opt::dead_code_elim]);
+        assert_eq!(got, oracle, "sccp + dce diverges");
+    });
+}
 
-    /// Dead-store elimination alone preserves the trace — the
-    /// double-store blocks are its fodder; every cell's final content is
-    /// observed through emitted loads.
-    #[test]
-    fn dead_store_elim_preserves_em32_trace(
-        consts in prop::collection::vec(-8i32..8, 2..5),
-        ops in prop::collection::vec((0u8..14, any::<u8>(), any::<u8>()), 1..4),
-        blocks in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 1..6),
-    ) {
-        let program = build_program(&consts, &ops, &blocks, 0);
-        let oracle = trace_at(&program, OptLevel::O0);
-        let got = trace_with_passes(&program, &[opt::dead_store_elim]);
-        prop_assert_eq!(&got, &oracle, "dead_store_elim diverges");
-        let cleaned = trace_with_passes(
-            &program,
-            &[opt::dead_store_elim, opt::dead_code_elim],
-        );
-        prop_assert_eq!(&cleaned, &oracle, "dead_store_elim + dce diverges");
-    }
+/// The φ-free copy coalescer and return-block merger preserve the
+/// trace when stacked on the SSA round trip (they run post-destruct
+/// in the real pipeline; `trace_with_passes` destructs afterwards,
+/// which also proves they tolerate SSA form).
+#[test]
+fn phi_free_cleanups_preserve_em32_trace() {
+    for_each_program(1..4, 2..6, false, |program| {
+        let oracle = trace_at(program, OptLevel::O0);
+        let got = trace_with_passes(program, &[opt::coalesce_copies]);
+        assert_eq!(got, oracle, "coalesce_copies diverges");
+        let got = trace_with_passes(program, &[opt::merge_return_blocks]);
+        assert_eq!(got, oracle, "merge_return_blocks diverges");
+    });
+}
 
-    /// Store-to-load forwarding alone preserves the trace — the generated
-    /// blocks store and reload overlapping cells through distinct address
-    /// expressions, inside blocks and across branch, switch and latch
-    /// edges, so the alias resolution (exact cells, rooted run-time
-    /// indices, rodata), the availability dataflow (loop-transparent
-    /// cells included) and the φ threading at joins are what is on trial
-    /// here.
-    #[test]
-    fn cross_block_forward_preserves_em32_trace(
-        consts in prop::collection::vec(-8i32..8, 2..5),
-        ops in prop::collection::vec((0u8..14, any::<u8>(), any::<u8>()), 1..4),
-        blocks in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 1..6),
-    ) {
-        let program = build_program(&consts, &ops, &blocks, 0);
-        let oracle = trace_at(&program, OptLevel::O0);
-        let got = trace_with_passes(&program, &[opt::cross_block_forward]);
-        prop_assert_eq!(&got, &oracle, "cross_block_forward diverges");
-        let cleaned = trace_with_passes(
-            &program,
+/// Dead-store elimination alone preserves the trace — the
+/// double-store blocks are its fodder; every cell's final content is
+/// observed through emitted loads.
+#[test]
+fn dead_store_elim_preserves_em32_trace() {
+    for_each_program(1..4, 1..6, false, |program| {
+        let oracle = trace_at(program, OptLevel::O0);
+        let got = trace_with_passes(program, &[opt::dead_store_elim]);
+        assert_eq!(got, oracle, "dead_store_elim diverges");
+        let got = trace_with_passes(program, &[opt::dead_store_elim, opt::dead_code_elim]);
+        assert_eq!(got, oracle, "dead_store_elim + dce diverges");
+    });
+}
+
+/// Store-to-load forwarding alone preserves the trace — the generated
+/// blocks store and reload overlapping cells through distinct address
+/// expressions, inside blocks and across branch, switch and latch
+/// edges, so the alias resolution (exact cells, rooted run-time
+/// indices, rodata), the availability dataflow (loop-transparent
+/// cells included) and the φ threading at joins are what is on trial
+/// here.
+#[test]
+fn cross_block_forward_preserves_em32_trace() {
+    for_each_program(1..4, 1..6, false, |program| {
+        let oracle = trace_at(program, OptLevel::O0);
+        let got = trace_with_passes(program, &[opt::cross_block_forward]);
+        assert_eq!(got, oracle, "cross_block_forward diverges");
+        let got = trace_with_passes(
+            program,
             &[opt::cross_block_forward, opt::gvn_cse, opt::dead_code_elim],
         );
-        prop_assert_eq!(&cleaned, &oracle, "cross_block_forward + cleanup diverges");
-    }
+        assert_eq!(got, oracle, "cross_block_forward + cleanup diverges");
+    });
+}
 
-    /// The whole memory family stacked — forwarding over blocks whose
-    /// loops store to the very globals being read, then dead-store
-    /// elimination, then cleanup — preserves the trace.
-    #[test]
-    fn memory_pass_family_preserves_em32_trace(
-        consts in prop::collection::vec(-8i32..8, 2..5),
-        ops in prop::collection::vec((0u8..14, any::<u8>(), any::<u8>()), 1..4),
-        blocks in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 2..6),
-    ) {
-        let program = build_program(&consts, &ops, &blocks, 0);
-        let oracle = trace_at(&program, OptLevel::O0);
+/// The whole memory family stacked — forwarding over blocks whose
+/// loops store to the very globals being read, then dead-store
+/// elimination, then cleanup — preserves the trace.
+#[test]
+fn memory_pass_family_preserves_em32_trace() {
+    for_each_program(1..4, 2..6, false, |program| {
+        let oracle = trace_at(program, OptLevel::O0);
         let got = trace_with_passes(
-            &program,
+            program,
             &[
                 opt::cross_block_forward,
                 opt::dead_store_elim,
@@ -654,26 +670,23 @@ proptest! {
                 opt::dead_code_elim,
             ],
         );
-        prop_assert_eq!(&got, &oracle, "memory pass family diverges");
-    }
+        assert_eq!(got, oracle, "memory pass family diverges");
+    });
+}
 
-    /// The two EM32 execution engines agree on every generated program at
-    /// every level — the [`occ::vm`] two-engine contract under the same
-    /// corpus that exercises the mid-end. The fast engine's pre-decode
-    /// (branch pre-resolution, superinstruction fusion, `r0`-write
-    /// erasure) must be invisible: same return value, same extern-call
-    /// trace, same executed-instruction count. And it must stay invisible
-    /// when the fuel budget truncates the run mid-way: both engines fault
-    /// with `OutOfFuel` at the same instruction boundary — probe points
-    /// land inside fused pairs, where the fast engine re-checks fuel
-    /// between the two halves — with identical trace prefixes.
-    #[test]
-    fn engines_agree_on_generated_mir(
-        consts in prop::collection::vec(-8i32..8, 2..5),
-        ops in prop::collection::vec((0u8..14, any::<u8>(), any::<u8>()), 1..4),
-        blocks in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 1..6),
-    ) {
-        let program = build_program(&consts, &ops, &blocks, 0);
+/// The two EM32 execution engines agree on every generated program at
+/// every level — the [`occ::vm`] two-engine contract under the same
+/// corpus that exercises the mid-end. The fast engine's pre-decode
+/// (branch pre-resolution, superinstruction fusion, `r0`-write
+/// erasure) must be invisible: same return value, same extern-call
+/// trace, same executed-instruction count. And it must stay invisible
+/// when the fuel budget truncates the run mid-way: both engines fault
+/// with `OutOfFuel` at the same instruction boundary — probe points
+/// land inside fused pairs, where the fast engine re-checks fuel
+/// between the two halves — with identical trace prefixes.
+#[test]
+fn engines_agree_on_generated_mir() {
+    for_each_program(1..4, 1..6, false, |program| {
         for level in OptLevel::all() {
             let mut p = program.clone();
             opt::run_pipeline_with_verify(&mut p, level, opt::VerifyMode::Each);
@@ -682,22 +695,20 @@ proptest! {
 
             let mut oracle = Vm::new(&asm, RecordingEnv::new());
             let want = oracle.run("main", &[]);
-            prop_assert!(want.is_ok(), "{} oracle faults: {:?}", level, want);
+            assert!(want.is_ok(), "{level} oracle faults: {want:?}");
             let total = oracle.executed();
             let mut fast = FastVm::new(&decoded, RecordingEnv::new());
             let got = fast.run("main", &[]);
-            prop_assert_eq!(&got, &want, "{} engines disagree on result", level);
-            prop_assert_eq!(
+            assert_eq!(got, want, "{level} engines disagree on result");
+            assert_eq!(
                 fast.executed(),
                 total,
-                "{} executed-instruction counts diverge",
-                level
+                "{level} executed-instruction counts diverge"
             );
-            prop_assert_eq!(
+            assert_eq!(
                 fast.into_env().calls,
                 oracle.into_env().calls,
-                "{} extern traces diverge",
-                level
+                "{level} extern traces diverge"
             );
 
             // Truncated budgets: both engines must exhaust the budget at
@@ -705,43 +716,25 @@ proptest! {
             for budget in [0, 1, total / 3, total / 2, total - 1] {
                 let mut oracle = Vm::new(&asm, RecordingEnv::new()).with_fuel(budget);
                 let want = oracle.run("main", &[]);
-                prop_assert_eq!(
-                    &want,
-                    &Err(occ::vm::VmError::OutOfFuel),
-                    "{} oracle should run out at budget {}",
-                    level,
-                    budget
+                assert_eq!(
+                    want,
+                    Err(occ::vm::VmError::OutOfFuel),
+                    "{level} oracle should run out at budget {budget}"
                 );
                 let mut fast = FastVm::new(&decoded, RecordingEnv::new()).with_fuel(budget);
                 let got = fast.run("main", &[]);
-                prop_assert_eq!(&got, &want, "{} fault kinds diverge at budget {}", level, budget);
-                prop_assert_eq!(
+                assert_eq!(got, want, "{level} fault kinds diverge at budget {budget}");
+                assert_eq!(
                     fast.executed(),
                     oracle.executed(),
-                    "{} truncated counts diverge at budget {}",
-                    level,
-                    budget
+                    "{level} truncated counts diverge at budget {budget}"
                 );
-                prop_assert_eq!(
+                assert_eq!(
                     fast.into_env().calls,
                     oracle.into_env().calls,
-                    "{} truncated traces diverge at budget {}",
-                    level,
-                    budget
+                    "{level} truncated traces diverge at budget {budget}"
                 );
             }
         }
-    }
-}
-
-/// The env knob parses — a malformed value fails here, naming the
-/// variable — and has the documented default.
-#[test]
-fn mir_diff_cases_env_default() {
-    let n = cases();
-    if std::env::var_os("MIR_DIFF_CASES").is_none() {
-        assert_eq!(n, 96);
-    } else {
-        assert!(n > 0, "MIR_DIFF_CASES must be a positive count");
-    }
+    });
 }

@@ -1,210 +1,152 @@
-//! Property-based tests of the core invariants:
+//! Property tests of the core invariants:
 //!
 //! * guard-expression constant folding never changes evaluation results,
-//! * model optimization preserves observable traces on *random* machines,
+//! * model optimization preserves observable traces on generated machines,
 //! * generated + compiled code matches the model on random event sequences.
+//!
+//! The folding properties draw [`EXPR_CASES`] expressions from one
+//! [`GenRng`] stream each, opened at [`SEED`]; the machine properties
+//! run [`gen::generate`] on [`MACHINE_SEEDS`] and draw event sequences
+//! from one such stream. A failing case names its index or seed and the
+//! inputs that built it.
 
-use proptest::prelude::*;
+use std::ops::RangeInclusive;
 
 use cgen::Pattern;
 use mbo::equivalence::{check_trace_equivalence, EquivConfig};
 use mbo::Optimizer;
-use umlsm::{Action, Expr, Interp, MachineBuilder, StateMachine};
+use umlsm::gen::{self, GenConfig, GenRng};
+use umlsm::{Expr, Interp};
+
+/// The state the expression and event-sequence streams start from.
+const SEED: u64 = 0x853c_49e6_748f_ea9b;
+
+/// Expressions per folding property.
+const EXPR_CASES: usize = 256;
+
+/// The [`GenConfig::tiny`] machines the machine properties check.
+const MACHINE_SEEDS: RangeInclusive<u64> = 1..=48;
 
 // ---------------------------------------------------------------------
 // Expression folding
 // ---------------------------------------------------------------------
 
-fn arb_expr() -> impl Strategy<Value = Expr> {
-    let leaf = prop_oneof![
-        (-64i64..64).prop_map(Expr::Int),
-        any::<bool>().prop_map(Expr::Bool),
-        prop_oneof![Just("a"), Just("b"), Just("c")].prop_map(Expr::var),
-    ];
-    leaf.prop_recursive(4, 48, 3, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(l, r)| l.add(r)),
-            (inner.clone(), inner.clone()).prop_map(|(l, r)| l.sub(r)),
-            (inner.clone(), inner.clone()).prop_map(|(l, r)| l.mul(r)),
-            (inner.clone(), inner.clone()).prop_map(|(l, r)| l.div(r)),
-            (inner.clone(), inner.clone()).prop_map(|(l, r)| l.rem(r)),
-            (inner.clone(), inner.clone()).prop_map(|(l, r)| l.lt(r)),
-            (inner.clone(), inner.clone()).prop_map(|(l, r)| l.le(r)),
-            (inner.clone(), inner.clone()).prop_map(|(l, r)| l.eq(r)),
-            (inner.clone(), inner.clone()).prop_map(|(l, r)| l.and(r)),
-            (inner.clone(), inner.clone()).prop_map(|(l, r)| l.or(r)),
-            inner.clone().prop_map(|e| e.not()),
-            inner.prop_map(|e| e.neg()),
-        ]
-    })
+/// A guard expression over `a`, `b` and `c`, at most `depth` operators
+/// deep. Each level is a leaf with even odds: an integer in `-64..64`, a
+/// boolean or a variable. Otherwise it is one of twelve operators over
+/// expressions one level shallower, drawn left to right.
+fn arb_expr(rng: &mut GenRng, depth: u32) -> Expr {
+    if depth == 0 || rng.below(2) == 0 {
+        return match rng.below(3) {
+            0 => Expr::Int(rng.below(128) as i64 - 64),
+            1 => Expr::Bool(rng.next_u64() & 1 == 1),
+            _ => Expr::var(*rng.pick(&["a", "b", "c"])),
+        };
+    }
+    let op = rng.below(12);
+    let l = arb_expr(rng, depth - 1);
+    match op {
+        10 => return l.not(),
+        11 => return l.neg(),
+        _ => {}
+    }
+    let r = arb_expr(rng, depth - 1);
+    match op {
+        0 => l.add(r),
+        1 => l.sub(r),
+        2 => l.mul(r),
+        3 => l.div(r),
+        4 => l.rem(r),
+        5 => l.lt(r),
+        6 => l.le(r),
+        7 => l.eq(r),
+        8 => l.and(r),
+        _ => l.or(r),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn fold_preserves_evaluation(e in arb_expr(), a in -8i64..8, b in -8i64..8, c in -8i64..8) {
-        let env = [("a".to_string(), a), ("b".to_string(), b), ("c".to_string(), c)]
+#[test]
+fn fold_preserves_evaluation() {
+    let mut rng = GenRng::new(SEED);
+    for case in 0..EXPR_CASES {
+        let e = arb_expr(&mut rng, 4);
+        let env = ["a", "b", "c"]
+            .map(|v| (v.to_string(), rng.below(16) as i64 - 8))
             .into_iter()
             .collect();
         let folded = e.fold();
-        prop_assert_eq!(e.eval(&env), folded.eval(&env));
-    }
-
-    #[test]
-    fn fold_is_idempotent(e in arb_expr()) {
-        let once = e.fold();
-        prop_assert_eq!(once.clone().fold(), once);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Random machines
-// ---------------------------------------------------------------------
-
-/// Blueprint for one random transition.
-#[derive(Debug, Clone)]
-struct TransitionSpec {
-    source: usize,
-    target: usize,
-    event: usize,
-    guarded: bool,
-    completion: bool,
-    emit: u8,
-}
-
-fn arb_transitions(states: usize, events: usize) -> impl Strategy<Value = Vec<TransitionSpec>> {
-    prop::collection::vec(
-        (
-            0..states,
-            0..states,
-            0..events,
-            any::<bool>(),
-            prop::bool::weighted(0.15),
-            any::<u8>(),
-        )
-            .prop_map(|(source, target, event, guarded, completion, emit)| {
-                TransitionSpec {
-                    source,
-                    target,
-                    event,
-                    guarded,
-                    completion,
-                    emit,
-                }
-            }),
-        1..12,
-    )
-}
-
-/// Builds a random (but always valid) flat machine from blueprints.
-fn build_machine(states: usize, events: usize, specs: &[TransitionSpec]) -> Option<StateMachine> {
-    let mut b = MachineBuilder::new("random");
-    b.variable("x", 1);
-    let sids: Vec<_> = (0..states).map(|i| b.state(format!("St{i}"))).collect();
-    let eids: Vec<_> = (0..events).map(|i| b.event(format!("ev{i}"))).collect();
-    b.initial(sids[0]);
-    for (i, s) in sids.iter().enumerate() {
-        b.on_entry(
-            *s,
-            vec![
-                Action::assign("x", Expr::var("x").add(Expr::int(i as i64 + 1))),
-                Action::emit_arg(format!("in{i}"), Expr::var("x")),
-            ],
+        assert_eq!(
+            e.eval(&env),
+            folded.eval(&env),
+            "case #{case}: {e:?} under {env:?}"
         );
     }
-    for spec in specs {
-        let t = b.transition(sids[spec.source], sids[spec.target]);
-        let t = if spec.completion {
-            // Guarded completion only: unguarded completion transitions
-            // can easily form chains/cycles that code generation rejects;
-            // a guard keeps the machine compilable while still exercising
-            // completion semantics.
-            t.on_completion()
-                .when(Expr::var("x").rem(Expr::int(3)).eq(Expr::int(1)))
-        } else if spec.guarded {
-            t.on(eids[spec.event])
-                .when(Expr::var("x").rem(Expr::int(2)).eq(Expr::int(0)))
-        } else {
-            t.on(eids[spec.event])
-        };
-        t.then(vec![Action::emit_arg(
-            format!("t{}", spec.emit % 8),
-            Expr::var("x"),
-        )])
-        .build();
-    }
-    b.finish().ok()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The optimizer preserves observable traces on arbitrary machines.
-    #[test]
-    fn optimizer_preserves_behaviour(
-        states in 2usize..5,
-        events in 1usize..4,
-        specs in arb_transitions(5, 4),
-    ) {
-        let specs: Vec<_> = specs
-            .into_iter()
-            .map(|mut s| { s.source %= states; s.target %= states; s.event %= events; s })
-            .collect();
-        let Some(machine) = build_machine(states, events, &specs) else {
-            return Ok(()); // blueprint produced an invalid machine; skip
-        };
-        // Skip machines whose completion structure the interpreter itself
-        // rejects (cycles hit the chain bound).
-        if Interp::new(&machine).is_err() {
-            return Ok(());
-        }
-        let outcome = Optimizer::with_all().optimize(&machine).expect("optimizes");
-        let config = EquivConfig {
-            exhaustive_depth: 3,
-            random_sequences: 32,
-            random_length: 10,
-            ..EquivConfig::default()
-        };
-        let report = check_trace_equivalence(&machine, &outcome.machine, &config)
-            .expect("check runs");
-        prop_assert!(report.equivalent, "counterexample: {:?}", report.counterexample);
+#[test]
+fn fold_is_idempotent() {
+    let mut rng = GenRng::new(SEED);
+    for case in 0..EXPR_CASES {
+        let once = arb_expr(&mut rng, 4).fold();
+        assert_eq!(once.clone().fold(), once, "case #{case}");
     }
+}
 
-    /// Generated (and source-interpreted) code matches the model on random
-    /// event sequences, for every pattern.
-    #[test]
-    fn generated_code_matches_model(
-        states in 2usize..4,
-        events in 1usize..3,
-        specs in arb_transitions(4, 3),
-        seq in prop::collection::vec(0usize..3, 1..10),
-    ) {
-        let specs: Vec<_> = specs
-            .into_iter()
-            .map(|mut s| { s.source %= states; s.target %= states; s.event %= events; s })
-            .collect();
-        let Some(machine) = build_machine(states, events, &specs) else {
-            return Ok(());
-        };
-        if Interp::new(&machine).is_err() {
-            return Ok(());
-        }
-        let names: Vec<String> = seq.iter().map(|i| format!("ev{}", i % events)).collect();
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
+// ---------------------------------------------------------------------
+// Generated machines
+// ---------------------------------------------------------------------
+
+/// The optimizer preserves observable traces on generated machines, and
+/// changes most of them.
+#[test]
+fn optimizer_preserves_behaviour() {
+    let config = EquivConfig {
+        exhaustive_depth: 3,
+        random_sequences: 32,
+        random_length: 10,
+        ..EquivConfig::default()
+    };
+    let mut changed = 0;
+    for seed in MACHINE_SEEDS {
+        let machine = gen::generate(seed, &GenConfig::tiny());
+        let outcome = Optimizer::with_all().optimize(&machine).expect("optimizes");
+        changed += usize::from(outcome.report.changed());
+        let report =
+            check_trace_equivalence(&machine, &outcome.machine, &config).expect("check runs");
+        assert!(
+            report.equivalent,
+            "seed {seed}: counterexample {:?}",
+            report.counterexample
+        );
+    }
+    assert!(
+        2 * changed >= MACHINE_SEEDS.count(),
+        "the optimizer changed only {changed} machines: the property barely exercises it"
+    );
+}
+
+/// Generated (and source-interpreted) code matches the model on random
+/// event sequences, for every pattern.
+#[test]
+fn generated_code_matches_model() {
+    let mut rng = GenRng::new(SEED);
+    for seed in MACHINE_SEEDS {
+        let machine = gen::generate(seed, &GenConfig::tiny());
+        let events: Vec<&str> = machine.events().map(|(_, e)| e.name.as_str()).collect();
+        let len = 1 + rng.below(9);
+        let seq: Vec<&str> = (0..len).map(|_| *rng.pick(&events)).collect();
         let mut model = Interp::new(&machine).expect("starts");
-        for n in &name_refs {
-            model.step_by_name(n).expect("steps");
+        for e in &seq {
+            model.step_by_name(e).expect("steps");
         }
         let oracle = model.trace().observable();
         for pattern in Pattern::all() {
-            let Ok(generated) = cgen::generate(&machine, pattern) else {
-                return Ok(()); // e.g. conservative completion-cycle rejection
-            };
-            let run = cgen::run_generated(&generated, &name_refs).expect("runs");
-            prop_assert_eq!(
-                &run.observable, &oracle,
-                "{} diverges on {:?}", pattern, name_refs
+            let generated = cgen::generate(&machine, pattern)
+                .unwrap_or_else(|e| panic!("seed {seed}: {pattern} rejects the machine: {e}"));
+            let run = cgen::run_generated(&generated, &seq).expect("runs");
+            assert_eq!(
+                run.observable, oracle,
+                "seed {seed}: {pattern} diverges on {seq:?}"
             );
         }
     }
