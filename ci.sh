@@ -57,12 +57,17 @@ perfbench_smoke() {
     # against the toolchain crates by path, so an `occ` API change that
     # breaks it, or output its correctness check rejects, must fail here.
     # Each workload runs one second; perfbench exits non-zero unless its
-    # JSON line reports `"correct": true`.
-    local workload
+    # JSON line reports `"correct": true`. `compile` runs traced, so its
+    # staged compile — each stage called on its own, nothing shared
+    # between levels — must match what `Driver::compile` built with level
+    # families sharing work.
+    local workload trace
     for workload in compile storm recompile; do
-        echo "    perfbench smoke: $workload"
+        trace=0
+        [[ $workload == compile ]] && trace=1
+        echo "    perfbench smoke: $workload (--trace $trace)"
         cargo run --release --quiet --offline --locked --manifest-path perfbench/Cargo.toml -- \
-            --workload "$workload" --seconds 1 --trace 0 > /dev/null
+            --workload "$workload" --seconds 1 --trace "$trace" > /dev/null
     done
 }
 

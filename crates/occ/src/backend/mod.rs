@@ -96,7 +96,8 @@
 
 use std::fmt;
 
-use crate::mir::{BinOp, MirFunction, Program, Word};
+use crate::driver::Family;
+use crate::mir::{BinOp, MirFunction, Program, Term, Word};
 use crate::{CompileError, OptLevel};
 
 pub mod emit;
@@ -475,9 +476,33 @@ fn compile_function(f: &MirFunction, level: OptLevel) -> Result<AsmFunction, Com
 /// [`lower::lower_function`]), [`CompileError::Internal`] for a φ-node or,
 /// in debug builds, an allocation the verifier rejects.
 pub fn compile_program(program: &Program, level: OptLevel) -> Result<Assembly, CompileError> {
+    assemble(program, level, None).map(|(asm, _)| asm)
+}
+
+/// [`compile_program`], taking a function's assembly from a level of
+/// `family` whose optimized function of that name is equal and where
+/// [`emit::switch_uses_table`] decides each of its `Switch`es as it does
+/// at `level` — nothing else in the backend reads the level. Returns the
+/// assembly and the number of functions taken.
+pub(crate) fn assemble(
+    program: &Program,
+    level: OptLevel,
+    family: Option<&Family>,
+) -> Result<(Assembly, usize), CompileError> {
     let mut functions = Vec::with_capacity(program.functions.len());
+    let mut reused = 0;
     for f in &program.functions {
-        functions.push(compile_function(f, level)?);
+        let earlier = family.into_iter().flat_map(Family::levels).find_map(|l| {
+            let i = l.find(&f.name)?;
+            (l.optimized[i] == *f && switches_agree(f, l.level, level)).then(|| &l.asm.functions[i])
+        });
+        functions.push(match earlier {
+            Some(asm) => {
+                reused += 1;
+                asm.clone()
+            }
+            None => compile_function(f, level)?,
+        });
     }
     // Text layout.
     let mut fn_addrs = Vec::with_capacity(functions.len());
@@ -506,12 +531,26 @@ pub fn compile_program(program: &Program, level: OptLevel) -> Result<Assembly, C
         });
         offset += g.size as u32;
     }
-    Ok(Assembly {
+    let asm = Assembly {
         functions,
         globals,
         externs: program.externs.clone(),
         fn_addrs,
-    })
+    };
+    Ok((asm, reused))
+}
+
+/// `true` when every `Switch` of `f` lowers to the same form at `a` and
+/// at `b`.
+fn switches_agree(f: &MirFunction, a: OptLevel, b: OptLevel) -> bool {
+    a == b
+        || f.blocks.iter().all(|blk| match &blk.term {
+            Term::Switch { cases, .. } => {
+                let values: Vec<i32> = cases.iter().map(|(c, _)| *c).collect();
+                emit::switch_uses_table(a, &values) == emit::switch_uses_table(b, &values)
+            }
+            _ => true,
+        })
 }
 
 #[cfg(test)]

@@ -1,18 +1,20 @@
-//! Compilation driver: content-addressed artifact caching and a shared
-//! worker pool — the toolchain's session layer.
+//! Compilation driver: content-addressed artifact caching, work shared
+//! between the levels of a module, and a shared worker pool — the
+//! toolchain's session layer.
 //!
 //! [`compile`](crate::compile) is a pure function; production scale means
 //! calling it millions of times over largely overlapping inputs (bench
-//! matrices, pass-ordering sweeps, fuzz corpora). A [`Driver`] wraps it
-//! in a session that makes repeated work free, and [`parallel_map`] lets
-//! callers run independent work in parallel. This module doc is the
-//! canonical contract for the three mechanisms involved.
+//! matrices, pass-ordering sweeps, fuzz corpora), nearly always at every
+//! level of each module. A [`Driver`] wraps it in a session that makes
+//! repeated work free and compiles the levels of a module as one family,
+//! and [`parallel_map`] lets callers run independent work in parallel.
+//! This module doc is the canonical contract for the mechanisms involved.
 //!
 //! # Content addressing
 //!
 //! A *job* is a `(tlang::Module, OptLevel)` pair. [`job_hash`] feeds the
-//! job's derived [`Hash`] — the level, then every node of the `tlang`
-//! AST — through a private [`Hasher`] adapter into the hand-rolled
+//! job's derived [`Hash`] — every node of the `tlang` AST, then the
+//! level — through a private [`Hasher`] adapter into the hand-rolled
 //! 128-bit FNV-1a in this module (no crates.io). The adapter writes
 //! lengths and enum tags as LEB128 varints and everything else as the
 //! derive gives it; [`serialize_job`] sends the module's share of the
@@ -20,7 +22,9 @@
 //! definitions, so there is no hand-written copy of the AST to keep in
 //! step: a field added to a `tlang` node is part of the key at once. It
 //! is deterministic (no pointer identity, no hash-map iteration order)
-//! and self-delimiting, so distinct jobs give distinct bytes.
+//! and self-delimiting, so distinct jobs give distinct bytes. The hash
+//! state before the level is the module's own content hash, which keys
+//! its level family (below) at no extra cost.
 //!
 //! The hash carries no toolchain salt. Artifacts live only in the memory
 //! of the process that compiled them, so a cached artifact can never
@@ -38,6 +42,74 @@
 //! wins — a benign duplicate, not a correctness hazard. Nothing is
 //! persisted: no process reads an artifact another process compiled.
 //!
+//! # Level families
+//!
+//! The levels of one module repeat each other's work: each type-checks
+//! and lowers the same module, and `-O2` and `-Os` run one SSA roster,
+//! differing only in the inliner's threshold and in how the backend
+//! lowers a `Switch`. A session therefore keeps, beside the artifact
+//! cache, the *family* of each recently compiled module — keyed by the
+//! module's content hash, the [`job_hash`] state before the level — and
+//! a miss takes from it what another level of the module already did:
+//!
+//! | stage | taken from an earlier level | when |
+//! |-------|-----------------------------|------|
+//! | front end | the lowered program, cloned | always: the `tlang` check and [`lower_module`](crate::lower::lower_module) run once per module |
+//! | mid-end | a function's optimized body and the [`PassStats`](crate::PassStats) it added | the SSA roster, the [`MemoryModel`](crate::mem::MemoryModel) and the function entering the per-function pipeline are each equal (`==`) |
+//! | backend | a function's [`AsmFunction`](crate::backend::AsmFunction) | the optimized function is equal, and the switch-lowering rule picks the same form for each of its `Switch`es at both levels |
+//!
+//! The conditions are what the stages read: the per-function pipeline
+//! depends only on its roster, its model and the function (the reuse
+//! contract of [`crate::opt`]), and the backend reads the level only to
+//! choose a `Switch`'s form. So every artifact — assembly, pass
+//! statistics, register-allocation counters, decoded program — is
+//! byte-identical to a fresh [`compile`](crate::compile), in any order
+//! of levels and modules. [`compile`](crate::compile) runs the same
+//! stage sequence with no family: nothing to take, nothing kept.
+//!
+//! **Memory.** A family holds its module's lowered program and, per
+//! compiled level, the functions entering and leaving the mid-end; the
+//! assembly is shared with the cached artifact. Once every level of its
+//! module is compiled, each job of the module is an artifact-cache hit,
+//! and the next compile of another module drops the family. Of the
+//! modules compiled at only some levels, a session keeps the four most
+//! recent and drops the least recent first. [`Driver::evict_memory`]
+//! drops every family with the artifacts.
+//!
+//! **Locking.** Like the artifact cache, the family store is locked only
+//! to copy a family out (reference counts, no function) and to merge a
+//! compiled level back in, never across a compile. Racing misses on one
+//! module each do their own work; the family keeps the first per level.
+//!
+//! ```
+//! use occ::driver::Driver;
+//! use occ::OptLevel;
+//! use tlang::{Expr, Function, Module, Stmt, Type};
+//!
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! let mut module = Module::new("family");
+//! module.push_function(Function {
+//!     name: "twice".into(),
+//!     params: vec![("x".into(), Type::I32)],
+//!     ret: Type::I32,
+//!     body: vec![Stmt::Return(Some(Expr::var("x").add(Expr::var("x"))))],
+//!     exported: true,
+//! });
+//!
+//! let driver = Driver::new();
+//! driver.compile(&module, OptLevel::O2)?;
+//! let os = driver.compile(&module, OptLevel::Os)?;
+//! // -Os took `twice` from -O2 at the mid-end and at the backend ...
+//! let stats = driver.stats();
+//! assert_eq!((stats.mid_end_reused, stats.backend_reused), (1, 1));
+//! // ... and built exactly what a fresh compile builds.
+//! let fresh = occ::compile(&module, OptLevel::Os)?;
+//! assert_eq!(os.assembly(), fresh.assembly());
+//! assert_eq!(os.pass_stats(), fresh.pass_stats());
+//! # Ok(())
+//! # }
+//! ```
+//!
 //! # The shared worker pool
 //!
 //! [`parallel_map`] fans a slice out over a `std::thread::scope` worker
@@ -50,12 +122,15 @@
 //!
 //! # Observability
 //!
-//! Every session counts jobs served, cache hits and misses
-//! ([`DriverStats`]). Nothing in the driver reads a clock: the
+//! Every session counts jobs served, cache hits and misses, and the
+//! functions its level families supplied to the mid-end and to the
+//! backend ([`DriverStats`]). Nothing in the driver reads a clock: the
 //! repository benchmark (`perfbench/`) times the toolchain from outside,
 //! and its traced run reports each compile stage (`occ.lower_ms`,
 //! `occ.opt_ms.<level>`, `occ.backend_ms`, `occ.vm.decode_ms`) and the
-//! warm path (`occ.driver.hash_us`, `occ.driver.lookup_us`).
+//! warm path (`occ.driver.hash_us`, `occ.driver.lookup_us`). Its stages
+//! run one by one with no family, so they time the work a level does
+//! alone, not what a family saves.
 //!
 //! # Example
 //!
@@ -92,13 +167,15 @@
 //! # }
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::{Artifact, CompileError, OptLevel};
+use crate::mir::{MirFunction, Program};
+use crate::opt::MidEndWork;
+use crate::{Artifact, Assembly, CompileError, OptLevel};
 
 // ---------------------------------------------------------------------
 // FNV-1a hashing (hand-rolled; no crates.io)
@@ -200,18 +277,27 @@ impl<F: FnMut(&[u8])> Hasher for Encoder<F> {
     }
 }
 
-/// Content-hashes one `(module, level)` job: FNV-128 over the level's
-/// tag byte followed by [`serialize_job`]'s bytes, streamed without
-/// building the vector. Equal jobs hash equal on every run; any AST
-/// difference — a renamed function, a changed literal, a reordered
+/// Content-hashes one `(module, level)` job: FNV-128 over
+/// [`serialize_job`]'s bytes followed by the level's tag byte, streamed
+/// without building the vector. Equal jobs hash equal on every run; any
+/// AST difference — a renamed function, a changed literal, a reordered
 /// global — changes the hash.
 pub fn job_hash(module: &tlang::Module, level: OptLevel) -> u128 {
-    let mut h = Fnv128::new();
-    (level, module).hash(&mut Encoder(|bytes: &[u8]| h.write(bytes)));
-    h.finish()
+    keys(module, level).1
 }
 
-/// The bytes [`job_hash`] hashes after the level: the module's derived
+/// The module's family key and the job's [`job_hash`], from one pass
+/// over the module: the FNV-128 state after [`serialize_job`]'s bytes,
+/// and after the level's tag byte too.
+fn keys(module: &tlang::Module, level: OptLevel) -> (u128, u128) {
+    let mut h = Fnv128::new();
+    module.hash(&mut Encoder(|bytes: &[u8]| h.write(bytes)));
+    let family = h.finish();
+    level.hash(&mut Encoder(|bytes: &[u8]| h.write(bytes)));
+    (family, h.finish())
+}
+
+/// The bytes [`job_hash`] hashes before the level: the module's derived
 /// [`Hash`] through the varint encoder. Exposed so callers can measure
 /// what is hashed.
 pub fn serialize_job(module: &tlang::Module) -> Vec<u8> {
@@ -279,6 +365,88 @@ where
 }
 
 // ---------------------------------------------------------------------
+// Level families
+// ---------------------------------------------------------------------
+
+/// The most families a session keeps; the least recently compiled
+/// module's goes first.
+const FAMILIES: usize = 4;
+
+/// The work the compiled levels of one module leave for its other levels
+/// (see [Level families](self#level-families)). A clone shares what the
+/// original holds.
+#[derive(Clone, Default)]
+pub(crate) struct Family {
+    /// The checked and lowered module.
+    pub(crate) lowered: Option<Arc<Program>>,
+    levels: Vec<Arc<LevelWork>>,
+}
+
+impl Family {
+    /// The compiled levels, in the order they were added.
+    pub(crate) fn levels(&self) -> impl Iterator<Item = &LevelWork> {
+        self.levels.iter().map(Arc::as_ref)
+    }
+
+    /// Adds a compiled level's work.
+    pub(crate) fn push(&mut self, work: LevelWork) {
+        self.levels.push(Arc::new(work));
+    }
+
+    /// Adds another family's level, unless this one has that level.
+    fn adopt(&mut self, work: Arc<LevelWork>) {
+        if self.levels.iter().all(|l| l.level != work.level) {
+            self.levels.push(work);
+        }
+    }
+}
+
+/// One compiled level of a module: what its mid-end and backend did.
+pub(crate) struct LevelWork {
+    pub(crate) level: OptLevel,
+    pub(crate) mid_end: MidEndWork,
+    /// The functions the backend compiled, in program order.
+    pub(crate) optimized: Vec<MirFunction>,
+    /// Their assembly: `asm.functions[i]` is `optimized[i]`'s.
+    pub(crate) asm: Arc<Assembly>,
+    /// Functions whose assembly came from another level.
+    asm_reused: usize,
+    /// Indices into `optimized`, sorted by function name.
+    by_name: Vec<usize>,
+}
+
+impl LevelWork {
+    pub(crate) fn new(
+        level: OptLevel,
+        mid_end: MidEndWork,
+        optimized: Vec<MirFunction>,
+        asm: Arc<Assembly>,
+        asm_reused: usize,
+    ) -> LevelWork {
+        let mut by_name: Vec<usize> = (0..optimized.len()).collect();
+        by_name.sort_unstable_by(|&a, &b| optimized[a].name.cmp(&optimized[b].name));
+        LevelWork {
+            level,
+            mid_end,
+            optimized,
+            asm,
+            asm_reused,
+            by_name,
+        }
+    }
+
+    /// The index of the function called `name` (names are unique in a
+    /// program).
+    pub(crate) fn find(&self, name: &str) -> Option<usize> {
+        let k = self
+            .by_name
+            .binary_search_by(|&i| self.optimized[i].name.as_str().cmp(name))
+            .ok()?;
+        Some(self.by_name[k])
+    }
+}
+
+// ---------------------------------------------------------------------
 // The driver
 // ---------------------------------------------------------------------
 
@@ -287,6 +455,8 @@ struct Counters {
     jobs: AtomicUsize,
     hits: AtomicUsize,
     misses: AtomicUsize,
+    mid_end_reused: AtomicUsize,
+    backend_reused: AtomicUsize,
 }
 
 /// Cumulative counters of one [`Driver`] session.
@@ -297,6 +467,12 @@ pub struct DriverStats {
     hits: usize,
     /// Jobs that compiled from scratch.
     pub misses: usize,
+    /// Functions whose optimized body and pass statistics a compiled job
+    /// took from another level of its module.
+    pub mid_end_reused: usize,
+    /// Functions whose assembly a compiled job took from another level of
+    /// its module.
+    pub backend_reused: usize,
 }
 
 impl DriverStats {
@@ -317,19 +493,24 @@ impl DriverStats {
     /// One human-readable summary line.
     pub fn render(&self) -> String {
         format!(
-            "{} jobs: {} hit ({:.1}%), {} compiled",
+            "{} jobs: {} hit ({:.1}%), {} compiled; functions reused: {} optimized, {} assembled",
             self.jobs,
             self.hits(),
             100.0 * self.hit_rate(),
             self.misses,
+            self.mid_end_reused,
+            self.backend_reused,
         )
     }
 }
 
 /// A compilation session: a content-addressed in-memory artifact cache
-/// around [`crate::compile`]. See the module doc for the full contract.
+/// around [`crate::compile`], sharing work between the levels of a
+/// module. See the module doc for the full contract.
 pub struct Driver {
     mem: Mutex<HashMap<u128, Arc<Artifact>>>,
+    /// `(module key, family)`, least recently compiled first.
+    families: Mutex<VecDeque<(u128, Family)>>,
     counters: Counters,
 }
 
@@ -344,13 +525,15 @@ impl Driver {
     pub fn new() -> Driver {
         Driver {
             mem: Mutex::new(HashMap::new()),
+            families: Mutex::new(VecDeque::new()),
             counters: Counters::default(),
         }
     }
 
     /// Compiles one job through the cache: a hit returns the cached
-    /// artifact; a miss compiles (outside any lock) and publishes the
-    /// result.
+    /// artifact; a miss compiles (outside any lock), reusing what other
+    /// levels of the module left in its family, and publishes the
+    /// artifact and this level's work.
     ///
     /// # Errors
     ///
@@ -361,7 +544,7 @@ impl Driver {
         level: OptLevel,
     ) -> Result<Arc<Artifact>, CompileError> {
         self.counters.jobs.fetch_add(1, Ordering::Relaxed);
-        let key = job_hash(module, level);
+        let (family_key, key) = keys(module, level);
 
         let hit = self.lock_mem().get(&key).cloned();
         if let Some(artifact) = hit {
@@ -369,11 +552,22 @@ impl Driver {
             return Ok(artifact);
         }
 
-        // Miss: compile with no lock held. A concurrent thread racing on
-        // the same key compiles the same bytes; the or_insert below keeps
-        // whichever artifact published first.
-        let artifact = crate::compile(module, level)?;
+        // Miss: compile from a copy of the module's family with no lock
+        // held. A concurrent thread racing on the same key compiles the
+        // same bytes; the or_insert below keeps whichever artifact
+        // published first, and the family keeps the first work per level.
+        let mut family = self.family(family_key);
+        let artifact = crate::compile_level(module, level, Some(&mut family))?;
         self.counters.misses.fetch_add(1, Ordering::Relaxed);
+        let work = family.levels().last().expect("the compile added its level");
+        let counters = &self.counters;
+        counters
+            .mid_end_reused
+            .fetch_add(work.mid_end.reused, Ordering::Relaxed);
+        counters
+            .backend_reused
+            .fetch_add(work.asm_reused, Ordering::Relaxed);
+        self.keep_family(family_key, family);
         let artifact = self
             .lock_mem()
             .entry(key)
@@ -382,18 +576,66 @@ impl Driver {
         Ok(artifact)
     }
 
+    /// A copy of the family kept under `key`, or an empty one.
+    fn family(&self, key: u128) -> Family {
+        let families = self.lock_families();
+        families
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, fam)| fam.clone())
+            .unwrap_or_default()
+    }
+
+    /// Merges `family` into the one kept under `key`, which becomes the
+    /// most recent. The families of other modules that have every level
+    /// are dropped — each job of theirs is an artifact-cache hit from
+    /// then on — and so is the least recent beyond [`FAMILIES`].
+    ///
+    /// A family is not dropped by the compile that completes it: that
+    /// would free its many small blocks just before the caller's next
+    /// allocations, in a chain the next module's AST, and an AST spread
+    /// over those blocks made every later hit hash it slower (`perfbench`
+    /// `recompile` `op_us_p50` about 35% higher on a 2-core host).
+    fn keep_family(&self, key: u128, family: Family) {
+        let mut families = self.lock_families();
+        let mut kept = match families.iter().position(|(k, _)| *k == key) {
+            Some(i) => families.remove(i).expect("position is in range").1,
+            None => Family::default(),
+        };
+        if kept.lowered.is_none() {
+            kept.lowered = family.lowered;
+        }
+        for work in family.levels {
+            kept.adopt(work);
+        }
+        let all = OptLevel::all().len();
+        let (mut dropped, partial): (VecDeque<_>, VecDeque<_>) = families
+            .drain(..)
+            .partition(|(_, fam)| fam.levels.len() == all);
+        *families = partial;
+        families.push_back((key, kept));
+        if families.len() > FAMILIES {
+            dropped.extend(families.pop_front());
+        }
+        // Free the dropped families' functions after the lock is released.
+        drop(families);
+        drop(dropped);
+    }
+
     /// A snapshot of this session's cumulative counters.
     pub fn stats(&self) -> DriverStats {
         DriverStats {
             jobs: self.counters.jobs.load(Ordering::Relaxed),
             hits: self.counters.hits.load(Ordering::Relaxed),
             misses: self.counters.misses.load(Ordering::Relaxed),
+            mid_end_reused: self.counters.mid_end_reused.load(Ordering::Relaxed),
+            backend_reused: self.counters.backend_reused.load(Ordering::Relaxed),
         }
     }
 
-    /// Drops every entry of the artifact cache, returning how many were
-    /// evicted. Cumulative counters are untouched, and outstanding
-    /// `Arc<Artifact>` handles stay valid.
+    /// Drops every entry of the artifact cache and every level family,
+    /// returning how many artifacts were evicted. Cumulative counters are
+    /// untouched, and outstanding `Arc<Artifact>` handles stay valid.
     ///
     /// Corpus-scale callers (the fuzz harness compiles thousands of
     /// *distinct* machines through one session, so the cache buys nothing
@@ -401,14 +643,19 @@ impl Driver {
     /// footprint while still getting within-case hits — every shrink
     /// candidate and every event sequence of a case re-hits its cells.
     pub fn evict_memory(&self) -> usize {
+        self.lock_families().clear();
         let mut mem = self.lock_mem();
         let n = mem.len();
         mem.clear();
         n
     }
 
-    fn lock_mem(&self) -> std::sync::MutexGuard<'_, HashMap<u128, Arc<Artifact>>> {
+    fn lock_mem(&self) -> MutexGuard<'_, HashMap<u128, Arc<Artifact>>> {
         self.mem.lock().expect("driver cache lock poisoned")
+    }
+
+    fn lock_families(&self) -> MutexGuard<'_, VecDeque<(u128, Family)>> {
+        self.families.lock().expect("driver family lock poisoned")
     }
 }
 
@@ -506,12 +753,14 @@ mod tests {
     }
 
     #[test]
-    fn job_hash_is_fnv128_over_the_level_then_serialize_job() {
+    fn job_hash_is_fnv128_over_serialize_job_then_the_level() {
         let m = module_returning("demo", 42);
+        let mut module = Fnv128::new();
+        module.write(&serialize_job(&m));
         for level in OptLevel::all() {
-            let mut h = Fnv128::new();
+            let mut h = Fnv128(module.finish());
             h.write(&[level as u8]);
-            h.write(&serialize_job(&m));
+            assert_eq!(keys(&m, level), (module.finish(), h.finish()), "{level:?}");
             assert_eq!(job_hash(&m, level), h.finish(), "{level:?}");
         }
         // Strings end in 0xff; the four empty lists are one-byte lengths.
@@ -533,6 +782,47 @@ mod tests {
     }
 
     #[test]
+    fn families_are_bounded_and_dropped_by_eviction() {
+        let driver = Driver::new();
+        // Whether -Os of module `i` takes its function from -O2.
+        let os_reuses = |i: i64| {
+            let before = driver.stats().mid_end_reused;
+            driver
+                .compile(&module_returning("m", i), OptLevel::Os)
+                .expect("compiles");
+            driver.stats().mid_end_reused > before
+        };
+        let o2 = |i: i64| {
+            driver
+                .compile(&module_returning("m", i), OptLevel::O2)
+                .expect("compiles");
+        };
+        o2(0);
+        assert!(os_reuses(0));
+        // Module 1's family is pushed out by FAMILIES newer modules.
+        for i in 1..=FAMILIES as i64 + 1 {
+            o2(i);
+        }
+        assert!(!os_reuses(1));
+        assert!(os_reuses(FAMILIES as i64 + 1));
+        o2(100);
+        driver.evict_memory();
+        assert!(!os_reuses(100));
+        // A module compiled at every level keeps its family only until
+        // another module compiles: each of its jobs is a cache hit.
+        for level in OptLevel::all() {
+            driver
+                .compile(&module_returning("all", 0), level)
+                .expect("compiles");
+        }
+        assert_eq!(driver.lock_families().len(), 2);
+        o2(200);
+        let families = driver.lock_families();
+        assert_eq!(families.len(), 2, "modules 100 and 200 at one level each");
+        assert!(families.iter().all(|(_, fam)| fam.levels.len() == 1));
+    }
+
+    #[test]
     fn memory_tier_serves_repeats() {
         let driver = Driver::new();
         let m = module_returning("demo", 1);
@@ -545,7 +835,10 @@ mod tests {
         // Distinct levels are distinct jobs.
         driver.compile(&m, OptLevel::O0).expect("compiles");
         assert_eq!(driver.stats().misses, 2);
-        assert_eq!(driver.stats().render(), "3 jobs: 1 hit (33.3%), 2 compiled");
+        assert_eq!(
+            driver.stats().render(),
+            "3 jobs: 1 hit (33.3%), 2 compiled; functions reused: 0 optimized, 0 assembled"
+        );
     }
 
     #[test]

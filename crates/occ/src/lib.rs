@@ -11,7 +11,7 @@
 //!   densely; the one constant pass at every level), root-based dead-code
 //!   elimination, global value numbering / CSE (which also propagates
 //!   copies), store-to-load forwarding inside and across blocks (over the
-//!   available-load dataflow [`opt::AvailLoads`]) and dead-store
+//!   available-load dataflow of [`opt::cross_block_forward`]) and dead-store
 //!   elimination — both over the memory-dependence layer of [`mem`]
 //!   (flat-image alias model: `Addr` roots plus constant offsets) —
 //!   return-block tail merging, CFG simplification (terminator folding,
@@ -98,6 +98,7 @@ pub mod verify;
 pub mod vm;
 
 use std::fmt;
+use std::sync::Arc;
 
 pub use backend::{Assembly, RegAllocStats, SizeReport};
 pub use opt::{PassManager, PassStats, PipelineStats};
@@ -175,7 +176,7 @@ impl std::error::Error for CompileError {}
 /// The result of compiling a module: the final assembly plus reports.
 #[derive(Debug, Clone)]
 pub struct Artifact {
-    asm: Assembly,
+    asm: Arc<Assembly>,
     decoded: vm::DecodedProgram,
     pass_stats: PipelineStats,
     surviving_functions: Vec<String>,
@@ -230,22 +231,55 @@ impl Artifact {
 /// Compiles a module at the given optimization level: type check, MIR
 /// lowering, the mid-end pipeline, the backend, and the fast engine's
 /// pre-decode. This is the one compile entry point; [`driver::Driver`]
-/// caches its results.
+/// caches its results and shares work between the levels of a module
+/// (its "Level families"), with artifacts equal to this function's.
 ///
 /// # Errors
 ///
 /// Fails if the module does not type-check or exceeds backend limits (see
 /// [`CompileError`]).
 pub fn compile(module: &tlang::Module, level: OptLevel) -> Result<Artifact, CompileError> {
-    module
-        .check()
-        .map_err(|e| CompileError::Check(e.to_string()))?;
-    let mut program = lower::lower_module(module)?;
-    let pass_stats = opt::run_pipeline(&mut program, level);
-    let asm = backend::compile_program(&program, level)?;
+    compile_level(module, level, None)
+}
+
+/// The stage sequence of every compile. With a `family` — the work other
+/// levels of the same module left (see [`driver`]'s "Level families") —
+/// the front end starts from its lowered program, the mid-end and the
+/// backend take what they may from its levels, and this level's work is
+/// added to it. [`compile`] passes none: nothing to take, nothing kept.
+pub(crate) fn compile_level(
+    module: &tlang::Module,
+    level: OptLevel,
+    mut family: Option<&mut driver::Family>,
+) -> Result<Artifact, CompileError> {
+    let mut program = match family.as_deref().and_then(|fam| fam.lowered.as_deref()) {
+        Some(lowered) => lowered.clone(),
+        None => {
+            module
+                .check()
+                .map_err(|e| CompileError::Check(e.to_string()))?;
+            let program = lower::lower_module(module)?;
+            if let Some(fam) = family.as_deref_mut() {
+                fam.lowered = Some(Arc::new(program.clone()));
+            }
+            program
+        }
+    };
+    let (pass_stats, mid_end) = opt::run_pipeline_in(&mut program, level, family.as_deref());
+    let (asm, asm_reused) = backend::assemble(&program, level, family.as_deref())?;
     let decoded = vm::DecodedProgram::decode(&asm)
         .map_err(|e| CompileError::Internal(format!("decode: {e}")))?;
     let surviving_functions = program.functions.iter().map(|f| f.name.clone()).collect();
+    let asm = Arc::new(asm);
+    if let Some(fam) = family {
+        fam.push(driver::LevelWork::new(
+            level,
+            mid_end,
+            program.functions,
+            Arc::clone(&asm),
+            asm_reused,
+        ));
+    }
     Ok(Artifact {
         asm,
         decoded,

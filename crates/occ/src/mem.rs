@@ -97,7 +97,8 @@
 //! function accesses through exact addresses form its [`CellUniverse`],
 //! a sorted array whose positions index everything else: [`CellState`]
 //! holds one [`CellVal`] per universe index, and [`BlockCells`] — like the
-//! availability dataflow [`crate::opt::AvailLoads`] built from it — is a
+//! availability dataflow of [`crate::opt::cross_block_forward`] built
+//! from it — is a
 //! pair of [`BitSet`]s over those indices. Index order is `(global,
 //! offset)` order, so walking a set visits cells exactly as an ordered
 //! set of [`Cell`]s would. The mid-end computes [`FnAddrs`] at most once

@@ -80,7 +80,7 @@
 //!   value-numbered (the memory passes own them).
 //! * [`cross_block_forward`] — store-to-load forwarding and
 //!   redundant-load elimination, inside a block and across blocks, over
-//!   the [`AvailLoads`] must-availability dataflow: a load whose cell's
+//!   a must-availability dataflow of memory cells: a load whose cell's
 //!   value is already in a register — provided earlier in its block, or
 //!   available on every incoming path — is deleted outright, its uses
 //!   rewritten through new φs at joins where predecessor values differ.
@@ -125,7 +125,7 @@
 //! **What it caches.** Predecessor lists, the [`cfg::DomTree`]
 //! (immediate dominators, tree children, preorder, reachability) and the
 //! address resolution [`mem::FnAddrs`]. The cross-block
-//! must-availability dataflow [`AvailLoads`] is not cached:
+//! must-availability dataflow is not cached:
 //! [`cross_block_forward`], its only reader, computes it from those three
 //! on every run, and any edit it makes would drop it anyway.
 //!
@@ -193,6 +193,25 @@
 //! assert_eq!(f.blocks[0].term, Term::Ret(Some(VReg(0))));
 //! ```
 //!
+//! # Reuse
+//!
+//! The per-function pipeline depends on three things only: the roster of
+//! registered SSA passes, the program's [`mem::MemoryModel`] and the
+//! function itself. No pass reads another function, the level or any
+//! state outside the function's [`AnalysisCtx`], and that context lives
+//! and dies with one [`PassManager::run_function`] call. So a function
+//! that enters the pipeline twice, under an equal roster and an equal
+//! model, leaves it equal both times and adds equal [`PassStats`]; the
+//! verification mode decides only what debug builds check.
+//!
+//! [`crate::driver`] relies on this contract: when a session compiles
+//! one module at several levels, a function that `-O2` already took
+//! through the pipeline is not run again at `-Os` when the roster, the
+//! model and the function are each equal (`==`) — its optimized body and
+//! the stats it added are taken instead ("Level families" in the driver
+//! rustdoc). A pass that read anything beyond those three would break
+//! it.
+//!
 //! # Verification
 //!
 //! Every invariant the rosters above rely on is cataloged — and, in
@@ -209,6 +228,7 @@ use std::collections::BTreeMap;
 
 use crate::bitset::BitSet;
 use crate::cfg;
+use crate::driver::{Family, LevelWork};
 use crate::mem;
 use crate::mir::{BinOp, Block, BlockId, Inst, MirFunction, Program, Term, UnOp, VReg, Word};
 use crate::ssa;
@@ -290,6 +310,18 @@ impl PipelineStats {
             ..PassStats::default()
         });
         self.passes.last_mut().expect("just pushed")
+    }
+
+    /// Adds every count of `other`; a pass new to `self` is appended, so
+    /// absorbing per-function stats in program order keeps the
+    /// first-execution order.
+    fn absorb(&mut self, other: &PipelineStats) {
+        for p in &other.passes {
+            let st = self.entry(p.name);
+            st.runs += p.runs;
+            st.changes += p.changes;
+            st.insts_removed += p.insts_removed;
+        }
     }
 
     fn record(&mut self, name: &'static str, changed: bool, insts_removed: usize) {
@@ -582,12 +614,51 @@ impl PassManager {
 
     /// Runs every function of `program` through
     /// [`PassManager::run_function`], under the program's
-    /// [`mem::MemoryModel`].
-    pub fn run_program(&mut self, program: &mut Program) {
-        let model = mem::MemoryModel::of(program);
+    /// [`mem::MemoryModel`]. With a `family`, a function that one of its
+    /// levels ran under an equal roster and model from an equal body is
+    /// not run again: that level's optimized body and the stats the
+    /// function added there are taken instead ([Reuse](self#reuse)), and
+    /// the returned work records every function's body and stats for the
+    /// levels after this one. Without one, the work records nothing.
+    pub(crate) fn run_program(
+        &mut self,
+        program: &mut Program,
+        family: Option<&Family>,
+    ) -> MidEndWork {
+        let mut work = MidEndWork {
+            roster: self.ssa_passes.iter().map(|(name, _)| *name).collect(),
+            model: mem::MemoryModel::of(program),
+            ..MidEndWork::default()
+        };
+        let earlier: Vec<&LevelWork> = family
+            .into_iter()
+            .flat_map(Family::levels)
+            .filter(|l| l.mid_end.roster == work.roster && l.mid_end.model == work.model)
+            .collect();
         for f in &mut program.functions {
-            self.run_function(f, &model);
+            let taken = earlier.iter().find_map(|l| {
+                let i = l.find(&f.name)?;
+                let (input, stats) = l.mid_end.runs.get(i)?;
+                (input == f).then(|| (&l.optimized[i], stats))
+            });
+            let (input, stats) = match taken {
+                Some((optimized, stats)) => {
+                    work.reused += 1;
+                    (Some(std::mem::replace(f, optimized.clone())), stats.clone())
+                }
+                None => {
+                    let input = family.map(|_| f.clone());
+                    let total = std::mem::take(&mut self.stats);
+                    self.run_function(f, &work.model);
+                    (input, std::mem::replace(&mut self.stats, total))
+                }
+            };
+            self.stats.absorb(&stats);
+            if let Some(input) = input {
+                work.runs.push((input, stats));
+            }
         }
+        work
     }
 
     /// Optimizes one function in one fixed sequence: [`simplify_cfg`] on
@@ -674,9 +745,36 @@ impl PassManager {
     }
 }
 
+/// What one level's per-function pipeline did to a program, kept so
+/// that another level of the same module can take a function's result
+/// instead of running it again ([Reuse](self#reuse)). Its functions line
+/// up with the optimized program's.
+#[derive(Debug, Default)]
+pub(crate) struct MidEndWork {
+    /// The registered SSA passes, by name (none at `-O0`).
+    roster: Vec<&'static str>,
+    /// The model every function ran under.
+    model: mem::MemoryModel,
+    /// Per function: the body the pipeline received and the stats it
+    /// added. Empty when nothing was to be kept.
+    runs: Vec<(MirFunction, PipelineStats)>,
+    /// Functions whose result came from another level.
+    pub(crate) reused: usize,
+}
+
 /// Runs the pipeline for `level`, returning per-pass statistics.
 pub fn run_pipeline(program: &mut Program, level: OptLevel) -> PipelineStats {
-    run_pipeline_impl(program, level, None)
+    run_pipeline_impl(program, level, None, None).0
+}
+
+/// [`run_pipeline`] reusing and recording work through `family` (see
+/// [`PassManager::run_program`]).
+pub(crate) fn run_pipeline_in(
+    program: &mut Program,
+    level: OptLevel,
+    family: Option<&Family>,
+) -> (PipelineStats, MidEndWork) {
+    run_pipeline_impl(program, level, None, family)
 }
 
 /// [`run_pipeline`] with an explicit [`VerifyMode`], bypassing the
@@ -689,14 +787,15 @@ pub fn run_pipeline_with_verify(
     level: OptLevel,
     mode: VerifyMode,
 ) -> PipelineStats {
-    run_pipeline_impl(program, level, Some(mode))
+    run_pipeline_impl(program, level, Some(mode), None).0
 }
 
 fn run_pipeline_impl(
     program: &mut Program,
     level: OptLevel,
     verify_mode: Option<VerifyMode>,
-) -> PipelineStats {
+    family: Option<&Family>,
+) -> (PipelineStats, MidEndWork) {
     let mut pm = PassManager::for_level(level);
     if let Some(mode) = verify_mode {
         pm = pm.with_verify(mode);
@@ -726,10 +825,12 @@ fn run_pipeline_impl(
             );
         }
     }
-    if level > OptLevel::O0 {
-        pm.run_program(program);
-    }
-    pm.into_stats()
+    let work = if level > OptLevel::O0 {
+        pm.run_program(program, family)
+    } else {
+        MidEndWork::default()
+    };
+    (pm.into_stats(), work)
 }
 
 // ---------------------------------------------------------------------
@@ -1181,9 +1282,9 @@ pub fn dead_store_elim(f: &mut MirFunction, cx: &mut AnalysisCtx<'_>) -> bool {
 /// The cross-block must-availability dataflow: per block, the set of
 /// exactly addressed memory cells ([`mem::Cell`]) whose values are
 /// *must-available* — on every path from the entry, the cell was last
-/// written or read with no intervening clobber — on block entry and exit,
-/// plus the per-block [`mem::BlockCells`] transfer summaries the sets
-/// were computed from. Sets are [`BitSet`]s over
+/// written or read with no intervening clobber — on block entry, plus
+/// the per-block [`mem::BlockCells`] transfer summaries that give the
+/// exit sets. Sets are [`BitSet`]s over
 /// the indices of the function's [`mem::CellUniverse`].
 ///
 /// A cell is available at a point if on *every* path there it was last
@@ -1201,11 +1302,10 @@ pub fn dead_store_elim(f: &mut MirFunction, cx: &mut AnalysisCtx<'_>) -> bool {
 /// [`cross_block_forward`] computes it on every run that has cells to
 /// track.
 #[derive(Debug, Clone)]
-pub struct AvailLoads {
+pub(crate) struct AvailLoads {
     universe: mem::CellUniverse,
     effects: Vec<mem::BlockCells>,
     avail_in: Vec<BitSet>,
-    avail_out: Vec<BitSet>,
 }
 
 impl AvailLoads {
@@ -1265,27 +1365,21 @@ impl AvailLoads {
             universe,
             effects,
             avail_in,
-            avail_out,
         }
     }
 
     /// The cell universe the analysis ranged over.
-    pub fn universe(&self) -> &mem::CellUniverse {
+    fn universe(&self) -> &mem::CellUniverse {
         &self.universe
     }
 
     /// Cells available on entry to `b`.
-    pub fn on_entry(&self, b: BlockId) -> &BitSet {
+    fn on_entry(&self, b: BlockId) -> &BitSet {
         &self.avail_in[b.0 as usize]
     }
 
-    /// Cells available at the exit of `b`.
-    pub fn at_exit(&self, b: BlockId) -> &BitSet {
-        &self.avail_out[b.0 as usize]
-    }
-
     /// The transfer summary of block `b`.
-    pub fn effects(&self, b: BlockId) -> &mem::BlockCells {
+    fn effects(&self, b: BlockId) -> &mem::BlockCells {
         &self.effects[b.0 as usize]
     }
 }
@@ -1457,8 +1551,11 @@ impl LoadEdits {
 /// load's destination. A load of a cell whose content is known is
 /// **deleted** and every use of its destination rewritten to that
 /// register. The content is known when the block itself provided it, or
-/// when [`AvailLoads`] proves the cell must-available on block entry — a
-/// same-cell store or load on every path with no clobber in between. In
+/// when the cross-block dataflow proves the cell must-available on block
+/// entry — a same-cell store or load on every path with no clobber in
+/// between (the greatest fixed point of set intersection over reachable
+/// predecessors, iterated in reverse postorder, so a cell a loop body
+/// never writes stays available around its back edge). In
 /// the second case the value is threaded through the SSA graph with new
 /// φs at joins where the incoming values differ, closing over back edges
 /// with loop φs: a loop-transparent cell's value enters the φ from
@@ -1582,12 +1679,15 @@ pub fn simplify_cfg(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
         }
     }
 
-    // 2. Thread edges through empty forwarding blocks. One retarget per
-    // search so predecessor lists stay fresh; chains converge within the
-    // loop.
+    // 2. Thread edges through empty forwarding blocks. Each search
+    // restarts at block 0 after one retarget, and chains converge within
+    // the loop. A retarget moves the edges into `s` onto `t`, so the
+    // predecessor lists stay exact by merging them into `t`'s list in
+    // block order and emptying `s`'s.
+    let mut preds = cfg::predecessors(f);
     'thread: loop {
-        let preds = cfg::predecessors(f);
-        for s in f.block_ids().collect::<Vec<_>>() {
+        for i in 0..f.blocks.len() {
+            let s = BlockId(i as u32);
             if s == BlockId(0) || !f.block(s).insts.is_empty() {
                 continue;
             }
@@ -1597,7 +1697,7 @@ pub fn simplify_cfg(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
             if t == s {
                 continue;
             }
-            let sp = preds[s.0 as usize].clone();
+            let sp = &preds[i];
             if sp.is_empty() {
                 continue; // already unreachable; removed below
             }
@@ -1616,6 +1716,7 @@ pub fn simplify_cfg(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
             if !safe {
                 continue;
             }
+            let sp = std::mem::take(&mut preds[i]);
             // Rewrite φs in `t`: the `s` entry becomes one entry per
             // incoming predecessor (skipping those already present).
             for inst in &mut f.block_mut(t).insts {
@@ -1638,6 +1739,9 @@ pub fn simplify_cfg(f: &mut MirFunction, _cx: &mut AnalysisCtx<'_>) -> bool {
                     .term
                     .map_succs(&mut |x| if x == s { t } else { x });
             }
+            let tp = &mut preds[t.0 as usize];
+            tp.extend(sp);
+            tp.sort_unstable();
             continue 'thread;
         }
         break;
@@ -4192,8 +4296,9 @@ mod tests {
         let cell = avail.universe().index((0, 0)).expect("tracked cell");
         // Stored on the then-arm only: available at its exit, not at the
         // else-arm's, so the join entry set is empty.
-        assert!(avail.at_exit(BlockId(1)).contains(cell));
-        assert!(!avail.at_exit(BlockId(2)).contains(cell));
+        let at_exit = |b| avail.effects(b).flow(avail.on_entry(b));
+        assert!(at_exit(BlockId(1)).contains(cell));
+        assert!(!at_exit(BlockId(2)).contains(cell));
         assert!(!avail.on_entry(BlockId(3)).contains(cell));
         // Stored on both arms: available on join entry.
         let f2 = diamond_mem_fn(Some(1), Some(2));

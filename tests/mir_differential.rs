@@ -71,7 +71,11 @@ const BIN_OPS: [BinOp; 14] = [
 
 /// Builds a terminating single-function program.
 ///
-/// * Block 0 defines constants, then every op of `ops` **twice** and
+/// * Block 0 loads a word of mutable data and defines the operand pool:
+///   the drawn constants, every second one offset by the loaded word (so
+///   no level can fold it, and the whole pipeline's GVN sees the drawn
+///   arithmetic, not constants `sccp` already folded). Then it defines
+///   every op of `ops` **twice** and
 ///   once more with its operands swapped — GVN/CSE must collapse the
 ///   duplicates without changing the trace, and merge the swapped twin
 ///   only when the operator commutes — and an address pool over three
@@ -125,10 +129,32 @@ fn build_program(inputs: &Inputs) -> Program {
         value: 0,
     });
     entry.push(Inst::Const { dst: one, value: 1 });
-    for &c in &inputs.consts {
+    let loaded = {
+        let at = fresh();
+        entry.push(Inst::Addr {
+            dst: at,
+            global: 0,
+            offset: 0,
+        });
+        let dst = fresh();
+        entry.push(Inst::Load { dst, addr: at });
+        dst
+    };
+    for (i, &c) in inputs.consts.iter().enumerate() {
         let dst = fresh();
         entry.push(Inst::Const { dst, value: c });
-        defined.push(dst);
+        if i % 2 == 0 {
+            defined.push(dst);
+        } else {
+            let sum = fresh();
+            entry.push(Inst::Bin {
+                op: BinOp::Add,
+                dst: sum,
+                lhs: loaded,
+                rhs: dst,
+            });
+            defined.push(sum);
+        }
     }
     for &(op, a, b) in &inputs.ops {
         let op = BIN_OPS[op as usize % BIN_OPS.len()];
@@ -589,10 +615,10 @@ fn simplify_cfg_preserves_em32_trace() {
     });
 }
 
-/// SCCP alone preserves the trace — the generated programs fold
-/// entirely to constants (all leaves are `Const`s), so this drives
+/// SCCP alone preserves the trace — the constant half of each
+/// program's operands folds, the loaded half does not, so this drives
 /// the executable-edge analysis through every terminator shape,
-/// including back edges.
+/// including back edges, on both folded and unknown conditions.
 #[test]
 fn sccp_preserves_em32_trace() {
     for_each_program(1..6, 1..6, false, |program| {
