@@ -493,8 +493,13 @@ pub(crate) fn assemble(
     let mut reused = 0;
     for f in &program.functions {
         let earlier = family.into_iter().flat_map(Family::levels).find_map(|l| {
-            let i = l.find(&f.name)?;
-            (l.optimized[i] == *f && switches_agree(f, l.level, level)).then(|| &l.asm.functions[i])
+            let i = l
+                .optimized
+                .functions
+                .iter()
+                .position(|g| g.name == f.name)?;
+            (l.optimized.functions[i] == *f && switches_agree(f, l.level, level))
+                .then(|| &l.asm.functions[i])
         });
         functions.push(match earlier {
             Some(asm) => {

@@ -54,7 +54,7 @@
 //!
 //! | stage | taken from an earlier level | when |
 //! |-------|-----------------------------|------|
-//! | front end | the lowered program, cloned | always: the `tlang` check and [`lower_module`](crate::lower::lower_module) run once per module |
+//! | front end | the lowered program, copied only by a level that runs a pass | always: the `tlang` check and [`lower_module`](crate::lower::lower_module) run once per module |
 //! | mid-end | a function's optimized body and the [`PassStats`](crate::PassStats) it added | the SSA roster, the [`MemoryModel`](crate::mem::MemoryModel) and the function entering the per-function pipeline are each equal (`==`) |
 //! | backend | a function's [`AsmFunction`](crate::backend::AsmFunction) | the optimized function is equal, and the switch-lowering rule picks the same form for each of its `Switch`es at both levels |
 //!
@@ -67,14 +67,17 @@
 //! of levels and modules. [`compile`](crate::compile) runs the same
 //! stage sequence with no family: nothing to take, nothing kept.
 //!
-//! **Memory.** A family holds its module's lowered program and, per
-//! compiled level, the functions entering and leaving the mid-end; the
-//! assembly is shared with the cached artifact. Once every level of its
-//! module is compiled, each job of the module is an artifact-cache hit,
-//! and the next compile of another module drops the family. Of the
-//! modules compiled at only some levels, a session keeps the four most
-//! recent and drops the least recent first. [`Driver::evict_memory`]
-//! drops every family with the artifacts.
+//! **Memory.** A family holds its module's lowered program, which
+//! `-O0` shares, and per compiled level above `-O0` the optimized
+//! program; the assembly is shared with the cached artifact. A level
+//! also keeps the functions entering its per-function pipeline, but only
+//! while a level it has not compiled runs the same roster (in practice
+//! `-O2` for `-Os`, or `-Os` for `-O2`). A session keeps the families of
+//! the two most recently compiled modules and drops the older one when a
+//! third compiles: callers compile a module's levels back to back, which
+//! needs one, and the second serves one other module interleaved (two
+//! workers sharing a session). [`Driver::evict_memory`] drops every
+//! family with the artifacts.
 //!
 //! **Locking.** Like the artifact cache, the family store is locked only
 //! to copy a family out (reference counts, no function) and to merge a
@@ -167,13 +170,13 @@
 //! # }
 //! ```
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::mir::{MirFunction, Program};
+use crate::mir::Program;
 use crate::opt::MidEndWork;
 use crate::{Artifact, Assembly, CompileError, OptLevel};
 
@@ -369,8 +372,8 @@ where
 // ---------------------------------------------------------------------
 
 /// The most families a session keeps; the least recently compiled
-/// module's goes first.
-const FAMILIES: usize = 4;
+/// module's goes first. Why two: [Level families](self#level-families).
+const FAMILIES: usize = 2;
 
 /// The work the compiled levels of one module leave for its other levels
 /// (see [Level families](self#level-families)). A clone shares what the
@@ -388,6 +391,11 @@ impl Family {
         self.levels.iter().map(Arc::as_ref)
     }
 
+    /// Whether `level` is compiled.
+    pub(crate) fn has(&self, level: OptLevel) -> bool {
+        self.levels.iter().any(|l| l.level == level)
+    }
+
     /// Adds a compiled level's work.
     pub(crate) fn push(&mut self, work: LevelWork) {
         self.levels.push(Arc::new(work));
@@ -395,7 +403,7 @@ impl Family {
 
     /// Adds another family's level, unless this one has that level.
     fn adopt(&mut self, work: Arc<LevelWork>) {
-        if self.levels.iter().all(|l| l.level != work.level) {
+        if !self.has(work.level) {
             self.levels.push(work);
         }
     }
@@ -405,45 +413,13 @@ impl Family {
 pub(crate) struct LevelWork {
     pub(crate) level: OptLevel,
     pub(crate) mid_end: MidEndWork,
-    /// The functions the backend compiled, in program order.
-    pub(crate) optimized: Vec<MirFunction>,
-    /// Their assembly: `asm.functions[i]` is `optimized[i]`'s.
+    /// The program the backend compiled; at `-O0`, which runs no pass,
+    /// the family's lowered program itself.
+    pub(crate) optimized: Arc<Program>,
+    /// Its assembly: `asm.functions[i]` is `optimized.functions[i]`'s.
     pub(crate) asm: Arc<Assembly>,
     /// Functions whose assembly came from another level.
-    asm_reused: usize,
-    /// Indices into `optimized`, sorted by function name.
-    by_name: Vec<usize>,
-}
-
-impl LevelWork {
-    pub(crate) fn new(
-        level: OptLevel,
-        mid_end: MidEndWork,
-        optimized: Vec<MirFunction>,
-        asm: Arc<Assembly>,
-        asm_reused: usize,
-    ) -> LevelWork {
-        let mut by_name: Vec<usize> = (0..optimized.len()).collect();
-        by_name.sort_unstable_by(|&a, &b| optimized[a].name.cmp(&optimized[b].name));
-        LevelWork {
-            level,
-            mid_end,
-            optimized,
-            asm,
-            asm_reused,
-            by_name,
-        }
-    }
-
-    /// The index of the function called `name` (names are unique in a
-    /// program).
-    pub(crate) fn find(&self, name: &str) -> Option<usize> {
-        let k = self
-            .by_name
-            .binary_search_by(|&i| self.optimized[i].name.as_str().cmp(name))
-            .ok()?;
-        Some(self.by_name[k])
-    }
+    pub(crate) asm_reused: usize,
 }
 
 // ---------------------------------------------------------------------
@@ -509,8 +485,9 @@ impl DriverStats {
 /// module. See the module doc for the full contract.
 pub struct Driver {
     mem: Mutex<HashMap<u128, Arc<Artifact>>>,
-    /// `(module key, family)`, least recently compiled first.
-    families: Mutex<VecDeque<(u128, Family)>>,
+    /// `(module key, family)`, at most [`FAMILIES`], least recently
+    /// compiled first.
+    families: Mutex<Vec<(u128, Family)>>,
     counters: Counters,
 }
 
@@ -525,7 +502,7 @@ impl Driver {
     pub fn new() -> Driver {
         Driver {
             mem: Mutex::new(HashMap::new()),
-            families: Mutex::new(VecDeque::new()),
+            families: Mutex::new(Vec::new()),
             counters: Counters::default(),
         }
     }
@@ -587,19 +564,11 @@ impl Driver {
     }
 
     /// Merges `family` into the one kept under `key`, which becomes the
-    /// most recent. The families of other modules that have every level
-    /// are dropped — each job of theirs is an artifact-cache hit from
-    /// then on — and so is the least recent beyond [`FAMILIES`].
-    ///
-    /// A family is not dropped by the compile that completes it: that
-    /// would free its many small blocks just before the caller's next
-    /// allocations, in a chain the next module's AST, and an AST spread
-    /// over those blocks made every later hit hash it slower (`perfbench`
-    /// `recompile` `op_us_p50` about 35% higher on a 2-core host).
+    /// most recent; the least recent beyond [`FAMILIES`] is dropped.
     fn keep_family(&self, key: u128, family: Family) {
         let mut families = self.lock_families();
         let mut kept = match families.iter().position(|(k, _)| *k == key) {
-            Some(i) => families.remove(i).expect("position is in range").1,
+            Some(i) => families.remove(i).1,
             None => Family::default(),
         };
         if kept.lowered.is_none() {
@@ -608,16 +577,9 @@ impl Driver {
         for work in family.levels {
             kept.adopt(work);
         }
-        let all = OptLevel::all().len();
-        let (mut dropped, partial): (VecDeque<_>, VecDeque<_>) = families
-            .drain(..)
-            .partition(|(_, fam)| fam.levels.len() == all);
-        *families = partial;
-        families.push_back((key, kept));
-        if families.len() > FAMILIES {
-            dropped.extend(families.pop_front());
-        }
-        // Free the dropped families' functions after the lock is released.
+        families.push((key, kept));
+        let dropped = (families.len() > FAMILIES).then(|| families.remove(0));
+        // Free the dropped family's functions after the lock is released.
         drop(families);
         drop(dropped);
     }
@@ -654,7 +616,7 @@ impl Driver {
         self.mem.lock().expect("driver cache lock poisoned")
     }
 
-    fn lock_families(&self) -> MutexGuard<'_, VecDeque<(u128, Family)>> {
+    fn lock_families(&self) -> MutexGuard<'_, Vec<(u128, Family)>> {
         self.families.lock().expect("driver family lock poisoned")
     }
 }
@@ -797,29 +759,18 @@ mod tests {
                 .compile(&module_returning("m", i), OptLevel::O2)
                 .expect("compiles");
         };
+        // A module's family outlives one other module's compile ...
         o2(0);
+        o2(1);
         assert!(os_reuses(0));
-        // Module 1's family is pushed out by FAMILIES newer modules.
-        for i in 1..=FAMILIES as i64 + 1 {
-            o2(i);
-        }
+        // ... but not two: module 1's went when 0 and 2 compiled after it.
+        o2(2);
         assert!(!os_reuses(1));
-        assert!(os_reuses(FAMILIES as i64 + 1));
-        o2(100);
+        assert_eq!(driver.lock_families().len(), FAMILIES);
+        o2(3);
         driver.evict_memory();
-        assert!(!os_reuses(100));
-        // A module compiled at every level keeps its family only until
-        // another module compiles: each of its jobs is a cache hit.
-        for level in OptLevel::all() {
-            driver
-                .compile(&module_returning("all", 0), level)
-                .expect("compiles");
-        }
-        assert_eq!(driver.lock_families().len(), 2);
-        o2(200);
-        let families = driver.lock_families();
-        assert_eq!(families.len(), 2, "modules 100 and 200 at one level each");
-        assert!(families.iter().all(|(_, fam)| fam.levels.len() == 1));
+        assert!(!os_reuses(3));
+        assert_eq!(driver.lock_families().len(), 1);
     }
 
     #[test]

@@ -252,33 +252,34 @@ pub(crate) fn compile_level(
     level: OptLevel,
     mut family: Option<&mut driver::Family>,
 ) -> Result<Artifact, CompileError> {
-    let mut program = match family.as_deref().and_then(|fam| fam.lowered.as_deref()) {
-        Some(lowered) => lowered.clone(),
+    let mut program = match family.as_deref().and_then(|fam| fam.lowered.clone()) {
+        Some(lowered) => lowered,
         None => {
             module
                 .check()
                 .map_err(|e| CompileError::Check(e.to_string()))?;
-            let program = lower::lower_module(module)?;
+            let lowered = Arc::new(lower::lower_module(module)?);
             if let Some(fam) = family.as_deref_mut() {
-                fam.lowered = Some(Arc::new(program.clone()));
+                fam.lowered = Some(Arc::clone(&lowered));
             }
-            program
+            lowered
         }
     };
-    let (pass_stats, mid_end) = opt::run_pipeline_in(&mut program, level, family.as_deref());
+    let (pass_stats, mid_end) =
+        opt::run_pipeline_impl(&mut program, level, None, family.as_deref());
     let (asm, asm_reused) = backend::assemble(&program, level, family.as_deref())?;
     let decoded = vm::DecodedProgram::decode(&asm)
         .map_err(|e| CompileError::Internal(format!("decode: {e}")))?;
     let surviving_functions = program.functions.iter().map(|f| f.name.clone()).collect();
     let asm = Arc::new(asm);
     if let Some(fam) = family {
-        fam.push(driver::LevelWork::new(
+        fam.push(driver::LevelWork {
             level,
             mid_end,
-            program.functions,
-            Arc::clone(&asm),
+            optimized: program,
+            asm: Arc::clone(&asm),
             asm_reused,
-        ));
+        });
     }
     Ok(Artifact {
         asm,

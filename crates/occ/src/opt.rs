@@ -225,6 +225,7 @@
 //! of [Analyses](#analyses) after every pass.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::bitset::BitSet;
 use crate::cfg;
@@ -552,6 +553,11 @@ impl PassManager {
         self
     }
 
+    /// The registered SSA passes, by name.
+    fn roster(&self) -> Vec<&'static str> {
+        self.ssa_passes.iter().map(|(name, _)| *name).collect()
+    }
+
     fn verify_each(&self) -> bool {
         cfg!(debug_assertions)
             && self
@@ -617,16 +623,17 @@ impl PassManager {
     /// [`mem::MemoryModel`]. With a `family`, a function that one of its
     /// levels ran under an equal roster and model from an equal body is
     /// not run again: that level's optimized body and the stats the
-    /// function added there are taken instead ([Reuse](self#reuse)), and
-    /// the returned work records every function's body and stats for the
-    /// levels after this one. Without one, the work records nothing.
+    /// function added there are taken instead ([Reuse](self#reuse)).
+    /// With `keep_inputs`, the returned work records every function's
+    /// input and stats for the levels still to compile.
     pub(crate) fn run_program(
         &mut self,
         program: &mut Program,
         family: Option<&Family>,
+        keep_inputs: bool,
     ) -> MidEndWork {
         let mut work = MidEndWork {
-            roster: self.ssa_passes.iter().map(|(name, _)| *name).collect(),
+            roster: self.roster(),
             model: mem::MemoryModel::of(program),
             ..MidEndWork::default()
         };
@@ -637,9 +644,13 @@ impl PassManager {
             .collect();
         for f in &mut program.functions {
             let taken = earlier.iter().find_map(|l| {
-                let i = l.find(&f.name)?;
+                let i = l
+                    .optimized
+                    .functions
+                    .iter()
+                    .position(|g| g.name == f.name)?;
                 let (input, stats) = l.mid_end.runs.get(i)?;
-                (input == f).then(|| (&l.optimized[i], stats))
+                (input == f).then(|| (&l.optimized.functions[i], stats))
             });
             let (input, stats) = match taken {
                 Some((optimized, stats)) => {
@@ -647,14 +658,14 @@ impl PassManager {
                     (Some(std::mem::replace(f, optimized.clone())), stats.clone())
                 }
                 None => {
-                    let input = family.map(|_| f.clone());
+                    let input = keep_inputs.then(|| f.clone());
                     let total = std::mem::take(&mut self.stats);
                     self.run_function(f, &work.model);
                     (input, std::mem::replace(&mut self.stats, total))
                 }
             };
             self.stats.absorb(&stats);
-            if let Some(input) = input {
+            if let Some(input) = input.filter(|_| keep_inputs) {
                 work.runs.push((input, stats));
             }
         }
@@ -756,7 +767,7 @@ pub(crate) struct MidEndWork {
     /// The model every function ran under.
     model: mem::MemoryModel,
     /// Per function: the body the pipeline received and the stats it
-    /// added. Empty when nothing was to be kept.
+    /// added. Empty unless a level still to compile runs this roster.
     runs: Vec<(MirFunction, PipelineStats)>,
     /// Functions whose result came from another level.
     pub(crate) reused: usize,
@@ -764,17 +775,7 @@ pub(crate) struct MidEndWork {
 
 /// Runs the pipeline for `level`, returning per-pass statistics.
 pub fn run_pipeline(program: &mut Program, level: OptLevel) -> PipelineStats {
-    run_pipeline_impl(program, level, None, None).0
-}
-
-/// [`run_pipeline`] reusing and recording work through `family` (see
-/// [`PassManager::run_program`]).
-pub(crate) fn run_pipeline_in(
-    program: &mut Program,
-    level: OptLevel,
-    family: Option<&Family>,
-) -> (PipelineStats, MidEndWork) {
-    run_pipeline_impl(program, level, None, family)
+    run_in_place(program, level, None)
 }
 
 /// [`run_pipeline`] with an explicit [`VerifyMode`], bypassing the
@@ -787,11 +788,28 @@ pub fn run_pipeline_with_verify(
     level: OptLevel,
     mode: VerifyMode,
 ) -> PipelineStats {
-    run_pipeline_impl(program, level, Some(mode), None).0
+    run_in_place(program, level, Some(mode))
 }
 
-fn run_pipeline_impl(
+/// [`run_pipeline_impl`] on a program the caller owns, with no family.
+fn run_in_place(
     program: &mut Program,
+    level: OptLevel,
+    verify_mode: Option<VerifyMode>,
+) -> PipelineStats {
+    let mut owned = Arc::new(std::mem::take(program));
+    let (stats, _) = run_pipeline_impl(&mut owned, level, verify_mode, None);
+    *program = Arc::into_inner(owned).expect("the pipeline keeps no handle");
+    stats
+}
+
+/// The pipeline for `level`. It copies a shared `program` only when a
+/// pass runs, so at `-O0` a level family's lowered program stays shared.
+/// With a `family`, the per-function pipeline takes what its levels may
+/// give and keeps the inputs a level still to compile could take (see
+/// [`PassManager::run_program`]).
+pub(crate) fn run_pipeline_impl(
+    program: &mut Arc<Program>,
     level: OptLevel,
     verify_mode: Option<VerifyMode>,
     family: Option<&Family>,
@@ -800,6 +818,10 @@ fn run_pipeline_impl(
     if let Some(mode) = verify_mode {
         pm = pm.with_verify(mode);
     }
+    if level == OptLevel::O0 {
+        return (pm.into_stats(), MidEndWork::default());
+    }
+    let program = Arc::make_mut(program);
     if level >= OptLevel::O2 {
         let threshold = if level == OptLevel::Os { 10 } else { 24 };
         let inlined = inline_small_functions(program, threshold);
@@ -825,11 +847,13 @@ fn run_pipeline_impl(
             );
         }
     }
-    let work = if level > OptLevel::O0 {
-        pm.run_program(program, family)
-    } else {
-        MidEndWork::default()
-    };
+    let keep_inputs = family.is_some_and(|fam| {
+        let roster = pm.roster();
+        OptLevel::all().into_iter().any(|other| {
+            other != level && !fam.has(other) && PassManager::for_level(other).roster() == roster
+        })
+    });
+    let work = pm.run_program(program, family, keep_inputs);
     (pm.into_stats(), work)
 }
 
