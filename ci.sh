@@ -5,19 +5,19 @@
 #                      # release tests (256 MIR net cases), dev-profile
 #                      # occ + mbot tests under OCC_VERIFY=each, bench
 #                      # smoke, perfbench smoke, differential fuzz smoke,
-#                      # snapshot (with the two-engine storm check) +
-#                      # regression gate (including the per-cell
-#                      # assembly digests)
+#                      # regression gate (a fresh snapshot, with the
+#                      # two-engine storm check, must equal the committed
+#                      # bench_baseline.txt line for line)
 #   ./ci.sh --fast     # quick gate: fmt, clippy, rustdoc, dev tests
 #
 # Mirrors the tier-1 verify command of ROADMAP.md plus style gates, the
 # verify-each dev-profile run, the bench-binary smoke loop, the
-# repository-benchmark and differential fuzz smokes, the snapshot (whose
-# canonical storms must agree on both EM32 engines), and the regression
-# gate (sizes, pass activity, per-cell dynamic instruction counts, warm
-# cache hits and assembly digests) against the committed
-# bench_baseline.json. Every stage's wall-clock time is reported at the
-# end so slow stages are visible in CI logs.
+# repository-benchmark and differential fuzz smokes, and the regression
+# gate: every fact of the fresh snapshot (sizes, register-allocation
+# counters, canonical-storm counts, warm cache hits, assembly digests,
+# per-pass effects) must equal the committed bench_baseline.txt. Every
+# stage's wall-clock time is reported at the end so slow stages are
+# visible in CI logs.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -122,26 +122,17 @@ else
     # corpus throughput in CI logs.
     run_stage "bench differential fuzz smoke (FUZZ_CASES=${FUZZ_CASES:-500})" \
         env FUZZ_CASES="${FUZZ_CASES:-500}" cargo run --release -q -p bench --bin fuzz
-    # Regression gate: snapshot the current toolchain, then compare
-    # against the committed baseline. The snapshot itself fails on a
-    # cell whose canonical storm faults or whose fast engine and
-    # reference oracle disagree on events, executed instructions or
-    # extern calls. Any machine×pattern×level cell
-    # (total or text/rodata section) growing beyond the tolerance fails
-    # the gate, as does a cell's canonical-storm dynamic instruction
-    # count (the deterministic "time" axis — an optimization that saves
-    # bytes by re-executing work fails here), cell-set drift in either
-    # direction, a cell whose total pass runs grow beyond the tolerance
-    # (the deterministic compile-cost proxy), a pass whose changes
-    # drop to zero matrix-wide (silently inert), a cell whose warm
-    # recompile stopped hitting the driver cache, or a cell whose assembly
-    # digest differs from the baseline's (byte identity); refresh the baseline
-    # deliberately with:
-    #   cargo run --release -p bench --bin snapshot -- bench_baseline.json
-    run_stage "bench snapshot (BENCH_PR3.json)" \
-        cargo run --release -q -p bench --bin snapshot
+    # Regression gate: one rule. `regress` measures every sample machine
+    # × pattern × level cell afresh and fails unless the snapshot text
+    # equals the committed bench_baseline.txt line for line, printing
+    # each differing fact as a `-` (baseline) and `+` (fresh) line. The
+    # measurement itself fails, naming the cell, when a canonical storm
+    # faults or the fast engine and the reference oracle disagree on it.
+    # Any change to a fact, an improvement too, fails until the baseline
+    # is refreshed deliberately and its diff explained:
+    #   cargo run --release -p bench --bin snapshot
     run_stage "bench regression gate" \
-        cargo run --release -q -p bench --bin regress -- bench_baseline.json BENCH_PR3.json
+        cargo run --release -q -p bench --bin regress -- bench_baseline.txt
 fi
 
 echo

@@ -90,8 +90,6 @@ pub struct FuzzConfig {
     /// Coverage-evolution rounds per case (fast-engine runs spent
     /// growing the guided sequence corpus).
     pub evolve_rounds: usize,
-    /// Auto-shrink diverging cases before reporting.
-    pub shrink: bool,
     /// Evict the shared driver session's artifact cache between batches.
     /// Corpus cases are distinct machines, so retained entries buy
     /// nothing across batches; the bin enables this to bound footprint.
@@ -107,7 +105,6 @@ impl Default for FuzzConfig {
             time_budget: None,
             shape: GenConfig::default(),
             evolve_rounds: 16,
-            shrink: true,
             trim_session: false,
         }
     }
@@ -646,11 +643,7 @@ fn run_case(seed: u64, cfg: &FuzzConfig) -> CaseOutcome {
         },
         Err(cd) => {
             let failing_seq = seqs.get(cd.seq).cloned().unwrap_or_default();
-            let (m, seq) = if cfg.shrink {
-                shrink_case(&machine, &failing_seq)
-            } else {
-                (machine.clone(), failing_seq)
-            };
+            let (m, seq) = shrink_case(&machine, &failing_seq);
             // Re-derive the (possibly different) post-shrink mismatch so
             // the reported detail matches the reported machine.
             let cd = match check_machine(&m, std::slice::from_ref(&seq)) {

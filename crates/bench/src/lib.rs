@@ -17,8 +17,8 @@
 //!
 //! | binary     | gate                                              |
 //! |------------|---------------------------------------------------|
-//! | `snapshot` | writes `BENCH_PR3.json`: sizes, per-pass stats, canonical-storm counts (checked against the reference oracle, see [`storm`]), warm-hit flag and assembly digest for every sample machine × pattern × level |
-//! | `regress`  | compares a snapshot against the committed `bench_baseline.json` (see [`snapshot`]) |
+//! | `snapshot` | writes `bench_baseline.txt`, one fact per line: sizes, regalloc counters, canonical-storm counts (checked against the reference oracle, see [`storm`]), warm-hit flag, assembly digest and per-pass stats for every sample machine × pattern × level |
+//! | `regress`  | measures afresh and fails unless the snapshot equals the committed `bench_baseline.txt` line for line (see [`snapshot`]) |
 //! | `fuzz`     | differential fuzzing of the whole chain over generated machines (see [`fuzz`]) |
 //!
 //! No binary here reads a clock except `fuzz`, for its `FUZZ_SECS`

@@ -38,9 +38,10 @@ pub struct Arm {
 }
 
 impl Arm {
-    /// The `machine/pattern` key prefix of this arm's cells.
+    /// The `machine/pattern` key prefix of this arm's cells, the
+    /// pattern label without its spaces.
     pub fn key(&self) -> String {
-        format!("{}/{}", self.name, self.pattern.label())
+        format!("{}/{}", self.name, self.pattern.label().replace(' ', ""))
     }
 
     /// Generates this arm's code once, for use across every level.

@@ -150,7 +150,7 @@ pub struct Generated {
 /// # Errors
 ///
 /// Fails if the model is invalid, uses semantics outside the generated
-/// subset (completion-priority + innermost-first), contains an
+/// subset (completion priority off), contains an
 /// unconditional completion cycle, or uses constants beyond `i32`.
 pub fn generate(machine: &StateMachine, pattern: Pattern) -> Result<Generated, CodegenError> {
     machine
@@ -160,11 +160,6 @@ pub fn generate(machine: &StateMachine, pattern: Pattern) -> Result<Generated, C
     if !sem.completion_priority {
         return Err(CodegenError::UnsupportedSemantics(
             "generators implement the paper's completion-priority semantics".into(),
-        ));
-    }
-    if sem.conflict != umlsm::ConflictResolution::InnermostFirst {
-        return Err(CodegenError::UnsupportedSemantics(
-            "generators implement innermost-first conflict resolution".into(),
         ));
     }
     let gen = common::Gen::new(machine)?;

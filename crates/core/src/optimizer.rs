@@ -308,6 +308,21 @@ mod tests {
     }
 
     #[test]
+    fn standard_catalogue_is_stable() {
+        assert_eq!(
+            Optimization::all().map(Optimization::name),
+            [
+                "simplify-guards",
+                "prune-dead-transitions",
+                "remove-unreachable-states",
+                "merge-equivalent-states",
+                "remove-unused-events",
+                "remove-unused-variables",
+            ]
+        );
+    }
+
+    #[test]
     fn display_and_names_are_stable() {
         assert_eq!(
             Optimization::RemoveUnreachableStates.to_string(),

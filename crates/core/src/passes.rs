@@ -272,18 +272,6 @@ impl ModelPass for RemoveUnusedVariables {
     }
 }
 
-/// The standard pass catalogue in canonical application order.
-pub fn standard_passes() -> Vec<Box<dyn ModelPass>> {
-    vec![
-        Box::new(SimplifyGuards),
-        Box::new(PruneDeadTransitions),
-        Box::new(RemoveUnreachableStates),
-        Box::new(MergeEquivalentStates),
-        Box::new(RemoveUnusedEvents),
-        Box::new(RemoveUnusedVariables),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,21 +415,5 @@ mod tests {
         // The emit stays.
         let sid = m.state_by_name("A").expect("A");
         assert_eq!(m.state(sid).entry.len(), 1);
-    }
-
-    #[test]
-    fn standard_catalogue_is_stable() {
-        let names: Vec<_> = standard_passes().iter().map(|p| p.name()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "simplify-guards",
-                "prune-dead-transitions",
-                "remove-unreachable-states",
-                "merge-equivalent-states",
-                "remove-unused-events",
-                "remove-unused-variables",
-            ]
-        );
     }
 }

@@ -56,6 +56,13 @@ pub enum DecodeError {
         /// The offending code address.
         addr: u32,
     },
+    /// An instruction names a register outside `r0`–`r15`.
+    BadRegister {
+        /// Function the instruction appears in.
+        func: String,
+        /// The out-of-range register number.
+        reg: u8,
+    },
 }
 
 impl fmt::Display for DecodeError {
@@ -79,11 +86,37 @@ impl fmt::Display for DecodeError {
             DecodeError::BadFnAddr { func, addr } => {
                 write!(f, "`{func}`: unmappable code address {addr:#x}")
             }
+            DecodeError::BadRegister { func, reg } => {
+                write!(f, "`{func}`: register r{reg} outside r0-r15")
+            }
         }
     }
 }
 
 impl std::error::Error for DecodeError {}
+
+/// The first register field of `inst` outside EM32's sixteen registers.
+/// Both engines refuse an assembly by this one rule: decode returns
+/// [`DecodeError::BadRegister`], the oracle [`VmError::BadRegister`].
+///
+/// [`VmError::BadRegister`]: super::VmError::BadRegister
+pub(super) fn bad_register(inst: &AsmInst) -> Option<u8> {
+    let fields = match *inst {
+        AsmInst::Li { rd, .. } | AsmInst::La { rd, .. } | AsmInst::LaFn { rd, .. } => [rd, 0, 0],
+        AsmInst::Mv { rd, rs } => [rd, rs, 0],
+        AsmInst::Alu { rd, rs1, rs2, .. } => [rd, rs1, rs2],
+        AsmInst::Lw { rd, base, .. } => [rd, base, 0],
+        AsmInst::Sw { src, base, .. } => [src, base, 0],
+        AsmInst::Beq { rs1, rs2, .. } | AsmInst::Bne { rs1, rs2, .. } => [rs1, rs2, 0],
+        AsmInst::Jalr { rs } | AsmInst::JumpTable { rs, .. } => [rs, 0, 0],
+        AsmInst::Label(_)
+        | AsmInst::J { .. }
+        | AsmInst::Jal { .. }
+        | AsmInst::Ecall { .. }
+        | AsmInst::Ret => return None,
+    };
+    fields.into_iter().find(|&r| r >= 16)
+}
 
 /// One pre-decoded micro-op. `Copy` by construction — variable-length
 /// payloads (jump tables) live in the side pool of [`DecodedProgram`] —
@@ -481,6 +514,14 @@ impl DecodedProgram {
                     })
             };
             for inst in &f.insts {
+                // Before the `r0`-write decay below, which would hide a
+                // bad source register of a decayed write.
+                if let Some(reg) = bad_register(inst) {
+                    return Err(DecodeError::BadRegister {
+                        func: f.name.clone(),
+                        reg,
+                    });
+                }
                 let op = match inst {
                     AsmInst::Label(_) => continue,
                     // Pure ops writing `r0` decay to fuel-charging no-ops
@@ -832,6 +873,44 @@ mod tests {
                 callee: 9
             }
         );
+    }
+
+    #[test]
+    fn out_of_range_registers_refused_by_both_engines() {
+        // Unchecked, dispatch's `& 15` masks would run `r16` as `r0`, the
+        // oracle would index past its register file, fusing the leading
+        // `Li` with the next op would fail `pack`'s debug assertion, and
+        // `Mv rd 0` would decay to a `Nop` that hides its source.
+        for inst in [
+            AsmInst::Li { rd: 16, imm: 1 },
+            AsmInst::Alu {
+                op: BinOp::Add,
+                rd: 1,
+                rs1: 1,
+                rs2: 16,
+            },
+            AsmInst::Mv { rd: 0, rs: 16 },
+        ] {
+            let a = asm(vec![func("f", vec![AsmInst::Li { rd: 1, imm: 7 }, inst])]);
+            assert_eq!(
+                DecodedProgram::decode(&a).unwrap_err(),
+                DecodeError::BadRegister {
+                    func: "f".into(),
+                    reg: 16
+                }
+            );
+            let mut oracle = crate::vm::Vm::new(&a, tlang::RecordingEnv::new());
+            assert_eq!(
+                oracle.run("f", &[]),
+                Err(crate::vm::VmError::BadRegister {
+                    func: "f".into(),
+                    reg: 16
+                })
+            );
+            assert_eq!(oracle.executed(), 0);
+        }
+        let top = asm(vec![func("f", vec![AsmInst::Mv { rd: 15, rs: 15 }])]);
+        assert!(DecodedProgram::decode(&top).is_ok());
     }
 
     #[test]

@@ -26,6 +26,8 @@ pub struct Vm<'a, E> {
     executed: u64,
     /// Per-function label -> instruction index maps.
     labels: Vec<std::collections::BTreeMap<usize, usize>>,
+    /// The first out-of-range register field, which refuses every call.
+    bad_register: Option<VmError>,
 }
 
 impl<'a, E: Env> Vm<'a, E> {
@@ -45,6 +47,13 @@ impl<'a, E: Env> Vm<'a, E> {
                     .collect()
             })
             .collect();
+        let bad_register = asm.functions.iter().find_map(|f| {
+            let reg = f.insts.iter().find_map(super::decode::bad_register)?;
+            Some(VmError::BadRegister {
+                func: f.name.as_str().into(),
+                reg: reg.into(),
+            })
+        });
         Vm {
             asm,
             mem: super::initial_memory(&asm.globals),
@@ -53,6 +62,7 @@ impl<'a, E: Env> Vm<'a, E> {
             fuel: DEFAULT_FUEL,
             executed: 0,
             labels,
+            bad_register,
         }
     }
 
@@ -87,6 +97,9 @@ impl<'a, E: Env> Vm<'a, E> {
         // a borrow of `self` across the mutating match arms below — this
         // is what lets the hot loop index/borrow instead of cloning.
         let asm = self.asm;
+        if let Some(e) = &self.bad_register {
+            return Err(e.clone());
+        }
         let func = asm
             .functions
             .iter()

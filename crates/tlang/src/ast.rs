@@ -114,14 +114,6 @@ impl BinOp {
             BinOp::Or => "|",
         }
     }
-
-    /// `true` for operators producing a boolean.
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-        )
-    }
 }
 
 /// Unary operators.

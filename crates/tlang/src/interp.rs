@@ -70,15 +70,6 @@ impl RecordingEnv {
     pub fn new() -> RecordingEnv {
         RecordingEnv::default()
     }
-
-    /// The recorded trace restricted to one extern name.
-    pub fn calls_to(&self, name: &str) -> Vec<&[i32]> {
-        self.calls
-            .iter()
-            .filter(|(n, _)| n == name)
-            .map(|(_, a)| a.as_slice())
-            .collect()
-    }
 }
 
 impl Env for RecordingEnv {

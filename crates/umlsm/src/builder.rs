@@ -93,16 +93,6 @@ impl MachineBuilder {
         self.machine.add_composite_state(root, name)
     }
 
-    /// Adds a composite state to a specific region; returns
-    /// `(state, region)`.
-    pub fn composite_in(
-        &mut self,
-        region: RegionId,
-        name: impl Into<String>,
-    ) -> (StateId, RegionId) {
-        self.machine.add_composite_state(region, name)
-    }
-
     /// Declares an event type (idempotent per name).
     pub fn event(&mut self, name: impl Into<String>) -> EventId {
         self.machine.add_event(name)
@@ -153,12 +143,6 @@ impl MachineBuilder {
                 effect: Vec::new(),
             },
         }
-    }
-
-    /// Direct access to the machine under construction, for setups the
-    /// fluent methods do not cover.
-    pub fn machine_mut(&mut self) -> &mut StateMachine {
-        &mut self.machine
     }
 
     /// Validates and returns the machine.

@@ -83,7 +83,7 @@ use crate::action::Action;
 use crate::expr::{BinOp, Expr, UnOp};
 use crate::ids::{EventId, RegionId, StateId};
 use crate::machine::{StateKind, StateMachine, Transition, Trigger};
-use crate::semantics::{ConflictResolution, Semantics, UnhandledEventPolicy};
+use crate::semantics::Semantics;
 
 // ----------------------------------------------------------------------
 // Deterministic RNG
@@ -599,10 +599,7 @@ fn check_ident(what: &str, s: &str) -> Result<(), TextError> {
 /// orphaned (unreachable from the state tree).
 pub fn to_text(m: &StateMachine) -> Result<String, TextError> {
     let sem = m.semantics();
-    if !sem.completion_priority
-        || sem.conflict != ConflictResolution::InnermostFirst
-        || sem.unhandled != UnhandledEventPolicy::Discard
-    {
+    if !sem.completion_priority {
         return Err(text_err(
             0,
             "only the paper's fixed semantics can be serialized",

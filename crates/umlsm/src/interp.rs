@@ -20,7 +20,6 @@ use crate::action::Action;
 use crate::expr::EvalError;
 use crate::ids::{EventId, StateId};
 use crate::machine::{StateKind, StateMachine, Trigger};
-use crate::semantics::{ConflictResolution, UnhandledEventPolicy};
 
 /// One entry of an execution trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -242,8 +241,7 @@ impl<'m> Interp<'m> {
             self.discard(&name);
             return Ok(());
         }
-        // Select an enabled event-triggered transition per the conflict
-        // resolution policy.
+        // Select an enabled event-triggered transition, innermost first.
         if let Some((depth, tid)) = self.select_transition(Some(event))? {
             self.fire(depth, tid)?;
             if self.machine.semantics().completion_priority {
@@ -298,22 +296,9 @@ impl<'m> Interp<'m> {
     // ------------------------------------------------------------------
 
     fn discard(&mut self, name: &str) {
-        match self.machine.semantics().unhandled {
-            UnhandledEventPolicy::Discard => {
-                self.trace
-                    .events
-                    .push(TraceEvent::Discard(name.to_string()));
-            }
-            UnhandledEventPolicy::Flag => {
-                self.trace
-                    .events
-                    .push(TraceEvent::Discard(name.to_string()));
-                self.trace.events.push(TraceEvent::Emit {
-                    signal: "unhandled".to_string(),
-                    arg: 0,
-                });
-            }
-        }
+        self.trace
+            .events
+            .push(TraceEvent::Discard(name.to_string()));
     }
 
     /// Finds the highest-priority enabled transition. `event: Some(e)`
@@ -323,11 +308,8 @@ impl<'m> Interp<'m> {
         &self,
         event: Option<EventId>,
     ) -> Result<Option<(usize, crate::ids::TransitionId)>, InterpError> {
-        let depths: Vec<usize> = match self.machine.semantics().conflict {
-            ConflictResolution::InnermostFirst => (0..self.config.len()).rev().collect(),
-            ConflictResolution::OutermostFirst => (0..self.config.len()).collect(),
-        };
-        for depth in depths {
+        // Innermost first: a nested state's transition wins a conflict.
+        for depth in (0..self.config.len()).rev() {
             let sid = self.config[depth];
             if event.is_none() && !self.state_is_complete(depth) {
                 continue;

@@ -60,5 +60,5 @@ pub use ids::{EventId, RegionId, StateId, TransitionId};
 pub use interp::{Interp, InterpError, Trace, TraceEvent};
 pub use machine::{Event, Region, State, StateKind, StateMachine, Transition, Trigger};
 pub use metrics::ModelMetrics;
-pub use semantics::{ConflictResolution, Semantics, UnhandledEventPolicy};
+pub use semantics::Semantics;
 pub use validate::ValidateError;

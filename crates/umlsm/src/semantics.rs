@@ -7,30 +7,13 @@
 //! interpreter and every code generator agree on one semantics — and so the
 //! benches can *flip* a variation point to show which optimizations stop
 //! being sound (Table II's "independent from semantics: NO" row).
+//!
+//! One variation point is a knob: [`Semantics::completion_priority`].
+//! Two are fixed at UML's defaults, the paper's choice, throughout the
+//! chain: of several enabled transitions the innermost active state's
+//! wins, and an event no active state handles is discarded.
 
 use std::fmt;
-
-/// How to resolve several enabled transitions for the same event occurrence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ConflictResolution {
-    /// The transition of the innermost active state wins (UML default).
-    #[default]
-    InnermostFirst,
-    /// The transition of the outermost active state wins.
-    OutermostFirst,
-}
-
-/// What happens to an event occurrence no active state has a transition for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum UnhandledEventPolicy {
-    /// The event is silently discarded (UML default, and the paper's
-    /// choice).
-    #[default]
-    Discard,
-    /// The event is recorded as an observable `unhandled` emission. Useful
-    /// when debugging generated code.
-    Flag,
-}
 
 /// The fixed execution semantics of one machine.
 ///
@@ -53,10 +36,6 @@ pub struct Semantics {
     /// under this setting — with `false` the optimizer must keep the
     /// composite.
     pub completion_priority: bool,
-    /// Conflict resolution between nested enabled transitions.
-    pub conflict: ConflictResolution,
-    /// Policy for events no active state handles.
-    pub unhandled: UnhandledEventPolicy,
     /// Safety bound on chained completion transitions within one
     /// run-to-completion step; exceeding it is reported as a model error
     /// (a completion-transition cycle would otherwise livelock).
@@ -67,8 +46,6 @@ impl Default for Semantics {
     fn default() -> Self {
         Semantics {
             completion_priority: true,
-            conflict: ConflictResolution::default(),
-            unhandled: UnhandledEventPolicy::default(),
             max_completion_chain: 64,
         }
     }
@@ -76,8 +53,7 @@ impl Default for Semantics {
 
 impl Semantics {
     /// The semantics fixed by the paper before generating code: completion
-    /// priority on, innermost-first conflict resolution, unhandled events
-    /// discarded.
+    /// priority on.
     pub fn paper() -> Self {
         Semantics::default()
     }
@@ -96,11 +72,7 @@ impl Semantics {
 
 impl fmt::Display for Semantics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "completion_priority={}, conflict={:?}, unhandled={:?}",
-            self.completion_priority, self.conflict, self.unhandled
-        )
+        write!(f, "completion_priority={}", self.completion_priority)
     }
 }
 
@@ -117,7 +89,6 @@ mod tests {
     fn fallback_disables_priority() {
         let s = Semantics::completion_as_fallback();
         assert!(!s.completion_priority);
-        assert_eq!(s.conflict, ConflictResolution::InnermostFirst);
     }
 
     #[test]
