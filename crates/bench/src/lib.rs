@@ -377,8 +377,8 @@ mod tests {
         // back-end-sensitive: PR 5's cross-block load forwarding fed
         // SCCP enough to fold the flat Nested Switch below the STT, and
         // PR 6's register-allocating backend flipped it back — the STT's
-        // loop-heavy generic engine gains the most from loop-weighted
-        // spill costs, so on the *flat* machine (one region, one engine
+        // loop-heavy generic engine gains the most from register
+        // allocation, so on the *flat* machine (one region, one engine
         // copy, as in the paper) the STT is smallest again. On the
         // hierarchical machine our per-region engine copies still keep
         // the STT above the Nested Switch — recorded as a deviation in

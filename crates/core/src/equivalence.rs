@@ -234,7 +234,7 @@ fn try_sequence(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::passes::{ModelPass, RemoveUnreachableStates};
+    use crate::passes::{remove_unreachable_states, remove_unused_events};
     use umlsm::samples;
     use umlsm::{Action, MachineBuilder};
 
@@ -250,7 +250,7 @@ mod tests {
     fn optimized_flat_machine_is_equivalent() {
         let m = samples::flat_unreachable();
         let mut opt = m.clone();
-        RemoveUnreachableStates.run(&mut opt);
+        remove_unreachable_states(&mut opt);
         let r = check_trace_equivalence(&m, &opt, &EquivConfig::default()).expect("check");
         assert!(r.equivalent, "{r}");
     }
@@ -259,7 +259,7 @@ mod tests {
     fn optimized_hierarchical_machine_is_equivalent() {
         let m = samples::hierarchical_never_active();
         let mut opt = m.clone();
-        RemoveUnreachableStates.run(&mut opt);
+        remove_unreachable_states(&mut opt);
         let r = check_trace_equivalence(&m, &opt, &EquivConfig::default()).expect("check");
         assert!(r.equivalent, "{r}");
     }
@@ -395,8 +395,8 @@ mod tests {
         // still be compared (and discarded identically).
         let m = samples::flat_unreachable();
         let mut opt = m.clone();
-        RemoveUnreachableStates.run(&mut opt);
-        crate::passes::RemoveUnusedEvents.run(&mut opt);
+        remove_unreachable_states(&mut opt);
+        remove_unused_events(&mut opt);
         let r = check_trace_equivalence(&m, &opt, &EquivConfig::default()).expect("check");
         assert!(r.equivalent, "{r}");
     }

@@ -10,7 +10,7 @@
 //!
 //! * a state with no incoming transition is dead *model* code, but after
 //!   code generation its implementation is still address-reachable, so
-//!   compiler dead-code elimination keeps it ([`passes::RemoveUnreachableStates`]);
+//!   compiler dead-code elimination keeps it ([`passes::remove_unreachable_states`]);
 //! * under UML completion-priority semantics, an unguarded completion
 //!   transition shadows every event-triggered transition out of the same
 //!   state; states only reachable through shadowed transitions — including

@@ -13,8 +13,8 @@ use std::fmt;
 use umlsm::{StateMachine, ValidateError};
 
 use crate::equivalence::{check_trace_equivalence, EquivConfig, EquivReport};
-use crate::passes::{self, ModelPass};
-use crate::report::OptimizationReport;
+use crate::passes;
+use crate::report::{OptimizationReport, PassReport};
 
 /// Fixpoint iterations [`Optimizer::optimize`] runs at most (each applies
 /// the full selection once).
@@ -52,25 +52,28 @@ impl Optimization {
         ]
     }
 
-    fn pass(self) -> Box<dyn ModelPass> {
+    /// Stable machine-readable name.
+    pub fn name(self) -> &'static str {
         match self {
-            Optimization::SimplifyGuards => Box::new(passes::SimplifyGuards),
-            Optimization::PruneDeadTransitions => Box::new(passes::PruneDeadTransitions),
-            Optimization::RemoveUnreachableStates => Box::new(passes::RemoveUnreachableStates),
-            Optimization::MergeEquivalentStates => Box::new(passes::MergeEquivalentStates),
-            Optimization::RemoveUnusedEvents => Box::new(passes::RemoveUnusedEvents),
-            Optimization::RemoveUnusedVariables => Box::new(passes::RemoveUnusedVariables),
+            Optimization::SimplifyGuards => "simplify-guards",
+            Optimization::PruneDeadTransitions => "prune-dead-transitions",
+            Optimization::RemoveUnreachableStates => "remove-unreachable-states",
+            Optimization::MergeEquivalentStates => "merge-equivalent-states",
+            Optimization::RemoveUnusedEvents => "remove-unused-events",
+            Optimization::RemoveUnusedVariables => "remove-unused-variables",
         }
     }
 
-    /// Stable machine-readable name.
-    pub fn name(self) -> &'static str {
-        self.pass().name()
-    }
-
-    /// One-line description shown in tool listings.
-    pub fn description(self) -> &'static str {
-        self.pass().description()
+    /// Applies the pass in place and reports what changed.
+    fn run(self, machine: &mut StateMachine) -> PassReport {
+        match self {
+            Optimization::SimplifyGuards => passes::simplify_guards(machine),
+            Optimization::PruneDeadTransitions => passes::prune_dead_transitions(machine),
+            Optimization::RemoveUnreachableStates => passes::remove_unreachable_states(machine),
+            Optimization::MergeEquivalentStates => passes::merge_equivalent_states(machine),
+            Optimization::RemoveUnusedEvents => passes::remove_unused_events(machine),
+            Optimization::RemoveUnusedVariables => passes::remove_unused_variables(machine),
+        }
     }
 }
 
@@ -219,11 +222,10 @@ impl Optimizer {
             report.iterations += 1;
             let mut changed = false;
             for opt in &ordered {
-                let pass = opt.pass();
-                let pass_report = pass.run(&mut out);
+                let pass_report = opt.run(&mut out);
                 if let Err(error) = out.validate() {
                     return Err(OptimizeError::InvalidOutput {
-                        pass: pass.name().to_string(),
+                        pass: opt.name().to_string(),
                         error,
                     });
                 }
@@ -328,7 +330,6 @@ mod tests {
             Optimization::RemoveUnreachableStates.to_string(),
             "remove-unreachable-states"
         );
-        assert!(!Optimization::SimplifyGuards.description().is_empty());
         assert_eq!(Optimization::all().len(), 6);
     }
 

@@ -11,265 +11,178 @@ use umlsm::StateMachine;
 
 use crate::analysis;
 use crate::report::PassReport;
-
-/// A model-to-model rewriting pass.
-pub trait ModelPass {
-    /// Stable machine-readable pass name.
-    fn name(&self) -> &'static str;
-    /// One-line description shown in tool listings.
-    fn description(&self) -> &'static str;
-    /// Applies the pass in place and reports what changed.
-    fn run(&self, machine: &mut StateMachine) -> PassReport;
-}
+use crate::Optimization;
 
 /// Removes states that can never become active (the paper's headline
 /// optimization, Fig. 1 row 1) — including whole composite submachines that
 /// are only reachable through completion-shadowed transitions (Fig. 1
 /// row 2).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RemoveUnreachableStates;
-
-impl ModelPass for RemoveUnreachableStates {
-    fn name(&self) -> &'static str {
-        "remove-unreachable-states"
-    }
-
-    fn description(&self) -> &'static str {
-        "remove states that can never become active (dead model code)"
-    }
-
-    fn run(&self, machine: &mut StateMachine) -> PassReport {
-        let mut report = PassReport::new(self.name());
-        let reach = analysis::reachable_states(machine);
-        let names: std::collections::BTreeMap<_, _> = machine
-            .states()
-            .map(|(id, s)| (id, s.name.clone()))
-            .collect();
-        // Remove top-level unreachable states first: removing a composite
-        // cascades over its nested region, so skip states whose ancestor is
-        // itself unreachable (they disappear with the ancestor).
-        let unreachable = reach.unreachable_states(machine);
-        for sid in unreachable {
-            if machine.try_state(sid).is_none() {
-                continue; // already removed by a cascading ancestor removal
-            }
-            // Skip nested states whose owning composite is also unreachable;
-            // the composite's removal will cascade.
-            let parent_region = machine.state(sid).parent;
-            if let Some(owner) = machine.region(parent_region).owner {
-                if !reach.is_reachable(owner) {
-                    continue;
-                }
-            }
-            let (states, transitions) = machine.remove_state(sid);
-            for s in states {
-                report
-                    .removed_states
-                    .push(names.get(&s).cloned().unwrap_or_else(|| format!("{s}")));
-            }
-            report.removed_transitions += transitions.len();
+pub fn remove_unreachable_states(machine: &mut StateMachine) -> PassReport {
+    let mut report = PassReport::new(Optimization::RemoveUnreachableStates.name());
+    let reach = analysis::reachable_states(machine);
+    let names: std::collections::BTreeMap<_, _> = machine
+        .states()
+        .map(|(id, s)| (id, s.name.clone()))
+        .collect();
+    // Remove top-level unreachable states first: removing a composite
+    // cascades over its nested region, so skip states whose ancestor is
+    // itself unreachable (they disappear with the ancestor).
+    let unreachable = reach.unreachable_states(machine);
+    for sid in unreachable {
+        if machine.try_state(sid).is_none() {
+            continue; // already removed by a cascading ancestor removal
         }
-        report
+        // Skip nested states whose owning composite is also unreachable;
+        // the composite's removal will cascade.
+        let parent_region = machine.state(sid).parent;
+        if let Some(owner) = machine.region(parent_region).owner {
+            if !reach.is_reachable(owner) {
+                continue;
+            }
+        }
+        let (states, transitions) = machine.remove_state(sid);
+        for s in states {
+            report
+                .removed_states
+                .push(names.get(&s).cloned().unwrap_or_else(|| format!("{s}")));
+        }
+        report.removed_transitions += transitions.len();
     }
+    report
 }
 
 /// Removes transitions that can never fire: constant-false guards and
 /// event-triggered transitions shadowed by an unguarded completion
 /// transition (under completion-priority semantics).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PruneDeadTransitions;
-
-impl ModelPass for PruneDeadTransitions {
-    fn name(&self) -> &'static str {
-        "prune-dead-transitions"
-    }
-
-    fn description(&self) -> &'static str {
-        "remove transitions that can never fire (false guards, completion-shadowed)"
-    }
-
-    fn run(&self, machine: &mut StateMachine) -> PassReport {
-        let mut report = PassReport::new(self.name());
-        for (tid, reason) in analysis::dead_transitions(machine) {
-            // Unreachable sources are RemoveUnreachableStates' concern; this
-            // pass handles locally-provable dead arcs so it is useful on its
-            // own (the paper's tool lets the user pick passes individually).
-            if reason == analysis::DeadTransitionReason::SourceUnreachable {
-                continue;
-            }
-            if machine.remove_transition(tid).is_some() {
-                report.removed_transitions += 1;
-                report.notes.push(format!("{tid}: {reason:?}"));
-            }
+pub fn prune_dead_transitions(machine: &mut StateMachine) -> PassReport {
+    let mut report = PassReport::new(Optimization::PruneDeadTransitions.name());
+    for (tid, reason) in analysis::dead_transitions(machine) {
+        // Unreachable sources are `remove_unreachable_states`' concern; this
+        // pass handles locally-provable dead arcs so it is useful on its
+        // own (the paper's tool lets the user pick passes individually).
+        if reason == analysis::DeadTransitionReason::SourceUnreachable {
+            continue;
         }
-        report
+        if machine.remove_transition(tid).is_some() {
+            report.removed_transitions += 1;
+            report.notes.push(format!("{tid}: {reason:?}"));
+        }
     }
+    report
 }
 
 /// Constant-folds guards; removes guards that fold to `true`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimplifyGuards;
-
-impl ModelPass for SimplifyGuards {
-    fn name(&self) -> &'static str {
-        "simplify-guards"
-    }
-
-    fn description(&self) -> &'static str {
-        "constant-fold guards; drop guards that are always true"
-    }
-
-    fn run(&self, machine: &mut StateMachine) -> PassReport {
-        let mut report = PassReport::new(self.name());
-        let tids: Vec<_> = machine.transitions().map(|(id, _)| id).collect();
-        for tid in tids {
-            let t = machine.transition(tid);
-            let Some(guard) = &t.guard else { continue };
-            let folded = guard.fold();
-            if folded.is_const_true() {
-                machine.transition_mut(tid).guard = None;
-                report.rewritten += 1;
-            } else if folded != *guard {
-                machine.transition_mut(tid).guard = Some(folded);
-                report.rewritten += 1;
-            }
+pub fn simplify_guards(machine: &mut StateMachine) -> PassReport {
+    let mut report = PassReport::new(Optimization::SimplifyGuards.name());
+    let tids: Vec<_> = machine.transitions().map(|(id, _)| id).collect();
+    for tid in tids {
+        let t = machine.transition(tid);
+        let Some(guard) = &t.guard else { continue };
+        let folded = guard.fold();
+        if folded.is_const_true() {
+            machine.transition_mut(tid).guard = None;
+            report.rewritten += 1;
+        } else if folded != *guard {
+            machine.transition_mut(tid).guard = Some(folded);
+            report.rewritten += 1;
         }
-        report
     }
+    report
 }
 
 /// Merges behaviourally equivalent simple states (model refactoring à la
 /// FSM minimization, restricted to structurally identical behaviour; see
 /// [`analysis::equivalence_classes`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MergeEquivalentStates;
-
-impl ModelPass for MergeEquivalentStates {
-    fn name(&self) -> &'static str {
-        "merge-equivalent-states"
-    }
-
-    fn description(&self) -> &'static str {
-        "merge simple states with identical observable behaviour"
-    }
-
-    fn run(&self, machine: &mut StateMachine) -> PassReport {
-        let mut report = PassReport::new(self.name());
-        for class in analysis::equivalence_classes(machine) {
-            let Some((&keep, rest)) = class.split_first() else {
-                continue;
-            };
-            for &dup in rest {
-                let name = machine.state(dup).name.clone();
-                let keep_name = machine.state(keep).name.clone();
-                machine.redirect_state(dup, keep);
-                let (states, transitions) = machine.remove_state(dup);
-                report
-                    .removed_states
-                    .extend(states.iter().map(|s| format!("{s}")));
-                report.removed_transitions += transitions.len();
-                report
-                    .notes
-                    .push(format!("merged `{name}` into `{keep_name}`"));
-            }
+pub fn merge_equivalent_states(machine: &mut StateMachine) -> PassReport {
+    let mut report = PassReport::new(Optimization::MergeEquivalentStates.name());
+    for class in analysis::equivalence_classes(machine) {
+        let Some((&keep, rest)) = class.split_first() else {
+            continue;
+        };
+        for &dup in rest {
+            let name = machine.state(dup).name.clone();
+            let keep_name = machine.state(keep).name.clone();
+            machine.redirect_state(dup, keep);
+            let (states, transitions) = machine.remove_state(dup);
+            report
+                .removed_states
+                .extend(states.iter().map(|s| format!("{s}")));
+            report.removed_transitions += transitions.len();
+            report
+                .notes
+                .push(format!("merged `{name}` into `{keep_name}`"));
         }
-        report
     }
+    report
 }
 
 /// Removes event declarations no live transition is triggered by. Shrinks
 /// the event dispatch tables of every generated pattern.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RemoveUnusedEvents;
-
-impl ModelPass for RemoveUnusedEvents {
-    fn name(&self) -> &'static str {
-        "remove-unused-events"
-    }
-
-    fn description(&self) -> &'static str {
-        "drop event types that trigger no transition"
-    }
-
-    fn run(&self, machine: &mut StateMachine) -> PassReport {
-        let mut report = PassReport::new(self.name());
-        for eid in analysis::unused_events(machine) {
-            if machine.remove_event(eid).is_some() {
-                report.removed_events += 1;
-            }
+pub fn remove_unused_events(machine: &mut StateMachine) -> PassReport {
+    let mut report = PassReport::new(Optimization::RemoveUnusedEvents.name());
+    for eid in analysis::unused_events(machine) {
+        if machine.remove_event(eid).is_some() {
+            report.removed_events += 1;
         }
-        report
     }
+    report
 }
 
 /// Removes context variables never read anywhere, together with the
 /// assignments that wrote them (right-hand sides are side-effect free, so
 /// dropping the writes is unobservable).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RemoveUnusedVariables;
-
-impl ModelPass for RemoveUnusedVariables {
-    fn name(&self) -> &'static str {
-        "remove-unused-variables"
+pub fn remove_unused_variables(machine: &mut StateMachine) -> PassReport {
+    let mut report = PassReport::new(Optimization::RemoveUnusedVariables.name());
+    let unread = analysis::unread_variables(machine);
+    if unread.is_empty() {
+        return report;
     }
+    let is_dead = |var: &str| unread.iter().any(|u| u == var);
 
-    fn description(&self) -> &'static str {
-        "drop context variables that are never read, and their assignments"
-    }
-
-    fn run(&self, machine: &mut StateMachine) -> PassReport {
-        let mut report = PassReport::new(self.name());
-        let unread = analysis::unread_variables(machine);
-        if unread.is_empty() {
-            return report;
-        }
-        let is_dead = |var: &str| unread.iter().any(|u| u == var);
-
-        fn strip(actions: &mut Vec<umlsm::Action>, is_dead: &dyn Fn(&str) -> bool) -> usize {
-            let mut removed = 0;
-            actions.retain_mut(|a| match a {
-                umlsm::Action::Assign { var, .. } => {
-                    if is_dead(var) {
-                        removed += 1;
-                        false
-                    } else {
-                        true
-                    }
-                }
-                umlsm::Action::Emit { .. } => true,
-                umlsm::Action::If {
-                    then_actions,
-                    else_actions,
-                    ..
-                } => {
-                    removed += strip(then_actions, is_dead);
-                    removed += strip(else_actions, is_dead);
+    fn strip(actions: &mut Vec<umlsm::Action>, is_dead: &dyn Fn(&str) -> bool) -> usize {
+        let mut removed = 0;
+        actions.retain_mut(|a| match a {
+            umlsm::Action::Assign { var, .. } => {
+                if is_dead(var) {
+                    removed += 1;
+                    false
+                } else {
                     true
                 }
-            });
-            removed
-        }
-
-        let sids: Vec<_> = machine.states().map(|(id, _)| id).collect();
-        for sid in sids {
-            let state = machine.state_mut(sid);
-            report.rewritten += strip(&mut state.entry, &is_dead);
-            report.rewritten += strip(&mut state.exit, &is_dead);
-        }
-        let tids: Vec<_> = machine.transitions().map(|(id, _)| id).collect();
-        for tid in tids {
-            report.rewritten += strip(&mut machine.transition_mut(tid).effect, &is_dead);
-        }
-        let rids: Vec<_> = machine.regions().map(|(id, _)| id).collect();
-        for rid in rids {
-            report.rewritten += strip(&mut machine.region_mut(rid).initial_effect, &is_dead);
-        }
-        for var in unread {
-            machine.remove_variable(&var);
-            report.removed_variables += 1;
-        }
-        report
+            }
+            umlsm::Action::Emit { .. } => true,
+            umlsm::Action::If {
+                then_actions,
+                else_actions,
+                ..
+            } => {
+                removed += strip(then_actions, is_dead);
+                removed += strip(else_actions, is_dead);
+                true
+            }
+        });
+        removed
     }
+
+    let sids: Vec<_> = machine.states().map(|(id, _)| id).collect();
+    for sid in sids {
+        let state = machine.state_mut(sid);
+        report.rewritten += strip(&mut state.entry, &is_dead);
+        report.rewritten += strip(&mut state.exit, &is_dead);
+    }
+    let tids: Vec<_> = machine.transitions().map(|(id, _)| id).collect();
+    for tid in tids {
+        report.rewritten += strip(&mut machine.transition_mut(tid).effect, &is_dead);
+    }
+    let rids: Vec<_> = machine.regions().map(|(id, _)| id).collect();
+    for rid in rids {
+        report.rewritten += strip(&mut machine.region_mut(rid).initial_effect, &is_dead);
+    }
+    for var in unread {
+        machine.remove_variable(&var);
+        report.removed_variables += 1;
+    }
+    report
 }
 
 #[cfg(test)]
@@ -281,7 +194,7 @@ mod tests {
     #[test]
     fn unreachable_pass_removes_s2() {
         let mut m = samples::flat_unreachable();
-        let report = RemoveUnreachableStates.run(&mut m);
+        let report = remove_unreachable_states(&mut m);
         assert_eq!(report.removed_states.len(), 1);
         assert!(m.state_by_name("S2").is_none());
         assert!(m.validate().is_ok(), "optimized model must stay valid");
@@ -291,7 +204,7 @@ mod tests {
     fn unreachable_pass_removes_whole_composite() {
         let mut m = samples::hierarchical_never_active();
         let states_before = m.metrics().states;
-        let report = RemoveUnreachableStates.run(&mut m);
+        let report = remove_unreachable_states(&mut m);
         // S3 + 4 substates + nested final all go.
         assert_eq!(report.removed_states.len(), 6);
         assert_eq!(m.metrics().states, states_before - 6);
@@ -303,8 +216,8 @@ mod tests {
     #[test]
     fn unreachable_pass_is_idempotent() {
         let mut m = samples::hierarchical_never_active();
-        RemoveUnreachableStates.run(&mut m);
-        let second = RemoveUnreachableStates.run(&mut m);
+        remove_unreachable_states(&mut m);
+        let second = remove_unreachable_states(&mut m);
         assert!(!second.changed());
     }
 
@@ -321,7 +234,7 @@ mod tests {
         b.transition(a, c).on(e).build(); // shadowed
         b.transition(c, d).on(e).when(Expr::bool(false)).build(); // false guard
         let mut m = b.finish().expect("valid");
-        let report = PruneDeadTransitions.run(&mut m);
+        let report = prune_dead_transitions(&mut m);
         assert_eq!(report.removed_transitions, 2);
     }
 
@@ -343,7 +256,7 @@ mod tests {
             .when(Expr::var("x").gt(Expr::int(2).add(Expr::int(3))))
             .build();
         let mut m = b.finish().expect("valid");
-        let report = SimplifyGuards.run(&mut m);
+        let report = simplify_guards(&mut m);
         assert_eq!(report.rewritten, 2);
         assert_eq!(
             m.transition(folded).guard,
@@ -371,7 +284,7 @@ mod tests {
         b.transition(y, f).on(e1).build();
         let mut m = b.finish().expect("valid");
         let before = m.metrics().states;
-        let report = MergeEquivalentStates.run(&mut m);
+        let report = merge_equivalent_states(&mut m);
         assert_eq!(report.removed_states.len(), 1);
         assert_eq!(m.metrics().states, before - 1);
         assert!(m.validate().is_ok());
@@ -386,7 +299,7 @@ mod tests {
         b.initial(a);
         b.transition(a, a).on(used).build();
         let mut m = b.finish().expect("valid");
-        let report = RemoveUnusedEvents.run(&mut m);
+        let report = remove_unused_events(&mut m);
         assert_eq!(report.removed_events, 1);
         assert!(m.event_by_name("never").is_none());
         assert!(m.event_by_name("used").is_some());
@@ -407,7 +320,7 @@ mod tests {
             ],
         );
         let mut m = b.finish().expect("valid");
-        let report = RemoveUnusedVariables.run(&mut m);
+        let report = remove_unused_variables(&mut m);
         assert_eq!(report.removed_variables, 1);
         assert_eq!(report.rewritten, 1);
         assert!(m.variables().get("ghost").is_none());

@@ -14,9 +14,9 @@
 //!   through is inverted (`bne` ⇄ `beq`), a `goto` to the next block
 //!   emits nothing, and switch dispatch picks branch-chain or jump-table
 //!   form per `switch_uses_table` (shared with lowering).
-//! - **Peephole**: a final fixpoint drops `mv rd, rd` (identity moves
-//!   the allocator's hinting produced deliberately, e.g. a call result
-//!   consumed in `r1`) and jumps to the immediately following label.
+//! - **Peephole**: a final pass drops `mv rd, rd` (identity moves the
+//!   allocator's hinting produced deliberately, e.g. a call result
+//!   consumed in `r1`).
 
 use super::vcode::{EmInst, Reg, VCode, VTerm};
 use super::{AsmFunction, AsmInst, RegAllocStats, ZERO};
@@ -58,6 +58,9 @@ pub fn emit_function(vc: &VCode, level: OptLevel, stats: RegAllocStats) -> AsmFu
             best = alt;
         }
     }
+    // An artifact holds its instructions for as long as it lives, so drop
+    // the spare capacity emission's pushes left (up to half the vector).
+    best.shrink_to_fit();
     AsmFunction {
         name: vc.name.clone(),
         exported: vc.exported,
@@ -303,50 +306,10 @@ fn emit_term(
     }
 }
 
-/// Local cleanups to a fixpoint: drop no-op moves and jumps to the
-/// immediately following label.
+/// Drops `mv rd, rd`: the identity moves the allocator's hinting
+/// produced deliberately.
 fn peephole(insts: &mut Vec<AsmInst>) {
-    loop {
-        let mut changed = false;
-        let mut out: Vec<AsmInst> = Vec::with_capacity(insts.len());
-        let mut i = 0;
-        while i < insts.len() {
-            match &insts[i] {
-                AsmInst::Mv { rd, rs } if rd == rs => {
-                    changed = true;
-                }
-                AsmInst::J { label } => {
-                    // If only labels separate the jump from its target
-                    // label, the jump is a fall-through.
-                    let mut j = i + 1;
-                    let mut falls_through = false;
-                    while j < insts.len() {
-                        match &insts[j] {
-                            AsmInst::Label(l) => {
-                                if l == label {
-                                    falls_through = true;
-                                    break;
-                                }
-                                j += 1;
-                            }
-                            _ => break,
-                        }
-                    }
-                    if falls_through {
-                        changed = true;
-                    } else {
-                        out.push(insts[i].clone());
-                    }
-                }
-                other => out.push(other.clone()),
-            }
-            i += 1;
-        }
-        *insts = out;
-        if !changed {
-            break;
-        }
-    }
+    insts.retain(|inst| !matches!(inst, AsmInst::Mv { rd, rs } if rd == rs));
 }
 
 #[cfg(test)]
@@ -361,7 +324,6 @@ mod tests {
             term: VTerm::Ret {
                 value: value.map(Reg::Phys),
             },
-            loop_depth: 0,
         }
     }
 
@@ -369,7 +331,6 @@ mod tests {
         VBlock {
             insts: vec![],
             term: VTerm::Goto { target },
-            loop_depth: 0,
         }
     }
 
@@ -395,35 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn peephole_removes_jump_to_next_label() {
-        let mut insts = vec![
-            AsmInst::J { label: 7 },
-            AsmInst::Label(9),
-            AsmInst::Label(7),
-            AsmInst::Ret,
-        ];
-        peephole(&mut insts);
-        assert_eq!(
-            insts,
-            vec![AsmInst::Label(9), AsmInst::Label(7), AsmInst::Ret]
-        );
-    }
-
-    #[test]
-    fn peephole_keeps_real_jumps() {
-        let mut insts = vec![
-            AsmInst::J { label: 7 },
-            AsmInst::Label(8),
-            AsmInst::Li { rd: 1, imm: 0 },
-            AsmInst::Label(7),
-            AsmInst::Ret,
-        ];
-        let before = insts.clone();
-        peephole(&mut insts);
-        assert_eq!(insts, before);
-    }
-
-    #[test]
     fn jump_threading_bypasses_empty_goto_blocks() {
         // bb0 -> bb1 (empty) -> bb2(ret): the emitted stream needs no J.
         let vc = vcode(vec![goto_block(1), goto_block(2), ret_block(None)]);
@@ -446,7 +378,6 @@ mod tests {
                     then_target: 1,
                     else_target: 2,
                 },
-                loop_depth: 0,
             },
             ret_block(None),
             VBlock {
@@ -457,7 +388,6 @@ mod tests {
                 term: VTerm::Ret {
                     value: Some(Reg::Phys(1)),
                 },
-                loop_depth: 0,
             },
         ]);
         let f = emit_function(&vc, OptLevel::O1, RegAllocStats::default());
@@ -485,7 +415,6 @@ mod tests {
                 term: VTerm::Ret {
                     value: Some(Reg::Phys(1)),
                 },
-                loop_depth: 0,
             },
             VBlock {
                 insts: vec![EmInst::Li {
@@ -497,7 +426,6 @@ mod tests {
                     then_target: 1,
                     else_target: 1,
                 },
-                loop_depth: 0,
             },
         ]);
         let f = emit_function(&vc, OptLevel::O1, RegAllocStats::default());

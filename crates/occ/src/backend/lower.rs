@@ -1,9 +1,9 @@
 //! Stage 1: MIR → [`VCode`] lowering.
 //!
 //! Turns each reachable MIR block into a [`VBlock`] of [`EmInst`] over
-//! virtual registers, in reverse postorder (so loop bodies and
-//! straight-line runs lower contiguously and unreachable blocks vanish
-//! here rather than in emission). Calls lower to the pseudo-ops
+//! virtual registers, in reverse postorder (so straight-line runs lower
+//! contiguously and unreachable blocks vanish here rather than in
+//! emission). Calls lower to the pseudo-ops
 //! [`EmInst::Jal`]/[`EmInst::Jalr`]/[`EmInst::Ecall`] that carry their
 //! argument and result registers as constrained operands — no physical
 //! argument moves are materialized here; the allocator owns that.
@@ -38,16 +38,12 @@ pub fn lower_function(f: &MirFunction, level: OptLevel) -> Result<VCode, Compile
             arity: f.params,
         });
     }
-    let preds = cfg::predecessors(f);
-    let dom = cfg::DomTree::compute(f, &preds);
-    let order = dom.rpo();
+    let order = cfg::reverse_postorder(f);
     // Lowered position of each block (only reachable blocks have one).
     let mut index = vec![usize::MAX; f.blocks.len()];
     for (i, b) in order.iter().enumerate() {
         index[b.0 as usize] = i;
     }
-    let loops = cfg::natural_loops(f, &dom, &preds);
-    let depth_of = |b| loops.iter().filter(|l| l.contains(b)).count() as u32;
 
     let mut vc = VCode {
         name: f.name.clone(),
@@ -57,17 +53,13 @@ pub fn lower_function(f: &MirFunction, level: OptLevel) -> Result<VCode, Compile
         next_vreg: f.next_vreg,
     };
     for b in order {
-        let block = f.block(*b);
+        let block = f.block(b);
         let mut insts = Vec::with_capacity(block.insts.len());
         for inst in &block.insts {
             lower_inst(inst, &mut insts, &f.name)?;
         }
         let term = lower_term(&block.term, &index, level, &mut vc);
-        vc.blocks.push(VBlock {
-            insts,
-            term,
-            loop_depth: depth_of(*b),
-        });
+        vc.blocks.push(VBlock { insts, term });
     }
     split_critical_edges(&mut vc);
     Ok(vc)
@@ -224,7 +216,6 @@ fn split_critical_edges(vc: &mut VCode) {
         if vc.blocks[p].term.succs().nth(1).is_none() {
             continue;
         }
-        let p_depth = vc.blocks[p].loop_depth;
         let mut term = std::mem::replace(&mut vc.blocks[p].term, VTerm::Ret { value: None });
         splits.clear();
         term.map_targets(&mut |s| {
@@ -238,7 +229,6 @@ fn split_critical_edges(vc: &mut VCode) {
             vc.blocks.push(VBlock {
                 insts: Vec::new(),
                 term: VTerm::Goto { target: s },
-                loop_depth: p_depth.min(vc.blocks[s].loop_depth),
             });
             splits.push((s, idx));
             idx

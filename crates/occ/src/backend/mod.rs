@@ -12,7 +12,7 @@
 //! | 1. lowering | [`lower`] | MIR function → [`vcode::VCode`] over virtual registers, blocks in reverse postorder with critical edges split; more than four parameters or call arguments is [`CompileError::TooManyArgs`] |
 //! | 2. register allocation | [`regalloc`] | `VCode` + dense block liveness ([`crate::cfg::Liveness`]) → live ranges, hints and locations in register-indexed `Vec`s → `VCode` over physical registers, spill code and prologue/epilogue inserted |
 //! | 3. verification | [`vcode::VCode::verify_allocated`] | debug builds re-check every operand constraint and clobber fact post-allocation |
-//! | 4. emission | [`emit`] | allocated `VCode` → [`AsmInst`] stream with layout optimization (fall-through ordering, jump-to-next elimination, peephole) |
+//! | 4. emission | [`emit`] | allocated `VCode` → [`AsmInst`] stream with layout optimization (fall-through ordering, jump-to-next elimination, identity-move removal) |
 //!
 //! Every stage reads an instruction's operands through
 //! [`vcode::EmInst::operands`], an inline [`vcode::Operands`] list of at

@@ -16,10 +16,9 @@
 //!   register alone) use the four caller-saved registers before touching
 //!   callee-saved ones.
 //! - **Cost-driven spilling.** When no register is free the allocator
-//!   evicts the cheapest active range — cost is use/def count weighted by
-//!   `1 + 3·loop_depth` (from [`cfg::natural_loops`] captured at
-//!   lowering) divided by range length — instead of whatever was
-//!   touched least recently.
+//!   evicts the cheapest active range — cost is the use/def count divided
+//!   by the range length — instead of whatever was touched least
+//!   recently.
 //! - **Spill code per use/def.** A spilled range reloads into a scratch
 //!   register at each use and stores after each def; nothing routes every
 //!   access through globally reserved scratches.
@@ -91,8 +90,8 @@ pub struct Allocation {
 struct Range {
     start: u32,
     end: u32,
-    /// Loop-depth-weighted use/def occurrence count.
-    weight_sum: f64,
+    /// Use/def occurrence count.
+    occurrences: u32,
 }
 
 impl Range {
@@ -100,7 +99,7 @@ impl Range {
     const NONE: Range = Range {
         start: u32::MAX,
         end: 0,
-        weight_sum: 0.0,
+        occurrences: 0,
     };
 
     fn exists(&self) -> bool {
@@ -114,7 +113,7 @@ impl Range {
     }
 
     fn weight(&self) -> f64 {
-        self.weight_sum / f64::from(self.end - self.start + 1)
+        f64::from(self.occurrences) / f64::from(self.end - self.start + 1)
     }
 }
 
@@ -160,9 +159,9 @@ fn build_ranges(vc: &VCode) -> Intervals {
 }
 
 /// One walk over every operand: block use/def sets, instruction-position
-/// ranges, weights, hints and calls; then block liveness extends each
-/// range over the block boundaries it is live across. Fails with a wider
-/// domain if a register lies at or beyond `domain`.
+/// ranges, occurrence counts, hints and calls; then block liveness extends
+/// each range over the block boundaries it is live across. Fails with a
+/// wider domain if a register lies at or beyond `domain`.
 fn scan_operands(vc: &VCode, domain: usize) -> Result<Intervals, usize> {
     let n = vc.blocks.len();
     let mut sets = BlockSets::new(n, domain);
@@ -176,7 +175,6 @@ fn scan_operands(vc: &VCode, domain: usize) -> Result<Intervals, usize> {
     // instruction i reads at 2i and writes at 2i+1.
     let mut idx = 1u32;
     for (bi, block) in vc.blocks.iter().enumerate() {
-        let depth_weight = 1.0 + 3.0 * f64::from(block.loop_depth);
         let first_pos = 2 * idx;
         let inst_ops = block
             .insts
@@ -217,7 +215,7 @@ fn scan_operands(vc: &VCode, domain: usize) -> Result<Intervals, usize> {
                 }
                 let r = &mut ranges[vi];
                 r.touch(pos);
-                r.weight_sum += depth_weight;
+                r.occurrences += 1;
             }
             if clobbers != 0 {
                 calls.push((use_pos, clobbers));
@@ -702,11 +700,7 @@ mod tests {
             name: "t".into(),
             exported: true,
             params: (0..params as u32).map(VReg).collect(),
-            blocks: vec![super::super::vcode::VBlock {
-                insts,
-                term,
-                loop_depth: 0,
-            }],
+            blocks: vec![super::super::vcode::VBlock { insts, term }],
             next_vreg,
         }
     }

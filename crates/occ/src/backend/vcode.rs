@@ -425,10 +425,6 @@ pub struct VBlock {
     pub insts: Vec<EmInst>,
     /// Terminator.
     pub term: VTerm,
-    /// Natural-loop nesting depth of the originating MIR block (split
-    /// edge blocks take the minimum of the edge's endpoints); weights
-    /// spill costs.
-    pub loop_depth: u32,
 }
 
 /// Machine-shaped code for one function. Blocks are in lowering order
@@ -659,7 +655,6 @@ mod tests {
                 term: VTerm::Ret {
                     value: Some(phys(RET_REG)),
                 },
-                loop_depth: 0,
             }],
             next_vreg: 0,
         };
@@ -678,7 +673,6 @@ mod tests {
                     imm: 7,
                 }],
                 term: VTerm::Ret { value: None },
-                loop_depth: 0,
             }],
             next_vreg: 1,
         };
@@ -720,7 +714,6 @@ mod tests {
                 term: VTerm::Ret {
                     value: Some(phys(RET_REG)),
                 },
-                loop_depth: 0,
             }],
             next_vreg: 0,
         };
@@ -740,7 +733,6 @@ mod tests {
                     imm: 5,
                 }],
                 term: VTerm::Ret { value: None },
-                loop_depth: 0,
             }],
             next_vreg: 0,
         };
@@ -766,12 +758,10 @@ mod tests {
                         cases: vec![(0, 1)],
                         default: 1,
                     },
-                    loop_depth: 0,
                 },
                 VBlock {
                     insts: vec![],
                     term: VTerm::Ret { value: None },
-                    loop_depth: 0,
                 },
             ],
             next_vreg: 0,

@@ -1,16 +1,14 @@
 //! Control-flow-graph analyses: predecessors, reverse postorder,
-//! dominators, dominance frontiers, natural loops, liveness.
+//! dominators, dominance frontiers, liveness.
 //!
 //! Dominators use the iterative algorithm of Cooper, Harvey & Kennedy;
 //! frontiers follow Cytron et al., feeding φ-placement in [`crate::ssa`].
-//! Natural loops are discovered from back edges (an edge `n → h` where
-//! `h` dominates `n`), feeding loop-depth spill weights in the backend.
 //!
 //! # Representation
 //!
 //! Every analysis is dense: indexed by block number, never keyed through
 //! an ordered map. Predecessor lists are a `Vec` per block, reachability
-//! and loop bodies are [`BitSet`]s over block numbers, [`Liveness`] is a
+//! is a [`BitSet`] over block numbers, [`Liveness`] is a
 //! pair of [`BitMatrix`]es (a row of register bits per block), and the
 //! [`DomTree`] stores immediate dominators, tree children and a preorder
 //! numbering in flat arrays, so a dominance query is two comparisons
@@ -25,7 +23,7 @@
 //! use occ::cfg::{self, DomTree};
 //! use occ::mir::{Block, BlockId, MirFunction, Term, VReg};
 //!
-//! // bb0 → bb1 ⇄ bb2, bb1 → bb3: a loop headed by bb1.
+//! // bb0 → bb1 ⇄ bb2, bb1 → bb3: a cycle entered at bb1.
 //! let block = |term| Block { insts: vec![], term };
 //! let f = MirFunction {
 //!     name: "demo".into(),
@@ -44,9 +42,8 @@
 //! let dom = DomTree::compute(&f, &preds);
 //! assert_eq!(dom.idom(BlockId(3)), Some(BlockId(1)));
 //! assert!(dom.dominates(BlockId(1), BlockId(2)));
-//! let loops = cfg::natural_loops(&f, &dom, &preds);
-//! assert_eq!(loops[0].header, BlockId(1));
-//! assert_eq!(loops[0].blocks().collect::<Vec<_>>(), vec![BlockId(1), BlockId(2)]);
+//! assert!(!dom.dominates(BlockId(2), BlockId(3)));
+//! assert_eq!(cfg::dominance_frontiers(&dom, &preds)[2], vec![BlockId(1)]);
 //! ```
 
 use crate::bitset::{BitMatrix, BitSet};
@@ -304,82 +301,6 @@ pub fn dominance_frontiers(dom: &DomTree, preds: &[Vec<BlockId>]) -> Vec<Vec<Blo
         }
     }
     df
-}
-
-/// One natural loop: the set of blocks that can reach a back edge's
-/// source without passing through the loop header. Loops sharing a
-/// header are merged into a single [`NaturalLoop`] with several latches
-/// (the classic treatment of `continue`-style multi-latch loops).
-///
-/// Irreducible ("multi-entry") cycles have no back edge by dominance —
-/// neither entry dominates the other — so they are *not* reported.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NaturalLoop {
-    /// The loop header: dominates every block of the loop.
-    pub header: BlockId,
-    /// Sources of the back edges into the header, in discovery order.
-    pub latches: Vec<BlockId>,
-    /// All loop blocks, header and latches included, as block numbers.
-    pub body: BitSet,
-}
-
-impl NaturalLoop {
-    /// `true` if `b` belongs to this loop.
-    pub fn contains(&self, b: BlockId) -> bool {
-        self.body.contains(b.0 as usize)
-    }
-
-    /// The loop's blocks in ascending order.
-    pub fn blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.body.iter().map(|b| BlockId(b as u32))
-    }
-}
-
-/// Finds every natural loop of `f` from the back edges of its dominator
-/// tree, merging loops that share a header. Returned innermost-first
-/// (ascending body size, then header).
-pub fn natural_loops(f: &MirFunction, dom: &DomTree, preds: &[Vec<BlockId>]) -> Vec<NaturalLoop> {
-    let nblocks = f.blocks.len();
-    let mut by_header: Vec<Option<NaturalLoop>> = vec![None; nblocks];
-    for n in f.block_ids() {
-        if !dom.is_reachable(n) {
-            continue;
-        }
-        for h in f.block(n).term.succs() {
-            if !dom.dominates(h, n) {
-                continue; // not a back edge
-            }
-            let lp = by_header[h.0 as usize].get_or_insert_with(|| {
-                let mut body = BitSet::new(nblocks);
-                body.insert(h.0 as usize);
-                NaturalLoop {
-                    header: h,
-                    latches: Vec::new(),
-                    body,
-                }
-            });
-            if !lp.latches.contains(&n) {
-                lp.latches.push(n);
-            }
-            // Body: everything reaching the latch backwards without
-            // passing the header.
-            let mut stack = vec![n];
-            while let Some(x) = stack.pop() {
-                if !lp.body.insert(x.0 as usize) {
-                    continue;
-                }
-                stack.extend(
-                    preds[x.0 as usize]
-                        .iter()
-                        .copied()
-                        .filter(|p| dom.is_reachable(*p)),
-                );
-            }
-        }
-    }
-    let mut loops: Vec<NaturalLoop> = by_header.into_iter().flatten().collect();
-    loops.sort_by_key(|l| (l.body.count(), l.header));
-    loops
 }
 
 /// Per-block live-in/live-out sets of virtual registers: row `b` of each
@@ -686,157 +607,6 @@ mod tests {
             insts: vec![],
             term,
         }
-    }
-
-    fn func(blocks: Vec<Block>) -> MirFunction {
-        MirFunction {
-            name: "l".into(),
-            params: 1,
-            returns_value: false,
-            exported: true,
-            blocks,
-            next_vreg: 1,
-        }
-    }
-
-    fn loops_of(f: &MirFunction) -> Vec<NaturalLoop> {
-        let preds = predecessors(f);
-        natural_loops(f, &DomTree::compute(f, &preds), &preds)
-    }
-
-    fn body(lp: &NaturalLoop) -> Vec<u32> {
-        lp.blocks().map(|b| b.0).collect()
-    }
-
-    #[test]
-    fn self_loop_is_its_own_header_and_latch() {
-        // bb0 -> bb1; bb1 -> bb1 | bb2.
-        let f = func(vec![
-            block(Term::Goto(BlockId(1))),
-            block(Term::Br {
-                cond: VReg(0),
-                then_block: BlockId(1),
-                else_block: BlockId(2),
-            }),
-            block(Term::Ret(None)),
-        ]);
-        let loops = loops_of(&f);
-        assert_eq!(loops.len(), 1);
-        assert_eq!(loops[0].header, BlockId(1));
-        assert_eq!(loops[0].latches, vec![BlockId(1)]);
-        assert_eq!(body(&loops[0]), vec![1]);
-    }
-
-    #[test]
-    fn nested_loops_report_inner_first_with_nested_bodies() {
-        // bb0 -> bb1 (outer header) -> bb2 (inner header) -> bb3
-        // bb3 -> bb2 (inner latch) | bb4; bb4 -> bb1 (outer latch) | bb5.
-        let f = func(vec![
-            block(Term::Goto(BlockId(1))),
-            block(Term::Goto(BlockId(2))),
-            block(Term::Goto(BlockId(3))),
-            block(Term::Br {
-                cond: VReg(0),
-                then_block: BlockId(2),
-                else_block: BlockId(4),
-            }),
-            block(Term::Br {
-                cond: VReg(0),
-                then_block: BlockId(1),
-                else_block: BlockId(5),
-            }),
-            block(Term::Ret(None)),
-        ]);
-        let loops = loops_of(&f);
-        assert_eq!(loops.len(), 2, "{loops:?}");
-        let inner = &loops[0];
-        let outer = &loops[1];
-        assert_eq!(inner.header, BlockId(2));
-        assert_eq!(body(inner), vec![2, 3]);
-        assert_eq!(outer.header, BlockId(1));
-        assert_eq!(body(outer), vec![1, 2, 3, 4]);
-        assert!(
-            inner.blocks().all(|b| outer.contains(b)),
-            "inner loop nests inside outer"
-        );
-    }
-
-    #[test]
-    fn switch_back_edge_forms_a_loop() {
-        // bb1 dispatches through a Switch; one case is the back edge.
-        let f = func(vec![
-            block(Term::Goto(BlockId(1))),
-            block(Term::Goto(BlockId(2))),
-            block(Term::Switch {
-                val: VReg(0),
-                cases: vec![(0, BlockId(1)), (1, BlockId(3))],
-                default: BlockId(3),
-            }),
-            block(Term::Ret(None)),
-        ]);
-        let loops = loops_of(&f);
-        assert_eq!(loops.len(), 1);
-        assert_eq!(loops[0].header, BlockId(1));
-        assert_eq!(loops[0].latches, vec![BlockId(2)]);
-        assert_eq!(body(&loops[0]), vec![1, 2]);
-    }
-
-    #[test]
-    fn multi_latch_loops_merge_by_header() {
-        // Two back edges into bb1 (a `continue`): one NaturalLoop, two
-        // latches.
-        let f = func(vec![
-            block(Term::Goto(BlockId(1))),
-            block(Term::Br {
-                cond: VReg(0),
-                then_block: BlockId(2),
-                else_block: BlockId(3),
-            }),
-            block(Term::Br {
-                cond: VReg(0),
-                then_block: BlockId(1), // continue
-                else_block: BlockId(3),
-            }),
-            block(Term::Br {
-                cond: VReg(0),
-                then_block: BlockId(1), // latch
-                else_block: BlockId(4),
-            }),
-            block(Term::Ret(None)),
-        ]);
-        let loops = loops_of(&f);
-        assert_eq!(loops.len(), 1, "{loops:?}");
-        assert_eq!(loops[0].latches, vec![BlockId(2), BlockId(3)]);
-        assert_eq!(body(&loops[0]), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn irreducible_multi_entry_cycle_is_rejected() {
-        // bb0 branches into *both* bb1 and bb2, which form a cycle:
-        // neither dominates the other, so there is no back edge and no
-        // natural loop.
-        let f = func(vec![
-            block(Term::Br {
-                cond: VReg(0),
-                then_block: BlockId(1),
-                else_block: BlockId(2),
-            }),
-            block(Term::Br {
-                cond: VReg(0),
-                then_block: BlockId(2),
-                else_block: BlockId(3),
-            }),
-            block(Term::Br {
-                cond: VReg(0),
-                then_block: BlockId(1),
-                else_block: BlockId(3),
-            }),
-            block(Term::Ret(None)),
-        ]);
-        assert!(
-            loops_of(&f).is_empty(),
-            "irreducible cycles have no natural loop"
-        );
     }
 
     #[test]

@@ -26,13 +26,14 @@
 //! * **Back end**: a four-stage, Cranelift-shaped pipeline ([`backend`]):
 //!   MIR lowers to `VCode` (machine instruction shapes over virtual
 //!   registers with operand constraints), a liveness-range linear scan
-//!   allocates with loop-weighted spill costs and caller-saved registers
+//!   allocates with use-density spill costs and caller-saved registers
 //!   usable across call-free ranges, a debug-build verifier re-checks
 //!   every constraint, and layout-aware emission (fall-through ordering,
-//!   branch inversion, `-Os`-aware switch lowering, peephole) produces
-//!   byte-accurate encoding ([`Assembly`] reports text/rodata/data sizes
-//!   — the paper's "assembly code size in bytes"; [`RegAllocStats`]
-//!   reports the allocator's spill/save footprint per artifact).
+//!   branch inversion, `-Os`-aware switch lowering, identity-move
+//!   removal) produces byte-accurate encoding ([`Assembly`] reports
+//!   text/rodata/data sizes — the paper's "assembly code size in bytes";
+//!   [`RegAllocStats`] reports the allocator's spill/save footprint per
+//!   artifact).
 //! * **VM**: two EM32 execution engines ([`vm`]) behind one contract — a
 //!   reference oracle walking the instruction stream, and a fast engine
 //!   dispatching over a one-time pre-decode ([`vm::DecodedProgram`],

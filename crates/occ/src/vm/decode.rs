@@ -4,7 +4,8 @@
 
 use std::fmt;
 
-use crate::backend::{AsmInst, Assembly, DATA_BASE, TEXT_BASE};
+use super::STACK_SIZE;
+use crate::backend::{AsmGlobal, AsmInst, Assembly, DATA_BASE, TEXT_BASE};
 use crate::mir::BinOp;
 
 /// A decode-time rejection: malformed assembly is reported here, once,
@@ -48,8 +49,17 @@ pub enum DecodeError {
         /// The oversized argument count.
         nargs: usize,
     },
-    /// A function's code address is below `TEXT_BASE` or not 2-aligned,
-    /// so it cannot index the dense indirect-call map.
+    /// The program does not lay out exactly one code address per
+    /// function.
+    FnAddrCount {
+        /// Number of functions.
+        functions: usize,
+        /// Number of function addresses.
+        addrs: usize,
+    },
+    /// A function's code address cannot key the dense indirect-call map:
+    /// it is below `TEXT_BASE`, not 2-aligned, 2^31 or more, or an
+    /// earlier function's.
     BadFnAddr {
         /// The function laid out at the bad address.
         func: String,
@@ -83,6 +93,9 @@ impl fmt::Display for DecodeError {
             DecodeError::BadEcallArity { func, nargs } => {
                 write!(f, "`{func}`: ecall passing {nargs} arguments (max 4)")
             }
+            DecodeError::FnAddrCount { functions, addrs } => {
+                write!(f, "{addrs} function addresses for {functions} functions")
+            }
             DecodeError::BadFnAddr { func, addr } => {
                 write!(f, "`{func}`: unmappable code address {addr:#x}")
             }
@@ -96,11 +109,7 @@ impl fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// The first register field of `inst` outside EM32's sixteen registers.
-/// Both engines refuse an assembly by this one rule: decode returns
-/// [`DecodeError::BadRegister`], the oracle [`VmError::BadRegister`].
-///
-/// [`VmError::BadRegister`]: super::VmError::BadRegister
-pub(super) fn bad_register(inst: &AsmInst) -> Option<u8> {
+fn bad_register(inst: &AsmInst) -> Option<u8> {
     let fields = match *inst {
         AsmInst::Li { rd, .. } | AsmInst::La { rd, .. } | AsmInst::LaFn { rd, .. } => [rd, 0, 0],
         AsmInst::Mv { rd, rs } => [rd, rs, 0],
@@ -452,7 +461,7 @@ pub struct DecodedProgram {
     pub(crate) funcs: Vec<FnInfo>,
     pub(crate) externs: Vec<String>,
     /// Initial memory image: data segment + zeroed stack (see
-    /// [`initial_memory`](super::initial_memory)).
+    /// [`initial_memory`]).
     pub(crate) mem: Vec<u8>,
     /// Dense indirect-call resolution: `code_map[(addr - TEXT_BASE) / 2]`
     /// is the entry op index of the function laid out at code address
@@ -473,6 +482,12 @@ impl DecodedProgram {
     /// failure here indicates a malformed hand-built program or a
     /// backend bug.
     pub fn decode(asm: &Assembly) -> Result<DecodedProgram, DecodeError> {
+        if asm.fn_addrs.len() != asm.functions.len() {
+            return Err(DecodeError::FnAddrCount {
+                functions: asm.functions.len(),
+                addrs: asm.fn_addrs.len(),
+            });
+        }
         // Pass A: per-function entries and label -> local-op-index maps.
         // Every non-label instruction emits exactly one op; every
         // function gets one appended `Ret`, so a label at the very end
@@ -676,17 +691,24 @@ impl DecodedProgram {
         // half-word-granular table (u32 per 2 code bytes) costs little
         // and makes every `Jalr` a single load.
         let mut code_map: Vec<u32> = Vec::new();
-        for (fi, (a, e)) in asm.fn_addrs.iter().zip(&entries).enumerate() {
-            // An address below `TEXT_BASE` would underflow the index and
-            // an odd one would truncate into the wrong slot — both are
+        for (f, (a, e)) in asm.functions.iter().zip(asm.fn_addrs.iter().zip(&entries)) {
+            // An address below `TEXT_BASE` would underflow the index, an
+            // odd one would truncate into the wrong slot, one of 2^31 or
+            // more reads as negative from a register (the oracle would
+            // still call it, the fast engine would not), and a shared one
+            // would let the later function shadow the earlier — all
             // malformed hand-built layouts, caught here once.
-            if *a < TEXT_BASE || *a % 2 != 0 {
+            let idx = a
+                .checked_sub(TEXT_BASE)
+                .filter(|off| off % 2 == 0 && i32::try_from(*a).is_ok())
+                .map(|off| (off / 2) as usize)
+                .filter(|&i| code_map.get(i).is_none_or(|&taken| taken == u32::MAX));
+            let Some(idx) = idx else {
                 return Err(DecodeError::BadFnAddr {
-                    func: asm.functions[fi].name.clone(),
+                    func: f.name.clone(),
                     addr: *a,
                 });
-            }
-            let idx = ((*a - TEXT_BASE) / 2) as usize;
+            };
             if code_map.len() <= idx {
                 code_map.resize(idx + 1, u32::MAX);
             }
@@ -708,7 +730,7 @@ impl DecodedProgram {
                 })
                 .collect(),
             externs: asm.externs.clone(),
-            mem: super::initial_memory(&asm.globals),
+            mem: initial_memory(&asm.globals),
             code_map,
         })
     }
@@ -728,10 +750,30 @@ impl DecodedProgram {
     }
 }
 
+/// Builds the initial memory image for an assembly's globals: the data
+/// segment at [`DATA_BASE`](crate::backend::DATA_BASE) followed by
+/// [`STACK_SIZE`] zeroed stack bytes. Both engines start from this image
+/// (the oracle takes it from its decode), so their address spaces are
+/// bit-identical.
+fn initial_memory(globals: &[AsmGlobal]) -> Vec<u8> {
+    let data_len: usize = globals.iter().map(|g| g.words.len() * 4).sum();
+    let mem_len = DATA_BASE as usize + data_len + STACK_SIZE;
+    let mut mem = vec![0u8; mem_len];
+    for g in globals {
+        let base = DATA_BASE as usize + g.offset as usize;
+        for (i, w) in g.words.iter().enumerate() {
+            mem[base + i * 4..base + i * 4 + 4].copy_from_slice(&w.to_le_bytes());
+        }
+    }
+    mem
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{AsmFunction, AsmGlobal, RegAllocStats};
+    use crate::backend::{AsmFunction, RegAllocStats};
+    use crate::vm::{FastVm, Vm, VmError};
+    use tlang::RecordingEnv;
 
     fn func(name: &str, insts: Vec<AsmInst>) -> AsmFunction {
         AsmFunction {
@@ -801,135 +843,166 @@ mod tests {
         assert_eq!(d.ops[2], Op::Ret);
     }
 
-    #[test]
-    fn undefined_branch_target_caught_at_decode_time() {
-        let a = asm(vec![func("f", vec![AsmInst::J { label: 42 }])]);
-        assert_eq!(
-            DecodedProgram::decode(&a).unwrap_err(),
-            DecodeError::UndefinedLabel {
-                func: "f".into(),
-                label: 42
-            }
-        );
+    /// Runs `f` of `a` on both engines: the fast one needs a decoded
+    /// program, so decode's refusal is its error; the oracle decodes for
+    /// itself. Returns both results and the oracle's executed count.
+    fn run_both(a: &Assembly) -> (Result<i32, VmError>, Result<i32, VmError>, u64) {
+        let fast = DecodedProgram::decode(a)
+            .map_err(|e| VmError::Decode(Box::new(e)))
+            .and_then(|prog| FastVm::new(&prog, RecordingEnv::new()).run("f", &[]));
+        let mut oracle = Vm::new(a, RecordingEnv::new());
+        let slow = oracle.run("f", &[]);
+        (fast, slow, oracle.executed())
     }
 
     #[test]
-    fn undefined_jump_table_entry_caught_at_decode_time() {
-        let a = asm(vec![func(
-            "f",
-            vec![
-                AsmInst::Label(0),
-                AsmInst::JumpTable {
-                    rs: 1,
-                    lo: 0,
-                    labels: vec![0, 7],
-                    default: 0,
+    fn malformed_programs_refused_alike_by_both_engines() {
+        let ecall = |ext, nargs| AsmInst::Ecall {
+            ext,
+            nargs,
+            returns: false,
+        };
+        let one = |inst| asm(vec![func("f", vec![AsmInst::Li { rd: 1, imm: 7 }, inst])]);
+        let bad_register = |reg| DecodeError::BadRegister {
+            func: "f".into(),
+            reg,
+        };
+        let bad_callee = |callee| DecodeError::BadCallee {
+            func: "f".into(),
+            callee,
+        };
+        let mut cases = vec![
+            // Unchecked, dispatch's `& 15` masks would run `r16` as `r0`,
+            // the oracle would index past its register file, fusing the
+            // leading `Li` with the next op would fail `pack`'s debug
+            // assertion, and `Mv rd 0` would decay to a `Nop` that hides
+            // its source.
+            (one(AsmInst::Li { rd: 16, imm: 1 }), bad_register(16)),
+            (
+                one(AsmInst::Alu {
+                    op: BinOp::Add,
+                    rd: 1,
+                    rs1: 1,
+                    rs2: 16,
+                }),
+                bad_register(16),
+            ),
+            (one(AsmInst::Mv { rd: 0, rs: 16 }), bad_register(16)),
+            (
+                one(AsmInst::J { label: 42 }),
+                DecodeError::UndefinedLabel {
+                    func: "f".into(),
+                    label: 42,
                 },
-            ],
-        )]);
-        assert_eq!(
-            DecodedProgram::decode(&a).unwrap_err(),
-            DecodeError::UndefinedLabel {
+            ),
+            (
+                asm(vec![func(
+                    "f",
+                    vec![
+                        AsmInst::Label(0),
+                        AsmInst::JumpTable {
+                            rs: 1,
+                            lo: 0,
+                            labels: vec![0, 7],
+                            default: 0,
+                        },
+                    ],
+                )]),
+                DecodeError::UndefinedLabel {
+                    func: "f".into(),
+                    label: 7,
+                },
+            ),
+            // Unchecked, each of these would index past a table of the
+            // oracle.
+            (
+                one(AsmInst::La {
+                    rd: 1,
+                    global: 2,
+                    off: 0,
+                }),
+                DecodeError::BadGlobal {
+                    func: "f".into(),
+                    global: 2,
+                },
+            ),
+            (one(AsmInst::LaFn { rd: 1, func: 9 }), bad_callee(9)),
+            (one(AsmInst::Jal { func: 5 }), bad_callee(5)),
+            (
+                one(ecall(3, 0)),
+                DecodeError::UnknownExtern {
+                    func: "f".into(),
+                    ext: 3,
+                },
+            ),
+            (
+                one(ecall(0, 5)),
+                DecodeError::BadEcallArity {
+                    func: "f".into(),
+                    nargs: 5,
+                },
+            ),
+            (
+                one(ecall(0, 16)),
+                DecodeError::BadEcallArity {
+                    func: "f".into(),
+                    nargs: 16,
+                },
+            ),
+        ];
+        // Below TEXT_BASE (would underflow the code-map index), odd
+        // (would truncate into the wrong slot) and 2^31 (would read as
+        // negative from a register).
+        for addr in [TEXT_BASE - 2, TEXT_BASE + 1, 1 << 31] {
+            let mut a = asm(vec![func("f", vec![AsmInst::Ret])]);
+            a.fn_addrs = vec![addr];
+            let bad = DecodeError::BadFnAddr {
                 func: "f".into(),
-                label: 7
-            }
-        );
-    }
-
-    #[test]
-    fn unknown_extern_caught_at_decode_time() {
-        let a = asm(vec![func(
+                addr,
+            };
+            cases.push((a, bad));
+        }
+        // An address with no function: unchecked, the fast engine would
+        // find no entry at it and the oracle would index past its
+        // function list.
+        let mut extra = asm(vec![func(
             "f",
-            vec![AsmInst::Ecall {
-                ext: 3,
-                nargs: 0,
-                returns: false,
-            }],
+            vec![AsmInst::LaFn { rd: 1, func: 1 }, AsmInst::Jalr { rs: 1 }],
         )]);
-        assert_eq!(
-            DecodedProgram::decode(&a).unwrap_err(),
-            DecodeError::UnknownExtern {
-                func: "f".into(),
-                ext: 3
-            }
-        );
-    }
-
-    #[test]
-    fn out_of_range_callee_caught_at_decode_time() {
-        let a = asm(vec![func("f", vec![AsmInst::Jal { func: 5 }])]);
-        assert_eq!(
-            DecodedProgram::decode(&a).unwrap_err(),
-            DecodeError::BadCallee {
-                func: "f".into(),
-                callee: 5
-            }
-        );
-        let a = asm(vec![func("g", vec![AsmInst::LaFn { rd: 1, func: 9 }])]);
-        assert_eq!(
-            DecodedProgram::decode(&a).unwrap_err(),
-            DecodeError::BadCallee {
-                func: "g".into(),
-                callee: 9
-            }
-        );
-    }
-
-    #[test]
-    fn out_of_range_registers_refused_by_both_engines() {
-        // Unchecked, dispatch's `& 15` masks would run `r16` as `r0`, the
-        // oracle would index past its register file, fusing the leading
-        // `Li` with the next op would fail `pack`'s debug assertion, and
-        // `Mv rd 0` would decay to a `Nop` that hides its source.
-        for inst in [
-            AsmInst::Li { rd: 16, imm: 1 },
-            AsmInst::Alu {
-                op: BinOp::Add,
-                rd: 1,
-                rs1: 1,
-                rs2: 16,
-            },
-            AsmInst::Mv { rd: 0, rs: 16 },
-        ] {
-            let a = asm(vec![func("f", vec![AsmInst::Li { rd: 1, imm: 7 }, inst])]);
-            assert_eq!(
-                DecodedProgram::decode(&a).unwrap_err(),
-                DecodeError::BadRegister {
-                    func: "f".into(),
-                    reg: 16
-                }
-            );
-            let mut oracle = crate::vm::Vm::new(&a, tlang::RecordingEnv::new());
-            assert_eq!(
-                oracle.run("f", &[]),
-                Err(crate::vm::VmError::BadRegister {
-                    func: "f".into(),
-                    reg: 16
-                })
-            );
-            assert_eq!(oracle.executed(), 0);
+        extra.fn_addrs.push(TEXT_BASE + 16);
+        let count = DecodeError::FnAddrCount {
+            functions: 1,
+            addrs: 2,
+        };
+        cases.push((extra, count));
+        // Two functions at one address: unchecked, the fast engine would
+        // call the later (returning 9) and the oracle the earlier
+        // (spinning until out of fuel).
+        let mut shared = asm(vec![
+            func(
+                "f",
+                vec![AsmInst::LaFn { rd: 5, func: 1 }, AsmInst::Jalr { rs: 5 }],
+            ),
+            func("spin", vec![AsmInst::Label(0), AsmInst::J { label: 0 }]),
+            func("nine", vec![AsmInst::Li { rd: 1, imm: 9 }, AsmInst::Ret]),
+        ]);
+        shared.fn_addrs[2] = shared.fn_addrs[1];
+        let addr = shared.fn_addrs[1];
+        let clash = DecodeError::BadFnAddr {
+            func: "nine".into(),
+            addr,
+        };
+        cases.push((shared, clash));
+        for (a, want) in cases {
+            assert_eq!(DecodedProgram::decode(&a).unwrap_err(), want);
+            let want = Err(VmError::Decode(Box::new(want)));
+            let (fast, slow, executed) = run_both(&a);
+            assert_eq!(fast, want);
+            assert_eq!(slow, want);
+            assert_eq!(executed, 0, "the oracle ran part of {want:?}");
         }
         let top = asm(vec![func("f", vec![AsmInst::Mv { rd: 15, rs: 15 }])]);
         assert!(DecodedProgram::decode(&top).is_ok());
-    }
-
-    #[test]
-    fn out_of_range_global_caught_at_decode_time() {
-        let a = asm(vec![func(
-            "f",
-            vec![AsmInst::La {
-                rd: 1,
-                global: 2,
-                off: 0,
-            }],
-        )]);
-        assert_eq!(
-            DecodedProgram::decode(&a).unwrap_err(),
-            DecodeError::BadGlobal {
-                func: "f".into(),
-                global: 2
-            }
-        );
     }
 
     #[test]
@@ -1171,50 +1244,6 @@ mod tests {
                 "rd pair ({rd1},{rd2}) must not fuse"
             );
         }
-    }
-
-    #[test]
-    fn oversized_ecall_arity_caught_at_decode_time() {
-        // FastVm passes at most the four argument registers; the oracle
-        // would index past them. Neither gets the chance: decode rejects.
-        let a = asm(vec![func(
-            "f",
-            vec![AsmInst::Ecall {
-                ext: 0,
-                nargs: 5,
-                returns: false,
-            }],
-        )]);
-        assert_eq!(
-            DecodedProgram::decode(&a).unwrap_err(),
-            DecodeError::BadEcallArity {
-                func: "f".into(),
-                nargs: 5
-            }
-        );
-    }
-
-    #[test]
-    fn bad_fn_addr_caught_at_decode_time() {
-        // Below TEXT_BASE (would underflow the code-map index)...
-        let mut a = asm(vec![func("f", vec![AsmInst::Ret])]);
-        a.fn_addrs = vec![TEXT_BASE - 2];
-        assert_eq!(
-            DecodedProgram::decode(&a).unwrap_err(),
-            DecodeError::BadFnAddr {
-                func: "f".into(),
-                addr: TEXT_BASE - 2
-            }
-        );
-        // ...and odd (would truncate into the wrong slot).
-        a.fn_addrs = vec![TEXT_BASE + 1];
-        assert_eq!(
-            DecodedProgram::decode(&a).unwrap_err(),
-            DecodeError::BadFnAddr {
-                func: "f".into(),
-                addr: TEXT_BASE + 1
-            }
-        );
     }
 
     #[test]

@@ -64,8 +64,8 @@ impl<'a, E: Env> FastVm<'a, E> {
     ///
     /// # Errors
     ///
-    /// See [`VmError`] (everything but `BadLabel`, which the decoder has
-    /// already ruled out).
+    /// See [`VmError`] (everything but `Decode`: a program decode refused
+    /// has no decoded form to run).
     pub fn run(&mut self, name: &str, args: &[i32]) -> Result<i32, VmError> {
         // `NoCoverage::record` inlines to nothing, so this
         // monomorphization *is* the uninstrumented hot loop.

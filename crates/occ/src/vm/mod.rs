@@ -9,11 +9,12 @@
 //!   prints it): label markers are skipped in place, branch targets are
 //!   looked up in per-function label maps, calls are resolved by function
 //!   index, indirect calls by a linear scan of the address table. Nothing
-//!   is precomputed beyond the label maps, so the oracle is a direct
-//!   transcription of the EM32 semantics — slow, but obviously faithful.
-//!   It exists to *validate*: a compiled program must reproduce the
-//!   extern-call trace of the `tlang` reference interpreter, and the fast
-//!   engine must reproduce the oracle's.
+//!   is precomputed beyond the label maps (it decodes the program once,
+//!   but keeps only decode's verdict and memory image; see below), so the
+//!   oracle is a direct transcription of the EM32 semantics — slow, but
+//!   obviously faithful. It exists to *validate*: a compiled program must
+//!   reproduce the extern-call trace of the `tlang` reference
+//!   interpreter, and the fast engine must reproduce the oracle's.
 //! * **The fast engine** ([`FastVm`]) executes a [`DecodedProgram`] — a
 //!   one-time pre-decode of the assembly into one flat, dense array of
 //!   `Copy` micro-ops shared by all functions — in a tight threaded-style
@@ -26,16 +27,16 @@
 //! [`DecodeError`] — at decode time, never at dispatch time:
 //!
 //! * every branch and jump-table target resolves to a valid op index of
-//!   the same function (undefined labels are a decode error, so the
-//!   oracle's [`VmError::BadLabel`] has no fast-engine counterpart);
-//! * every direct-call target is a valid function entry, every extern
-//!   index names a declared extern (passing at most the four argument
-//!   registers of the calling convention), every global index an
-//!   existing global;
+//!   the same function (undefined labels are a decode error);
+//! * every direct-call and address-formation target is a valid function,
+//!   every extern index names a declared extern (passing at most the
+//!   four argument registers of the calling convention), every global
+//!   index an existing global;
 //! * every register field names one of the sixteen registers `r0`–`r15`
-//!   (checked before the `r0`-write decay below). The oracle refuses the
-//!   same programs by the same rule, with [`VmError::BadRegister`], so
-//!   the two engines cannot disagree on a program decode accepted;
+//!   (checked before the `r0`-write decay below);
+//! * the program lays out exactly one code address per function, each at
+//!   or above `TEXT_BASE` and below 2^31, 2-aligned and no earlier
+//!   function's;
 //! * label markers are erased entirely — they occupy no slot;
 //! * address formation (`La`/`LaFn`) is pre-split into plain immediate
 //!   loads of the absolute address;
@@ -52,8 +53,18 @@
 //! * indirect-call resolution is a dense table: `code_map[(addr -
 //!   TEXT_BASE) / 2]` maps every 2-aligned code address to its function's
 //!   entry op index, or a poison value for addresses inside a function
-//!   body — no search at dispatch time. Function addresses below
-//!   `TEXT_BASE` or not 2-aligned are a decode error.
+//!   body — no search at dispatch time.
+//!
+//! Both engines run exactly the programs decode accepts, and the rules
+//! exist only there: the fast engine runs nothing but a
+//! [`DecodedProgram`], and [`Vm::new`] calls [`DecodedProgram::decode`]
+//! itself, keeping only the verdict and the memory image. Every
+//! [`Vm::run`] of a refused program returns [`VmError::Decode`] with
+//! decode's error and executes nothing, and on an accepted one every
+//! label, function, global, extern and register the oracle's walk indexes
+//! exists and every code address names one function, so the engines
+//! cannot disagree on which programs run, nor on what an indirect call
+//! reaches.
 //!
 //! # Superinstruction fusion
 //!
@@ -112,7 +123,7 @@
 //! program, entry point, arguments and fuel budget, on:
 //!
 //! * the returned value or the failure kind ([`VmError`] variants compare
-//!   by kind and payload; `BadLabel` cannot occur on the fast path);
+//!   by kind and payload);
 //! * the extern-call trace as observed by the host environment, even on
 //!   a failed run (the trace up to the fault is identical);
 //! * the executed-instruction count ([`Engine::executed`]): every
@@ -187,31 +198,24 @@ pub enum VmError {
     },
     /// Indirect call to an address that is not a function entry.
     BadCodeAddress(i32),
-    /// Branch to a label the function does not define (assembler bug;
-    /// oracle only — the fast engine rejects these at decode time).
-    BadLabel(usize),
+    /// The program breaks a decode rule, so neither engine runs any of
+    /// it: decode's error, returned by every [`Vm::run`] of a program
+    /// [`DecodedProgram::decode`] refuses (the fast engine has no program
+    /// to run at all).
+    ///
+    /// Boxed, so that `VmError` keeps the layout the dispatch loop that
+    /// returns it is tuned for, and declared before `OutOfFuel` so that
+    /// the variants the loop returns keep their tags. The layout matters:
+    /// a variant holding a `String` and a `u8` made the enum
+    /// niche-encoded, and the repository benchmark's `storm` workload
+    /// lost 5.5% of its events per second (10 alternating 25 s pairs,
+    /// seed 1, on a 2-core x86-64 VM); a one-byte field alone shrinks the
+    /// tag to one byte.
+    Decode(Box<DecodeError>),
     /// The instruction budget was exhausted.
     OutOfFuel,
     /// The host environment rejected an extern call.
     Host(String),
-    /// An instruction names a register outside `r0`–`r15` (oracle only:
-    /// the fast engine refuses the program at decode time, with
-    /// [`DecodeError::BadRegister`]). The oracle refuses the whole
-    /// program before executing any of it, like decode.
-    ///
-    /// The field types keep `VmError`'s layout, and so the machine code of
-    /// the dispatch loop that returns it, as they were without this
-    /// variant: a `String` would outgrow the other variants and make the
-    /// enum niche-encoded, and a `u8` would shrink its tag to one byte.
-    /// With `func: String` the repository benchmark's `storm` workload
-    /// lost 5.5% of its events per second (10 alternating 25 s pairs,
-    /// seed 1, on a 2-core x86-64 VM).
-    BadRegister {
-        /// Function the instruction appears in.
-        func: Box<str>,
-        /// The out-of-range register number.
-        reg: u32,
-    },
 }
 
 impl fmt::Display for VmError {
@@ -220,12 +224,9 @@ impl fmt::Display for VmError {
             VmError::UnknownFunction(n) => write!(f, "unknown exported function `{n}`"),
             VmError::MemoryFault { addr } => write!(f, "memory fault at 0x{addr:x}"),
             VmError::BadCodeAddress(a) => write!(f, "indirect call to bad address 0x{a:x}"),
-            VmError::BadLabel(l) => write!(f, "branch to undefined label {l}"),
+            VmError::Decode(e) => write!(f, "program refused by decode: {e}"),
             VmError::OutOfFuel => write!(f, "instruction budget exhausted"),
             VmError::Host(msg) => write!(f, "host rejected extern call: {msg}"),
-            VmError::BadRegister { func, reg } => {
-                write!(f, "`{func}`: register r{reg} outside r0-r15")
-            }
         }
     }
 }
@@ -346,21 +347,4 @@ impl CoverageSink for OpCoverage {
             *w |= 1u64 << (i % 64);
         }
     }
-}
-
-/// Builds the initial memory image for an assembly's globals: the data
-/// segment at [`DATA_BASE`](crate::backend::DATA_BASE) followed by
-/// [`STACK_SIZE`] zeroed stack bytes. Shared by both engines so their
-/// address spaces are bit-identical.
-pub(crate) fn initial_memory(globals: &[crate::backend::AsmGlobal]) -> Vec<u8> {
-    let data_len: usize = globals.iter().map(|g| g.words.len() * 4).sum();
-    let mem_len = crate::backend::DATA_BASE as usize + data_len + STACK_SIZE;
-    let mut mem = vec![0u8; mem_len];
-    for g in globals {
-        let base = crate::backend::DATA_BASE as usize + g.offset as usize;
-        for (i, w) in g.words.iter().enumerate() {
-            mem[base + i * 4..base + i * 4 + 4].copy_from_slice(&w.to_le_bytes());
-        }
-    }
-    mem
 }

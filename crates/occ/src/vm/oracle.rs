@@ -2,17 +2,18 @@
 //! contract (see the [module docs](super)).
 //!
 //! Walks the [`AsmInst`] stream directly with per-function label maps —
-//! no pre-decoding, no per-step cloning (instructions are borrowed from
-//! the assembly, never copied), so every step is a plain transcription of
-//! the EM32 semantics the backend assumes (hardwired `r0`, word-addressed
-//! little-endian memory, division by zero yielding zero, link handling
-//! via an internal return stack).
+//! it decodes the program only to apply decode's rules and take its
+//! memory image, and clones nothing per step (instructions are borrowed
+//! from the assembly, never copied), so every step is a plain
+//! transcription of the EM32 semantics the backend assumes (hardwired
+//! `r0`, word-addressed little-endian memory, division by zero yielding
+//! zero, link handling via an internal return stack).
 
 use tlang::{Env, Value};
 
 use crate::backend::{AsmInst, Assembly, DATA_BASE};
 
-use super::{Engine, VmError, DEFAULT_FUEL, SP};
+use super::{DecodedProgram, Engine, VmError, DEFAULT_FUEL, SP};
 
 /// The reference EM32 machine instance. Memory (and therefore the state
 /// machine's context) persists across [`run`](Vm::run) calls, matching
@@ -26,13 +27,22 @@ pub struct Vm<'a, E> {
     executed: u64,
     /// Per-function label -> instruction index maps.
     labels: Vec<std::collections::BTreeMap<usize, usize>>,
-    /// The first out-of-range register field, which refuses every call.
-    bad_register: Option<VmError>,
+    /// Decode's refusal of the program, which refuses every call.
+    refused: Option<VmError>,
 }
 
 impl<'a, E: Env> Vm<'a, E> {
     /// Creates a machine with the program's data image loaded.
+    ///
+    /// The oracle runs exactly the programs [`DecodedProgram::decode`]
+    /// accepts: it decodes the program once, keeps the verdict and the
+    /// memory image, and drops the decoded ops. So every rule lives in
+    /// decode alone, and every index the walk below takes is in range.
     pub fn new(asm: &'a Assembly, env: E) -> Vm<'a, E> {
+        let (mem, refused) = match DecodedProgram::decode(asm) {
+            Ok(prog) => (prog.mem, None),
+            Err(e) => (Vec::new(), Some(VmError::Decode(Box::new(e)))),
+        };
         let labels = asm
             .functions
             .iter()
@@ -47,22 +57,15 @@ impl<'a, E: Env> Vm<'a, E> {
                     .collect()
             })
             .collect();
-        let bad_register = asm.functions.iter().find_map(|f| {
-            let reg = f.insts.iter().find_map(super::decode::bad_register)?;
-            Some(VmError::BadRegister {
-                func: f.name.as_str().into(),
-                reg: reg.into(),
-            })
-        });
         Vm {
             asm,
-            mem: super::initial_memory(&asm.globals),
+            mem,
             regs: [0; 16],
             env,
             fuel: DEFAULT_FUEL,
             executed: 0,
             labels,
-            bad_register,
+            refused,
         }
     }
 
@@ -97,7 +100,7 @@ impl<'a, E: Env> Vm<'a, E> {
         // a borrow of `self` across the mutating match arms below — this
         // is what lets the hot loop index/borrow instead of cloning.
         let asm = self.asm;
-        if let Some(e) = &self.bad_register {
+        if let Some(e) = &self.refused {
             return Err(e.clone());
         }
         let func = asm
@@ -166,19 +169,19 @@ impl<'a, E: Env> Vm<'a, E> {
                 }
                 AsmInst::Beq { rs1, rs2, label } => {
                     if self.regs[*rs1 as usize] == self.regs[*rs2 as usize] {
-                        pc = self.label(fi, *label)?;
+                        pc = self.label(fi, *label);
                     } else {
                         pc += 1;
                     }
                 }
                 AsmInst::Bne { rs1, rs2, label } => {
                     if self.regs[*rs1 as usize] != self.regs[*rs2 as usize] {
-                        pc = self.label(fi, *label)?;
+                        pc = self.label(fi, *label);
                     } else {
                         pc += 1;
                     }
                 }
-                AsmInst::J { label } => pc = self.label(fi, *label)?,
+                AsmInst::J { label } => pc = self.label(fi, *label),
                 AsmInst::Jal { func } => {
                     stack.push((fi, pc + 1));
                     fi = *func;
@@ -244,7 +247,7 @@ impl<'a, E: Env> Vm<'a, E> {
                     } else {
                         *default
                     };
-                    pc = self.label(fi, target)?;
+                    pc = self.label(fi, target);
                 }
             }
         }
@@ -256,11 +259,10 @@ impl<'a, E: Env> Vm<'a, E> {
         }
     }
 
-    fn label(&self, fi: usize, label: usize) -> Result<usize, VmError> {
-        self.labels[fi]
-            .get(&label)
-            .copied()
-            .ok_or(VmError::BadLabel(label))
+    /// The instruction index of `label` in function `fi` (decode has
+    /// checked that every branch target is defined).
+    fn label(&self, fi: usize, label: usize) -> usize {
+        self.labels[fi][&label]
     }
 
     fn load(&self, addr: i64) -> Result<i32, VmError> {

@@ -4,17 +4,15 @@
 //! dominator tree would blind the optimizer and its verifier at once.
 //! This test draws seeded random CFGs — with unreachable blocks,
 //! self-loops, duplicate `Switch` edges and irreducible cycles — and
-//! checks dominators, dominance frontiers and natural loops against the
-//! textbook set equations, computed here the slow, obvious way:
+//! checks dominators and dominance frontiers against the textbook set
+//! equations, computed here the slow, obvious way:
 //!
 //! * `Dom(entry) = {entry}`, `Dom(n) = {n} ∪ ⋂ Dom(p)` over the reachable
 //!   predecessors `p` of `n`, iterated to the greatest fixed point;
 //! * `idom(n)` is the strict dominator of `n` that every other strict
 //!   dominator dominates;
 //! * `DF(n) = {b : n dominates a predecessor of b, n does not strictly
-//!   dominate b}`;
-//! * a natural loop of back edge `n → h` (`h ∈ Dom(n)`) is `h` plus every
-//!   block that reaches `n` without passing `h`, loops merged by header.
+//!   dominate b}`.
 //!
 //! The entry block never has a predecessor, as in all well-formed MIR
 //! (the verifier's `entry-has-pred` rule).
@@ -306,37 +304,6 @@ impl Reference {
             .collect()
     }
 
-    /// `(header, latches, body)` per natural loop, innermost first.
-    fn loops(&self) -> Vec<(usize, Vec<usize>, Vec<usize>)> {
-        let n = self.succs.len();
-        let mut by_header: Vec<Option<(Vec<usize>, BTreeSet<usize>)>> = vec![None; n];
-        for latch in (0..n).filter(|&b| self.reachable[b]) {
-            for &h in &self.succs[latch] {
-                if !self.dominates(h, latch) {
-                    continue;
-                }
-                let (latches, body) =
-                    by_header[h].get_or_insert_with(|| (Vec::new(), BTreeSet::from([h])));
-                if !latches.contains(&latch) {
-                    latches.push(latch);
-                }
-                let mut stack = vec![latch];
-                while let Some(x) = stack.pop() {
-                    if body.insert(x) {
-                        stack.extend(self.preds[x].iter().filter(|&&p| self.reachable[p]));
-                    }
-                }
-            }
-        }
-        let mut loops: Vec<(usize, Vec<usize>, Vec<usize>)> = by_header
-            .into_iter()
-            .enumerate()
-            .filter_map(|(h, l)| l.map(|(latches, body)| (h, latches, body.into_iter().collect())))
-            .collect();
-        loops.sort_by_key(|(h, _, body)| (body.len(), *h));
-        loops
-    }
-
     /// `true` if some cycle is entered at two blocks: a DFS retreating
     /// edge whose target does not dominate its source.
     fn irreducible(&self) -> bool {
@@ -418,14 +385,6 @@ fn check(f: &MirFunction, r: &Reference) {
     for (b, members) in df.iter().enumerate() {
         assert_eq!(ids(members), r.frontier(b), "DF({b}) in {f}");
     }
-    let loops: Vec<(usize, Vec<usize>, Vec<usize>)> = cfg::natural_loops(f, &dom, &preds)
-        .iter()
-        .map(|l| {
-            let body = l.blocks().map(|b| b.0 as usize).collect();
-            (l.header.0 as usize, ids(&l.latches), body)
-        })
-        .collect();
-    assert_eq!(loops, r.loops(), "natural loops of {f}");
 }
 
 #[test]
@@ -515,7 +474,8 @@ fn dense_liveness_matches_the_set_equations() {
 #[test]
 fn irreducible_cycles_have_no_natural_loop_and_no_back_edge() {
     // bb0 enters the bb1 ⇄ bb2 cycle at both blocks: neither dominates
-    // the other, so the cycle is no natural loop.
+    // the other, so no edge is a back edge (one whose target dominates
+    // its source) and the cycle is no natural loop.
     let block = |term| Block {
         insts: vec![],
         term,
@@ -543,7 +503,11 @@ fn irreducible_cycles_have_no_natural_loop_and_no_back_edge() {
     check(&f, &r);
     let preds = cfg::predecessors(&f);
     let dom = DomTree::compute(&f, &preds);
-    assert!(cfg::natural_loops(&f, &dom, &preds).is_empty());
+    for (n, block) in f.blocks.iter().enumerate() {
+        for h in block.term.succs() {
+            assert!(!dom.dominates(h, BlockId(n as u32)), "back edge {n} -> {h}");
+        }
+    }
     let df = cfg::dominance_frontiers(&dom, &preds);
     assert_eq!(ids(&df[1]), vec![2, 3]);
     assert_eq!(ids(&df[2]), vec![1, 3]);

@@ -188,13 +188,3 @@ fn cached_artifacts_equal_fresh_compiles() {
     let stats = driver.stats();
     assert_eq!((stats.hits(), stats.misses), (1, 1));
 }
-
-#[test]
-fn parallel_map_is_order_preserving_and_complete() {
-    let items: Vec<u32> = (0..257).collect();
-    for threads in [1, 3, 8, 0] {
-        let doubled = parallel_map(&items, threads, |x| x * 2);
-        assert_eq!(doubled.len(), items.len());
-        assert!(doubled.iter().enumerate().all(|(i, v)| *v == 2 * i as u32));
-    }
-}

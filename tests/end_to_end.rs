@@ -5,10 +5,9 @@
 
 use std::collections::BTreeMap;
 
-use cgen::{Generated, Pattern};
+use cgen::Pattern;
 use mbo::Optimizer;
-use occ::{vm::Vm, OptLevel};
-use tlang::RecordingEnv;
+use occ::OptLevel;
 use umlsm::gen::GenConfig;
 use umlsm::{samples, Interp, StateMachine};
 
@@ -20,54 +19,14 @@ fn model_trace(machine: &StateMachine, events: &[&str]) -> Vec<(String, i64)> {
     interp.trace().observable()
 }
 
-fn compiled_trace(generated: &Generated, level: OptLevel, events: &[&str]) -> Vec<(String, i64)> {
-    let artifact = occ::compile(&generated.module, level).expect("compiles");
-    let mut vm = Vm::new(artifact.assembly(), RecordingEnv::new());
-    vm.run("sm_init", &[]).expect("init runs");
-    for e in events {
-        if let Some(code) = generated.codes.event_code(e) {
-            vm.run("sm_step", &[code as i32]).expect("step runs");
-        }
-    }
-    vm.into_env()
-        .calls
-        .iter()
-        .map(|(_, args)| {
-            (
-                generated
-                    .codes
-                    .signal_name(i64::from(args[0]))
-                    .unwrap_or("<unknown>")
-                    .to_string(),
-                i64::from(args[1]),
-            )
-        })
-        .collect()
-}
-
+/// The model interpreter against the `tlang` reference interpreter and
+/// both EM32 engines, every pattern × level: equal traces and final
+/// states, and engines agreeing on executed instructions.
 fn assert_chain(machine: &StateMachine, events: &[&str]) {
-    let oracle = model_trace(machine, events);
-    for pattern in Pattern::all() {
-        let generated = cgen::generate(machine, pattern).expect("generates");
-        // Source level: the tlang reference interpreter.
-        let run = cgen::run_generated(&generated, events).expect("interprets");
-        assert_eq!(
-            run.observable,
-            oracle,
-            "{} / {pattern}: generated code diverges from the model",
-            machine.name()
-        );
-        // Machine level: compiled EM32 at every level.
-        for level in OptLevel::all() {
-            let trace = compiled_trace(&generated, level, events);
-            assert_eq!(
-                trace,
-                oracle,
-                "{} / {pattern} / {level}: compiled program diverges",
-                machine.name()
-            );
-        }
-    }
+    let events: Vec<String> = events.iter().map(|e| e.to_string()).collect();
+    let cells = bench::fuzz::check_full_chain(machine, &events)
+        .unwrap_or_else(|e| panic!("{}: {e}", machine.name()));
+    assert_eq!(cells, 12, "3 patterns × 4 levels");
 }
 
 #[test]
@@ -123,30 +82,27 @@ fn scaling_family_full_chain() {
 
 #[test]
 fn two_step_preserves_behaviour_through_the_whole_chain() {
-    // The paper's proposal end to end: the optimized model, generated and
-    // compiled at -Os, behaves exactly like the *original* model.
+    // The paper's proposal end to end: the optimized model behaves
+    // exactly like the *original* model, and so does its generated and
+    // compiled code.
     for machine in [
         samples::flat_unreachable(),
         samples::hierarchical_never_active(),
         samples::protocol_handler(),
     ] {
         let events = ["e1", "e2", "e3", "e4", "open", "ack", "data", "close", "e1"];
-        let oracle = model_trace(&machine, &events);
         let optimized = Optimizer::with_all()
             .check_behaviour(true)
             .optimize(&machine)
             .expect("optimizes")
             .machine;
-        for pattern in Pattern::all() {
-            let generated = cgen::generate(&optimized, pattern).expect("generates");
-            let trace = compiled_trace(&generated, OptLevel::Os, &events);
-            assert_eq!(
-                trace,
-                oracle,
-                "{} / {pattern}: two-step pipeline changed behaviour",
-                machine.name()
-            );
-        }
+        assert_eq!(
+            model_trace(&optimized, &events),
+            model_trace(&machine, &events),
+            "{}: model optimization changed behaviour",
+            machine.name()
+        );
+        assert_chain(&optimized, &events);
     }
 }
 
