@@ -8,12 +8,13 @@
 //! argument and result registers as constrained operands — no physical
 //! argument moves are materialized here; the allocator owns that.
 //!
-//! Lowering also **splits critical edges** (an edge from a block with
-//! several successors to a block with several predecessors) by routing
-//! the edge through a fresh empty [`VTerm::Goto`] block. Split blocks
-//! give the allocator's range model conservative but correct edge
-//! granularity and cost nothing in the output: emission's jump threading
-//! collapses any that survive layout.
+//! Lowering splits no edge: each reachable MIR block becomes exactly one
+//! [`VBlock`]. The allocator gives every virtual register one location
+//! over one contiguous range and inserts code only inside blocks, never
+//! on an edge, so a critical edge needs no block of its own. An empty
+//! block appended for one would stretch every range live across that
+//! edge to the end of the function, over later calls and into a
+//! callee-saved register.
 
 use super::emit::switch_uses_table;
 use super::vcode::{EmInst, Reg, VBlock, VCode, VTerm};
@@ -61,7 +62,6 @@ pub fn lower_function(f: &MirFunction, level: OptLevel) -> Result<VCode, Compile
         let term = lower_term(&block.term, &index, level, &mut vc);
         vc.blocks.push(VBlock { insts, term });
     }
-    split_critical_edges(&mut vc);
     Ok(vc)
 }
 
@@ -200,52 +200,14 @@ fn lower_term(term: &Term, index: &[usize], level: OptLevel, vc: &mut VCode) -> 
     }
 }
 
-/// Splits every critical edge by routing it through a fresh empty block.
-fn split_critical_edges(vc: &mut VCode) {
-    let n = vc.blocks.len();
-    let mut pred_count = vec![0usize; n];
-    for block in &vc.blocks {
-        for s in block.term.succs() {
-            pred_count[s] += 1;
-        }
-    }
-    // One split block per (pred, succ) pair; a Switch with several cases
-    // on the same target shares the split.
-    let mut splits: Vec<(usize, usize)> = Vec::new(); // (succ, split block) of `p`
-    for p in 0..n {
-        if vc.blocks[p].term.succs().nth(1).is_none() {
-            continue;
-        }
-        let mut term = std::mem::replace(&mut vc.blocks[p].term, VTerm::Ret { value: None });
-        splits.clear();
-        term.map_targets(&mut |s| {
-            if pred_count[s] < 2 {
-                return s;
-            }
-            if let Some(&(_, split)) = splits.iter().find(|(t, _)| *t == s) {
-                return split;
-            }
-            let idx = vc.blocks.len();
-            vc.blocks.push(VBlock {
-                insts: Vec::new(),
-                term: VTerm::Goto { target: s },
-            });
-            splits.push((s, idx));
-            idx
-        });
-        vc.blocks[p].term = term;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mir::{Block, BlockId, VReg};
 
     fn branchy() -> MirFunction {
-        // bb0: br v0 ? bb1 : bb2; bb1,bb2 -> bb3 (no critical edges);
-        // plus bb0 also targets bb3 via a second path? Keep it simple:
-        // bb0: br -> (bb1, bb3); bb1 -> bb3. Edge bb0->bb3 is critical.
+        // bb0: br v0 ? bb1 : bb2; bb1: goto bb2; bb2: ret v0. The edge
+        // bb0 -> bb2 is critical and still gets no block of its own.
         MirFunction {
             name: "f".into(),
             params: 1,
@@ -277,21 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn lowering_splits_critical_edges() {
-        let f = branchy();
-        let vc = lower_function(&f, OptLevel::O1).expect("lowers");
-        // bb0 -> bb2 is critical (bb0 branches, bb2 has two preds):
-        // lowering adds a split block ending in Goto.
-        assert_eq!(vc.blocks.len(), 4);
-        let VTerm::Br { else_target, .. } = vc.blocks[0].term else {
-            panic!("entry keeps its branch");
-        };
-        let split = &vc.blocks[else_target];
-        assert!(split.insts.is_empty());
-        assert!(matches!(split.term, VTerm::Goto { .. }));
-    }
-
-    #[test]
     fn unreachable_blocks_are_dropped() {
         let mut f = branchy();
         f.blocks.push(Block {
@@ -299,7 +246,7 @@ mod tests {
             term: Term::Ret(None),
         });
         let vc = lower_function(&f, OptLevel::O1).expect("lowers");
-        assert_eq!(vc.blocks.len(), 4, "dead block not lowered");
+        assert_eq!(vc.blocks.len(), 3, "dead block not lowered");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! | stage | module | input → output |
 //! |-------|--------|----------------|
-//! | 1. lowering | [`lower`] | MIR function → [`vcode::VCode`] over virtual registers, blocks in reverse postorder with critical edges split; more than four parameters or call arguments is [`CompileError::TooManyArgs`] |
+//! | 1. lowering | [`lower`] | MIR function → [`vcode::VCode`] over virtual registers, one block per reachable MIR block in reverse postorder (no edge is split: stage 2 puts code only inside blocks); more than four parameters or call arguments is [`CompileError::TooManyArgs`] |
 //! | 2. register allocation | [`regalloc`] | `VCode` + dense block liveness ([`crate::cfg::Liveness`]) → live ranges, hints and locations in register-indexed `Vec`s → `VCode` over physical registers, spill code and prologue/epilogue inserted |
 //! | 3. verification | [`vcode::VCode::verify_allocated`] | debug builds re-check every operand constraint and clobber fact post-allocation |
 //! | 4. emission | [`emit`] | allocated `VCode` → [`AsmInst`] stream with layout optimization (fall-through ordering, jump-to-next elimination, identity-move removal) |
@@ -634,6 +634,59 @@ mod tests {
         };
         let asm = compile_function(&f, OptLevel::O1).expect("compiles");
         assert_eq!(asm.stats.saved_regs, 1, "{:?}", asm.insts);
+        assert_eq!(asm.stats.spill_slots, 0);
+    }
+
+    #[test]
+    fn values_dead_before_a_call_stay_caller_saved_across_a_critical_edge() {
+        // bb0: v1 = 7; br v0 ? bb1 : bb2
+        // bb1: goto bb2
+        // bb2: call f(v1); call f(0); ret
+        // v1 dies at the first call. The edge bb0 -> bb2 is critical; a
+        // block for it, laid out after bb2, would stretch v1 over the
+        // second call and into a callee-saved register.
+        let call = |arg| Inst::Call {
+            dst: None,
+            func: 0,
+            args: vec![VReg(arg)],
+        };
+        let f = MirFunction {
+            name: "edge".into(),
+            params: 1,
+            returns_value: false,
+            exported: true,
+            blocks: vec![
+                Block {
+                    insts: vec![Inst::Const {
+                        dst: VReg(1),
+                        value: 7,
+                    }],
+                    term: Term::Br {
+                        cond: VReg(0),
+                        then_block: BlockId(1),
+                        else_block: BlockId(2),
+                    },
+                },
+                Block {
+                    insts: vec![],
+                    term: Term::Goto(BlockId(2)),
+                },
+                Block {
+                    insts: vec![
+                        call(1),
+                        Inst::Const {
+                            dst: VReg(2),
+                            value: 0,
+                        },
+                        call(2),
+                    ],
+                    term: Term::Ret(None),
+                },
+            ],
+            next_vreg: 3,
+        };
+        let asm = compile_function(&f, OptLevel::O1).expect("compiles");
+        assert_eq!(asm.stats.saved_regs, 0, "{:?}", asm.insts);
         assert_eq!(asm.stats.spill_slots, 0);
     }
 

@@ -48,10 +48,13 @@
 //!
 //! The decisions are fixed by these orders: ranges are allocated in
 //! `(start, register)` order; candidates are probed as def hint, use
-//! hint, `r2, r3, r4, r1`, callee-saved registers already in use
-//! (ascending), then the unused ones (ascending); the eviction victim is
-//! the first cheapest active range holding a register no call inside the
-//! new range clobbers.
+//! hint, `r2, r3, r4, r1`, then the callee-saved `r5..r11` ascending;
+//! the eviction victim is the first cheapest active range holding a
+//! register no call inside the new range clobbers. Hints come only from
+//! fixed constraints and parameters, which name `r1..r4` alone, so the
+//! saved registers are always the prefix `r5..r(4+k)` of the probe, and
+//! its first free callee-saved register is a saved one whenever one is
+//! free.
 
 use super::vcode::{Constraint, EmInst, OpKind, Reg, VCode, VTerm};
 use super::{
@@ -279,13 +282,11 @@ fn scan(iv: &Intervals) -> (Vec<Option<Loc>>, Vec<u8>, usize) {
         let ok = |p: u8| forbidden & (1 << p) == 0;
         let free = |p: u8| in_use & (1 << p) == 0;
 
-        let is_saved = |p: &u8| saved_mask & (1 << p) != 0;
         let candidate = [iv.hint_def[vi], iv.hint_use[vi]]
             .into_iter()
             .filter(|&p| p != NO_HINT)
             .chain(CALLER_ORDER)
-            .chain(ALLOC_REGS.into_iter().filter(is_saved))
-            .chain(ALLOC_REGS.into_iter().filter(|p| !is_saved(p)))
+            .chain(ALLOC_REGS)
             .find(|p| ok(*p) && free(*p));
         if let Some(p) = candidate {
             if is_callee_saved(p) && saved_mask & (1 << p) == 0 {

@@ -394,28 +394,6 @@ impl VTerm {
             VTerm::Ret { value: Some(v) } => ops.with(Operand::new(*v, Use, Fixed(RET_REG))),
         }
     }
-
-    /// Rewrites every successor index through `f`.
-    pub fn map_targets(&mut self, f: &mut impl FnMut(usize) -> usize) {
-        match self {
-            VTerm::Goto { target } => *target = f(*target),
-            VTerm::Br {
-                then_target,
-                else_target,
-                ..
-            } => {
-                *then_target = f(*then_target);
-                *else_target = f(*else_target);
-            }
-            VTerm::Switch { cases, default, .. } => {
-                for (_, t) in cases {
-                    *t = f(*t);
-                }
-                *default = f(*default);
-            }
-            VTerm::Ret { .. } => {}
-        }
-    }
 }
 
 /// One `VCode` basic block.
@@ -427,9 +405,10 @@ pub struct VBlock {
     pub term: VTerm,
 }
 
-/// Machine-shaped code for one function. Blocks are in lowering order
-/// (reverse postorder over reachable MIR blocks, critical edges split);
-/// block indices double as emission labels.
+/// Machine-shaped code for one function: one block per reachable MIR
+/// block, in reverse postorder; block indices double as emission labels.
+/// No edge gets a block of its own, because register allocation puts no
+/// code on edges.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VCode {
     /// Symbol name.

@@ -5,7 +5,7 @@
 use std::fmt;
 
 use super::STACK_SIZE;
-use crate::backend::{AsmGlobal, AsmInst, Assembly, DATA_BASE, TEXT_BASE};
+use crate::backend::{AsmFunction, AsmGlobal, AsmInst, Assembly, DATA_BASE, TEXT_BASE};
 use crate::mir::BinOp;
 
 /// A decode-time rejection: malformed assembly is reported here, once,
@@ -58,8 +58,9 @@ pub enum DecodeError {
         addrs: usize,
     },
     /// A function's code address cannot key the dense indirect-call map:
-    /// it is below `TEXT_BASE`, not 2-aligned, 2^31 or more, or an
-    /// earlier function's.
+    /// it is below `TEXT_BASE`, not 2-aligned, at or past the end of the
+    /// text the functions' sizes lay out from `TEXT_BASE`, 2^31 or more,
+    /// or an earlier function's.
     BadFnAddr {
         /// The function laid out at the bad address.
         func: String,
@@ -689,18 +690,23 @@ impl DecodedProgram {
 
         // Dense code map: text layout is a few KB at most, so a
         // half-word-granular table (u32 per 2 code bytes) costs little
-        // and makes every `Jalr` a single load.
+        // and makes every `Jalr` a single load. The backend lays the
+        // functions out back to back from `TEXT_BASE`, so every entry
+        // lies inside the text and the map never outgrows it.
+        let text: usize = asm.functions.iter().map(AsmFunction::text_size).sum();
         let mut code_map: Vec<u32> = Vec::new();
         for (f, (a, e)) in asm.functions.iter().zip(asm.fn_addrs.iter().zip(&entries)) {
             // An address below `TEXT_BASE` would underflow the index, an
             // odd one would truncate into the wrong slot, one of 2^31 or
             // more reads as negative from a register (the oracle would
-            // still call it, the fast engine would not), and a shared one
-            // would let the later function shadow the earlier — all
-            // malformed hand-built layouts, caught here once.
+            // still call it, the fast engine would not), one at or past
+            // the end of the text would size the map by the address, not
+            // the code (about 4 GiB for one function near 2^31), and a
+            // shared one would let the later function shadow the earlier
+            // — all malformed hand-built layouts, caught here once.
             let idx = a
                 .checked_sub(TEXT_BASE)
-                .filter(|off| off % 2 == 0 && i32::try_from(*a).is_ok())
+                .filter(|off| off % 2 == 0 && (*off as usize) < text && i32::try_from(*a).is_ok())
                 .map(|off| (off / 2) as usize)
                 .filter(|&i| code_map.get(i).is_none_or(|&taken| taken == u32::MAX));
             let Some(idx) = idx else {
@@ -771,7 +777,7 @@ fn initial_memory(globals: &[AsmGlobal]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{AsmFunction, RegAllocStats};
+    use crate::backend::RegAllocStats;
     use crate::vm::{FastVm, Vm, VmError};
     use tlang::RecordingEnv;
 
@@ -784,9 +790,16 @@ mod tests {
         }
     }
 
+    /// The functions laid out back to back from `TEXT_BASE`, as the
+    /// backend lays them out.
     fn asm(functions: Vec<AsmFunction>) -> Assembly {
-        let fn_addrs = (0..functions.len())
-            .map(|i| 0x100_0000 + 16 * i as u32)
+        let fn_addrs = functions
+            .iter()
+            .scan(TEXT_BASE, |next, f| {
+                let at = *next;
+                *next += f.text_size() as u32;
+                Some(at)
+            })
             .collect();
         Assembly {
             functions,
@@ -951,9 +964,16 @@ mod tests {
             ),
         ];
         // Below TEXT_BASE (would underflow the code-map index), odd
-        // (would truncate into the wrong slot) and 2^31 (would read as
-        // negative from a register).
-        for addr in [TEXT_BASE - 2, TEXT_BASE + 1, 1 << 31] {
+        // (would truncate into the wrong slot), past the 2-byte text
+        // (0x7FFF_FFFE would size the map at about 4 GiB) and 2^31 (would
+        // read as negative from a register).
+        for addr in [
+            TEXT_BASE - 2,
+            TEXT_BASE + 1,
+            TEXT_BASE + 2,
+            0x7FFF_FFFE,
+            1 << 31,
+        ] {
             let mut a = asm(vec![func("f", vec![AsmInst::Ret])]);
             a.fn_addrs = vec![addr];
             let bad = DecodeError::BadFnAddr {
@@ -1079,12 +1099,12 @@ mod tests {
             }]
         );
         assert_eq!(d.funcs[1].entry, 3);
-        // fn 0 at TEXT_BASE (map index 0, entry 0), fn 1 16 bytes later
-        // (map index 8, entry 3); the gap is poisoned.
-        assert_eq!(d.code_map.len(), 9);
+        // fn 0 at TEXT_BASE (map index 0, entry 0), fn 1 after main's
+        // 20 text bytes (map index 10, entry 3); the gap is poisoned.
+        assert_eq!(d.code_map.len(), 11);
         assert_eq!(d.code_map[0], 0);
-        assert_eq!(d.code_map[8], 3);
-        assert!(d.code_map[1..8].iter().all(|&e| e == u32::MAX));
+        assert_eq!(d.code_map[10], 3);
+        assert!(d.code_map[1..10].iter().all(|&e| e == u32::MAX));
     }
 
     #[test]

@@ -35,8 +35,9 @@
 //! * every register field names one of the sixteen registers `r0`–`r15`
 //!   (checked before the `r0`-write decay below);
 //! * the program lays out exactly one code address per function, each at
-//!   or above `TEXT_BASE` and below 2^31, 2-aligned and no earlier
-//!   function's;
+//!   or above `TEXT_BASE`, inside the text the functions' sizes lay out
+//!   from there (so the code map below never outgrows the code), below
+//!   2^31, 2-aligned and no earlier function's;
 //! * label markers are erased entirely — they occupy no slot;
 //! * address formation (`La`/`LaFn`) is pre-split into plain immediate
 //!   loads of the absolute address;

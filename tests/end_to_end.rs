@@ -275,7 +275,7 @@ fn o2_executes_less_than_o1_and_rarely_more_than_o0_on_the_corpus() {
     // bound is a ratchet: lower it whenever an arm stops executing more,
     // never raise it. ROADMAP item A (rematerialization and
     // shrink-wrapping in the register allocator) takes it to 0.
-    const MAX_ARMS_ABOVE_O0: usize = 18;
+    const MAX_ARMS_ABOVE_O0: usize = 9;
     let levels = [OptLevel::O0, OptLevel::O1, OptLevel::O2];
     let mut totals = [0u64; 3];
     let mut above_o0 = Vec::new();
