@@ -9,9 +9,7 @@
 //!
 //! Run with `cargo run -p bench --bin twostep`.
 
-use bench::{assembly_size, matrix};
-use mbo::pipeline::{run_pipeline, PipelineMode};
-use mbo::Optimizer;
+use bench::{assembly_size, matrix, optimize_model};
 use occ::OptLevel;
 use umlsm::samples;
 
@@ -23,27 +21,32 @@ fn main() {
         "Pattern", "baseline", "compiler -Os", "model only", "two-step"
     );
     let machine = samples::hierarchical_never_active();
-    let optimizer = Optimizer::with_all();
+    let optimized = optimize_model(&machine).unwrap_or_else(|e| {
+        eprintln!("  ERROR {e}");
+        std::process::exit(1);
+    });
+    // The four modes in column order: which machine, at which level.
+    let modes = [
+        (&machine, OptLevel::O0),
+        (&machine, OptLevel::Os),
+        (&optimized, OptLevel::O0),
+        (&optimized, OptLevel::Os),
+    ];
     let mut failures = 0usize;
     for arm in matrix::arms_for("hierarchical", &machine) {
         let pattern = arm.pattern;
-        let mut cells = Vec::new();
-        for mode in PipelineMode::all() {
-            match run_pipeline(&machine, mode, &optimizer, |model, optimize| {
-                let level = if optimize { OptLevel::Os } else { OptLevel::O0 };
-                assembly_size(model, pattern, level).map(|s| s.total())
-            }) {
-                Ok(run) => cells.push(run.artifact),
-                Err(e) => {
-                    eprintln!("  ERROR {}/{pattern}/{mode:?}: {e}", machine.name());
-                    failures += 1;
-                    break;
-                }
+        let cells: Result<Vec<usize>, _> = modes
+            .iter()
+            .map(|(m, level)| assembly_size(m, pattern, *level).map(|s| s.total()))
+            .collect();
+        let cells = match cells {
+            Ok(cells) => cells,
+            Err(e) => {
+                eprintln!("  ERROR {e}");
+                failures += 1;
+                continue;
             }
-        }
-        if cells.len() < 4 {
-            continue;
-        }
+        };
         println!(
             "{:<16} {:>12} {:>14} {:>12} {:>12}",
             pattern.label(),

@@ -60,7 +60,7 @@ use std::time::{Duration, Instant};
 
 use cgen::{CodeMap, Generated, Pattern};
 use occ::driver::parallel_map;
-use occ::vm::{FastVm, OpCoverage, Vm, VmError};
+use occ::vm::{Engine, FastVm, OpCoverage, Vm, VmError};
 use occ::{Artifact, OptLevel};
 use tlang::RecordingEnv;
 use umlsm::gen::{self, GenConfig, GenRng};
@@ -208,48 +208,25 @@ struct CellRun {
     executed: u64,
 }
 
-fn decode_emissions(calls: &[(String, Vec<i32>)], codes: &CodeMap) -> Vec<(String, i64)> {
-    calls
-        .iter()
-        .filter(|(name, _)| name == "env_emit")
-        .map(|(_, args)| {
-            let code = i64::from(*args.first().unwrap_or(&0));
-            let arg = i64::from(*args.get(1).unwrap_or(&0));
-            let signal = codes.signal_name(code).unwrap_or("<unknown>").to_string();
-            (signal, arg)
-        })
-        .collect()
-}
-
-fn run_fast(artifact: &Artifact, codes: &CodeMap, events: &[String]) -> Result<CellRun, VmError> {
-    let mut vm = FastVm::new(artifact.decoded(), RecordingEnv::new());
-    vm.run("sm_init", &[])?;
+/// Runs `sm_init`, one `sm_step` per event the program knows and
+/// `sm_state` on `vm`, either engine; `into_env` hands back its recorded
+/// extern trace.
+fn run_cell<E: Engine>(
+    mut vm: E,
+    into_env: impl FnOnce(E) -> RecordingEnv,
+    codes: &CodeMap,
+    events: &[String],
+) -> Result<CellRun, VmError> {
+    vm.call("sm_init", &[])?;
     for e in events {
         if let Some(code) = codes.event_code(e) {
-            vm.run("sm_step", &[code as i32])?;
+            vm.call("sm_step", &[code as i32])?;
         }
     }
-    let final_state = vm.run("sm_state", &[])?;
+    let final_state = vm.call("sm_state", &[])?;
     let executed = vm.executed();
     Ok(CellRun {
-        observable: decode_emissions(&vm.into_env().calls, codes),
-        final_state,
-        executed,
-    })
-}
-
-fn run_oracle(artifact: &Artifact, codes: &CodeMap, events: &[String]) -> Result<CellRun, VmError> {
-    let mut vm = Vm::new(artifact.assembly(), RecordingEnv::new());
-    vm.run("sm_init", &[])?;
-    for e in events {
-        if let Some(code) = codes.event_code(e) {
-            vm.run("sm_step", &[code as i32])?;
-        }
-    }
-    let final_state = vm.run("sm_state", &[])?;
-    let executed = vm.executed();
-    Ok(CellRun {
-        observable: decode_emissions(&vm.into_env().calls, codes),
+        observable: codes.emissions(&into_env(vm).calls),
         final_state,
         executed,
     })
@@ -377,8 +354,19 @@ fn check_machine(
                     seq: si,
                     detail,
                 };
-                let fast = run_fast(&artifact, &g.codes, seq);
-                let slow = run_oracle(&artifact, &g.codes, seq);
+                let prog = artifact.decoded();
+                let fast = run_cell(
+                    FastVm::new(prog, RecordingEnv::new()),
+                    FastVm::into_env,
+                    &g.codes,
+                    seq,
+                );
+                let slow = run_cell(
+                    Vm::new(prog, RecordingEnv::new()),
+                    Vm::into_env,
+                    &g.codes,
+                    seq,
+                );
                 match (fast, slow) {
                     (Ok(f), Ok(s)) => {
                         if f != s {

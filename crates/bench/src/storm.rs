@@ -110,7 +110,7 @@ pub fn canonical_oracle_storm(
     artifact: &occ::Artifact,
     codes: &CodeMap,
 ) -> Result<StormResult, VmError> {
-    let vm = Vm::new(artifact.assembly(), CountingEnv::default());
+    let vm = Vm::new(artifact.decoded(), CountingEnv::default());
     run_storm(vm, |vm| vm.env().calls, codes)
 }
 

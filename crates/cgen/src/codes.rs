@@ -79,6 +79,22 @@ impl CodeMap {
             .map(String::as_str)
     }
 
+    /// Decodes the `env_emit(signal, arg)` calls of a recorded extern
+    /// trace to `(signal name, argument)` emissions, in call order. Other
+    /// externs are skipped; a code no signal has reads `<unknown>`.
+    pub fn emissions(&self, calls: &[(String, Vec<i32>)]) -> Vec<(String, i64)> {
+        calls
+            .iter()
+            .filter(|(name, _)| name == "env_emit")
+            .map(|(_, args)| {
+                let code = i64::from(args.first().copied().unwrap_or(0));
+                let arg = i64::from(args.get(1).copied().unwrap_or(0));
+                let signal = self.signal_name(code).unwrap_or("<unknown>");
+                (signal.to_string(), arg)
+            })
+            .collect()
+    }
+
     /// The per-region state code of a state (its position within its
     /// region).
     pub fn state_code(&self, state: StateId) -> Option<i64> {

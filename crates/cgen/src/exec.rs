@@ -42,24 +42,8 @@ pub fn run_generated(generated: &Generated, events: &[&str]) -> Result<Generated
         Some(Value::Int(v)) => v,
         _ => -1,
     };
-    let env = interp.into_env();
-    let observable = env
-        .calls
-        .iter()
-        .filter(|(name, _)| name == "env_emit")
-        .map(|(_, args)| {
-            let code = i64::from(*args.first().unwrap_or(&0));
-            let arg = i64::from(*args.get(1).unwrap_or(&0));
-            let signal = generated
-                .codes
-                .signal_name(code)
-                .unwrap_or("<unknown>")
-                .to_string();
-            (signal, arg)
-        })
-        .collect();
     Ok(GeneratedRun {
-        observable,
+        observable: generated.codes.emissions(&interp.into_env().calls),
         final_state,
     })
 }

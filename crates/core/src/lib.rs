@@ -22,10 +22,11 @@
 //! The crate provides analyses ([`analysis`]), rewriting passes
 //! ([`passes`]), a pass manager with the paper's *user-selectable*
 //! optimizations plus the automatic mode its conclusion proposes
-//! ([`Optimizer`]), a behaviour-preservation checker ([`equivalence`]), the
-//! Table II alternative-placement classification ([`alternatives`]) and a
-//! generic two-step (model-level + compiler-level) pipeline
-//! ([`pipeline`]).
+//! ([`Optimizer`]), a behaviour-preservation checker ([`equivalence`]) and
+//! the Table II alternative-placement classification ([`alternatives`]).
+//! The paper's two-step approach (model level, then compiler level) is
+//! this crate's optimizer followed by code generation and compilation
+//! downstream; the `twostep` bench binary composes it.
 //!
 //! # Example
 //!
@@ -51,7 +52,6 @@ pub mod analysis;
 pub mod equivalence;
 mod optimizer;
 pub mod passes;
-pub mod pipeline;
 mod report;
 
 pub use optimizer::{Optimization, OptimizeError, OptimizeOutcome, Optimizer};

@@ -26,14 +26,14 @@
 //! * **Back end**: a four-stage, Cranelift-shaped pipeline ([`backend`]):
 //!   MIR lowers to `VCode` (machine instruction shapes over virtual
 //!   registers with operand constraints), a liveness-range linear scan
-//!   allocates with use-density spill costs and caller-saved registers
-//!   usable across call-free ranges, a debug-build verifier re-checks
-//!   every constraint, and layout-aware emission (fall-through ordering,
-//!   branch inversion, `-Os`-aware switch lowering, identity-move
-//!   removal) produces byte-accurate encoding ([`Assembly`] reports
-//!   text/rodata/data sizes — the paper's "assembly code size in bytes";
-//!   [`RegAllocStats`] reports the allocator's spill/save footprint per
-//!   artifact).
+//!   allocates, with caller-saved registers usable across call-free
+//!   ranges and a stack slot for a range no register is free for, a
+//!   debug-build verifier re-checks every constraint, and layout-aware
+//!   emission (fall-through ordering, branch inversion, `-Os`-aware
+//!   switch lowering, identity-move removal) produces byte-accurate
+//!   encoding ([`Assembly`] reports text/rodata/data sizes — the paper's
+//!   "assembly code size in bytes"; [`RegAllocStats`] reports the
+//!   allocator's spill/save footprint per artifact).
 //! * **VM**: two EM32 execution engines ([`vm`]) behind one contract — a
 //!   reference oracle walking the instruction stream, and a fast engine
 //!   dispatching over a one-time pre-decode ([`vm::DecodedProgram`],
@@ -177,7 +177,6 @@ impl std::error::Error for CompileError {}
 /// The result of compiling a module: the final assembly plus reports.
 #[derive(Debug, Clone)]
 pub struct Artifact {
-    asm: Arc<Assembly>,
     decoded: vm::DecodedProgram,
     pass_stats: PipelineStats,
     surviving_functions: Vec<String>,
@@ -187,26 +186,26 @@ pub struct Artifact {
 impl Artifact {
     /// The assembled program.
     pub fn assembly(&self) -> &Assembly {
-        &self.asm
+        self.decoded.assembly()
     }
 
-    /// The pre-decoded dense form of the program, ready for
-    /// [`vm::FastVm`]. Decoded once at compile time, so executing an
-    /// artifact never pays a per-run decode.
+    /// The pre-decoded dense form of the program, ready for either
+    /// engine ([`vm::FastVm`], [`vm::Vm`]). Decoded once at compile time,
+    /// so executing an artifact never pays a per-run decode.
     pub fn decoded(&self) -> &vm::DecodedProgram {
         &self.decoded
     }
 
     /// Size accounting (the paper's metric).
     pub fn sizes(&self) -> SizeReport {
-        self.asm.sizes()
+        self.assembly().sizes()
     }
 
     /// Register-allocation quality counters summed over all surviving
     /// functions: spill slots, saved callee-saved registers, and text
     /// bytes of inserted spill code.
     pub fn regalloc_stats(&self) -> RegAllocStats {
-        self.asm.regalloc_stats()
+        self.assembly().regalloc_stats()
     }
 
     /// Per-pass effect statistics from the mid-end pass manager — the
@@ -269,21 +268,20 @@ pub(crate) fn compile_level(
     let (pass_stats, mid_end) =
         opt::run_pipeline_impl(&mut program, level, None, family.as_deref());
     let (asm, asm_reused) = backend::assemble(&program, level, family.as_deref())?;
-    let decoded = vm::DecodedProgram::decode(&asm)
+    let asm = Arc::new(asm);
+    let decoded = vm::DecodedProgram::decode_shared(Arc::clone(&asm))
         .map_err(|e| CompileError::Internal(format!("decode: {e}")))?;
     let surviving_functions = program.functions.iter().map(|f| f.name.clone()).collect();
-    let asm = Arc::new(asm);
     if let Some(fam) = family {
         fam.push(driver::LevelWork {
             level,
             mid_end,
             optimized: program,
-            asm: Arc::clone(&asm),
+            asm,
             asm_reused,
         });
     }
     Ok(Artifact {
-        asm,
         decoded,
         pass_stats,
         surviving_functions,

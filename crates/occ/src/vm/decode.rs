@@ -3,6 +3,7 @@
 //! decode invariants this establishes).
 
 use std::fmt;
+use std::sync::Arc;
 
 use super::STACK_SIZE;
 use crate::backend::{AsmFunction, AsmGlobal, AsmInst, Assembly, DATA_BASE, TEXT_BASE};
@@ -183,40 +184,21 @@ pub(crate) enum Op {
     // exactly the same step as in the oracle. Register numbers are packed
     // two per byte (`hi << 4 | lo`) — a nibble is already `< 16`, which
     // also lets the register file be indexed without a bounds check.
-    /// `Li` then `Alu` (the ubiquitous load-immediate-operand form):
-    /// `rd(rds hi) = imm; rd(rds lo) = op(rs(rss hi), rs(rss lo))`.
-    /// Fused only when the immediate fits `i16`.
-    LiAlu {
-        op: BinOp,
-        rds: u8,
-        rss: u8,
-        imm: i16,
-    },
     /// `Li` then `Alu` whose *right* operand is the value just loaded
-    /// (`rs2 == rd_li`): the dispatch arm feeds `imm` straight into the
-    /// ALU instead of reloading it through the register file (cuts a
-    /// store-to-load dependency). `rds` = `rd_li|rd`, `rs1` plain.
+    /// (`rs2 == rd_li`), the load-immediate-operand form: the dispatch
+    /// arm feeds `imm` straight into the ALU instead of reloading it
+    /// through the register file (cuts a store-to-load dependency).
+    /// `rds` = `rd_li|rd`, `rs1` plain; fused only when the immediate
+    /// fits `i16`.
     LiAluI {
         op: BinOp,
         rds: u8,
         rs1: u8,
         imm: i16,
     },
-    /// Mirror of [`Op::LiAluI`] for `rs1 == rd_li` (immediate is the
-    /// left operand).
-    LiAluIL {
-        op: BinOp,
-        rds: u8,
-        rs2: u8,
-        imm: i16,
-    },
     /// `Li` then `Li`: `rd(rds hi) = imm1; rd(rds lo) = imm2` (both
     /// immediates fit `i16`).
     LiLi { rds: u8, imm1: i16, imm2: i16 },
-    /// `Alu` then `Alu`, all four operand registers and both opcodes
-    /// nibble-packed: `ops` holds the two [`BinOp`] nibbles, `a` =
-    /// `rd1|rs11`, `b` = `rs12|rd2`, `c` = `rs21|rs22`.
-    AluAlu { ops: u8, a: u8, b: u8, c: u8 },
     /// `Alu` then `Beq`/`Bne` (compare-and-branch): `ops` = [`BinOp`]
     /// nibble `<< 4 | is_eq`, `a` = `rd|rs1`, `b` = `rs2|brs1`, `c` =
     /// `brs2 << 4`. Fused only when the branch target fits `u16`.
@@ -290,31 +272,12 @@ fn fuse_pairs(ops: &mut [Op]) {
 
 fn try_fuse(first: Op, second: Op) -> Option<Op> {
     match (first, second) {
-        (Op::Li { rd: rd1, imm }, Op::Alu { op, rd, rs1, rs2 }) => {
-            let imm = i16::try_from(imm).ok()?;
-            if rs2 == rd1 {
-                Some(Op::LiAluI {
-                    op,
-                    rds: pack(rd1, rd),
-                    rs1,
-                    imm,
-                })
-            } else if rs1 == rd1 {
-                Some(Op::LiAluIL {
-                    op,
-                    rds: pack(rd1, rd),
-                    rs2,
-                    imm,
-                })
-            } else {
-                Some(Op::LiAlu {
-                    op,
-                    rds: pack(rd1, rd),
-                    rss: pack(rs1, rs2),
-                    imm,
-                })
-            }
-        }
+        (Op::Li { rd: rd1, imm }, Op::Alu { op, rd, rs1, rs2 }) if rs2 == rd1 => Some(Op::LiAluI {
+            op,
+            rds: pack(rd1, rd),
+            rs1,
+            imm: i16::try_from(imm).ok()?,
+        }),
         (Op::Li { rd: rd1, imm: i1 }, Op::Li { rd: rd2, imm: i2 }) => {
             let imm1 = i16::try_from(i1).ok()?;
             let imm2 = i16::try_from(i2).ok()?;
@@ -324,25 +287,6 @@ fn try_fuse(first: Op, second: Op) -> Option<Op> {
                 imm2,
             })
         }
-        (
-            Op::Alu {
-                op: op1,
-                rd: rd1,
-                rs1: rs11,
-                rs2: rs12,
-            },
-            Op::Alu {
-                op: op2,
-                rd: rd2,
-                rs1: rs21,
-                rs2: rs22,
-            },
-        ) => Some(Op::AluAlu {
-            ops: pack(op1 as u8, op2 as u8),
-            a: pack(rd1, rs11),
-            b: pack(rs12, rd2),
-            c: pack(rs21, rs22),
-        }),
         (
             Op::Alu { op, rd, rs1, rs2 },
             Op::Beq {
@@ -448,12 +392,15 @@ pub(crate) struct FnInfo {
 
 /// The dense, pre-decoded form of an [`Assembly`]: one flat op array for
 /// all functions, pre-resolved branch/call targets, a flat jump-table
-/// pool, the extern name table and the initial memory image. Produced
-/// once per program by [`DecodedProgram::decode`] (and carried on every
-/// [`Artifact`](crate::Artifact)); executed by
-/// [`FastVm`](super::FastVm).
+/// pool, the extern name table and the initial memory image, beside the
+/// assembly it was decoded from. Produced once per program by
+/// [`DecodedProgram::decode`] (and carried on every
+/// [`Artifact`](crate::Artifact)); both engines run one:
+/// [`FastVm`](super::FastVm) its ops, [`Vm`](super::Vm) its assembly.
 #[derive(Debug, Clone)]
 pub struct DecodedProgram {
+    /// The decoded assembly, shared with the compile that produced it.
+    asm: Arc<Assembly>,
     pub(crate) ops: Vec<Op>,
     /// Flat pool of jump-table targets (absolute op indices).
     pub(crate) tables: Vec<u32>,
@@ -474,7 +421,9 @@ pub struct DecodedProgram {
 
 impl DecodedProgram {
     /// Pre-decodes an assembly, validating every statically resolvable
-    /// target (see the [module docs](super) for the invariant list).
+    /// target (see the [module docs](super) for the invariant list). The
+    /// program keeps a copy of `asm` for the oracle; a compile's
+    /// [`Artifact`](crate::Artifact) shares its assembly instead.
     ///
     /// # Errors
     ///
@@ -483,6 +432,12 @@ impl DecodedProgram {
     /// failure here indicates a malformed hand-built program or a
     /// backend bug.
     pub fn decode(asm: &Assembly) -> Result<DecodedProgram, DecodeError> {
+        DecodedProgram::decode_shared(Arc::new(asm.clone()))
+    }
+
+    /// [`decode`](DecodedProgram::decode) of an assembly the caller
+    /// already shares, which the program keeps without a copy.
+    pub(crate) fn decode_shared(asm: Arc<Assembly>) -> Result<DecodedProgram, DecodeError> {
         if asm.fn_addrs.len() != asm.functions.len() {
             return Err(DecodeError::FnAddrCount {
                 functions: asm.functions.len(),
@@ -738,7 +693,13 @@ impl DecodedProgram {
             externs: asm.externs.clone(),
             mem: initial_memory(&asm.globals),
             code_map,
+            asm,
         })
+    }
+
+    /// The assembly this program was decoded from.
+    pub fn assembly(&self) -> &Assembly {
+        &self.asm
     }
 
     /// The absolute entry op index of an exported function.
@@ -778,8 +739,6 @@ fn initial_memory(globals: &[AsmGlobal]) -> Vec<u8> {
 mod tests {
     use super::*;
     use crate::backend::RegAllocStats;
-    use crate::vm::{FastVm, Vm, VmError};
-    use tlang::RecordingEnv;
 
     fn func(name: &str, insts: Vec<AsmInst>) -> AsmFunction {
         AsmFunction {
@@ -856,18 +815,8 @@ mod tests {
         assert_eq!(d.ops[2], Op::Ret);
     }
 
-    /// Runs `f` of `a` on both engines: the fast one needs a decoded
-    /// program, so decode's refusal is its error; the oracle decodes for
-    /// itself. Returns both results and the oracle's executed count.
-    fn run_both(a: &Assembly) -> (Result<i32, VmError>, Result<i32, VmError>, u64) {
-        let fast = DecodedProgram::decode(a)
-            .map_err(|e| VmError::Decode(Box::new(e)))
-            .and_then(|prog| FastVm::new(&prog, RecordingEnv::new()).run("f", &[]));
-        let mut oracle = Vm::new(a, RecordingEnv::new());
-        let slow = oracle.run("f", &[]);
-        (fast, slow, oracle.executed())
-    }
-
+    /// Both engines run only a [`DecodedProgram`], so decode's refusal
+    /// refuses the program on both.
     #[test]
     fn malformed_programs_refused_alike_by_both_engines() {
         let ecall = |ext, nargs| AsmInst::Ecall {
@@ -1015,11 +964,6 @@ mod tests {
         cases.push((shared, clash));
         for (a, want) in cases {
             assert_eq!(DecodedProgram::decode(&a).unwrap_err(), want);
-            let want = Err(VmError::Decode(Box::new(want)));
-            let (fast, slow, executed) = run_both(&a);
-            assert_eq!(fast, want);
-            assert_eq!(slow, want);
-            assert_eq!(executed, 0, "the oracle ran part of {want:?}");
         }
         let top = asm(vec![func("f", vec![AsmInst::Mv { rd: 15, rs: 15 }])]);
         assert!(DecodedProgram::decode(&top).is_ok());
@@ -1227,6 +1171,62 @@ mod tests {
                 src: 3,
                 base: 14,
                 off: 4,
+            }
+        );
+    }
+
+    #[test]
+    fn li_alu_fuses_only_through_the_right_operand_and_alu_pairs_stay_plain() {
+        let alu = |rd, rs1, rs2| AsmInst::Alu {
+            op: BinOp::Add,
+            rd,
+            rs1,
+            rs2,
+        };
+        let plain = |inst: &AsmInst| match *inst {
+            AsmInst::Li { rd, imm } => Op::Li { rd, imm },
+            AsmInst::Alu { op, rd, rs1, rs2 } => Op::Alu { op, rd, rs1, rs2 },
+            _ => unreachable!("{inst:?}"),
+        };
+        let li = AsmInst::Li { rd: 3, imm: 40 };
+        // The loaded register read as the left operand, or not read at
+        // all, and two `Alu`s in a row: each pair stays two plain ops.
+        for pair in [
+            [li.clone(), alu(1, 3, 2)],
+            [li.clone(), alu(1, 2, 4)],
+            [alu(3, 1, 2), alu(1, 3, 2)],
+        ] {
+            let d = DecodedProgram::decode(&asm(vec![func("f", pair.to_vec())])).expect("decodes");
+            assert_eq!(
+                d.ops,
+                [plain(&pair[0]), plain(&pair[1]), Op::Ret],
+                "{pair:?}"
+            );
+        }
+        // In `Alu; Alu; Bne` the second `Alu` fuses with the branch.
+        let d = DecodedProgram::decode(&asm(vec![func(
+            "f",
+            vec![
+                alu(3, 1, 2),
+                alu(4, 3, 2),
+                AsmInst::Bne {
+                    rs1: 4,
+                    rs2: 0,
+                    label: 0,
+                },
+                AsmInst::Label(0),
+            ],
+        )]))
+        .expect("decodes");
+        assert_eq!(d.ops[0], plain(&alu(3, 1, 2)));
+        assert_eq!(
+            d.ops[1],
+            Op::AluBr {
+                ops: pack(BinOp::Add as u8, 0),
+                a: 0x43,
+                b: 0x24,
+                c: 0x00,
+                target: 3,
             }
         );
     }

@@ -64,8 +64,7 @@ impl<'a, E: Env> FastVm<'a, E> {
     ///
     /// # Errors
     ///
-    /// See [`VmError`] (everything but `Decode`: a program decode refused
-    /// has no decoded form to run).
+    /// See [`VmError`].
     pub fn run(&mut self, name: &str, args: &[i32]) -> Result<i32, VmError> {
         // `NoCoverage::record` inlines to nothing, so this
         // monomorphization *is* the uninstrumented hot loop.
@@ -265,16 +264,6 @@ impl<'a, E: Env> FastVm<'a, E> {
                 // re-checks fuel between its halves so `OutOfFuel` lands
                 // on exactly the same step as in the oracle; `pc` ends up
                 // past the pair's (still-populated) second slot.
-                Op::LiAlu { op, rds, rss, imm } => {
-                    regs[(rds >> 4) as usize] = i32::from(imm);
-                    if fuel == 0 {
-                        break Err(VmError::OutOfFuel);
-                    }
-                    fuel -= 1;
-                    regs[(rds & 15) as usize] =
-                        op.eval(regs[(rss >> 4) as usize], regs[(rss & 15) as usize]);
-                    pc += 1;
-                }
                 Op::LiAluI { op, rds, rs1, imm } => {
                     let imm = i32::from(imm);
                     regs[(rds >> 4) as usize] = imm;
@@ -285,16 +274,6 @@ impl<'a, E: Env> FastVm<'a, E> {
                     regs[(rds & 15) as usize] = op.eval(regs[(rs1 & 15) as usize], imm);
                     pc += 1;
                 }
-                Op::LiAluIL { op, rds, rs2, imm } => {
-                    let imm = i32::from(imm);
-                    regs[(rds >> 4) as usize] = imm;
-                    if fuel == 0 {
-                        break Err(VmError::OutOfFuel);
-                    }
-                    fuel -= 1;
-                    regs[(rds & 15) as usize] = op.eval(imm, regs[(rs2 & 15) as usize]);
-                    pc += 1;
-                }
                 Op::LiLi { rds, imm1, imm2 } => {
                     regs[(rds >> 4) as usize] = i32::from(imm1);
                     if fuel == 0 {
@@ -302,17 +281,6 @@ impl<'a, E: Env> FastVm<'a, E> {
                     }
                     fuel -= 1;
                     regs[(rds & 15) as usize] = i32::from(imm2);
-                    pc += 1;
-                }
-                Op::AluAlu { ops: o, a, b, c } => {
-                    regs[(a >> 4) as usize] = BINOP_FROM_NIBBLE[(o >> 4) as usize]
-                        .eval(regs[(a & 15) as usize], regs[(b >> 4) as usize]);
-                    if fuel == 0 {
-                        break Err(VmError::OutOfFuel);
-                    }
-                    fuel -= 1;
-                    regs[(b & 15) as usize] = BINOP_FROM_NIBBLE[(o & 15) as usize]
-                        .eval(regs[(c >> 4) as usize], regs[(c & 15) as usize]);
                     pc += 1;
                 }
                 Op::AluBr {
@@ -460,7 +428,7 @@ mod tests {
         for level in OptLevel::all() {
             let artifact = compile(m, level).expect("compiles");
             let mut fast = FastVm::new(artifact.decoded(), RecordingEnv::new());
-            let mut oracle = Vm::new(artifact.assembly(), RecordingEnv::new());
+            let mut oracle = Vm::new(artifact.decoded(), RecordingEnv::new());
             let rf = fast.run(entry, args);
             let ro = oracle.run(entry, args);
             assert_eq!(rf, ro, "{level}: results diverge");
@@ -553,7 +521,7 @@ mod tests {
     fn assert_fault_parity(asm: &Assembly, expected: VmError) {
         let prog = DecodedProgram::decode(asm).expect("decodes");
         let mut fast = FastVm::new(&prog, RecordingEnv::new());
-        let mut oracle = Vm::new(asm, RecordingEnv::new());
+        let mut oracle = Vm::new(&prog, RecordingEnv::new());
         assert_eq!(fast.run("f", &[]), Err(expected.clone()));
         assert_eq!(oracle.run("f", &[]), Err(expected));
         assert_eq!(fast.executed(), oracle.executed());
@@ -611,7 +579,7 @@ mod tests {
         let asm = raw(vec![AsmInst::Ret]);
         let prog = DecodedProgram::decode(&asm).expect("decodes");
         let mut fast = FastVm::new(&prog, RecordingEnv::new());
-        let mut oracle = Vm::new(&asm, RecordingEnv::new());
+        let mut oracle = Vm::new(&prog, RecordingEnv::new());
         assert_eq!(
             fast.run("nope", &[]),
             Err(VmError::UnknownFunction("nope".into()))
@@ -657,7 +625,7 @@ mod tests {
         assert!(cost > 4);
         for fuel in [0, 1, cost / 2, cost - 1] {
             let mut fast = FastVm::new(artifact.decoded(), RecordingEnv::new()).with_fuel(fuel);
-            let mut oracle = Vm::new(artifact.assembly(), RecordingEnv::new()).with_fuel(fuel);
+            let mut oracle = Vm::new(artifact.decoded(), RecordingEnv::new()).with_fuel(fuel);
             assert_eq!(
                 fast.run("main", &[]),
                 Err(VmError::OutOfFuel),
@@ -676,7 +644,7 @@ mod tests {
             );
         }
         let mut fast = FastVm::new(artifact.decoded(), RecordingEnv::new()).with_fuel(cost);
-        let mut oracle = Vm::new(artifact.assembly(), RecordingEnv::new()).with_fuel(cost);
+        let mut oracle = Vm::new(artifact.decoded(), RecordingEnv::new()).with_fuel(cost);
         assert_eq!(fast.run("main", &[]).expect("exact budget"), 3);
         assert_eq!(oracle.run("main", &[]).expect("exact budget"), 3);
     }
@@ -710,7 +678,7 @@ mod tests {
         ]);
         let prog = DecodedProgram::decode(&asm).expect("decodes");
         let mut fast = FastVm::new(&prog, RecordingEnv::new());
-        let mut oracle = Vm::new(&asm, RecordingEnv::new());
+        let mut oracle = Vm::new(&prog, RecordingEnv::new());
         assert_eq!(fast.run("f", &[]), Ok(0), "r0 clobbered on fast engine");
         assert_eq!(oracle.run("f", &[]), Ok(0));
         assert_eq!(fast.executed(), oracle.executed());

@@ -5,16 +5,17 @@
 //! engines execute the same [`Assembly`](crate::backend::Assembly):
 //!
 //! * **The oracle** ([`Vm`]) walks the [`AsmInst`](crate::backend::AsmInst)
-//!   stream exactly as the emitter produced it (and as the pretty-printer
-//!   prints it): label markers are skipped in place, branch targets are
-//!   looked up in per-function label maps, calls are resolved by function
-//!   index, indirect calls by a linear scan of the address table. Nothing
-//!   is precomputed beyond the label maps (it decodes the program once,
-//!   but keeps only decode's verdict and memory image; see below), so the
-//!   oracle is a direct transcription of the EM32 semantics — slow, but
-//!   obviously faithful. It exists to *validate*: a compiled program must
-//!   reproduce the extern-call trace of the `tlang` reference
-//!   interpreter, and the fast engine must reproduce the oracle's.
+//!   stream of a [`DecodedProgram`]'s assembly exactly as the emitter
+//!   produced it (and as the pretty-printer prints it): label markers are
+//!   skipped in place, branch targets are looked up in per-function label
+//!   maps, calls are resolved by function index, indirect calls by a
+//!   linear scan of the address table. Nothing is precomputed beyond the
+//!   label maps (it ignores the decoded ops and takes only the memory
+//!   image), so the oracle is a direct transcription of the EM32
+//!   semantics — slow, but obviously faithful. It exists to *validate*: a
+//!   compiled program must reproduce the extern-call trace of the `tlang`
+//!   reference interpreter, and the fast engine must reproduce the
+//!   oracle's.
 //! * **The fast engine** ([`FastVm`]) executes a [`DecodedProgram`] — a
 //!   one-time pre-decode of the assembly into one flat, dense array of
 //!   `Copy` micro-ops shared by all functions — in a tight threaded-style
@@ -57,35 +58,37 @@
 //!   body — no search at dispatch time.
 //!
 //! Both engines run exactly the programs decode accepts, and the rules
-//! exist only there: the fast engine runs nothing but a
-//! [`DecodedProgram`], and [`Vm::new`] calls [`DecodedProgram::decode`]
-//! itself, keeping only the verdict and the memory image. Every
-//! [`Vm::run`] of a refused program returns [`VmError::Decode`] with
-//! decode's error and executes nothing, and on an accepted one every
-//! label, function, global, extern and register the oracle's walk indexes
-//! exists and every code address names one function, so the engines
-//! cannot disagree on which programs run, nor on what an indirect call
-//! reaches.
+//! exist only there: [`FastVm::new`] and [`Vm::new`] both take a
+//! [`DecodedProgram`], so no engine can be built from a program decode
+//! refuses. In an accepted one every label, function, global, extern and
+//! register the oracle's walk indexes exists and every code address names
+//! one function, so the engines cannot disagree on which programs run,
+//! nor on what an indirect call reaches.
 //!
 //! # Superinstruction fusion
 //!
 //! After per-function decode, a peephole pass fuses hot adjacent
-//! fall-through pairs (`Li`+`Alu`, `Li`+`Li`, `Alu`+`Alu`, `Alu`+branch,
-//! `Lw`+`Lw`, `Sw`+`Sw`, immediates permitting) into single fused ops
-//! with nibble-packed register fields. Fusion preserves the slot
-//! numbering: the second instruction of a fused pair *keeps* its plain op
-//! in place, and the fused op skips it with an extra `pc` bump — so
-//! branches into the middle of a pair stay valid and no target needs
-//! rewriting. Each fused op re-checks fuel between its two halves, so
-//! `OutOfFuel` faults land at exactly the same instruction boundary as on
-//! the oracle, trace and count included.
+//! fall-through pairs (`Li`+`Alu` whose right operand is the loaded
+//! register, `Li`+`Li`, `Alu`+branch, `Lw`+`Lw`, `Sw`+`Sw`, immediates
+//! permitting) into single fused ops with nibble-packed register
+//! fields. Fusion preserves the slot numbering: the second instruction
+//! of a fused pair *keeps* its plain op in place, and the fused op skips
+//! it with an extra `pc` bump — so branches into the middle of a pair
+//! stay valid and no target needs rewriting. Each fused op re-checks fuel
+//! between its two halves, so `OutOfFuel` faults land at exactly the same
+//! instruction boundary as on the oracle, trace and count included.
 //!
 //! Fusion is measured to pay for itself. With the fused ops, the fusion
 //! peephole and their dispatch arms removed, the repository benchmark's
 //! `storm` workload (8 alternating 25 s pairs, seed 1, on a 2-core
 //! x86-64 VM) fell from 9.44M to 8.32M events/s in the median, about
 //! 12% (worse in 7 of 8 pairs), and its p90 event latency rose from
-//! 0.111 to 0.134 µs (worse in 8 of 8).
+//! 0.111 to 0.134 µs (worse in 8 of 8). Each fused op also earns its
+//! own place by its share of that workload's fetches: `LiAluI` takes
+//! about 17% of them, each of the other four 2.5–3.4%. Other pairs are
+//! left plain: fusing `Li`+`Alu` that reads the loaded register on the
+//! left or not at all, and `Alu`+`Alu`, covered 0.6% of the fetches
+//! and saved 0.4–0.5% of them.
 //!
 //! Only genuinely run-time faults remain at dispatch time: memory faults,
 //! indirect calls to non-entry addresses, host rejections, and fuel
@@ -162,7 +165,7 @@
 //! // The artifact carries the pre-decoded program; the fast engine and
 //! // the oracle agree on result and executed-instruction count.
 //! let mut fast = FastVm::new(artifact.decoded(), RecordingEnv::new());
-//! let mut oracle = Vm::new(artifact.assembly(), RecordingEnv::new());
+//! let mut oracle = Vm::new(artifact.decoded(), RecordingEnv::new());
 //! assert_eq!(fast.run("answer", &[])?, 42);
 //! assert_eq!(oracle.run("answer", &[])?, 42);
 //! assert_eq!(fast.executed(), oracle.executed());
@@ -188,6 +191,14 @@ pub(crate) const SP: usize = 14;
 pub(crate) const DEFAULT_FUEL: u64 = 50_000_000;
 
 /// An execution failure.
+///
+/// The fast engine's dispatch loop returns this enum, so its layout
+/// shapes the loop's machine code, and a new variant must keep it. The
+/// layout matters: a variant holding a `String` and a `u8` made the enum
+/// niche-encoded, and the repository benchmark's `storm` workload lost
+/// 5.5% of its events per second (10 alternating 25 s pairs, seed 1, on a
+/// 2-core x86-64 VM); a one-byte field alone shrinks the tag to one byte.
+/// Box a payload that would change it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VmError {
     /// Call of an unknown exported function.
@@ -199,20 +210,6 @@ pub enum VmError {
     },
     /// Indirect call to an address that is not a function entry.
     BadCodeAddress(i32),
-    /// The program breaks a decode rule, so neither engine runs any of
-    /// it: decode's error, returned by every [`Vm::run`] of a program
-    /// [`DecodedProgram::decode`] refuses (the fast engine has no program
-    /// to run at all).
-    ///
-    /// Boxed, so that `VmError` keeps the layout the dispatch loop that
-    /// returns it is tuned for, and declared before `OutOfFuel` so that
-    /// the variants the loop returns keep their tags. The layout matters:
-    /// a variant holding a `String` and a `u8` made the enum
-    /// niche-encoded, and the repository benchmark's `storm` workload
-    /// lost 5.5% of its events per second (10 alternating 25 s pairs,
-    /// seed 1, on a 2-core x86-64 VM); a one-byte field alone shrinks the
-    /// tag to one byte.
-    Decode(Box<DecodeError>),
     /// The instruction budget was exhausted.
     OutOfFuel,
     /// The host environment rejected an extern call.
@@ -225,7 +222,6 @@ impl fmt::Display for VmError {
             VmError::UnknownFunction(n) => write!(f, "unknown exported function `{n}`"),
             VmError::MemoryFault { addr } => write!(f, "memory fault at 0x{addr:x}"),
             VmError::BadCodeAddress(a) => write!(f, "indirect call to bad address 0x{a:x}"),
-            VmError::Decode(e) => write!(f, "program refused by decode: {e}"),
             VmError::OutOfFuel => write!(f, "instruction budget exhausted"),
             VmError::Host(msg) => write!(f, "host rejected extern call: {msg}"),
         }

@@ -1,13 +1,13 @@
 //! The reference EM32 interpreter: the oracle half of the two-engine
 //! contract (see the [module docs](super)).
 //!
-//! Walks the [`AsmInst`] stream directly with per-function label maps —
-//! it decodes the program only to apply decode's rules and take its
-//! memory image, and clones nothing per step (instructions are borrowed
-//! from the assembly, never copied), so every step is a plain
-//! transcription of the EM32 semantics the backend assumes (hardwired
-//! `r0`, word-addressed little-endian memory, division by zero yielding
-//! zero, link handling via an internal return stack).
+//! Walks the [`AsmInst`] stream of a decoded program's assembly directly
+//! with per-function label maps — it takes only decode's verdict and
+//! memory image from the [`DecodedProgram`], and clones nothing per step
+//! (instructions are borrowed from the assembly, never copied), so every
+//! step is a plain transcription of the EM32 semantics the backend
+//! assumes (hardwired `r0`, word-addressed little-endian memory, division
+//! by zero yielding zero, link handling via an internal return stack).
 
 use tlang::{Env, Value};
 
@@ -27,22 +27,17 @@ pub struct Vm<'a, E> {
     executed: u64,
     /// Per-function label -> instruction index maps.
     labels: Vec<std::collections::BTreeMap<usize, usize>>,
-    /// Decode's refusal of the program, which refuses every call.
-    refused: Option<VmError>,
 }
 
 impl<'a, E: Env> Vm<'a, E> {
     /// Creates a machine with the program's data image loaded.
     ///
     /// The oracle runs exactly the programs [`DecodedProgram::decode`]
-    /// accepts: it decodes the program once, keeps the verdict and the
-    /// memory image, and drops the decoded ops. So every rule lives in
-    /// decode alone, and every index the walk below takes is in range.
-    pub fn new(asm: &'a Assembly, env: E) -> Vm<'a, E> {
-        let (mem, refused) = match DecodedProgram::decode(asm) {
-            Ok(prog) => (prog.mem, None),
-            Err(e) => (Vec::new(), Some(VmError::Decode(Box::new(e)))),
-        };
+    /// accepts, like the fast engine: it walks the decoded program's
+    /// assembly and ignores its ops. So every rule lives in decode alone,
+    /// and every index the walk below takes is in range.
+    pub fn new(prog: &'a DecodedProgram, env: E) -> Vm<'a, E> {
+        let asm = prog.assembly();
         let labels = asm
             .functions
             .iter()
@@ -59,13 +54,12 @@ impl<'a, E: Env> Vm<'a, E> {
             .collect();
         Vm {
             asm,
-            mem,
+            mem: prog.mem.clone(),
             regs: [0; 16],
             env,
             fuel: DEFAULT_FUEL,
             executed: 0,
             labels,
-            refused,
         }
     }
 
@@ -100,9 +94,6 @@ impl<'a, E: Env> Vm<'a, E> {
         // a borrow of `self` across the mutating match arms below — this
         // is what lets the hot loop index/borrow instead of cloning.
         let asm = self.asm;
-        if let Some(e) = &self.refused {
-            return Err(e.clone());
-        }
         let func = asm
             .functions
             .iter()
@@ -309,7 +300,7 @@ mod tests {
 
     fn run_main(module: &Module, level: OptLevel) -> (i32, RecordingEnv) {
         let artifact = compile(module, level).expect("compiles");
-        let mut vm = Vm::new(artifact.assembly(), RecordingEnv::new());
+        let mut vm = Vm::new(artifact.decoded(), RecordingEnv::new());
         let r = vm.run("main", &[]).expect("runs");
         (r, vm.into_env())
     }
@@ -460,7 +451,7 @@ mod tests {
         m.check().expect("typed");
         for level in OptLevel::all() {
             let artifact = compile(&m, level).expect("compiles");
-            let mut vm = Vm::new(artifact.assembly(), RecordingEnv::new());
+            let mut vm = Vm::new(artifact.decoded(), RecordingEnv::new());
             for k in -1..9 {
                 let want = if (0..8).contains(&k) { 100 + k } else { -1 };
                 assert_eq!(vm.run("sel", &[k]).expect("runs"), want, "{level} k={k}");
@@ -513,7 +504,7 @@ mod tests {
         m.check().expect("typed");
         for level in OptLevel::all() {
             let artifact = compile(&m, level).expect("compiles");
-            let mut vm = Vm::new(artifact.assembly(), RecordingEnv::new());
+            let mut vm = Vm::new(artifact.decoded(), RecordingEnv::new());
             vm.run("main", &[]).expect("runs");
             assert_eq!(
                 vm.into_env().calls,
@@ -550,7 +541,7 @@ mod tests {
         });
         m.check().expect("typed");
         let artifact = compile(&m, OptLevel::Os).expect("compiles");
-        let mut vm = Vm::new(artifact.assembly(), RecordingEnv::new());
+        let mut vm = Vm::new(artifact.decoded(), RecordingEnv::new());
         assert_eq!(vm.run("bump", &[]).expect("runs"), 1);
         assert_eq!(vm.run("bump", &[]).expect("runs"), 2);
         assert_eq!(vm.run("bump", &[]).expect("runs"), 3);
@@ -570,7 +561,7 @@ mod tests {
             exported: true,
         });
         let artifact = compile(&m, OptLevel::O0).expect("compiles");
-        let mut vm = Vm::new(artifact.assembly(), RecordingEnv::new()).with_fuel(10_000);
+        let mut vm = Vm::new(artifact.decoded(), RecordingEnv::new()).with_fuel(10_000);
         assert_eq!(vm.run("main", &[]), Err(VmError::OutOfFuel));
     }
 
@@ -612,7 +603,7 @@ mod tests {
             .filter(|i| matches!(i, AsmInst::Label(_)))
             .count();
         assert!(labels > 0, "-O0 loop body should carry labels");
-        let mut vm = Vm::new(artifact.assembly(), RecordingEnv::new());
+        let mut vm = Vm::new(artifact.decoded(), RecordingEnv::new());
         assert_eq!(vm.run("main", &[]).expect("runs"), 4);
         assert!(vm.executed() > 0);
         // Re-running accumulates.

@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let artifact = occ::compile(&generated.module, level)?;
             sizes.push(artifact.sizes().total());
             // Execute the compiled program and compare with the oracle.
-            let mut vm = occ::vm::Vm::new(artifact.assembly(), RecordingEnv::new());
+            let mut vm = occ::vm::Vm::new(artifact.decoded(), RecordingEnv::new());
             vm.run("sm_init", &[])?;
             for e in &events {
                 if let Some(code) = generated.codes.event_code(e) {

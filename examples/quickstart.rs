@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let generated = cgen::generate(&outcome.machine, Pattern::NestedSwitch)?;
     let artifact = occ::compile(&generated.module, OptLevel::Os)?;
-    let mut vm = occ::vm::Vm::new(artifact.assembly(), RecordingEnv::new());
+    let mut vm = occ::vm::Vm::new(artifact.decoded(), RecordingEnv::new());
     vm.run("sm_init", &[])?;
     for e in &events {
         if let Some(code) = generated.codes.event_code(e) {

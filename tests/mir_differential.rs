@@ -459,7 +459,8 @@ fn trace_at(program: &Program, level: OptLevel) -> Vec<(String, Vec<i32>)> {
     let mut p = program.clone();
     opt::run_pipeline_with_verify(&mut p, level, opt::VerifyMode::Each);
     let asm = occ::backend::compile_program(&p, level).expect("compiles");
-    let mut vm = Vm::new(&asm, RecordingEnv::new());
+    let decoded = DecodedProgram::decode(&asm).expect("decodes");
+    let mut vm = Vm::new(&decoded, RecordingEnv::new());
     vm.run("main", &[]).expect("runs");
     vm.into_env().calls
 }
@@ -489,7 +490,8 @@ fn trace_with_passes(program: &Program, passes: &[opt::SsaPass]) -> Vec<(String,
         opt::simplify_cfg(f, &mut AnalysisCtx::new(&model));
     }
     let asm = occ::backend::compile_program(&p, OptLevel::O0).expect("compiles");
-    let mut vm = Vm::new(&asm, RecordingEnv::new());
+    let decoded = DecodedProgram::decode(&asm).expect("decodes");
+    let mut vm = Vm::new(&decoded, RecordingEnv::new());
     vm.run("main", &[]).expect("runs");
     vm.into_env().calls
 }
@@ -719,7 +721,7 @@ fn engines_agree_on_generated_mir() {
             let asm = occ::backend::compile_program(&p, level).expect("compiles");
             let decoded = DecodedProgram::decode(&asm).expect("decodes");
 
-            let mut oracle = Vm::new(&asm, RecordingEnv::new());
+            let mut oracle = Vm::new(&decoded, RecordingEnv::new());
             let want = oracle.run("main", &[]);
             assert!(want.is_ok(), "{level} oracle faults: {want:?}");
             let total = oracle.executed();
@@ -740,7 +742,7 @@ fn engines_agree_on_generated_mir() {
             // Truncated budgets: both engines must exhaust the budget at
             // the same instruction, with identical trace prefixes.
             for budget in [0, 1, total / 3, total / 2, total - 1] {
-                let mut oracle = Vm::new(&asm, RecordingEnv::new()).with_fuel(budget);
+                let mut oracle = Vm::new(&decoded, RecordingEnv::new()).with_fuel(budget);
                 let want = oracle.run("main", &[]);
                 assert_eq!(
                     want,
